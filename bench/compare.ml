@@ -6,9 +6,9 @@
    quick CI path produces one with --macro-only). The gated sections
    ([gated_sections] below) are the ones built from deterministic work
    counters — "macro" (DPOR/Lin), "serve"/"serve_tracing"/"serve_cache"
-   (daemon load generator), "fabric" (scale-out coordinator), and
-   "detector_impl" (heartbeat detectors over partially synchronous
-   links) — compared entry by entry under the same rules:
+   (daemon load generator), and "detector_impl" (heartbeat detectors
+   over partially synchronous links) — compared entry by entry under
+   the same rules:
 
    - every counter of an entry present in both files must not INCREASE
      (executions, races, backtrack points, scheduler steps, service
@@ -33,7 +33,7 @@
 
 let minor_words_tolerance = 1.10
 let gated_sections =
-  [ "macro"; "serve"; "serve_tracing"; "serve_cache"; "fabric"; "detector_impl" ]
+  [ "macro"; "serve"; "serve_tracing"; "serve_cache"; "detector_impl" ]
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 

@@ -596,214 +596,6 @@ let cache_bench_entries () =
       serial_stats.Serve.Cache.misses classes;
   entries
 
-(* ------------------------------------------------------------- part 7 *)
-
-(* Scale-out fabric: the same exhaustive check (abd, depth 8) run
-   serially in-process, through the fabric over 1 and 3 real [wfde
-   serve] worker processes, and through a chaos leg — one worker
-   SIGKILLed mid-sweep, another drained, the coordinator itself killed
-   at a checkpoint and resumed. Wall time and the scale-out multiple
-   are machine-dependent and never gate; the gated counters are the
-   deterministic invariants: [errors] (a failed run), [text_mismatch]
-   (merged stdout vs the serial renderer, byte compared),
-   [payload_mismatches] (a unit computed twice answering different
-   bytes), [recompute_imbalance] (|units_lost_to_crash -
-   units_recomputed|, zero for every completed run), and
-   [units_unaccounted] after the resume (journal + recomputed must
-   cover the whole plan). Timing-dependent observables (how many units
-   the crash actually lost, retry counts) are printed but kept out of
-   the counters. *)
-
-type fabric_entry = {
-  fabric_name : string;
-  fabric_wall : float;
-  fabric_counters : (string * int) list;
-}
-
-let fabric_binary () =
-  match Sys.getenv_opt "WFDE_BIN" with
-  | Some p -> p
-  | None ->
-      Filename.concat
-        (Filename.dirname Sys.executable_name)
-        "../bin/wfde_cli.exe"
-
-let fabric_bench_entries () =
-  Format.printf "==================================================@.";
-  Format.printf "Part 7: scale-out fabric (chaos + checkpoint/resume)@.";
-  Format.printf "==================================================@.@.";
-  let obj = Wfde.Scenario.Abd and procs = 3 and depth = 8 in
-  let t0 = Unix.gettimeofday () in
-  let serial_outcome =
-    Wfde.Harness.check_exhaustive ~jobs:1 ~procs ~depth obj
-  in
-  let serial_wall = Unix.gettimeofday () -. t0 in
-  let want_text = Serve.Service.check_text serial_outcome in
-  let plan = Fabric.Plan.check ~procs ~depth obj in
-  let with_workers n f =
-    let binary = fabric_binary () in
-    let procs_ =
-      List.init n (fun _ ->
-          Serve.Loadgen.Proc.start ~binary
-            ~socket:(bench_socket (Printf.sprintf "fabric%d" (Random.bits ())))
-            ())
-    in
-    Fun.protect
-      ~finally:(fun () -> List.iter Serve.Loadgen.Proc.destroy procs_)
-      (fun () ->
-        List.iter
-          (fun p -> ignore (Serve.Loadgen.Proc.wait_ready p))
-          procs_;
-        f (Array.of_list procs_))
-  in
-  let entry_of ~name ~wall ~extra (r : (Fabric.Coordinator.outcome, string) result)
-      =
-    let counters =
-      match r with
-      | Error _ -> [ ("errors", 1) ]
-      | Ok o ->
-          [
-            ("errors", 0);
-            ("text_mismatch", if o.text = want_text then 0 else 1);
-            ("payload_mismatches", o.progress.payload_mismatches);
-            ( "recompute_imbalance",
-              abs (o.progress.units_lost_to_crash - o.progress.units_recomputed)
-            );
-          ]
-          @ extra o
-    in
-    { fabric_name = name; fabric_wall = wall; fabric_counters = counters }
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let plain n =
-    with_workers n (fun procs_ ->
-        let cfg =
-          Fabric.Coordinator.default
-            ~workers:
-              (Array.to_list
-                 (Array.map (fun p -> p.Serve.Loadgen.Proc.socket) procs_))
-        in
-        timed (fun () -> Fabric.Coordinator.run cfg plan))
-  in
-  let r1, wall1 = plain 1 in
-  let r3, wall3 = plain 3 in
-  let chaos () =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "wfde-bench-fabric-ckpt-%d" (Unix.getpid ()))
-    in
-    with_workers 3 (fun procs_ ->
-        let workers =
-          Array.to_list
-            (Array.map (fun p -> p.Serve.Loadgen.Proc.socket) procs_)
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            if Sys.file_exists dir then begin
-              Array.iter
-                (fun f -> Sys.remove (Filename.concat dir f))
-                (Sys.readdir dir);
-              Unix.rmdir dir
-            end)
-          (fun () ->
-            timed (fun () ->
-                (* leg 1: the coordinator dies at its crash point *)
-                let cfg =
-                  {
-                    (Fabric.Coordinator.default ~workers) with
-                    checkpoint = Some dir;
-                    crash_after = Some 10;
-                  }
-                in
-                let crashed_at =
-                  match Fabric.Coordinator.run cfg plan with
-                  | exception Fabric.Coordinator.Crashed k -> k
-                  | Ok _ | Error _ -> -1
-                in
-                (* leg 2: resume; a worker is SIGKILLed and another
-                   drained while the rest of the plan completes *)
-                let killed = Atomic.make false and drained = Atomic.make false in
-                let cfg =
-                  {
-                    (Fabric.Coordinator.default ~workers) with
-                    checkpoint = Some dir;
-                    resume = true;
-                    on_unit_done =
-                      Some
-                        (fun k ->
-                          if k >= 3 && not (Atomic.exchange killed true) then
-                            Serve.Loadgen.Proc.sigkill procs_.(1);
-                          if k >= 20 && not (Atomic.exchange drained true) then
-                            Serve.Loadgen.Proc.sigterm procs_.(2));
-                  }
-                in
-                (crashed_at, Fabric.Coordinator.run cfg plan))))
-  in
-  let (crashed_at, rc), wall_chaos = chaos () in
-  let entries =
-    [
-      entry_of ~name:"fabric/check abd d8 x1 worker" ~wall:wall1
-        ~extra:(fun _ -> [])
-        r1;
-      entry_of ~name:"fabric/check abd d8 x3 workers" ~wall:wall3
-        ~extra:(fun _ -> [])
-        r3;
-      entry_of ~name:"fabric/check abd d8 chaos+resume" ~wall:wall_chaos
-        ~extra:(fun o ->
-          [
-            ( "units_unaccounted",
-              o.progress.units_total - o.progress.units_from_journal
-              - o.progress.units_completed );
-            ("coordinator_crashed", if crashed_at >= 0 then 1 else 0);
-          ])
-        rc;
-    ]
-  in
-  List.iter
-    (fun e ->
-      Format.printf "%-34s %7.3fs  %s@." e.fabric_name e.fabric_wall
-        (String.concat " "
-           (List.map
-              (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-              e.fabric_counters)))
-    entries;
-  (match rc with
-  | Ok o ->
-      Format.printf
-        "fabric chaos (not gated): coordinator crashed after %d units, \
-         resumed %d from journal, recomputed %d of %d lost, %d rpc retries, \
-         %d dead workers@."
-        crashed_at o.progress.units_from_journal o.progress.units_recomputed
-        o.progress.units_lost_to_crash o.progress.rpc_retries
-        o.progress.workers_dead
-  | Error msg -> Format.printf "fabric chaos FAILED: %s@." msg);
-  Format.printf
-    "fabric scale-out (wall-clock, not gated): serial %.3fs, x1 %.3fs, x3 \
-     %.3fs (%.2fx vs x1)@.@."
-    serial_wall wall1 wall3
-    (if wall3 > 0. then wall1 /. wall3 else nan);
-  entries
-
-let fabric_section_json entries =
-  let module J = Wfde.Json in
-  J.List
-    (List.map
-       (fun e ->
-         J.Obj
-           [
-             ("name", J.String e.fabric_name);
-             ("wall_seconds", J.Float e.fabric_wall);
-             ( "counters",
-               J.Obj (List.map (fun (k, v) -> (k, J.Int v)) e.fabric_counters)
-             );
-           ])
-       entries)
-
 (* ------------------------------------------------------------- part 8 *)
 
 (* Oracle vs implemented detectors: the heartbeat monitors and the link
@@ -1282,7 +1074,7 @@ let macro_section_json entries =
        entries)
 
 let json_document ~outcomes ~sweep ~benchmarks ~macro ~serve ~serve_tracing
-    ~serve_cache ~fabric ~detector_impl =
+    ~serve_cache ~detector_impl =
   let module J = Wfde.Json in
   J.Obj
     [
@@ -1322,7 +1114,6 @@ let json_document ~outcomes ~sweep ~benchmarks ~macro ~serve ~serve_tracing
       ("serve", serve_section_json serve);
       ("serve_tracing", serve_section_json serve_tracing);
       ("serve_cache", serve_section_json serve_cache);
-      ("fabric", fabric_section_json fabric);
       ("detector_impl", macro_section_json detector_impl);
       ("metrics", Wfde.Metrics.to_json (Wfde.Metrics.snapshot ()));
     ]
@@ -1366,7 +1157,6 @@ let () =
   let serve, untraced_serial = serve_entries () in
   let serve_tracing = tracing_entries ~reference:untraced_serial ~spans_out in
   let serve_cache = cache_bench_entries () in
-  let fabric = fabric_bench_entries () in
   match json_path with
   | None -> ()
   | Some path ->
@@ -1377,6 +1167,6 @@ let () =
           output_string oc
             (Wfde.Json.to_string
                (json_document ~outcomes ~sweep ~benchmarks ~macro ~serve
-                  ~serve_tracing ~serve_cache ~fabric ~detector_impl));
+                  ~serve_tracing ~serve_cache ~detector_impl));
           output_char oc '\n');
       Format.printf "wrote machine-readable results to %s@." path

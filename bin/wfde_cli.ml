@@ -400,8 +400,7 @@ let run_check obj_name procs depth horizon jobs mutant_name impl json_path =
             Wfde.Harness.check_exhaustive ~jobs ?procs ~depth ~horizon
               ?mutant obj
           in
-          (* same renderer the daemon and the fabric merge use, so all
-             three surfaces stay byte-identical by construction *)
+          (* rendered by Serve.Service, like the run and sweep output *)
           print_string (Serve.Service.check_text outcome);
           let json_failed =
             match json_path with
@@ -941,255 +940,6 @@ let spans_cmd =
   Cmd.v (Cmd.info "spans" ~doc ~man)
     Term.(const run_spans $ file_arg $ normalize_arg)
 
-(* ----------------------------------------------------------- fabric --- *)
-
-(* Scale-out dispatch of a sweep or exhaustive check over several
-   daemons. Merged stdout is byte-identical to the serial command's;
-   scheduling detail (progress counters) goes to stderr, like sweep
-   timings. Exit 70 is the --crash-after chaos hook, distinct from
-   every normal exit so the harness can assert the crash actually
-   happened. *)
-
-let fabric_crashed_exit = 70
-
-let fabric_progress_line (p : Fabric.Coordinator.progress) =
-  Format.eprintf
-    "fabric: units=%d journal=%d computed=%d lost=%d recomputed=%d \
-     requeued=%d slices=%d retries=%d dead-workers=%d mismatches=%d@."
-    p.units_total p.units_from_journal p.units_completed p.units_lost_to_crash
-    p.units_recomputed p.units_requeued p.frontier_slices p.rpc_retries
-    p.workers_dead p.payload_mismatches
-
-let run_fabric_plan ~workers ~window ~checkpoint ~resume ~unit_budget
-    ~crash_after ~json_path ~on_json ~exit_of plan =
-  let cfg =
-    {
-      (Fabric.Coordinator.default ~workers) with
-      window;
-      checkpoint;
-      resume;
-      unit_budget;
-      crash_after;
-    }
-  in
-  match Fabric.Coordinator.run cfg plan with
-  | exception Fabric.Coordinator.Crashed k ->
-      Format.eprintf
-        "fabric: coordinator crashed after %d completed unit(s) \
-         (--crash-after); rerun with --resume@."
-        k;
-      fabric_crashed_exit
-  | Error msg ->
-      Format.eprintf "fabric: %s@." msg;
-      3
-  | Ok (r : Fabric.Coordinator.outcome) ->
-      print_string r.text;
-      fabric_progress_line r.progress;
-      let json_failed =
-        match json_path with
-        | None -> false
-        | Some path -> (
-            match open_out path with
-            | oc ->
-                Fun.protect
-                  ~finally:(fun () -> close_out oc)
-                  (fun () ->
-                    output_string oc (Wfde.Json.to_string r.json);
-                    output_char oc '\n');
-                on_json path;
-                false
-            | exception Sys_error msg ->
-                Format.eprintf "cannot write fabric JSON: %s@." msg;
-                true)
-      in
-      if json_failed then 1 else exit_of r
-
-let run_fabric_sweep ids scale jobs workers window checkpoint resume
-    crash_after json_path =
-  if not (reject_unknown_ids ids) then 2
-  else
-    match Fabric.Plan.sweep ~scale ~jobs ids with
-    | Error msg ->
-        Format.eprintf "%s@." msg;
-        2
-    | Ok plan ->
-        run_fabric_plan ~workers ~window ~checkpoint ~resume ~unit_budget:None
-          ~crash_after ~json_path
-          ~on_json:(fun path -> Format.eprintf "wrote sweep JSON to %s@." path)
-          ~exit_of:(fun r -> if r.Fabric.Coordinator.ok then 0 else 1)
-          plan
-
-let run_fabric_check obj_name procs depth horizon mutant_name workers window
-    checkpoint resume unit_budget crash_after json_path =
-  let fail msg =
-    Format.eprintf "%s@." msg;
-    2
-  in
-  match Wfde.Scenario.of_string obj_name with
-  | Error msg -> fail msg
-  | Ok obj -> (
-      let mutant =
-        match mutant_name with
-        | None -> Ok None
-        | Some m -> Result.map Option.some (Wfde.Mutant.of_string m)
-      in
-      match mutant with
-      | Error msg -> fail msg
-      | Ok mutant ->
-          let plan = Fabric.Plan.check ?procs ~depth ~horizon ?mutant obj in
-          run_fabric_plan ~workers ~window ~checkpoint ~resume ~unit_budget
-            ~crash_after ~json_path
-            ~on_json:(fun path ->
-              Format.printf "wrote check outcome JSON to %s@." path)
-            ~exit_of:(fun r ->
-              let found = not r.Fabric.Coordinator.ok in
-              let expected =
-                match mutant with Some _ -> found | None -> not found
-              in
-              if expected then 0 else 1)
-            plan)
-
-let fabric_cmd =
-  let workers_arg =
-    let doc = "Comma-separated worker daemon socket paths." in
-    Arg.(
-      required
-      & opt (some (list string)) None
-      & info [ "workers" ] ~docv:"SOCK,SOCK" ~doc)
-  in
-  let window_arg =
-    let doc = "In-flight requests per worker." in
-    Arg.(
-      value
-      & opt (bounded_int ~what:"--window" ~min:1 ~max:64) 2
-      & info [ "window" ] ~docv:"K" ~doc)
-  in
-  let checkpoint_arg =
-    let doc =
-      "Journal completed units under $(docv) (atomic JSONL, one file per \
-       request content key) so a killed coordinator can --resume."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR" ~doc)
-  in
-  let resume_arg =
-    let doc =
-      "Load the matching journal from --checkpoint and recompute only units \
-       it does not hold."
-    in
-    Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let crash_after_arg =
-    let doc =
-      "Chaos hook: abort the coordinator (exit 70) once $(docv) units \
-       completed this run, after journaling them."
-    in
-    Arg.(
-      value
-      & opt (some (bounded_int ~what:"--crash-after" ~min:1 ~max:max_int)) None
-      & info [ "crash-after" ] ~docv:"N" ~doc)
-  in
-  let sweep_json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write the merged wfde-sweep/1 document to $(docv).")
-  in
-  let sweep =
-    let doc = "run an experiment sweep sharded over worker daemons" in
-    Cmd.v
-      (Cmd.info "sweep" ~doc)
-      Term.(
-        const run_fabric_sweep $ ids_arg $ scale_arg $ jobs_arg $ workers_arg
-        $ window_arg $ checkpoint_arg $ resume_arg $ crash_after_arg
-        $ sweep_json_arg)
-  in
-  let obj_arg =
-    let doc =
-      "Object to check: register, snapshot, abd, commit-adopt, \
-       hb-detector, or link-chaos."
-    in
-    Arg.(
-      value & opt string "register" & info [ "object"; "obj" ] ~docv:"OBJ" ~doc)
-  in
-  let procs_arg =
-    Arg.(
-      value
-      & opt (some (bounded_int ~what:"--procs" ~min:1 ~max:64)) None
-      & info [ "procs"; "n" ] ~docv:"N+1"
-          ~doc:"Number of processes (clamped up to the scenario's minimum).")
-  in
-  let depth_arg =
-    Arg.(
-      value
-      & opt (bounded_int ~what:"--depth" ~min:1 ~max:64) 6
-      & info [ "depth"; "d" ] ~docv:"D" ~doc:"Schedule-choice window.")
-  in
-  let horizon_arg =
-    Arg.(
-      value
-      & opt (bounded_int ~what:"--horizon" ~min:1 ~max:100_000_000) 400
-      & info [ "horizon" ] ~docv:"H" ~doc:"Step budget per execution.")
-  in
-  let mutant_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "mutant" ] ~docv:"M" ~doc:"Plant a bug first (exit 0 = caught).")
-  in
-  let unit_budget_arg =
-    let doc =
-      "DPOR executions per check_unit slice; a truncated slice checkpoints \
-       its frontier and resumes exactly, possibly on another worker."
-    in
-    Arg.(
-      value
-      & opt (some (bounded_int ~what:"--unit-budget" ~min:1 ~max:max_int)) None
-      & info [ "unit-budget" ] ~docv:"B" ~doc)
-  in
-  let check_json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Also write the merged outcome as a JSON document to $(docv).")
-  in
-  let check =
-    let doc = "model-check a shared object sharded over worker daemons" in
-    Cmd.v (Cmd.info "check" ~doc)
-      Term.(
-        const run_fabric_check $ obj_arg $ procs_arg $ depth_arg $ horizon_arg
-        $ mutant_arg $ workers_arg $ window_arg $ checkpoint_arg $ resume_arg
-        $ unit_budget_arg $ crash_after_arg $ check_json_arg)
-  in
-  let doc = "scale a sweep or exhaustive check out over worker daemons" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Shards the request into its natural work units (one experiment per \
-         unit for sweeps; one DPOR pattern/root-branch per unit for checks), \
-         dispatches them over the given 'wfde serve' sockets with a bounded \
-         per-worker window, and merges the unit payloads into output \
-         byte-identical to the serial command. Units owned by a crashed or \
-         draining worker are reassigned; with --checkpoint every completed \
-         unit is journaled so a killed coordinator resumes exactly where it \
-         stopped.";
-      `S Manpage.s_examples;
-      `Pre
-        "  wfde serve --socket /tmp/w1.sock &\n\
-        \  wfde serve --socket /tmp/w2.sock &\n\
-        \  wfde fabric sweep e1 e2 e6 --workers /tmp/w1.sock,/tmp/w2.sock\n\
-        \  wfde fabric check --object abd --procs 3 --depth 8 \\\n\
-        \    --workers /tmp/w1.sock,/tmp/w2.sock --checkpoint /tmp/ckpt \\\n\
-        \    --unit-budget 50\n\
-        \  wfde fabric sweep e1 e2 --workers /tmp/w1.sock --resume \\\n\
-        \    --checkpoint /tmp/ckpt";
-    ]
-  in
-  Cmd.group (Cmd.info "fabric" ~doc ~man) [ sweep; check ]
-
 (* ------------------------------------------------------------ group --- *)
 
 let group =
@@ -1236,7 +986,6 @@ let group =
       stats_cmd;
       check_cmd;
       sweep_cmd;
-      fabric_cmd;
       serve_cmd;
       client_cmd;
       cache_cmd;

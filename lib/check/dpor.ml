@@ -25,220 +25,12 @@ let merge_stats a b =
     backtrack_points = sat_add a.backtrack_points b.backtrack_points;
   }
 
-let zero_stats =
-  {
-    executions = 0;
-    sleep_blocked = 0;
-    deduped = 0;
-    races = 0;
-    backtrack_points = 0;
-  }
-
 (* A wakeup sequence: the (pid, pending-step label) steps of one
    reversed race, scheduled verbatim — sleep sets bypassed — when its
    head pid is picked from a backtrack set. Slot 0 is the head's own
    step at the insertion node; the tail becomes the next run's
    prescription. *)
 type wstep = { w_pid : Pid.t; w_kind : Sim.kind }
-
-(* ---------------------------------------------------- frontiers ------- *)
-
-(* A serialized stack node. Only the search state is kept: [enabled] and
-   [kind] are recomputed by the prescribed replay of the next execution
-   (deterministic worlds make that refresh authoritative), so they never
-   need to cross a process boundary. Wakeup sequences, the pending
-   prescription, and the fingerprint table DO cross: they are search
-   state a resume cannot reconstruct. *)
-type fnode = {
-  fn_chosen : int;
-  fn_backtrack : int list;
-  fn_explored : int list;
-  fn_sleep : int list;
-  fn_wakeups : (int * wstep array) list;
-}
-
-type frontier = {
-  f_depth : int;
-  f_floor : int;
-  f_stats : stats; (* cumulative over every slice up to the capture *)
-  f_nodes : fnode list;
-  f_presc : wstep array; (* prescription of the pending run *)
-  f_seen : int list; (* fingerprint keys of every executed window prefix *)
-}
-
-let frontier_stats f = f.f_stats
-let frontier_depth f = f.f_depth
-
-let set_to_ints s = Pid.Set.elements s |> List.map Pid.to_int
-
-module J = Obs.Json
-
-let frontier_schema = "wfde-frontier/2"
-
-let kind_to_json = function
-  | Sim.Read { obj } -> J.Obj [ ("op", J.String "read"); ("obj", J.String obj) ]
-  | Sim.Write { obj } ->
-      J.Obj [ ("op", J.String "write"); ("obj", J.String obj) ]
-  | Sim.Send { obj } -> J.Obj [ ("op", J.String "send"); ("obj", J.String obj) ]
-  | Sim.Recv { obj } -> J.Obj [ ("op", J.String "recv"); ("obj", J.String obj) ]
-  | Sim.Query { detector } ->
-      J.Obj [ ("op", J.String "query"); ("detector", J.String detector) ]
-  | Sim.Output { label; value } ->
-      J.Obj
-        [
-          ("op", J.String "output");
-          ("label", J.String label);
-          ("value", J.String value);
-        ]
-  | Sim.Input { label; value } ->
-      J.Obj
-        [
-          ("op", J.String "input");
-          ("label", J.String label);
-          ("value", J.String value);
-        ]
-  | Sim.Nop -> J.Obj [ ("op", J.String "nop") ]
-
-let wstep_to_json w =
-  match kind_to_json w.w_kind with
-  | J.Obj fields -> J.Obj (("pid", J.Int (Pid.to_int w.w_pid)) :: fields)
-  | _ -> assert false
-
-let wseq_to_json ws = J.List (Array.to_list ws |> List.map wstep_to_json)
-
-let frontier_to_json f =
-  let ints xs = J.List (List.map (fun i -> J.Int i) xs) in
-  J.Obj
-    [
-      ("schema", J.String frontier_schema);
-      ("depth", J.Int f.f_depth);
-      ("floor", J.Int f.f_floor);
-      ( "stats",
-        J.Obj
-          [
-            ("executions", J.Int f.f_stats.executions);
-            ("sleep_blocked", J.Int f.f_stats.sleep_blocked);
-            ("deduped", J.Int f.f_stats.deduped);
-            ("races", J.Int f.f_stats.races);
-            ("backtrack_points", J.Int f.f_stats.backtrack_points);
-          ] );
-      ( "nodes",
-        J.List
-          (List.map
-             (fun fn ->
-               J.Obj
-                 [
-                   ("chosen", J.Int fn.fn_chosen);
-                   ("backtrack", ints fn.fn_backtrack);
-                   ("explored", ints fn.fn_explored);
-                   ("sleep", ints fn.fn_sleep);
-                   ( "wakeups",
-                     J.List
-                       (List.map
-                          (fun (p, ws) ->
-                            J.Obj
-                              [
-                                ("pid", J.Int p); ("seq", wseq_to_json ws);
-                              ])
-                          fn.fn_wakeups) );
-                 ])
-             f.f_nodes) );
-      ("presc", wseq_to_json f.f_presc);
-      ("seen", ints f.f_seen);
-    ]
-
-exception Bad_frontier of string
-
-let frontier_of_json j =
-  let fail fmt = Printf.ksprintf (fun m -> raise (Bad_frontier m)) fmt in
-  let int key o =
-    match J.member key o with
-    | Some (J.Int v) when v >= 0 -> v
-    | _ -> fail "frontier: %S must be a non-negative integer" key
-  in
-  let str key o =
-    match J.member key o with
-    | Some (J.String s) -> s
-    | _ -> fail "frontier: %S must be a string" key
-  in
-  let ints key o =
-    match J.member key o with
-    | Some (J.List xs) ->
-        List.map
-          (function
-            | J.Int v when v >= 0 -> v
-            | _ -> fail "frontier: %S must list non-negative integers" key)
-          xs
-    | _ -> fail "frontier: missing list %S" key
-  in
-  let kind_of o =
-    match str "op" o with
-    | "read" -> Sim.Read { obj = str "obj" o }
-    | "write" -> Sim.Write { obj = str "obj" o }
-    | "send" -> Sim.Send { obj = str "obj" o }
-    | "recv" -> Sim.Recv { obj = str "obj" o }
-    | "query" -> Sim.Query { detector = str "detector" o }
-    | "output" -> Sim.Output { label = str "label" o; value = str "value" o }
-    | "input" -> Sim.Input { label = str "label" o; value = str "value" o }
-    | "nop" -> Sim.Nop
-    | op -> fail "frontier: unknown step op %S" op
-  in
-  let wstep_of o = { w_pid = Pid.of_index (int "pid" o); w_kind = kind_of o } in
-  let wseq key o =
-    match J.member key o with
-    | Some (J.List xs) -> Array.of_list (List.map wstep_of xs)
-    | _ -> fail "frontier: missing list %S" key
-  in
-  try
-    (match J.member "schema" j with
-    | Some (J.String s) when String.equal s frontier_schema -> ()
-    | _ -> fail "frontier: expected schema %S" frontier_schema);
-    let depth = int "depth" j in
-    let floor = int "floor" j in
-    let stats_j =
-      match J.member "stats" j with
-      | Some o -> o
-      | None -> fail "frontier: missing \"stats\""
-    in
-    let f_stats =
-      {
-        executions = int "executions" stats_j;
-        sleep_blocked = int "sleep_blocked" stats_j;
-        deduped = int "deduped" stats_j;
-        races = int "races" stats_j;
-        backtrack_points = int "backtrack_points" stats_j;
-      }
-    in
-    let nodes =
-      match J.member "nodes" j with
-      | Some (J.List xs) ->
-          List.map
-            (fun o ->
-              let wakeups =
-                match J.member "wakeups" o with
-                | Some (J.List ws) ->
-                    List.map
-                      (fun w -> (int "pid" w, wseq "seq" w))
-                      ws
-                | _ -> fail "frontier: missing list \"wakeups\""
-              in
-              {
-                fn_chosen = int "chosen" o;
-                fn_backtrack = ints "backtrack" o;
-                fn_explored = ints "explored" o;
-                fn_sleep = ints "sleep" o;
-                fn_wakeups = wakeups;
-              })
-            xs
-      | _ -> fail "frontier: missing \"nodes\""
-    in
-    let len = List.length nodes in
-    if len > max depth 1 then fail "frontier: %d nodes exceed depth %d" len depth;
-    if floor > len then fail "frontier: floor %d exceeds %d nodes" floor len;
-    let f_presc = wseq "presc" j in
-    let f_seen = ints "seen" j in
-    Ok { f_depth = depth; f_floor = floor; f_stats; f_nodes = nodes; f_presc; f_seen }
-  with Bad_frontier m -> Error m
 
 let m_executions = Obs.Metrics.counter "check.dpor.executions"
 let m_sleep_blocked = Obs.Metrics.counter "check.dpor.sleep_blocked"
@@ -279,33 +71,6 @@ type node = {
   mutable wakeups : (Pid.t * wstep array) list;
   sleep : Pid.Set.t;
 }
-
-let capture_frontier ~depth ~floor ~stack ~len ~stats ~presc ~seen =
-  let nodes =
-    List.init len (fun i ->
-        match stack.(i) with
-        | None -> assert false
-        | Some nd ->
-            {
-              fn_chosen = Pid.to_int nd.chosen;
-              fn_backtrack = set_to_ints nd.backtrack;
-              fn_explored = set_to_ints nd.explored;
-              fn_sleep = set_to_ints nd.sleep;
-              fn_wakeups =
-                List.map
-                  (fun (p, ws) -> (Pid.to_int p, ws))
-                  nd.wakeups;
-            })
-  in
-  let f_seen = Hashtbl.fold (fun k () acc -> k :: acc) seen [] in
-  {
-    f_depth = depth;
-    f_floor = floor;
-    f_stats = stats;
-    f_nodes = nodes;
-    f_presc = presc;
-    f_seen = List.sort compare f_seen;
-  }
 
 (* Fiber names are a pure function of (pid, thread index); intern them
    so re-spawning the world for every execution stops formatting. The
@@ -485,16 +250,14 @@ type fp_state = {
   seen : (int, unit) Hashtbl.t;
 }
 
-let make_fp_state ~n ~depth ~seen_keys =
+let make_fp_state ~n ~depth =
   let cap = max depth 1 in
-  let seen = Hashtbl.create 1024 in
-  List.iter (fun k -> Hashtbl.replace seen k ()) seen_keys;
   {
     fp_level = Array.make cap 0;
     fp_hash = Array.make (cap + 1) 0;
     fr_pid_level = Array.make n 0;
     fr_objs = Hashtbl.create 16;
-    seen;
+    seen = Hashtbl.create 1024;
   }
 
 let step_code pid kind = Hashtbl.hash (Pid.to_int pid, kind) land max_int
@@ -1006,16 +769,15 @@ let rec take n = function
   | x :: tl -> x :: take (n - 1) tl
 
 let explore_loop ~pattern ~depth ~horizon ~make ~budget ~should_stop ~on_phase
-    ~base ~frontier_out ~stack ~len ~floor ~presc0 ~seen_keys =
+    ~stack ~len ~floor =
   let executions = ref 0 and blocked_runs = ref 0 in
   let deduped_runs = ref 0 in
   let races_total = ref 0 and added_total = ref 0 in
   let n = Failure_pattern.n_plus_1 pattern in
   let scratch = make_scratch ~n in
-  let fp = make_fp_state ~n ~depth ~seen_keys in
+  let fp = make_fp_state ~n ~depth in
   let pend = Eset.create () in
-  let presc = ref presc0 in
-  (match frontier_out with Some r -> r := None | None -> ());
+  let presc = ref [||] in
   let snap () =
     {
       executions = !executions;
@@ -1060,22 +822,7 @@ let explore_loop ~pattern ~depth ~horizon ~make ~budget ~should_stop ~on_phase
   let exec_us = ref 0 and analyze_us = ref 0 in
   let clock () = if timed then Obs.Span.now_us () else 0 in
   let rec loop () =
-    if !executions >= budget || should_stop () then begin
-      (* Truncated with work remaining: the stack holds the next
-         prescribed run (retargeted by [advance], or the initial
-         prefix), which is exactly the state a resume must restart
-         from. Exhaustion and counterexamples exit elsewhere, so a
-         capture here never misrepresents a finished search. *)
-      (match frontier_out with
-      | Some r ->
-          r :=
-            Some
-              (capture_frontier ~depth ~floor ~stack ~len:!len
-                 ~stats:(merge_stats base (snap ()))
-                 ~presc:!presc ~seen:fp.seen)
-      | None -> ());
-      None
-    end
+    if !executions >= budget || should_stop () then None
     else begin
       let t0 = clock () in
       let verdict, trace, builder, grown, blocked =
@@ -1126,20 +873,19 @@ let explore_loop ~pattern ~depth ~horizon ~make ~budget ~should_stop ~on_phase
       f "dpor.executions" !exec_us;
       f "dpor.race_analysis" !analyze_us
   | None -> ());
-  { stats = merge_stats base (snap ()); counterexample }
+  { stats = snap (); counterexample }
 
 let check_budget ~who budget =
   if budget < 0 then invalid_arg (who ^ ": negative budget")
 
 let explore ~pattern ~depth ~horizon ?(budget = unbounded)
-    ?(should_stop = fun () -> false) ?on_phase ?frontier_out ~make () =
+    ?(should_stop = fun () -> false) ?on_phase ~make () =
   if depth < 0 then invalid_arg "Dpor.explore: negative depth";
   check_budget ~who:"Dpor.explore" budget;
   let stack = Array.make (max depth 1) None in
   let len = ref 0 in
   explore_loop ~pattern ~depth ~horizon ~make ~budget ~should_stop ~on_phase
-    ~base:zero_stats ~frontier_out ~stack ~len ~floor:0 ~presc0:[||]
-    ~seen_keys:[]
+    ~stack ~len ~floor:0
 
 let root_branches ~pattern ~make () =
   let procs, _checkf = make () in
@@ -1158,7 +904,7 @@ let root_branches ~pattern ~make () =
   match !seen with None -> [] | Some pend -> pend
 
 let explore_branch ~pattern ~depth ~horizon ?(budget = unbounded)
-    ?(should_stop = fun () -> false) ?on_phase ?frontier_out ~branches ~index
+    ?(should_stop = fun () -> false) ?on_phase ~branches ~index
     ~make () =
   if depth < 1 then invalid_arg "Dpor.explore_branch: depth must be >= 1";
   check_budget ~who:"Dpor.explore_branch" budget;
@@ -1187,35 +933,4 @@ let explore_branch ~pattern ~depth ~horizon ?(budget = unbounded)
       };
   let len = ref 1 in
   explore_loop ~pattern ~depth ~horizon ~make ~budget ~should_stop ~on_phase
-    ~base:zero_stats ~frontier_out ~stack ~len ~floor:1 ~presc0:[||]
-    ~seen_keys:[]
-
-let resume ~pattern ~horizon ?(budget = unbounded)
-    ?(should_stop = fun () -> false) ?on_phase ?frontier_out ~frontier ~make ()
-    =
-  check_budget ~who:"Dpor.resume" budget;
-  let depth = frontier.f_depth in
-  let stack = Array.make (max depth 1) None in
-  List.iteri
-    (fun i fn ->
-      stack.(i) <-
-        Some
-          {
-            chosen = Pid.of_index fn.fn_chosen;
-            (* placeholders: the prescribed replay of the next execution
-               refreshes [kind]/[enabled] in place before either is read *)
-            kind = Sim.Nop;
-            enabled = Eset.create ();
-            backtrack = Pid.Set.of_indices fn.fn_backtrack;
-            explored = Pid.Set.of_indices fn.fn_explored;
-            wakeups =
-              List.map
-                (fun (p, ws) -> (Pid.of_index p, ws))
-                fn.fn_wakeups;
-            sleep = Pid.Set.of_indices fn.fn_sleep;
-          })
-    frontier.f_nodes;
-  let len = ref (List.length frontier.f_nodes) in
-  explore_loop ~pattern ~depth ~horizon ~make ~budget ~should_stop ~on_phase
-    ~base:frontier.f_stats ~frontier_out ~stack ~len ~floor:frontier.f_floor
-    ~presc0:frontier.f_presc ~seen_keys:frontier.f_seen
+    ~stack ~len ~floor:1

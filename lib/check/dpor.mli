@@ -126,45 +126,6 @@ val merge_stats : stats -> stats -> stats
 (** Field-wise saturating sum, for aggregating sharded branch
     explorations into one report. *)
 
-(** {1 Frontiers: pause and resume}
-
-    A {!frontier} is the serialized search state of a truncated
-    exploration: the prescribed prefix the next execution would have
-    run (per node: chosen pid, backtrack, explored, and sleep sets,
-    plus the recorded wakeup sequences of its pending backtrack pids),
-    the pending run's wakeup prescription, the fingerprint keys of
-    every window prefix executed so far, and the cumulative {!stats}
-    of every execution performed so far. Node [enabled] sets and
-    pending-step labels are deliberately {e not} serialized — they are
-    a function of the deterministic world and are refreshed in place
-    by the prescribed replay of the next run — so a frontier is
-    stable JSON that can cross process boundaries (the fabric
-    checkpoints it between budget slices).
-
-    The invariant the golden tests pin down: for any exploration
-    truncated at any prefix, {!resume} on its frontier continues the
-    search {e exactly} — the final outcome (cumulative stats and
-    verdict) is identical to the uninterrupted run's. *)
-
-type frontier
-
-val frontier_stats : frontier -> stats
-(** Cumulative stats at the capture point (all slices so far). *)
-
-val frontier_depth : frontier -> int
-(** The [depth] of the paused exploration ({!resume} reuses it). *)
-
-val frontier_to_json : frontier -> Obs.Json.t
-(** The [wfde-frontier/2] document; [frontier_of_json] inverts it. *)
-
-val frontier_of_json : Obs.Json.t -> (frontier, string) result
-(** Parse and validate a [wfde-frontier/2] document ([wfde-frontier/1]
-    documents, which predate wakeup sequences and fingerprints, are
-    rejected — a pre-rewrite search cannot be continued exactly).
-    [Error] on schema mismatch, missing fields, or out-of-range
-    values; a frontier whose pids do not match the world it is resumed
-    against fails later, at replay, with [Invalid_argument]. *)
-
 val explore :
   pattern:Failure_pattern.t ->
   depth:int ->
@@ -172,7 +133,6 @@ val explore :
   ?budget:int ->
   ?should_stop:(unit -> bool) ->
   ?on_phase:(string -> int -> unit) ->
-  ?frontier_out:frontier option ref ->
   make:
     (unit ->
     (Pid.t -> (unit -> unit) list) * (Trace.t -> (unit, 'a) result)) ->
@@ -205,12 +165,6 @@ val explore :
     the reported span {e structure} does not depend on how many
     schedules the search visited. No clock is read when the hook is
     absent. The callback runs on whichever domain runs the exploration.
-
-    [frontier_out] (default absent) receives the paused search state:
-    when the exploration is truncated by [budget] or [should_stop] with
-    work remaining, the ref is set to [Some f]; when it runs to
-    exhaustion or a counterexample, it is reset to [None]. Feed [f] to
-    {!resume} to continue exactly where the truncation happened.
 
     Also updates the [check.dpor.*] metrics: [executions],
     [sleep_blocked], [deduped], [races], [backtrack_points] counters
@@ -249,7 +203,6 @@ val explore_branch :
   ?budget:int ->
   ?should_stop:(unit -> bool) ->
   ?on_phase:(string -> int -> unit) ->
-  ?frontier_out:frontier option ref ->
   branches:(Pid.t * Sim.kind) list ->
   index:int ->
   make:
@@ -260,33 +213,4 @@ val explore_branch :
 (** Explore only the subtree whose first step is [List.nth branches
     index]. [branches] must be the {!root_branches} of the same world;
     [depth] must be >= 1. Same metrics, budget, [should_stop],
-    [on_phase], [frontier_out], and counterexample semantics as
-    {!explore}. *)
-
-val resume :
-  pattern:Failure_pattern.t ->
-  horizon:int ->
-  ?budget:int ->
-  ?should_stop:(unit -> bool) ->
-  ?on_phase:(string -> int -> unit) ->
-  ?frontier_out:frontier option ref ->
-  frontier:frontier ->
-  make:
-    (unit ->
-    (Pid.t -> (unit -> unit) list) * (Trace.t -> (unit, 'a) result)) ->
-  unit ->
-  'a outcome
-(** Continue a truncated {!explore} or {!explore_branch} from its
-    captured frontier. [pattern], [horizon], and [make] must describe
-    the same world the frontier was captured from (the depth travels
-    inside the frontier); resuming against a different world fails at
-    replay with [Invalid_argument], exactly like a non-deterministic
-    [make].
-
-    The returned stats are {e cumulative}: the frontier's stored stats
-    plus the work done by this call, so a chain of budget slices ending
-    in completion reports the same outcome as one uninterrupted call —
-    executions are never recounted and never dropped. [budget] bounds
-    only the executions of {e this} slice. A resume truncated again
-    (budget or [should_stop]) fills [frontier_out] with the next
-    frontier, so slicing composes. *)
+    [on_phase], and counterexample semantics as {!explore}. *)

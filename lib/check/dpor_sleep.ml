@@ -6,8 +6,8 @@ open Kernel
    the differential battery in test_dpor_quickcheck.ml and for the
    bench part-3 sleep-vs-optimal comparison legs; it reports its own
    outcome record and touches no metrics, so running it never perturbs
-   the gated [check.dpor.*] counters. Frontier capture/resume was not
-   carried over — slicing belongs to the production explorer. *)
+   the gated [check.dpor.*] counters. Root-branch sharding was not
+   carried over — it belongs to the production explorer. *)
 
 type stats = {
   executions : int;

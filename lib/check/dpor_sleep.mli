@@ -11,8 +11,8 @@
     - the bench part-3 comparison legs recording sleep-set vs optimal
       execution counts per config.
 
-    It updates no metrics and has no frontier/slicing support; use
-    [Dpor] for everything else. *)
+    It updates no metrics and has no root-branch sharding; use [Dpor]
+    for everything else. *)
 
 open Kernel
 

@@ -37,13 +37,13 @@ let flag = function
   | Hb_suspected_not_restored -> Detectors.Heartbeat.chaos_suspected_not_restored
 
 (* The flags are process-global, but scopes overlap: the serve daemon
-   runs concurrent [check_unit] requests that each wrap their
-   exploration in [with_]. A plain save/restore would let the first
-   scope to finish switch the flags off under a scope still running
-   (the fabric's differential chaos test caught exactly that as a race
-   statistic drifting on the violating pattern). Instead, scopes with
-   the {e same} configuration share one activation via a refcount, and
-   a scope with a different configuration waits its turn. *)
+   runs concurrent [check] requests on its worker domains, and each
+   wraps its exploration in [with_]. A plain save/restore would let the
+   first scope to finish switch the flags off under a scope still
+   running, silently turning a mutant check into a clean one midway.
+   Instead, scopes with the {e same} configuration share one activation
+   via a refcount, and a scope with a different configuration waits its
+   turn. *)
 let mu = Mutex.create ()
 let cv = Condition.create ()
 let holders = ref 0

@@ -7,11 +7,6 @@ let jobs t = t.jobs
    execution instead of spawning domains or windowing metrics. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-(* Registered lazily so purely serial processes never grow exec.* rows
-   in their stats output. *)
-let m_runs = lazy (Obs.Metrics.counter "exec.pool.runs")
-let m_units = lazy (Obs.Metrics.counter "exec.pool.units")
-
 type 'a slot =
   | Done of 'a * Obs.Metrics.snapshot
   | Failed of exn * Printexc.raw_backtrace * Obs.Metrics.snapshot
@@ -117,8 +112,12 @@ let map_until t ~stop ~f n =
           failed := Some (e, bt)
       | None -> assert false
     done;
-    Obs.Metrics.incr (Lazy.force m_runs);
-    Obs.Metrics.incr ~by:(last + 1) (Lazy.force m_units);
+    (* Looked up here rather than held in module-level handles, like the
+       per-worker gauges below: purely serial processes never grow
+       exec.* rows in their stats output, and concurrent first runs
+       from several domains share no one-time initialisation. *)
+    Obs.Metrics.incr (Obs.Metrics.counter "exec.pool.runs");
+    Obs.Metrics.incr ~by:(last + 1) (Obs.Metrics.counter "exec.pool.units");
     Array.iteri
       (fun wid (claimed, steals, steal_batches, wall_ms) ->
         let set name v =

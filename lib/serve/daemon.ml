@@ -38,8 +38,6 @@ let known_methods =
     "sweep";
     "stats";
     "sleep";
-    "exp";
-    "check_unit";
     "health";
     "metrics";
     "cache";

@@ -181,92 +181,3 @@ let zipf_class_mismatches ?(skew = default_skew)
         | Some q -> if not (String.equal p q) then incr count)
     leg.payloads;
   !count
-
-(* ------------------------------------------------------------------ *)
-(* Chaos: external daemon processes and seeded fault schedules        *)
-
-module Proc = struct
-  type t = { pid : int; socket : string; log : string }
-
-  let start ?(args = []) ~binary ~socket () =
-    let log = socket ^ ".log" in
-    let fd =
-      Unix.openfile log [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644
-    in
-    let argv =
-      Array.of_list (binary :: "serve" :: "--socket" :: socket :: args)
-    in
-    let pid =
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> Unix.create_process binary argv Unix.stdin fd fd)
-    in
-    { pid; socket; log }
-
-  let health t =
-    match
-      Client.rpc ~socket:t.socket
-        {
-          Proto.id = Obs.Json.Null;
-          meth = "health";
-          params = [];
-          deadline_ms = None;
-          trace = None;
-        }
-    with
-    | Ok { Proto.result = Ok _; _ } -> true
-    | _ -> false
-
-  let wait_ready ?(timeout_s = 10.) t =
-    let t0 = Unix.gettimeofday () in
-    let rec poll () =
-      if health t then true
-      else if Unix.gettimeofday () -. t0 > timeout_s then false
-      else begin
-        Unix.sleepf 0.02;
-        poll ()
-      end
-    in
-    poll ()
-
-  let signal t sg = try Unix.kill t.pid sg with Unix.Unix_error _ -> ()
-  let sigkill t = signal t Sys.sigkill
-  let sigterm t = signal t Sys.sigterm
-
-  let wait t =
-    match Unix.waitpid [] t.pid with
-    | _, status -> Some status
-    | exception Unix.Unix_error _ -> None
-
-  let destroy t =
-    sigkill t;
-    ignore (wait t);
-    (try Sys.remove t.socket with Sys_error _ -> ());
-    try Sys.remove t.log with Sys_error _ -> ()
-end
-
-type fault =
-  | Kill_worker of int * int
-  | Drain_worker of int * int
-  | Crash_coordinator of int
-
-let chaos_schedule ~seed ~workers ~units =
-  if workers < 1 || units < 1 then []
-  else begin
-    let rng = Wfde.Rng.create seed in
-    let point lo hi =
-      if hi <= lo then lo else lo + Wfde.Rng.int rng (hi - lo)
-    in
-    (* one worker dies early, another drains later; the coordinator
-       crash point lands in between so a resume still has work left *)
-    let victim = Wfde.Rng.int rng workers in
-    let drained = (victim + 1 + Wfde.Rng.int rng (max 1 (workers - 1))) mod workers in
-    let faults =
-      [
-        Kill_worker (victim, point 1 (max 2 (units / 3)));
-        Drain_worker (drained, point (units / 3) (max 1 (2 * units / 3)));
-      ]
-    in
-    if workers > 1 then faults @ [ Crash_coordinator (point 1 (max 2 (units - 1))) ]
-    else faults
-  end

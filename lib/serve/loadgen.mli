@@ -89,49 +89,3 @@ val zipf_class_mismatches : ?skew:float -> ?universe:int -> seed:int -> leg -> i
     same class within the leg. Any nonzero count is a determinism bug:
     it means [-j1]/[-j2] twins, or cached vs computed responses for
     one class, disagreed byte-for-byte. *)
-
-(** {1 Chaos harness}
-
-    Helpers the fabric chaos tests and bench part 7 share: spawning
-    real [wfde serve] processes (so SIGKILL means a real worker crash,
-    not a simulated one) and deriving seeded fault schedules. *)
-
-module Proc : sig
-  type t = { pid : int; socket : string; log : string }
-
-  val start : ?args:string list -> binary:string -> socket:string -> unit -> t
-  (** Spawn [binary serve --socket socket args] with stdout/stderr
-      redirected to [socket ^ ".log"]. *)
-
-  val health : t -> bool
-  (** One [health] RPC round trip succeeded. *)
-
-  val wait_ready : ?timeout_s:float -> t -> bool
-  (** Poll {!health} until ready or [timeout_s] (default 10s). *)
-
-  val sigkill : t -> unit
-  (** A real crash: in-flight requests die with their connections. *)
-
-  val sigterm : t -> unit
-  (** Graceful drain: in-flight requests complete, new ones are
-      refused with [shutting_down]. *)
-
-  val wait : t -> Unix.process_status option
-  val destroy : t -> unit
-  (** Kill, reap, and remove the socket and log files. *)
-end
-
-type fault =
-  | Kill_worker of int * int
-      (** [(worker, after_units)] — SIGKILL the worker once this many
-          units completed *)
-  | Drain_worker of int * int  (** graceful SIGTERM at the same kind of point *)
-  | Crash_coordinator of int
-      (** kill the coordinator itself after this many completed units *)
-
-val chaos_schedule : seed:int -> workers:int -> units:int -> fault list
-(** A deterministic fault schedule for a run of [units] units over
-    [workers] workers: one early worker kill, one later drain, and
-    (when more than one worker exists) a coordinator crash point —
-    derived from [seed] via {!Wfde.Rng} so every replay of a scenario
-    injects faults at the same logical points. *)

@@ -14,39 +14,28 @@ let with_buffer_formatter f =
 let failed_of outcomes =
   List.filter (fun o -> not o.Wfde.Experiments.ok) outcomes
 
-let run_text outcomes =
+(* Every outcome's table, then the failed-claims line; [summary] adds
+   the "all N hold" line [wfde run] prints when nothing failed. *)
+let tables_text ~summary outcomes =
   with_buffer_formatter (fun ppf ->
       List.iter
         (fun o -> Format.fprintf ppf "%a@." Wfde.Experiments.pp o)
         outcomes;
       match failed_of outcomes with
       | [] ->
-          Format.fprintf ppf "all %d experiment claims hold@."
-            (List.length outcomes)
+          if summary then
+            Format.fprintf ppf "all %d experiment claims hold@."
+              (List.length outcomes)
       | failed ->
           Format.fprintf ppf "FAILED claims: %s@."
             (String.concat ", "
                (List.map (fun o -> o.Wfde.Experiments.id) failed)))
 
-let exp_text o =
-  with_buffer_formatter (fun ppf ->
-      Format.fprintf ppf "%a@." Wfde.Experiments.pp o)
+let run_text = tables_text ~summary:true
+let sweep_text = tables_text ~summary:false
 
-let failed_claims_line = function
-  | [] -> ""
-  | failed ->
-      with_buffer_formatter (fun ppf ->
-          Format.fprintf ppf "FAILED claims: %s@." (String.concat ", " failed))
-
-let sweep_text outcomes =
-  String.concat "" (List.map exp_text outcomes)
-  ^ failed_claims_line
-      (List.map
-         (fun o -> o.Wfde.Experiments.id)
-         (failed_of outcomes))
-
-let sweep_json_rows ~jobs ~scale rows =
-  let total = List.fold_left (fun acc (_, _, w) -> acc +. w) 0.0 rows in
+let sweep_json ~jobs ~scale timed =
+  let total = List.fold_left (fun acc (_, _, w) -> acc +. w) 0.0 timed in
   J.Obj
     [
       ("schema", J.String "wfde-sweep/1");
@@ -56,19 +45,15 @@ let sweep_json_rows ~jobs ~scale rows =
       ( "experiments",
         J.List
           (List.map
-             (fun (id, ok, w) ->
+             (fun (id, o, w) ->
                J.Obj
                  [
                    ("id", J.String id);
-                   ("ok", J.Bool ok);
+                   ("ok", J.Bool o.Wfde.Experiments.ok);
                    ("wall_seconds", J.Float w);
                  ])
-             rows) );
+             timed) );
     ]
-
-let sweep_json ~jobs ~scale timed =
-  sweep_json_rows ~jobs ~scale
-    (List.map (fun (id, o, w) -> (id, o.Wfde.Experiments.ok, w)) timed)
 
 let check_text (o : Wfde.Harness.check_outcome) =
   with_buffer_formatter (fun ppf ->
@@ -275,184 +260,6 @@ let handle_check ~deadline ~spans params =
          outcome.Wfde.Harness.executions outcome.Wfde.Harness.patterns_swept)
   else Ok (Wfde.Harness.check_outcome_json outcome)
 
-(* One sweep work unit: a single experiment driver. The fabric
-   coordinator merges the returned table segments in id order, so the
-   concatenation is byte-identical to [sweep_text] over a serial run. *)
-let handle_exp ~deadline ~spans params =
-  let* () =
-    check_allowed ~meth:"exp" ~allowed:[ "experiment"; "scale"; "jobs" ] params
-  in
-  let* id =
-    let* id = get_string_opt ~key:"experiment" params in
-    match id with
-    | None -> bad "\"experiment\" is required"
-    | Some id -> (
-        match unknown_ids [ id ] with
-        | [] -> Ok id
-        | _ -> bad "unknown experiment id %S (see 'wfde list')" id)
-  in
-  let* scale = get_int ~key:"scale" ~default:1 ~min:1 ~max:max_scale params in
-  let* jobs = get_int ~key:"jobs" ~default:1 ~min:1 ~max:max_jobs params in
-  let* timed = run_experiments ~deadline ~spans ~ids:[ id ] ~scale ~jobs in
-  match timed with
-  | [ (id, o, wall) ] ->
-      Ok
-        (J.Obj
-           [
-             ("schema", J.String "wfde-exp/1");
-             ("id", J.String id);
-             ("ok", J.Bool o.Wfde.Experiments.ok);
-             ("table", J.String (exp_text o));
-             ("wall_seconds", J.Float wall);
-           ])
-  | _ -> Error (Proto.err Internal "exp: driver returned %d outcomes" (List.length timed))
-
-(* One exhaustive-check work unit: a single (pattern, root branch) DPOR
-   exploration, optionally budget-sliced. A truncated slice answers
-   [done = false] with a wfde-frontier/1 document instead of an error,
-   so the coordinator can journal the partial search and hand the unit
-   to any worker for the next slice. *)
-let handle_check_unit ~deadline ~spans params =
-  let* () =
-    check_allowed ~meth:"check_unit"
-      ~allowed:
-        [
-          "object";
-          "procs";
-          "depth";
-          "horizon";
-          "mutant";
-          "pattern";
-          "branch";
-          "budget";
-          "frontier";
-        ]
-      params
-  in
-  let* obj_name = get_string_opt ~key:"object" params in
-  let* obj =
-    match Wfde.Scenario.of_string (Option.value ~default:"register" obj_name) with
-    | Ok o -> Ok o
-    | Error msg -> bad "%s" msg
-  in
-  let* procs =
-    match List.assoc_opt "procs" params with
-    | None -> Ok None
-    | Some (J.Int p) when p >= 1 && p <= max_procs -> Ok (Some p)
-    | Some _ -> bad "\"procs\" must be an integer in [1, %d]" max_procs
-  in
-  let* depth = get_int ~key:"depth" ~default:6 ~min:1 ~max:max_depth params in
-  let* horizon =
-    get_int ~key:"horizon" ~default:400 ~min:1 ~max:max_horizon params
-  in
-  let* mutant =
-    let* name = get_string_opt ~key:"mutant" params in
-    match name with
-    | None -> Ok None
-    | Some m -> (
-        match Wfde.Mutant.of_string m with
-        | Ok m -> Ok (Some m)
-        | Error msg -> bad "%s" msg)
-  in
-  let* pattern_index =
-    match List.assoc_opt "pattern" params with
-    | Some (J.Int i) when i >= 0 -> Ok i
-    | _ -> bad "\"pattern\" must be a non-negative unit index"
-  in
-  let* branch =
-    match List.assoc_opt "branch" params with
-    | None -> Ok None
-    | Some (J.Int i) when i >= 0 -> Ok (Some i)
-    | Some _ -> bad "\"branch\" must be a non-negative branch index"
-  in
-  let* budget =
-    match List.assoc_opt "budget" params with
-    | None -> Ok Wfde.Dpor.unbounded
-    | Some (J.Int b) when b >= 1 -> Ok b
-    | Some _ -> bad "\"budget\" must be a positive integer"
-  in
-  let* frontier =
-    match List.assoc_opt "frontier" params with
-    | None -> Ok None
-    | Some doc -> (
-        match Wfde.Dpor.frontier_of_json doc with
-        | Ok f -> Ok (Some f)
-        | Error msg -> bad "%s" msg)
-  in
-  let procs =
-    let floor = Wfde.Scenario.min_procs obj in
-    match procs with Some p -> max p floor | None -> max 2 floor
-  in
-  let patterns = Wfde.Scenario.patterns obj ~procs in
-  let* pattern =
-    match List.nth_opt patterns pattern_index with
-    | Some p -> Ok p
-    | None ->
-        bad "\"pattern\" index %d out of range (%d patterns)" pattern_index
-          (List.length patterns)
-  in
-  let make = Wfde.Scenario.make obj ~procs in
-  let should_stop () = deadline () in
-  let frontier_out = ref None in
-  let* outcome =
-    Wfde.Mutant.with_ mutant (fun () ->
-        Obs.Span.with_ spans "unit.dpor" (fun () ->
-            match frontier with
-            | Some frontier ->
-                Ok
-                  (Wfde.Dpor.resume ~pattern ~horizon ~budget ~should_stop
-                     ~frontier_out ~frontier ~make ())
-            | None -> (
-                match branch with
-                | None ->
-                    Ok
-                      (Wfde.Dpor.explore ~pattern ~depth ~horizon ~budget
-                         ~should_stop ~frontier_out ~make ())
-                | Some index ->
-                    let branches = Wfde.Dpor.root_branches ~pattern ~make () in
-                    if index >= List.length branches then
-                      bad "\"branch\" index %d out of range (%d branches)" index
-                        (List.length branches)
-                    else
-                      Ok
-                        (Wfde.Dpor.explore_branch ~pattern ~depth ~horizon
-                           ~budget ~should_stop ~frontier_out ~branches ~index
-                           ~make ()))))
-  in
-  let stats = outcome.Wfde.Dpor.stats in
-  Ok
-    (J.Obj
-       [
-         ("schema", J.String "wfde-unit/1");
-         ("done", J.Bool (!frontier_out = None));
-         ( "stats",
-           J.Obj
-             [
-               ("executions", J.Int stats.Wfde.Dpor.executions);
-               ("sleep_blocked", J.Int stats.Wfde.Dpor.sleep_blocked);
-               ("deduped", J.Int stats.Wfde.Dpor.deduped);
-               ("races", J.Int stats.Wfde.Dpor.races);
-               ("backtrack_points", J.Int stats.Wfde.Dpor.backtrack_points);
-             ] );
-         ( "counterexample",
-           match outcome.Wfde.Dpor.counterexample with
-           | None -> J.Null
-           | Some (prefix, report) ->
-               J.Obj
-                 [
-                   ( "prefix",
-                     J.List
-                       (List.map
-                          (fun p -> J.Int (Wfde.Pid.to_int p))
-                          prefix) );
-                   ("report", J.String report);
-                 ] );
-         ( "frontier",
-           match !frontier_out with
-           | None -> J.Null
-           | Some f -> Wfde.Dpor.frontier_to_json f );
-       ])
-
 let handle_sleep ~deadline ~spans params =
   let* () = check_allowed ~meth:"sleep" ~allowed:[ "ms" ] params in
   let* ms = get_int ~key:"ms" ~default:0 ~min:0 ~max:max_sleep_ms params in
@@ -478,8 +285,6 @@ let handle ?(deadline = never) ?(spans = Obs.Span.null) (req : Proto.request) =
     | "sweep" -> handle_sweep ~deadline ~spans req.params
     | "stats" -> handle_stats ~deadline ~spans req.params
     | "check" -> handle_check ~deadline ~spans req.params
-    | "exp" -> handle_exp ~deadline ~spans req.params
-    | "check_unit" -> handle_check_unit ~deadline ~spans req.params
     | "sleep" -> handle_sleep ~deadline ~spans req.params
     | "health" | "metrics" | "cache" ->
         Error

@@ -17,22 +17,7 @@
     - [stats]: exactly the metrics document [wfde stats --json] writes
       (registry reset, experiments run, snapshot rendered);
     - [sleep]: [{"slept_ms":N}] — a diagnostic method for exercising
-      queueing, deadlines, and drain without burning CPU;
-    - [exp]: one sweep work unit — a single experiment driver —
-      answering [{"schema":"wfde-exp/1","id":...,"ok":...,
-      "table":...,"wall_seconds":...}] where [table] is exactly the
-      outcome's segment of [wfde sweep] stdout ({!exp_text});
-    - [check_unit]: one exhaustive-check work unit — a single
-      (pattern index, optional root-branch index) DPOR exploration,
-      optionally budget-sliced — answering
-      [{"schema":"wfde-unit/1","done":...,"stats":{...},
-      "counterexample":...,"frontier":...}]. A slice truncated by its
-      [budget] (or the request deadline) answers [done = false] with a
-      [wfde-frontier/1] document; posting that document back in the
-      [frontier] parameter resumes the search exactly
-      ({!Wfde.Dpor.resume}), with cumulative stats. These two unit
-      methods are the fabric coordinator's work language
-      ([lib/fabric]); they are deliberately not cacheable.
+      queueing, deadlines, and drain without burning CPU.
 
     [health], [metrics], and [cache] are answered by the daemon
     front-end (they read live daemon state) and are rejected here with
@@ -77,16 +62,7 @@ val run_text : Wfde.Experiments.outcome list -> string
 
 val sweep_text : Wfde.Experiments.outcome list -> string
 (** The stdout of [wfde sweep]: the tables, then the failed-claims
-    line only when something failed. Identically
-    [String.concat "" (List.map exp_text outcomes) ^ failed_claims_line
-    failed_ids] — the identity the fabric's sharded merge relies on. *)
-
-val exp_text : Wfde.Experiments.outcome -> string
-(** One outcome's table segment (its slice of {!sweep_text}). *)
-
-val failed_claims_line : string list -> string
-(** The trailing ["FAILED claims: ..."] line for the given failed ids;
-    [""] when none failed. *)
+    line only when something failed. *)
 
 val sweep_json :
   jobs:int ->
@@ -96,16 +72,9 @@ val sweep_json :
 (** The [wfde-sweep/1] document for [(id, outcome, wall_seconds)]
     rows. *)
 
-val sweep_json_rows :
-  jobs:int -> scale:int -> (string * bool * float) list -> Obs.Json.t
-(** {!sweep_json} from already-flattened [(id, ok, wall_seconds)] rows
-    (what the fabric coordinator holds after merging [exp] units). *)
-
 val check_text : Wfde.Harness.check_outcome -> string
 (** The stdout of [wfde check]: the summary line, then the violation
-    block or ["no violation found"]. Shared by the CLI and the fabric
-    coordinator so [wfde fabric check] output is byte-identical to the
-    serial command. *)
+    block or ["no violation found"]. *)
 
 val unknown_ids : string list -> string list
 (** The subset of ids {!Wfde.Experiments.by_id} does not know. *)

@@ -121,201 +121,73 @@ let test_mutant_matches_naive () =
       | None, _ -> Alcotest.fail "dpor missed the planted mutant"
       | _, None -> Alcotest.fail "naive enumerator missed the planted mutant")
 
-(* -- frontier checkpoint/resume ---------------------------------------- *)
+(* -- budget truncation --------------------------------------------------- *)
 
-(* The invariant the fabric's budget slicing rests on: truncate an
-   exploration at ANY prefix, serialize the frontier through its JSON
-   document, resume — and the final outcome (cumulative stats and
-   verdict) must equal the uninterrupted run's, field for field. *)
-
-let stats_eq label (want : Dpor.stats) (got : Dpor.stats) =
-  checki (label ^ ": executions") want.Dpor.executions got.Dpor.executions;
-  (* sleep_blocked and deduped must be idempotent across the
-     serialization boundary too: a resumed exploration re-derives the
-     sleep sets and the fingerprint table from the frontier document,
-     and any drift there means the wakeup-tree state did not travel. *)
-  checki (label ^ ": sleep_blocked") want.Dpor.sleep_blocked
-    got.Dpor.sleep_blocked;
-  checki (label ^ ": deduped") want.Dpor.deduped got.Dpor.deduped;
-  checki (label ^ ": races") want.Dpor.races got.Dpor.races;
-  checki
-    (label ^ ": backtrack_points")
-    want.Dpor.backtrack_points got.Dpor.backtrack_points
-
-let roundtrip label f =
-  match Dpor.frontier_of_json (Dpor.frontier_to_json f) with
-  | Ok f -> f
-  | Error msg -> Alcotest.failf "%s: frontier round-trip failed: %s" label msg
-
-let abd_world () =
-  ( List.hd (Scenario.patterns Scenario.Abd ~procs:3),
-    Scenario.make Scenario.Abd ~procs:3 )
-
-let test_frontier_every_prefix () =
-  let pattern, make = abd_world () in
-  let explore ?budget ?frontier_out () =
-    Dpor.explore ~pattern ~depth:8 ~horizon:400 ?budget ?frontier_out ~make ()
+(* A truncated exploration reports exactly [budget] executions and no
+   counterexample, at every budget short of the full search — it is
+   not a verification of the rest — and a budget covering the whole
+   search changes nothing. *)
+let test_budget_every_prefix () =
+  let pattern = List.hd (Scenario.patterns Scenario.Abd ~procs:3) in
+  let make = Scenario.make Scenario.Abd ~procs:3 in
+  let explore ?budget () =
+    Dpor.explore ~pattern ~depth:8 ~horizon:400 ?budget ~make ()
   in
   let full = explore () in
   checkb "uninterrupted: no violation" true (full.Dpor.counterexample = None);
   let total = full.Dpor.stats.Dpor.executions in
   checkb "abd pattern0 explores several runs" true (total > 1);
   for k = 1 to total - 1 do
-    let fo = ref None in
-    let sliced = explore ~budget:k ~frontier_out:fo () in
+    let sliced = explore ~budget:k () in
     checki
-      (Printf.sprintf "prefix %d: slice stops on budget" k)
+      (Printf.sprintf "prefix %d: stops on budget" k)
       k sliced.Dpor.stats.Dpor.executions;
-    match !fo with
-    | None -> Alcotest.failf "prefix %d: truncation left no frontier" k
-    | Some f ->
-        let f = roundtrip (Printf.sprintf "prefix %d" k) f in
-        checki (Printf.sprintf "prefix %d: depth travels" k) 8
-          (Dpor.frontier_depth f);
-        checki
-          (Printf.sprintf "prefix %d: stored stats" k)
-          k (Dpor.frontier_stats f).Dpor.executions;
-        let fo2 = ref None in
-        let resumed =
-          Dpor.resume ~pattern ~horizon:400 ~frontier:f ~frontier_out:fo2 ~make
-            ()
-        in
-        stats_eq (Printf.sprintf "prefix %d: resumed" k) full.Dpor.stats
-          resumed.Dpor.stats;
-        checkb
-          (Printf.sprintf "prefix %d: resumed verdict" k)
-          true
-          (resumed.Dpor.counterexample = None);
-        checkb
-          (Printf.sprintf "prefix %d: completion resets frontier_out" k)
-          true (!fo2 = None)
-  done
-
-let test_frontier_budget1_chain () =
-  (* the extreme slicing: one execution per slice, every intermediate
-     state crossing a JSON serialization — exactly what a fabric worker
-     chain with --unit-budget 1 would do *)
-  let pattern, make = abd_world () in
-  let explore ?budget ?frontier_out () =
-    Dpor.explore ~pattern ~depth:8 ~horizon:400 ?budget ?frontier_out ~make ()
-  in
-  let full = explore () in
-  let total = full.Dpor.stats.Dpor.executions in
-  let fo = ref None in
-  let outcome = ref (explore ~budget:1 ~frontier_out:fo ()) in
-  let slices = ref 1 in
-  while !fo <> None do
-    let f =
-      match !fo with Some f -> roundtrip "chain" f | None -> assert false
-    in
-    fo := None;
-    incr slices;
-    outcome :=
-      Dpor.resume ~pattern ~horizon:400 ~budget:1 ~frontier:f ~frontier_out:fo
-        ~make ()
+    checkb
+      (Printf.sprintf "prefix %d: no counterexample" k)
+      true
+      (sliced.Dpor.counterexample = None)
   done;
-  checki "one slice per execution" total !slices;
-  stats_eq "chain end state" full.Dpor.stats !outcome.Dpor.stats;
-  checkb "chain verdict" true (!outcome.Dpor.counterexample = None)
-
-let test_frontier_resume_finds_violation () =
-  (* pause one execution before the violating run: the resumed slice
-     must surface the identical counterexample, with cumulative stats *)
-  Mutant.with_ (Some Mutant.Snapshot_single_collect) (fun () ->
-      let pattern = List.hd (Scenario.patterns Scenario.Snapshot ~procs:3) in
-      let make = Scenario.make Scenario.Snapshot ~procs:3 in
-      let explore ?budget ?frontier_out () =
-        Dpor.explore ~pattern ~depth:12 ~horizon:400 ?budget ?frontier_out
-          ~make ()
-      in
-      let full = explore () in
-      let prefix, report =
-        match full.Dpor.counterexample with
-        | Some (p, r) -> (p, r)
-        | None -> Alcotest.fail "planted mutant not caught uninterrupted"
-      in
-      let k = full.Dpor.stats.Dpor.executions - 1 in
-      checkb "violation is not the first execution" true (k >= 1);
-      let fo = ref None in
-      ignore (explore ~budget:k ~frontier_out:fo ());
-      match !fo with
-      | None -> Alcotest.fail "expected truncation before the violation"
-      | Some f ->
-          let resumed =
-            Dpor.resume ~pattern ~horizon:400 ~frontier:(roundtrip "mutant" f)
-              ~make ()
-          in
-          (match resumed.Dpor.counterexample with
-          | Some (p2, r2) ->
-              checkb "same counterexample prefix" true (p2 = prefix);
-              Alcotest.check Alcotest.string "same checker report" report r2
-          | None -> Alcotest.fail "resume missed the violation");
-          stats_eq "cumulative stats at violation" full.Dpor.stats
-            resumed.Dpor.stats)
-
-let test_frontier_branch () =
-  (* explore_branch frontiers resume just like whole-tree ones — the
-     fabric slices per (pattern, root branch) unit *)
-  let pattern, make = abd_world () in
+  checkb "budget = total matches the unbounded run" true
+    ((explore ~budget:total ()).Dpor.stats = full.Dpor.stats);
   let branches = Dpor.root_branches ~pattern ~make () in
   checkb "abd has shardable branches" true (List.length branches > 1);
   List.iteri
     (fun index _ ->
-      let explore_b ?budget ?frontier_out () =
-        Dpor.explore_branch ~pattern ~depth:8 ~horizon:400 ?budget ?frontier_out
-          ~branches ~index ~make ()
+      let explore_b ?budget () =
+        Dpor.explore_branch ~pattern ~depth:8 ~horizon:400 ?budget ~branches
+          ~index ~make ()
       in
-      let full = explore_b () in
-      let total = full.Dpor.stats.Dpor.executions in
+      let total = (explore_b ()).Dpor.stats.Dpor.executions in
       if total > 1 then begin
         let k = max 1 (total / 2) in
-        let fo = ref None in
-        ignore (explore_b ~budget:k ~frontier_out:fo ());
-        match !fo with
-        | None -> Alcotest.failf "branch %d: no frontier at budget %d" index k
-        | Some f ->
-            let resumed =
-              Dpor.resume ~pattern ~horizon:400
-                ~frontier:(roundtrip (Printf.sprintf "branch %d" index) f)
-                ~make ()
-            in
-            stats_eq (Printf.sprintf "branch %d resumed" index) full.Dpor.stats
-              resumed.Dpor.stats
+        checki
+          (Printf.sprintf "branch %d: stops on budget %d" index k)
+          k (explore_b ~budget:k ()).Dpor.stats.Dpor.executions
       end)
     branches
 
-let test_frontier_json_validation () =
-  let module J = Obs.Json in
-  let reject label doc =
-    match Dpor.frontier_of_json doc with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "%s: damaged document accepted" label
-  in
-  reject "wrong schema" (J.Obj [ ("schema", J.String "nope/1") ]);
-  reject "not an object" (J.Int 3);
-  let pattern, make = abd_world () in
-  let fo = ref None in
-  ignore
-    (Dpor.explore ~pattern ~depth:8 ~horizon:400 ~budget:1 ~frontier_out:fo
-       ~make ());
-  let doc =
-    match !fo with
-    | Some f -> Dpor.frontier_to_json f
-    | None -> Alcotest.fail "no frontier captured"
-  in
-  (match Dpor.frontier_of_json doc with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "pristine document rejected: %s" msg);
-  let patch key v =
-    match doc with
-    | J.Obj kvs ->
-        J.Obj (List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) kvs)
-    | _ -> doc
-  in
-  reject "negative depth" (patch "depth" (J.Int (-1)));
-  reject "stats not an object" (patch "stats" J.Null);
-  reject "floor past the stack" (patch "floor" (J.Int 99));
-  reject "nodes not a list" (patch "nodes" J.Null)
+let test_budget_before_violation () =
+  (* one execution short of the violating run finds nothing; the budget
+     that reaches it finds the same counterexample as the unbounded run *)
+  Mutant.with_ (Some Mutant.Snapshot_single_collect) (fun () ->
+      let pattern = List.hd (Scenario.patterns Scenario.Snapshot ~procs:3) in
+      let make = Scenario.make Scenario.Snapshot ~procs:3 in
+      let explore ?budget () =
+        Dpor.explore ~pattern ~depth:12 ~horizon:400 ?budget ~make ()
+      in
+      let full = explore () in
+      checkb "planted mutant caught uninterrupted" true
+        (full.Dpor.counterexample <> None);
+      let k = full.Dpor.stats.Dpor.executions - 1 in
+      checkb "violation is not the first execution" true (k >= 1);
+      let short = explore ~budget:k () in
+      checki "truncated before the violation" k
+        short.Dpor.stats.Dpor.executions;
+      checkb "no counterexample before the violating run" true
+        (short.Dpor.counterexample = None);
+      let reached = explore ~budget:(k + 1) () in
+      checkb "same counterexample once the budget reaches it" true
+        (reached.Dpor.counterexample = full.Dpor.counterexample))
 
 (* -- Eset vs association list (QCheck) --------------------------------- *)
 
@@ -390,16 +262,10 @@ let suite =
       test_abd_matches_naive;
     Alcotest.test_case "planted mutant caught by both explorers" `Quick
       test_mutant_matches_naive;
-    Alcotest.test_case "frontier resume at every prefix is exact" `Slow
-      test_frontier_every_prefix;
-    Alcotest.test_case "budget-1 frontier chain replays the whole search"
-      `Slow test_frontier_budget1_chain;
-    Alcotest.test_case "resume crosses into the violating execution" `Quick
-      test_frontier_resume_finds_violation;
-    Alcotest.test_case "branch frontiers resume exactly" `Slow
-      test_frontier_branch;
-    Alcotest.test_case "frontier JSON validation rejects damage" `Quick
-      test_frontier_json_validation;
+    Alcotest.test_case "budget truncation stops at every prefix" `Slow
+      test_budget_every_prefix;
+    Alcotest.test_case "budget short of the violation finds nothing" `Quick
+      test_budget_before_violation;
     QCheck_alcotest.to_alcotest qcheck_eset_equivalence;
     QCheck_alcotest.to_alcotest qcheck_eset_incremental;
   ]

@@ -351,6 +351,33 @@ let test_mutant_caught_any_jobs () =
   checkb "identical violation at -j8" true
     (c1.Wfde.Harness.violation = c8.Wfde.Harness.violation)
 
+(* -- first-use race ------------------------------------------------------ *)
+
+(* The probe makes several domains finish their first parallel pool run
+   at once; only a process's first run can hit one-time set-up, so it
+   needs fresh processes. Module-level lazy counter handles once raised
+   [CamlinternalLazy.Undefined] here in about one run in five. *)
+let probe_runs = 200
+
+let test_first_use_race () =
+  let probe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "pool_race/pool_race_probe.exe"
+  in
+  let failures = ref 0 in
+  for _ = 1 to probe_runs do
+    let pid =
+      Unix.create_process probe [| probe |] Unix.stdin Unix.stdout Unix.stderr
+    in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> incr failures
+  done;
+  checki
+    (Printf.sprintf "failed probe runs out of %d" probe_runs)
+    0 !failures
+
 (* -- exported JSONL determinism ---------------------------------------- *)
 
 let test_trace_lines_identical () =
@@ -417,4 +444,6 @@ let suite =
       test_mutant_caught_any_jobs;
     Alcotest.test_case "exported JSONL identical at -j1/-j4" `Quick
       test_trace_lines_identical;
+    Alcotest.test_case "concurrent first pool runs never raise" `Slow
+      test_first_use_race;
   ]

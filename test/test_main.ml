@@ -25,5 +25,4 @@ let () =
       ("msg-consensus", Test_msg_consensus.suite);
       ("serve", Test_serve.suite);
       ("cache", Test_cache.suite);
-      ("fabric", Test_fabric.suite);
     ]

@@ -229,7 +229,10 @@ let err_code = function
 
 let test_service_validation () =
   let h = Serve.Service.handle in
-  checks "unknown method" "unknown_method" (err_code (h (req "frob" [])));
+  List.iter
+    (fun m ->
+      checks ("unknown method " ^ m) "unknown_method" (err_code (h (req m []))))
+    [ "frob"; "exp"; "check_unit" ];
   checks "health is daemon-level" "unknown_method"
     (err_code (h (req "health" [])));
   checks "unknown param" "bad_request"

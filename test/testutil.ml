@@ -1,6 +1,6 @@
-(* Helpers shared by the serve, cache, and fabric test files, so each
-   suite stops re-growing its own copies of substring search, temp
-   paths, recursive delete, and condition polling. *)
+(* Helpers shared by the serve and cache test files, so each suite
+   stops re-growing its own copies of substring search, temp paths,
+   recursive delete, and condition polling. *)
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -47,15 +47,3 @@ let eventually ?(timeout = 5.0) msg cond =
     end
   in
   go ()
-
-(* The built CLI binary, for tests that need a real child process to
-   SIGKILL (an in-process daemon cannot crash without taking the test
-   runner with it). Tests run from _build/default/test, so the binary
-   sits one directory over; WFDE_BIN overrides for odd layouts. *)
-let wfde_binary () =
-  match Sys.getenv_opt "WFDE_BIN" with
-  | Some p -> p
-  | None ->
-      Filename.concat
-        (Filename.dirname Sys.executable_name)
-        "../bin/wfde_cli.exe"
