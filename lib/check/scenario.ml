@@ -91,8 +91,9 @@ let register ~procs () =
 
 (* procs-1 updaters (each writing its own slot once) and one scanner
    scanning twice. *)
-let snapshot ~procs () =
+let snapshot ~mutant ~procs () =
   let snap = Memory.Snapshot.create ~name:"s" ~size:procs ~init:(fun _ -> 0) in
+  Option.iter (Memory.Snapshot.unsafe_plant snap) mutant;
   let l = Histories.log () in
   let scanner = procs - 1 in
   let body pid () =
@@ -114,8 +115,9 @@ let snapshot ~procs () =
    corresponding attempt is on record. p1 reads twice; every process
    runs a server. Whether the stranded value stays reachable is up to
    the failure pattern (crashing p2 silences the only fresh replica). *)
-let abd ~procs () =
+let abd ~mutant ~procs () =
   let t = Memory.Abd.create ~name:"abd" ~n_plus_1:procs ~init:0 in
+  Option.iter (Memory.Abd.unsafe_plant t) mutant;
   let holder = 1 in
   let tag = { Memory.Abd.seq = 1; writer = holder } in
   Memory.Abd.unsafe_seed_replica t ~owner:holder ~key:"x" ~tag 1;
@@ -135,10 +137,11 @@ let abd ~procs () =
 
 (* Distinct inputs through one commit–adopt instance; results collected
    harness-side (order-insensitive, as the reduction requires). *)
-let commit_adopt ~procs () =
+let commit_adopt ~mutant ~procs () =
   let inst =
     Converge.Commit_adopt.create ~name:"ca" ~size:procs ~compare:Int.compare
   in
+  Option.iter (Converge.Commit_adopt.unsafe_plant inst) mutant;
   let picks = Array.make procs None in
   let input p = 100 + p in
   let body pid () =
@@ -187,12 +190,13 @@ let pattern_of_trace ~procs trace =
    purpose: every schedule exercises false suspicion, restore, and
    timeout growth — exactly the mechanisms the planted heartbeat
    mutants disable. *)
-let hb_detector cfg ~procs () =
+let hb_detector cfg ~mutant ~procs () =
   let eng =
     Detectors.Hb_ev_perfect.make
       ~params:{ Detectors.Heartbeat.period = 4; timeout0 = 2; timeout_inc = 6 }
       ~n_plus_1:procs ~net:cfg ()
   in
+  Option.iter (Detectors.Heartbeat.unsafe_plant eng) mutant;
   let fibers pid = [ Detectors.Heartbeat.fiber eng ~me:pid ] in
   let check trace =
     let pattern = pattern_of_trace ~procs trace in
@@ -255,14 +259,15 @@ let link_chaos cfg ~procs () =
   in
   ((fun pid -> [ body pid ]), check)
 
-let make obj ~procs =
+(* Register and Link_chaos build nothing a mutant can be planted in. *)
+let make ?mutant obj ~procs =
   require obj procs;
   match obj with
   | Register -> register ~procs
-  | Snapshot -> snapshot ~procs
-  | Abd -> abd ~procs
-  | Commit_adopt -> commit_adopt ~procs
-  | Hb_detector cfg -> hb_detector cfg ~procs
+  | Snapshot -> snapshot ~mutant ~procs
+  | Abd -> abd ~mutant ~procs
+  | Commit_adopt -> commit_adopt ~mutant ~procs
+  | Hb_detector cfg -> hb_detector cfg ~mutant ~procs
   | Link_chaos cfg -> link_chaos cfg ~procs
 
 let patterns obj ~procs =

@@ -70,13 +70,17 @@ val of_string : string -> (obj, string) result
 val min_procs : obj -> int
 
 val make :
+  ?mutant:Mutant.t ->
   obj ->
   procs:int ->
   unit ->
   (Pid.t -> (unit -> unit) list) * (Trace.t -> (unit, string) result)
 (** A fresh world builder; deterministic, as {!Dpor.explore} requires.
-    [procs] is the process count n+1. Raises [Invalid_argument] below
-    {!min_procs}. *)
+    [procs] is the process count n+1. [mutant] is planted into every
+    object each world builds (through its [unsafe_plant] hook), so the
+    bug lives in that world alone — concurrent builders with different
+    mutants never see each other's; objects it does not target ignore
+    it. Raises [Invalid_argument] below {!min_procs}. *)
 
 val patterns : obj -> procs:int -> Failure_pattern.t list
 (** The failure patterns worth sweeping for this scenario: always

@@ -7,6 +7,8 @@ type 'a instance = {
   compare : 'a -> 'a -> int;
   phase1 : 'a option Snapshot.t;
   phase2 : 'a proposal Snapshot.t;
+  mutable drop_phase2 : bool;
+      (* planted Mutant.Converge_drop_phase2: commit straight after phase 1 *)
 }
 
 let create ~name ~k ~size ~compare =
@@ -18,71 +20,60 @@ let create ~name ~k ~size ~compare =
     phase1 = Snapshot.create ~name:(name ^ ".a1") ~size ~init:(fun _ -> None);
     phase2 =
       Snapshot.create ~name:(name ^ ".a2") ~size ~init:(fun _ -> Unwritten);
+    drop_phase2 = false;
   }
 
 let k_of t = t.k
 
-(* Test-only planted mutant (Check.Mutant): when set, [run] stops after
-   phase 1 — committing whenever its own V₁ is small, without checking
-   phase-2 visibility. C-Agreement breaks: a committer no longer forces
-   others onto small proposals. Checker regression tests only. *)
-let chaos_drop_phase2 = ref false
+let unsafe_plant t m =
+  (match m with
+  | Kernel.Mutant.Converge_drop_phase2 -> t.drop_phase2 <- true
+  | _ -> ());
+  Snapshot.unsafe_plant t.phase1 m;
+  Snapshot.unsafe_plant t.phase2 m
 
-let distinct_sorted compare values =
-  List.sort_uniq compare values
-
-let min_of_sorted = function
+let min_of = function
   | [] -> assert false (* small proposals are never empty: V₁ ∋ own v *)
   | first :: _ -> first (* lists are sorted ascending *)
 
 let run t ~me v =
   if t.k = 0 then (v, false)
-  else if !chaos_drop_phase2 then begin
-    Snapshot.update t.phase1 ~me (Some v);
-    let seen1 = Snapshot.scan t.phase1 in
-    let v1 =
-      Array.to_list seen1 |> List.filter_map Fun.id
-      |> distinct_sorted t.compare
-    in
-    if List.length v1 <= t.k then (min_of_sorted v1, true) else (v, false)
-  end
   else begin
     Snapshot.update t.phase1 ~me (Some v);
     let seen1 = Snapshot.scan t.phase1 in
     let v1 =
-      Array.to_list seen1 |> List.filter_map Fun.id
-      |> distinct_sorted t.compare
+      Array.to_list seen1 |> List.filter_map Fun.id |> List.sort_uniq t.compare
     in
     let small = List.length v1 <= t.k in
-    let proposal = if small then Small v1 else Large in
-    Snapshot.update t.phase2 ~me proposal;
-    let seen2 = Snapshot.scan t.phase2 in
-    let smalls, saw_large =
-      Array.fold_left
-        (fun (smalls, large) -> function
-          | Unwritten -> (smalls, large)
-          | Small vals -> (vals :: smalls, large)
-          | Large -> (smalls, true))
-        ([], false) seen2
-    in
-    let min_of = function
-      | [] -> assert false (* small proposals are never empty: V₁ ∋ own v *)
-      | first :: _ -> first (* lists are sorted ascending *)
-    in
-    if small && not saw_large then (min_of v1, true)
-    else
-      (* Adopt the most informed (largest) visible small proposal; they
-         form a containment chain, so "largest" is well defined. *)
-      match
-        List.fold_left
-          (fun best vals ->
-            match best with
-            | None -> Some vals
-            | Some b -> if List.length vals > List.length b then Some vals else best)
-          None smalls
-      with
-      | Some vals -> (min_of vals, false)
-      | None -> (v, false)
+    if t.drop_phase2 then (if small then (min_of v1, true) else (v, false))
+    else begin
+      let proposal = if small then Small v1 else Large in
+      Snapshot.update t.phase2 ~me proposal;
+      let seen2 = Snapshot.scan t.phase2 in
+      let smalls, saw_large =
+        Array.fold_left
+          (fun (smalls, large) -> function
+            | Unwritten -> (smalls, large)
+            | Small vals -> (vals :: smalls, large)
+            | Large -> (smalls, true))
+          ([], false) seen2
+      in
+      if small && not saw_large then (min_of v1, true)
+      else
+        (* Adopt the most informed (largest) visible small proposal; they
+           form a containment chain, so "largest" is well defined. *)
+        match
+          List.fold_left
+            (fun best vals ->
+              match best with
+              | None -> Some vals
+              | Some b ->
+                  if List.length vals > List.length b then Some vals else best)
+            None smalls
+        with
+        | Some vals -> (min_of vals, false)
+        | None -> (v, false)
+    end
   end
 
 let make_instance = create
@@ -119,4 +110,5 @@ module Commit_adopt = struct
 
   let create ~name ~size ~compare = make_instance ~name ~k:1 ~size ~compare
   let run t ~me v = run t ~me v
+  let unsafe_plant = unsafe_plant
 end

@@ -46,11 +46,14 @@ val run : 'a instance -> me:int -> 'a -> 'a * bool
 (** Invoke the instance. [me] is the caller's position; each position may
     be used at most once. Returns [(picked, committed)]. *)
 
-val chaos_drop_phase2 : bool ref
-(** Test-only planted mutant: when set, {!run} commits straight after
-    phase 1 whenever its own [V₁] is small, skipping the phase-2
-    visibility check that C-Agreement rests on. For checker regression
-    tests only. *)
+val unsafe_plant : 'a instance -> Kernel.Mutant.t -> unit
+(** Harness-only, no steps: plant a bug in this instance alone.
+    {!Kernel.Mutant.Converge_drop_phase2} makes {!run} commit straight
+    after phase 1 whenever its own [V₁] is small, skipping the phase-2
+    visibility check that C-Agreement rests on. The mutant is also
+    planted into the instance's two snapshots, so
+    {!Kernel.Mutant.Snapshot_single_collect} breaks their scans; every
+    other mutant is ignored. For checker regression tests only. *)
 
 (** A lazily-allocated family of shared instances, keyed by (k, tag) —
     the protocols of Figs 1–2 address instances as
@@ -78,4 +81,7 @@ module Commit_adopt : sig
 
   val run : 'a t -> me:int -> 'a -> 'a * bool
   (** [(picked, committed)]; each position used at most once. *)
+
+  val unsafe_plant : 'a t -> Kernel.Mutant.t -> unit
+  (** {!Converge.unsafe_plant} on the underlying instance. *)
 end

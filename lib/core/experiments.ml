@@ -1122,7 +1122,7 @@ let c1_model_checking ?(jobs = 1) ?(depth = 6) ?(mutant_depth = 12) () =
     | _ -> ());
     [
       Check.Scenario.to_string obj;
-      (match mutant with None -> "-" | Some m -> Check.Mutant.to_string m);
+      (match mutant with None -> "-" | Some m -> Mutant.to_string m);
       Report.cell_int o.Harness.check_procs;
       Report.cell_int o.Harness.check_depth;
       Report.cell_int o.Harness.patterns_swept;
@@ -1149,11 +1149,11 @@ let c1_model_checking ?(jobs = 1) ?(depth = 6) ?(mutant_depth = 12) () =
       row Check.Scenario.Snapshot ~expect_violation:false;
       row Check.Scenario.Abd ~procs:3 ~expect_violation:false;
       row Check.Scenario.Commit_adopt ~expect_violation:false;
-      row Check.Scenario.Abd ~procs:3 ~mutant:Check.Mutant.Abd_skip_write_back
+      row Check.Scenario.Abd ~procs:3 ~mutant:Mutant.Abd_skip_write_back
         ~expect_violation:true;
       row Check.Scenario.Snapshot ~procs:3 ~depth:mutant_depth
-        ~mutant:Check.Mutant.Snapshot_single_collect ~expect_violation:true;
-      row Check.Scenario.Commit_adopt ~mutant:Check.Mutant.Converge_drop_phase2
+        ~mutant:Mutant.Snapshot_single_collect ~expect_violation:true;
+      row Check.Scenario.Commit_adopt ~mutant:Mutant.Converge_drop_phase2
         ~expect_violation:true;
     ]
   in
@@ -1349,7 +1349,7 @@ let d3_hb_model_checking ?(jobs = 1) ?(depth = 5) ?(spans = Obs.Span.null) () =
         (Printf.sprintf "net.d3.%s"
            (match mutant with
            | None -> "clean"
-           | Some m -> Check.Mutant.to_string m))
+           | Some m -> Mutant.to_string m))
         (fun () ->
           Harness.check_exhaustive ~jobs ~procs:2 ~depth ~horizon:500 ?mutant
             obj)
@@ -1361,7 +1361,7 @@ let d3_hb_model_checking ?(jobs = 1) ?(depth = 5) ?(spans = Obs.Span.null) () =
     | _ -> ());
     [
       Check.Scenario.to_string obj;
-      (match mutant with None -> "-" | Some m -> Check.Mutant.to_string m);
+      (match mutant with None -> "-" | Some m -> Mutant.to_string m);
       Report.cell_int o.Harness.check_depth;
       Report.cell_int o.Harness.patterns_swept;
       Report.cell_int o.Harness.executions;
@@ -1377,9 +1377,9 @@ let d3_hb_model_checking ?(jobs = 1) ?(depth = 5) ?(spans = Obs.Span.null) () =
     [
       row hb ~expect_violation:false;
       row chaos ~expect_violation:false;
-      row hb ~mutant:Check.Mutant.Hb_timeout_never_increased
+      row hb ~mutant:Mutant.Hb_timeout_never_increased
         ~expect_violation:true;
-      row hb ~mutant:Check.Mutant.Hb_suspected_not_restored
+      row hb ~mutant:Mutant.Hb_suspected_not_restored
         ~expect_violation:true;
     ]
   in

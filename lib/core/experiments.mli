@@ -112,8 +112,8 @@ val d3_hb_model_checking :
 (** DPOR over partially synchronous links: the clean heartbeat-detector
     and link-chaos scenarios survive exhaustive pre-GST
     delay/loss/ordering exploration, and both planted heartbeat mutants
-    ({!Check.Mutant.Hb_timeout_never_increased},
-    {!Check.Mutant.Hb_suspected_not_restored}) are caught with shrunk,
+    ({!Mutant.Hb_timeout_never_increased},
+    {!Mutant.Hb_suspected_not_restored}) are caught with shrunk,
     replayable counterexamples. *)
 
 val all : ?jobs:int -> unit -> outcome list

@@ -176,7 +176,7 @@ type check_outcome = {
   check_procs : int;
   check_depth : int;
   check_horizon : int;
-  check_mutant : Check.Mutant.t option;
+  check_mutant : Mutant.t option;
   patterns_swept : int;
   executions : int;
   sleep_blocked : int;
@@ -201,151 +201,147 @@ let check_exhaustive ?(jobs = 1) ?procs ?(depth = 6) ?(horizon = 400) ?patterns
     | Some ps -> ps
     | None -> Check.Scenario.patterns obj ~procs
   in
-  let make = Check.Scenario.make obj ~procs in
+  (* every world, shrink replays included, is built with the mutant
+     planted in it *)
+  let make = Check.Scenario.make ?mutant obj ~procs in
   let pool = Exec.Pool.create ~jobs () in
-  (* The mutant flags are plain global refs: set them once around the
-     whole sweep (probes, pool units, shrink replays) rather than per
-     unit, so worker domains only ever read them — per-unit set/restore
-     from concurrent workers could flip an implementation back to
-     healthy mid-run. The spawn fence publishes the writes. *)
-  Check.Mutant.with_ mutant (fun () ->
-      let replay ~pattern ~prefix =
-        let fibers, check = make () in
-        let policy = Policy.script prefix ~then_:(Policy.round_robin ()) in
-        let result = Run.exec ~pattern ~policy ~horizon ~procs:fibers () in
-        match check result.Run.trace with
-        | Ok () -> None
-        | Error report -> Some report
-      in
-      (* Work units: one DPOR root branch per pattern per initially
-         enabled process (probed serially here), falling back to one
-         whole-tree unit when there is nothing to shard — same unit
-         list at every [jobs], which is what makes -j N byte-identical
-         to -j 1. *)
-      let probe = Obs.Span.start spans "check.probe" in
-      let units =
-        patterns
-        |> List.mapi (fun pi pattern ->
-               let branches =
-                 if depth = 0 then []
-                 else Check.Dpor.root_branches ~pattern ~make ()
-               in
-               match branches with
-               | [] -> [ (pi, pattern, None) ]
-               | bs -> List.mapi (fun bi _ -> (pi, pattern, Some (bs, bi))) bs)
-        |> List.concat |> Array.of_list
-      in
-      Obs.Span.finish spans probe;
-      Obs.Metrics.incr m_check_runs;
-      (* Units measure their own wall window and phase aggregates (as
-         plain data — a scope is single-writer, so worker domains never
-         touch it) and the coordinator converts them to spans after the
-         merge, in unit order: the exported structure is identical at
-         every [jobs]. *)
-      let traced = Obs.Span.enabled spans in
-      let results =
-        Exec.Pool.map_until pool
-          ~stop:(fun (_, _, o, _) -> o.Check.Dpor.counterexample <> None)
-          ~f:(fun i ->
-            let pi, pattern, branch = units.(i) in
-            let phases = ref [] in
-            let on_phase =
-              if traced then
-                Some (fun name us -> phases := (name, us) :: !phases)
-              else None
-            in
-            let t0 = if traced then Obs.Span.now_us () else 0 in
-            let o =
-              match branch with
-              | None ->
-                  Check.Dpor.explore ~pattern ~depth ~horizon ~should_stop
-                    ?on_phase ~make ()
-              | Some (branches, index) ->
-                  Check.Dpor.explore_branch ~pattern ~depth ~horizon
-                    ~should_stop ?on_phase ~branches ~index ~make ()
-            in
-            let t1 = if traced then Obs.Span.now_us () else 0 in
-            (pi, pattern, o, (t0, t1, List.rev !phases)))
-          (Array.length units)
-      in
-      if traced then
-        List.iteri
-          (fun i (_, _, _, (t0, t1, phases)) ->
-            let pi, _, branch = units.(i) in
-            let name =
-              match branch with
-              | None -> Printf.sprintf "dpor.p%d" pi
-              | Some (_, bi) -> Printf.sprintf "dpor.p%d.b%d" pi bi
-            in
-            let uid = Obs.Span.emit spans ~name ~start_us:t0 ~stop_us:t1 () in
-            (* phase spans carry durations, not positions: lay them out
-               back-to-back from the unit start so the tree still reads
-               as a flame graph *)
-            let cursor = ref t0 in
-            List.iter
-              (fun (pname, us) ->
-                ignore
-                  (Obs.Span.emit spans ~parent:uid ~name:pname ~start_us:!cursor
-                     ~stop_us:(!cursor + us) ());
-                cursor := !cursor + us)
-              phases)
-          results;
-      let zero =
-        {
-          Check.Dpor.executions = 0;
-          sleep_blocked = 0;
-          deduped = 0;
-          races = 0;
-          backtrack_points = 0;
-        }
-      in
-      let stats =
-        List.fold_left
-          (fun acc (_, _, o, _) -> Check.Dpor.merge_stats acc o.Check.Dpor.stats)
-          zero results
-      in
-      let swept =
-        match List.rev results with [] -> 0 | (pi, _, _, _) :: _ -> pi + 1
-      in
-      let violation =
-        match List.rev results with
-        | ( _,
-            pattern,
-            { Check.Dpor.counterexample = Some (prefix, report); _ },
-            _ )
-          :: _ ->
-            Obs.Metrics.incr m_check_violations;
-            Some
-              (Obs.Span.with_ spans "check.shrink" (fun () ->
-                   match Check.Shrink.minimize ~replay ~pattern ~prefix with
-                   | Some (cex_pattern, cex_prefix, cex_report) ->
-                       { cex_pattern; cex_prefix; cex_report; shrunk = true }
-                   | None ->
-                       (* replay did not reproduce — report the raw
-                          counterexample and flag the failed shrink *)
-                       {
-                         cex_pattern = pattern;
-                         cex_prefix = prefix;
-                         cex_report = report;
-                         shrunk = false;
-                       }))
-        | _ -> None
-      in
-      {
-        check_obj = obj;
-        check_procs = procs;
-        check_depth = depth;
-        check_horizon = horizon;
-        check_mutant = mutant;
-        patterns_swept = swept;
-        executions = stats.Check.Dpor.executions;
-        sleep_blocked = stats.Check.Dpor.sleep_blocked;
-        deduped = stats.Check.Dpor.deduped;
-        races = stats.Check.Dpor.races;
-        backtrack_points = stats.Check.Dpor.backtrack_points;
-        naive_bound = Check.Explore.count_schedules ~n_plus_1:procs ~depth;
-        violation;
-      })
+  let replay ~pattern ~prefix =
+    let fibers, check = make () in
+    let policy = Policy.script prefix ~then_:(Policy.round_robin ()) in
+    let result = Run.exec ~pattern ~policy ~horizon ~procs:fibers () in
+    match check result.Run.trace with
+    | Ok () -> None
+    | Error report -> Some report
+  in
+  (* Work units: one DPOR root branch per pattern per initially
+     enabled process (probed serially here), falling back to one
+     whole-tree unit when there is nothing to shard — same unit
+     list at every [jobs], which is what makes -j N byte-identical
+     to -j 1. *)
+  let probe = Obs.Span.start spans "check.probe" in
+  let units =
+    patterns
+    |> List.mapi (fun pi pattern ->
+           let branches =
+             if depth = 0 then []
+             else Check.Dpor.root_branches ~pattern ~make ()
+           in
+           match branches with
+           | [] -> [ (pi, pattern, None) ]
+           | bs -> List.mapi (fun bi _ -> (pi, pattern, Some (bs, bi))) bs)
+    |> List.concat |> Array.of_list
+  in
+  Obs.Span.finish spans probe;
+  Obs.Metrics.incr m_check_runs;
+  (* Units measure their own wall window and phase aggregates (as
+     plain data — a scope is single-writer, so worker domains never
+     touch it) and the coordinator converts them to spans after the
+     merge, in unit order: the exported structure is identical at
+     every [jobs]. *)
+  let traced = Obs.Span.enabled spans in
+  let results =
+    Exec.Pool.map_until pool
+      ~stop:(fun (_, _, o, _) -> o.Check.Dpor.counterexample <> None)
+      ~f:(fun i ->
+        let pi, pattern, branch = units.(i) in
+        let phases = ref [] in
+        let on_phase =
+          if traced then
+            Some (fun name us -> phases := (name, us) :: !phases)
+          else None
+        in
+        let t0 = if traced then Obs.Span.now_us () else 0 in
+        let o =
+          match branch with
+          | None ->
+              Check.Dpor.explore ~pattern ~depth ~horizon ~should_stop
+                ?on_phase ~make ()
+          | Some (branches, index) ->
+              Check.Dpor.explore_branch ~pattern ~depth ~horizon
+                ~should_stop ?on_phase ~branches ~index ~make ()
+        in
+        let t1 = if traced then Obs.Span.now_us () else 0 in
+        (pi, pattern, o, (t0, t1, List.rev !phases)))
+      (Array.length units)
+  in
+  if traced then
+    List.iteri
+      (fun i (_, _, _, (t0, t1, phases)) ->
+        let pi, _, branch = units.(i) in
+        let name =
+          match branch with
+          | None -> Printf.sprintf "dpor.p%d" pi
+          | Some (_, bi) -> Printf.sprintf "dpor.p%d.b%d" pi bi
+        in
+        let uid = Obs.Span.emit spans ~name ~start_us:t0 ~stop_us:t1 () in
+        (* phase spans carry durations, not positions: lay them out
+           back-to-back from the unit start so the tree still reads
+           as a flame graph *)
+        let cursor = ref t0 in
+        List.iter
+          (fun (pname, us) ->
+            ignore
+              (Obs.Span.emit spans ~parent:uid ~name:pname ~start_us:!cursor
+                 ~stop_us:(!cursor + us) ());
+            cursor := !cursor + us)
+          phases)
+      results;
+  let zero =
+    {
+      Check.Dpor.executions = 0;
+      sleep_blocked = 0;
+      deduped = 0;
+      races = 0;
+      backtrack_points = 0;
+    }
+  in
+  let stats =
+    List.fold_left
+      (fun acc (_, _, o, _) -> Check.Dpor.merge_stats acc o.Check.Dpor.stats)
+      zero results
+  in
+  let swept =
+    match List.rev results with [] -> 0 | (pi, _, _, _) :: _ -> pi + 1
+  in
+  let violation =
+    match List.rev results with
+    | ( _,
+        pattern,
+        { Check.Dpor.counterexample = Some (prefix, report); _ },
+        _ )
+      :: _ ->
+        Obs.Metrics.incr m_check_violations;
+        Some
+          (Obs.Span.with_ spans "check.shrink" (fun () ->
+               match Check.Shrink.minimize ~replay ~pattern ~prefix with
+               | Some (cex_pattern, cex_prefix, cex_report) ->
+                   { cex_pattern; cex_prefix; cex_report; shrunk = true }
+               | None ->
+                   (* replay did not reproduce — report the raw
+                      counterexample and flag the failed shrink *)
+                   {
+                     cex_pattern = pattern;
+                     cex_prefix = prefix;
+                     cex_report = report;
+                     shrunk = false;
+                   }))
+    | _ -> None
+  in
+  {
+    check_obj = obj;
+    check_procs = procs;
+    check_depth = depth;
+    check_horizon = horizon;
+    check_mutant = mutant;
+    patterns_swept = swept;
+    executions = stats.Check.Dpor.executions;
+    sleep_blocked = stats.Check.Dpor.sleep_blocked;
+    deduped = stats.Check.Dpor.deduped;
+    races = stats.Check.Dpor.races;
+    backtrack_points = stats.Check.Dpor.backtrack_points;
+    naive_bound = Check.Explore.count_schedules ~n_plus_1:procs ~depth;
+    violation;
+  }
 
 let check_outcome_json t =
   let module J = Obs.Json in
@@ -369,7 +365,7 @@ let check_outcome_json t =
       ( "mutant",
         match t.check_mutant with
         | None -> J.Null
-        | Some m -> J.String (Check.Mutant.to_string m) );
+        | Some m -> J.String (Mutant.to_string m) );
       ("patterns_swept", J.Int t.patterns_swept);
       ("executions", J.Int t.executions);
       ("sleep_blocked", J.Int t.sleep_blocked);

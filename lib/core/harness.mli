@@ -81,7 +81,7 @@ type check_outcome = {
   check_procs : int;
   check_depth : int;
   check_horizon : int;
-  check_mutant : Check.Mutant.t option;
+  check_mutant : Mutant.t option;
   patterns_swept : int;
       (** failure patterns explored before stopping (all of them, or up
           to and including the first with a violation) *)
@@ -104,15 +104,17 @@ val check_exhaustive :
   ?patterns:Failure_pattern.t list ->
   ?should_stop:(unit -> bool) ->
   ?spans:Obs.Span.scope ->
-  ?mutant:Check.Mutant.t ->
+  ?mutant:Mutant.t ->
   Check.Scenario.obj ->
   check_outcome
 (** Explore the scenario under each pattern (default:
     {!Check.Scenario.patterns}) until a violation is found or the sweep
     is exhausted; [procs] is clamped up to the scenario's
     {!Check.Scenario.min_procs}, defaults are [procs >= 2], [depth = 6],
-    [horizon = 400]. [mutant] injects the named bug for the whole run —
-    exploration {e and} shrink replays. Updates [harness.check.*] and
+    [horizon = 400]. [mutant] is planted into every world the check
+    builds ({!Check.Scenario.make}) — exploration {e and} shrink replays
+    — and into nothing else, so checks with different mutants, and any
+    other work, can run concurrently. Updates [harness.check.*] and
     [check.dpor.*] metrics.
 
     The sweep is sharded into one work unit per (pattern, DPOR root

@@ -65,7 +65,7 @@ module Dpor = Check.Dpor
 module Lin = Check.Lin
 module Scenario = Check.Scenario
 module Shrink = Check.Shrink
-module Mutant = Check.Mutant
+module Mutant = Kernel.Mutant
 module Upsilon_sa = Agreement.Upsilon_sa
 module Upsilon_f_sa = Agreement.Upsilon_f_sa
 module Sa_spec = Agreement.Sa_spec

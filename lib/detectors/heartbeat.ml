@@ -1,10 +1,5 @@
 open Kernel
 
-(* Planted mutants (Check.Mutant flips these around explorations): each
-   disables one load-bearing mechanism of Algorithm 2.7. *)
-let chaos_timeout_never_increased = ref false
-let chaos_suspected_not_restored = ref false
-
 type mode = Common_timeout | Per_target
 
 type params = { period : int; timeout0 : int; timeout_inc : int }
@@ -30,6 +25,10 @@ type t = {
   suspected : bool array array;
   tick : Timer.Periodic.t array;
   mutable logs : (int * Pid.Set.t) list array; (* newest first, per observer *)
+  (* planted mutants: each disables one load-bearing mechanism of
+     Algorithm 2.7 *)
+  mutable timeout_never_increased : bool;
+  mutable suspected_not_restored : bool;
   m_suspicions : Obs.Metrics.counter;
   m_restores : Obs.Metrics.counter;
   m_raises : Obs.Metrics.counter;
@@ -56,11 +55,18 @@ let create ~name ~n_plus_1 ~mode ?(params = default_params) ~net () =
     suspected = Array.make_matrix n_plus_1 n_plus_1 false;
     tick = Array.init n_plus_1 (fun _ -> Timer.Periodic.create ~period:params.period);
     logs = Array.make n_plus_1 [ (0, Pid.Set.empty) ];
+    timeout_never_increased = false;
+    suspected_not_restored = false;
     m_suspicions = Obs.Metrics.counter (label "suspicions");
     m_restores = Obs.Metrics.counter (label "restores");
     m_raises = Obs.Metrics.counter (label "timeout_raises");
     m_beats = Obs.Metrics.counter (label "heartbeats");
   }
+
+let unsafe_plant t = function
+  | Mutant.Hb_timeout_never_increased -> t.timeout_never_increased <- true
+  | Mutant.Hb_suspected_not_restored -> t.suspected_not_restored <- true
+  | _ -> ()
 
 let name t = t.hb_name
 let link t = t.link
@@ -77,7 +83,7 @@ let log_change t me now =
   t.logs.(me) <- (now, suspected_set t me) :: t.logs.(me)
 
 let raise_timeout t me q =
-  if not !chaos_timeout_never_increased then begin
+  if not t.timeout_never_increased then begin
     Obs.Metrics.incr t.m_raises;
     match t.mode with
     | Per_target -> t.timeout.(me).(q) <- t.timeout.(me).(q) + t.params.timeout_inc
@@ -95,7 +101,7 @@ let on_heartbeat t ~me ~from ~now =
     (* the suspicion was false: learn from the mistake (Algorithm 2.7's
        delay += Delta) and restore the process *)
     raise_timeout t me from;
-    if not !chaos_suspected_not_restored then begin
+    if not t.suspected_not_restored then begin
       Obs.Metrics.incr t.m_restores;
       t.suspected.(me).(from) <- false;
       log_change t me now

@@ -40,20 +40,6 @@
 
 open Kernel
 
-(** {1 Planted mutants}
-
-    Flipped by {!Check.Mutant} ([Hb_timeout_never_increased],
-    [Hb_suspected_not_restored]); each disables one load-bearing
-    mechanism and must be caught by the spec validators. *)
-
-val chaos_timeout_never_increased : bool ref
-(** False suspicions no longer raise timeouts: premature timeouts recur
-    forever, so eventual accuracy fails on slow-enough links. *)
-
-val chaos_suspected_not_restored : bool ref
-(** A heartbeat from a suspected process no longer restores it: any
-    single pre-GST false suspicion becomes permanent. *)
-
 (** {1 Engine} *)
 
 type mode = Common_timeout | Per_target
@@ -81,6 +67,19 @@ val create :
   unit ->
   t
 (** A fresh engine over a fresh link named [name]. *)
+
+val unsafe_plant : t -> Mutant.t -> unit
+(** Harness-only, no steps: plant a bug in this engine alone; each
+    disables one load-bearing mechanism and must be caught by the spec
+    validators.
+    - {!Mutant.Hb_timeout_never_increased}: false suspicions no longer
+      raise timeouts, so premature timeouts recur forever and eventual
+      accuracy fails on slow-enough links;
+    - {!Mutant.Hb_suspected_not_restored}: a heartbeat from a suspected
+      process no longer restores it, so any single pre-GST false
+      suspicion becomes permanent.
+
+    Every other mutant is ignored. For checker regression tests only. *)
 
 val name : t -> string
 val link : t -> unit Link.t

@@ -10,19 +10,6 @@ let legal_stable_sets ~pattern ~f =
          Pid.Set.cardinal u >= min_size ~n_plus_1 ~f
          && not (Pid.Set.equal u correct))
 
-(* Stash construction metadata for harness code, keyed by name. Default
-   names are deterministic functions of the parameters so that identical
-   worlds produce byte-identical traces (replay tooling depends on it).
-   Shared across domains when a sweep runs under Exec.Pool, hence the
-   mutex; replace is idempotent for a given name, so cross-domain
-   interleavings cannot change what stab_time_of observes. *)
-let stab_times : (string, int) Hashtbl.t = Hashtbl.create 17
-let stab_times_mu = Mutex.create ()
-
-let with_stab_times f =
-  Mutex.lock stab_times_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock stab_times_mu) f
-
 let make ?name ~rng ~pattern ~f ?stable_set ?stab_time () =
   let n_plus_1 = Failure_pattern.n_plus_1 pattern in
   if f < 1 || f > n_plus_1 - 1 then invalid_arg "Upsilon_f.make: bad f";
@@ -43,12 +30,13 @@ let make ?name ~rng ~pattern ~f ?stable_set ?stab_time () =
     match stab_time with Some t -> t | None -> Rng.int_in rng 0 150
   in
   let seed = Rng.int rng max_int in
+  (* default names are deterministic functions of the parameters, so
+     identical worlds produce byte-identical traces *)
   let name =
     match name with
     | Some n -> n
     | None -> Printf.sprintf "upsilon_f(f=%d,t*=%d)" f stab_time
   in
-  with_stab_times (fun () -> Hashtbl.replace stab_times name stab_time);
   Detector.record_make ~family:"upsilon_f" ~stab_time;
   let history pid time =
     if time >= stab_time then stable_set
@@ -57,11 +45,6 @@ let make ?name ~rng ~pattern ~f ?stable_set ?stab_time () =
         ~min_size:(min_size ~n_plus_1 ~f) pid time
   in
   { Detector.name; history; pp = Pid.Set.pp; equal = Pid.Set.equal }
-
-let stab_time_of (d : Pid.Set.t Detector.t) =
-  match with_stab_times (fun () -> Hashtbl.find_opt stab_times d.Detector.name) with
-  | Some t -> t
-  | None -> invalid_arg "Upsilon_f.stab_time_of: not built by make"
 
 let check (d : Pid.Set.t Detector.t) ~pattern ~f ~stab_by ~horizon =
   let n_plus_1 = Failure_pattern.n_plus_1 pattern in

@@ -32,10 +32,6 @@ val make :
     [stable_set] is illegal for the pattern (wrong size, or equal to the
     correct set) or the pattern exceeds [f] failures. *)
 
-val stab_time_of : Pid.Set.t Detector.t -> int
-(** The stabilization time the history was built with (harness metadata;
-    protocols must not peek). Raises on detectors not built by {!make}. *)
-
 val check :
   Pid.Set.t Detector.t ->
   pattern:Failure_pattern.t ->

@@ -22,8 +22,8 @@
     {!Obs.Metrics.absorb} in unit order at the barrier. Unit functions
     must therefore be self-contained: build their own [Sim]/[Rng],
     touch no shared mutable state, and return a value. Read-only access
-    to configuration set before the pool call (e.g. mutant chaos flags)
-    is fine — the spawn fence publishes it.
+    to configuration set before the pool call is fine — the spawn fence
+    publishes it.
 
     Exceptions follow the same prefix rule as {!map_until}: the unit
     with the lowest index that raised is re-raised in the caller (with

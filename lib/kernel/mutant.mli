@@ -1,9 +1,15 @@
 (** Planted bugs the model checker must be able to find.
 
-    Each mutant is a test-only flag inside a memory/agreement module
-    that disables one load-bearing mechanism of its algorithm — the
-    kind of subtle omission schedule exploration exists to catch.
-    Regression tests assert that {!Dpor} + {!Lin} finds a
+    Each mutant disables one load-bearing mechanism of an algorithm —
+    the kind of subtle omission schedule exploration exists to catch.
+    A mutant is a property of one object instance, never of the
+    process: the object's [unsafe_plant] hook ({!Memory.Abd.unsafe_plant},
+    {!Memory.Snapshot.unsafe_plant}, {!Converge.unsafe_plant},
+    {!Detectors.Heartbeat.unsafe_plant}) switches it on for that
+    instance alone and ignores mutants aimed at other objects, and
+    {!Check.Scenario.make} plants it into every world it builds. Checks
+    with different mutants can therefore run side by side. Regression
+    tests assert that {!Check.Dpor} + {!Check.Lin} finds a
     counterexample for every mutant within a bounded budget (and none
     without). *)
 
@@ -35,9 +41,3 @@ val to_string : t -> string
     [hb-timeout-never-increased], [hb-suspected-not-restored]. *)
 
 val of_string : string -> (t, string) result
-
-val with_ : t option -> (unit -> 'a) -> 'a
-(** [with_ m f] runs [f] with the mutant's flag set (none for [None]),
-    restoring all flags afterwards even on exceptions. Use around every
-    exploration {e and} every shrink replay, so counterexamples stay
-    reproducible. *)

@@ -14,12 +14,6 @@ type 'a message =
 
 type 'a reply = Tagged of tag * 'a | Acked
 
-(* Test-only planted mutant (Check.Mutant): when set, [read] skips the
-   write-back phase, making reads merely regular — the classic new/old
-   read inversion the model checker must be able to find. Never set this
-   outside checker regression tests. *)
-let chaos_skip_write_back = ref false
-
 let m_reads = Obs.Metrics.counter "memory.abd.reads"
 let m_writes = Obs.Metrics.counter "memory.abd.writes"
 let m_query_phases = Obs.Metrics.counter "memory.abd.query_phases"
@@ -48,6 +42,8 @@ type 'a t = {
   mutable log : 'a op list;
   mutable attempts : (string * tag * 'a * int) list;
       (* write tags broadcast, with keys, values and invoke times *)
+  mutable skip_write_back : bool;
+      (* planted Mutant.Abd_skip_write_back: reads become merely regular *)
 }
 
 let create ~name ~n_plus_1 ~init =
@@ -60,6 +56,7 @@ let create ~name ~n_plus_1 ~init =
     buffers = Array.init n_plus_1 (fun _ -> Hashtbl.create 16);
     log = [];
     attempts = [];
+    skip_write_back = false;
   }
 
 let replica_get t ~me ~key =
@@ -177,7 +174,7 @@ let read t ~me ~key =
   let tag, value, invoked, query_done = query_phase t ~me ~key in
   (* write-back: a later read must not see an older value *)
   let responded =
-    if !chaos_skip_write_back then query_done
+    if t.skip_write_back then query_done
     else update_phase t ~me ~key ~tag ~value
   in
   Obs.Metrics.incr m_reads;
@@ -206,6 +203,11 @@ let unsafe_seed_replica t ~owner ~key ~tag value =
 
 let unsafe_attempt t ~key ~tag value ~invoked =
   t.attempts <- (key, tag, value, invoked) :: t.attempts
+
+let unsafe_plant t = function
+  | Mutant.Abd_skip_write_back -> t.skip_write_back <- true
+  | _ -> ()
+
 let unsafe_append t entry = t.log <- entry :: t.log
 
 (* Atomicity is per register: check each key's sub-log independently. *)

@@ -70,12 +70,6 @@ val attempts : 'a t -> (string * tag * 'a * int) list
     whose client crashed mid-operation. Model checking uses these as the
     pending operations a linearization may still include. *)
 
-val chaos_skip_write_back : bool ref
-(** Test-only planted mutant: when set, {!read} skips the write-back
-    phase, so reads are merely regular and non-overlapping reads can see
-    new-then-old values. Exists solely so checker regression tests can
-    assert the bug is found; never set it elsewhere. *)
-
 val unsafe_append : 'a t -> 'a op -> unit
 (** Append a hand-built entry to the op log — for testing the checker on
     forged histories only. *)
@@ -89,6 +83,13 @@ val unsafe_seed_replica :
 
 val unsafe_attempt : 'a t -> key:string -> tag:tag -> 'a -> invoked:int -> unit
 (** Harness-only, no steps: record a broadcast write attempt. *)
+
+val unsafe_plant : 'a t -> Mutant.t -> unit
+(** Harness-only, no steps: plant a bug in this instance alone.
+    {!Mutant.Abd_skip_write_back} makes {!read} skip the write-back
+    phase, so reads are merely regular and non-overlapping reads can see
+    new-then-old values; every other mutant is ignored. For checker
+    regression tests only. *)
 
 val keys : 'a t -> string list
 (** Every key appearing in the op log. *)

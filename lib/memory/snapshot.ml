@@ -1,6 +1,10 @@
 type 'a entry = { data : 'a; version : int; view : ('a * int) array }
 
-type 'a t = { cells : 'a entry Register.t array }
+type 'a t = {
+  cells : 'a entry Register.t array;
+  mutable single_collect : bool;
+      (* planted Mutant.Snapshot_single_collect: no double-collect check *)
+}
 
 let m_scans = Obs.Metrics.counter "memory.snapshot.scans"
 let m_updates = Obs.Metrics.counter "memory.snapshot.updates"
@@ -20,16 +24,13 @@ let create ~name ~size ~init =
           ~name:(Printf.sprintf "%s[%d]" name i)
           { data = init i; version = 0; view = initial_view })
   in
-  { cells }
+  { cells; single_collect = false }
 
 let size t = Array.length t.cells
 
-
-(* Test-only planted mutant (Check.Mutant): when set, [scan] returns its
-   first collect with no double-collect validation — the textbook broken
-   snapshot whose views can be atomically inconsistent. Only checker
-   regression tests may set this. *)
-let chaos_single_collect = ref false
+let unsafe_plant t = function
+  | Kernel.Mutant.Snapshot_single_collect -> t.single_collect <- true
+  | _ -> ()
 
 (* One collect per iteration; a position whose version changed between two
    successive collects "moved". A position seen moving twice performed a
@@ -62,7 +63,7 @@ let scan_entries_timed t =
     (entries, !first, !last)
   in
   let c0, t_first, c0_last = collect_timed () in
-  if !chaos_single_collect then
+  if t.single_collect then
     (finish (Array.map (fun e -> (e.data, e.version)) c0), t_first, c0_last)
   else
     let rec attempt c1 =

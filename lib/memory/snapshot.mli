@@ -45,7 +45,9 @@ val update_timed : 'a t -> me:int -> 'a -> int * int
 val peek : 'a t -> 'a array
 (** Current contents without taking steps — oracle use only. *)
 
-val chaos_single_collect : bool ref
-(** Test-only planted mutant: when set, [scan] returns its first collect
-    without double-collect validation, so concurrent updates can yield
-    atomically inconsistent views. For checker regression tests only. *)
+val unsafe_plant : 'a t -> Kernel.Mutant.t -> unit
+(** Harness-only, no steps: plant a bug in this instance alone.
+    {!Kernel.Mutant.Snapshot_single_collect} makes {!scan} return its
+    first collect without double-collect validation, so concurrent
+    updates can yield atomically inconsistent views; every other mutant
+    is ignored. For checker regression tests only. *)

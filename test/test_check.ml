@@ -1,7 +1,9 @@
 (* The model-checking layer: Wing–Gong linearizability on forged and
    recorded histories, ddmin shrinking, the DPOR pruning bound, and the
-   three planted mutants — each must be caught with a shrunk,
-   replayable counterexample, and the unmutated objects must pass. *)
+   three planted substrate mutants — each must be caught with a shrunk,
+   replayable counterexample, and the unmutated objects must pass. A
+   mutant stays inside the worlds its check builds: concurrent work,
+   mutated or clean, is unaffected. *)
 
 open Kernel
 open Check
@@ -203,16 +205,15 @@ let assert_mutant_caught ~mutant ~obj ~procs ~depth =
   | Some v ->
       checkb "shrunk and confirmed" true v.Wfde.Harness.shrunk;
       let replayed =
-        Mutant.with_ (Some mutant) (fun () ->
-            let fibers, check = Scenario.make obj ~procs () in
-            let result =
-              Run.exec ~pattern:v.Wfde.Harness.cex_pattern
-                ~policy:
-                  (Policy.script v.Wfde.Harness.cex_prefix
-                     ~then_:(Policy.round_robin ()))
-                ~horizon:o.Wfde.Harness.check_horizon ~procs:fibers ()
-            in
-            check result.Run.trace)
+        let fibers, check = Scenario.make ~mutant obj ~procs () in
+        let result =
+          Run.exec ~pattern:v.Wfde.Harness.cex_pattern
+            ~policy:
+              (Policy.script v.Wfde.Harness.cex_prefix
+                 ~then_:(Policy.round_robin ()))
+            ~horizon:o.Wfde.Harness.check_horizon ~procs:fibers ()
+        in
+        check result.Run.trace
       in
       (match replayed with
       | Error report ->
@@ -248,6 +249,107 @@ let test_mutant_names_roundtrip () =
     Mutant.all;
   checkb "unknown rejected" true (Result.is_error (Mutant.of_string "nope"))
 
+(* ------------------------------------------------ mutant isolation --- *)
+
+let render_e1 () =
+  Format.asprintf "%a" Wfde.Report.render
+    (Wfde.Experiments.e1_fig1_set_agreement ()).Wfde.Experiments.table
+
+(* A mutant lives in the worlds its check builds and nowhere else: while
+   another domain keeps catching converge-drop-phase2 on commit-adopt,
+   E1 (k-converge over snapshots, the objects that mutant and
+   snapshot-single-collect break) renders exactly its solo table. E1 is
+   re-run until the looping domain finished checks during one run, so
+   the overlap is witnessed, not assumed. *)
+let test_mutant_does_not_leak () =
+  let solo = render_e1 () in
+  let stop = Atomic.make false in
+  let checks = Atomic.make 0 in
+  let all_caught = Atomic.make true in
+  let looper =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          let o =
+            Wfde.Harness.check_exhaustive ~mutant:Mutant.Converge_drop_phase2
+              Scenario.Commit_adopt
+          in
+          if o.Wfde.Harness.violation = None then Atomic.set all_caught false;
+          Atomic.incr checks
+        done)
+  in
+  let rec race tries =
+    let before = Atomic.get checks in
+    Alcotest.check Alcotest.string "e1 table beside a mutant check" solo
+      (render_e1 ());
+    if Atomic.get checks - before < 2 && tries > 1 then race (tries - 1)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join looper)
+    (fun () ->
+      while Atomic.get checks = 0 do
+        Domain.cpu_relax ()
+      done;
+      race 50);
+  checkb "the looping checks all caught their mutant" true
+    (Atomic.get all_caught)
+
+(* Every scenario under no mutant and under each of the five, as one
+   pool batch: the outcomes must not depend on which checks share the
+   pool's workers, nor on how many workers there are. At two processes
+   exactly the three on-target mutants that need no third process are
+   caught, so live mutants really do run beside clean checks. *)
+let test_mixed_mutant_batch () =
+  let units =
+    List.concat_map
+      (fun obj ->
+        List.map (fun m -> (obj, m)) (None :: List.map Option.some Mutant.all))
+      Scenario.all
+    |> Array.of_list
+  in
+  let check i =
+    let obj, mutant = units.(i) in
+    let procs = max 2 (Scenario.min_procs obj) in
+    Wfde.Harness.check_exhaustive ~procs ~depth:5 ~horizon:500 ?mutant obj
+  in
+  let render o = Obs.Json.to_string (Wfde.Harness.check_outcome_json o) in
+  let solo = List.init (Array.length units) check in
+  let caught =
+    List.filter_map
+      (fun o ->
+        match (o.Wfde.Harness.check_mutant, o.Wfde.Harness.violation) with
+        | Some m, Some _ ->
+            Some
+              (Scenario.to_string o.Wfde.Harness.check_obj
+              ^ " " ^ Mutant.to_string m)
+        | _ -> None)
+      solo
+  in
+  let hb = Scenario.to_string (Scenario.Hb_detector Scenario.default_chaos) in
+  Alcotest.check
+    Alcotest.(list string)
+    "caught pairs"
+    [
+      "commit-adopt converge-drop-phase2";
+      hb ^ " hb-timeout-never-increased";
+      hb ^ " hb-suspected-not-restored";
+    ]
+    caught;
+  let solo = List.map render solo in
+  List.iter
+    (fun jobs ->
+      let batch =
+        Exec.Pool.map (Exec.Pool.create ~jobs ())
+          ~f:(fun i -> render (check i))
+          (Array.length units)
+      in
+      Alcotest.check
+        Alcotest.(list string)
+        (Printf.sprintf "batch at jobs %d = serial solo runs" jobs)
+        solo batch)
+    [ 1; 4; 8 ]
+
 (* ---------------------------------------------------- 1-minimality --- *)
 
 (* Satellite property of the shrinker: on every planted mutant's shrunk
@@ -257,14 +359,13 @@ let test_mutant_names_roundtrip () =
    changes) is what guarantees this jointly, not per-side. *)
 
 let replay_fails ~mutant ~obj ~procs ~horizon ~pattern ~prefix =
-  Mutant.with_ (Some mutant) (fun () ->
-      let fibers, check = Scenario.make obj ~procs () in
-      let result =
-        Run.exec ~pattern
-          ~policy:(Policy.script prefix ~then_:(Policy.round_robin ()))
-          ~horizon ~procs:fibers ()
-      in
-      Result.is_error (check result.Run.trace))
+  let fibers, check = Scenario.make ~mutant obj ~procs () in
+  let result =
+    Run.exec ~pattern
+      ~policy:(Policy.script prefix ~then_:(Policy.round_robin ()))
+      ~horizon ~procs:fibers ()
+  in
+  Result.is_error (check result.Run.trace)
 
 let drop_nth n xs = List.filteri (fun i _ -> i <> n) xs
 
@@ -417,6 +518,10 @@ let suite =
     Alcotest.test_case "mutant: abd skip-write-back" `Quick
       test_mutant_skip_write_back;
     Alcotest.test_case "mutant names roundtrip" `Quick test_mutant_names_roundtrip;
+    Alcotest.test_case "mutant check does not leak into e1" `Quick
+      test_mutant_does_not_leak;
+    Alcotest.test_case "mixed-mutant batch identical at any jobs" `Quick
+      test_mixed_mutant_batch;
     Alcotest.test_case "shrink 1-minimal: converge drop-phase2" `Quick
       test_one_minimal_drop_phase2;
     Alcotest.test_case "shrink 1-minimal: snapshot single-collect" `Slow

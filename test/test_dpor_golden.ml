@@ -109,17 +109,17 @@ let test_mutant_matches_naive () =
      explorers must catch converge-drop-phase2, with the identical
      checker report. *)
   let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
-  let make = Scenario.make Scenario.Commit_adopt ~procs:2 in
-  Mutant.with_ (Some Mutant.Converge_drop_phase2) (fun () ->
-      let dpor =
-        Explore.exhaustive_prefix ~pattern ~depth:6 ~horizon:400 ~make ()
-      in
-      let naive = Explore.naive_prefix ~pattern ~depth:6 ~horizon:400 ~make () in
-      match (dpor.Explore.counterexample, naive.Explore.counterexample) with
-      | Some (_, r1), Some (_, r2) ->
-          Alcotest.check Alcotest.string "same checker report" r2 r1
-      | None, _ -> Alcotest.fail "dpor missed the planted mutant"
-      | _, None -> Alcotest.fail "naive enumerator missed the planted mutant")
+  let make =
+    Scenario.make ~mutant:Mutant.Converge_drop_phase2 Scenario.Commit_adopt
+      ~procs:2
+  in
+  let dpor = Explore.exhaustive_prefix ~pattern ~depth:6 ~horizon:400 ~make () in
+  let naive = Explore.naive_prefix ~pattern ~depth:6 ~horizon:400 ~make () in
+  match (dpor.Explore.counterexample, naive.Explore.counterexample) with
+  | Some (_, r1), Some (_, r2) ->
+      Alcotest.check Alcotest.string "same checker report" r2 r1
+  | None, _ -> Alcotest.fail "dpor missed the planted mutant"
+  | _, None -> Alcotest.fail "naive enumerator missed the planted mutant"
 
 (* -- budget truncation --------------------------------------------------- *)
 
@@ -169,25 +169,27 @@ let test_budget_every_prefix () =
 let test_budget_before_violation () =
   (* one execution short of the violating run finds nothing; the budget
      that reaches it finds the same counterexample as the unbounded run *)
-  Mutant.with_ (Some Mutant.Snapshot_single_collect) (fun () ->
-      let pattern = List.hd (Scenario.patterns Scenario.Snapshot ~procs:3) in
-      let make = Scenario.make Scenario.Snapshot ~procs:3 in
-      let explore ?budget () =
-        Dpor.explore ~pattern ~depth:12 ~horizon:400 ?budget ~make ()
-      in
-      let full = explore () in
-      checkb "planted mutant caught uninterrupted" true
-        (full.Dpor.counterexample <> None);
-      let k = full.Dpor.stats.Dpor.executions - 1 in
-      checkb "violation is not the first execution" true (k >= 1);
-      let short = explore ~budget:k () in
-      checki "truncated before the violation" k
-        short.Dpor.stats.Dpor.executions;
-      checkb "no counterexample before the violating run" true
-        (short.Dpor.counterexample = None);
-      let reached = explore ~budget:(k + 1) () in
-      checkb "same counterexample once the budget reaches it" true
-        (reached.Dpor.counterexample = full.Dpor.counterexample))
+  let pattern = List.hd (Scenario.patterns Scenario.Snapshot ~procs:3) in
+  let make =
+    Scenario.make ~mutant:Mutant.Snapshot_single_collect Scenario.Snapshot
+      ~procs:3
+  in
+  let explore ?budget () =
+    Dpor.explore ~pattern ~depth:12 ~horizon:400 ?budget ~make ()
+  in
+  let full = explore () in
+  checkb "planted mutant caught uninterrupted" true
+    (full.Dpor.counterexample <> None);
+  let k = full.Dpor.stats.Dpor.executions - 1 in
+  checkb "violation is not the first execution" true (k >= 1);
+  let short = explore ~budget:k () in
+  checki "truncated before the violation" k
+    short.Dpor.stats.Dpor.executions;
+  checkb "no counterexample before the violating run" true
+    (short.Dpor.counterexample = None);
+  let reached = explore ~budget:(k + 1) () in
+  checkb "same counterexample once the budget reaches it" true
+    (reached.Dpor.counterexample = full.Dpor.counterexample)
 
 (* -- Eset vs association list (QCheck) --------------------------------- *)
 

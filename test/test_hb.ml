@@ -126,16 +126,16 @@ let assert_mutant_caught mutant =
   in
   match o.Wfde.Harness.violation with
   | None ->
-      Alcotest.failf "mutant %s not caught" (Check.Mutant.to_string mutant)
+      Alcotest.failf "mutant %s not caught" (Kernel.Mutant.to_string mutant)
   | Some v ->
       checkb "counterexample shrunk and replayable" true v.Wfde.Harness.shrunk;
       checkb "short prefix" true (List.length v.Wfde.Harness.cex_prefix <= 5)
 
 let test_mutant_timeout_never_increased () =
-  assert_mutant_caught Check.Mutant.Hb_timeout_never_increased
+  assert_mutant_caught Kernel.Mutant.Hb_timeout_never_increased
 
 let test_mutant_suspected_not_restored () =
-  assert_mutant_caught Check.Mutant.Hb_suspected_not_restored
+  assert_mutant_caught Kernel.Mutant.Hb_suspected_not_restored
 
 (* ----------------------------------------------------------- qcheck *)
 
