@@ -33,8 +33,10 @@
       checked are the link contract, crash isolation, and bounded
       delivery liveness to correct processes.
 
-    Worlds with forever-running server fibers never quiesce; explore
-    them with a horizon a few times the depth. For the parameterized
+    The heartbeat and link-chaos worlds never quiesce (their fibers
+    loop forever); explore them with a horizon a few times the depth.
+    The ABD world stops once p1 has read twice or crashed: its servers
+    are {!Kernel.Sim.daemon}s. For the parameterized
     scenarios keep [depth <= cfg.gst] so the explored perturbations are
     pre-GST (the tail completion is round-robin, which post-GST is
     exactly the fair scheduling partial synchrony promises). *)

@@ -913,9 +913,9 @@ let e11_msg_consensus ?(jobs = 1) ?(seeds = 6) ?(sizes = [ 3; 5 ]) ?impl () =
                       ~seed:((n_plus_1 * 907) + i)
                       ~n_plus_1 ~max_faulty:minority ~latest:300 ()
                   in
-                  (* tight horizon: the heartbeat fiber keeps the run
-                     alive to the bitter end, and decisions land within
-                     a few thousand steps *)
+                  (* the run quiesces once every correct process has
+                     decided (within a few thousand steps); the horizon
+                     only bounds a run that fails to *)
                   let m, memory =
                     Harness.run_msg_consensus ~horizon:120_000 ~omega_impl:net
                       world
@@ -1293,9 +1293,9 @@ let d2_hb_vs_oracle ?(jobs = 1) ?(seeds = 3) ?(spans = Obs.Span.null) () =
               Harness.random_world ~seed:(6000 + (23 * i)) ~n_plus_1:3
                 ~max_faulty:1 ~latest:100 ()
             in
-            (* the heartbeat fiber never terminates, so the implemented
-               run always spends the whole horizon: keep it tight
-               (decisions land within ~5k steps, GST is 60) *)
+            (* both runs quiesce once every correct process has decided
+               (within ~5k steps, GST is 60); the horizon only bounds a
+               run that fails to *)
             let oracle, mem_o =
               Harness.run_msg_consensus ~horizon:60_000 (world ())
             in

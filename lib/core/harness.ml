@@ -546,8 +546,9 @@ let run_msg_consensus ?(horizon = 3_000_000) ?omega_impl world =
         Msg_consensus.create ~name:"mc" ~n_plus_1
           ~omega:(Heartbeat.leader_source eng)
       in
-      (* wind the monitors down once every correct process has decided,
-         so the run quiesces instead of heartbeating to the horizon *)
+      (* wind the monitors down once every correct process has decided;
+         the ABD servers are daemons, so the run then quiesces instead
+         of heartbeating to the horizon *)
       let correct = Pid.Set.elements (Failure_pattern.correct pattern) in
       let done_ () =
         let decided = Msg_consensus.decisions proto in

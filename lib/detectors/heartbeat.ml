@@ -124,7 +124,8 @@ let scan_timeouts t ~me ~now =
 (* The monitor fiber: one poll step per iteration (which also yields the
    time), plus [n+1] send steps whenever the heartbeat period is due.
    Without [until] it runs forever — worlds containing it never quiesce,
-   so runs are horizon-bounded like the server-fiber scenarios. [until]
+   so runs are horizon-bounded. It is no [Sim.daemon]: the suspicions it
+   keeps changing are what detector runs observe. [until]
    (polled once per iteration, between scheduler steps) lets a driver
    wind the monitor down once the protocol it serves has finished, so
    the run can quiesce instead of spending the whole horizon. *)

@@ -8,7 +8,12 @@ type state =
   | Finished
   | Dead
 
-type t = { fiber_pid : Pid.t; fiber_name : string; mutable state : state }
+type t = {
+  fiber_pid : Pid.t;
+  fiber_name : string;
+  mutable state : state;
+  mutable daemon : bool;
+}
 
 let m_spawned = Obs.Metrics.counter "kernel.fiber.spawned"
 let m_suspensions = Obs.Metrics.counter "kernel.fiber.suspensions"
@@ -17,9 +22,10 @@ let m_killed = Obs.Metrics.counter "kernel.fiber.killed"
 
 let create ~pid ~name body =
   Obs.Metrics.incr m_spawned;
-  { fiber_pid = pid; fiber_name = name; state = Ready body }
+  { fiber_pid = pid; fiber_name = name; state = Ready body; daemon = false }
 let pid t = t.fiber_pid
 let name t = t.fiber_name
+let is_daemon t = t.daemon
 
 let status t =
   match t.state with
@@ -29,8 +35,11 @@ let status t =
   | Dead -> Killed
 
 (* The handler re-captures the fiber at every suspension point; [retc]
-   fires when the body returns. Effects other than [Sim.Atomic] are left
-   to outer handlers (there are none in practice, so they escape loudly). *)
+   fires when the body returns. [Sim.Daemon] is answered on the spot:
+   the state is still [Ready] exactly while [start] runs the local
+   prefix, i.e. before the fiber's first atomic step. Other effects are
+   left to outer handlers (there are none in practice, so they escape
+   loudly). *)
 let handler t =
   {
     retc =
@@ -46,6 +55,17 @@ let handler t =
               (fun (k : (a, unit) continuation) ->
                 Obs.Metrics.incr m_suspensions;
                 t.state <- Pending (kind, f, k))
+        | Sim.Daemon ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                match t.state with
+                | Ready _ ->
+                    t.daemon <- true;
+                    continue k ()
+                | Pending _ | Finished | Dead ->
+                    discontinue k
+                      (Invalid_argument
+                         "Sim.daemon: called after the fiber's first step"))
         | _ -> None);
   }
 

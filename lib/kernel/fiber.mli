@@ -20,6 +20,10 @@ val pid : t -> Pid.t
 val name : t -> string
 val status : t -> status
 
+val is_daemon : t -> bool
+(** Whether the body called {!Sim.daemon} in its local prefix; settled
+    once {!start} returns. *)
+
 val start : t -> unit
 (** Run the body until its first suspension (or completion). Local
     computation before the first atomic step is free, matching the model.

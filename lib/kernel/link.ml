@@ -61,6 +61,8 @@ type 'm envelope = { env_payload : 'm; env_rec : send_record }
 type 'm t = {
   link_name : string;
   cfg : config;
+  send_kinds : Sim.kind array; (* per destination, built once *)
+  recv_kinds : Sim.kind array;
   queues : 'm envelope Queue.t array; (* per-destination, send order *)
   stash : 'm envelope list array; (* per-receiver, drained but not ready *)
   mutable log : send_record list; (* newest first *)
@@ -76,9 +78,12 @@ let create ~name ~n_plus_1 ~config () =
   let label what =
     Printf.sprintf "net.link.%s{link=%s}" what name
   in
+  let mailbox p = Printf.sprintf "%s->%s" name (Pid.to_string p) in
   {
     link_name = name;
     cfg = config;
+    send_kinds = Array.init n_plus_1 (fun p -> Sim.Send { obj = mailbox p });
+    recv_kinds = Array.init n_plus_1 (fun p -> Sim.Recv { obj = mailbox p });
     queues = Array.init n_plus_1 (fun _ -> Queue.create ());
     stash = Array.make n_plus_1 [];
     log = [];
@@ -121,9 +126,7 @@ let fate cfg ~from ~to_ ~time =
     else `Ready (time + 1 + Rng.int r (cfg.pre_delay + 1))
 
 let send t ~to_ m =
-  Sim.atomic
-    (Sim.Send { obj = Printf.sprintf "%s->%s" t.link_name (Pid.to_string to_) })
-    (fun ctx ->
+  Sim.atomic t.send_kinds.(to_) (fun ctx ->
       let from = ctx.Sim.pid and time = ctx.Sim.now in
       Obs.Metrics.incr t.m_sent;
       match fate t.cfg ~from ~to_ ~time with
@@ -160,9 +163,7 @@ let poll_now t ~me =
      as for {!Network.poll}. Returns the step time too: timeout-driven
      protocols need [now] on every iteration, and charging a second
      step for it would double their step cost. *)
-  Sim.atomic
-    (Sim.Recv { obj = Printf.sprintf "%s->%s" t.link_name (Pid.to_string me) })
-    (fun ctx ->
+  Sim.atomic t.recv_kinds.(me) (fun ctx ->
       if not (Pid.equal ctx.Sim.pid me) then
         invalid_arg "Link.poll: polling another process's mailbox";
       let now = ctx.Sim.now in

@@ -1,12 +1,13 @@
 (* Reliable async messaging. Steps keep their historical [Write] labels
    (not [Send]/[Recv]): the independence relation treats both the same,
    and keeping the labels preserves DPOR schedule fingerprints for every
-   existing scenario golden and bench baseline. The delivery log is a
+   existing scenario golden and bench baseline; each mailbox's label is
+   built once, at [create]. The delivery log is a
    flat int array (3 slots per delivered message, grown by doubling) so
    the hot path stays allocation-light for the ABD sweeps. *)
 
 type 'm t = {
-  net_name : string;
+  kinds : Sim.kind array; (* per destination: the mailbox's step label *)
   mailboxes : (Pid.t * int * 'm) Queue.t array; (* sender, sent_at, payload *)
   mutable dlog : int array; (* to, sent_at, delivered_at triples *)
   mutable dlen : int; (* used slots in [dlog] *)
@@ -17,7 +18,9 @@ type 'm t = {
 
 let create ~name ~n_plus_1 =
   {
-    net_name = name;
+    kinds =
+      Array.init n_plus_1 (fun p ->
+          Sim.Write { obj = Printf.sprintf "%s->%s" name (Pid.to_string p) });
     mailboxes = Array.init n_plus_1 (fun _ -> Queue.create ());
     dlog = [||];
     dlen = 0;
@@ -42,9 +45,7 @@ let log_delivery t ~to_ ~sent_at ~delivered_at =
   t.dlen <- t.dlen + 3
 
 let send t ~to_ m =
-  Sim.atomic
-    (Sim.Write { obj = Printf.sprintf "%s->%s" t.net_name (Pid.to_string to_) })
-    (fun ctx ->
+  Sim.atomic t.kinds.(to_) (fun ctx ->
       Obs.Metrics.incr t.m_sent;
       Queue.push (ctx.Sim.pid, ctx.Sim.now, m) t.mailboxes.(to_))
 
@@ -56,9 +57,7 @@ let poll t ~me =
      writes — so trace-level independence analysis (Check.Dpor) sees
      send/poll on one mailbox as conflicting and polls of distinct
      mailboxes as commuting. Draining mutates the queue, hence Write. *)
-  Sim.atomic
-    (Sim.Write { obj = Printf.sprintf "%s->%s" t.net_name (Pid.to_string me) })
-    (fun ctx ->
+  Sim.atomic t.kinds.(me) (fun ctx ->
       if not (Pid.equal ctx.Sim.pid me) then
         invalid_arg "Network.poll: polling another process's mailbox";
       let q = t.mailboxes.(ctx.Sim.pid) in

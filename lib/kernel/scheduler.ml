@@ -93,6 +93,7 @@ type t = {
   crash_recorded : bool array;
   mutable next_crash : int; (* min crash time not yet recorded; max_int = none *)
   mutable clock : int;
+  mutable live : int; (* runnable non-daemon fibers; 0 = quiescent *)
   events : Trace.builder;
   ctx : Sim.ctx; (* reused across steps; fields rewritten each step *)
   metrics : metric_bundle;
@@ -110,6 +111,14 @@ let create ~pattern ~policy ~fibers =
         Array.of_list (List.filter (fun f -> Pid.to_int (Fiber.pid f) = p) fibers))
   in
   List.iter Fiber.start fibers;
+  let live =
+    List.fold_left
+      (fun acc f ->
+        if Fiber.status f = Fiber.Runnable && not (Fiber.is_daemon f) then
+          acc + 1
+        else acc)
+      0 fibers
+  in
   {
     sched_pattern = pattern;
     policy;
@@ -124,6 +133,7 @@ let create ~pattern ~policy ~fibers =
        done;
        !next);
     clock = 0;
+    live;
     events = Trace.builder ();
     ctx = { Sim.pid = 0; now = 0; note = None };
     metrics = bundle ~n;
@@ -152,6 +162,9 @@ let detector_counter t detector =
 let now t = t.clock
 let pattern t = t.sched_pattern
 
+(* A fiber that was runnable leaves the run: keep [live] in step. *)
+let retire t f = if not (Fiber.is_daemon f) then t.live <- t.live - 1
+
 (* Record crash events and kill fibers for processes whose crash time has
    been reached by the prospective step time. The caller skips the scan
    entirely while [step_time < next_crash], so the per-step cost is one
@@ -166,7 +179,11 @@ let process_crashes t step_time =
           t.crash_recorded.(p) <- true;
           Obs.Metrics.incr m_crashes;
           Trace.record t.events (Trace.Crash { pid = p; time = c });
-          Array.iter Fiber.kill t.by_pid.(p)
+          Array.iter
+            (fun f ->
+              if Fiber.status f = Fiber.Runnable then retire t f;
+              Fiber.kill f)
+            t.by_pid.(p)
         end
         else if c < !next then next := c
       end)
@@ -235,7 +252,9 @@ let step t =
   try
     let step_time = t.clock + 1 in
     if step_time >= t.next_crash then process_crashes t step_time;
-    match enabled_pids t with
+    (* Only daemons, or nothing, left to step: nothing anyone observes
+       can move again, so stop without asking for the enabled set. *)
+    match if t.live = 0 then [] else enabled_pids t with
     | [] ->
         flush_metrics t;
         Obs.Metrics.incr m_quiescent;
@@ -267,6 +286,7 @@ let step t =
             ctx.Sim.now <- step_time;
             ctx.Sim.note <- None;
             Fiber.step fiber ctx;
+            if Fiber.status fiber <> Fiber.Runnable then retire t fiber;
             Trace.record t.events
               (Trace.Step { pid; time = step_time; kind; note = ctx.Sim.note });
             `Stepped pid)

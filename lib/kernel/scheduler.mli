@@ -10,7 +10,9 @@ type t
 
 type outcome =
   | Horizon      (** step budget exhausted *)
-  | Quiescent    (** every fiber is done or killed *)
+  | Quiescent
+      (** no runnable non-daemon fiber: every fiber is done, killed, or a
+          {!Sim.daemon} — daemons alone never keep a run going *)
   | Policy_stop  (** the policy returned [None] *)
 
 val create :
@@ -19,8 +21,8 @@ val create :
   fibers:Fiber.t list ->
   t
 (** Fibers must not be started yet; [create] starts them (cost-free local
-    prefix). Fibers of processes crashed at time 0 are killed
-    immediately. *)
+    prefix), which is where a fiber declares itself a {!Sim.daemon}.
+    Fibers of processes crashed at time 0 are killed immediately. *)
 
 val now : t -> int
 val pattern : t -> Failure_pattern.t
@@ -41,7 +43,12 @@ val iter_pending : t -> (Pid.t -> Sim.kind -> unit) -> unit
     enabled (pid, next-step kind) in pid order (checker hot paths). *)
 
 val step : t -> [ `Stepped of Pid.t | `Stopped of outcome ]
-(** Advance the run by one step. *)
+(** Advance the run by one step. Stops [Quiescent] as soon as the count
+    of runnable non-daemon fibers (kept as fibers finish and crash, so
+    the check is O(1)) reaches 0. Until then the enabled set still
+    includes daemons, so a run's trace does not depend on whether its
+    service fibers are daemons — marking them only cuts the idle
+    tail. *)
 
 val run : t -> max_steps:int -> outcome
 (** Step until an outcome is reached or [max_steps] steps execute. Can be

@@ -14,9 +14,12 @@ type kind =
   | Input of { label : string; value : string }
   | Nop
 
-type _ Effect.t += Atomic : kind * (ctx -> 'a) -> 'a Effect.t
+type _ Effect.t +=
+  | Atomic : kind * (ctx -> 'a) -> 'a Effect.t
+  | Daemon : unit Effect.t
 
 let atomic kind f = Effect.perform (Atomic (kind, f))
+let daemon () = Effect.perform Daemon
 let yield () = atomic Nop (fun _ -> ())
 let now () = atomic Nop (fun ctx -> ctx.now)
 let output ~label ~value = atomic (Output { label; value }) (fun _ -> ())

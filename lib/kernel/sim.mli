@@ -42,10 +42,21 @@ type kind =
 
 type _ Effect.t +=
   | Atomic : kind * (ctx -> 'a) -> 'a Effect.t
-        (** The single effect fibers perform; handled by the scheduler. *)
+        (** The effect behind every step; handled by the fiber. *)
+  | Daemon : unit Effect.t  (** Behind {!daemon}; not a step. *)
 
 val atomic : kind -> (ctx -> 'a) -> 'a
 (** Perform one atomic step. Only call from inside a fiber. *)
+
+val daemon : unit -> unit
+(** Mark the calling fiber as a daemon: a service loop (an ABD replica)
+    that only answers the other fibers and never ends on its own. A run
+    stops [Quiescent] once no non-daemon fiber is runnable (see
+    {!Scheduler.outcome}), even while daemons could still step: past
+    that point they have no one left to serve. Not a step — it records
+    no trace event, changes no counter and consumes no time. Call it
+    before the fiber's first {!atomic}; a later call raises
+    [Invalid_argument] at the call site. *)
 
 val yield : unit -> unit
 (** Take a step that does nothing (schedules fairness without touching

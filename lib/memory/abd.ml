@@ -84,6 +84,7 @@ let replica_obj ~me ~key =
   Printf.sprintf "abd.replica/%s/%s" (Pid.to_string me) key
 
 let server t ~me () =
+  Sim.daemon ();
   while true do
     let messages = Network.poll t.net ~me in
     List.iter

@@ -39,7 +39,10 @@ val create : name:string -> n_plus_1:int -> init:'a -> 'a t
     register initialized to [init]. *)
 
 val server : 'a t -> me:Pid.t -> unit -> unit
-(** The replica/responder fiber body; run one per process, forever. *)
+(** The replica/responder fiber body; run one per process, forever. It
+    is a {!Sim.daemon}: once every client fiber has returned or crashed
+    the run stops [Quiescent], since no further operation can be
+    logged. *)
 
 val read : 'a t -> me:Pid.t -> key:string -> 'a
 (** Client read of the named register; blocks (taking steps) until

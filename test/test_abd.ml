@@ -68,8 +68,8 @@ let test_concurrent_writers_atomic () =
     let abd, result =
       run_abd ~pattern ~policy:(Policy.random rng) ~clients n_plus_1
     in
-    checkb "all ops completed" true
-      (List.length (Abd.oplog abd) = n_plus_1 * 6 || result.outcome = Scheduler.Horizon);
+    checki "all ops completed" (n_plus_1 * 6) (List.length (Abd.oplog abd));
+    checkb "quiescent" true (result.outcome = Scheduler.Quiescent);
     match Abd.check_atomicity abd with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "seed %d: %s" seed msg

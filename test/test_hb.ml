@@ -96,7 +96,13 @@ let test_consensus_with_implemented_omega () =
         (Wfde.Harness.ok oracle && Wfde.Harness.ok impl && mem_o = Ok () && mem_i = Ok ());
       Alcotest.check Alcotest.int
         (Printf.sprintf "seed %d: no leader query violations" seed)
-        0 impl.Wfde.Harness.query_violations)
+        0 impl.Wfde.Harness.query_violations;
+      (* the monitors wind down once everyone correct has decided and the
+         ABD servers are daemons, so the run quiesces *)
+      checkb
+        (Printf.sprintf "seed %d: implemented leg quiescent" seed)
+        true
+        (impl.Wfde.Harness.outcome = Scheduler.Quiescent))
     [ 1; 2 ]
 
 (* ------------------------------------------------- DPOR + mutants *)

@@ -308,6 +308,112 @@ let test_run_determinism () =
   check Alcotest.string "same seed, same trace" (run 5) (run 5);
   checkb "different seeds differ" true (run 5 <> run 6)
 
+(* -- Daemon fibers --------------------------------------------------------- *)
+
+(* A local echo service: p2's server loop answers each request p1's
+   client leaves in [req]; the client makes [rounds] round trips. Without
+   [Sim.daemon] the server keeps the run going to the horizon. *)
+let echo_world ~daemon ~rounds =
+  let req = ref None and resp = ref None in
+  let server () =
+    if daemon then Sim.daemon ();
+    while true do
+      Sim.atomic (Sim.Write { obj = "echo" }) (fun _ ->
+          match !req with
+          | Some v ->
+              req := None;
+              resp := Some v
+          | None -> ())
+    done
+  in
+  let client () =
+    for i = 1 to rounds do
+      Sim.atomic (Sim.Write { obj = "echo" }) (fun _ -> req := Some i);
+      let rec await () =
+        let got =
+          Sim.atomic (Sim.Read { obj = "echo" }) (fun _ ->
+              let r = !resp in
+              resp := None;
+              r)
+        in
+        if got = None then await ()
+      in
+      await ()
+    done
+  in
+  fun pid -> if pid = 0 then [ client ] else [ server ]
+
+let run_echo ?(pattern = Failure_pattern.no_failures ~n_plus_1:2) ~daemon
+    ~rounds () =
+  Run.exec ~pattern
+    ~policy:(Policy.random (Rng.create 17))
+    ~horizon:2_000
+    ~procs:(echo_world ~daemon ~rounds)
+    ()
+
+let last_step_pid trace =
+  List.fold_left
+    (fun acc -> function Trace.Step { pid; _ } -> Some pid | Crash _ -> acc)
+    None trace
+
+let test_daemon_stops_at_last_client_step () =
+  let served = run_echo ~daemon:true ~rounds:5 () in
+  let forever = run_echo ~daemon:false ~rounds:5 () in
+  checkb "daemon run quiescent" true (served.outcome = Scheduler.Quiescent);
+  checkb "plain run hits horizon" true (forever.outcome = Scheduler.Horizon);
+  check
+    Alcotest.(option int)
+    "ends at the client's last step" (Some 0) (last_step_pid served.trace);
+  checki "client made its 5 requests" 5
+    (List.length
+       (List.filter
+          (function
+            | Trace.Step { pid = 0; kind = Sim.Write _; _ } -> true
+            | _ -> false)
+          served.trace));
+  let n = List.length served.trace in
+  check Alcotest.string "a prefix of the plain run"
+    (Format.asprintf "%a" Trace.pp served.trace)
+    (Format.asprintf "%a" Trace.pp (List.filteri (fun i _ -> i < n) forever.trace))
+
+let test_daemon_stops_at_last_client_crash () =
+  let pattern = Failure_pattern.make ~n_plus_1:2 ~crashes:[ (0, 10) ] in
+  let result = run_echo ~pattern ~daemon:true ~rounds:100 () in
+  checkb "quiescent" true (result.outcome = Scheduler.Quiescent);
+  checki "no step at or after the crash" 9 result.steps;
+  match List.rev result.trace with
+  | Trace.Crash { pid = 0; time = 10 } :: _ -> ()
+  | _ -> Alcotest.fail "the client's crash is the last event"
+
+let test_only_daemons_take_no_step () =
+  let pattern = Failure_pattern.no_failures ~n_plus_1:3 in
+  let idle () =
+    Sim.daemon ();
+    while true do
+      Sim.yield ()
+    done
+  in
+  let result =
+    Run.exec ~pattern ~policy:(Policy.round_robin ())
+      ~procs:(fun _ -> [ idle ]) ()
+  in
+  checkb "quiescent" true (result.outcome = Scheduler.Quiescent);
+  checki "no steps" 0 result.steps;
+  checki "empty trace" 0 (List.length result.trace)
+
+let test_late_daemon_rejected () =
+  let pattern = Failure_pattern.no_failures ~n_plus_1:1 in
+  let late () =
+    Sim.yield ();
+    Sim.daemon ()
+  in
+  Alcotest.check_raises "after the first step"
+    (Invalid_argument "Sim.daemon: called after the fiber's first step")
+    (fun () ->
+      ignore
+        (Run.exec ~pattern ~policy:(Policy.round_robin ())
+           ~procs:(fun _ -> [ late ]) ()))
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -374,5 +480,13 @@ let suite =
       test_trace_times_strictly_increase;
     Alcotest.test_case "outputs recorded" `Quick test_outputs_recorded;
     Alcotest.test_case "run determinism" `Quick test_run_determinism;
+    Alcotest.test_case "daemon run stops at the last client step" `Quick
+      test_daemon_stops_at_last_client_step;
+    Alcotest.test_case "daemon run stops at the last client crash" `Quick
+      test_daemon_stops_at_last_client_crash;
+    Alcotest.test_case "daemon-only world takes no step" `Quick
+      test_only_daemons_take_no_step;
+    Alcotest.test_case "late Sim.daemon rejected" `Quick
+      test_late_daemon_rejected;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases
