@@ -22,11 +22,9 @@
    - a baseline entry missing from the current run fails (a vanished
      benchmark hides regressions); a new current entry is reported and
      allowed;
-   - a whole section present in the current run but absent from the
-     baseline is reported as "new section, not gated" — that is how a
-     freshly added bench part rides over an older committed baseline —
-     while a section the baseline has and the current run lost is a
-     regression.
+   - a gated section present on one side only fails: a section the
+     current run lost hides regressions, and one the baseline lacks is
+     not gated at all, so the baseline must be re-committed with it.
 
    Exit status 0 = no regression, 1 = regression, 2 = usage/parse
    error. *)
@@ -104,8 +102,7 @@ let () =
     let current = get_section ~section current_path current_doc in
     match (baseline, current) with
     | None, None -> ()
-    | None, Some _ ->
-        Printf.printf "section %-33s new section, not gated\n" section
+    | None, Some _ -> regress "section %s missing from the baseline" section
     | Some _, None ->
         regress "section %s vanished from the current run" section
     | Some baseline, Some current ->

@@ -173,29 +173,6 @@ let macro_configs : (string * (unit -> (string * int) list)) list =
       fun () ->
         check Wfde.Scenario.Commit_adopt
           ~mutant:Wfde.Mutant.Converge_drop_phase2 ~depth:6 );
-    (* Old-vs-new reduction strength on one deep config: the retired
-       sleep-set explorer swept over the same patterns as the
-       source-set one. Both totals are deterministic; the explicit
-       counters keep the comparison visible in every baseline (the
-       metric-derived "executions" field of this entry counts only the
-       optimal explorer — the retired one bumps no metrics). *)
-    ( "dpor/sleep-vs-optimal abd p3 d10",
-      fun () ->
-        let module D = Wfde.Check.Dpor in
-        let module S = Wfde.Check.Dpor_sleep in
-        let obj = Wfde.Scenario.Abd and procs = 3 and depth = 10 in
-        let patterns = Wfde.Check.Scenario.patterns obj ~procs in
-        let make = Wfde.Check.Scenario.make obj ~procs in
-        let opt, slp =
-          List.fold_left
-            (fun (a, b) pattern ->
-              let o = D.explore ~pattern ~depth ~horizon:400 ~make () in
-              let s = S.explore ~pattern ~depth ~horizon:400 ~make () in
-              ( a + o.D.stats.D.executions,
-                b + s.S.stats.S.executions ))
-            (0, 0) patterns
-        in
-        [ ("executions_optimal", opt); ("executions_sleep", slp) ] );
     ( "lin/register histories 400x12",
       fun () ->
         let hs = lin_histories ~histories:400 ~procs:3 ~ops_per_proc:4 in

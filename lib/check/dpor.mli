@@ -44,12 +44,14 @@
     reached incrementally as accepted offers rotate the tail. The
     bound, like the offer itself, is a heuristic of the bounded-window
     regime, not a completeness theorem: a violation reachable only by
-    reordering steps deep in the deterministic tail can escape both
-    this explorer and the retired persistent-set one (the differential
-    battery in [test_dpor_diff] carries a generated witness of that
-    shared blind spot, and pins the regimes where completeness {e is}
-    a theorem — full-window, crash-free exploration — to exact
-    three-way verdict agreement with the naive enumerator).
+    reordering steps deep in the deterministic tail can escape this
+    explorer. The naive enumerator ({!Explore.naive_prefix}) is the one
+    reference oracle: the differential battery in [test_dpor_diff]
+    carries a generated witness of that blind spot, and in the regime
+    where completeness {e is} a theorem — full-window, crash-free
+    exploration — it asserts verdict agreement with the naive
+    enumerator and an exact count: [executions - sleep_blocked] equals
+    the number of Mazurkiewicz classes among all full schedules.
 
     Independence is computed from step labels ({!Kernel.Sim.kind}):
 
@@ -118,9 +120,10 @@ val independent : Pid.t -> Sim.kind -> Pid.t -> Sim.kind -> bool
 (** The label-based independence relation the race analysis and the
     fingerprints are both built on: same-process steps and
     detector queries commute with nothing, reads commute with reads,
-    and every shared-object conflict is keyed by object name. Exposed
-    so the differential battery can assert it stays in lockstep with
-    {!Dpor_sleep.independent}. *)
+    and every shared-object conflict is keyed by object name; [Send]
+    and [Recv] conflict exactly like [Write]. Exposed so the
+    differential battery can group the naive enumerator's schedules
+    into Mazurkiewicz classes with the same relation. *)
 
 val merge_stats : stats -> stats -> stats
 (** Field-wise saturating sum, for aggregating sharded branch

@@ -3,10 +3,10 @@
     Historical entry point, kept as a thin wrapper now that the real
     work lives in {!Dpor}: {!exhaustive_prefix} explores every schedule
     class of the first [depth] steps with partial-order reduction,
-    {!naive_prefix} is the original unreduced enumerator — retained as
-    the reference oracle the DPOR equivalence tests compare against,
-    and as the honest baseline for "how many executions did reduction
-    save" measurements. Both check the property against every explored
+    {!naive_prefix} is the original unreduced enumerator — the one
+    reference oracle the DPOR equivalence tests compare against, and
+    the honest baseline for "how many executions did reduction save"
+    measurements. Both check the property against every explored
     execution and stop at the first counterexample. *)
 
 open Kernel

@@ -1,12 +1,13 @@
-(* Partially synchronous links over the same step discipline as
-   {!Network}: one [Sim.Send] step per send, one [Sim.Recv] step per
-   poll, both labelled with the destination mailbox object so schedule
-   exploration sees exactly the conflicts it would see for a reliable
-   network. The partial synchrony lives entirely in per-message *fate*
-   metadata (drop, or a ready time), decided at send time by a pure RNG
-   keyed on (seed, sender, destination, send time) — send times are
-   globally unique, so a run's fates are a pure function of (config,
-   schedule) and DPOR replays are exact. *)
+(* Point-to-point links: one [Sim.Send] step per send, one [Sim.Recv]
+   step per poll, both labelled with the destination mailbox object so
+   schedule exploration sees sends to and polls of one mailbox as
+   conflicting. The partial synchrony lives entirely in per-message
+   *fate* metadata (drop, or a ready time), decided at send time by a
+   pure RNG keyed on (seed, sender, destination, send time) — send
+   times are globally unique, so a run's fates are a pure function of
+   (config, schedule) and DPOR replays are exact. [default_config] is
+   the reliable network ABD runs on, so the hot paths below skip the
+   work a reliable, timely link never needs. *)
 
 type config = {
   gst : int;
@@ -78,12 +79,15 @@ let create ~name ~n_plus_1 ~config () =
   let label what =
     Printf.sprintf "net.link.%s{link=%s}" what name
   in
-  let mailbox p = Printf.sprintf "%s->%s" name (Pid.to_string p) in
+  let mailboxes =
+    Array.init n_plus_1 (fun p ->
+        Printf.sprintf "%s->%s" name (Pid.to_string p))
+  in
   {
     link_name = name;
     cfg = config;
-    send_kinds = Array.init n_plus_1 (fun p -> Sim.Send { obj = mailbox p });
-    recv_kinds = Array.init n_plus_1 (fun p -> Sim.Recv { obj = mailbox p });
+    send_kinds = Array.map (fun obj -> Sim.Send { obj }) mailboxes;
+    recv_kinds = Array.map (fun obj -> Sim.Recv { obj }) mailboxes;
     queues = Array.init n_plus_1 (fun _ -> Queue.create ());
     stash = Array.make n_plus_1 [];
     log = [];
@@ -115,11 +119,14 @@ let fate_rng cfg ~from ~to_ ~time =
    message is delivered within [delta]; before GST it may be dropped
    (probability [loss_pct]%) or delayed by up to [pre_delay] extra
    steps. Ready times are always >= time + 1: a message is never
-   receivable in the step that sent it. *)
+   receivable in the step that sent it. With [delta = 1] the post-GST
+   draw is [Rng.int r 1 = 0], so no RNG is built for it. *)
 let fate cfg ~from ~to_ ~time =
   if time >= cfg.gst then
-    let r = fate_rng cfg ~from ~to_ ~time in
-    `Ready (time + 1 + Rng.int r cfg.delta)
+    if cfg.delta = 1 then `Ready (time + 1)
+    else
+      let r = fate_rng cfg ~from ~to_ ~time in
+      `Ready (time + 1 + Rng.int r cfg.delta)
   else
     let r = fate_rng cfg ~from ~to_ ~time in
     if Rng.int r 100 < cfg.loss_pct then `Drop
@@ -159,8 +166,8 @@ let broadcast t m = Array.iteri (fun to_ _ -> send t ~to_ m) t.queues
 
 let poll_now t ~me =
   (* Labelled with the polled mailbox — the object a send to [me]
-     writes — so independence analysis sees send/poll conflicts exactly
-     as for {!Network.poll}. Returns the step time too: timeout-driven
+     writes — so independence analysis sees a send and a poll of one
+     mailbox as conflicting. Returns the step time too: timeout-driven
      protocols need [now] on every iteration, and charging a second
      step for it would double their step cost. *)
   Sim.atomic t.recv_kinds.(me) (fun ctx ->
@@ -176,8 +183,10 @@ let poll_now t ~me =
       (* Arrival order is send order filtered by readiness: stable and
          deterministic given the schedule. *)
       let pending = t.stash.(me) @ drain [] in
+      let is_ready env = env.env_rec.sr_ready_at <= now in
       let ready, waiting =
-        List.partition (fun env -> env.env_rec.sr_ready_at <= now) pending
+        if List.for_all is_ready pending then (pending, [])
+        else List.partition is_ready pending
       in
       t.stash.(me) <- waiting;
       Obs.Metrics.incr ~by:(List.length ready) t.m_delivered;

@@ -1,13 +1,17 @@
-(** Partially synchronous point-to-point links (the GST model).
+(** Point-to-point links, reliable or partially synchronous (the GST
+    model). The one message layer: ABD's replicas ({!Memory.Abd}) and
+    the heartbeat detectors all run on it.
 
-    {!Network} is reliable: a message is receivable the instant its send
-    step executes. This layer adds the classic partial-synchrony
-    behaviours on top of the same one-step send / one-step poll
-    discipline: before a configurable {e global stabilization time}
-    every message may independently be {e lost} or {e delayed}; from GST
-    on, every message is delivered within a known bound [delta].
+    Every send is one step and every poll is one step. Before a
+    configurable {e global stabilization time} every message may
+    independently be {e lost} or {e delayed}; from GST on, every message
+    is delivered within a known bound [delta]. {!default_config} (GST 0,
+    [delta] 1, no loss) is the reliable network: a message becomes
+    receivable the step after its send, and the receiver learns of it
+    only when it takes a poll step, which the scheduler may delay
+    arbitrarily — all asynchrony then comes from scheduling.
     Heartbeat-implemented failure detectors ({!Detectors.Hb_ev_perfect},
-    {!Detectors.Hb_ev_strong}) are built over these links.
+    {!Detectors.Hb_ev_strong}) run over lossy configurations.
 
     Determinism: a message's fate (drop, or a ready time) is decided at
     send time by a pure RNG keyed on (config seed, sender, destination,
@@ -20,7 +24,8 @@
     Steps are labelled [Send]/[Recv] on the destination-mailbox object
     ("name->pid"), which the exploration layers treat exactly like
     writes: sends to and polls of one mailbox conflict, operations on
-    distinct mailboxes commute. *)
+    distinct mailboxes commute. Sends and deliveries feed the
+    [net.link.*] metrics ({!Obs.Metrics}). *)
 
 type config = {
   gst : int;  (** first time at which links are timely *)
@@ -35,8 +40,9 @@ type config = {
 }
 
 val default_config : config
-(** [gst=0, delta=1, pre_delay=0, loss_pct=0]: behaves exactly like a
-    reliable timely network. *)
+(** [gst=0, delta=1, pre_delay=0, loss_pct=0]: the reliable timely
+    network — nothing is dropped and every message is ready the step
+    after its send. *)
 
 val check_config : config -> unit
 (** Raises [Invalid_argument] on out-of-range fields. *)

@@ -25,7 +25,7 @@ type ctx = {
     step and not retain the record. *)
 
 (** How a step is labelled in the trace. [Send]/[Recv] are message-layer
-    steps ({!Network}, {!Link}): both mutate the named mailbox object, so
+    steps ({!Link}): both mutate the named mailbox object, so
     schedule exploration treats them exactly like a [Write] on [obj] for
     independence purposes — the separate constructors exist so traces,
     step counters and exported JSONL can tell messaging apart from shared

@@ -35,7 +35,7 @@ type 'a op = {
 type 'a t = {
   n_plus_1 : int;
   init : 'a;
-  net : 'a message Network.t;
+  net : 'a message Link.t;
   replica : (string, tag * 'a) Hashtbl.t array; (* per-process replicas, by key *)
   counters : int array; (* per-process client op ids *)
   buffers : (int, 'a reply list ref) Hashtbl.t array; (* client reply buffers *)
@@ -50,7 +50,9 @@ let create ~name ~n_plus_1 ~init =
   {
     n_plus_1;
     init;
-    net = Network.create ~name:(name ^ ".net") ~n_plus_1;
+    net =
+      Link.create ~name:(name ^ ".net") ~n_plus_1 ~config:Link.default_config
+        ();
     replica = Array.init n_plus_1 (fun _ -> Hashtbl.create 16);
     counters = Array.make n_plus_1 0;
     buffers = Array.init n_plus_1 (fun _ -> Hashtbl.create 16);
@@ -86,7 +88,7 @@ let replica_obj ~me ~key =
 let server t ~me () =
   Sim.daemon ();
   while true do
-    let messages = Network.poll t.net ~me in
+    let messages = Link.poll t.net ~me in
     List.iter
       (fun (from, message) ->
         match message with
@@ -96,13 +98,13 @@ let server t ~me () =
                   let tag, value = replica_get t ~me ~key in
                   Query_reply { op; tag; value })
             in
-            Network.send t.net ~to_:from reply
+            Link.send t.net ~to_:from reply
         | Update { op; key; tag; value } ->
             Sim.atomic (Sim.Write { obj = replica_obj ~me ~key }) (fun _ ->
                 let current_tag, _ = replica_get t ~me ~key in
                 if compare_tag tag current_tag > 0 then
                   Hashtbl.replace t.replica.(me) key (tag, value));
-            Network.send t.net ~to_:from (Update_ack { op })
+            Link.send t.net ~to_:from (Update_ack { op })
         | Query_reply { op; tag; value } ->
             Sim.atomic Sim.Nop (fun _ -> stash t ~me ~op (Tagged (tag, value)))
         | Update_ack { op } -> Sim.atomic Sim.Nop (fun _ -> stash t ~me ~op Acked))
@@ -154,7 +156,7 @@ let query_phase t ~me ~key =
     (fun ctx ->
       invoked := ctx.Sim.now;
       ());
-  Network.broadcast t.net (Query { op; key });
+  Link.broadcast t.net (Query { op; key });
   let replies, completed = await t ~me ~op ~want:(quorum t) in
   match max_tagged replies with
   | Some (tag, value) -> (tag, value, !invoked, completed)
@@ -165,7 +167,7 @@ let query_phase t ~me ~key =
 let update_phase t ~me ~key ~tag ~value =
   Obs.Metrics.incr m_update_phases;
   let op = fresh_op t ~me in
-  Network.broadcast t.net (Update { op; key; tag; value });
+  Link.broadcast t.net (Update { op; key; tag; value });
   let _, responded = await t ~me ~op ~want:(quorum t) in
   responded
 

@@ -192,6 +192,57 @@ let test_checker_catches_forged_inversion () =
       checkb "stale read detected" true (Abd.check_atomicity abd2 <> Ok ())
   | _ -> Alcotest.fail "expected exactly one logged op"
 
+(* ABD runs on a reliable [Link]: its mailbox steps are counted as
+   sends and receives, and the only writes left are shared-memory
+   ones — replica updates and the client's "abd.query" invocation
+   marker, one per query phase. *)
+let test_step_labels () =
+  let module M = Obs.Metrics in
+  M.reset ();
+  let n_plus_1 = 5 in
+  let rng = Rng.create 811 in
+  let pattern =
+    Failure_pattern.random rng ~n_plus_1 ~max_faulty:2 ~latest:400
+  in
+  let body abd me =
+    for j = 1 to 2 do
+      Abd.write abd ~me ~key:"r" ((100 * (me + 1)) + j);
+      ignore (Abd.read abd ~me ~key:"r")
+    done
+  in
+  let clients = List.map (fun p -> (p, body)) (Pid.all ~n_plus_1) in
+  let _, result =
+    run_abd ~pattern ~policy:(Policy.random rng) ~clients n_plus_1
+  in
+  let snap = M.snapshot () in
+  let steps kind =
+    Option.value ~default:0
+      (M.find_counter snap ("kernel.scheduler.steps{kind=" ^ kind ^ "}"))
+  in
+  let count p =
+    List.length
+      (List.filter
+         (function Trace.Step { kind; _ } -> p kind | Trace.Crash _ -> false)
+         result.trace)
+  in
+  let replica_writes =
+    count (function
+      | Sim.Write { obj } -> String.starts_with ~prefix:"abd.replica/" obj
+      | _ -> false)
+  in
+  let query_phases =
+    Option.value ~default:0 (M.find_counter snap "memory.abd.query_phases")
+  in
+  checkb "sends counted" true (steps "send" > 0);
+  checkb "receives counted" true (steps "recv" > 0);
+  checki "send steps" (count (function Sim.Send _ -> true | _ -> false))
+    (steps "send");
+  checki "recv steps" (count (function Sim.Recv _ -> true | _ -> false))
+    (steps "recv");
+  checkb "replicas written" true (replica_writes > 0);
+  checki "writes are replica updates and query markers"
+    (replica_writes + query_phases) (steps "write")
+
 let suite =
   [
     Alcotest.test_case "write then read" `Quick test_write_then_read;
@@ -206,4 +257,6 @@ let suite =
       test_reader_sees_latest_completed_write;
     Alcotest.test_case "checker catches forged inversion" `Quick
       test_checker_catches_forged_inversion;
+    Alcotest.test_case "mailbox steps labelled send/recv" `Quick
+      test_step_labels;
   ]

@@ -1,13 +1,13 @@
 (* QCheck differential battery over random small shared-memory
-   programs: the source-set + wakeup explorer (Dpor), the retired
-   sleep-set explorer kept as an oracle (Dpor_sleep), and the unreduced
-   enumerator (Explore.naive_prefix). Unconditionally, neither reducer
-   may flag a violation the exhaustive enumerator does not, and when
-   both reducers find one their reports must match. When the window
-   covers the whole program and no crash pattern is in play — the
-   regime where reduction completeness is a theorem rather than the
-   bounded-window heuristic — all three verdicts must be equal and the
-   optimal explorer must never do more work than the sleep-set one. *)
+   programs: the source-set + wakeup explorer (Dpor) against the one
+   reference oracle, the unreduced enumerator (Explore.naive_prefix).
+   Unconditionally, the reducer may not flag a violation the exhaustive
+   enumerator does not. When the window covers the whole program and no
+   crash pattern is in play — the regime where reduction completeness
+   is a theorem rather than the bounded-window heuristic — the verdicts
+   must be equal, and the reducer's work is exact: its executions minus
+   its sleep-blocked runs equal the number of Mazurkiewicz classes the
+   naive enumerator's schedules fall into. *)
 
 open Kernel
 open Check
@@ -26,7 +26,7 @@ type op = Read of int | Write of int * int | Incr of int
 type world = {
   procs : int;  (** 2 or 3 *)
   code : op list array;  (** per-pid straight-line program *)
-  depth : int;  (** 2..6 *)
+  depth : int;  (** 2..6, or the whole program's steps when <= 10 *)
   crash : (int * int) option;  (** pid, global step time 1..4 *)
   forbidden : int * int;  (** final (a, b) that violates the property *)
 }
@@ -44,27 +44,23 @@ let op_gen =
    write step, everything else is one step. *)
 let steps_of_op = function Incr _ -> 2 | Read _ | Write _ -> 1
 
-let steps_of w =
+let steps_of_code code =
   Array.fold_left
     (fun acc ops -> acc + List.fold_left (fun a o -> a + steps_of_op o) 0 ops)
-    0 w.code
+    0 code
+
+let steps_of w = steps_of_code w.code
 
 let world_gen =
   QCheck.Gen.(
     int_range 2 3 >>= fun procs ->
     array_size (return procs) (list_size (int_range 1 3) op_gen)
     >>= fun code ->
-    (* Bias toward windows that cover the whole program: the
-       executions_opt <= executions_sleep comparison is a theorem only
-       for full-length exploration, so it needs full-window cases to
-       bite on. *)
-    (let total =
-       Array.fold_left
-         (fun acc ops ->
-           acc + List.fold_left (fun a o -> a + steps_of_op o) 0 ops)
-         0 code
-     in
-     if total <= 6 then oneof [ int_range 2 6; return total ]
+    (* Bias toward windows that cover the whole program, up to 10
+       steps: the exact class count is a theorem only for full-length
+       exploration, so it needs full-window cases to bite on. *)
+    (let total = steps_of_code code in
+     if total <= 10 then oneof [ int_range 2 6; return total ]
      else int_range 2 6)
     >>= fun depth ->
     oneof
@@ -118,11 +114,58 @@ let pattern_of w =
       Failure_pattern.make ~n_plus_1:w.procs
         ~crashes:[ (Pid.of_index pid, t) ]
 
+(* -- the naive oracle, grouped into classes ---------------------------- *)
+
+(* The Foata normal form of a trace's steps under [Dpor.independent]:
+   a step's level is one more than the deepest earlier step it does
+   not commute with. Two schedules are Mazurkiewicz-equivalent iff
+   their steps sit at the same levels, and same-pid steps never
+   commute, so the sorted (level, pid, kind) list is a canonical key. *)
+let foata_key trace =
+  let placed =
+    List.fold_left
+      (fun placed -> function
+        | Trace.Step { pid; kind; _ } ->
+            let level =
+              List.fold_left
+                (fun acc (l, q, kq) ->
+                  if Dpor.independent q kq pid kind then acc
+                  else max acc (l + 1))
+                0 placed
+            in
+            (level, pid, kind) :: placed
+        | Trace.Crash _ -> placed)
+      [] trace
+  in
+  List.sort compare placed
+
+(* Every schedule of the naive enumerator, checked and keyed: whether
+   any violates the property, and how many distinct Foata keys they
+   have. The world's checker is wrapped to always answer [Ok] so the
+   enumeration never stops early. At full window and without crashes
+   the runs are every full schedule of the world, and the key count is
+   its number of Mazurkiewicz classes. *)
+let naive_classes ~pattern w =
+  let keys = Hashtbl.create 64 and violated = ref false in
+  let make () =
+    let procs, check = make_world w () in
+    let record trace =
+      if Result.is_error (check trace) then violated := true;
+      Hashtbl.replace keys (foata_key trace) ();
+      Ok ()
+    in
+    (procs, record)
+  in
+  ignore
+    (Explore.naive_prefix ~pattern ~depth:w.depth ~horizon:100 ~make ()
+      : unit Explore.outcome);
+  (!violated, Hashtbl.length keys)
+
 (* -- the battery ------------------------------------------------------- *)
 
-let qcheck_three_explorers_agree =
+let qcheck_explorers_agree =
   QCheck.Test.make ~count:120
-    ~name:"optimal = sleep-set = naive on random small programs"
+    ~name:"optimal = naive on random small programs"
     (QCheck.make ~print:pp_world world_gen)
     (fun w ->
       let pattern = pattern_of w in
@@ -130,93 +173,122 @@ let qcheck_three_explorers_agree =
         Dpor.explore ~pattern ~depth:w.depth ~horizon:100
           ~make:(make_world w) ()
       in
-      let sleep =
-        Dpor_sleep.explore ~pattern ~depth:w.depth ~horizon:100
-          ~make:(make_world w) ()
-      in
-      let naive =
-        Explore.naive_prefix ~pattern ~depth:w.depth ~horizon:100
-          ~make:(make_world w) ()
-      in
-      let verdict o = o <> None in
-      let v_opt = verdict opt.Dpor.counterexample
-      and v_sleep = verdict sleep.Dpor_sleep.counterexample
-      and v_naive = verdict naive.Explore.counterexample in
+      let v_opt = opt.Dpor.counterexample <> None
+      and v_naive, classes = naive_classes ~pattern w in
       (* Direction that holds unconditionally: a reduced explorer only
          runs real schedules, so anything it flags the exhaustive
          enumerator must flag too. *)
       if v_opt && not v_naive then
         QCheck.Test.fail_reportf "optimal found a violation naive did not";
-      if v_sleep && not v_naive then
-        QCheck.Test.fail_reportf "sleep-set found a violation naive did not";
-      (match (opt.Dpor.counterexample, sleep.Dpor_sleep.counterexample) with
-      | Some (_, r1), Some (_, r2) when r1 <> r2 ->
-          QCheck.Test.fail_reportf "violation reports differ: %s vs %s" r1 r2
-      | _ -> ());
       (* The strong assertions hold when the window covers the whole
          program. Full-length exploration is theorem territory: every
-         Mazurkiewicz class of maximal runs must be visited by both
-         reducers (verdicts equal to naive's), and the optimal explorer
-         pays at most the sleep-set explorer's bill — sleep-set
-         exploration covers the same classes plus its sleep-blocked
-         runs. A truncated window voids both: the round-robin tail is a
-         function of the window class {e representative} (its rotation
-         point), so both reducers fall back on the conservative
-         tail-race offer, a heuristic that can miss tail-only
-         reorderings — the retired explorer has missed them since its
-         introduction — and each may certify a different sufficient
-         subset of the reachable classes, so neither execution count
-         bounds the other. Crash patterns void them too, window aside:
-         a crash fires at a {e global} time, so swapping two
-         label-independent steps changes which of a crashing process's
-         steps exist at all — the time-sensitivity caveat documented in
-         the interface, where both reducers only promise the
-         no-false-positive direction. *)
+         Mazurkiewicz class of maximal runs must be visited (verdicts
+         equal to naive's), and each exactly once — every execution
+         that is not sleep-blocked is a class no earlier execution
+         covered. A truncated window voids both: the round-robin tail is
+         a function of the window class {e representative} (its rotation
+         point), so the reducer falls back on the conservative tail-race
+         offer, a heuristic that can miss tail-only reorderings. Crash
+         patterns void them too, window aside: a crash fires at a
+         {e global} time, so swapping two label-independent steps
+         changes which of a crashing process's steps exist at all — the
+         time-sensitivity caveat documented in the interface, where the
+         reducer only promises the no-false-positive direction. *)
       (if w.crash = None && w.depth >= steps_of w then begin
          if v_opt <> v_naive then
            QCheck.Test.fail_reportf
              "full-window optimal/naive verdicts differ: %b vs %b" v_opt
              v_naive;
-         if v_sleep <> v_naive then
+         let s = opt.Dpor.stats in
+         if (not v_opt) && s.Dpor.executions - s.Dpor.sleep_blocked <> classes
+         then
            QCheck.Test.fail_reportf
-             "full-window sleep/naive verdicts differ: %b vs %b" v_sleep
-             v_naive;
-         if not v_opt then
-           let eo = opt.Dpor.stats.Dpor.executions
-           and es = sleep.Dpor_sleep.stats.Dpor_sleep.executions in
-           if eo > es then
-             QCheck.Test.fail_reportf
-               "optimal explorer did more work: %d > %d sleep-set runs" eo es
+             "executions %d - sleep_blocked %d <> %d classes" s.Dpor.executions
+             s.Dpor.sleep_blocked classes
        end);
       true)
 
-let qcheck_independence_relations_agree =
-  (* The battery compares trees, which is only meaningful while the two
-     explorers score the same step pairs as racing. *)
-  let kind_gen =
-    QCheck.Gen.(
-      int_bound 4 >|= function
-      | 0 -> Sim.Read { obj = "a" }
-      | 1 -> Sim.Write { obj = "a" }
-      | 2 -> Sim.Read { obj = "b" }
-      | 3 -> Sim.Query { detector = "u" }
-      | _ -> Sim.Nop)
+(* A full-window world the battery's oracle swap found: the optimal
+   explorer runs 77 executions over its 76 classes, one of them
+   sleep-blocked, where the retired sleep-set explorer ran 76. So
+   "optimal executions <= sleep-set executions", the bound this battery
+   used to assert, is not a theorem; the exact class count is. *)
+let test_full_window_class_count () =
+  let w =
+    {
+      procs = 3;
+      code =
+        [|
+          [ Write (1, 2) ];
+          [ Incr 0; Incr 0; Write (1, 1) ];
+          [ Write (1, 3); Incr 0; Read 1 ];
+        |];
+      depth = 10;
+      crash = None;
+      forbidden = (1, 3);
+    }
   in
-  QCheck.Test.make ~count:300 ~name:"Dpor and Dpor_sleep independence agree"
-    (QCheck.make
-       QCheck.Gen.(
-         quad (int_bound 3) kind_gen (int_bound 3) kind_gen))
-    (fun (p, pk, q, qk) ->
-      let p = Pid.of_index p and q = Pid.of_index q in
-      Dpor.independent p pk q qk = Dpor_sleep.independent p pk q qk)
+  let checki = Alcotest.check Alcotest.int in
+  checki "full window" w.depth (steps_of w);
+  let pattern = pattern_of w in
+  let opt =
+    Dpor.explore ~pattern ~depth:w.depth ~horizon:100 ~make:(make_world w) ()
+  in
+  let violated, classes = naive_classes ~pattern w in
+  checkb "no violation" false (violated || opt.Dpor.counterexample <> None);
+  checki "classes" 76 classes;
+  checki "executions" 77 opt.Dpor.stats.Dpor.executions;
+  checki "sleep-blocked" 1 opt.Dpor.stats.Dpor.sleep_blocked
+
+(* The independence relation both the reducer and [foata_key] use:
+   message steps conflict like writes on their mailbox, queries and
+   same-process pairs commute with nothing. *)
+let test_independence_table () =
+  let r o = Sim.Read { obj = o }
+  and w o = Sim.Write { obj = o }
+  and snd o = Sim.Send { obj = o }
+  and rcv o = Sim.Recv { obj = o }
+  and q = Sim.Query { detector = "u" } in
+  let cross =
+    [
+      (r "a", r "a", true);
+      (r "a", w "a", false);
+      (w "a", w "a", false);
+      (snd "m", snd "m", false);
+      (snd "m", rcv "m", false);
+      (rcv "m", rcv "m", false);
+      (w "m", snd "m", false);
+      (r "m", rcv "m", false);
+      (r "a", w "b", true);
+      (w "a", w "b", true);
+      (snd "m", rcv "n", true);
+      (snd "m", snd "n", true);
+      (rcv "m", rcv "n", true);
+      (w "a", snd "m", true);
+      (r "a", rcv "m", true);
+      (q, r "a", false);
+      (q, snd "m", false);
+      (q, q, false);
+      (q, Sim.Nop, false);
+      (Sim.Nop, w "a", true);
+      (Sim.Output { label = "o"; value = "1" }, snd "m", true);
+    ]
+  in
+  let p0 = Pid.of_index 0 and p1 = Pid.of_index 1 in
+  List.iter
+    (fun (k1, k2, expected) ->
+      let name = Format.asprintf "%a / %a" Sim.kind_pp k1 Sim.kind_pp k2 in
+      checkb name expected (Dpor.independent p0 k1 p1 k2);
+      checkb (name ^ " (swapped)") expected (Dpor.independent p1 k2 p0 k1);
+      checkb (name ^ " (same pid)") false (Dpor.independent p0 k1 p0 k2))
+    cross
 
 (* A battery-generated witness of the bounded-window blind spot, pinned
    so the boundary of the guarantee stays visible: the violating
    interleaving exists only as a reordering deep in the deterministic
-   round-robin tail (window 3 of 8 steps), where the tail-race offer of
-   BOTH reducers — the retired persistent-set explorer included, since
-   its introduction — fails to reach. The naive enumerator finds it. If
-   a future change makes the reducers catch this, the pin should move
+   round-robin tail (window 3 of 8 steps), where the reducer's
+   tail-race offer fails to reach. The naive enumerator finds it. If a
+   future change makes the reducer catch this, the pin should move
    with it (and the interface's caveat should shrink). *)
 let test_tail_blind_spot () =
   let w =
@@ -239,19 +311,15 @@ let test_tail_blind_spot () =
   let opt =
     Dpor.explore ~pattern ~depth:w.depth ~horizon:100 ~make:(make_world w) ()
   in
-  let sleep =
-    Dpor_sleep.explore ~pattern ~depth:w.depth ~horizon:100
-      ~make:(make_world w) ()
-  in
-  checkb "optimal explorer shares the documented blind spot" false
-    (opt.Dpor.counterexample <> None);
-  checkb "sleep-set explorer shares the documented blind spot" false
-    (sleep.Dpor_sleep.counterexample <> None)
+  checkb "optimal explorer has the documented blind spot" false
+    (opt.Dpor.counterexample <> None)
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest qcheck_three_explorers_agree;
-    QCheck_alcotest.to_alcotest qcheck_independence_relations_agree;
+    QCheck_alcotest.to_alcotest qcheck_explorers_agree;
+    Alcotest.test_case "full-window class count is pinned" `Quick
+      test_full_window_class_count;
+    Alcotest.test_case "independence table" `Quick test_independence_table;
     Alcotest.test_case "bounded-window tail blind spot is pinned" `Quick
       test_tail_blind_spot;
   ]

@@ -1,6 +1,8 @@
-(* The partial-synchrony substrate: deterministic timers, lossy/delayed
-   links before GST, reliable timely links after it, crash isolation
-   (incl. under DPOR reordering), and byte-identical replay. *)
+(* The message layer: deterministic timers, the reliable default link
+   (delivery, FIFO per sender, step accounting, dead letters),
+   lossy/delayed links before GST, reliable timely links after it,
+   crash isolation (incl. under DPOR reordering), and byte-identical
+   replay. *)
 
 open Kernel
 
@@ -171,6 +173,140 @@ let test_crashed_receiver_never_observes () =
        (function Trace.Crash { pid = 1; _ } -> true | _ -> false)
        result.trace)
 
+(* ----------------------------------------------- the reliable link *)
+
+(* [Link.default_config] is the reliable network ABD runs on: every
+   message sent is delivered, oldest first per sender, to a receiver
+   that keeps polling; send and poll are one step each; and a crashed
+   receiver's messages stay in flight. *)
+
+let reliable ~n_plus_1 =
+  Link.create ~name:"n" ~n_plus_1 ~config:Link.default_config ()
+
+let test_reliable_roundtrip () =
+  let link = reliable ~n_plus_1:2 in
+  let got = ref [] in
+  let sender () =
+    Link.send link ~to_:1 "hello";
+    Link.send link ~to_:1 "world"
+  in
+  let receiver () =
+    let rec loop () =
+      got := !got @ Link.poll link ~me:1;
+      if List.length !got < 2 then loop ()
+    in
+    loop ()
+  in
+  let result =
+    Run.exec
+      ~pattern:(Failure_pattern.no_failures ~n_plus_1:2)
+      ~policy:(Policy.round_robin ())
+      ~procs:(fun pid -> [ (if pid = 0 then sender else receiver) ])
+      ()
+  in
+  checkb "quiescent" true (result.outcome = Scheduler.Quiescent);
+  Alcotest.check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "messages in order with sender" [ (0, "hello"); (0, "world") ] !got
+
+let test_reliable_single_steps () =
+  let link = reliable ~n_plus_1:1 in
+  let body () =
+    Link.send link ~to_:0 1;
+    ignore (Link.poll link ~me:0)
+  in
+  let result =
+    Run.exec
+      ~pattern:(Failure_pattern.no_failures ~n_plus_1:1)
+      ~policy:(Policy.round_robin ())
+      ~procs:(fun _ -> [ body ])
+      ()
+  in
+  checki "two steps" 2 result.steps
+
+let test_reliable_broadcast () =
+  let n_plus_1 = 4 in
+  let link = reliable ~n_plus_1 in
+  let received = Array.make n_plus_1 false in
+  let body pid () =
+    if pid = 0 then Link.broadcast link "ping";
+    let rec loop () =
+      if List.exists (fun (_, m) -> m = "ping") (Link.poll link ~me:pid) then
+        received.(pid) <- true
+      else loop ()
+    in
+    loop ()
+  in
+  let result =
+    Run.exec
+      ~pattern:(Failure_pattern.no_failures ~n_plus_1)
+      ~policy:(Policy.random (Rng.create 3))
+      ~horizon:10_000
+      ~procs:(fun pid -> [ body pid ])
+      ()
+  in
+  checkb "all received (incl. self)" true (Array.for_all Fun.id received);
+  checkb "quiescent" true (result.outcome = Scheduler.Quiescent)
+
+let test_reliable_dead_letters () =
+  let link = reliable ~n_plus_1:2 in
+  let pattern = Failure_pattern.make ~n_plus_1:2 ~crashes:[ (1, 0) ] in
+  let body pid () = if pid = 0 then Link.send link ~to_:1 "dead letter" in
+  let _ =
+    Run.exec ~pattern
+      ~policy:(Policy.round_robin ())
+      ~procs:(fun pid -> [ body pid ])
+      ()
+  in
+  checki "still in flight at the dead mailbox" 1 (Link.in_flight link 1)
+
+let qcheck_reliable_delivery =
+  QCheck.Test.make ~count:40
+    ~name:"network: fair schedules deliver every message to correct procs"
+    QCheck.small_nat
+    (fun seed ->
+      let n_plus_1 = 3 in
+      let rng = Rng.create (seed + 1) in
+      let link = reliable ~n_plus_1 in
+      let sent_per_receiver = 4 in
+      let received = Array.make n_plus_1 0 in
+      let body pid () =
+        (* everyone sends to everyone, then drains forever *)
+        List.iter
+          (fun to_ ->
+            for i = 1 to sent_per_receiver do
+              Link.send link ~to_ ((pid * 100) + i)
+            done)
+          (Pid.all ~n_plus_1);
+        while true do
+          received.(pid) <-
+            received.(pid) + List.length (Link.poll link ~me:pid)
+        done
+      in
+      let _ =
+        Run.exec
+          ~pattern:(Failure_pattern.no_failures ~n_plus_1)
+          ~policy:(Policy.random rng) ~horizon:20_000
+          ~procs:(fun pid -> [ body pid ])
+          ()
+      in
+      Array.for_all (fun c -> c = n_plus_1 * sent_per_receiver) received)
+
+(* Registered as the "network" suite: the reliable network is
+   [Link.default_config]. *)
+let network_suite =
+  [
+    Alcotest.test_case "send/poll roundtrip, FIFO" `Quick
+      test_reliable_roundtrip;
+    Alcotest.test_case "send and poll are single steps" `Quick
+      test_reliable_single_steps;
+    Alcotest.test_case "broadcast reaches everyone" `Quick
+      test_reliable_broadcast;
+    Alcotest.test_case "dead letters stay queued" `Quick
+      test_reliable_dead_letters;
+    QCheck_alcotest.to_alcotest qcheck_reliable_delivery;
+  ]
+
 let test_config_string_round_trip () =
   let config =
     { Link.gst = 40; delta = 4; pre_delay = 8; loss_pct = 25; link_seed = 7 }
@@ -190,26 +326,27 @@ let test_config_string_round_trip () =
 (* --------------------------------------------- DPOR crash isolation *)
 
 (* Under every DPOR-explored ordering: a receiver crashed at time 1 can
-   never observe a send, on the reliable network and on a lossy link
-   alike. *)
+   never observe a send, on a reliable link and on a lossy one alike. *)
 let test_dpor_crash_isolation () =
   let procs = 3 in
   let pattern = Failure_pattern.make ~n_plus_1:procs ~crashes:[ (2, 1) ] in
   let make () =
-    let net = Network.create ~name:"n" ~n_plus_1:procs in
+    let net =
+      Link.create ~name:"n" ~n_plus_1:procs ~config:Link.default_config ()
+    in
     let link =
       Link.create ~name:"l" ~n_plus_1:procs
         ~config:{ Link.gst = 8; delta = 1; pre_delay = 3; loss_pct = 40; link_seed = 4 }
         ()
     in
     let body pid () =
-      Network.send net ~to_:2 pid;
+      Link.send net ~to_:2 pid;
       Link.send link ~to_:2 pid;
-      ignore (Network.poll net ~me:pid);
+      ignore (Link.poll net ~me:pid);
       ignore (Link.poll link ~me:pid)
     in
     let check (_ : Trace.t) =
-      match Network.check_crash_isolation net ~pattern with
+      match Link.check_crash_isolation net ~pattern with
       | Error _ as e -> e
       | Ok () -> Link.check_crash_isolation link ~pattern
     in

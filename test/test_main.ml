@@ -18,7 +18,7 @@ let () =
       ("dpor-diff", Test_dpor_diff.suite);
       ("lin-diff", Test_lin_diff.suite);
       ("oracles", Test_oracles.suite);
-      ("network", Test_network.suite);
+      ("network", Test_link.network_suite);
       ("link", Test_link.suite);
       ("hb", Test_hb.suite);
       ("abd", Test_abd.suite);
