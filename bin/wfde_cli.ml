@@ -166,88 +166,41 @@ let list_cmd =
 (* ------------------------------------------------------------ trace --- *)
 
 let dump_trace protocol seed n_plus_1 f limit out =
-  let world =
-    Wfde.Harness.random_world ~seed ~n_plus_1 ~max_faulty:(n_plus_1 - 1) ()
-  in
-  let rng = Wfde.Rng.create seed in
-  let run_result, description =
-    match protocol with
-    | "fig1" ->
-        let upsilon =
-          Wfde.Upsilon.make ~rng ~pattern:world.Wfde.Harness.pattern ()
-        in
-        let proto =
-          Wfde.Upsilon_sa.create ~name:"t" ~n_plus_1
-            ~upsilon:(Wfde.Detector.source upsilon) ()
-        in
-        ( Wfde.Run.exec ~pattern:world.Wfde.Harness.pattern
-            ~policy:world.Wfde.Harness.policy ~horizon:500_000
-            ~procs:(fun pid ->
-              [ Wfde.Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid) ])
-            (),
-          "Fig 1: upsilon-based n-set-agreement" )
-    | "fig2" ->
-        let pattern =
-          let rng2 = Wfde.Rng.create (seed + 1) in
-          Wfde.Failure_pattern.random rng2 ~n_plus_1 ~max_faulty:f ~latest:300
-        in
-        let upsilon_f = Wfde.Upsilon_f.make ~rng ~pattern ~f () in
-        let proto =
-          Wfde.Upsilon_f_sa.create ~name:"t" ~n_plus_1 ~f
-            ~upsilon_f:(Wfde.Detector.source upsilon_f) ()
-        in
-        ( Wfde.Run.exec ~pattern ~policy:world.Wfde.Harness.policy
-            ~horizon:500_000
-            ~procs:(fun pid ->
-              [ Wfde.Upsilon_f_sa.proposer proto ~me:pid ~input:(200 + pid) ])
-            (),
-          "Fig 2: upsilon_f-based f-set-agreement" )
-    | "async" ->
-        let proto = Wfde.Agreement.Async_attempt.create ~name:"t" ~n_plus_1 in
-        ( Wfde.Run.exec ~pattern:(Wfde.Failure_pattern.no_failures ~n_plus_1)
-            ~policy:(Wfde.Policy.round_robin ())
-            ~horizon:(limit * 2)
-            ~procs:(fun pid ->
-              [
-                Wfde.Agreement.Async_attempt.proposer proto ~me:pid
-                  ~input:(500 + pid);
-              ])
-            (),
-          "detector-free skeleton under lock-step (the impossibility run)" )
-    | other ->
-        Format.eprintf "unknown protocol %S (expected fig1, fig2, or async)@."
-          other;
-        exit 2
-  in
-  let events = run_result.Wfde.Run.trace in
-  match out with
-  | Some path -> (
-      match Wfde.Trace_export.save_file path events with
-      | () ->
-          Format.printf "%s@.wrote %d events to %s@." description
-            (List.length events) path;
-          0
-      | exception Sys_error msg ->
-          Format.eprintf "cannot write trace: %s@." msg;
-          1)
+  match Wfde.Harness.trace_run ~protocol ~seed ~n_plus_1 ~f ~limit with
   | None ->
-      Format.printf "%s@.world: %a@.@." description Wfde.Failure_pattern.pp
-        (match protocol with
-        | "async" -> Wfde.Failure_pattern.no_failures ~n_plus_1
-        | _ -> world.Wfde.Harness.pattern);
-      List.iteri
-        (fun i e ->
-          if i < limit then Format.printf "%a@." Wfde.Trace.pp_event e)
-        events;
-      let total = List.length events in
-      if total > limit then
-        Format.printf "... (%d more events)@." (total - limit);
-      Format.printf "@.decisions:@.";
-      List.iter
-        (fun (pid, t, _, v) ->
-          Format.printf "  t=%-6d %a decided %s@." t Wfde.Pid.pp pid v)
-        (Wfde.Trace.outputs ~label:"decide" events);
-      0
+      Format.eprintf "unknown protocol %S (expected fig1, fig2, or async)@."
+        protocol;
+      2
+  | Some (description, world, run_result) -> (
+      let events = Wfde.Run.trace run_result in
+      match out with
+      | Some path -> (
+          match Wfde.Trace_export.save_file path events with
+          | () ->
+              Format.printf "%s@.wrote %d events to %s@." description
+                (List.length events) path;
+              0
+          | exception Sys_error msg ->
+              Format.eprintf "cannot write trace: %s@." msg;
+              1)
+      | None ->
+          Format.printf "%s@.world: %a@.@." description Wfde.Failure_pattern.pp
+            (match protocol with
+            | "async" -> Wfde.Failure_pattern.no_failures ~n_plus_1
+            | _ -> world.Wfde.Harness.pattern);
+          List.iteri
+            (fun i e ->
+              if i < limit then Format.printf "%a@." Wfde.Trace.pp_event e)
+            events;
+          let total = List.length events in
+          if total > limit then
+            Format.printf "... (%d more events)@." (total - limit);
+          Format.printf "@.decisions:@.";
+          List.iter
+            (fun (pid, t, _, v) ->
+              Format.printf "  t=%-6d %a decided %s@." t Wfde.Pid.pp pid v)
+            (Wfde.Trace.outputs ~label:"decide" events);
+          0)
 
 let trace_cmd =
   let protocol_arg =

@@ -57,7 +57,7 @@ let () =
     (Wfde.Pid.all ~n_plus_1);
   match
     Wfde.Extract_upsilon.check ex ~pattern
-      ~last_time:(Wfde.Trace.last_time result.trace)
+      ~last_time:(Wfde.Run.last_time result)
       ~tail:20_000
   with
   | Ok () ->

@@ -8,6 +8,8 @@ let create ~name ~n_plus_1 ~omega =
       Sim.name = omega.Sim.name ^ ".as_committee";
       sample = (fun pid time -> Pid.Set.singleton (omega.Sim.sample pid time));
       render = Pid.Set.to_string;
+      equal = Pid.Set.equal;
+      id = Sim.Witness.pid_set;
     }
   in
   Omega_k_sa.create ~name ~n_plus_1 ~k:1 ~omega_k:committee_of_leader

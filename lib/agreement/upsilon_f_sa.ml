@@ -160,9 +160,12 @@ let proposer t ~me ~input () =
                     | Some v ->
                         (* line 26: (|U|+f-n-1)-convergence *)
                         let kk = Pid.Set.cardinal u + t.f - n_plus_1 in
+                        let tag =
+                          if kk = 0 then ""
+                          else Printf.sprintf "glad.r%d.k%d" r k
+                        in
                         let kconv =
-                          Converge.Arena.instance t.arena ~k:kk
-                            ~tag:(Printf.sprintf "glad.r%d.k%d" r k)
+                          Converge.Arena.instance t.arena ~k:kk ~tag
                         in
                         let v, committed = Converge.run kconv ~me v in
                         if committed then begin

@@ -115,12 +115,13 @@ let proposer t ~me ~input () =
                 round (r + 1) v
               end
               else
-                (* gladiator: try to eliminate one value among U *)
-                let kconv =
-                  Converge.Arena.instance t.arena
-                    ~k:(Pid.Set.cardinal u - 1)
-                    ~tag:(Printf.sprintf "glad.r%d.k%d" r k)
+                (* gladiator: try to eliminate one value among U; a
+                   singleton U runs 0-converge, which needs no tag *)
+                let kk = Pid.Set.cardinal u - 1 in
+                let tag =
+                  if kk = 0 then "" else Printf.sprintf "glad.r%d.k%d" r k
                 in
+                let kconv = Converge.Arena.instance t.arena ~k:kk ~tag in
                 let v, committed = Converge.run kconv ~me v in
                 if committed then begin
                   Register.write (d_of t r) (Some v);

@@ -45,7 +45,7 @@ let run_one ~pattern ~prefix ~depth ~horizon ~make =
     else rr ~now ~enabled
   in
   let result = Run.exec ~pattern ~policy ~horizon ~procs () in
-  (check result.trace, Array.to_list enabled_at, result)
+  (check (Run.trace result), Array.to_list enabled_at, result)
 
 let naive_prefix ~pattern ~depth ~horizon ~make () =
   let executions = ref 0 in

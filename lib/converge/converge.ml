@@ -2,7 +2,7 @@ open Memory
 
 type 'a proposal = Unwritten | Small of 'a list | Large
 
-type 'a instance = {
+type 'a shared = {
   k : int;
   compare : 'a -> 'a -> int;
   phase1 : 'a option Snapshot.t;
@@ -11,34 +11,45 @@ type 'a instance = {
       (* planted Mutant.Converge_drop_phase2: commit straight after phase 1 *)
 }
 
+(* 0-converge takes no step and touches no object, so it needs none. *)
+type 'a instance = Zero | Shared of 'a shared
+
 let create ~name ~k ~size ~compare =
   if k < 0 then invalid_arg "Converge.create: negative k";
   if size <= 0 then invalid_arg "Converge.create: non-positive size";
-  {
-    k;
-    compare;
-    phase1 = Snapshot.create ~name:(name ^ ".a1") ~size ~init:(fun _ -> None);
-    phase2 =
-      Snapshot.create ~name:(name ^ ".a2") ~size ~init:(fun _ -> Unwritten);
-    drop_phase2 = false;
-  }
+  if k = 0 then Zero
+  else
+    Shared
+      {
+        k;
+        compare;
+        phase1 =
+          Snapshot.create ~name:(name ^ ".a1") ~size ~init:(fun _ -> None);
+        phase2 =
+          Snapshot.create ~name:(name ^ ".a2") ~size ~init:(fun _ -> Unwritten);
+        drop_phase2 = false;
+      }
 
-let k_of t = t.k
+let k_of = function Zero -> 0 | Shared t -> t.k
 
-let unsafe_plant t m =
-  (match m with
-  | Kernel.Mutant.Converge_drop_phase2 -> t.drop_phase2 <- true
-  | _ -> ());
-  Snapshot.unsafe_plant t.phase1 m;
-  Snapshot.unsafe_plant t.phase2 m
+let unsafe_plant inst m =
+  match inst with
+  | Zero -> ()
+  | Shared t ->
+      (match m with
+      | Kernel.Mutant.Converge_drop_phase2 -> t.drop_phase2 <- true
+      | _ -> ());
+      Snapshot.unsafe_plant t.phase1 m;
+      Snapshot.unsafe_plant t.phase2 m
 
 let min_of = function
   | [] -> assert false (* small proposals are never empty: V₁ ∋ own v *)
   | first :: _ -> first (* lists are sorted ascending *)
 
-let run t ~me v =
-  if t.k = 0 then (v, false)
-  else begin
+let run inst ~me v =
+  match inst with
+  | Zero -> (v, false)
+  | Shared t -> begin
     Snapshot.update t.phase1 ~me (Some v);
     let seen1 = Snapshot.scan t.phase1 in
     let v1 =
@@ -83,26 +94,25 @@ module Arena = struct
     arena_name : string;
     size : int;
     arena_compare : 'a -> 'a -> int;
-    table : (string, 'a instance) Hashtbl.t;
+    table : (int * string, 'a instance) Hashtbl.t;
   }
 
   let create ~name ~size ~compare =
     { arena_name = name; size; arena_compare = compare; table = Hashtbl.create 64 }
 
   let instance t ~k ~tag =
-    let key = Printf.sprintf "k%d/%s" k tag in
-    match Hashtbl.find_opt t.table key with
-    | Some inst ->
-        if inst.k <> k then invalid_arg "Converge.Arena.instance: k mismatch";
-        inst
-    | None ->
-        let inst =
-          make_instance
-            ~name:(Printf.sprintf "%s.%s" t.arena_name key)
-            ~k ~size:t.size ~compare:t.arena_compare
-        in
-        Hashtbl.add t.table key inst;
-        inst
+    if k = 0 then Zero
+    else
+      match Hashtbl.find_opt t.table (k, tag) with
+      | Some inst -> inst
+      | None ->
+          let inst =
+            make_instance
+              ~name:(Printf.sprintf "%s.k%d/%s" t.arena_name k tag)
+              ~k ~size:t.size ~compare:t.arena_compare
+          in
+          Hashtbl.add t.table (k, tag) inst;
+          inst
 end
 
 module Commit_adopt = struct

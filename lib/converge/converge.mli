@@ -67,7 +67,9 @@ module Arena : sig
     name:string -> size:int -> compare:('a -> 'a -> int) -> 'a t
 
   val instance : 'a t -> k:int -> tag:string -> 'a instance
-  (** The shared instance for [(k, tag)], allocated on first use. *)
+  (** The shared instance for [(k, tag)], allocated on first use. For
+      [k = 0] every tag gets the same instance, which holds no object:
+      0-converge takes no step. *)
 end
 
 (** Commit–adopt: the [k = 1] instance under its usual name. If all

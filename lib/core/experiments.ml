@@ -372,7 +372,7 @@ let e6_pairwise_reductions ?(jobs = 1) ?(seeds = 20) () =
             ()
         in
         Pairwise.Omega_from_upsilon1.check red ~pattern
-          ~last_time:(Trace.last_time result.trace)
+          ~last_time:(Run.last_time result)
           ~tail:10_000
         = Ok ())
   in
@@ -752,12 +752,7 @@ let e9_booster_consensus ?(jobs = 1) ?(seeds = 20) ?(sizes = [ 2; 3; 4; 5 ]) () 
                   ~decisions:(Booster_consensus.decisions proto)
                   ()
               in
-              let last_decide =
-                List.fold_left
-                  (fun acc (_, time) -> max acc time)
-                  0
-                  (Oracle.decision_times result.trace)
-              in
+              let last_decide = snd (Harness.decision_time_bounds result) in
               ( Sa_spec.all_ok verdict,
                 Booster_consensus.max_ports_used proto,
                 Booster_consensus.objects_allocated proto,
@@ -970,12 +965,7 @@ let e11_msg_consensus ?(jobs = 1) ?(seeds = 6) ?(sizes = [ 3; 5 ]) ?impl () =
                   ()
               in
               let atomic = Msg_consensus.check_memory proto = Ok () in
-              let last_decide =
-                List.fold_left
-                  (fun acc (_, time) -> max acc time)
-                  0
-                  (Oracle.decision_times result.trace)
-              in
+              let last_decide = snd (Harness.decision_time_bounds result) in
               (Sa_spec.all_ok verdict, atomic, last_decide))
         in
         List.iter

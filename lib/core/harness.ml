@@ -28,12 +28,27 @@ let random_world ~seed ~n_plus_1 ~max_faulty ?(latest = 300) () =
   let pattern = Failure_pattern.random rng ~n_plus_1 ~max_faulty ~latest in
   { pattern; policy = Policy.random (Rng.split rng); world_rng = rng }
 
-let decision_time_bounds trace =
-  match Oracle.decision_times trace with
-  | [] -> (0, 0)
-  | times ->
-      let ts = List.map snd times in
-      (List.fold_left min max_int ts, List.fold_left max 0 ts)
+(* One pass over the run's events: the decision-time bounds and, given
+   a source, the run-condition (2) breaches of its queries. *)
+let scan_run ?source result =
+  let first = ref max_int and last = ref 0 and violations = ref 0 in
+  let check_query =
+    match source with
+    | Some src ->
+        fun e ->
+          if Option.is_some (Oracle.query_violation src e) then incr violations
+    | None -> ignore
+  in
+  Run.iter result (fun e ->
+      check_query e;
+      match Oracle.decision_time e with
+      | Some (_, t) ->
+          if t < !first then first := t;
+          if t > !last then last := t
+      | None -> ());
+  ((if !first = max_int then (0, 0) else (!first, !last)), !violations)
+
+let decision_time_bounds result = fst (scan_run result)
 
 let m_runs = Obs.Metrics.counter "harness.runs"
 let m_verdict_ok = Obs.Metrics.counter "harness.verdict.ok"
@@ -66,12 +81,7 @@ let count_run ~proto m =
 
 let measure ?source ~k ~pattern ~proposals ~decisions ~rounds
     (result : Run.result) =
-  let first, last = decision_time_bounds result.trace in
-  let query_violations =
-    match source with
-    | Some src -> List.length (Oracle.check_query_values src result.trace)
-    | None -> 0
-  in
+  let (first, last), query_violations = scan_run ?source result in
   {
     verdict = Sa_spec.check ~k ~pattern ~proposals ~decisions ();
     last_decision_time = last;
@@ -162,6 +172,51 @@ let run_async_attempt ?(horizon = 200_000) ?(lockstep = true) world =
        ~rounds:(Async_attempt.rounds_entered proto)
        result)
 
+let trace_run ~protocol ~seed ~n_plus_1 ~f ~limit =
+  let world = random_world ~seed ~n_plus_1 ~max_faulty:(n_plus_1 - 1) () in
+  let rng = Rng.create seed in
+  let exec ~pattern ~policy ~horizon body =
+    Run.exec ~pattern ~policy ~horizon ~procs:(fun pid -> [ body pid ]) ()
+  in
+  match protocol with
+  | "fig1" ->
+      let upsilon = Upsilon.make ~rng ~pattern:world.pattern () in
+      let proto =
+        Upsilon_sa.create ~name:"t" ~n_plus_1 ~upsilon:(Detector.source upsilon)
+          ()
+      in
+      Some
+        ( "Fig 1: upsilon-based n-set-agreement",
+          world,
+          exec ~pattern:world.pattern ~policy:world.policy ~horizon:500_000
+            (fun pid -> Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid)) )
+  | "fig2" ->
+      let pattern =
+        Failure_pattern.random (Rng.create (seed + 1)) ~n_plus_1 ~max_faulty:f
+          ~latest:300
+      in
+      let upsilon_f = Upsilon_f.make ~rng ~pattern ~f () in
+      let proto =
+        Upsilon_f_sa.create ~name:"t" ~n_plus_1 ~f
+          ~upsilon_f:(Detector.source upsilon_f) ()
+      in
+      Some
+        ( "Fig 2: upsilon_f-based f-set-agreement",
+          world,
+          exec ~pattern ~policy:world.policy ~horizon:500_000 (fun pid ->
+              Upsilon_f_sa.proposer proto ~me:pid ~input:(200 + pid)) )
+  | "async" ->
+      let proto = Async_attempt.create ~name:"t" ~n_plus_1 in
+      Some
+        ( "detector-free skeleton under lock-step (the impossibility run)",
+          world,
+          exec
+            ~pattern:(Failure_pattern.no_failures ~n_plus_1)
+            ~policy:(Policy.round_robin ()) ~horizon:(limit * 2)
+            (fun pid -> Async_attempt.proposer proto ~me:pid ~input:(500 + pid))
+        )
+  | _ -> None
+
 (* ------------------------------------------------- model checking *)
 
 type check_violation = {
@@ -209,7 +264,7 @@ let check_exhaustive ?(jobs = 1) ?procs ?(depth = 6) ?(horizon = 400) ?patterns
     let fibers, check = make () in
     let policy = Policy.script prefix ~then_:(Policy.round_robin ()) in
     let result = Run.exec ~pattern ~policy ~horizon ~procs:fibers () in
-    match check result.Run.trace with
+    match check (Run.trace result) with
     | Ok () -> None
     | Error report -> Some report
   in
@@ -407,7 +462,7 @@ let run_extraction_of ?(horizon = 150_000) ?(tail = 25_000) ~f ~source world =
         ~procs:(fun pid -> extra pid @ Extract_upsilon.fibers ex ~me:pid)
         ()
     in
-    let last_time = Trace.last_time result.trace in
+    let last_time = Run.last_time result in
     let correct = Failure_pattern.correct pattern in
     let stabilized_at =
       List.fold_left
@@ -484,7 +539,7 @@ let run_hb_detector ?(horizon = 6_000) ?params ~mode ~net world =
       ~procs:(fun pid -> [ Heartbeat.fiber eng ~me:pid ])
       ()
   in
-  let last = Trace.last_time result.trace in
+  let last = Run.last_time result in
   let link = Heartbeat.link eng in
   let verdict =
     match Link.check_partial_synchrony link with

@@ -20,6 +20,10 @@ type measurements = {
 val ok : measurements -> bool
 (** Spec verdict all green and no query violations. *)
 
+val decision_time_bounds : Run.result -> int * int
+(** Times of the run's first and last ["decide"] outputs, [(0, 0)] if
+    none; read without building the trace list. *)
+
 type world = {
   pattern : Failure_pattern.t;
   policy : Policy.t;
@@ -57,6 +61,19 @@ val run_async_attempt :
   ?horizon:int -> ?lockstep:bool -> world -> measurements
 (** The detector-free skeleton; [lockstep] (default true) replaces the
     world's policy with round-robin, the adversarial schedule. *)
+
+val trace_run :
+  protocol:string ->
+  seed:int ->
+  n_plus_1:int ->
+  f:int ->
+  limit:int ->
+  (string * world * Run.result) option
+(** The world [wfde trace] replays, as [(description, world, result)]:
+    ["fig1"] (Υ from the seed's own generator), ["fig2"] (Υᶠ with [f]
+    over a separately seeded pattern), or ["async"] (the detector-free
+    skeleton under lock-step for [2 * limit] steps). [None] for any
+    other protocol name. *)
 
 (** {1 Model checking}
 

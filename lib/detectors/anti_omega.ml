@@ -23,7 +23,13 @@ let make ?name ~rng ~pattern ?spared ?stab_time () =
     if time >= stab_time then others.(time mod Array.length others)
     else Detector.Chaos.pid ~seed ~n_plus_1 pid time
   in
-  { Detector.name; history; pp = Pid.pp; equal = Pid.equal }
+  {
+    Detector.name;
+    history;
+    pp = Pid.pp;
+    equal = Pid.equal;
+    id = Sim.Witness.pid;
+  }
 
 let check (d : Pid.t Detector.t) ~pattern ~stab_by ~horizon =
   let correct = Pid.Set.elements (Failure_pattern.correct pattern) in

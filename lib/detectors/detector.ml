@@ -5,6 +5,7 @@ type 'v t = {
   history : Pid.t -> int -> 'v;
   pp : Format.formatter -> 'v -> unit;
   equal : 'v -> 'v -> bool;
+  id : 'v Type.Id.t;
 }
 
 let record_make ~family ~stab_time =
@@ -24,6 +25,8 @@ let source t =
     Sim.name = t.name;
     sample = t.history;
     render = (fun v -> Format.asprintf "%a" t.pp v);
+    equal = t.equal;
+    id = t.id;
   }
 let sample t pid time = t.history pid time
 
@@ -45,11 +48,11 @@ let stable_value t pattern ~from ~until =
       in
       if ok then Some v else None
 
-let map ~name f ~pp ~equal t =
-  { name; history = (fun p time -> f (t.history p time)); pp; equal }
+let map ~name f ~pp ~equal ~id t =
+  { name; history = (fun p time -> f (t.history p time)); pp; equal; id }
 
-let mapi ~name f ~pp ~equal t =
-  { name; history = (fun p time -> f p time (t.history p time)); pp; equal }
+let mapi ~name f ~pp ~equal ~id t =
+  { name; history = (fun p time -> f p time (t.history p time)); pp; equal; id }
 
 module Chaos = struct
   (* Key the stream on (seed, pid, t) so the history is a pure function.

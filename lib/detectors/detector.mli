@@ -15,6 +15,9 @@ type 'v t = {
   history : Pid.t -> int -> 'v;  (** H(p, t) *)
   pp : Format.formatter -> 'v -> unit;
   equal : 'v -> 'v -> bool;
+  id : 'v Type.Id.t;
+      (** the value type's witness, shared by every detector and source
+          of that type ({!Sim.Witness}) *)
 }
 
 val record_make : family:string -> stab_time:int -> unit
@@ -39,13 +42,13 @@ val stable_value :
 
 val map : name:string -> ('v -> 'w) ->
   pp:(Format.formatter -> 'w -> unit) -> equal:('w -> 'w -> bool) ->
-  'v t -> 'w t
+  id:'w Type.Id.t -> 'v t -> 'w t
 (** Pointwise post-composition — the zero-step transformations used by
     the complement reductions of §4. *)
 
 val mapi : name:string -> (Pid.t -> int -> 'v -> 'w) ->
   pp:(Format.formatter -> 'w -> unit) -> equal:('w -> 'w -> bool) ->
-  'v t -> 'w t
+  id:'w Type.Id.t -> 'v t -> 'w t
 (** Like {!map} but the transformation may also use the querying process
     and the query time (e.g. "output own id unless the complement is a
     singleton", or cycling over a set). *)

@@ -10,5 +10,6 @@ val make :
   value:'v ->
   pp:(Format.formatter -> 'v -> unit) ->
   equal:('v -> 'v -> bool) ->
+  id:'v Type.Id.t ->
   unit ->
   'v Detector.t

@@ -152,6 +152,8 @@ let source t =
     Sim.name = t.hb_name;
     sample = (fun p _time -> suspected_set t p);
     render = (fun v -> Format.asprintf "%a" Pid.Set.pp v);
+    equal = Pid.Set.equal;
+    id = Sim.Witness.pid_set;
   }
 
 let leader_of_set ~n_plus_1 me suspected =
@@ -170,6 +172,8 @@ let leader_source t =
     Sim.name = t.hb_name ^ ">omega";
     sample = (fun p _time -> leader_of_set ~n_plus_1:t.n p (suspected_set t p));
     render = (fun v -> Format.asprintf "%a" Pid.pp v);
+    equal = Pid.equal;
+    id = Sim.Witness.pid;
   }
 
 let history_at log time =
@@ -186,6 +190,7 @@ let to_detector t =
     history = (fun p time -> history_at logs.(p) time);
     pp = Pid.Set.pp;
     equal = Pid.Set.equal;
+    id = Sim.Witness.pid_set;
   }
 
 let last_change t p = match t.logs.(p) with [] -> 0 | (at, _) :: _ -> at

@@ -21,7 +21,13 @@ let make ?name ~rng ~pattern ?leader ?stab_time () =
     if time >= stab_time then leader
     else Detector.Chaos.pid ~seed ~n_plus_1 pid time
   in
-  { Detector.name; history; pp = Pid.pp; equal = Pid.equal }
+  {
+    Detector.name;
+    history;
+    pp = Pid.pp;
+    equal = Pid.equal;
+    id = Sim.Witness.pid;
+  }
 
 let check (d : Pid.t Detector.t) ~pattern ~stab_by ~horizon =
   match Detector.stable_value d pattern ~from:stab_by ~until:horizon with

@@ -41,7 +41,13 @@ let make ?name ~rng ~pattern ~k ?stable_set ?stab_time () =
     if time >= stab_time then stable_set
     else chaos_set ~seed ~n_plus_1 ~k pid time
   in
-  { Detector.name; history; pp = Pid.Set.pp; equal = Pid.Set.equal }
+  {
+    Detector.name;
+    history;
+    pp = Pid.Set.pp;
+    equal = Pid.Set.equal;
+    id = Sim.Witness.pid_set;
+  }
 
 let check (d : Pid.Set.t Detector.t) ~pattern ~k ~stab_by ~horizon =
   let n_plus_1 = Failure_pattern.n_plus_1 pattern in

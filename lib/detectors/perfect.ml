@@ -1,16 +1,12 @@
 open Kernel
 
-let crashed_by pattern time =
-  Pid.all ~n_plus_1:(Failure_pattern.n_plus_1 pattern)
-  |> List.filter (fun p -> Failure_pattern.crashed_at pattern p time)
-  |> Pid.Set.of_list
-
 let make ~pattern =
   {
     Detector.name = "perfect";
-    history = (fun _pid time -> crashed_by pattern time);
+    history = (fun _pid time -> Failure_pattern.crashed_by pattern time);
     pp = Pid.Set.pp;
     equal = Pid.Set.equal;
+    id = Sim.Witness.pid_set;
   }
 
 let check (d : Pid.Set.t Detector.t) ~pattern ~horizon =
@@ -19,7 +15,7 @@ let check (d : Pid.Set.t Detector.t) ~pattern ~horizon =
   for time = 0 to horizon do
     List.iter
       (fun p ->
-        let want = crashed_by pattern time in
+        let want = Failure_pattern.crashed_by pattern time in
         let got = Detector.sample d p time in
         if (not (Pid.Set.equal got want)) && !bad = None then
           bad :=

@@ -44,7 +44,13 @@ let make ?name ~rng ~pattern ~f ?stable_set ?stab_time () =
       Detector.Chaos.subset_at_least ~seed ~n_plus_1
         ~min_size:(min_size ~n_plus_1 ~f) pid time
   in
-  { Detector.name; history; pp = Pid.Set.pp; equal = Pid.Set.equal }
+  {
+    Detector.name;
+    history;
+    pp = Pid.Set.pp;
+    equal = Pid.Set.equal;
+    id = Sim.Witness.pid_set;
+  }
 
 let check (d : Pid.Set.t Detector.t) ~pattern ~f ~stab_by ~horizon =
   let n_plus_1 = Failure_pattern.n_plus_1 pattern in

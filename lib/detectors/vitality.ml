@@ -16,7 +16,13 @@ let make ?name ~rng ~pattern ~watched ?stab_time () =
     if time >= stab_time then verdict
     else Rng.bool (Detector.Chaos.rng ~seed pid time)
   in
-  { Detector.name; history; pp = Format.pp_print_bool; equal = Bool.equal }
+  {
+    Detector.name;
+    history;
+    pp = Format.pp_print_bool;
+    equal = Bool.equal;
+    id = Sim.Witness.bool;
+  }
 
 let check (d : bool Detector.t) ~pattern ~watched ~stab_by ~horizon =
   match Detector.stable_value d pattern ~from:stab_by ~until:horizon with

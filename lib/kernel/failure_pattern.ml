@@ -1,4 +1,10 @@
-type t = { n_plus_1 : int; crash_time : int array }
+type t = {
+  n_plus_1 : int;
+  crash_time : int array;
+  crash_sets : (int * Pid.Set.t) array;
+      (* F(t) at each distinct crash time, ascending: F is constant
+         between them, so [crashed_by] can return these shared sets *)
+}
 
 let never = max_int
 
@@ -16,7 +22,18 @@ let make ~n_plus_1 ~crashes =
     crashes;
   if Array.for_all (fun c -> c <> never) crash_time then
     invalid_arg "Failure_pattern.make: at least one process must be correct";
-  { n_plus_1; crash_time }
+  let times =
+    Array.to_list crash_time
+    |> List.filter (fun c -> c <> never)
+    |> List.sort_uniq Int.compare
+  in
+  let f_at time =
+    Pid.all ~n_plus_1
+    |> List.filter (fun p -> crash_time.(p) <= time)
+    |> Pid.Set.of_list
+  in
+  let crash_sets = Array.of_list (List.map (fun c -> (c, f_at c)) times) in
+  { n_plus_1; crash_time; crash_sets }
 
 let no_failures ~n_plus_1 = make ~n_plus_1 ~crashes:[]
 
@@ -34,6 +51,16 @@ let random rng ~n_plus_1 ~max_faulty ~latest =
 let n_plus_1 t = t.n_plus_1
 let crash_time t pid = t.crash_time.(pid)
 let crashed_at t pid time = t.crash_time.(pid) <= time
+
+let crashed_by t time =
+  (* the last entry at or before [time]; a handful of entries at most *)
+  let rec find i acc =
+    if i = Array.length t.crash_sets then acc
+    else
+      let c, set = t.crash_sets.(i) in
+      if c <= time then find (i + 1) set else acc
+  in
+  find 0 Pid.Set.empty
 
 let faulty t =
   Pid.all ~n_plus_1:t.n_plus_1

@@ -28,6 +28,11 @@ val crash_time : t -> Pid.t -> int
 val crashed_at : t -> Pid.t -> int -> bool
 (** [crashed_at t p time] is [p ∈ F(time)]. *)
 
+val crashed_by : t -> int -> Pid.Set.t
+(** [crashed_by t time] is F(time), the set of processes crashed at or
+    before [time]. The sets are built once by {!make}, one per distinct
+    crash time, and shared between calls. *)
+
 val faulty : t -> Pid.Set.t
 val correct : t -> Pid.Set.t
 val is_correct : t -> Pid.t -> bool

@@ -36,19 +36,34 @@ let check_run_conditions pattern trace =
     trace;
   List.rev !violations
 
-let check_query_values src trace =
-  Trace.query_values trace ~detector:src.Sim.name
-  |> List.filter_map (fun (pid, time, recorded) ->
-         let expected = src.Sim.render (src.Sim.sample pid time) in
-         if String.equal recorded expected then None
-         else
-           Some
-             {
-               condition = "run-condition-2";
-               detail =
-                 Format.asprintf "%a queried %s at %d: saw %s, history says %s"
-                   Pid.pp pid src.Sim.name time recorded expected;
-             })
+let query_violation (type v) (src : v Sim.source) = function
+  | Trace.Step { pid; time; kind = Sim.Query { detector }; payload }
+    when String.equal detector src.name -> (
+      let expected = src.sample pid time in
+      let mismatch saw =
+        Some
+          {
+            condition = "run-condition-2";
+            detail =
+              Format.asprintf "%a queried %s at %d: saw %s, history says %s"
+                Pid.pp pid src.name time saw (src.render expected);
+          }
+      in
+      let by_rendering saw =
+        if String.equal saw (src.render expected) then None else mismatch saw
+      in
+      match payload with
+      | Sim.No_payload -> None
+      | Sim.Note saw -> by_rendering saw
+      | Sim.Value (recorded, v) -> (
+          match Type.Id.provably_equal recorded.id src.id with
+          | Some Type.Equal ->
+              if src.equal v expected then None
+              else mismatch (recorded.render v)
+          | None -> by_rendering (recorded.render v)))
+  | Trace.Step _ | Trace.Crash _ -> None
+
+let check_query_values src trace = List.filter_map (query_violation src) trace
 
 let starvation pattern trace ~window =
   let horizon = Trace.last_time trace in
@@ -74,7 +89,9 @@ let parse_int_events events =
 let proposals trace = parse_int_events (Trace.inputs ~label:"propose" trace)
 let decisions trace = parse_int_events (Trace.outputs ~label:"decide" trace)
 
-let decision_times trace =
-  List.map
-    (fun (pid, time, _label, _value) -> (pid, time))
-    (Trace.outputs ~label:"decide" trace)
+let decision_time = function
+  | Trace.Step { pid; time; kind = Sim.Output { label = "decide"; _ }; _ } ->
+      Some (pid, time)
+  | Trace.Step _ | Trace.Crash _ -> None
+
+let decision_times trace = List.filter_map decision_time trace

@@ -16,8 +16,14 @@ val check_run_conditions :
 
 val check_query_values : 'v Sim.source -> Trace.t -> violation list
 (** Run condition (2): every recorded query value of the given detector
-    matches its history at that (process, time) — compared through the
-    source's renderer. *)
+    matches its history at that (process, time). A {!Sim.Value} whose
+    source shares the given source's witness ([id]) is compared with the
+    given source's [equal]; a {!Sim.Note}, or a value of another
+    witness, is compared by rendering. *)
+
+val query_violation : 'v Sim.source -> Trace.event -> violation option
+(** {!check_query_values} on one event, for a single pass over a run's
+    events ({!Run.iter}). *)
 
 val starvation :
   Failure_pattern.t -> Trace.t -> window:int -> Pid.Set.t
@@ -33,3 +39,6 @@ val decisions : Trace.t -> (Pid.t * int) list
 
 val decision_times : Trace.t -> (Pid.t * int) list
 (** [(pid, time)] of each ["decide"] output. *)
+
+val decision_time : Trace.event -> (Pid.t * int) option
+(** [(pid, time)] if the event is a ["decide"] output. *)

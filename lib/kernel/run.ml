@@ -1,4 +1,8 @@
-type result = { outcome : Scheduler.outcome; trace : Trace.t; steps : int }
+type result = {
+  outcome : Scheduler.outcome;
+  events : Trace.builder;
+  steps : int;
+}
 
 let exec ~pattern ~policy ?(horizon = 100_000) ~procs () =
   let fibers =
@@ -12,4 +16,17 @@ let exec ~pattern ~policy ?(horizon = 100_000) ~procs () =
   in
   let sched = Scheduler.create ~pattern ~policy ~fibers in
   let outcome = Scheduler.run sched ~max_steps:horizon in
-  { outcome; trace = Scheduler.trace sched; steps = Scheduler.now sched }
+  {
+    outcome;
+    events = Scheduler.trace_builder sched;
+    steps = Scheduler.now sched;
+  }
+
+let trace r = Trace.finish r.events
+let iter r f = Trace.iter_builder r.events f
+
+let last_time r =
+  let last = ref 0 in
+  iter r (function Trace.Step { time; _ } | Trace.Crash { time; _ } ->
+      if time > !last then last := time);
+  !last

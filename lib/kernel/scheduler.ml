@@ -135,7 +135,7 @@ let create ~pattern ~policy ~fibers =
     clock = 0;
     live;
     events = Trace.builder ();
-    ctx = { Sim.pid = 0; now = 0; note = None };
+    ctx = { Sim.pid = 0; now = 0; payload = Sim.No_payload };
     metrics = bundle ~n;
   }
 
@@ -284,11 +284,12 @@ let step t =
             let ctx = t.ctx in
             ctx.Sim.pid <- pid;
             ctx.Sim.now <- step_time;
-            ctx.Sim.note <- None;
+            ctx.Sim.payload <- Sim.No_payload;
             Fiber.step fiber ctx;
             if Fiber.status fiber <> Fiber.Runnable then retire t fiber;
             Trace.record t.events
-              (Trace.Step { pid; time = step_time; kind; note = ctx.Sim.note });
+              (Trace.Step
+                 { pid; time = step_time; kind; payload = ctx.Sim.payload });
             `Stepped pid)
   with e ->
     (* A raising fiber/policy must not strand this step's buffered Fast

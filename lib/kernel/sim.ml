@@ -1,9 +1,3 @@
-type ctx = {
-  mutable pid : Pid.t;
-  mutable now : int;
-  mutable note : string option;
-}
-
 type kind =
   | Read of { obj : string }
   | Write of { obj : string }
@@ -13,6 +7,29 @@ type kind =
   | Output of { label : string; value : string }
   | Input of { label : string; value : string }
   | Nop
+
+type 'v source = {
+  name : string;
+  sample : Pid.t -> int -> 'v;
+  render : 'v -> string;
+  equal : 'v -> 'v -> bool;
+  id : 'v Type.Id.t;
+}
+
+module Witness = struct
+  let pid : Pid.t Type.Id.t = Type.Id.make ()
+  let pid_set : Pid.Set.t Type.Id.t = Type.Id.make ()
+  let bool : bool Type.Id.t = Type.Id.make ()
+end
+
+type payload = No_payload | Note of string | Value : 'v source * 'v -> payload
+
+let render_payload = function
+  | No_payload -> None
+  | Note n -> Some n
+  | Value (src, v) -> Some (src.render v)
+
+type ctx = { mutable pid : Pid.t; mutable now : int; mutable payload : payload }
 
 type _ Effect.t +=
   | Atomic : kind * (ctx -> 'a) -> 'a Effect.t
@@ -25,18 +42,12 @@ let now () = atomic Nop (fun ctx -> ctx.now)
 let output ~label ~value = atomic (Output { label; value }) (fun _ -> ())
 let input ~label ~value = atomic (Input { label; value }) (fun _ -> ())
 
-type 'v source = {
-  name : string;
-  sample : Pid.t -> int -> 'v;
-  render : 'v -> string;
-}
-
 let query src =
   atomic
     (Query { detector = src.name })
     (fun ctx ->
       let v = src.sample ctx.pid ctx.now in
-      ctx.note <- Some (src.render v);
+      ctx.payload <- Value (src, v);
       v)
 
 let kind_pp ppf = function

@@ -11,18 +11,51 @@
     register read/write ({!Memory.Register}), detector queries ({!query}),
     and input/output events. *)
 
-type ctx = {
-  mutable pid : Pid.t;
-  mutable now : int;
-  mutable note : string option;
+type 'v source = {
+  name : string;
+  sample : Pid.t -> int -> 'v;
+  render : 'v -> string;
+  equal : 'v -> 'v -> bool;
+  id : 'v Type.Id.t;
 }
+(** A failure-detector module: [sample p t] is H(p, t), the value the
+    oracle shows process [p] at time [t] (paper §3.2). [render] prints a
+    value for traces and exports; [equal] compares two values. [id]
+    witnesses the value type. Every source of one value type must carry
+    the same witness (the {!Witness} ones for the types here), so a value
+    recorded from one source can be checked with [equal] against another
+    source's history — a heartbeat run queries a live, mutable source and
+    is validated against the history reconstructed after the run. *)
+
+(** The shared value-type witnesses. *)
+module Witness : sig
+  val pid : Pid.t Type.Id.t
+  val pid_set : Pid.Set.t Type.Id.t
+  val bool : bool Type.Id.t
+end
+
+(** What a step records beside its kind. *)
+type payload =
+  | No_payload
+  | Note of string
+      (** A rendered value: what a trace reloaded from JSONL holds. *)
+  | Value : 'v source * 'v -> payload
+      (** The value a detector query returned, with the source that
+          returned it. Rendered only when a trace is printed or exported;
+          it holds closures, so compare traces by their exports, not
+          with [=]. *)
+
+val render_payload : payload -> string option
+(** The payload as trace notes print it: [None] for [No_payload]. *)
+
+type ctx = { mutable pid : Pid.t; mutable now : int; mutable payload : payload }
 (** Identity of the stepping process and the global time of the step,
-    available to the atomic closure. Setting [note] attaches a rendered
-    payload to the step's trace event (queries record the value the
-    oracle returned, so run-condition (2) is checkable from the
-    trace). All fields are mutable so the scheduler can reuse one [ctx]
-    record across steps; atomic closures must read the fields during the
-    step and not retain the record. *)
+    available to the atomic closure. Setting [payload] attaches it to the
+    step's trace event ({!query} records the value the oracle returned,
+    so run-condition (2) is checkable from the trace). All fields are
+    mutable so the scheduler can reuse one [ctx] record across steps;
+    atomic closures must read the fields during the step and not retain
+    the record. *)
 
 (** How a step is labelled in the trace. [Send]/[Recv] are message-layer
     steps ({!Link}): both mutate the named mailbox object, so
@@ -70,15 +103,6 @@ val output : label:string -> value:string -> unit
 
 val input : label:string -> value:string -> unit
 (** Record an application input in the trace (consumes a step). *)
-
-type 'v source = {
-  name : string;
-  sample : Pid.t -> int -> 'v;
-  render : 'v -> string;
-}
-(** A failure-detector module: [sample p t] is H(p, t), the value the
-    oracle shows process [p] at time [t] (paper §3.2); [render] is used
-    to record queried values in the trace. *)
 
 val query : 'v source -> 'v
 (** Query the local failure-detector module; one step. *)

@@ -1,5 +1,5 @@
 type event =
-  | Step of { pid : Pid.t; time : int; kind : Sim.kind; note : string option }
+  | Step of { pid : Pid.t; time : int; kind : Sim.kind; payload : Sim.payload }
   | Crash of { pid : Pid.t; time : int }
 
 type t = event list
@@ -118,16 +118,18 @@ let queries t ~detector =
 let query_values t ~detector =
   List.filter_map
     (function
-      | Step { pid; time; kind = Sim.Query { detector = d }; note = Some v }
+      | Step { pid; time; kind = Sim.Query { detector = d }; payload }
         when String.equal d detector ->
-          Some (pid, time, v)
+          Option.map (fun v -> (pid, time, v)) (Sim.render_payload payload)
       | Step _ | Crash _ -> None)
     t
 
 let pp_event ppf = function
-  | Step { pid; time; kind; note } ->
+  | Step { pid; time; kind; payload } ->
       Format.fprintf ppf "%6d %a %a%s" time Pid.pp pid Sim.kind_pp kind
-        (match note with Some n -> " = " ^ n | None -> "")
+        (match Sim.render_payload payload with
+        | Some n -> " = " ^ n
+        | None -> "")
   | Crash { pid; time } ->
       Format.fprintf ppf "%6d %a CRASH" time Pid.pp pid
 

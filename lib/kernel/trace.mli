@@ -5,13 +5,16 @@
     the induced input/output trace. *)
 
 type event =
-  | Step of { pid : Pid.t; time : int; kind : Sim.kind; note : string option }
-      (** [note] carries a rendered payload set by the atomic closure —
-          notably the value a detector query returned. *)
+  | Step of { pid : Pid.t; time : int; kind : Sim.kind; payload : Sim.payload }
+      (** [payload] is set by the atomic closure — notably the value a
+          detector query returned, kept unrendered ({!Sim.payload}).
+          Only {!pp}, {!query_values} and the JSONL export render it. *)
   | Crash of { pid : Pid.t; time : int }
 
 type t = event list
-(** In time order. *)
+(** In time order. A trace whose queries hold {!Sim.Value} payloads
+    holds closures: compare traces by their printed or exported form,
+    not with [=]. *)
 
 type builder
 

@@ -14,7 +14,7 @@ let json_of_event event =
   in
   match event with
   | Trace.Crash { pid; time } -> base pid time [ ("kind", Json.String "crash") ]
-  | Trace.Step { pid; time; kind; note } ->
+  | Trace.Step { pid; time; kind; payload } ->
       let kind_fields =
         match kind with
         | Sim.Read { obj } ->
@@ -42,7 +42,9 @@ let json_of_event event =
         | Sim.Nop -> [ ("kind", Json.String "nop") ]
       in
       let note_field =
-        match note with Some n -> [ ("note", Json.String n) ] | None -> []
+        match Sim.render_payload payload with
+        | Some n -> [ ("note", Json.String n) ]
+        | None -> []
       in
       base pid time (kind_fields @ note_field)
 
@@ -91,8 +93,12 @@ let event_of_json json =
           | "nop" -> Ok Sim.Nop
           | other -> Error (Printf.sprintf "unknown event kind %S" other)
         in
-        let note = Option.bind (Json.member "note" json) Json.to_str in
-        Ok (Trace.Step { pid; time; kind; note })
+        let payload =
+          match Option.bind (Json.member "note" json) Json.to_str with
+          | Some n -> Sim.Note n
+          | None -> Sim.No_payload
+        in
+        Ok (Trace.Step { pid; time; kind; payload })
 
 let to_lines trace = List.map (fun e -> Json.to_string (json_of_event e)) trace
 

@@ -1,9 +1,13 @@
 (** JSONL serialization of run traces.
 
     One event per line, flat schema ([time], [pid], [kind], plus the
-    kind's payload and the optional [note]); [of_lines (to_lines t) =
-    Ok t] for every trace, so an exported run can be reloaded and
-    replayed exactly — {!Kernel.Trace.schedule} of the loaded trace
+    kind's fields and the optional [note], the rendered step payload).
+    A reloaded step holds its note as {!Kernel.Sim.Note}, where the live
+    run held a {!Kernel.Sim.Value}, so
+    [Result.map to_lines (of_lines (to_lines t)) = Ok (to_lines t)] for
+    every trace, and [of_lines (to_lines t) = Ok t] for one without
+    values. An exported run can be reloaded and replayed
+    exactly — {!Kernel.Trace.schedule} of the loaded trace
     driven through {!Kernel.Policy.script} over a fresh identical world
     reproduces the original decisions. *)
 

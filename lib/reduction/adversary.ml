@@ -23,6 +23,8 @@ let pinned_upsilon ~n_plus_1 =
     Sim.name = "pinned-upsilon";
     sample = (fun _ _ -> u);
     render = Pid.Set.to_string;
+    equal = Pid.Set.equal;
+    id = Sim.Witness.pid_set;
   }
 
 (* One scheduling mode per stage of a phase. *)

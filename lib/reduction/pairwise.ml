@@ -6,13 +6,13 @@ let upsilon_of_omega_k ~n_plus_1 d =
   Detector.map
     ~name:(d.Detector.name ^ ">upsilon")
     (fun committee -> Pid.Set.complement ~n_plus_1 committee)
-    ~pp:Pid.Set.pp ~equal:Pid.Set.equal d
+    ~pp:Pid.Set.pp ~equal:Pid.Set.equal ~id:Sim.Witness.pid_set d
 
 let upsilon_of_omega ~n_plus_1 d =
   Detector.map
     ~name:(d.Detector.name ^ ">upsilon")
     (fun leader -> Pid.Set.complement ~n_plus_1 (Pid.Set.singleton leader))
-    ~pp:Pid.Set.pp ~equal:Pid.Set.equal d
+    ~pp:Pid.Set.pp ~equal:Pid.Set.equal ~id:Sim.Witness.pid_set d
 
 let omega_of_upsilon_2proc d =
   Detector.mapi
@@ -20,7 +20,7 @@ let omega_of_upsilon_2proc d =
     (fun me _time u ->
       let complement = Pid.Set.complement ~n_plus_1:2 u in
       if Pid.Set.cardinal complement = 1 then Pid.Set.choose complement else me)
-    ~pp:Pid.pp ~equal:Pid.equal d
+    ~pp:Pid.pp ~equal:Pid.equal ~id:Sim.Witness.pid d
 
 let anti_omega_of_omega ~n_plus_1 d =
   Detector.mapi
@@ -30,7 +30,7 @@ let anti_omega_of_omega ~n_plus_1 d =
         List.filter (fun p -> not (Pid.equal p leader)) (Pid.all ~n_plus_1)
       in
       List.nth others (time mod List.length others))
-    ~pp:Pid.pp ~equal:Pid.equal d
+    ~pp:Pid.pp ~equal:Pid.equal ~id:Sim.Witness.pid d
 
 let omega_of_ev_perfect ~n_plus_1 d =
   Detector.mapi
@@ -42,11 +42,11 @@ let omega_of_ev_perfect ~n_plus_1 d =
           (Pid.all ~n_plus_1)
       in
       match alive with p :: _ -> p | [] -> me)
-    ~pp:Pid.pp ~equal:Pid.equal d
+    ~pp:Pid.pp ~equal:Pid.equal ~id:Sim.Witness.pid d
 
 let ev_perfect_of_perfect d =
   Detector.map ~name:(d.Detector.name ^ ">ev_perfect") Fun.id ~pp:Pid.Set.pp
-    ~equal:Pid.Set.equal d
+    ~equal:Pid.Set.equal ~id:Sim.Witness.pid_set d
 
 module Omega_from_upsilon1 = struct
   type t = {

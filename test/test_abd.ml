@@ -223,7 +223,7 @@ let test_step_labels () =
     List.length
       (List.filter
          (function Trace.Step { kind; _ } -> p kind | Trace.Crash _ -> false)
-         result.trace)
+         (Run.trace result))
   in
   let replica_writes =
     count (function

@@ -213,7 +213,7 @@ let assert_mutant_caught ~mutant ~obj ~procs ~depth =
                  ~then_:(Policy.round_robin ()))
             ~horizon:o.Wfde.Harness.check_horizon ~procs:fibers ()
         in
-        check result.Run.trace
+        check (Run.trace result)
       in
       (match replayed with
       | Error report ->
@@ -365,7 +365,7 @@ let replay_fails ~mutant ~obj ~procs ~horizon ~pattern ~prefix =
       ~policy:(Policy.script prefix ~then_:(Policy.round_robin ()))
       ~horizon ~procs:fibers ()
   in
-  Result.is_error (check result.Run.trace)
+  Result.is_error (check (Run.trace result))
 
 let drop_nth n xs = List.filteri (fun i _ -> i <> n) xs
 

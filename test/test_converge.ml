@@ -192,6 +192,28 @@ let test_arena_shares_instances () =
   checkb "different k distinct" true (not (a == d));
   Alcotest.check Alcotest.int "k recorded" 2 (Converge.k_of d)
 
+(* 0-converge from an arena: one shared instance for every tag, and
+   running it takes no step. *)
+let test_arena_zero_is_shared () =
+  let arena = Arena.create ~name:"ar" ~size:3 ~compare:Int.compare in
+  let zero = Arena.instance arena ~k:0 ~tag:"glad.r1.k1" in
+  List.iter
+    (fun tag -> checkb tag true (Arena.instance arena ~k:0 ~tag == zero))
+    [ "glad.r1.k1"; "glad.r1.k2"; "glad.r7.k1"; "" ];
+  checki "k" 0 (Converge.k_of zero);
+  let outs = ref [] in
+  let result =
+    Run.exec
+      ~pattern:(Failure_pattern.no_failures ~n_plus_1:3)
+      ~policy:(Policy.round_robin ())
+      ~procs:(fun pid ->
+        [ (fun () -> outs := Converge.run zero ~me:pid (10 + pid) :: !outs) ])
+      ()
+  in
+  checki "no steps" 0 result.steps;
+  checkb "each returns (v, false)" true
+    (List.sort compare !outs = [ (10, false); (11, false); (12, false) ])
+
 let qcheck_cases =
   let open QCheck in
   let gen_case =
@@ -249,5 +271,7 @@ let suite =
     Alcotest.test_case "commit-adopt conflict" `Quick
       test_commit_adopt_agreement_on_conflict;
     Alcotest.test_case "arena sharing" `Quick test_arena_shares_instances;
+    Alcotest.test_case "arena 0-converge shared, stepless" `Quick
+      test_arena_zero_is_shared;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases

@@ -198,7 +198,8 @@ let test_anti_omega_is_unstable () =
 
 let test_dummy_is_constant () =
   let d =
-    Dummy.make ~value:"x" ~pp:Format.pp_print_string ~equal:String.equal ()
+    Dummy.make ~value:"x" ~pp:Format.pp_print_string ~equal:String.equal
+      ~id:(Type.Id.make ()) ()
   in
   let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
   match Detector.stable_value d pattern ~from:0 ~until:50 with
@@ -240,7 +241,7 @@ let test_query_consumes_step_and_reads_history () =
   checkb "all queries saw the stable leader" true
     (List.for_all (fun l -> l = 1) !seen);
   checki "queries traced" 6
-    (List.length (Trace.queries result.trace ~detector:"omega"))
+    (List.length (Trace.queries (Run.trace result) ~detector:"omega"))
 
 let qcheck_cases =
   let open QCheck in

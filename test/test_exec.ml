@@ -405,7 +405,7 @@ let test_trace_lines_identical () =
               [ Wfde.Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid) ])
             ()
         in
-        String.concat "\n" (Trace_export.to_lines run.Kernel.Run.trace))
+        String.concat "\n" (Trace_export.to_lines (Kernel.Run.trace run)))
       [ 1; 2; 3; 4; 5; 6 ]
   in
   checkb "exported JSONL identical at -j1 / -j4" true

@@ -152,13 +152,13 @@ let test_query_values_match_history () =
         [ Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid) ])
       ()
   in
-  let violations = Oracle.check_query_values src result.trace in
+  let violations = Oracle.check_query_values src (Run.trace result) in
   if violations <> [] then
     Alcotest.failf "condition 2 violated: %a" Oracle.pp_violation
       (List.hd violations);
   (* sanity: the protocol really did query *)
   checkb "queries recorded" true
-    (Trace.query_values result.trace ~detector:src.Sim.name <> [])
+    (Trace.query_values (Run.trace result) ~detector:src.Sim.name <> [])
 
 (* -- cross-run determinism of the full stack -------------------------------- *)
 
@@ -180,7 +180,8 @@ let full_stack_digest seed =
         [ Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid) ])
       ()
   in
-  Digest.string (Format.asprintf "%a" Trace.pp result.trace) |> Digest.to_hex
+  Digest.string (Format.asprintf "%a" Trace.pp (Run.trace result))
+  |> Digest.to_hex
 
 let test_full_stack_determinism () =
   for seed = 1 to 10 do

@@ -103,7 +103,7 @@ let test_run_all_steps_counted () =
   checkb "quiescent" true (result.outcome = Scheduler.Quiescent);
   checki "15 steps" 15 result.steps;
   List.iter
-    (fun p -> checki "5 steps each" 5 (Trace.steps_of result.trace p))
+    (fun p -> checki "5 steps each" 5 (Trace.steps_of (Run.trace result) p))
     (Pid.all ~n_plus_1:3)
 
 let test_crash_stops_process () =
@@ -114,9 +114,9 @@ let test_crash_stops_process () =
       ~procs:(fun _ -> [ nops 100 ])
       ()
   in
-  checkb "p1 stopped early" true (Trace.steps_of result.trace 0 < 100);
-  checki "p2 ran to completion" 100 (Trace.steps_of result.trace 1);
-  let violations = Oracle.check_run_conditions pattern result.trace in
+  checkb "p1 stopped early" true (Trace.steps_of (Run.trace result) 0 < 100);
+  checki "p2 ran to completion" 100 (Trace.steps_of (Run.trace result) 1);
+  let violations = Oracle.check_run_conditions pattern (Run.trace result) in
   checki "no violations" 0 (List.length violations)
 
 let test_crash_at_zero_means_no_steps () =
@@ -127,8 +127,8 @@ let test_crash_at_zero_means_no_steps () =
       ~procs:(fun _ -> [ nops 10 ])
       ()
   in
-  checki "p1 took no steps" 0 (Trace.steps_of result.trace 0);
-  checki "p2 took all steps" 10 (Trace.steps_of result.trace 1)
+  checki "p1 took no steps" 0 (Trace.steps_of (Run.trace result) 0);
+  checki "p2 took all steps" 10 (Trace.steps_of (Run.trace result) 1)
 
 let test_horizon_stops_run () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
@@ -154,9 +154,9 @@ let test_solo_policy_starves_others () =
       ~procs:(fun _ -> [ nops 20 ])
       ()
   in
-  checki "p2 alone ran" 20 (Trace.steps_of result.trace 1);
-  checki "p1 starved" 0 (Trace.steps_of result.trace 0);
-  checki "p3 starved" 0 (Trace.steps_of result.trace 2);
+  checki "p2 alone ran" 20 (Trace.steps_of (Run.trace result) 1);
+  checki "p1 starved" 0 (Trace.steps_of (Run.trace result) 0);
+  checki "p3 starved" 0 (Trace.steps_of (Run.trace result) 2);
   (* solo stops once its process is done *)
   checkb "policy stop" true (result.outcome = Scheduler.Policy_stop)
 
@@ -189,7 +189,7 @@ let step_order procs_steps policy =
   in
   List.filter_map
     (function Trace.Step { pid; _ } -> Some pid | _ -> None)
-    result.trace
+    (Run.trace result)
 
 let test_round_robin_cursor_fairness () =
   (* after p1 quiesces the cursor keeps cycling from where it was, so the
@@ -226,7 +226,7 @@ let test_random_policy_is_fair () =
   in
   List.iter
     (fun p ->
-      let steps = Trace.steps_of result.trace p in
+      let steps = Trace.steps_of (Run.trace result) p in
       checkb "roughly fair share" true (steps > 700 && steps < 1300))
     (Pid.all ~n_plus_1:4)
 
@@ -278,7 +278,7 @@ let test_trace_times_strictly_increase () =
       ()
   in
   checki "no violations" 0
-    (List.length (Oracle.check_run_conditions pattern result.trace))
+    (List.length (Oracle.check_run_conditions pattern (Run.trace result)))
 
 let test_outputs_recorded () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
@@ -287,7 +287,7 @@ let test_outputs_recorded () =
     Run.exec ~pattern ~policy:(Policy.round_robin ())
       ~procs:(fun _ -> [ body ]) ()
   in
-  let decisions = Oracle.decisions result.trace in
+  let decisions = Oracle.decisions (Run.trace result) in
   checki "two decisions" 2 (List.length decisions);
   List.iter (fun (_, v) -> checki "value 17" 17 v) decisions
 
@@ -303,7 +303,7 @@ let test_run_determinism () =
         ~procs:(fun _ -> [ nops 50 ])
         ()
     in
-    Format.asprintf "%a" Trace.pp result.trace
+    Format.asprintf "%a" Trace.pp (Run.trace result)
   in
   check Alcotest.string "same seed, same trace" (run 5) (run 5);
   checkb "different seeds differ" true (run 5 <> run 6)
@@ -363,25 +363,27 @@ let test_daemon_stops_at_last_client_step () =
   checkb "plain run hits horizon" true (forever.outcome = Scheduler.Horizon);
   check
     Alcotest.(option int)
-    "ends at the client's last step" (Some 0) (last_step_pid served.trace);
+    "ends at the client's last step" (Some 0)
+    (last_step_pid (Run.trace served));
   checki "client made its 5 requests" 5
     (List.length
        (List.filter
           (function
             | Trace.Step { pid = 0; kind = Sim.Write _; _ } -> true
             | _ -> false)
-          served.trace));
-  let n = List.length served.trace in
+          (Run.trace served)));
+  let n = List.length (Run.trace served) in
   check Alcotest.string "a prefix of the plain run"
-    (Format.asprintf "%a" Trace.pp served.trace)
-    (Format.asprintf "%a" Trace.pp (List.filteri (fun i _ -> i < n) forever.trace))
+    (Format.asprintf "%a" Trace.pp (Run.trace served))
+    (Format.asprintf "%a" Trace.pp
+       (List.filteri (fun i _ -> i < n) (Run.trace forever)))
 
 let test_daemon_stops_at_last_client_crash () =
   let pattern = Failure_pattern.make ~n_plus_1:2 ~crashes:[ (0, 10) ] in
   let result = run_echo ~pattern ~daemon:true ~rounds:100 () in
   checkb "quiescent" true (result.outcome = Scheduler.Quiescent);
   checki "no step at or after the crash" 9 result.steps;
-  match List.rev result.trace with
+  match List.rev (Run.trace result) with
   | Trace.Crash { pid = 0; time = 10 } :: _ -> ()
   | _ -> Alcotest.fail "the client's crash is the last event"
 
@@ -399,7 +401,7 @@ let test_only_daemons_take_no_step () =
   in
   checkb "quiescent" true (result.outcome = Scheduler.Quiescent);
   checki "no steps" 0 result.steps;
-  checki "empty trace" 0 (List.length result.trace)
+  checki "empty trace" 0 (List.length (Run.trace result))
 
 let test_late_daemon_rejected () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:1 in
@@ -443,7 +445,30 @@ let qcheck_cases =
             ~procs:(fun _ -> [ nops 60 ])
             ()
         in
-        Oracle.check_run_conditions pattern result.trace = []);
+        Oracle.check_run_conditions pattern (Run.trace result) = []);
+    Test.make ~count:200 ~name:"crashed_by is F(t), shared per crash time"
+      (pair small_nat small_nat)
+      (fun (seed, f_raw) ->
+        let rng = Rng.create seed in
+        let n_plus_1 = 2 + (seed mod 6) in
+        let pattern =
+          Failure_pattern.random rng ~n_plus_1
+            ~max_faulty:(f_raw mod n_plus_1) ~latest:60
+        in
+        let filtered time =
+          Pid.all ~n_plus_1
+          |> List.filter (fun p -> Failure_pattern.crashed_at pattern p time)
+          |> Pid.Set.of_list
+        in
+        let last = Failure_pattern.max_crash_time pattern + 1 in
+        List.for_all
+          (fun time ->
+            let got = Failure_pattern.crashed_by pattern time in
+            Pid.Set.equal got (filtered time)
+            && (time = 0
+               || (not (Pid.Set.equal got (filtered (time - 1))))
+               || got == Failure_pattern.crashed_by pattern (time - 1)))
+          (List.init (last + 1) Fun.id));
   ]
 
 let suite =

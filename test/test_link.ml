@@ -129,7 +129,7 @@ let test_fair_delivery_after_gst () =
   checkb "contract" true (Link.check_partial_synchrony link = Ok ());
   (* everyone polls every rotation: anything ready well before the end
      must have been delivered *)
-  let last = Trace.last_time result.trace in
+  let last = Trace.last_time (Run.trace result) in
   checki "no stale ready messages" 0
     (List.length (Link.undelivered_ready link ~by:(last - 30)))
 
@@ -171,7 +171,7 @@ let test_crashed_receiver_never_observes () =
   checkb "crash recorded in trace" true
     (List.exists
        (function Trace.Crash { pid = 1; _ } -> true | _ -> false)
-       result.trace)
+       (Run.trace result))
 
 (* ----------------------------------------------- the reliable link *)
 
@@ -379,7 +379,7 @@ let qcheck_cases =
       (fun config ->
         let run () =
           let link, result = run_broadcasters ~config ~horizon:250 () in
-          (Format.asprintf "%a" Trace.pp result.trace, Link.sends link)
+          (Format.asprintf "%a" Trace.pp (Run.trace result), Link.sends link)
         in
         let t1, s1 = run () and t2, s2 = run () in
         String.equal t1 t2
@@ -396,7 +396,7 @@ let qcheck_cases =
       (make ~print:pp_cfg gen_config)
       (fun config ->
         let link, result = run_broadcasters ~config ~horizon:400 () in
-        let last = Trace.last_time result.trace in
+        let last = Trace.last_time (Run.trace result) in
         Link.check_partial_synchrony link = Ok ()
         && List.for_all
              (fun r ->

@@ -170,7 +170,10 @@ let event_gen =
           time >>= fun time ->
           kind >>= fun kind ->
           opt tricky_string >>= fun note ->
-          return (Trace.Step { pid; time; kind; note }) );
+          let payload =
+            match note with Some n -> Sim.Note n | None -> Sim.No_payload
+          in
+          return (Trace.Step { pid; time; kind; payload }) );
       ])
 
 let trace_arb =
@@ -208,7 +211,7 @@ let test_save_load_file () =
               pid = Pid.of_index 0;
               time = 3;
               kind = Sim.Query { detector = "upsilon" };
-              note = Some "{p1}";
+              payload = Sim.Note "{p1}";
             };
           Trace.Crash { pid = Pid.of_index 2; time = 9 };
         ]
@@ -240,12 +243,17 @@ let test_exported_schedule_replays () =
   for seed = 1 to 5 do
     let original = fig1_run ~seed ~policy:(fun w -> w.Wfde.Harness.policy) in
     let loaded =
-      match Trace_export.of_lines (Trace_export.to_lines original.Run.trace)
+      match Trace_export.of_lines (Trace_export.to_lines (Run.trace original))
       with
       | Ok t -> t
       | Error e -> Alcotest.failf "seed %d: reload failed: %s" seed e
     in
-    checkb "reload is exact" true (loaded = original.Run.trace);
+    (* the live trace holds each query's value, the reloaded one its
+       rendering: they must export to the same bytes *)
+    Alcotest.(check (list string))
+      "reload is exact"
+      (Trace_export.to_lines (Run.trace original))
+      (Trace_export.to_lines loaded);
     let replay =
       fig1_run ~seed ~policy:(fun _ ->
           Policy.script (Trace.schedule loaded)
@@ -253,12 +261,43 @@ let test_exported_schedule_replays () =
     in
     checks
       (Printf.sprintf "seed %d replay reproduces the run" seed)
-      (Format.asprintf "%a" Trace.pp original.Run.trace)
-      (Format.asprintf "%a" Trace.pp replay.Run.trace);
+      (Format.asprintf "%a" Trace.pp (Run.trace original))
+      (Format.asprintf "%a" Trace.pp (Run.trace replay));
     checkb "same decisions" true
-      (Trace.outputs ~label:"decide" replay.Run.trace
-      = Trace.outputs ~label:"decide" original.Run.trace)
+      (Trace.outputs ~label:"decide" (Run.trace replay)
+      = Trace.outputs ~label:"decide" (Run.trace original))
   done
+
+(* The [wfde trace --out] exports pinned byte for byte: each golden was
+   written by the CLI, and re-running its world through the same
+   [Harness.trace_run] and [Trace_export.save_file] must reproduce the
+   file exactly. fig1 seed 13 has a gladiator whose Υ set is a
+   singleton, so it runs 0-converge. *)
+let golden_exports =
+  [
+    ("fig1_seed11.jsonl", "fig1", 11, 3, 1);
+    ("fig1_seed13.jsonl", "fig1", 13, 3, 1);
+    ("fig2_seed4.jsonl", "fig2", 4, 3, 1);
+    ("fig2_seed9_p4_f2.jsonl", "fig2", 9, 4, 2);
+    ("async_seed1.jsonl", "async", 1, 3, 1);
+    ("async_seed2_p4.jsonl", "async", 2, 4, 1);
+  ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_golden_exports () =
+  List.iter
+    (fun (file, protocol, seed, n_plus_1, f) ->
+      match Wfde.Harness.trace_run ~protocol ~seed ~n_plus_1 ~f ~limit:120 with
+      | None -> Alcotest.failf "%s: unknown protocol %s" file protocol
+      | Some (_, _, result) ->
+          let path = Filename.temp_file "wfde_golden" ".jsonl" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Trace_export.save_file path (Run.trace result);
+              checks file (read_file ("golden/" ^ file)) (read_file path)))
+    golden_exports
 
 (* -- log buckets / quantiles ------------------------------------------ *)
 
@@ -467,6 +506,7 @@ let suite =
     Alcotest.test_case "save/load file" `Quick test_save_load_file;
     Alcotest.test_case "exported schedule replays" `Quick
       test_exported_schedule_replays;
+    Alcotest.test_case "golden trace exports" `Quick test_golden_exports;
     Alcotest.test_case "log buckets (1-2-5 series)" `Quick test_log_buckets;
     Alcotest.test_case "histogram quantiles" `Quick test_hist_quantile;
     Alcotest.test_case "prometheus exposition" `Quick test_prom_render;

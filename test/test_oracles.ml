@@ -57,7 +57,8 @@ let test_oracle_catches_posthumous_step () =
   let pattern = Failure_pattern.make ~n_plus_1:2 ~crashes:[ (0, 5) ] in
   let forged =
     [
-      Trace.Step { pid = 0; time = 7; kind = Sim.Nop; note = None };
+      Trace.Step
+        { pid = 0; time = 7; kind = Sim.Nop; payload = Sim.No_payload };
     ]
   in
   let violations = Oracle.check_run_conditions pattern forged in
@@ -68,8 +69,10 @@ let test_oracle_catches_duplicate_times () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
   let forged =
     [
-      Trace.Step { pid = 0; time = 3; kind = Sim.Nop; note = None };
-      Trace.Step { pid = 1; time = 3; kind = Sim.Nop; note = None };
+      Trace.Step
+        { pid = 0; time = 3; kind = Sim.Nop; payload = Sim.No_payload };
+      Trace.Step
+        { pid = 1; time = 3; kind = Sim.Nop; payload = Sim.No_payload };
     ]
   in
   let violations = Oracle.check_run_conditions pattern forged in
@@ -88,11 +91,38 @@ let test_oracle_catches_forged_query_value () =
           pid = 0;
           time = 3;
           kind = Sim.Query { detector = src.Sim.name };
-          note = Some "p1" (* history says p2 *);
+          payload = Sim.Note "p1" (* history says p2 *);
         };
     ]
   in
   checkb "condition 2 flagged" true (Oracle.check_query_values src forged <> [])
+
+(* The same forgery as a typed value: p1 recorded where the history says
+   p2, compared with [equal] through the shared witness. *)
+let test_oracle_catches_forged_query_value_typed () =
+  let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
+  let rng = Rng.create 5 in
+  let omega = Omega.make ~rng ~pattern ~leader:1 ~stab_time:0 () in
+  let src = Detector.source omega in
+  let step payload =
+    Trace.Step
+      {
+        pid = 0;
+        time = 3;
+        kind = Sim.Query { detector = src.Sim.name };
+        payload;
+      }
+  in
+  checkb "condition 2 flagged" true
+    (Oracle.check_query_values src [ step (Sim.Value (src, 0)) ] <> []);
+  checkb "the true value passes" true
+    (Oracle.check_query_values src [ step (Sim.Value (src, 1)) ] = []);
+  (* a source of another witness falls back to comparing renderings *)
+  let stranger = { src with Sim.id = Type.Id.make () } in
+  checkb "condition 2 flagged by rendering" true
+    (Oracle.check_query_values src [ step (Sim.Value (stranger, 0)) ] <> []);
+  checkb "same rendering passes" true
+    (Oracle.check_query_values src [ step (Sim.Value (stranger, 1)) ] = [])
 
 (* -- schedule replay -------------------------------------------------------- *)
 
@@ -121,15 +151,15 @@ let test_schedule_replay_reproduces_trace () =
   let replay =
     Run.exec ~pattern:pattern2
       ~policy:
-        (Policy.script (Trace.schedule original.trace)
+        (Policy.script (Trace.schedule (Run.trace original))
            ~then_:(fun ~now:_ ~enabled:_ -> None))
       ~horizon:200_000
       ~procs:(fun pid -> [ Upsilon_sa.proposer proto2 ~me:pid ~input:(pid + 1) ])
       ()
   in
   Alcotest.check Alcotest.string "identical traces"
-    (Format.asprintf "%a" Trace.pp original.trace)
-    (Format.asprintf "%a" Trace.pp replay.trace)
+    (Format.asprintf "%a" Trace.pp (Run.trace original))
+    (Format.asprintf "%a" Trace.pp (Run.trace replay))
 
 (* -- phi maps are empirically non-samples ------------------------------------ *)
 
@@ -207,6 +237,8 @@ let suite =
       test_oracle_catches_duplicate_times;
     Alcotest.test_case "oracle catches forged query value" `Quick
       test_oracle_catches_forged_query_value;
+    Alcotest.test_case "oracle catches forged typed query value" `Quick
+      test_oracle_catches_forged_query_value_typed;
     Alcotest.test_case "schedule replay reproduces trace" `Quick
       test_schedule_replay_reproduces_trace;
     Alcotest.test_case "phi(omega) non-sample" `Quick test_phi_omega_is_non_sample;
