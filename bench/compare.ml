@@ -2,10 +2,9 @@
 
    Usage: compare BASELINE.json CURRENT.json
 
-   Both files are wfde-bench/1 documents (bench/main.exe --json; the
-   quick CI path produces one with --macro-only). The gated sections
-   ([gated_sections] below) are the ones built from deterministic work
-   counters — "macro" (DPOR/Lin), "serve"/"serve_tracing"/"serve_cache"
+   Both files are wfde-bench/1 documents (bench/main.exe --json). The
+   gated sections ([gated_sections] below) are the ones built from
+   deterministic work counters — "macro" (DPOR/Lin), "serve"/"serve_tracing"/"serve_cache"
    (daemon load generator), and "detector_impl" (heartbeat detectors
    over partially synchronous links) — compared entry by entry under
    the same rules:

@@ -1,98 +1,24 @@
-(* The benchmark harness.
+(* The gated benchmark: every section it emits is built from
+   deterministic work counters, and bench/compare.exe gates each one
+   against the committed baseline.
 
-   Part 1 regenerates every experiment table (E1-E11, A1-A3) — the
-   paper's "evaluation" is its theorems, so each table reports a claim
-   and the measurements backing it (see DESIGN.md's experiment index and
-   EXPERIMENTS.md for the paper-vs-measured record).
+   Part 3 runs the DPOR/Lin model-checking hot paths, part 8 the
+   heartbeat detectors and the link layer under them, and parts 4-6
+   drive an in-process daemon with the deterministic load generator
+   (plain, traced, and behind the result cache). The part numbers are
+   the section names the docs and CI use.
 
-   Part 1.5 re-runs representative experiments on a 1-worker and a
-   4-worker Exec.Pool, recording serial vs parallel wall time and the
-   speedup, and asserting the rendered tables are byte-identical — the
-   determinism contract of the parallel sweep runner.
+   The experiment tables and their timings are not repeated here:
+   [wfde run] and [wfde sweep] regenerate them.
 
-   Part 2 times the representative kernels with bechamel: one Test.make
-   per experiment, plus substrate micro-benchmarks.
+   With --json PATH the run also writes a wfde-bench/1 document: the
+   five gated sections plus the full telemetry-registry snapshot. With
+   --spans-out PATH part 5 keeps its exported spans. *)
 
-   With --json PATH, the same run also emits a machine-readable document
-   (schema "wfde-bench/1"): per-experiment verdicts and wall times, the
-   ns/run estimates, and the full telemetry-registry snapshot. *)
-
-open Bechamel
-open Toolkit
-
-(* ------------------------------------------------------------- part 1 *)
-
-let print_experiment_tables () =
+let banner title =
   Format.printf "==================================================@.";
-  Format.printf "Part 1: experiment tables (one per paper claim)@.";
-  Format.printf "==================================================@.@.";
-  let outcomes =
-    List.map
-      (fun (id, _) ->
-        let f = Option.get (Wfde.Experiments.by_id id) in
-        let t0 = Unix.gettimeofday () in
-        let o = f () in
-        (o, Unix.gettimeofday () -. t0))
-      Wfde.Experiments.catalog
-  in
-  List.iter
-    (fun (o, _) -> Format.printf "%a@." Wfde.Experiments.pp o)
-    outcomes;
-  let failed =
-    List.filter (fun (o, _) -> not o.Wfde.Experiments.ok) outcomes
-  in
-  if failed = [] then
-    Format.printf "summary: all %d experiment claims hold@.@."
-      (List.length outcomes)
-  else
-    Format.printf "summary: FAILED claims: %s@.@."
-      (String.concat ", "
-         (List.map (fun (o, _) -> o.Wfde.Experiments.id) failed));
-  outcomes
-
-(* ----------------------------------------------------------- part 1.5 *)
-
-(* Serial vs parallel sweep over the heaviest seed-sharded experiments.
-   Tables must be byte-identical at every jobs value (checked here);
-   only the wall clock may differ. On a >= 4-core host the parallel leg
-   shows the speedup; on fewer cores domain-spawn overhead can make it
-   slower — the recorded ratio is honest either way. *)
-
-let sweep_selection = [ ("e1", 3); ("e2", 2); ("e6", 2) ]
-
-let time_sweep ~jobs =
-  List.map
-    (fun (id, scale) ->
-      let f = Option.get (Wfde.Experiments.by_id id) in
-      let t0 = Unix.gettimeofday () in
-      let o = f ~scale ~jobs () in
-      let wall = Unix.gettimeofday () -. t0 in
-      (id, Format.asprintf "%a" Wfde.Experiments.pp o, wall))
-    sweep_selection
-
-let parallel_sweep_entries () =
-  Format.printf "==================================================@.";
-  Format.printf "Part 1.5: serial vs parallel sweep (Exec.Pool)@.";
-  Format.printf "==================================================@.@.";
-  let serial = time_sweep ~jobs:1 in
-  let parallel = time_sweep ~jobs:4 in
-  let entries =
-    List.map2
-      (fun (id, table1, wall1) (_, table4, wall4) ->
-        let identical = table1 = table4 in
-        Format.printf
-          "%-4s -j1 %7.3fs   -j4 %7.3fs   speedup %5.2fx   tables %s@." id
-          wall1 wall4 (wall1 /. wall4)
-          (if identical then "identical" else "DIFFER (BUG)");
-        (id, wall1, wall4, identical))
-      serial parallel
-  in
-  Format.printf "@.";
-  if List.for_all (fun (_, _, _, i) -> i) entries then
-    Format.printf "determinism: all tables byte-identical at -j1 / -j4@.@."
-  else
-    Format.printf "determinism: FAILED — tables differ between -j1 and -j4@.@.";
-  entries
+  Format.printf "%s@." title;
+  Format.printf "==================================================@.@."
 
 (* ------------------------------------------------------------- part 3 *)
 
@@ -220,25 +146,18 @@ let run_macro_entry ?(metric_names = macro_counter_names) (name, f) =
     macro_wall = wall;
     macro_minor_words = minor;
     macro_counters = counters;
-  macro_snap = snap;
+    macro_snap = snap;
   }
 
-let macro_entries () =
-  Format.printf "==================================================@.";
-  Format.printf "Part 3: DPOR/Lin macro-bench (deterministic counters)@.";
-  Format.printf "==================================================@.@.";
-  (* Each entry runs on a freshly reset registry so its counters are its
-     own; the pre-existing totals (parts 1-2) are saved and re-absorbed
-     afterwards, together with every entry's snapshot, so the final
-     telemetry section still covers the whole process. *)
-  let saved = Wfde.Metrics.snapshot () in
-  let entries = List.map run_macro_entry macro_configs in
-  Wfde.Metrics.reset ();
-  Wfde.Metrics.absorb saved;
-  List.iter (fun e -> Wfde.Metrics.absorb e.macro_snap) entries;
+(* Parts 3 and 8. Each entry runs on a freshly reset registry, so its
+   counters are its own; the entry point at the bottom folds every entry's
+   snapshot back in, so the metrics section covers the whole process. *)
+let counter_entries ~title ?metric_names configs =
+  banner title;
+  let entries = List.map (run_macro_entry ?metric_names) configs in
   List.iter
     (fun e ->
-      Format.printf "%-38s %8.3fs  %11d minor words  %s@." e.macro_name
+      Format.printf "%-42s %8.3fs  %11d minor words  %s@." e.macro_name
         e.macro_wall e.macro_minor_words
         (String.concat " "
            (List.map
@@ -327,9 +246,7 @@ let print_serve_entries entries =
 (* Returns the entries plus the untraced serial leg, which part 5 uses
    as the payload reference for the tracing-is-invisible gate. *)
 let serve_entries () =
-  Format.printf "==================================================@.";
-  Format.printf "Part 4: service daemon (deterministic load generator)@.";
-  Format.printf "==================================================@.@.";
+  banner "Part 4: service daemon (deterministic load generator)";
   let socket = bench_socket "plain" in
   (* cache off: part 4 measures the engine fleet; part 6 measures the
      cache *)
@@ -377,9 +294,7 @@ let serve_entries () =
    throughput (the actual overhead) are reported but never gate. *)
 
 let tracing_entries ~reference ~spans_out =
-  Format.printf "==================================================@.";
-  Format.printf "Part 5: tracing overhead (spans on, payloads gated)@.";
-  Format.printf "==================================================@.@.";
+  banner "Part 5: tracing overhead (spans on, payloads gated)";
   let socket = bench_socket "traced" in
   let chan = Option.map open_out spans_out in
   let sink =
@@ -472,9 +387,7 @@ let zipf_total = 150
 let zipf_seed = 11
 
 let cache_bench_entries () =
-  Format.printf "==================================================@.";
-  Format.printf "Part 6: result cache (Zipf-skewed repeated requests)@.";
-  Format.printf "==================================================@.@.";
+  banner "Part 6: result cache (Zipf-skewed repeated requests)";
   let skew = Serve.Loadgen.default_skew in
   let universe = Serve.Loadgen.default_universe in
   let classes =
@@ -692,323 +605,6 @@ let detector_impl_configs : (string * (unit -> (string * int) list)) list =
           (Wfde.Scenario.Hb_detector chaos) );
   ]
 
-let detector_impl_entries () =
-  Format.printf "==================================================@.";
-  Format.printf "Part 8: oracle vs implemented detectors (counters)@.";
-  Format.printf "==================================================@.@.";
-  let saved = Wfde.Metrics.snapshot () in
-  let entries =
-    List.map
-      (run_macro_entry ~metric_names:detector_impl_counter_names)
-      detector_impl_configs
-  in
-  Wfde.Metrics.reset ();
-  Wfde.Metrics.absorb saved;
-  List.iter (fun e -> Wfde.Metrics.absorb e.macro_snap) entries;
-  List.iter
-    (fun e ->
-      Format.printf "%-42s %8.3fs  %11d minor words  %s@." e.macro_name
-        e.macro_wall e.macro_minor_words
-        (String.concat " "
-           (List.map
-              (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-              e.macro_counters)))
-    entries;
-  Format.printf "@.";
-  entries
-
-(* ------------------------------------------------------------- part 2 *)
-
-let fig1_world seed =
-  Wfde.Harness.random_world ~seed ~n_plus_1:4 ~max_faulty:3 ()
-
-let bench_fig1 () =
-  let seed = ref 0 in
-  Test.make ~name:"e1/fig1-upsilon-sa (n+1=4)"
-    (Staged.stage (fun () ->
-         incr seed;
-         ignore (Wfde.Harness.run_fig1 (fig1_world !seed))))
-
-let bench_fig2 () =
-  let seed = ref 0 in
-  Test.make ~name:"e2/fig2-upsilon-f-sa (n+1=4, f=2)"
-    (Staged.stage (fun () ->
-         incr seed;
-         let world =
-           Wfde.Harness.random_world ~seed:!seed ~n_plus_1:4 ~max_faulty:2 ()
-         in
-         ignore (Wfde.Harness.run_fig2 ~f:2 world)))
-
-let bench_adversary () =
-  Test.make ~name:"e3-e4/adversary (5 phases)"
-    (Staged.stage (fun () ->
-         ignore
-           (Wfde.Adversary.run Wfde.Adversary.Candidates.top_movers ~n_plus_1:3
-              ~f:2 ~max_phases:5 ~phase_budget:4000)))
-
-let bench_extraction () =
-  let seed = ref 0 in
-  Test.make ~name:"e5/fig3-extraction (from omega)"
-    (Staged.stage (fun () ->
-         incr seed;
-         let world =
-           Wfde.Harness.random_world ~seed:!seed ~n_plus_1:3 ~max_faulty:2
-             ~latest:100 ()
-         in
-         ignore
-           (Wfde.Harness.run_extraction_of ~horizon:40_000 ~tail:8_000 ~f:2
-              ~source:`Omega world)))
-
-let bench_pairwise () =
-  let seed = ref 0 in
-  Test.make ~name:"e6/upsilon1->omega (timestamps)"
-    (Staged.stage (fun () ->
-         incr seed;
-         let rng = Wfde.Rng.create !seed in
-         let pattern =
-           Wfde.Failure_pattern.random rng ~n_plus_1:3 ~max_faulty:1 ~latest:60
-         in
-         let d = Wfde.Upsilon_f.make ~rng ~pattern ~f:1 ~stab_time:40 () in
-         let red =
-           Wfde.Pairwise.Omega_from_upsilon1.create ~name:"o1" ~n_plus_1:3
-             ~upsilon1:(Wfde.Detector.source d)
-         in
-         ignore
-           (Wfde.Run.exec ~pattern
-              ~policy:(Wfde.Policy.random (Wfde.Rng.split rng))
-              ~horizon:30_000
-              ~procs:(fun pid ->
-                Wfde.Pairwise.Omega_from_upsilon1.fibers red ~me:pid)
-              ())))
-
-let bench_omega_n_baseline () =
-  let seed = ref 0 in
-  Test.make ~name:"e7/omega-n baseline (n+1=4)"
-    (Staged.stage (fun () ->
-         incr seed;
-         ignore
-           (Wfde.Harness.run_omega_k_baseline ~k:3 (fig1_world (!seed + 5000)))))
-
-let bench_booster () =
-  let seed = ref 0 in
-  Test.make ~name:"e9/booster consensus (n+1=4)"
-    (Staged.stage (fun () ->
-         incr seed;
-         let rng = Wfde.Rng.create !seed in
-         let pattern =
-           Wfde.Failure_pattern.random rng ~n_plus_1:4 ~max_faulty:3
-             ~latest:200
-         in
-         let omega_n = Wfde.Omega_k.make ~rng ~pattern ~k:3 () in
-         let proto =
-           Wfde.Agreement.Booster_consensus.create ~name:"b" ~n_plus_1:4
-             ~omega_n:(Wfde.Detector.source omega_n)
-         in
-         ignore
-           (Wfde.Run.exec ~pattern ~policy:(Wfde.Policy.random rng)
-              ~horizon:500_000
-              ~procs:(fun pid ->
-                [
-                  Wfde.Agreement.Booster_consensus.proposer proto ~me:pid
-                    ~input:pid;
-                ])
-              ())))
-
-let bench_fig2_snapshot impl =
-  let seed = ref 0 in
-  Test.make
-    ~name:
-      (Printf.sprintf "a3/fig2 on %s snapshots"
-         (Wfde.Memory.Snap.impl_name impl))
-    (Staged.stage (fun () ->
-         incr seed;
-         let world =
-           Wfde.Harness.random_world ~seed:!seed ~n_plus_1:4 ~max_faulty:2 ()
-         in
-         ignore (Wfde.Harness.run_fig2 ~snapshot_impl:impl ~f:2 world)))
-
-let bench_msg_consensus () =
-  let seed = ref 0 in
-  Test.make ~name:"e11/msg consensus over ABD (n+1=3)"
-    (Staged.stage (fun () ->
-         incr seed;
-         let rng = Wfde.Rng.create !seed in
-         let pattern =
-           Wfde.Failure_pattern.random rng ~n_plus_1:3 ~max_faulty:1
-             ~latest:200
-         in
-         let omega = Wfde.Omega.make ~rng ~pattern () in
-         let proto =
-           Wfde.Agreement.Msg_consensus.create ~name:"mc" ~n_plus_1:3
-             ~omega:(Wfde.Detector.source omega)
-         in
-         ignore
-           (Wfde.Run.exec ~pattern ~policy:(Wfde.Policy.random rng)
-              ~horizon:2_000_000
-              ~procs:(fun pid ->
-                Wfde.Agreement.Msg_consensus.fibers proto ~me:pid ~input:pid)
-              ())))
-
-let bench_async_lockstep () =
-  Test.make ~name:"e8/async lockstep to horizon 20k"
-    (Staged.stage (fun () ->
-         let world =
-           {
-             Wfde.Harness.pattern = Wfde.Failure_pattern.no_failures ~n_plus_1:3;
-             policy = Wfde.Policy.round_robin ();
-             world_rng = Wfde.Rng.create 1;
-           }
-         in
-         ignore (Wfde.Harness.run_async_attempt ~horizon:20_000 world)))
-
-let bench_snapshot impl =
-  let name, runner =
-    match impl with
-    | `Registers ->
-        ( "a1/snapshot-afek (n+1=4, 10 ops)",
-          fun () ->
-            let snap =
-              Wfde.Snapshot.create ~name:"b" ~size:4 ~init:(fun _ -> 0)
-            in
-            let body pid () =
-              for i = 1 to 10 do
-                Wfde.Snapshot.update snap ~me:pid i;
-                ignore (Wfde.Snapshot.scan snap)
-              done
-            in
-            ignore
-              (Wfde.Run.exec
-                 ~pattern:(Wfde.Failure_pattern.no_failures ~n_plus_1:4)
-                 ~policy:(Wfde.Policy.random (Wfde.Rng.create 3))
-                 ~horizon:1_000_000
-                 ~procs:(fun pid -> [ body pid ])
-                 ()) )
-    | `Native ->
-        ( "a1/snapshot-native (n+1=4, 10 ops)",
-          fun () ->
-            let snap =
-              Wfde.Memory.Native_snapshot.create ~name:"b" ~size:4
-                ~init:(fun _ -> 0)
-            in
-            let body pid () =
-              for i = 1 to 10 do
-                Wfde.Memory.Native_snapshot.update snap ~me:pid i;
-                ignore (Wfde.Memory.Native_snapshot.scan snap)
-              done
-            in
-            ignore
-              (Wfde.Run.exec
-                 ~pattern:(Wfde.Failure_pattern.no_failures ~n_plus_1:4)
-                 ~policy:(Wfde.Policy.random (Wfde.Rng.create 3))
-                 ~horizon:1_000_000
-                 ~procs:(fun pid -> [ body pid ])
-                 ()) )
-  in
-  Test.make ~name (Staged.stage runner)
-
-let bench_converge () =
-  let seed = ref 0 in
-  Test.make ~name:"substrate/k-converge (n+1=4, k=2)"
-    (Staged.stage (fun () ->
-         incr seed;
-         let inst =
-           Wfde.Converge.create ~name:"b" ~k:2 ~size:4
-             ~compare:Int.compare
-         in
-         let body pid () =
-           ignore (Wfde.Converge.run inst ~me:pid (pid mod 3))
-         in
-         ignore
-           (Wfde.Run.exec
-              ~pattern:(Wfde.Failure_pattern.no_failures ~n_plus_1:4)
-              ~policy:(Wfde.Policy.random (Wfde.Rng.create !seed))
-              ~horizon:1_000_000
-              ~procs:(fun pid -> [ body pid ])
-              ())))
-
-let bench_scheduler () =
-  Test.make ~name:"substrate/scheduler 10k nop steps"
-    (Staged.stage (fun () ->
-         let body () =
-           for _ = 1 to 2_500 do
-             Wfde.Sim.yield ()
-           done
-         in
-         ignore
-           (Wfde.Run.exec
-              ~pattern:(Wfde.Failure_pattern.no_failures ~n_plus_1:4)
-              ~policy:(Wfde.Policy.round_robin ())
-              ~horizon:20_000
-              ~procs:(fun _ -> [ body ])
-              ())))
-
-let bench_dpor () =
-  Test.make ~name:"check/dpor register n=2 d=6 (full sweep)"
-    (Staged.stage (fun () ->
-         ignore (Wfde.Harness.check_exhaustive ~depth:6 Wfde.Scenario.Register)))
-
-let bench_dpor_vs_naive () =
-  Test.make ~name:"check/naive register n=2 d=6 (full sweep)"
-    (Staged.stage (fun () ->
-         ignore
-           (Wfde.Check.Explore.naive_prefix
-              ~pattern:(Wfde.Failure_pattern.no_failures ~n_plus_1:2)
-              ~depth:6 ~horizon:400
-              ~make:(Wfde.Scenario.make Wfde.Scenario.Register ~procs:2)
-              ())))
-
-let all_tests () =
-  [
-    bench_scheduler ();
-    bench_dpor ();
-    bench_dpor_vs_naive ();
-    bench_snapshot `Registers;
-    bench_snapshot `Native;
-    bench_converge ();
-    bench_fig1 ();
-    bench_fig2 ();
-    bench_adversary ();
-    bench_extraction ();
-    bench_pairwise ();
-    bench_omega_n_baseline ();
-    bench_async_lockstep ();
-    bench_booster ();
-    bench_msg_consensus ();
-    bench_fig2_snapshot Wfde.Memory.Snap.Registers;
-    bench_fig2_snapshot Wfde.Memory.Snap.Native;
-  ]
-
-let run_benchmarks () =
-  Format.printf "==================================================@.";
-  Format.printf "Part 2: bechamel timings (monotonic clock, ns/run)@.";
-  Format.printf "==================================================@.@.";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~stabilize:false ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let estimates = ref [] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analysis = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let nanos =
-            match Analyze.OLS.estimates ols_result with
-            | Some (t :: _) -> t
-            | Some [] | None -> nan
-          in
-          estimates := (name, nanos) :: !estimates;
-          Format.printf "%-42s %12.0f ns/run  (%6.2f ms)@." name nanos
-            (nanos /. 1e6))
-        analysis)
-    (all_tests ());
-  Format.printf "@.";
-  List.rev !estimates
-
 (* --------------------------------------------------------- json output *)
 
 let serve_section_json entries =
@@ -1050,43 +646,11 @@ let macro_section_json entries =
            ])
        entries)
 
-let json_document ~outcomes ~sweep ~benchmarks ~macro ~serve ~serve_tracing
-    ~serve_cache ~detector_impl =
+let json_document ~macro ~serve ~serve_tracing ~serve_cache ~detector_impl =
   let module J = Wfde.Json in
   J.Obj
     [
       ("schema", J.String "wfde-bench/1");
-      ( "experiments",
-        J.List
-          (List.map
-             (fun (o, wall) ->
-               J.Obj
-                 [
-                   ("id", J.String o.Wfde.Experiments.id);
-                   ("ok", J.Bool o.Wfde.Experiments.ok);
-                   ("wall_seconds", J.Float wall);
-                 ])
-             outcomes) );
-      ( "parallel_sweep",
-        J.List
-          (List.map
-             (fun (id, wall1, wall4, identical) ->
-               J.Obj
-                 [
-                   ("id", J.String id);
-                   ("wall_seconds_j1", J.Float wall1);
-                   ("wall_seconds_j4", J.Float wall4);
-                   ("speedup", J.Float (wall1 /. wall4));
-                   ("tables_identical", J.Bool identical);
-                 ])
-             sweep) );
-      ( "benchmarks",
-        J.List
-          (List.map
-             (fun (name, nanos) ->
-               J.Obj
-                 [ ("name", J.String name); ("ns_per_run", J.Float nanos) ])
-             benchmarks) );
       ("macro", macro_section_json macro);
       ("serve", serve_section_json serve);
       ("serve_tracing", serve_section_json serve_tracing);
@@ -1096,10 +660,7 @@ let json_document ~outcomes ~sweep ~benchmarks ~macro ~serve ~serve_tracing
     ]
 
 let parse_args () =
-  let json = ref None
-  and spans_out = ref None
-  and macro_only = ref false
-  and serve_only = ref false in
+  let json = ref None and spans_out = ref None in
   let rec walk = function
     | [] -> ()
     | "--json" :: path :: rest ->
@@ -1110,27 +671,23 @@ let parse_args () =
         spans_out := Some path;
         walk rest
     | "--spans-out" :: [] -> failwith "--spans-out requires a PATH argument"
-    | "--macro-only" :: rest ->
-        macro_only := true;
-        walk rest
-    | "--serve-only" :: rest ->
-        serve_only := true;
-        walk rest
     | arg :: _ -> failwith (Printf.sprintf "unknown argument %S" arg)
   in
   walk (List.tl (Array.to_list Sys.argv));
-  (!json, !spans_out, !macro_only, !serve_only)
+  (!json, !spans_out)
 
 let () =
-  let json_path, spans_out, macro_only, serve_only = parse_args () in
-  let quick = macro_only || serve_only in
-  let outcomes = if quick then [] else print_experiment_tables () in
-  let sweep = if quick then [] else parallel_sweep_entries () in
-  let benchmarks = if quick then [] else run_benchmarks () in
-  let macro = if serve_only then [] else macro_entries () in
-  let detector_impl = if serve_only then [] else detector_impl_entries () in
-  (* parts 4-6 run in every mode: they are cheap, and keeping them
-     in the --macro-only document is what lets CI gate their counters *)
+  let json_path, spans_out = parse_args () in
+  let macro =
+    counter_entries ~title:"Part 3: DPOR/Lin macro-bench (deterministic counters)"
+      macro_configs
+  in
+  let detector_impl =
+    counter_entries ~title:"Part 8: oracle vs implemented detectors (counters)"
+      ~metric_names:detector_impl_counter_names detector_impl_configs
+  in
+  Wfde.Metrics.reset ();
+  List.iter (fun e -> Wfde.Metrics.absorb e.macro_snap) (macro @ detector_impl);
   let serve, untraced_serial = serve_entries () in
   let serve_tracing = tracing_entries ~reference:untraced_serial ~spans_out in
   let serve_cache = cache_bench_entries () in
@@ -1143,7 +700,7 @@ let () =
         (fun () ->
           output_string oc
             (Wfde.Json.to_string
-               (json_document ~outcomes ~sweep ~benchmarks ~macro ~serve
-                  ~serve_tracing ~serve_cache ~detector_impl));
+               (json_document ~macro ~serve ~serve_tracing ~serve_cache
+                  ~detector_impl));
           output_char oc '\n');
       Format.printf "wrote machine-readable results to %s@." path

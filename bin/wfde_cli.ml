@@ -2,13 +2,14 @@
 
      wfde run [EXPERIMENTS...] [--scale N] [-j N]   (also the default command)
      wfde list
-     wfde trace --protocol fig1 --seed 7 --n 4 [--limit 120] [--out F.jsonl]
+     wfde trace --protocol fig1 --seed 7 --procs 4 [--limit 120] [--out F.jsonl]
      wfde stats [EXPERIMENTS...] [--scale N] [--json PATH]
      wfde sweep [EXPERIMENTS...] [-j N] [--scale N] [--json PATH]
      wfde serve --socket PATH [--workers N] [--queue N]
      wfde client METHOD --socket PATH [--params JSON] [--deadline-ms N]
 
-   Experiments are the paper-claim tables of DESIGN.md (e1..e11, a1..a3);
+   Experiments are the paper-claim tables of DESIGN.md (e1..e11, a1..a3,
+   c1, d1..d3);
    trace replays one world and dumps the step-by-step run, including the
    values every detector query returned (or exports it as JSONL); stats
    runs experiments and dumps the telemetry registry they populated;
@@ -30,6 +31,25 @@ let bounded_int ~what ~min:lo ~max:hi =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Write [doc] to [path] when one was given and report it on [log];
+   true when the write failed. *)
+let write_json ~what ~log path doc =
+  match path with
+  | None -> false
+  | Some path -> (
+      match open_out path with
+      | oc ->
+          Fun.protect
+            ~finally:(fun () -> close_out oc)
+            (fun () ->
+              output_string oc (Wfde.Json.to_string doc);
+              output_char oc '\n');
+          Format.fprintf log "wrote %s JSON to %s@." what path;
+          false
+      | exception Sys_error msg ->
+          Format.eprintf "cannot write %s JSON: %s@." what msg;
+          true)
+
 (* ------------------------------------------------------------- run --- *)
 
 (* Experiment selection and execution shared with the daemon: unknown
@@ -45,16 +65,9 @@ let reject_unknown_ids ids =
         (String.concat ", " unknown);
       false
 
+(* the daemon's runner, without a deadline, so it cannot fail *)
 let timed_outcomes ?impl ids ~scale ~jobs =
-  let ids = if ids = [] then List.map fst Wfde.Experiments.catalog else ids in
-  List.map
-    (fun id ->
-      let f = Option.get (Wfde.Experiments.by_id id) in
-      let t0 = Unix.gettimeofday () in
-      let outcome = f ~scale ~jobs ?impl () in
-      let wall = Unix.gettimeofday () -. t0 in
-      (id, outcome, wall))
-    ids
+  Result.get_ok (Serve.Service.run_experiments ?impl ~scale ~jobs ids)
 
 let run_ids ids scale jobs impl =
   if not (reject_unknown_ids ids) then 2
@@ -155,8 +168,9 @@ let run_cmd =
 
 let list_experiments () =
   List.iter
-    (fun (id, description) -> Format.printf "%-4s %s@." id description)
-    Wfde.Experiments.catalog;
+    (fun (e : Wfde.Experiments.entry) ->
+      Format.printf "%-4s %s@." e.id e.description)
+    Wfde.Experiments.registry;
   0
 
 let list_cmd =
@@ -166,6 +180,10 @@ let list_cmd =
 (* ------------------------------------------------------------ trace --- *)
 
 let dump_trace protocol seed n_plus_1 f limit out =
+  if protocol = "fig2" && f >= n_plus_1 then (
+    Format.eprintf "--faulty must be below --procs (got %d and %d)@." f n_plus_1;
+    2)
+  else
   match Wfde.Harness.trace_run ~protocol ~seed ~n_plus_1 ~f ~limit with
   | None ->
       Format.eprintf "unknown protocol %S (expected fig1, fig2, or async)@."
@@ -216,13 +234,13 @@ let trace_cmd =
   let n_arg =
     Arg.(
       value
-      & opt (bounded_int ~what:"--n" ~min:2 ~max:64) 3
+      & opt (bounded_int ~what:"--procs" ~min:2 ~max:64) 3
       & info [ "n"; "procs" ] ~docv:"N+1" ~doc:"Number of processes.")
   in
   let f_arg =
     Arg.(
       value
-      & opt (bounded_int ~what:"--f" ~min:1 ~max:63) 1
+      & opt (bounded_int ~what:"--faulty" ~min:1 ~max:63) 1
       & info [ "f"; "faulty" ] ~docv:"F" ~doc:"Resilience (fig2 only).")
   in
   let limit_arg =
@@ -262,33 +280,20 @@ let stats_body ids scale jobs impl json_path format =
         Printf.sprintf "telemetry after %d experiment(s): %s"
           (List.length outcomes)
           (String.concat " "
-             (List.map (fun o -> o.Wfde.Experiments.id) outcomes))
+             (List.map (fun (o : Wfde.Experiments.outcome) -> o.id) outcomes))
       in
       Format.printf "%s@."
         (Wfde.Report.to_string (Wfde.Report.of_metrics ~title snap)));
   let json_failed =
-    match json_path with
-    | None -> false
-    | Some path -> (
-        match open_out path with
-        | oc ->
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                output_string oc
-                  (Wfde.Json.to_string (Wfde.Metrics.to_json snap));
-                output_char oc '\n');
-            Format.printf "wrote metrics JSON to %s@." path;
-            false
-        | exception Sys_error msg ->
-            Format.eprintf "cannot write metrics JSON: %s@." msg;
-            true)
+    write_json ~what:"metrics" ~log:Format.std_formatter json_path
+      (Wfde.Metrics.to_json snap)
   in
   if json_failed then 1
   else if failed = [] then 0
   else begin
     Format.printf "FAILED claims: %s@."
-      (String.concat ", " (List.map (fun o -> o.Wfde.Experiments.id) failed));
+      (String.concat ", "
+         (List.map (fun (o : Wfde.Experiments.outcome) -> o.id) failed));
     1
   end
 
@@ -356,23 +361,9 @@ let run_check obj_name procs depth horizon jobs mutant_name impl json_path =
           (* rendered by Serve.Service, like the run and sweep output *)
           print_string (Serve.Service.check_text outcome);
           let json_failed =
-            match json_path with
-            | None -> false
-            | Some path -> (
-                match open_out path with
-                | oc ->
-                    Fun.protect
-                      ~finally:(fun () -> close_out oc)
-                      (fun () ->
-                        output_string oc
-                          (Wfde.Json.to_string
-                             (Wfde.Harness.check_outcome_json outcome));
-                        output_char oc '\n');
-                    Format.printf "wrote check outcome JSON to %s@." path;
-                    false
-                | exception Sys_error msg ->
-                    Format.eprintf "cannot write check JSON: %s@." msg;
-                    true)
+            write_json ~what:"check outcome" ~log:Format.std_formatter
+              json_path
+              (Wfde.Harness.check_outcome_json outcome)
           in
           let found = outcome.Wfde.Harness.violation <> None in
           (* with a planted mutant the expectation inverts: finding the
@@ -473,22 +464,8 @@ let sweep_body ids scale jobs impl json_path =
     List.filter (fun (_, o, _) -> not o.Wfde.Experiments.ok) timed
   in
   let json_failed =
-    match json_path with
-    | None -> false
-    | Some path -> (
-        let doc = Serve.Service.sweep_json ~jobs ~scale timed in
-        match open_out path with
-        | oc ->
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                output_string oc (Wfde.Json.to_string doc);
-                output_char oc '\n');
-            Format.eprintf "wrote sweep JSON to %s@." path;
-            false
-        | exception Sys_error msg ->
-            Format.eprintf "cannot write sweep JSON: %s@." msg;
-            true)
+    write_json ~what:"sweep" ~log:Format.err_formatter json_path
+      (Serve.Service.sweep_json ~jobs ~scale timed)
   in
   if json_failed then 1 else if failed = [] then 0 else 1
 
@@ -917,7 +894,7 @@ let group =
         \  wfde run e5 e11 d1 d2 --detector-impl hb --gst 60 --loss 40\n\
         \  wfde check --detector-impl hb --gst 12 --loss 50 --depth 5 \
          --procs 2\n\
-        \  wfde trace -p fig2 --seed 9 --n 4 --f 2\n\
+        \  wfde trace -p fig2 --seed 9 --procs 4 --faulty 2\n\
         \  wfde trace -p fig1 --seed 7 --out /tmp/fig1.jsonl\n\
         \  wfde stats e1 e7 --json /tmp/metrics.json\n\
         \  wfde check --object abd --procs 3 --depth 10\n\

@@ -25,7 +25,8 @@ let pseeds ~jobs seeds f = pmap ~jobs (List.init seeds Fun.id) f
 
 (* ------------------------------------------------------------------ E1 *)
 
-let e1_fig1_set_agreement ?(jobs = 1) ?(seeds = 25) ?(sizes = [ 2; 3; 4; 5; 6 ])
+let e1_seeds = 25
+let e1_fig1_set_agreement ?(jobs = 1) ?(seeds = e1_seeds) ?(sizes = [ 2; 3; 4; 5; 6 ])
     () =
   let all_ok = ref true in
   let rows =
@@ -78,7 +79,8 @@ let e1_fig1_set_agreement ?(jobs = 1) ?(seeds = 25) ?(sizes = [ 2; 3; 4; 5; 6 ])
 
 (* ------------------------------------------------------------------ E2 *)
 
-let e2_fig2_f_resilient ?(jobs = 1) ?(seeds = 15) ?(sizes = [ 3; 4; 5; 6 ]) () =
+let e2_seeds = 15
+let e2_fig2_f_resilient ?(jobs = 1) ?(seeds = e2_seeds) ?(sizes = [ 3; 4; 5; 6 ]) () =
   let all_ok = ref true in
   let rows =
     List.concat_map
@@ -161,7 +163,8 @@ let adversary_table ~jobs ~id ~claim ~title ~n_plus_1 ~f ~max_phases =
     ok = true;
   }
 
-let e3_theorem1_adversary ?(jobs = 1) ?(max_phases = 25) () =
+let e3_phases = 25
+let e3_theorem1_adversary ?(jobs = 1) ?(max_phases = e3_phases) () =
   adversary_table ~jobs ~id:"e3"
     ~claim:
       "Theorem 1: Upsilon is strictly weaker than Omega_n (n >= 2) - the \
@@ -169,7 +172,8 @@ let e3_theorem1_adversary ?(jobs = 1) ?(max_phases = 25) () =
     ~title:"E3: Theorem-1 adversary vs Upsilon->Omega_n candidates" ~n_plus_1:3
     ~f:2 ~max_phases
 
-let e4_theorem5_adversary ?(jobs = 1) ?(max_phases = 25) () =
+let e4_phases = 25
+let e4_theorem5_adversary ?(jobs = 1) ?(max_phases = e4_phases) () =
   adversary_table ~jobs ~id:"e4"
     ~claim:
       "Theorem 5: Upsilon^f is strictly weaker than Omega^f (2 <= f <= n) - \
@@ -179,7 +183,8 @@ let e4_theorem5_adversary ?(jobs = 1) ?(max_phases = 25) () =
 
 (* ------------------------------------------------------------------ E5 *)
 
-let e5_fig3_extraction ?(jobs = 1) ?(seeds = 8) ?impl () =
+let e5_seeds = 8
+let e5_fig3_extraction ?(jobs = 1) ?(seeds = e5_seeds) ?impl () =
   let n_plus_1 = 4 in
   let f = 2 in
   let sources =
@@ -245,7 +250,8 @@ let e5_fig3_extraction ?(jobs = 1) ?(seeds = 8) ?impl () =
 
 (* ------------------------------------------------------------------ E6 *)
 
-let e6_pairwise_reductions ?(jobs = 1) ?(seeds = 20) () =
+let e6_seeds = 20
+let e6_pairwise_reductions ?(jobs = 1) ?(seeds = e6_seeds) () =
   let open Detectors in
   let all_ok = ref true in
   let pct_ok results =
@@ -404,7 +410,8 @@ let e6_pairwise_reductions ?(jobs = 1) ?(seeds = 20) () =
 
 (* ------------------------------------------------------------------ E7 *)
 
-let e7_upsilon_vs_omega_n ?(jobs = 1) ?(seeds = 15)
+let e7_seeds = 15
+let e7_upsilon_vs_omega_n ?(jobs = 1) ?(seeds = e7_seeds)
     ?(stab_times = [ 0; 200; 800; 3200 ]) () =
   let n_plus_1 = 4 in
   let all_ok = ref true in
@@ -638,7 +645,8 @@ let a1_snapshot_ablation ?(jobs = 1) ?(sizes = [ 2; 4; 8 ]) () =
 
 (* ------------------------------------------------------------------ A2 *)
 
-let a2_escape_ablation ?(jobs = 1) ?(seeds = 12) () =
+let a2_seeds = 12
+let a2_escape_ablation ?(jobs = 1) ?(seeds = a2_seeds) () =
   let open Agreement in
   let n_plus_1 = 3 in
   let configs =
@@ -713,7 +721,8 @@ let a2_escape_ablation ?(jobs = 1) ?(seeds = 12) () =
 
 (* ------------------------------------------------------------------ E9 *)
 
-let e9_booster_consensus ?(jobs = 1) ?(seeds = 20) ?(sizes = [ 2; 3; 4; 5 ]) () =
+let e9_seeds = 20
+let e9_booster_consensus ?(jobs = 1) ?(seeds = e9_seeds) ?(sizes = [ 2; 3; 4; 5 ]) () =
   let open Agreement in
   let open Detectors in
   let all_ok = ref true in
@@ -796,7 +805,8 @@ let e9_booster_consensus ?(jobs = 1) ?(seeds = 20) ?(sizes = [ 2; 3; 4; 5 ]) () 
 
 (* ----------------------------------------------------------------- E10 *)
 
-let e10_abd_emulation ?(jobs = 1) ?(seeds = 10) ?(sizes = [ 3; 5; 7 ]) () =
+let e10_seeds = 10
+let e10_abd_emulation ?(jobs = 1) ?(seeds = e10_seeds) ?(sizes = [ 3; 5; 7 ]) () =
   let all_ok = ref true in
   let rows =
     List.map
@@ -888,7 +898,8 @@ let e10_abd_emulation ?(jobs = 1) ?(seeds = 10) ?(sizes = [ 3; 5; 7 ]) () =
 
 (* ----------------------------------------------------------------- E11 *)
 
-let e11_msg_consensus ?(jobs = 1) ?(seeds = 6) ?(sizes = [ 3; 5 ]) ?impl () =
+let e11_seeds = 6
+let e11_msg_consensus ?(jobs = 1) ?(seeds = e11_seeds) ?(sizes = [ 3; 5 ]) ?impl () =
   let open Agreement in
   let open Detectors in
   let all_ok = ref true in
@@ -1002,7 +1013,8 @@ let e11_msg_consensus ?(jobs = 1) ?(seeds = 6) ?(sizes = [ 3; 5 ]) ?impl () =
 
 (* ------------------------------------------------------------------ A3 *)
 
-let a3_fig2_snapshot_cost ?(jobs = 1) ?(seeds = 12) () =
+let a3_seeds = 12
+let a3_fig2_snapshot_cost ?(jobs = 1) ?(seeds = a3_seeds) () =
   let open Agreement in
   let open Detectors in
   let n_plus_1 = 4 in
@@ -1184,7 +1196,8 @@ let hb_config_grid =
     ("adversarial", { Link.gst = 80; delta = 4; pre_delay = 10; loss_pct = 80; link_seed = 4 });
   ]
 
-let d1_hb_conformance ?(jobs = 1) ?(seeds = 5) ?(spans = Obs.Span.null) () =
+let d1_seeds = 5
+let d1_hb_conformance ?(jobs = 1) ?(seeds = d1_seeds) ?(spans = Obs.Span.null) () =
   let all_ok = ref true in
   let rows =
     List.concat_map
@@ -1240,7 +1253,8 @@ let d1_hb_conformance ?(jobs = 1) ?(seeds = 5) ?(spans = Obs.Span.null) () =
 
 (* ------------------------------- d2: oracle vs implemented detectors *)
 
-let d2_hb_vs_oracle ?(jobs = 1) ?(seeds = 3) ?(spans = Obs.Span.null) () =
+let d2_seeds = 3
+let d2_hb_vs_oracle ?(jobs = 1) ?(seeds = d2_seeds) ?(spans = Obs.Span.null) () =
   let net = { Link.gst = 60; delta = 2; pre_delay = 8; loss_pct = 40; link_seed = 6 } in
   let all_ok = ref true in
   let agreement_row title runs =
@@ -1393,75 +1407,54 @@ let d3_hb_model_checking ?(jobs = 1) ?(depth = 5) ?(spans = Obs.Span.null) () =
 
 (* --------------------------------------------------------------- index *)
 
-let all ?(jobs = 1) () =
+type config = { scale : int; jobs : int; spans : Obs.Span.scope; impl : Link.config option }
+
+type entry = { id : string; description : string; run : config -> outcome }
+
+let registry =
+  let e id description run = { id; description; run } in
   [
-    e1_fig1_set_agreement ~jobs ();
-    e2_fig2_f_resilient ~jobs ();
-    e3_theorem1_adversary ~jobs ();
-    e4_theorem5_adversary ~jobs ();
-    e5_fig3_extraction ~jobs ();
-    e6_pairwise_reductions ~jobs ();
-    e7_upsilon_vs_omega_n ~jobs ();
-    e8_impossibility ~jobs ();
-    e9_booster_consensus ~jobs ();
-    e10_abd_emulation ~jobs ();
-    e11_msg_consensus ~jobs ();
-    a1_snapshot_ablation ~jobs ();
-    a2_escape_ablation ~jobs ();
-    a3_fig2_snapshot_cost ~jobs ();
-    c1_model_checking ~jobs ();
-    d1_hb_conformance ~jobs ();
-    d2_hb_vs_oracle ~jobs ();
-    d3_hb_model_checking ~jobs ();
+    e "e1" "Fig 1 / Theorem 2: Upsilon-based n-set-agreement" (fun c ->
+        e1_fig1_set_agreement ~jobs:c.jobs ~seeds:(e1_seeds * c.scale) ());
+    e "e2" "Fig 2 / Theorem 6: Upsilon^f-based f-resilient f-set-agreement" (fun c ->
+        e2_fig2_f_resilient ~jobs:c.jobs ~seeds:(e2_seeds * c.scale) ());
+    e "e3" "Theorem 1 adversary: Upsilon cannot be turned into Omega_n" (fun c ->
+        e3_theorem1_adversary ~jobs:c.jobs ~max_phases:(e3_phases * c.scale) ());
+    e "e4" "Theorem 5 adversary: Upsilon^f cannot be turned into Omega^f" (fun c ->
+        e4_theorem5_adversary ~jobs:c.jobs ~max_phases:(e4_phases * c.scale) ());
+    e "e5" "Fig 3 / Theorem 10: extracting Upsilon^f from stable detectors" (fun c ->
+        e5_fig3_extraction ~jobs:c.jobs ~seeds:(e5_seeds * c.scale) ?impl:c.impl ());
+    e "e6" "Section 4 / 5.3 pairwise detector reductions" (fun c ->
+        e6_pairwise_reductions ~jobs:c.jobs ~seeds:(e6_seeds * c.scale) ());
+    e "e7" "Corollaries 3-4: Upsilon vs Omega_n set agreement cost" (fun c ->
+        e7_upsilon_vs_omega_n ~jobs:c.jobs ~seeds:(e7_seeds * c.scale) ());
+    e "e8" "Impossibility backdrop: detector-free starvation schedule" (fun c ->
+        e8_impossibility ~jobs:c.jobs ());
+    e "e9" "Corollary 4: Omega_n-boosted consensus from n-consensus objects" (fun c ->
+        e9_booster_consensus ~jobs:c.jobs ~seeds:(e9_seeds * c.scale) ());
+    e "e10" "ABD: atomic registers over message passing (substrate bridge)" (fun c ->
+        e10_abd_emulation ~jobs:c.jobs ~seeds:(e10_seeds * c.scale) ());
+    e "e11" "Message-passing consensus: Omega + commit-adopt over ABD" (fun c ->
+        e11_msg_consensus ~jobs:c.jobs ~seeds:(e11_seeds * c.scale) ?impl:c.impl ());
+    e "a1" "Ablation: register-built vs native snapshot cost" (fun c ->
+        a1_snapshot_ablation ~jobs:c.jobs ());
+    e "a2" "Ablation: Fig 1 escape conditions" (fun c ->
+        a2_escape_ablation ~jobs:c.jobs ~seeds:(a2_seeds * c.scale) ());
+    e "a3" "Ablation: Fig 2 on register-built vs native snapshots" (fun c ->
+        a3_fig2_snapshot_cost ~jobs:c.jobs ~seeds:(a3_seeds * c.scale) ());
+    e "c1" "Model checking: DPOR + linearizability on clean and mutated objects" (fun c ->
+        c1_model_checking ~jobs:c.jobs ());
+    e "d1" "Implemented detectors: heartbeat EvP/EvS conformance across link families" (fun c ->
+        d1_hb_conformance ~jobs:c.jobs ~seeds:(d1_seeds * c.scale) ~spans:c.spans ());
+    e "d2" "Substitutability: oracle vs implemented detectors on paper experiments" (fun c ->
+        d2_hb_vs_oracle ~jobs:c.jobs ~seeds:(d2_seeds * c.scale) ~spans:c.spans ());
+    e "d3" "Model checking partial synchrony: clean links and heartbeat mutants" (fun c ->
+        d3_hb_model_checking ~jobs:c.jobs ~spans:c.spans ());
   ]
 
-let catalog =
-  [
-    ("e1", "Fig 1 / Theorem 2: Upsilon-based n-set-agreement");
-    ("e2", "Fig 2 / Theorem 6: Upsilon^f-based f-resilient f-set-agreement");
-    ("e3", "Theorem 1 adversary: Upsilon cannot be turned into Omega_n");
-    ("e4", "Theorem 5 adversary: Upsilon^f cannot be turned into Omega^f");
-    ("e5", "Fig 3 / Theorem 10: extracting Upsilon^f from stable detectors");
-    ("e6", "Section 4 / 5.3 pairwise detector reductions");
-    ("e7", "Corollaries 3-4: Upsilon vs Omega_n set agreement cost");
-    ("e8", "Impossibility backdrop: detector-free starvation schedule");
-    ("e9", "Corollary 4: Omega_n-boosted consensus from n-consensus objects");
-    ("e10", "ABD: atomic registers over message passing (substrate bridge)");
-    ("e11", "Message-passing consensus: Omega + commit-adopt over ABD");
-    ("a1", "Ablation: register-built vs native snapshot cost");
-    ("a2", "Ablation: Fig 1 escape conditions");
-    ("a3", "Ablation: Fig 2 on register-built vs native snapshots");
-    ("c1", "Model checking: DPOR + linearizability on clean and mutated objects");
-    ("d1", "Implemented detectors: heartbeat EvP/EvS conformance across link families");
-    ("d2", "Substitutability: oracle vs implemented detectors on paper experiments");
-    ("d3", "Model checking partial synchrony: clean links and heartbeat mutants");
-  ]
+let find id = List.find_opt (fun e -> e.id = String.lowercase_ascii id) registry
 
-let by_id id =
-  let scaled default scale = match scale with None -> default | Some s -> default * s in
-  let ign scale spans impl = ignore scale; ignore spans; ignore impl in
-  match String.lowercase_ascii id with
-  | "e1" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign None spans impl; e1_fig1_set_agreement ?jobs ~seeds:(scaled 25 scale) ())
-  | "e2" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign None spans impl; e2_fig2_f_resilient ?jobs ~seeds:(scaled 15 scale) ())
-  | "e3" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign None spans impl; e3_theorem1_adversary ?jobs ~max_phases:(scaled 25 scale) ())
-  | "e4" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign None spans impl; e4_theorem5_adversary ?jobs ~max_phases:(scaled 25 scale) ())
-  | "e5" -> Some (fun ?scale ?jobs ?spans ?impl () -> ignore spans; e5_fig3_extraction ?jobs ~seeds:(scaled 8 scale) ?impl ())
-  | "e6" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign None spans impl; e6_pairwise_reductions ?jobs ~seeds:(scaled 20 scale) ())
-  | "e7" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign None spans impl; e7_upsilon_vs_omega_n ?jobs ~seeds:(scaled 15 scale) ())
-  | "e8" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign scale spans impl; e8_impossibility ?jobs ())
-  | "e9" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign None spans impl; e9_booster_consensus ?jobs ~seeds:(scaled 20 scale) ())
-  | "e10" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign None spans impl; e10_abd_emulation ?jobs ~seeds:(scaled 10 scale) ())
-  | "e11" -> Some (fun ?scale ?jobs ?spans ?impl () -> ignore spans; e11_msg_consensus ?jobs ~seeds:(scaled 6 scale) ?impl ())
-  | "a1" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign scale spans impl; a1_snapshot_ablation ?jobs ())
-  | "a2" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign None spans impl; a2_escape_ablation ?jobs ~seeds:(scaled 12 scale) ())
-  | "a3" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign None spans impl; a3_fig2_snapshot_cost ?jobs ~seeds:(scaled 12 scale) ())
-  | "c1" -> Some (fun ?scale ?jobs ?spans ?impl () -> ign scale spans impl; c1_model_checking ?jobs ())
-  | "d1" -> Some (fun ?scale ?jobs ?spans ?impl () -> ignore impl; d1_hb_conformance ?jobs ~seeds:(scaled 5 scale) ?spans ())
-  | "d2" -> Some (fun ?scale ?jobs ?spans ?impl () -> ignore impl; d2_hb_vs_oracle ?jobs ~seeds:(scaled 3 scale) ?spans ())
-  | "d3" -> Some (fun ?scale ?jobs ?spans ?impl () -> ignore scale; ignore impl; d3_hb_model_checking ?jobs ?spans ())
-  | _ -> None
-
-let pp ppf t =
+let pp ppf (t : outcome) =
   Format.fprintf ppf "[%s] %s@.claim: %s@.@.%a@." t.id
     (if t.ok then "CLAIM HOLDS" else "CLAIM FAILED")
     t.claim Report.render t.table

@@ -1,7 +1,7 @@
 (** The experiment drivers: one per claim of the paper (see DESIGN.md's
     experiment index). Each returns a rendered table plus an [ok] flag
     meaning "the paper's claim held on every run we made". Defaults are
-    sized to finish in seconds; the CLI and benches can scale them up.
+    sized to finish in seconds; {!registry} entries scale them up.
 
     Every driver takes [?jobs] (default 1): its independent work units
     (seeds, sizes, adversary candidates, DPOR branches) are sharded over
@@ -116,30 +116,20 @@ val d3_hb_model_checking :
     {!Mutant.Hb_suspected_not_restored}) are caught with shrunk,
     replayable counterexamples. *)
 
-val all : ?jobs:int -> unit -> outcome list
-(** Every experiment with default parameters, in order; [jobs] sets the
-    worker count of the {!Exec.Pool} each driver shards its independent
-    runs onto (default 1 = serial; the output is identical at any
-    [jobs]). *)
+(** {1 The experiment index} *)
 
-val catalog : (string * string) list
-(** [(id, one-line description)] for every experiment, without running
-    anything. *)
+type config = { scale : int; jobs : int; spans : Obs.Span.scope; impl : Kernel.Link.config option }
+(** How a registry entry runs: [scale] multiplies the driver's default
+    seed count or phase budget (drivers without one ignore it), [jobs]
+    is the {!Exec.Pool} width, [spans] profiles d1–d3, and [impl]
+    switches on the gated implemented-detector rows of e5/e11. *)
 
-val by_id :
-  string ->
-  (?scale:int ->
-  ?jobs:int ->
-  ?spans:Obs.Span.scope ->
-  ?impl:Kernel.Link.config ->
-  unit ->
-  outcome)
-  option
-(** Look up an experiment by id ("e1" … "e11", "a1" … "a3", "c1",
-    "d1" … "d3"); [scale] multiplies the default seed counts, [jobs] is
-    the pool width as in {!all}. [spans] profiles the drivers that
-    support it (d1–d3); [impl] switches on the gated
-    implemented-detector rows of e5/e11. Both are ignored by the other
-    experiments. *)
+type entry = { id : string; description : string; run : config -> outcome }
+
+val registry : entry list
+(** Every experiment, in [wfde list] order. *)
+
+val find : string -> entry option
+(** Look up an entry by id, case-insensitively. *)
 
 val pp : Format.formatter -> outcome -> unit

@@ -29,7 +29,7 @@ let tables_text ~summary outcomes =
       | failed ->
           Format.fprintf ppf "FAILED claims: %s@."
             (String.concat ", "
-               (List.map (fun o -> o.Wfde.Experiments.id) failed)))
+               (List.map (fun (o : Wfde.Experiments.outcome) -> o.id) failed)))
 
 let run_text = tables_text ~summary:true
 let sweep_text = tables_text ~summary:false
@@ -80,7 +80,7 @@ let check_text (o : Wfde.Harness.check_outcome) =
                (String.split_on_char '\n' v.Wfde.Harness.cex_report)))
 
 let unknown_ids ids =
-  List.filter (fun id -> Wfde.Experiments.by_id id = None) ids
+  List.filter (fun id -> Wfde.Experiments.find id = None) ids
 
 (* ------------------------------------------------ param validation --- *)
 
@@ -140,16 +140,21 @@ let exp_params ~meth params =
   let* jobs = get_int ~key:"jobs" ~default:1 ~min:1 ~max:max_jobs params in
   Ok (ids, scale, jobs)
 
-(* Run experiments left to right, polling the deadline before each so a
-   timed-out request stops between drivers (the per-driver work is the
-   cancellation granularity here). Each driver gets an [exp.<id>] child
-   span. *)
-let run_experiments ~deadline ~spans ~ids ~scale ~jobs =
+(* Run experiments left to right (every registry entry when [ids] is
+   empty), polling the deadline before each so a timed-out request
+   stops between drivers (the per-driver work is the cancellation
+   granularity here). Each driver gets an [exp.<id>] child span. *)
+let run_experiments ?(deadline = never) ?(spans = Obs.Span.null) ?impl ~scale
+    ~jobs ids =
   let ids =
     match ids with
-    | [] -> List.map fst Wfde.Experiments.catalog
+    | [] ->
+        List.map
+          (fun (e : Wfde.Experiments.entry) -> e.id)
+          Wfde.Experiments.registry
     | ids -> ids
   in
+  let config = { Wfde.Experiments.scale; jobs; spans; impl } in
   let total = List.length ids in
   let rec go acc done_ = function
     | [] -> Ok (List.rev acc)
@@ -159,13 +164,12 @@ let run_experiments ~deadline ~spans ~ids ~scale ~jobs =
             (Proto.err Deadline_exceeded
                "deadline expired after %d of %d experiment(s)" done_ total)
         else
-          let f = Option.get (Wfde.Experiments.by_id id) in
+          let e = Option.get (Wfde.Experiments.find id) in
           let t0 = Unix.gettimeofday () in
           let o =
             (* the driver's own profile (d1-d3's [net.*] rows) nests
                under its [exp.<id>] span *)
-            Obs.Span.with_ spans ("exp." ^ id) (fun () ->
-                f ~scale ~jobs ~spans ())
+            Obs.Span.with_ spans ("exp." ^ id) (fun () -> e.run config)
           in
           let wall = Unix.gettimeofday () -. t0 in
           go ((id, o, wall) :: acc) (done_ + 1) rest
@@ -176,7 +180,7 @@ let run_experiments ~deadline ~spans ~ids ~scale ~jobs =
 
 let handle_run ~deadline ~spans params =
   let* ids, scale, jobs = exp_params ~meth:"run" params in
-  let* timed = run_experiments ~deadline ~spans ~ids ~scale ~jobs in
+  let* timed = run_experiments ~deadline ~spans ~scale ~jobs ids in
   let outcomes = List.map (fun (_, o, _) -> o) timed in
   Ok
     (J.Obj
@@ -186,25 +190,21 @@ let handle_run ~deadline ~spans params =
          ( "experiments",
            J.List
              (List.map
-                (fun o ->
-                  J.Obj
-                    [
-                      ("id", J.String o.Wfde.Experiments.id);
-                      ("ok", J.Bool o.Wfde.Experiments.ok);
-                    ])
+                (fun (o : Wfde.Experiments.outcome) ->
+                  J.Obj [ ("id", J.String o.id); ("ok", J.Bool o.ok) ])
                 outcomes) );
          ("output", J.String (run_text outcomes));
        ])
 
 let handle_sweep ~deadline ~spans params =
   let* ids, scale, jobs = exp_params ~meth:"sweep" params in
-  let* timed = run_experiments ~deadline ~spans ~ids ~scale ~jobs in
+  let* timed = run_experiments ~deadline ~spans ~scale ~jobs ids in
   Ok (sweep_json ~jobs ~scale timed)
 
 let handle_stats ~deadline ~spans params =
   let* ids, scale, jobs = exp_params ~meth:"stats" params in
   Wfde.Metrics.reset ();
-  let* _timed = run_experiments ~deadline ~spans ~ids ~scale ~jobs in
+  let* _timed = run_experiments ~deadline ~spans ~scale ~jobs ids in
   Ok (Wfde.Metrics.to_json (Wfde.Metrics.snapshot ()))
 
 let handle_check ~deadline ~spans params =

@@ -51,6 +51,20 @@ val handle :
     timing — the payload bytes are unchanged whether or not a scope is
     supplied. *)
 
+val run_experiments :
+  ?deadline:(unit -> bool) ->
+  ?spans:Obs.Span.scope ->
+  ?impl:Wfde.Link.config ->
+  scale:int ->
+  jobs:int ->
+  string list ->
+  ((string * Wfde.Experiments.outcome * float) list, Proto.error) result
+(** The experiment runner of the CLI's and the daemon's run, sweep and
+    stats: runs [ids] in order (every {!Wfde.Experiments.registry}
+    entry when empty; all must be known), each under an [exp.<id>]
+    span, as [(id, outcome, wall_seconds)]. [deadline] is polled before
+    each experiment and yields [deadline_exceeded] once it fires. *)
+
 (** {1 Shared renderers}
 
     Used by both the service handlers and [bin/wfde_cli.ml], so the
@@ -77,4 +91,4 @@ val check_text : Wfde.Harness.check_outcome -> string
     block or ["no violation found"]. *)
 
 val unknown_ids : string list -> string list
-(** The subset of ids {!Wfde.Experiments.by_id} does not know. *)
+(** The subset of ids {!Wfde.Experiments.find} does not know. *)

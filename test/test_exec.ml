@@ -295,36 +295,17 @@ let test_check_json_repeatable () =
      still come out byte-identical. *)
   checks "oversubscribed -j8 still matches" (payload 1) (payload 8)
 
-(* The deterministic part of the wfde sweep --json document: identical
-   structure to the CLI payload with the wall-clock fields — the only
-   sanctioned nondeterminism — normalized to zero. *)
+(* The deterministic part of the wfde sweep --json document: the
+   shared runner's rows rendered by the CLI's renderer, with the
+   wall-clock fields — the only sanctioned nondeterminism — and the
+   worker count normalized away. *)
 let sweep_json_normalized ~jobs ids =
-  let outcomes =
-    List.map
-      (fun id ->
-        match Wfde.Experiments.by_id id with
-        | None -> Alcotest.failf "unknown experiment %s" id
-        | Some f -> (id, f ~jobs ()))
-      ids
-  in
-  Obs.Json.to_string
-    (Obs.Json.Obj
-       [
-         ("schema", Obs.Json.String "wfde-sweep/1");
-         ("scale", Obs.Json.Int 1);
-         ("total_wall_seconds", Obs.Json.Float 0.0);
-         ( "experiments",
-           Obs.Json.List
-             (List.map
-                (fun (id, o) ->
-                  Obs.Json.Obj
-                    [
-                      ("id", Obs.Json.String id);
-                      ("ok", Obs.Json.Bool o.Wfde.Experiments.ok);
-                      ("wall_seconds", Obs.Json.Float 0.0);
-                    ])
-                outcomes) );
-       ])
+  match Serve.Service.run_experiments ~scale:1 ~jobs ids with
+  | Error _ -> Alcotest.fail "sweep runner failed"
+  | Ok timed ->
+      Obs.Json.to_string
+        (Serve.Service.sweep_json ~jobs:1 ~scale:1
+           (List.map (fun (id, o, _) -> (id, o, 0.0)) timed))
 
 let test_sweep_json_identical () =
   let ids = [ "e1"; "e2"; "e6" ] in

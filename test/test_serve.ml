@@ -252,10 +252,17 @@ let test_service_payloads_match_direct () =
   (match Serve.Service.handle run_req with
   | Error _ -> Alcotest.fail "run failed"
   | Ok payload ->
-      let f = Option.get (Wfde.Experiments.by_id "e1") in
-      let direct = Serve.Service.run_text [ f ~scale:1 ~jobs:1 () ] in
+      let direct =
+        Serve.Service.run_text [ Wfde.Experiments.e1_fig1_set_agreement () ]
+      in
+      let cli =
+        match Serve.Service.run_experiments ~scale:1 ~jobs:1 [ "e1" ] with
+        | Ok timed -> Serve.Service.run_text (List.map (fun (_, o, _) -> o) timed)
+        | Error _ -> Alcotest.fail "shared runner failed"
+      in
+      checks "shared runner = direct driver call" direct cli;
       (match J.member "output" payload with
-      | Some (J.String s) -> checks "run output = CLI stdout" direct s
+      | Some (J.String s) -> checks "run output = CLI stdout" cli s
       | _ -> Alcotest.fail "run payload has no output");
       checkb "run ok flag" true (J.member "ok" payload = Some (J.Bool true)));
   (* check: payload is exactly the harness JSON document *)

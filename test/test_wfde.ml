@@ -74,16 +74,40 @@ let test_experiments_hold_small () =
     outcomes
 
 let test_experiment_lookup () =
-  List.iter
-    (fun id ->
-      match Wfde.Experiments.by_id id with
-      | Some _ -> ()
-      | None -> Alcotest.failf "experiment %s not registered" id)
+  let ids =
+    List.map
+      (fun (e : Wfde.Experiments.entry) -> e.id)
+      Wfde.Experiments.registry
+  in
+  Alcotest.(check (list string))
+    "every experiment, in 'wfde list' order"
     [
       "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "e10"; "e11";
-      "a1"; "a2"; "a3";
-    ];
-  checkb "unknown rejected" true (Wfde.Experiments.by_id "e99" = None)
+      "a1"; "a2"; "a3"; "c1"; "d1"; "d2"; "d3";
+    ]
+    ids;
+  checki "ids unique" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  List.iter
+    (fun id ->
+      match Wfde.Experiments.find (String.uppercase_ascii id) with
+      | Some e -> Alcotest.(check string) "case-insensitive lookup" id e.id
+      | None -> Alcotest.failf "experiment %s not found" id)
+    ids;
+  checkb "unknown rejected" true (Wfde.Experiments.find "e99" = None)
+
+(* The registry scales the driver's own default: e1's entry at scale 2
+   must be exactly the driver at twice its default seed count. *)
+let test_registry_scaling () =
+  let e1 = Option.get (Wfde.Experiments.find "e1") in
+  let scaled =
+    e1.run { scale = 2; jobs = 1; spans = Obs.Span.null; impl = None }
+  in
+  let direct = Wfde.Experiments.e1_fig1_set_agreement ~seeds:50 () in
+  Alcotest.(check string)
+    "e1 at scale 2 = e1 with 50 seeds"
+    (Wfde.Report.to_string direct.table)
+    (Wfde.Report.to_string scaled.table)
 
 (* -- stats ------------------------------------------------------------------ *)
 
@@ -173,6 +197,8 @@ let suite =
     Alcotest.test_case "all experiments hold (small)" `Slow
       test_experiments_hold_small;
     Alcotest.test_case "experiment lookup" `Quick test_experiment_lookup;
+    Alcotest.test_case "registry scaling = driver default" `Quick
+      test_registry_scaling;
     Alcotest.test_case "stats percentiles" `Quick test_stats_percentiles;
     Alcotest.test_case "booster solves consensus" `Quick
       test_booster_solves_consensus;
