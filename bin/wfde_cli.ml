@@ -203,9 +203,7 @@ let dump_trace protocol seed n_plus_1 f limit out =
               1)
       | None ->
           Format.printf "%s@.world: %a@.@." description Wfde.Failure_pattern.pp
-            (match protocol with
-            | "async" -> Wfde.Failure_pattern.no_failures ~n_plus_1
-            | _ -> world.Wfde.Harness.pattern);
+            world.Wfde.Harness.pattern;
           List.iteri
             (fun i e ->
               if i < limit then Format.printf "%a@." Wfde.Trace.pp_event e)

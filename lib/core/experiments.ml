@@ -15,6 +15,17 @@ let mean = function
 
 let mean_int l = mean (List.map float_of_int l)
 
+(* The share of [xs] that pass [ok], in [0, 1]. *)
+let pass_rate ok xs = mean (List.map (fun x -> if ok x then 1.0 else 0.0) xs)
+
+(* Clear [all_ok] unless every one of [xs] passes [ok]. *)
+let require all_ok ok xs = if not (List.for_all ok xs) then all_ok := false
+
+let max_distinct runs =
+  List.fold_left
+    (fun acc m -> max acc m.Harness.verdict.Agreement.Sa_spec.distinct_decided)
+    0 runs
+
 (* Run one experiment's independent units on a worker pool. Results come
    back in input order whatever [jobs] is, so the table folds out
    identically at -j 1 and -j N; unit bodies must be self-contained
@@ -22,6 +33,23 @@ let mean_int l = mean (List.map float_of_int l)
    the returned list instead). *)
 let pmap ~jobs xs f = Exec.Pool.map_list (Exec.Pool.create ~jobs ()) ~f xs
 let pseeds ~jobs seeds f = pmap ~jobs (List.init seeds Fun.id) f
+
+(* A world drawn from one generator: the failure pattern first, then
+   the random policy and the detector share what is left of it (unlike
+   [Harness.random_world], which splits the policy off). *)
+let rng_world ~seed ~n_plus_1 ~max_faulty ~latest =
+  let rng = Rng.create seed in
+  let pattern = Failure_pattern.random rng ~n_plus_1 ~max_faulty ~latest in
+  { Harness.pattern; policy = Policy.random rng; world_rng = rng }
+
+(* The failure-free world under lock-step round-robin, with its detector
+   drawn from [Rng.create seed] (e7, e8). *)
+let lockstep_world ~n_plus_1 ~seed =
+  {
+    Harness.pattern = Failure_pattern.no_failures ~n_plus_1;
+    policy = Policy.round_robin ();
+    world_rng = Rng.create seed;
+  }
 
 (* ------------------------------------------------------------------ E1 *)
 
@@ -40,24 +68,19 @@ let e1_fig1_set_agreement ?(jobs = 1) ?(seeds = e1_seeds) ?(sizes = [ 2; 3; 4; 5
               in
               Harness.run_fig1 world)
         in
-        List.iter (fun m -> if not (Harness.ok m) then all_ok := false) runs;
+        require all_ok Harness.ok runs;
         [
           Report.cell_int n_plus_1;
           Report.cell_int (n_plus_1 - 1);
           Report.cell_int seeds;
-          Report.cell_pct
-            (mean (List.map (fun m -> if Harness.ok m then 1.0 else 0.0) runs));
+          Report.cell_pct (pass_rate Harness.ok runs);
           Report.cell_float
             (mean_int (List.map (fun m -> m.Harness.last_decision_time) runs));
           Report.cell_float
             (Stats.percentile_or ~default:0.0 0.95
                (List.map (fun m -> m.Harness.last_decision_time) runs));
           Report.cell_float (mean_int (List.map (fun m -> m.Harness.rounds) runs));
-          Report.cell_int
-            (List.fold_left
-               (fun acc m ->
-                 max acc m.Harness.verdict.Agreement.Sa_spec.distinct_decided)
-               0 runs);
+          Report.cell_int (max_distinct runs);
         ])
       sizes
   in
@@ -96,21 +119,15 @@ let e2_fig2_f_resilient ?(jobs = 1) ?(seeds = e2_seeds) ?(sizes = [ 3; 4; 5; 6 ]
                   in
                   Harness.run_fig2 ~f world)
             in
-            List.iter (fun m -> if not (Harness.ok m) then all_ok := false) runs;
+            require all_ok Harness.ok runs;
             [
               Report.cell_int n_plus_1;
               Report.cell_int f;
               Report.cell_int seeds;
-              Report.cell_pct
-                (mean
-                   (List.map (fun m -> if Harness.ok m then 1.0 else 0.0) runs));
+              Report.cell_pct (pass_rate Harness.ok runs);
               Report.cell_float
                 (mean_int (List.map (fun m -> m.Harness.last_decision_time) runs));
-              Report.cell_int
-                (List.fold_left
-                   (fun acc m ->
-                     max acc m.Harness.verdict.Agreement.Sa_spec.distinct_decided)
-                   0 runs);
+              Report.cell_int (max_distinct runs);
             ]))
       sizes
   in
@@ -217,16 +234,12 @@ let e5_fig3_extraction ?(jobs = 1) ?(seeds = e5_seeds) ?impl () =
               in
               Harness.run_extraction_of ~f ~source world)
         in
-        let oks =
-          List.map (fun (v, _) -> match v with Ok () -> 1.0 | Error _ -> 0.0) results
-        in
-        List.iter
-          (fun (v, _) -> match v with Ok () -> () | Error _ -> all_ok := false)
-          results;
+        let ok (v, _) = Result.is_ok v in
+        require all_ok ok results;
         [
           label;
           Report.cell_int seeds;
-          Report.cell_pct (mean oks);
+          Report.cell_pct (pass_rate ok results);
           Report.cell_float (mean_int (List.map snd results));
         ])
       sources
@@ -255,8 +268,8 @@ let e6_pairwise_reductions ?(jobs = 1) ?(seeds = e6_seeds) () =
   let open Detectors in
   let all_ok = ref true in
   let pct_ok results =
-    List.iter (fun r -> if not r then all_ok := false) results;
-    Report.cell_pct (mean (List.map (fun r -> if r then 1.0 else 0.0) results))
+    require all_ok Fun.id results;
+    Report.cell_pct (pass_rate Fun.id results)
   in
   let omega_to_upsilon =
     pseeds ~jobs seeds (fun i ->
@@ -419,22 +432,15 @@ let e7_upsilon_vs_omega_n ?(jobs = 1) ?(seeds = e7_seeds)
      where the oracle truly gates progress (no converge instance ever
      commits by lucky asymmetry), so t(decide) tracks the detector's
      stabilization time; random schedules give the average case. *)
-  let lockstep_world () =
-    {
-      Harness.pattern = Failure_pattern.no_failures ~n_plus_1;
-      policy = Policy.round_robin ();
-      world_rng = Rng.create 424242;
-    }
-  in
   let rows =
     List.concat_map
       (fun stab_time ->
         let gated alg =
+          let world = lockstep_world ~n_plus_1 ~seed:424242 in
           match alg with
-          | `Upsilon -> Harness.run_fig1 ~stab_time (lockstep_world ())
+          | `Upsilon -> Harness.run_fig1 ~stab_time world
           | `Omega_n ->
-              Harness.run_omega_k_baseline ~stab_time ~k:(n_plus_1 - 1)
-                (lockstep_world ())
+              Harness.run_omega_k_baseline ~stab_time ~k:(n_plus_1 - 1) world
         in
         let random_runs alg =
           pseeds ~jobs seeds (fun i ->
@@ -452,17 +458,11 @@ let e7_upsilon_vs_omega_n ?(jobs = 1) ?(seeds = e7_seeds)
         let row label alg =
           let locked = gated alg in
           let randoms = random_runs alg in
-          List.iter
-            (fun m -> if not (Harness.ok m) then all_ok := false)
-            (locked :: randoms);
+          require all_ok Harness.ok (locked :: randoms);
           [
             Report.cell_int stab_time;
             label;
-            Report.cell_pct
-              (mean
-                 (List.map
-                    (fun m -> if Harness.ok m then 1.0 else 0.0)
-                    (locked :: randoms)));
+            Report.cell_pct (pass_rate Harness.ok (locked :: randoms));
             Report.cell_int locked.Harness.last_decision_time;
             Report.cell_float
               (mean_int
@@ -496,26 +496,17 @@ let e8_impossibility ?(jobs = 1) ?(horizons = [ 20_000; 80_000; 320_000 ]) () =
   let n_plus_1 = 3 in
   let results =
     pmap ~jobs horizons (fun horizon ->
-        let world =
-          {
-            Harness.pattern = Failure_pattern.no_failures ~n_plus_1;
-            policy = Policy.round_robin ();
-            world_rng = Rng.create 1;
-          }
+        let async =
+          Harness.run_async_attempt ~horizon (lockstep_world ~n_plus_1 ~seed:1)
         in
-        let async = Harness.run_async_attempt ~horizon ~lockstep:true world in
         let deciders =
           n_plus_1
           - Pid.Set.cardinal async.Harness.verdict.Agreement.Sa_spec.undecided_correct
         in
-        let world_u =
-          {
-            Harness.pattern = Failure_pattern.no_failures ~n_plus_1;
-            policy = Policy.round_robin ();
-            world_rng = Rng.create 1;
-          }
+        let with_upsilon =
+          Harness.run_fig1 ~horizon ~stab_time:0
+            (lockstep_world ~n_plus_1 ~seed:1)
         in
-        let with_upsilon = Harness.run_fig1 ~horizon ~stab_time:0 world_u in
         (horizon, async, deciders, with_upsilon))
   in
   let ok = ref true in
@@ -689,7 +680,7 @@ let a2_escape_ablation ?(jobs = 1) ?(seeds = a2_seeds) () =
               let m = Harness.run_fig1 ~horizon:400_000 ~stab_time:0 ~escapes world in
               m.Harness.verdict.Sa_spec.termination)
         in
-        let rate = mean (List.map (fun b -> if b then 1.0 else 0.0) terminated) in
+        let rate = pass_rate Fun.id terminated in
         let as_expected =
           if expect_termination then rate = 1.0 else rate < 1.0
         in
@@ -731,41 +722,36 @@ let e9_booster_consensus ?(jobs = 1) ?(seeds = e9_seeds) ?(sizes = [ 2; 3; 4; 5 
       (fun n_plus_1 ->
         let runs =
           pseeds ~jobs seeds (fun i ->
-              let rng = Rng.create ((n_plus_1 * 613) + i) in
-              let pattern =
-                Failure_pattern.random rng ~n_plus_1
+              let world =
+                rng_world ~seed:((n_plus_1 * 613) + i) ~n_plus_1
                   ~max_faulty:(n_plus_1 - 1) ~latest:300
               in
               let omega_n =
-                Omega_k.make ~rng ~pattern ~k:(n_plus_1 - 1) ()
+                Detector.source
+                  (Omega_k.make ~rng:world.world_rng ~pattern:world.pattern
+                     ~k:(n_plus_1 - 1) ())
               in
               let proto =
-                Booster_consensus.create ~name:"boost" ~n_plus_1
-                  ~omega_n:(Detector.source omega_n)
+                Booster_consensus.create ~name:"boost" ~n_plus_1 ~omega_n
               in
-              let result =
-                Run.exec ~pattern ~policy:(Policy.random rng)
+              let m, _ =
+                Harness.run_agreement ~label:"booster" ~k:1 ~base:700
                   ~horizon:2_000_000
-                  ~procs:(fun pid ->
-                    [
-                      Booster_consensus.proposer proto ~me:pid
-                        ~input:(700 + pid);
-                    ])
-                  ()
+                  ~replay:(Some (fun () -> omega_n))
+                  ~fibers:(fun ~me ~input ->
+                    [ Booster_consensus.proposer proto ~me ~input ])
+                  ~decisions:(fun () -> Booster_consensus.decisions proto)
+                  ~rounds:(fun () ->
+                    List.fold_left
+                      (fun acc (_, r) -> max acc r)
+                      0
+                      (Booster_consensus.decision_rounds proto))
+                  world
               in
-              let proposals =
-                List.map (fun p -> (p, 700 + p)) (Pid.all ~n_plus_1)
-              in
-              let verdict =
-                Sa_spec.check ~k:1 ~pattern ~proposals
-                  ~decisions:(Booster_consensus.decisions proto)
-                  ()
-              in
-              let last_decide = snd (Harness.decision_time_bounds result) in
-              ( Sa_spec.all_ok verdict,
+              ( Harness.ok m,
                 Booster_consensus.max_ports_used proto,
                 Booster_consensus.objects_allocated proto,
-                last_decide ))
+                m.last_decision_time ))
         in
         let oks = List.map (fun (o, _, _, _) -> o) runs in
         let port_ok =
@@ -775,8 +761,7 @@ let e9_booster_consensus ?(jobs = 1) ?(seeds = e9_seeds) ?(sizes = [ 2; 3; 4; 5 
         [
           Report.cell_int n_plus_1;
           Report.cell_int seeds;
-          Report.cell_pct
-            (mean (List.map (fun o -> if o then 1.0 else 0.0) oks));
+          Report.cell_pct (pass_rate Fun.id oks);
           Report.cell_int
             (List.fold_left (fun acc (_, p, _, _) -> max acc p) 0 runs);
           Report.cell_float
@@ -815,10 +800,9 @@ let e10_abd_emulation ?(jobs = 1) ?(seeds = e10_seeds) ?(sizes = [ 3; 5; 7 ]) ()
         let per_client = 2 in
         let results =
           pseeds ~jobs seeds (fun i ->
-              let rng = Rng.create ((n_plus_1 * 811) + i) in
-              let pattern =
-                Failure_pattern.random rng ~n_plus_1 ~max_faulty:minority
-                  ~latest:400
+              let { Harness.pattern; policy; _ } =
+                rng_world ~seed:((n_plus_1 * 811) + i) ~n_plus_1
+                  ~max_faulty:minority ~latest:400
               in
               let abd =
                 Memory.Abd.create ~name:"e10" ~n_plus_1 ~init:0
@@ -829,14 +813,11 @@ let e10_abd_emulation ?(jobs = 1) ?(seeds = e10_seeds) ?(sizes = [ 3; 5; 7 ]) ()
                   ignore (Memory.Abd.read abd ~me ~key:"r")
                 done
               in
-              let result =
-                Run.exec ~pattern ~policy:(Policy.random rng)
-                  ~horizon:800_000
-                  ~procs:(fun pid ->
-                    [ Memory.Abd.server abd ~me:pid; body pid ])
-                  ()
-              in
-              let completed = List.length (Memory.Abd.oplog abd) in
+              ignore
+                (Run.exec ~pattern ~policy ~horizon:800_000
+                   ~procs:(fun pid ->
+                     [ Memory.Abd.server abd ~me:pid; body pid ])
+                   ());
               let correct_done =
                 Pid.Set.for_all
                   (fun p ->
@@ -848,31 +829,23 @@ let e10_abd_emulation ?(jobs = 1) ?(seeds = e10_seeds) ?(sizes = [ 3; 5; 7 ]) ()
                   (Failure_pattern.correct pattern)
               in
               let atomic = Memory.Abd.check_atomicity abd = Ok () in
-              ignore result;
               let latency =
                 List.map
                   (fun o -> o.Memory.Abd.responded - o.Memory.Abd.invoked)
                   (Memory.Abd.oplog abd)
               in
-              (atomic, correct_done, completed, latency))
+              (atomic, correct_done, latency))
         in
-        List.iter
-          (fun (atomic, correct_done, _, _) ->
-            if not (atomic && correct_done) then all_ok := false)
-          results;
+        require all_ok (fun (atomic, live, _) -> atomic && live) results;
         let latencies =
-          List.concat_map (fun (_, _, _, l) -> l) results
+          List.concat_map (fun (_, _, l) -> l) results
         in
         [
           Report.cell_int n_plus_1;
           Report.cell_int minority;
           Report.cell_int seeds;
-          Report.cell_pct
-            (mean
-               (List.map (fun (a, _, _, _) -> if a then 1.0 else 0.0) results));
-          Report.cell_pct
-            (mean
-               (List.map (fun (_, d, _, _) -> if d then 1.0 else 0.0) results));
+          Report.cell_pct (pass_rate (fun (a, _, _) -> a) results);
+          Report.cell_pct (pass_rate (fun (_, d, _) -> d) results);
           Report.cell_float (mean_int latencies);
         ])
       sizes
@@ -900,101 +873,48 @@ let e10_abd_emulation ?(jobs = 1) ?(seeds = e10_seeds) ?(sizes = [ 3; 5; 7 ]) ()
 
 let e11_seeds = 6
 let e11_msg_consensus ?(jobs = 1) ?(seeds = e11_seeds) ?(sizes = [ 3; 5 ]) ?impl () =
-  let open Agreement in
-  let open Detectors in
   let all_ok = ref true in
-  (* Gated: rerun each size with Omega implemented as the live
-     min-unsuspected leader of a heartbeat ◇P instead of the oracle. *)
+  (* One row per size: Omega the oracle (its world drawn from one
+     generator), or — gated on [impl] — the live min-unsuspected leader
+     of a heartbeat ◇P over the given link. *)
+  let row omega_impl n_plus_1 =
+    let minority = (n_plus_1 - 1) / 2 in
+    let runs =
+      pseeds ~jobs seeds (fun i ->
+          let seed = (n_plus_1 * 907) + i in
+          let m, memory =
+            match omega_impl with
+            | None ->
+                Harness.run_msg_consensus
+                  (rng_world ~seed ~n_plus_1 ~max_faulty:minority ~latest:300)
+            | Some net ->
+                (* the run quiesces once every correct process has
+                   decided (within a few thousand steps); the horizon
+                   only bounds a run that fails to *)
+                Harness.run_msg_consensus ~horizon:120_000 ~omega_impl:net
+                  (Harness.random_world ~seed ~n_plus_1 ~max_faulty:minority
+                     ~latest:300 ())
+          in
+          (Harness.ok m, memory = Ok (), m.Harness.last_decision_time))
+    in
+    require all_ok (fun (o, a, _) -> o && a) runs;
+    [
+      (match omega_impl with
+      | None -> Report.cell_int n_plus_1
+      | Some _ -> Printf.sprintf "%d (hb Omega)" n_plus_1);
+      Report.cell_int minority;
+      Report.cell_int seeds;
+      Report.cell_pct (pass_rate (fun (o, _, _) -> o) runs);
+      Report.cell_pct (pass_rate (fun (_, a, _) -> a) runs);
+      Report.cell_float (mean_int (List.map (fun (_, _, t) -> t) runs));
+    ]
+  in
   let impl_rows =
     match impl with
     | None -> []
-    | Some net ->
-        List.map
-          (fun n_plus_1 ->
-            let minority = (n_plus_1 - 1) / 2 in
-            let runs =
-              pseeds ~jobs seeds (fun i ->
-                  let world =
-                    Harness.random_world
-                      ~seed:((n_plus_1 * 907) + i)
-                      ~n_plus_1 ~max_faulty:minority ~latest:300 ()
-                  in
-                  (* the run quiesces once every correct process has
-                     decided (within a few thousand steps); the horizon
-                     only bounds a run that fails to *)
-                  let m, memory =
-                    Harness.run_msg_consensus ~horizon:120_000 ~omega_impl:net
-                      world
-                  in
-                  ( Harness.ok m,
-                    memory = Ok (),
-                    m.Harness.last_decision_time ))
-            in
-            List.iter
-              (fun (o, a, _) -> if not (o && a) then all_ok := false)
-              runs;
-            [
-              Printf.sprintf "%d (hb Omega)" n_plus_1;
-              Report.cell_int minority;
-              Report.cell_int seeds;
-              Report.cell_pct
-                (mean (List.map (fun (o, _, _) -> if o then 1.0 else 0.0) runs));
-              Report.cell_pct
-                (mean (List.map (fun (_, a, _) -> if a then 1.0 else 0.0) runs));
-              Report.cell_float (mean_int (List.map (fun (_, _, t) -> t) runs));
-            ])
-          sizes
+    | Some net -> List.map (row (Some net)) sizes
   in
-  let rows =
-    List.map
-      (fun n_plus_1 ->
-        let minority = (n_plus_1 - 1) / 2 in
-        let runs =
-          pseeds ~jobs seeds (fun i ->
-              let rng = Rng.create ((n_plus_1 * 907) + i) in
-              let pattern =
-                Failure_pattern.random rng ~n_plus_1 ~max_faulty:minority
-                  ~latest:300
-              in
-              let omega = Omega.make ~rng ~pattern () in
-              let proto =
-                Msg_consensus.create ~name:"mc" ~n_plus_1
-                  ~omega:(Detector.source omega)
-              in
-              let result =
-                Run.exec ~pattern ~policy:(Policy.random rng)
-                  ~horizon:3_000_000
-                  ~procs:(fun pid ->
-                    Msg_consensus.fibers proto ~me:pid ~input:(800 + pid))
-                  ()
-              in
-              let verdict =
-                Sa_spec.check ~k:1 ~pattern
-                  ~proposals:
-                    (List.map (fun p -> (p, 800 + p)) (Pid.all ~n_plus_1))
-                  ~decisions:(Msg_consensus.decisions proto)
-                  ()
-              in
-              let atomic = Msg_consensus.check_memory proto = Ok () in
-              let last_decide = snd (Harness.decision_time_bounds result) in
-              (Sa_spec.all_ok verdict, atomic, last_decide))
-        in
-        List.iter
-          (fun (o, a, _) -> if not (o && a) then all_ok := false)
-          runs;
-        [
-          Report.cell_int n_plus_1;
-          Report.cell_int minority;
-          Report.cell_int seeds;
-          Report.cell_pct
-            (mean (List.map (fun (o, _, _) -> if o then 1.0 else 0.0) runs));
-          Report.cell_pct
-            (mean (List.map (fun (_, a, _) -> if a then 1.0 else 0.0) runs));
-          Report.cell_float
-            (mean_int (List.map (fun (_, _, t) -> t) runs));
-        ])
-      sizes
-  in
+  let rows = List.map (row None) sizes in
   {
     id = "e11";
     claim =
@@ -1026,31 +946,30 @@ let a3_fig2_snapshot_cost ?(jobs = 1) ?(seeds = a3_seeds) () =
      path. The "random" scenario is the average case, where round-1
      converge usually decides first. *)
   let gated_run impl seed =
-    let pattern = Failure_pattern.make ~n_plus_1 ~crashes:[ (3, 60 + seed) ] in
-    let rng = Rng.create (4100 + seed) in
+    let world =
+      {
+        Harness.pattern =
+          Failure_pattern.make ~n_plus_1 ~crashes:[ (3, 60 + seed) ];
+        policy = Policy.round_robin ();
+        world_rng = Rng.create (4100 + seed);
+      }
+    in
     let upsilon_f =
-      Upsilon_f.make ~rng ~pattern ~f ~stable_set:(Pid.Set.full ~n_plus_1)
-        ~stab_time:0 ()
+      Detector.source
+        (Upsilon_f.make ~rng:world.world_rng ~pattern:world.pattern ~f
+           ~stable_set:(Pid.Set.full ~n_plus_1) ~stab_time:0 ())
     in
     let proto =
       Upsilon_f_sa.create ~snapshot_impl:impl ~name:"a3" ~n_plus_1 ~f
-        ~upsilon_f:(Detector.source upsilon_f) ()
+        ~upsilon_f ()
     in
-    let result =
-      Run.exec ~pattern
-        ~policy:(Policy.round_robin ())
-        ~horizon:2_000_000
-        ~procs:(fun pid ->
-          [ Upsilon_f_sa.proposer proto ~me:pid ~input:(200 + pid) ])
-        ()
-    in
-    let proposals = List.map (fun p -> (p, 200 + p)) (Pid.all ~n_plus_1) in
-    let verdict =
-      Sa_spec.check ~k:f ~pattern ~proposals
-        ~decisions:(Upsilon_f_sa.decisions proto)
-        ()
-    in
-    (result.steps, Sa_spec.all_ok verdict)
+    fst
+      (Harness.run_agreement ~label:"fig2" ~k:f ~base:200 ~horizon:2_000_000
+         ~replay:(Some (fun () -> upsilon_f))
+         ~fibers:(fun ~me ~input -> [ Upsilon_f_sa.proposer proto ~me ~input ])
+         ~decisions:(fun () -> Upsilon_f_sa.decisions proto)
+         ~rounds:(fun () -> Upsilon_f_sa.rounds_entered proto)
+         world)
   in
   let rows =
     List.concat_map
@@ -1062,33 +981,21 @@ let a3_fig2_snapshot_cost ?(jobs = 1) ?(seeds = a3_seeds) () =
               in
               Harness.run_fig2 ~snapshot_impl:impl ~f world)
         in
-        List.iter
-          (fun m -> if not (Harness.ok m) then all_ok := false)
-          random_runs;
         let gated = pseeds ~jobs seeds (gated_run impl) in
-        List.iter (fun (_, o) -> if not o then all_ok := false) gated;
-        let gated_steps = List.map fst gated in
-        [
+        require all_ok Harness.ok (gated @ random_runs);
+        let row scenario runs =
           [
             Memory.Snap.impl_name impl;
-            "gladiator-gated (lockstep)";
+            scenario;
             Report.cell_int seeds;
-            Report.cell_pct (if !all_ok then 1.0 else 0.0);
-            Report.cell_float (mean_int gated_steps);
-          ];
-          [
-            Memory.Snap.impl_name impl;
-            "random worlds";
-            Report.cell_int seeds;
-            Report.cell_pct
-              (mean
-                 (List.map
-                    (fun m -> if Harness.ok m then 1.0 else 0.0)
-                    random_runs));
+            Report.cell_pct (pass_rate Harness.ok runs);
             Report.cell_float
-              (mean_int
-                 (List.map (fun m -> m.Harness.total_steps) random_runs));
-          ];
+              (mean_int (List.map (fun m -> m.Harness.total_steps) runs));
+          ]
+        in
+        [
+          row "gladiator-gated (lockstep)" gated;
+          row "random worlds" random_runs;
         ])
       [ Memory.Snap.Registers; Memory.Snap.Native ]
   in
@@ -1112,16 +1019,19 @@ let a3_fig2_snapshot_cost ?(jobs = 1) ?(seeds = a3_seeds) () =
 
 (* ------------------------------------------------- c1: model checking *)
 
+(* A check row holds when it finds a violation exactly when one is
+   expected, and every violation it finds is shrunk. *)
+let check_as_expected (o : Harness.check_outcome) ~expect_violation =
+  match o.violation with
+  | None -> not expect_violation
+  | Some v -> expect_violation && v.shrunk
+
 let c1_model_checking ?(jobs = 1) ?(depth = 6) ?(mutant_depth = 12) () =
   let all_ok = ref true in
   let row ?mutant ?depth:d ?procs obj ~expect_violation =
     let depth = Option.value d ~default:depth in
     let o = Harness.check_exhaustive ~jobs ?procs ?mutant ~depth obj in
-    let found = o.Harness.violation <> None in
-    if found <> expect_violation then all_ok := false;
-    (match o.Harness.violation with
-    | Some v when not v.Harness.shrunk -> all_ok := false
-    | _ -> ());
+    if not (check_as_expected o ~expect_violation) then all_ok := false;
     [
       Check.Scenario.to_string obj;
       (match mutant with None -> "-" | Some m -> Mutant.to_string m);
@@ -1135,14 +1045,7 @@ let c1_model_checking ?(jobs = 1) ?(depth = 6) ?(mutant_depth = 12) () =
       | Some v ->
           Printf.sprintf "caught (prefix %d, crashes %d)"
             (List.length v.Harness.cex_prefix)
-            (List.length
-               (List.filter
-                  (fun p ->
-                    Kernel.Failure_pattern.crash_time v.Harness.cex_pattern p
-                    <> Kernel.Failure_pattern.never)
-                  (Pid.all
-                     ~n_plus_1:
-                       (Kernel.Failure_pattern.n_plus_1 v.Harness.cex_pattern)))));
+            (Pid.Set.cardinal (Failure_pattern.faulty v.Harness.cex_pattern)));
     ]
   in
   let rows =
@@ -1214,9 +1117,7 @@ let d1_hb_conformance ?(jobs = 1) ?(seeds = d1_seeds) ?(spans = Obs.Span.null) (
                       in
                       Harness.run_hb_detector ~mode ~net world)
                 in
-                List.iter
-                  (fun (v, _) -> if Result.is_error v then all_ok := false)
-                  runs;
+                require all_ok (fun (v, _) -> Result.is_ok v) runs;
                 [
                   label;
                   mode_label;
@@ -1224,10 +1125,7 @@ let d1_hb_conformance ?(jobs = 1) ?(seeds = d1_seeds) ?(spans = Obs.Span.null) (
                   Report.cell_int net.Link.loss_pct;
                   Report.cell_int seeds;
                   Report.cell_pct
-                    (mean
-                       (List.map
-                          (fun (v, _) -> if Result.is_ok v then 1.0 else 0.0)
-                          runs));
+                    (pass_rate (fun (v, _) -> Result.is_ok v) runs);
                   Report.cell_float (mean_int (List.map snd runs));
                 ])
               [ ("evP", `Ev_perfect); ("evS", `Ev_strong) ]))
@@ -1259,18 +1157,13 @@ let d2_hb_vs_oracle ?(jobs = 1) ?(seeds = d2_seeds) ?(spans = Obs.Span.null) () 
   let all_ok = ref true in
   let agreement_row title runs =
     (* each run is (oracle_ok, implemented_ok, implemented_stab) *)
-    List.iter
-      (fun (o, i, _) -> if not (o && i && o = i) then all_ok := false)
-      runs;
+    require all_ok (fun (o, i, _) -> o && i && o = i) runs;
     [
       title;
       Report.cell_int seeds;
-      Report.cell_pct
-        (mean (List.map (fun (o, _, _) -> if o then 1.0 else 0.0) runs));
-      Report.cell_pct
-        (mean (List.map (fun (_, i, _) -> if i then 1.0 else 0.0) runs));
-      Report.cell_pct
-        (mean (List.map (fun (o, i, _) -> if o = i then 1.0 else 0.0) runs));
+      Report.cell_pct (pass_rate (fun (o, _, _) -> o) runs);
+      Report.cell_pct (pass_rate (fun (_, i, _) -> i) runs);
+      Report.cell_pct (pass_rate (fun (o, i, _) -> o = i) runs);
       Report.cell_float (mean_int (List.map (fun (_, _, s) -> s) runs));
     ]
   in
@@ -1358,11 +1251,7 @@ let d3_hb_model_checking ?(jobs = 1) ?(depth = 5) ?(spans = Obs.Span.null) () =
           Harness.check_exhaustive ~jobs ~procs:2 ~depth ~horizon:500 ?mutant
             obj)
     in
-    let found = o.Harness.violation <> None in
-    if found <> expect_violation then all_ok := false;
-    (match o.Harness.violation with
-    | Some v when not v.Harness.shrunk -> all_ok := false
-    | _ -> ());
+    if not (check_as_expected o ~expect_violation) then all_ok := false;
     [
       Check.Scenario.to_string obj;
       (match mutant with None -> "-" | Some m -> Mutant.to_string m);

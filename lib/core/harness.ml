@@ -28,28 +28,6 @@ let random_world ~seed ~n_plus_1 ~max_faulty ?(latest = 300) () =
   let pattern = Failure_pattern.random rng ~n_plus_1 ~max_faulty ~latest in
   { pattern; policy = Policy.random (Rng.split rng); world_rng = rng }
 
-(* One pass over the run's events: the decision-time bounds and, given
-   a source, the run-condition (2) breaches of its queries. *)
-let scan_run ?source result =
-  let first = ref max_int and last = ref 0 and violations = ref 0 in
-  let check_query =
-    match source with
-    | Some src ->
-        fun e ->
-          if Option.is_some (Oracle.query_violation src e) then incr violations
-    | None -> ignore
-  in
-  Run.iter result (fun e ->
-      check_query e;
-      match Oracle.decision_time e with
-      | Some (_, t) ->
-          if t < !first then first := t;
-          if t > !last then last := t
-      | None -> ());
-  ((if !first = max_int then (0, 0) else (!first, !last)), !violations)
-
-let decision_time_bounds result = fst (scan_run result)
-
 let m_runs = Obs.Metrics.counter "harness.runs"
 let m_verdict_ok = Obs.Metrics.counter "harness.verdict.ok"
 let m_verdict_fail = Obs.Metrics.counter "harness.verdict.fail"
@@ -63,11 +41,56 @@ let m_decision_time =
     ~buckets:[| 50.; 100.; 250.; 500.; 1000.; 2500.; 5000.; 25000.; 100000. |]
     "harness.last_decision_time"
 
-let count_run ~proto m =
+(* The counters every harness run bumps, whatever it measures. *)
+let count ~proto ok =
   Obs.Metrics.incr m_runs;
   Obs.Metrics.incr
     (Obs.Metrics.counter (Printf.sprintf "harness.runs{proto=%s}" proto));
-  Obs.Metrics.incr (if ok m then m_verdict_ok else m_verdict_fail);
+  Obs.Metrics.incr (if ok then m_verdict_ok else m_verdict_fail)
+
+(* The one place an agreement world runs: [fibers] for every process
+   with input [base + pid], the Sa_spec verdict on the decisions, and —
+   in the same pass over the events — the decision times and the replay
+   of the recorded detector queries against [replay ()], built after
+   the run. *)
+let run_agreement ~label ~k ~base ~horizon ~replay ~fibers ~decisions ~rounds
+    world =
+  let pattern = world.pattern in
+  let n_plus_1 = Failure_pattern.n_plus_1 pattern in
+  let result =
+    Run.exec ~pattern ~policy:world.policy ~horizon
+      ~procs:(fun pid -> fibers ~me:pid ~input:(base + pid))
+      ()
+  in
+  let check_query =
+    match replay with
+    | Some source ->
+        let src = source () in
+        fun e -> Option.is_some (Oracle.query_violation src e)
+    | None -> fun _ -> false
+  in
+  let first = ref max_int and last = ref 0 and violations = ref 0 in
+  Run.iter result (fun e ->
+      if check_query e then incr violations;
+      match Oracle.decision_time e with
+      | Some (_, t) ->
+          if t < !first then first := t;
+          if t > !last then last := t
+      | None -> ());
+  let proposals = List.map (fun p -> (p, base + p)) (Pid.all ~n_plus_1) in
+  let m =
+    {
+      verdict =
+        Sa_spec.check ~k ~pattern ~proposals ~decisions:(decisions ()) ();
+      last_decision_time = !last;
+      first_decision_time = (if !first = max_int then 0 else !first);
+      total_steps = result.steps;
+      rounds = rounds ();
+      outcome = result.outcome;
+      query_violations = !violations;
+    }
+  in
+  count ~proto:label (ok m);
   Obs.Metrics.incr
     (match m.outcome with
     | Scheduler.Horizon -> m_horizon
@@ -77,144 +100,112 @@ let count_run ~proto m =
     Obs.Metrics.incr ~by:m.query_violations m_query_violations;
   if m.last_decision_time > 0 then
     Obs.Metrics.observe_int m_decision_time m.last_decision_time;
-  m
+  (m, result)
 
-let measure ?source ~k ~pattern ~proposals ~decisions ~rounds
-    (result : Run.result) =
-  let (first, last), query_violations = scan_run ?source result in
-  {
-    verdict = Sa_spec.check ~k ~pattern ~proposals ~decisions ();
-    last_decision_time = last;
-    first_decision_time = first;
-    total_steps = result.steps;
-    rounds;
-    outcome = result.outcome;
-    query_violations;
-  }
+(* Figs 1-2 and the detector-free skeleton, each detector drawn from
+   [world.world_rng]. [name] is the protocol object's name, which the
+   trace records. *)
+
+let fig1 ~name ~horizon ~stab_time ~escapes world =
+  let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
+  let upsilon =
+    Detector.source
+      (Upsilon.make ~rng:world.world_rng ~pattern:world.pattern ?stab_time ())
+  in
+  let proto = Upsilon_sa.create ?escapes ~name ~n_plus_1 ~upsilon () in
+  run_agreement ~label:"fig1" ~k:(n_plus_1 - 1) ~base:100 ~horizon
+    ~replay:(Some (fun () -> upsilon))
+    ~fibers:(fun ~me ~input -> [ Upsilon_sa.proposer proto ~me ~input ])
+    ~decisions:(fun () -> Upsilon_sa.decisions proto)
+    ~rounds:(fun () -> Upsilon_sa.rounds_entered proto)
+    world
+
+let fig2 ~name ~horizon ~snapshot_impl ~f world =
+  let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
+  let upsilon_f =
+    Detector.source
+      (Upsilon_f.make ~rng:world.world_rng ~pattern:world.pattern ~f ())
+  in
+  let proto =
+    Upsilon_f_sa.create ?snapshot_impl ~name ~n_plus_1 ~f ~upsilon_f ()
+  in
+  run_agreement ~label:"fig2" ~k:f ~base:200 ~horizon
+    ~replay:(Some (fun () -> upsilon_f))
+    ~fibers:(fun ~me ~input -> [ Upsilon_f_sa.proposer proto ~me ~input ])
+    ~decisions:(fun () -> Upsilon_f_sa.decisions proto)
+    ~rounds:(fun () -> Upsilon_f_sa.rounds_entered proto)
+    world
+
+let async ~name ~horizon world =
+  let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
+  let proto = Async_attempt.create ~name ~n_plus_1 in
+  run_agreement ~label:"async" ~k:(n_plus_1 - 1) ~base:500 ~horizon
+    ~replay:None
+    ~fibers:(fun ~me ~input -> [ Async_attempt.proposer proto ~me ~input ])
+    ~decisions:(fun () -> Async_attempt.decisions proto)
+    ~rounds:(fun () -> Async_attempt.rounds_entered proto)
+    world
 
 let default_horizon = 2_000_000
 
 let run_fig1 ?(horizon = default_horizon) ?stab_time ?escapes world =
-  let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
-  let upsilon =
-    Upsilon.make ~rng:world.world_rng ~pattern:world.pattern ?stab_time ()
-  in
-  let source = Detector.source upsilon in
-  let proto = Upsilon_sa.create ?escapes ~name:"sa" ~n_plus_1 ~upsilon:source () in
-  let result =
-    Run.exec ~pattern:world.pattern ~policy:world.policy ~horizon
-      ~procs:(fun pid -> [ Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid) ])
-      ()
-  in
-  let proposals = List.map (fun p -> (p, 100 + p)) (Pid.all ~n_plus_1) in
-  count_run ~proto:"fig1"
-    (measure ~source ~k:(n_plus_1 - 1) ~pattern:world.pattern ~proposals
-       ~decisions:(Upsilon_sa.decisions proto)
-       ~rounds:(Upsilon_sa.rounds_entered proto)
-       result)
+  fst (fig1 ~name:"sa" ~horizon ~stab_time ~escapes world)
 
-let run_fig2 ?(horizon = default_horizon) ?stab_time ?snapshot_impl ~f world =
-  let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
-  let upsilon_f =
-    Upsilon_f.make ~rng:world.world_rng ~pattern:world.pattern ~f ?stab_time ()
-  in
-  let source = Detector.source upsilon_f in
-  let proto =
-    Upsilon_f_sa.create ?snapshot_impl ~name:"fsa" ~n_plus_1 ~f
-      ~upsilon_f:source ()
-  in
-  let result =
-    Run.exec ~pattern:world.pattern ~policy:world.policy ~horizon
-      ~procs:(fun pid ->
-        [ Upsilon_f_sa.proposer proto ~me:pid ~input:(200 + pid) ])
-      ()
-  in
-  let proposals = List.map (fun p -> (p, 200 + p)) (Pid.all ~n_plus_1) in
-  count_run ~proto:"fig2"
-    (measure ~source ~k:f ~pattern:world.pattern ~proposals
-       ~decisions:(Upsilon_f_sa.decisions proto)
-       ~rounds:(Upsilon_f_sa.rounds_entered proto)
-       result)
+let run_fig2 ?snapshot_impl ~f world =
+  fst (fig2 ~name:"fsa" ~snapshot_impl ~f ~horizon:default_horizon world)
 
-let run_omega_k_baseline ?(horizon = default_horizon) ?stab_time ~k world =
+let run_omega_k_baseline ?stab_time ~k world =
   let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
   let omega_k =
-    Omega_k.make ~rng:world.world_rng ~pattern:world.pattern ~k ?stab_time ()
+    Detector.source
+      (Omega_k.make ~rng:world.world_rng ~pattern:world.pattern ~k ?stab_time
+         ())
   in
-  let source = Detector.source omega_k in
-  let proto = Omega_k_sa.create ~name:"oksa" ~n_plus_1 ~k ~omega_k:source in
-  let result =
-    Run.exec ~pattern:world.pattern ~policy:world.policy ~horizon
-      ~procs:(fun pid -> [ Omega_k_sa.proposer proto ~me:pid ~input:(300 + pid) ])
-      ()
-  in
-  let proposals = List.map (fun p -> (p, 300 + p)) (Pid.all ~n_plus_1) in
-  count_run ~proto:"omega_k"
-    (measure ~source ~k ~pattern:world.pattern ~proposals
-       ~decisions:(Omega_k_sa.decisions proto)
-       ~rounds:(Omega_k_sa.rounds_entered proto)
-       result)
+  let proto = Omega_k_sa.create ~name:"oksa" ~n_plus_1 ~k ~omega_k in
+  fst
+    (run_agreement ~label:"omega_k" ~k ~base:300 ~horizon:default_horizon
+       ~replay:(Some (fun () -> omega_k))
+       ~fibers:(fun ~me ~input -> [ Omega_k_sa.proposer proto ~me ~input ])
+       ~decisions:(fun () -> Omega_k_sa.decisions proto)
+       ~rounds:(fun () -> Omega_k_sa.rounds_entered proto)
+       world)
 
-let run_async_attempt ?(horizon = 200_000) ?(lockstep = true) world =
-  let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
-  let proto = Async_attempt.create ~name:"async" ~n_plus_1 in
-  let policy = if lockstep then Policy.round_robin () else world.policy in
-  let result =
-    Run.exec ~pattern:world.pattern ~policy ~horizon
-      ~procs:(fun pid ->
-        [ Async_attempt.proposer proto ~me:pid ~input:(500 + pid) ])
-      ()
-  in
-  let proposals = List.map (fun p -> (p, 500 + p)) (Pid.all ~n_plus_1) in
-  count_run ~proto:"async"
-    (measure ~k:(n_plus_1 - 1) ~pattern:world.pattern ~proposals
-       ~decisions:(Async_attempt.decisions proto)
-       ~rounds:(Async_attempt.rounds_entered proto)
-       result)
+let run_async_attempt ?(horizon = 200_000) world =
+  fst
+    (async ~name:"async" ~horizon
+       { world with policy = Policy.round_robin () })
 
 let trace_run ~protocol ~seed ~n_plus_1 ~f ~limit =
-  let world = random_world ~seed ~n_plus_1 ~max_faulty:(n_plus_1 - 1) () in
-  let rng = Rng.create seed in
-  let exec ~pattern ~policy ~horizon body =
-    Run.exec ~pattern ~policy ~horizon ~procs:(fun pid -> [ body pid ]) ()
+  (* the random world, with its detector drawn from a fresh generator
+     on the same seed *)
+  let random = random_world ~seed ~n_plus_1 ~max_faulty:(n_plus_1 - 1) () in
+  let world = { random with world_rng = Rng.create seed } in
+  let traced description world (_, result) =
+    Some (description, world, result)
   in
   match protocol with
   | "fig1" ->
-      let upsilon = Upsilon.make ~rng ~pattern:world.pattern () in
-      let proto =
-        Upsilon_sa.create ~name:"t" ~n_plus_1 ~upsilon:(Detector.source upsilon)
-          ()
-      in
-      Some
-        ( "Fig 1: upsilon-based n-set-agreement",
-          world,
-          exec ~pattern:world.pattern ~policy:world.policy ~horizon:500_000
-            (fun pid -> Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid)) )
+      traced "Fig 1: upsilon-based n-set-agreement" world
+        (fig1 ~name:"t" ~horizon:500_000 ~stab_time:None ~escapes:None world)
   | "fig2" ->
       let pattern =
         Failure_pattern.random (Rng.create (seed + 1)) ~n_plus_1 ~max_faulty:f
           ~latest:300
       in
-      let upsilon_f = Upsilon_f.make ~rng ~pattern ~f () in
-      let proto =
-        Upsilon_f_sa.create ~name:"t" ~n_plus_1 ~f
-          ~upsilon_f:(Detector.source upsilon_f) ()
-      in
-      Some
-        ( "Fig 2: upsilon_f-based f-set-agreement",
-          world,
-          exec ~pattern ~policy:world.policy ~horizon:500_000 (fun pid ->
-              Upsilon_f_sa.proposer proto ~me:pid ~input:(200 + pid)) )
+      let world = { world with pattern } in
+      traced "Fig 2: upsilon_f-based f-set-agreement" world
+        (fig2 ~name:"t" ~horizon:500_000 ~snapshot_impl:None ~f world)
   | "async" ->
-      let proto = Async_attempt.create ~name:"t" ~n_plus_1 in
-      Some
-        ( "detector-free skeleton under lock-step (the impossibility run)",
-          world,
-          exec
-            ~pattern:(Failure_pattern.no_failures ~n_plus_1)
-            ~policy:(Policy.round_robin ()) ~horizon:(limit * 2)
-            (fun pid -> Async_attempt.proposer proto ~me:pid ~input:(500 + pid))
-        )
+      let world =
+        {
+          world with
+          pattern = Failure_pattern.no_failures ~n_plus_1;
+          policy = Policy.round_robin ();
+        }
+      in
+      traced "detector-free skeleton under lock-step (the impossibility run)"
+        world
+        (async ~name:"t" ~horizon:(limit * 2) world)
   | _ -> None
 
 (* ------------------------------------------------- model checking *)
@@ -443,7 +434,8 @@ let check_outcome_json t =
               ] );
     ]
 
-let run_extraction_of ?(horizon = 150_000) ?(tail = 25_000) ~f ~source world =
+let run_extraction_of ~f ~source world =
+  let horizon = 150_000 and tail = 25_000 in
   let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
   let rng = world.world_rng in
   let pattern = world.pattern in
@@ -472,10 +464,7 @@ let run_extraction_of ?(horizon = 150_000) ?(tail = 25_000) ~f ~source world =
         (Extract_upsilon.change_log ex)
     in
     let verdict = Extract_upsilon.check ex ~pattern ~last_time ~tail in
-    Obs.Metrics.incr m_runs;
-    Obs.Metrics.incr (Obs.Metrics.counter "harness.runs{proto=extraction}");
-    Obs.Metrics.incr
-      (match verdict with Ok () -> m_verdict_ok | Error _ -> m_verdict_fail);
+    count ~proto:"extraction" (Result.is_ok verdict);
     (verdict, stabilized_at)
   in
   let run (type v) (detector : v Detector.t) (equal : v -> v -> bool)
@@ -524,13 +513,14 @@ let run_extraction_of ?(horizon = 150_000) ?(tail = 25_000) ~f ~source world =
    together with the link-layer contract. Returns the verdict and the
    empirical stabilization time (last suspicion change at any correct
    process). *)
-let run_hb_detector ?(horizon = 6_000) ?params ~mode ~net world =
+let run_hb_detector ~mode ~net world =
   let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
   let pattern = world.pattern in
+  let horizon = 6_000 in
   let eng =
     match mode with
-    | `Ev_perfect -> Hb_ev_perfect.make ?params ~n_plus_1 ~net ()
-    | `Ev_strong -> Hb_ev_strong.make ?params ~n_plus_1 ~net ()
+    | `Ev_perfect -> Hb_ev_perfect.make ~n_plus_1 ~net ()
+    | `Ev_strong -> Hb_ev_strong.make ~n_plus_1 ~net ()
   in
   let result =
     Run.exec ~pattern
@@ -552,73 +542,59 @@ let run_hb_detector ?(horizon = 6_000) ?params ~mode ~net world =
             | `Ev_perfect -> Hb_ev_perfect.check eng ~pattern ~horizon:last
             | `Ev_strong -> Hb_ev_strong.check eng ~pattern ~horizon:last))
   in
-  Obs.Metrics.incr m_runs;
-  Obs.Metrics.incr (Obs.Metrics.counter "harness.runs{proto=hb}");
-  Obs.Metrics.incr
-    (match verdict with Ok () -> m_verdict_ok | Error _ -> m_verdict_fail);
+  count ~proto:"hb" (Result.is_ok verdict);
   (verdict, Heartbeat.stabilized_at eng ~only:(Failure_pattern.is_correct pattern))
 
 let run_msg_consensus ?(horizon = 3_000_000) ?omega_impl world =
   let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
-  let pattern = world.pattern in
-  let proposals = List.map (fun p -> (p, 800 + p)) (Pid.all ~n_plus_1) in
-  let finish source proto result =
-    let rounds =
-      List.fold_left
-        (fun acc (_, r) -> max acc r)
-        0
-        (Msg_consensus.decision_rounds proto)
-    in
-    let m =
-      count_run ~proto:"msg_consensus"
-        (measure ~source ~k:1 ~pattern ~proposals
-           ~decisions:(Msg_consensus.decisions proto)
-           ~rounds result)
-    in
-    (m, Msg_consensus.check_memory proto)
+  let create omega = Msg_consensus.create ~name:"mc" ~n_plus_1 ~omega in
+  let proto, monitors, replay, world =
+    match omega_impl with
+    | None ->
+        let omega =
+          Detector.source
+            (Omega.make ~rng:world.world_rng ~pattern:world.pattern ())
+        in
+        (create omega, (fun _ -> []), (fun () -> omega), world)
+    | Some net ->
+        (* Ω implemented from heartbeats: the protocol queries the live
+           min-unsuspected leader; query replay validates those samples
+           against the post-run reconstructed ◇P history lowered through
+           the same extraction. *)
+        let eng = Hb_ev_perfect.make ~n_plus_1 ~net () in
+        let proto = create (Heartbeat.leader_source eng) in
+        (* wind the monitors down once every correct process has decided;
+           the ABD servers are daemons, so the run then quiesces instead
+           of heartbeating to the horizon *)
+        let correct =
+          Pid.Set.elements (Failure_pattern.correct world.pattern)
+        in
+        let done_ () =
+          let decided = Msg_consensus.decisions proto in
+          List.for_all (fun p -> List.mem_assoc p decided) correct
+        in
+        ( proto,
+          (fun me -> [ Heartbeat.fiber ~until:done_ eng ~me ]),
+          (fun () ->
+            Detector.source
+              (Pairwise.omega_of_ev_perfect ~n_plus_1
+                 (Heartbeat.to_detector eng))),
+          {
+            world with
+            policy = Policy.fair_after ~gst:net.Link.gst world.policy;
+          } )
   in
-  match omega_impl with
-  | None ->
-      let omega = Omega.make ~rng:world.world_rng ~pattern () in
-      let proto =
-        Msg_consensus.create ~name:"mc" ~n_plus_1
-          ~omega:(Detector.source omega)
-      in
-      let result =
-        Run.exec ~pattern ~policy:world.policy ~horizon
-          ~procs:(fun pid ->
-            Msg_consensus.fibers proto ~me:pid ~input:(800 + pid))
-          ()
-      in
-      finish (Detector.source omega) proto result
-  | Some net ->
-      (* Ω implemented from heartbeats: the protocol queries the live
-         min-unsuspected leader; query replay validates those samples
-         against the post-run reconstructed ◇P history lowered through
-         the same extraction. *)
-      let eng = Hb_ev_perfect.make ~n_plus_1 ~net () in
-      let proto =
-        Msg_consensus.create ~name:"mc" ~n_plus_1
-          ~omega:(Heartbeat.leader_source eng)
-      in
-      (* wind the monitors down once every correct process has decided;
-         the ABD servers are daemons, so the run then quiesces instead
-         of heartbeating to the horizon *)
-      let correct = Pid.Set.elements (Failure_pattern.correct pattern) in
-      let done_ () =
-        let decided = Msg_consensus.decisions proto in
-        List.for_all (fun p -> List.mem_assoc p decided) correct
-      in
-      let result =
-        Run.exec ~pattern
-          ~policy:(Policy.fair_after ~gst:net.Link.gst world.policy)
-          ~horizon
-          ~procs:(fun pid ->
-            Heartbeat.fiber ~until:done_ eng ~me:pid
-            :: Msg_consensus.fibers proto ~me:pid ~input:(800 + pid))
-          ()
-      in
-      let replay =
-        Pairwise.omega_of_ev_perfect ~n_plus_1 (Heartbeat.to_detector eng)
-      in
-      finish (Detector.source replay) proto result
+  let m, _ =
+    run_agreement ~label:"msg_consensus" ~k:1 ~base:800 ~horizon
+      ~replay:(Some replay)
+      ~fibers:(fun ~me ~input ->
+        monitors me @ Msg_consensus.fibers proto ~me ~input)
+      ~decisions:(fun () -> Msg_consensus.decisions proto)
+      ~rounds:(fun () ->
+        List.fold_left
+          (fun acc (_, r) -> max acc r)
+          0
+          (Msg_consensus.decision_rounds proto))
+      world
+  in
+  (m, Msg_consensus.check_memory proto)

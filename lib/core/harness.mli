@@ -20,10 +20,6 @@ type measurements = {
 val ok : measurements -> bool
 (** Spec verdict all green and no query violations. *)
 
-val decision_time_bounds : Run.result -> int * int
-(** Times of the run's first and last ["decide"] outputs, [(0, 0)] if
-    none; read without building the trace list. *)
-
 type world = {
   pattern : Failure_pattern.t;
   policy : Policy.t;
@@ -36,6 +32,29 @@ val random_world :
     seeded random scheduler, both derived deterministically from
     [seed]. *)
 
+(** {1 Agreement worlds} *)
+
+val run_agreement :
+  label:string ->
+  k:int ->
+  base:int ->
+  horizon:int ->
+  replay:(unit -> 'v Sim.source) option ->
+  fibers:(me:Pid.t -> input:int -> (unit -> unit) list) ->
+  decisions:(unit -> (Pid.t * int) list) ->
+  rounds:(unit -> int) ->
+  world ->
+  measurements * Run.result
+(** The one runner for agreement worlds. Run [fibers] for every process
+    [p], proposing [base + p], under the world's pattern and policy for
+    up to [horizon] steps; check {!Agreement.Sa_spec} with bound [k] on
+    [decisions ()]; read the decision times and [rounds ()] (the highest
+    round entered); replay every recorded query of [replay ()]'s
+    detector against its history, built after the run so a heartbeat
+    run can reconstruct it; and count the run as
+    [harness.runs{proto=<label>}]. The detector itself, if any, is the
+    caller's, already inside the fibers. *)
+
 val run_fig1 :
   ?horizon:int ->
   ?stab_time:int ->
@@ -46,21 +65,15 @@ val run_fig1 :
     distinct per process. *)
 
 val run_fig2 :
-  ?horizon:int ->
-  ?stab_time:int ->
-  ?snapshot_impl:Memory.Snap.impl ->
-  f:int ->
-  world ->
-  measurements
+  ?snapshot_impl:Memory.Snap.impl -> f:int -> world -> measurements
+(** Fig 2 with a fresh Υᶠ history over the world's pattern. *)
 
-val run_omega_k_baseline :
-  ?horizon:int -> ?stab_time:int -> k:int -> world -> measurements
+val run_omega_k_baseline : ?stab_time:int -> k:int -> world -> measurements
 (** The Ωₖ-based baseline under the same conventions. *)
 
-val run_async_attempt :
-  ?horizon:int -> ?lockstep:bool -> world -> measurements
-(** The detector-free skeleton; [lockstep] (default true) replaces the
-    world's policy with round-robin, the adversarial schedule. *)
+val run_async_attempt : ?horizon:int -> world -> measurements
+(** The detector-free skeleton under lock-step round-robin (the
+    adversarial schedule) in place of the world's policy. *)
 
 val trace_run :
   protocol:string ->
@@ -69,11 +82,12 @@ val trace_run :
   f:int ->
   limit:int ->
   (string * world * Run.result) option
-(** The world [wfde trace] replays, as [(description, world, result)]:
-    ["fig1"] (Υ from the seed's own generator), ["fig2"] (Υᶠ with [f]
-    over a separately seeded pattern), or ["async"] (the detector-free
-    skeleton under lock-step for [2 * limit] steps). [None] for any
-    other protocol name. *)
+(** The world [wfde trace] replays, as [(description, world, result)],
+    where [world] is the pattern and policy the run used: ["fig1"] (Υ
+    from the seed's own generator), ["fig2"] (Υᶠ with [f] over a
+    separately seeded pattern), or ["async"] (the detector-free
+    skeleton, failure-free under lock-step, for [2 * limit] steps).
+    [None] for any other protocol name. *)
 
 (** {1 Model checking}
 
@@ -167,8 +181,6 @@ val check_outcome_json : check_outcome -> Obs.Json.t
     payload). *)
 
 val run_extraction_of :
-  ?horizon:int ->
-  ?tail:int ->
   f:int ->
   source:
     [ `Omega
@@ -182,8 +194,9 @@ val run_extraction_of :
   ->
   world ->
   (unit, string) result * int
-(** Run the Fig-3 extraction from the given stable source; returns the
-    Υᶠ-spec verdict on the extracted variable and the time of the last
+(** Run the Fig-3 extraction from the given stable source for 150,000
+    steps; returns the Υᶠ-spec verdict on the extracted variable (its
+    last 25,000 steps must be stable) and the time of the last
     extracted-output change among correct processes (stabilization
     time). [`Hb_ev_perfect net] feeds the extraction an {e implemented}
     ◇P: heartbeat monitors ({!Detectors.Hb_ev_perfect}) run alongside
@@ -194,19 +207,17 @@ val run_extraction_of :
 (** {1 Implemented (heartbeat) detectors} *)
 
 val run_hb_detector :
-  ?horizon:int ->
-  ?params:Detectors.Heartbeat.params ->
   mode:[ `Ev_perfect | `Ev_strong ] ->
   net:Link.config ->
   world ->
   (unit, string) result * int
-(** Run only the heartbeat monitors of the given mode over a fresh
-    partially synchronous link in the given world (policy fair from the
-    link's GST), then check the link's partial-synchrony contract,
-    crash isolation, and the mode's detector spec ({!Detectors.
-    Hb_ev_perfect.check} / {!Detectors.Hb_ev_strong.check}) on the
-    reconstructed history. Returns the verdict and the empirical
-    stabilization time. *)
+(** Run only the heartbeat monitors of the given mode, with default
+    parameters, for 6,000 steps over a fresh partially synchronous link
+    in the given world (policy fair from the link's GST), then check
+    the link's partial-synchrony contract, crash isolation, and the
+    mode's detector spec ({!Detectors.Hb_ev_perfect.check} /
+    {!Detectors.Hb_ev_strong.check}) on the reconstructed history.
+    Returns the verdict and the empirical stabilization time. *)
 
 val run_msg_consensus :
   ?horizon:int ->

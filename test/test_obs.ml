@@ -299,6 +299,33 @@ let test_golden_exports () =
               checks file (read_file ("golden/" ^ file)) (read_file path)))
     golden_exports
 
+(* [trace_run] returns the world the run used: the printed pattern is the
+   one the traced run crashes under, and no process steps at or after
+   its crash time in it. *)
+let test_trace_world_is_run_world () =
+  List.iter
+    (fun (file, protocol, seed, n_plus_1, f) ->
+      match Wfde.Harness.trace_run ~protocol ~seed ~n_plus_1 ~f ~limit:120 with
+      | None -> Alcotest.failf "%s: unknown protocol %s" file protocol
+      | Some (_, world, result) ->
+          let pattern = world.Wfde.Harness.pattern in
+          let trace = Run.trace result in
+          List.iter
+            (fun v ->
+              Alcotest.failf "%s: %a" file Oracle.pp_violation v)
+            (Oracle.check_run_conditions pattern trace);
+          List.iter
+            (function
+              | Trace.Crash { pid; time } ->
+                  checki (file ^ ": crash time") time
+                    (Failure_pattern.crash_time pattern pid)
+              | Trace.Step _ -> ())
+            trace;
+          if file = "fig2_seed9_p4_f2.jsonl" then
+            checks file "crashes[p3@146, p4@74](4 procs)"
+              (Format.asprintf "%a" Failure_pattern.pp pattern))
+    golden_exports
+
 (* -- log buckets / quantiles ------------------------------------------ *)
 
 let test_log_buckets () =
@@ -507,6 +534,8 @@ let suite =
     Alcotest.test_case "exported schedule replays" `Quick
       test_exported_schedule_replays;
     Alcotest.test_case "golden trace exports" `Quick test_golden_exports;
+    Alcotest.test_case "trace world is the run's world" `Quick
+      test_trace_world_is_run_world;
     Alcotest.test_case "log buckets (1-2-5 series)" `Quick test_log_buckets;
     Alcotest.test_case "histogram quantiles" `Quick test_hist_quantile;
     Alcotest.test_case "prometheus exposition" `Quick test_prom_render;

@@ -50,6 +50,31 @@ let test_harness_fig1_measures () =
 
 (* -- experiments (small parameters) ---------------------------------------- *)
 
+let small_net =
+  { Link.gst = 40; delta = 2; pre_delay = 10; loss_pct = 50; link_seed = 7 }
+
+(* Small-parameter tables of the drivers that run their worlds through
+   [Harness.run_agreement] directly or via [run_msg_consensus], pinned
+   byte for byte in golden/small_tables.txt. *)
+let test_small_tables_golden () =
+  let module E = Wfde.Experiments in
+  let tables =
+    [
+      E.e7_upsilon_vs_omega_n ~seeds:3 ~stab_times:[ 0; 200 ] ();
+      E.e8_impossibility ~horizons:[ 10_000 ] ();
+      E.e9_booster_consensus ~seeds:4 ~sizes:[ 2; 3 ] ();
+      E.e11_msg_consensus ~seeds:1 ~sizes:[ 3 ] ();
+      E.e11_msg_consensus ~seeds:1 ~sizes:[ 3 ] ~impl:small_net ();
+      E.a3_fig2_snapshot_cost ~seeds:2 ();
+    ]
+    |> List.map (fun (o : E.outcome) -> Wfde.Report.to_string o.table)
+    |> String.concat "\n"
+  in
+  Alcotest.(check string)
+    "golden/small_tables.txt"
+    (In_channel.with_open_bin "golden/small_tables.txt" In_channel.input_all)
+    tables
+
 let test_experiments_hold_small () =
   let outcomes =
     [
@@ -62,8 +87,12 @@ let test_experiments_hold_small () =
       Wfde.Experiments.e7_upsilon_vs_omega_n ~seeds:3 ~stab_times:[ 0; 200 ] ();
       Wfde.Experiments.e8_impossibility ~horizons:[ 10_000 ] ();
       Wfde.Experiments.e9_booster_consensus ~seeds:4 ~sizes:[ 2; 3 ] ();
+      Wfde.Experiments.e10_abd_emulation ~seeds:2 ~sizes:[ 3; 5 ] ();
+      Wfde.Experiments.e11_msg_consensus ~seeds:1 ~sizes:[ 3 ] ~impl:small_net
+        ();
       Wfde.Experiments.a1_snapshot_ablation ~sizes:[ 2; 4 ] ();
       Wfde.Experiments.a2_escape_ablation ~seeds:4 ();
+      Wfde.Experiments.a3_fig2_snapshot_cost ~seeds:2 ();
     ]
   in
   List.iter
@@ -196,6 +225,8 @@ let suite =
     Alcotest.test_case "harness fig1 measures" `Quick test_harness_fig1_measures;
     Alcotest.test_case "all experiments hold (small)" `Slow
       test_experiments_hold_small;
+    Alcotest.test_case "small tables match golden" `Quick
+      test_small_tables_golden;
     Alcotest.test_case "experiment lookup" `Quick test_experiment_lookup;
     Alcotest.test_case "registry scaling = driver default" `Quick
       test_registry_scaling;
