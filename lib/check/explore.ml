@@ -5,19 +5,6 @@ type 'a outcome = {
   counterexample : (Pid.t list * 'a) option;
 }
 
-let unbounded = Dpor.unbounded
-let sat_add = Dpor.sat_add
-
-let exhaustive_prefix ~pattern ~depth ~horizon ?(budget = unbounded)
-    ?(should_stop = fun () -> false) ~make () =
-  let result =
-    Dpor.explore ~pattern ~depth ~horizon ~budget ~should_stop ~make ()
-  in
-  {
-    executions = result.Dpor.stats.Dpor.executions;
-    counterexample = result.Dpor.counterexample;
-  }
-
 (* The original unreduced enumerator, verbatim. Execute one fresh world
    under [prefix ++ round-robin], returning the checker's result and
    the enabled set seen at each prefix position (to drive enumeration

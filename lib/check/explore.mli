@@ -1,13 +1,8 @@
-(** Bounded exhaustive schedule exploration.
-
-    Historical entry point, kept as a thin wrapper now that the real
-    work lives in {!Dpor}: {!exhaustive_prefix} explores every schedule
-    class of the first [depth] steps with partial-order reduction,
-    {!naive_prefix} is the original unreduced enumerator — the one
-    reference oracle the DPOR equivalence tests compare against, and
-    the honest baseline for "how many executions did reduction save"
-    measurements. Both check the property against every explored
-    execution and stop at the first counterexample. *)
+(** The unreduced schedule enumerator: every choice of "who steps
+    next" for the first [depth] steps of a run. It is the reference
+    oracle the DPOR equivalence tests compare {!Dpor.explore} against,
+    and the honest baseline for "how many executions did reduction
+    save" measurements. *)
 
 open Kernel
 
@@ -18,39 +13,6 @@ type 'a outcome = {
           violating execution, if any *)
 }
 
-val unbounded : int
-(** [max_int], the [?budget] value meaning "no execution limit" —
-    identical to {!Dpor.unbounded}, and identical to what
-    {!count_schedules} saturates to. The two agree by construction:
-    feeding a saturated schedule count back in as a budget imposes no
-    bound, exactly as an un-representable true count should. *)
-
-val sat_add : int -> int -> int
-(** {!Dpor.sat_add}: non-negative addition saturating at
-    {!unbounded}. *)
-
-val exhaustive_prefix :
-  pattern:Failure_pattern.t ->
-  depth:int ->
-  horizon:int ->
-  ?budget:int ->
-  ?should_stop:(unit -> bool) ->
-  make:
-    (unit ->
-    (Pid.t -> (unit -> unit) list) * (Trace.t -> (unit, 'a) result)) ->
-  unit ->
-  'a outcome
-(** DPOR-backed ({!Dpor.explore}): explores one representative per
-    Mazurkiewicz class of depth-bounded prefixes instead of every
-    prefix. [make ()] must build a {e fresh}, deterministic world: the
-    fiber factory plus a checker run on the completed trace ([Ok] =
-    property held, [Error] = violation report). [budget] (default
-    {!unbounded}) caps the number of executions; a truncated run
-    reports [executions = budget] and no counterexample. [should_stop]
-    (default never) is the cooperative-cancellation probe of
-    {!Dpor.explore}, polled at the budget check before each
-    execution. *)
-
 val naive_prefix :
   pattern:Failure_pattern.t ->
   depth:int ->
@@ -60,9 +22,10 @@ val naive_prefix :
     (Pid.t -> (unit -> unit) list) * (Trace.t -> (unit, 'a) result)) ->
   unit ->
   'a outcome
-(** The pre-reduction enumerator: every choice of "who steps next" for
-    the first [depth] steps, ~[n_plus_1^depth] re-executions. Reference
-    oracle only — use {!exhaustive_prefix}. *)
+(** Re-executes a fresh world from [make ()] for each prefix,
+    ~[n_plus_1^depth] runs, checks the property on every completed
+    execution and stops at the first counterexample. Reference oracle
+    only — use {!Dpor.explore}. *)
 
 val count_schedules : n_plus_1:int -> depth:int -> int
 (** [n_plus_1 ^ depth], the upper bound on executions {!naive_prefix}

@@ -558,50 +558,27 @@ let e8_impossibility ?(jobs = 1) ?(horizons = [ 20_000; 80_000; 320_000 ]) () =
 
 let a1_snapshot_ablation ?(jobs = 1) ?(sizes = [ 2; 4; 8 ]) () =
   let steps_for ~impl ~n_plus_1 =
-    let ops_per_proc = 10 in
-    let pattern = Failure_pattern.no_failures ~n_plus_1 in
-    match impl with
-    | `Registers ->
-        let snap =
-          Snapshot.create ~name:"ab" ~size:n_plus_1 ~init:(fun _ -> 0)
-        in
-        let body pid () =
-          for i = 1 to ops_per_proc do
-            Snapshot.update snap ~me:pid i;
-            ignore (Snapshot.scan snap)
-          done
-        in
-        let result =
-          Run.exec ~pattern
-            ~policy:(Policy.random (Rng.create 5))
-            ~horizon:5_000_000
-            ~procs:(fun pid -> [ body pid ])
-            ()
-        in
-        result.steps
-    | `Native ->
-        let snap =
-          Native_snapshot.create ~name:"ab" ~size:n_plus_1 ~init:(fun _ -> 0)
-        in
-        let body pid () =
-          for i = 1 to ops_per_proc do
-            Native_snapshot.update snap ~me:pid i;
-            ignore (Native_snapshot.scan snap)
-          done
-        in
-        let result =
-          Run.exec ~pattern
-            ~policy:(Policy.random (Rng.create 5))
-            ~horizon:5_000_000
-            ~procs:(fun pid -> [ body pid ])
-            ()
-        in
-        result.steps
+    let snap = Snap.make ~impl ~name:"ab" ~size:n_plus_1 ~init:(fun _ -> 0) in
+    let body pid () =
+      for i = 1 to 10 do
+        Snap.update snap ~me:pid i;
+        ignore (Snap.scan snap)
+      done
+    in
+    let result =
+      Run.exec
+        ~pattern:(Failure_pattern.no_failures ~n_plus_1)
+        ~policy:(Policy.random (Rng.create 5))
+        ~horizon:5_000_000
+        ~procs:(fun pid -> [ body pid ])
+        ()
+    in
+    result.steps
   in
   let rows =
     pmap ~jobs sizes (fun n_plus_1 ->
-        (n_plus_1, steps_for ~impl:`Registers ~n_plus_1,
-         steps_for ~impl:`Native ~n_plus_1))
+        (n_plus_1, steps_for ~impl:Snap.Registers ~n_plus_1,
+         steps_for ~impl:Snap.Native ~n_plus_1))
     |> List.concat_map (fun (n_plus_1, reg, nat) ->
         let per_op total = float_of_int total /. float_of_int (n_plus_1 * 20) in
         [

@@ -31,74 +31,41 @@ let map_until t ~stop ~f n =
   else begin
     let jobs = min t.jobs n in
     let slots = Array.make n None in
-    (* Highest index the merge will keep: lowered to the first stopping
-       (or raising) unit. Deque discipline hands each index to exactly
-       one worker; [cut] only ever decreases and an index is executed
-       iff it is <= cut at claim time, so every unit <= the final cut
-       is guaranteed to have run (and skipped units are never merged). *)
+    (* [next] hands each index to exactly one worker, in ascending
+       order. [cut] is the highest index the merge will keep: lowered to
+       the first stopping (or raising) unit. It only ever decreases and
+       an index is executed iff it is <= cut at claim time, so every
+       unit <= the final cut is guaranteed to have run (and skipped
+       units are never merged). A worker stops at its first claim past
+       [cut]: every later claim is larger. *)
+    let next = Atomic.make 0 in
     let cut = Atomic.make (n - 1) in
-    (* One deque per worker, seeded with its [index mod jobs] stripe in
-       ascending order. No unit is added after seeding, so the sweep is
-       over exactly when every deque has drained. *)
-    let deques = Array.init jobs (fun _ -> Deque.create ~capacity:n) in
-    for wid = 0 to jobs - 1 do
-      let len = (n - wid + jobs - 1) / jobs in
-      Deque.seed deques.(wid) (Array.init len (fun k -> wid + (k * jobs)))
-    done;
-    let worker wid () =
+    let worker () =
       Domain.DLS.set in_worker true;
       let t0 = Unix.gettimeofday () in
-      let claimed = ref 0 and steals = ref 0 and steal_batches = ref 0 in
-      (* Own deque first; dry, raid the victims round-robin, moving
-         half a victim's tail into our deque per raid. A full scan with
-         every deque empty means only in-flight units remain — those
-         are owned by their executors and never respawn, so exit. *)
-      let rec obtain () =
-        match Deque.pop deques.(wid) with
-        | Some i -> Some i
-        | None -> raid 1
-      and raid off =
-        if off >= jobs then None
-        else begin
-          let v = (wid + off) mod jobs in
-          if
-            Deque.size deques.(v) > 0
-            && Deque.steal_half ~victim:deques.(v) ~into:deques.(wid) > 0
-          then begin
-            incr steal_batches;
-            obtain ()
-          end
-          else raid (off + 1)
+      let claimed = ref 0 in
+      let rec loop () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i <= Atomic.get cut then begin
+          incr claimed;
+          Obs.Metrics.reset ();
+          (match f i with
+          | v ->
+              let snap = Obs.Metrics.snapshot () in
+              slots.(i) <- Some (Done (v, snap));
+              if stop v then atomic_min cut i
+          | exception e ->
+              let bt = Printexc.get_raw_backtrace () in
+              let snap = Obs.Metrics.snapshot () in
+              slots.(i) <- Some (Failed (e, bt, snap));
+              atomic_min cut i);
+          loop ()
         end
       in
-      let rec loop () =
-        match obtain () with
-        | None -> ()
-        | Some i ->
-            if i <= Atomic.get cut then begin
-              incr claimed;
-              if i mod jobs <> wid then incr steals;
-              Obs.Metrics.reset ();
-              (match f i with
-              | v ->
-                  let snap = Obs.Metrics.snapshot () in
-                  slots.(i) <- Some (Done (v, snap));
-                  if stop v then atomic_min cut i
-              | exception e ->
-                  let bt = Printexc.get_raw_backtrace () in
-                  let snap = Obs.Metrics.snapshot () in
-                  slots.(i) <- Some (Failed (e, bt, snap));
-                  atomic_min cut i)
-            end;
-            loop ()
-      in
       loop ();
-      (!claimed, !steals, !steal_batches,
-       (Unix.gettimeofday () -. t0) *. 1000.)
+      (!claimed, Unix.gettimeofday () -. t0)
     in
-    let domains =
-      Array.init jobs (fun wid -> Domain.spawn (fun () -> worker wid ()))
-    in
+    let domains = Array.init jobs (fun _ -> Domain.spawn worker) in
     let wstats = Array.map Domain.join domains in
     let last = Atomic.get cut in
     let acc = ref [] and failed = ref None in
@@ -112,24 +79,20 @@ let map_until t ~stop ~f n =
           failed := Some (e, bt)
       | None -> assert false
     done;
-    (* Looked up here rather than held in module-level handles, like the
-       per-worker gauges below: purely serial processes never grow
-       exec.* rows in their stats output, and concurrent first runs
-       from several domains share no one-time initialisation. *)
-    Obs.Metrics.incr (Obs.Metrics.counter "exec.pool.runs");
-    Obs.Metrics.incr ~by:(last + 1) (Obs.Metrics.counter "exec.pool.units");
+    (* Looked up here rather than held in module-level handles: purely
+       serial processes never grow exec.* rows in their stats output,
+       and concurrent first runs from several domains share no one-time
+       initialisation. *)
+    let count ?by name = Obs.Metrics.incr ?by (Obs.Metrics.counter name) in
+    count "exec.pool.runs";
+    count ~by:(last + 1) "exec.pool.units";
     Array.iteri
-      (fun wid (claimed, steals, steal_batches, wall_ms) ->
-        let set name v =
-          Obs.Metrics.set
-            (Obs.Metrics.gauge
-               (Printf.sprintf "exec.pool.worker.%s{worker=%d}" name wid))
-            v
+      (fun wid (claimed, wall_s) ->
+        let worker name =
+          Printf.sprintf "exec.pool.worker.%s{worker=%d}" name wid
         in
-        set "units" (float_of_int claimed);
-        set "steals" (float_of_int steals);
-        set "steal_batches" (float_of_int steal_batches);
-        set "wall_ms" wall_ms)
+        count ~by:claimed (worker "units");
+        count ~by:(int_of_float (wall_s *. 1e6)) (worker "wall_us"))
       wstats;
     (match !failed with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt

@@ -2,14 +2,12 @@
 
     A pool shards independent work units — experiment seeds, DPOR root
     branches, bench repetitions — across a fixed number of worker
-    domains. Each worker owns a {!Deque} seeded with its
-    [index mod jobs] stripe; a worker that drains its deque raids the
-    other workers round-robin, moving half of a victim's remaining tail
-    into its own deque per raid (see {!Deque.steal_half}). Scheduling
-    is therefore dynamic — a worker stuck on one pathological unit
-    loses the rest of its stripe to idle peers instead of serializing
-    the sweep — but {e results are merged keyed by unit index, never by
-    completion order}: [map] with [jobs = 1] and [jobs = N] return
+    domains. Workers claim unit indices from one shared atomic cursor,
+    so units start in ascending index order and a worker stuck on one
+    slow unit never holds back the others: idle workers keep claiming
+    the next index. Which worker runs a unit is therefore dynamic, but
+    {e results are merged keyed by unit index, never by completion
+    order}: [map] with [jobs = 1] and [jobs = N] return
     element-for-element identical lists, and the metrics absorbed into
     the caller's registry are identical too, so rendered tables, JSONL
     traces, and [wfde-bench/1] JSON come out byte-identical at any
@@ -61,12 +59,12 @@ val map_until : t -> stop:('a -> bool) -> f:(int -> 'a) -> int -> 'a list
 
 (** {1 Pool telemetry}
 
-    Parallel runs record per-worker gauges in the caller's registry
-    after the barrier: [exec.pool.worker.units{worker=K}] (units
-    executed), [exec.pool.worker.wall_ms{worker=K}],
-    [exec.pool.worker.steals{worker=K}] (executed units that came from
-    another worker's [index mod jobs] seed stripe), and
-    [exec.pool.worker.steal_batches{worker=K}] (successful steal-half
-    raids), plus the [exec.pool.runs] and [exec.pool.units] counters.
-    These depend on scheduling and wall time — strip [exec.*] names
-    before comparing snapshots across [-j] values. *)
+    Parallel runs record counters in the caller's registry after the
+    barrier: [exec.pool.runs] (parallel calls), [exec.pool.units]
+    (merged units), and per worker [exec.pool.worker.units{worker=K}]
+    (units executed) and [exec.pool.worker.wall_us{worker=K}] (worker
+    lifetime, in whole microseconds). All accumulate over calls, so the
+    per-worker units sum to [exec.pool.units] unless a {!map_until}
+    stop or an exception discarded units computed past the cut. Which
+    worker ran what depends on scheduling and wall time — strip
+    [exec.*] names before comparing snapshots across [-j] values. *)

@@ -425,49 +425,42 @@ let test_one_minimal_skip_write_back () =
 
 (* ---------------------------------------------------------- budget --- *)
 
+(* Executions of a DPOR sweep over the 2-process register scenario. *)
 let explore_reg ?budget () =
-  Explore.exhaustive_prefix
-    ~pattern:(Failure_pattern.no_failures ~n_plus_1:2)
-    ~depth:6 ~horizon:400
-    ?budget
-    ~make:(Scenario.make Scenario.Register ~procs:2)
-    ()
+  (Dpor.explore
+     ~pattern:(Failure_pattern.no_failures ~n_plus_1:2)
+     ~depth:6 ~horizon:400
+     ?budget
+     ~make:(Scenario.make Scenario.Register ~procs:2)
+     ())
+    .Dpor.stats.Dpor.executions
 
 let test_budget_boundaries () =
   let free = explore_reg () in
-  checkb "reference run explores something" true (free.Explore.executions > 1);
+  checkb "reference run explores something" true (free > 1);
   (* max_int means unbounded: identical outcome *)
-  let capped = explore_reg ~budget:Explore.unbounded () in
-  checki "budget = unbounded is a no-op" free.Explore.executions
-    capped.Explore.executions;
+  checki "budget = unbounded is a no-op" free
+    (explore_reg ~budget:Dpor.unbounded ());
   (* budget = 1: exactly one execution, then truncation *)
-  let one = explore_reg ~budget:1 () in
-  checki "budget = 1 runs once" 1 one.Explore.executions;
+  checki "budget = 1 runs once" 1 (explore_reg ~budget:1 ());
   (* budget = the exact execution count: no truncation, same outcome *)
-  let exact = explore_reg ~budget:free.Explore.executions () in
-  checki "exact budget does not truncate" free.Explore.executions
-    exact.Explore.executions;
+  checki "exact budget does not truncate" free (explore_reg ~budget:free ());
   (* one less does truncate *)
-  let less = explore_reg ~budget:(free.Explore.executions - 1) () in
-  checki "budget - 1 truncates" (free.Explore.executions - 1)
-    less.Explore.executions
+  checki "budget - 1 truncates" (free - 1) (explore_reg ~budget:(free - 1) ())
 
 let test_count_schedules_saturates () =
   (* 3^1000 overflows; count_schedules must return exactly unbounded,
      so that feeding it back as a budget imposes no limit *)
   let c = Explore.count_schedules ~n_plus_1:3 ~depth:1000 in
-  checki "saturates to unbounded" Explore.unbounded c;
-  let free = explore_reg () in
-  let with_sat = explore_reg ~budget:c () in
-  checki "saturated count as budget is unbounded" free.Explore.executions
-    with_sat.Explore.executions;
+  checki "saturates to unbounded" Dpor.unbounded c;
+  checki "saturated count as budget is unbounded" (explore_reg ())
+    (explore_reg ~budget:c ());
   (* non-saturating cases still exact *)
   checki "3^4" 81 (Explore.count_schedules ~n_plus_1:3 ~depth:4);
   checki "depth 0" 1 (Explore.count_schedules ~n_plus_1:5 ~depth:0);
   (* sat_add saturates instead of wrapping *)
-  checki "sat_add caps" Explore.unbounded
-    (Explore.sat_add (Explore.unbounded - 1) 2);
-  checki "sat_add exact below cap" 7 (Explore.sat_add 3 4)
+  checki "sat_add caps" Dpor.unbounded (Dpor.sat_add (Dpor.unbounded - 1) 2);
+  checki "sat_add exact below cap" 7 (Dpor.sat_add 3 4)
 
 (* --------------------------------------------------------- pruning --- *)
 

@@ -85,19 +85,17 @@ let test_abd_matches_naive () =
       List.iter
         (fun depth ->
           let make = Scenario.make Scenario.Abd ~procs:3 in
-          let dpor =
-            Explore.exhaustive_prefix ~pattern ~depth ~horizon:400 ~make ()
-          in
+          let dpor = Dpor.explore ~pattern ~depth ~horizon:400 ~make () in
           let naive = Explore.naive_prefix ~pattern ~depth ~horizon:400 ~make () in
           checkb
             (Printf.sprintf "abd %s d%d: same verdict" pat_name depth)
             (naive.Explore.counterexample = None)
-            (dpor.Explore.counterexample = None);
+            (dpor.Dpor.counterexample = None);
           checkb
             (Printf.sprintf "abd %s d%d: dpor fewer executions (%d < %d)"
-               pat_name depth dpor.Explore.executions naive.Explore.executions)
+               pat_name depth dpor.Dpor.stats.Dpor.executions naive.Explore.executions)
             true
-            (dpor.Explore.executions < naive.Explore.executions))
+            (dpor.Dpor.stats.Dpor.executions < naive.Explore.executions))
         depths)
     [
       (List.hd patterns, "failure-free", [ 4; 6; 8 ]);
@@ -113,9 +111,9 @@ let test_mutant_matches_naive () =
     Scenario.make ~mutant:Mutant.Converge_drop_phase2 Scenario.Commit_adopt
       ~procs:2
   in
-  let dpor = Explore.exhaustive_prefix ~pattern ~depth:6 ~horizon:400 ~make () in
+  let dpor = Dpor.explore ~pattern ~depth:6 ~horizon:400 ~make () in
   let naive = Explore.naive_prefix ~pattern ~depth:6 ~horizon:400 ~make () in
-  match (dpor.Explore.counterexample, naive.Explore.counterexample) with
+  match (dpor.Dpor.counterexample, naive.Explore.counterexample) with
   | Some (_, r1), Some (_, r2) ->
       Alcotest.check Alcotest.string "same checker report" r2 r1
   | None, _ -> Alcotest.fail "dpor missed the planted mutant"

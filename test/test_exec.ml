@@ -38,56 +38,6 @@ let test_jobs_clamped () =
   checki "negative clamps to 1" 1 (Pool.jobs (Pool.create ~jobs:(-7) ()));
   checki "huge clamps to 64" 64 (Pool.jobs (Pool.create ~jobs:1000 ()))
 
-(* -- work-stealing deque ----------------------------------------------- *)
-
-let deque_drain d =
-  let rec go acc =
-    match Exec.Deque.pop d with Some i -> go (i :: acc) | None -> List.rev acc
-  in
-  go []
-
-let test_deque_pop_order () =
-  let d = Exec.Deque.create ~capacity:8 in
-  Exec.Deque.seed d [| 1; 4; 7; 10 |];
-  checki "size after seed" 4 (Exec.Deque.size d);
-  Alcotest.check ilist "pops in seeded (ascending) order" [ 1; 4; 7; 10 ]
-    (deque_drain d);
-  checkb "empty pops None" true (Exec.Deque.pop d = None);
-  checki "empty size" 0 (Exec.Deque.size d)
-
-let test_deque_steal_half () =
-  let v = Exec.Deque.create ~capacity:8 and t = Exec.Deque.create ~capacity:8 in
-  Exec.Deque.seed v [| 0; 2; 4; 6; 8 |];
-  (* ceiling half of 5 = 3, taken from the high-index tail *)
-  checki "moves ceil(5/2)=3" 3 (Exec.Deque.steal_half ~victim:v ~into:t);
-  Alcotest.check ilist "victim keeps its low-index head" [ 0; 2 ]
-    (deque_drain v);
-  Alcotest.check ilist "thief got the tail, still ascending" [ 4; 6; 8 ]
-    (deque_drain t);
-  checki "stealing from empty moves nothing" 0
-    (Exec.Deque.steal_half ~victim:v ~into:t)
-
-let test_deque_steal_partition () =
-  (* Repeated raids between two deques never duplicate or drop a unit,
-     and the thief's append always fits (capacity = total population,
-     exercised via the compaction path after interleaved pops). *)
-  let v = Exec.Deque.create ~capacity:12 and t = Exec.Deque.create ~capacity:12 in
-  Exec.Deque.seed v (Array.init 12 (fun i -> i));
-  let got = ref [] in
-  let take d = match Exec.Deque.pop d with
-    | Some i -> got := i :: !got
-    | None -> ()
-  in
-  take v;
-  ignore (Exec.Deque.steal_half ~victim:v ~into:t);
-  take t;
-  take v;
-  ignore (Exec.Deque.steal_half ~victim:t ~into:v);
-  let rest = deque_drain v @ deque_drain t in
-  let all = List.sort Int.compare (!got @ rest) in
-  Alcotest.check ilist "raids partition the population exactly"
-    (List.init 12 Fun.id) all
-
 (* -- map_until prefix semantics ---------------------------------------- *)
 
 let test_map_until_prefix () =
@@ -144,13 +94,21 @@ let test_exception_lowest_index () =
         (raised = Some 3))
     [ 1; 2; 4 ]
 
-let test_starved_stripe_rescued () =
-  (* Pathological distribution: every slow unit lands in worker 0's
-     [i mod jobs] seed stripe. Without stealing the sweep serializes
-     behind worker 0; with steal-half the idle workers drain its deque.
-     Each unit records exactly one execution, results stay the serial
-     merge, and at least one unit must have been executed off its home
-     stripe. *)
+(* Sum of one per-worker counter over workers [0, jobs). *)
+let worker_total s ~jobs name =
+  List.fold_left
+    (fun acc w ->
+      acc
+      + Option.value ~default:0
+          (M.find_counter s
+             (Printf.sprintf "exec.pool.worker.%s{worker=%d}" name w)))
+    0 (List.init jobs Fun.id)
+
+let test_slow_units_spread () =
+  (* Every slow unit sits at an index [i mod jobs = 0], the stripe a
+     static split would hand to worker 0 alone. Each unit records
+     exactly one execution, results stay the serial merge, and the
+     per-worker claims account for every unit. *)
   M.reset ();
   let n = 16 and jobs = 4 in
   let ran = Array.init n (fun _ -> Atomic.make 0) in
@@ -171,20 +129,7 @@ let test_starved_stripe_rescued () =
       checki (Printf.sprintf "unit %d executed exactly once" i) 1
         (Atomic.get a))
     ran;
-  let s = M.snapshot () in
-  let total name =
-    List.fold_left
-      (fun acc w ->
-        acc
-        +. Option.value ~default:0.0
-             (M.find_gauge s
-                (Printf.sprintf "exec.pool.worker.%s{worker=%d}" name w)))
-      0.0
-      (List.init jobs Fun.id)
-  in
-  checki "all units claimed" n (int_of_float (total "units"));
-  checkb "starved stripe was stolen from" true (total "steals" >= 1.0);
-  checkb "steal batches recorded" true (total "steal_batches" >= 1.0)
+  checki "all units claimed" n (worker_total (M.snapshot ()) ~jobs "units")
 
 (* -- metrics determinism ----------------------------------------------- *)
 
@@ -237,13 +182,28 @@ let test_worker_telemetry () =
   checkb "pool run counted" true (M.find_counter s "exec.pool.runs" = Some 1);
   checkb "unit count recorded" true
     (M.find_counter s "exec.pool.units" = Some 12);
-  let claimed =
-    List.filter_map
-      (fun w -> M.find_gauge s (Printf.sprintf "exec.pool.worker.units{worker=%d}" w))
-      [ 0; 1; 2; 3 ]
-  in
-  checkb "per-worker claims sum to unit count" true
-    (int_of_float (List.fold_left ( +. ) 0.0 claimed) = 12)
+  checki "per-worker claims sum to unit count" 12
+    (worker_total s ~jobs:4 "units");
+  checkb "per-worker wall recorded" true
+    (List.for_all
+       (fun w ->
+         M.find_counter s
+           (Printf.sprintf "exec.pool.worker.wall_us{worker=%d}" w)
+         <> None)
+       [ 0; 1; 2; 3 ])
+
+let test_worker_telemetry_accumulates () =
+  (* A 2-unit call after a 16-unit call uses only two of the four
+     workers; the per-worker numbers must still cover both calls. *)
+  M.reset ();
+  let pool = Pool.create ~jobs:4 () in
+  ignore (Pool.map pool ~f:(fun i -> i) 16);
+  ignore (Pool.map pool ~f:(fun i -> i) 2);
+  let s = M.snapshot () in
+  checkb "both calls' units counted" true
+    (M.find_counter s "exec.pool.units" = Some 18);
+  checki "per-worker claims sum to exec.pool.units over both calls" 18
+    (worker_total s ~jobs:4 "units")
 
 (* -- determinism regression: a real experiment ------------------------- *)
 
@@ -290,9 +250,8 @@ let test_check_json_repeatable () =
   checks "check --json identical across two same-config runs" (payload 1)
     (payload 1);
   checks "second run at -j4 still matches" (payload 1) (payload 4);
-  (* 8 workers on this machine oversubscribes the cores, so the deques
-     drain unevenly and steal-half fires constantly — the merge must
-     still come out byte-identical. *)
+  (* 8 workers oversubscribe the cores, so units finish far out of
+     index order — the merge must still come out byte-identical. *)
   checks "oversubscribed -j8 still matches" (payload 1) (payload 8)
 
 (* The deterministic part of the wfde sweep --json document: the
@@ -397,14 +356,8 @@ let suite =
     Alcotest.test_case "map merges in unit order" `Quick test_map_order;
     Alcotest.test_case "map_list keeps order" `Quick test_map_list;
     Alcotest.test_case "jobs clamped to [1,64]" `Quick test_jobs_clamped;
-    Alcotest.test_case "deque pops its seed in order" `Quick
-      test_deque_pop_order;
-    Alcotest.test_case "steal-half takes the high tail" `Quick
-      test_deque_steal_half;
-    Alcotest.test_case "raids partition, never duplicate" `Quick
-      test_deque_steal_partition;
-    Alcotest.test_case "starved stripe rescued by stealing" `Quick
-      test_starved_stripe_rescued;
+    Alcotest.test_case "slow units run once, merge in order" `Quick
+      test_slow_units_spread;
     Alcotest.test_case "map_until returns serial prefix" `Quick
       test_map_until_prefix;
     Alcotest.test_case "lowest-index exception wins" `Quick
@@ -413,6 +366,8 @@ let suite =
       test_metrics_deterministic;
     Alcotest.test_case "worker telemetry recorded" `Quick
       test_worker_telemetry;
+    Alcotest.test_case "worker telemetry accumulates over calls" `Quick
+      test_worker_telemetry_accumulates;
     Alcotest.test_case "E1 table identical at -j1/-j4" `Quick
       test_e1_table_identical;
     Alcotest.test_case "check sweep identical at -j1/-j4" `Slow

@@ -1,4 +1,4 @@
-(* Exhaustive-prefix exploration, now DPOR-backed: verify safety
+(* DPOR exploration ({!Dpor.explore}) of small worlds: verify safety
    properties over ALL schedule classes of the critical early steps for
    small systems, demonstrate the explorer still finds a planted bug,
    and check the reduction against the naive enumerator — same verdict,
@@ -53,13 +53,13 @@ let lost_update_world () =
 
 let test_commit_adopt_exhaustive_2proc () =
   let outcome =
-    Explore.exhaustive_prefix
+    Dpor.explore
       ~pattern:(Failure_pattern.no_failures ~n_plus_1:2)
       ~depth:11 ~horizon:10_000
       ~make:(commit_adopt_world 2)
       ()
   in
-  checkb "explored more than one class" true (outcome.executions > 1);
+  checkb "explored more than one class" true (outcome.stats.executions > 1);
   match outcome.counterexample with
   | None -> ()
   | Some (prefix, msg) ->
@@ -68,13 +68,13 @@ let test_commit_adopt_exhaustive_2proc () =
 
 let test_commit_adopt_exhaustive_3proc () =
   let outcome =
-    Explore.exhaustive_prefix
+    Dpor.explore
       ~pattern:(Failure_pattern.no_failures ~n_plus_1:3)
       ~depth:7 ~horizon:10_000
       ~make:(commit_adopt_world 3)
       ()
   in
-  checkb "explored more than one class" true (outcome.executions > 1);
+  checkb "explored more than one class" true (outcome.stats.executions > 1);
   checkb "no counterexample" true (outcome.counterexample = None)
 
 let test_converge_exhaustive_c_agreement () =
@@ -96,7 +96,7 @@ let test_converge_exhaustive_c_agreement () =
     ((fun pid -> [ body pid ]), check)
   in
   let outcome =
-    Explore.exhaustive_prefix
+    Dpor.explore
       ~pattern:(Failure_pattern.no_failures ~n_plus_1:3)
       ~depth:6 ~horizon:10_000 ~make ()
   in
@@ -104,7 +104,7 @@ let test_converge_exhaustive_c_agreement () =
 
 let test_explorer_finds_planted_race () =
   let outcome =
-    Explore.exhaustive_prefix
+    Dpor.explore
       ~pattern:(Failure_pattern.no_failures ~n_plus_1:2)
       ~depth:4 ~horizon:100 ~make:lost_update_world ()
   in
@@ -156,7 +156,7 @@ let test_dpor_matches_naive () =
     (fun (name, make, violates) ->
       let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
       let dpor =
-        Explore.exhaustive_prefix ~pattern ~depth:5 ~horizon:200 ~make ()
+        Dpor.explore ~pattern ~depth:5 ~horizon:200 ~make ()
       in
       let naive =
         Explore.naive_prefix ~pattern ~depth:5 ~horizon:200 ~make ()
@@ -172,9 +172,9 @@ let test_dpor_matches_naive () =
       if not violates then
         checkb
           (Printf.sprintf "%s: dpor strictly fewer executions (%d < %d)" name
-             dpor.executions naive.executions)
+             dpor.stats.executions naive.executions)
           true
-          (dpor.executions < naive.executions))
+          (dpor.stats.executions < naive.executions))
     equivalence_cases
 
 let test_schedule_count_bound () =

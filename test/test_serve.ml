@@ -5,7 +5,9 @@
    regression (same request serial, concurrent, and direct must yield
    byte-identical payloads), graceful drain, and the result cache
    (cold/warm/disk byte-identity, single-flight coalescing, hits under
-   saturation and drain, the cache RPC, metrics, and spans). *)
+   saturation and drain, the cache RPC, metrics, and spans), also
+   through the [wfde serve], [client] and [cache] commands of a daemon
+   child process. *)
 
 module J = Obs.Json
 
@@ -965,6 +967,129 @@ let test_daemon_cache_spans () =
       checkb "hit span exported" true (List.mem "cache.hit" names2);
       checkb "hit bypasses the engine" true (not (List.mem "execute" names2)))
 
+(* -- the CLI against a real daemon process ------------------------------ *)
+
+let wfde_cli =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    "../bin/wfde_cli.exe"
+
+(* Run [wfde args], which must exit 0, and return its stdout. *)
+let cli_ok args =
+  let ic = Unix.open_process_args_in wfde_cli (Array.of_list ("wfde" :: args)) in
+  let out = In_channel.input_all ic in
+  checkb
+    (Printf.sprintf "wfde %s exits 0" (String.concat " " args))
+    true
+    (Unix.close_process_in ic = Unix.WEXITED 0);
+  out
+
+let cli_json args =
+  match J.of_string (cli_ok args) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "wfde %s printed bad JSON: %s" (List.hd args) e
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let hex_entries dir =
+  List.filter
+    (fun f ->
+      String.length f = 32
+      && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) f)
+    (Array.to_list (Sys.readdir dir))
+
+(* [wfde serve --cache-dir dir] as a child process; [f socket log] runs
+   once the readiness banner is out, then the daemon gets SIGTERM and
+   must drain and exit 0. Returns [f]'s result. *)
+let with_cli_daemon ~dir f =
+  let socket = temp_socket () in
+  let log = Filename.temp_file "wfde-test-serve" ".log" in
+  let fd = Unix.openfile log [ O_WRONLY; O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process wfde_cli
+      [| "wfde"; "serve"; "--socket"; socket; "--workers"; "2"; "--queue"; "32";
+         "--cache"; "64"; "--cache-dir"; dir |]
+      Unix.stdin fd fd
+  in
+  Unix.close fd;
+  let exited = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !exited then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      end;
+      Sys.remove log)
+    (fun () ->
+      eventually ~timeout:30.0 "wfde serve readiness banner" (fun () ->
+          contains (read_file log) "wfde serve: listening on");
+      let v = f socket (read_file log) in
+      Unix.kill pid Sys.sigterm;
+      let _, status = Unix.waitpid [] pid in
+      exited := true;
+      checkb "SIGTERM drains and exits 0" true (status = Unix.WEXITED 0);
+      checkb "drain logged" true (contains (read_file log) "wfde serve: drained, bye");
+      v)
+
+let client_check ?(params = J.to_string (J.Obj check_params)) socket =
+  cli_ok [ "client"; "check"; "--socket"; socket; "--params"; params ]
+
+let int_member name j =
+  match J.member name j with Some (J.Int n) -> n | _ -> Alcotest.failf "no int %s" name
+
+let test_cli_cache_banner_and_stats () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_cli_daemon ~dir (fun socket banner ->
+      checkb "banner names the cache dir" true
+        (contains banner ("cache-dir=" ^ dir));
+      let cold = client_check socket in
+      let warm =
+        client_check socket
+          ~params:{|{"horizon":60,"depth":3,"object":"register"}|}
+      in
+      checks "reordered params hit and replay the exact bytes" cold warm;
+      let s = cli_json [ "cache"; "--socket"; socket ] in
+      checkb "wfde cache: a hit" true (int_member "hits" s >= 1);
+      checkb "wfde cache: a miss" true (int_member "misses" s >= 1);
+      checkb "wfde cache: an entry" true (int_member "entries" s >= 1);
+      checki "one 32-hex entry file after the miss" 1
+        (List.length (hex_entries dir));
+      let prom =
+        cli_ok
+          [ "client"; "metrics"; "--socket"; socket; "--params";
+            {|{"format":"prom"}|} ]
+      in
+      List.iter
+        (fun name ->
+          checkb (name ^ " in the exposition") true (contains prom name))
+        [ "wfde_serve_cache_hits"; "wfde_serve_cache_misses";
+          "wfde_serve_cache_entries" ])
+
+let test_cli_cache_disk_and_clear () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cold = with_cli_daemon ~dir (fun socket _ -> client_check socket) in
+  with_cli_daemon ~dir (fun socket _ ->
+      let disk = client_check socket in
+      checks "disk-served bytes equal the pre-restart answer" cold disk;
+      let json = Filename.temp_file "wfde-test-check" ".json" in
+      Fun.protect ~finally:(fun () -> Sys.remove json) (fun () ->
+          ignore
+            (cli_ok
+               [ "check"; "--object"; "register"; "--depth"; "3"; "--horizon";
+                 "60"; "--json"; json ]);
+          checks "disk-served bytes equal wfde check --json" (read_file json)
+            disk);
+      let s = cli_json [ "cache"; "--socket"; socket ] in
+      checkb "wfde cache: served from disk" true (int_member "disk_hits" s >= 1);
+      checki "wfde cache: no disk errors" 0 (int_member "disk_errors" s);
+      let c = cli_json [ "cache"; "clear"; "--socket"; socket ] in
+      checki "wfde cache clear: no entries left" 0 (int_member "entries" c);
+      checkb "wfde cache clear: clear counted" true (int_member "clears" c >= 1);
+      checki "no 32-hex entry file after clear" 0
+        (List.length (hex_entries dir)))
+
 let suite =
   [
     Alcotest.test_case "proto: request roundtrip" `Quick test_proto_roundtrip;
@@ -1024,6 +1149,10 @@ let suite =
       test_daemon_cache_rpc;
     Alcotest.test_case "cache: counters exported via metrics" `Quick
       test_daemon_cache_metrics;
+    Alcotest.test_case "cli: serve banner, wfde cache stats, one entry file"
+      `Quick test_cli_cache_banner_and_stats;
+    Alcotest.test_case "cli: disk-served check equals check --json, clear"
+      `Quick test_cli_cache_disk_and_clear;
     Alcotest.test_case "cache: hit/miss spans in the trace tree" `Quick
       test_daemon_cache_spans;
   ]
