@@ -184,13 +184,17 @@ let dump_trace protocol seed n_plus_1 f limit out =
     Format.eprintf "--faulty must be below --procs (got %d and %d)@." f n_plus_1;
     2)
   else
-  match Wfde.Harness.trace_run ~protocol ~seed ~n_plus_1 ~f ~limit with
+  let kept = Wfde.Trace.builder () in
+  match
+    Wfde.Harness.trace_run ~observers:[ Wfde.Trace.record kept ] ~protocol
+      ~seed ~n_plus_1 ~f ~limit
+  with
   | None ->
       Format.eprintf "unknown protocol %S (expected fig1, fig2, or async)@."
         protocol;
       2
-  | Some (description, world, run_result) -> (
-      let events = Wfde.Run.trace run_result in
+  | Some (description, world) -> (
+      let events = Wfde.Trace.finish kept in
       match out with
       | Some path -> (
           match Wfde.Trace_export.save_file path events with

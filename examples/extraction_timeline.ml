@@ -57,7 +57,7 @@ let () =
     (Wfde.Pid.all ~n_plus_1);
   match
     Wfde.Extract_upsilon.check ex ~pattern
-      ~last_time:(Wfde.Run.last_time result)
+      ~last_time:result.Wfde.Run.last_time
       ~tail:20_000
   with
   | Ok () ->

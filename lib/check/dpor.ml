@@ -109,11 +109,11 @@ let refresh_enabled es sched =
    the first non-sleeping enabled process up to [depth] (pushing new
    nodes), then complete with round-robin. A prescription step whose pid
    is no longer enabled abandons the rest of the prescription and falls
-   back to the free extension. Returns the checker's verdict, the trace,
-   the live trace buffer (for the race analysis), the stack length after
-   extension, and whether the free extension hit an all-sleeping enabled
-   set (a provably redundant run). *)
-let run_once ~pattern ~horizon ~depth ~stack ~len ~presc ~make ~pend =
+   back to the free extension. Every event goes to [observe] as it
+   happens. Returns the checker's verdict, the step count, the stack
+   length after extension, and whether the free extension hit an
+   all-sleeping enabled set (a provably redundant run). *)
+let run_once ~pattern ~horizon ~depth ~stack ~len ~presc ~make ~pend ~observe =
   let procs, checkf = make () in
   let sched_ref = ref None in
   let pos = ref 0 in
@@ -207,12 +207,13 @@ let run_once ~pattern ~horizon ~depth ~stack ~len ~presc ~make ~pend =
       end
   in
   let fibers = spawn_fibers ~pattern ~procs in
-  let sched = Scheduler.create ~pattern ~policy ~fibers in
+  let sched = Scheduler.observed ~observe ~pattern ~policy ~fibers in
   sched_ref := Some sched;
-  let (_ : Scheduler.outcome) = Scheduler.run sched ~max_steps:horizon in
-  Obs.Metrics.observe_int m_exec_steps (Scheduler.now sched);
-  let trace = Scheduler.trace sched in
-  (checkf trace, trace, Scheduler.trace_builder sched, !grown, !blocked)
+  let result =
+    Run.of_scheduler sched (Scheduler.run sched ~max_steps:horizon)
+  in
+  Obs.Metrics.observe_int m_exec_steps result.Run.steps;
+  (checkf result, result.Run.steps, !grown, !blocked)
 
 (* ------------------------------------------- schedule fingerprints ----- *)
 
@@ -421,6 +422,24 @@ let obj_state s o =
    semantics; real object names never collide with it *)
 let q_obj = "\x00query"
 
+(* The observer of a DPOR run: store each step's (pid, label) at its
+   position (step times are 1, 2, ...), growing the arrays as needed.
+   The fingerprint and the race analysis read them after the run. *)
+let store_step s = function
+  | Trace.Step { pid; time; kind; _ } ->
+      let i = time - 1 in
+      if i >= Array.length s.s_pids then begin
+        let cap = 2 * Array.length s.s_pids in
+        let pids = Array.make cap 0 and kinds = Array.make cap Sim.Nop in
+        Array.blit s.s_pids 0 pids 0 i;
+        Array.blit s.s_kinds 0 kinds 0 i;
+        s.s_pids <- pids;
+        s.s_kinds <- kinds
+      end;
+      s.s_pids.(i) <- Pid.to_int pid;
+      s.s_kinds.(i) <- kind
+  | Trace.Crash _ -> ()
+
 (* Race analysis over the WHOLE executed run, not just the choice
    window: a race whose later step sits in the deterministic round-robin
    tail still needs a backtracking point at its (controllable) earlier
@@ -450,26 +469,6 @@ let q_obj = "\x00query"
    (i >= grown) keep the conservative bounded-window offer of pid_j at
    the deepest node (Coons–Musuvathi–McKinley). Returns
    (races, alternatives inserted). *)
-(* Load (pid, kind) per step from the trace buffer into the scratch
-   arrays; returns the step count. Shared by the full-run fingerprint
-   and the race analysis. *)
-let load_steps ~scratch:s ~builder =
-  let total = Trace.builder_length builder in
-  if Array.length s.s_pids < total then begin
-    let cap = max total (2 * Array.length s.s_pids) in
-    s.s_pids <- Array.make cap 0;
-    s.s_kinds <- Array.make cap Sim.Nop
-  end;
-  let m = ref 0 in
-  Trace.iter_builder builder (function
-    | Trace.Step { pid; kind; _ } ->
-        s.s_pids.(!m) <- Pid.to_int pid;
-        s.s_kinds.(!m) <- kind;
-        incr m
-    | Trace.Crash _ -> ());
-  !m
-
-
 let analyze ~scratch:s ~stack ~depth ~grown ~m =
   let n = s.n in
   if m = 0 then (0, 0)
@@ -763,11 +762,6 @@ let rec next_candidate ~stack ~len ~floor =
         next_candidate ~stack ~len ~floor
   end
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
 let explore_loop ~pattern ~depth ~horizon ~make ~budget ~should_stop ~on_phase
     ~stack ~len ~floor =
   let executions = ref 0 and blocked_runs = ref 0 in
@@ -825,9 +819,9 @@ let explore_loop ~pattern ~depth ~horizon ~make ~budget ~should_stop ~on_phase
     if !executions >= budget || should_stop () then None
     else begin
       let t0 = clock () in
-      let verdict, trace, builder, grown, blocked =
+      let verdict, m, grown, blocked =
         run_once ~pattern ~horizon ~depth ~stack ~len:!len ~presc:!presc
-          ~make ~pend
+          ~make ~pend ~observe:(store_step scratch)
       in
       if timed then exec_us := !exec_us + (clock () - t0);
       incr executions;
@@ -837,14 +831,14 @@ let explore_loop ~pattern ~depth ~horizon ~make ~budget ~should_stop ~on_phase
         Obs.Metrics.incr m_sleep_blocked
       end;
       match verdict with
-      | Error report -> Some (take depth (Trace.schedule trace), report)
+      | Error report ->
+          Some (List.init (min depth m) (fun i -> scratch.s_pids.(i)), report)
       | Ok () ->
           let t1 = clock () in
           (* Full-run key first: when the program quiesces inside the
              window (m = grown) the run's own window key is the same
              key, and recording it first would flag the run as its own
              duplicate. *)
-          let m = load_steps ~scratch ~builder in
           let dup =
             fp_full_run fp ~s_pids:scratch.s_pids ~s_kinds:scratch.s_kinds ~m
           in
@@ -898,7 +892,7 @@ let root_branches ~pattern ~make () =
     None
   in
   let fibers = spawn_fibers ~pattern ~procs in
-  let sched = Scheduler.create ~pattern ~policy ~fibers in
+  let sched = Scheduler.observed ~observe:ignore ~pattern ~policy ~fibers in
   sched_ref := Some sched;
   let (_ : Scheduler.outcome) = Scheduler.run sched ~max_steps:1 in
   match !seen with None -> [] | Some pend -> pend

@@ -138,11 +138,14 @@ val explore :
   ?on_phase:(string -> int -> unit) ->
   make:
     (unit ->
-    (Pid.t -> (unit -> unit) list) * (Trace.t -> (unit, 'a) result)) ->
+    (Pid.t -> (unit -> unit) list) * (Run.result -> (unit, 'a) result)) ->
   unit ->
   'a outcome
 (** [make ()] must build a fresh, deterministic world: a fiber factory
-    plus a checker run on the completed trace ([Ok] = property held).
+    plus a checker run on the completed run's {!Run.result} — its
+    crashes and last time ([Ok] = property held). The exploration
+    keeps no trace: the (pid, label) of each step, all the race
+    analysis reads, streams into reused buffers as the run happens.
     It is called once per explored schedule; two calls must yield
     behaviourally identical worlds (this is what makes replay and
     backtracking meaningful). Exploration stops at the first
@@ -190,7 +193,7 @@ val root_branches :
   pattern:Failure_pattern.t ->
   make:
     (unit ->
-    (Pid.t -> (unit -> unit) list) * (Trace.t -> (unit, 'a) result)) ->
+    (Pid.t -> (unit -> unit) list) * (Run.result -> (unit, 'a) result)) ->
   unit ->
   (Pid.t * Sim.kind) list
 (** The enabled processes (with their pending step labels) at the first
@@ -210,7 +213,7 @@ val explore_branch :
   index:int ->
   make:
     (unit ->
-    (Pid.t -> (unit -> unit) list) * (Trace.t -> (unit, 'a) result)) ->
+    (Pid.t -> (unit -> unit) list) * (Run.result -> (unit, 'a) result)) ->
   unit ->
   'a outcome
 (** Explore only the subtree whose first step is [List.nth branches

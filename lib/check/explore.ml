@@ -9,7 +9,7 @@ type 'a outcome = {
    under [prefix ++ round-robin], returning the checker's result and
    the enabled set seen at each prefix position (to drive enumeration
    of the next sibling schedules). *)
-let run_one ~pattern ~prefix ~depth ~horizon ~make =
+let run_one ~pattern ~prefix ~depth ~horizon ~observers ~make =
   let procs, check = make () in
   let enabled_at = Array.make depth [] in
   let position = ref 0 in
@@ -31,20 +31,19 @@ let run_one ~pattern ~prefix ~depth ~horizon ~make =
     end
     else rr ~now ~enabled
   in
-  let result = Run.exec ~pattern ~policy ~horizon ~procs () in
-  (check (Run.trace result), Array.to_list enabled_at, result)
+  let result = Run.exec ~pattern ~policy ~horizon ~observers ~procs () in
+  (check result, Array.to_list enabled_at)
 
-let naive_prefix ~pattern ~depth ~horizon ~make () =
+let naive_prefix ~pattern ~depth ~horizon ?(observers = []) ~make () =
   let executions = ref 0 in
   (* Depth-first over prefix schedules. [prefix] is the fixed choice list
      so far (grown left to right); enumeration at position i uses the
      enabled sets observed when running the current prefix. *)
   let rec explore prefix =
     incr executions;
-    let verdict, enabled_trace, run_result =
-      run_one ~pattern ~prefix ~depth ~horizon ~make
+    let verdict, enabled_trace =
+      run_one ~pattern ~prefix ~depth ~horizon ~observers ~make
     in
-    ignore run_result;
     match verdict with
     | Error report -> Some (prefix, report)
     | Ok _ ->

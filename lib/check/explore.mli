@@ -17,15 +17,17 @@ val naive_prefix :
   pattern:Failure_pattern.t ->
   depth:int ->
   horizon:int ->
+  ?observers:(Trace.event -> unit) list ->
   make:
     (unit ->
-    (Pid.t -> (unit -> unit) list) * (Trace.t -> (unit, 'a) result)) ->
+    (Pid.t -> (unit -> unit) list) * (Run.result -> (unit, 'a) result)) ->
   unit ->
   'a outcome
 (** Re-executes a fresh world from [make ()] for each prefix,
     ~[n_plus_1^depth] runs, checks the property on every completed
-    execution and stops at the first counterexample. Reference oracle
-    only — use {!Dpor.explore}. *)
+    execution and stops at the first counterexample. Every run passes
+    its events to [observers] ({!Run.exec}); [make ()] is called before
+    each run starts. Reference oracle only — use {!Dpor.explore}. *)
 
 val count_schedules : n_plus_1:int -> depth:int -> int
 (** [n_plus_1 ^ depth], the upper bound on executions {!naive_prefix}

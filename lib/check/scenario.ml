@@ -84,7 +84,7 @@ let register ~procs () =
     ignore (Histories.logged_read l reg ~me:pid)
   in
   ignore procs;
-  let check (_ : Trace.t) =
+  let check (_ : Run.result) =
     Lin.check (Histories.register_spec ~init:0) (Histories.events l)
   in
   ((fun pid -> [ body pid ]), check)
@@ -103,7 +103,7 @@ let snapshot ~mutant ~procs () =
     end
     else Histories.logged_update l snap ~me:pid (10 * (Pid.to_int pid + 1))
   in
-  let check (_ : Trace.t) =
+  let check (_ : Run.result) =
     Lin.check
       (Histories.snapshot_spec ~size:procs ~init:(fun _ -> 0))
       (Histories.events l)
@@ -130,7 +130,7 @@ let abd ~mutant ~procs () =
     let server = Memory.Abd.server t ~me:pid in
     if Pid.to_int pid = 0 then [ reader; server ] else [ server ]
   in
-  let check (_ : Trace.t) =
+  let check (_ : Run.result) =
     Lin.check (Histories.abd_spec ~init:0) (Histories.abd_history t)
   in
   (procs_fn, check)
@@ -148,7 +148,7 @@ let commit_adopt ~mutant ~procs () =
     let p = Pid.to_int pid in
     picks.(p) <- Some (Converge.Commit_adopt.run inst ~me:p (input p))
   in
-  let check (_ : Trace.t) =
+  let check (_ : Run.result) =
     let finished =
       Array.to_list picks |> List.filter_map Fun.id
     in
@@ -172,21 +172,12 @@ let commit_adopt ~mutant ~procs () =
   in
   ((fun pid -> [ body pid ]), check)
 
-let pattern_of_trace ~procs trace =
-  let crashes =
-    List.filter_map
-      (function
-        | Trace.Crash { pid; time } -> Some (pid, time) | Trace.Step _ -> None)
-      trace
-  in
-  Failure_pattern.make ~n_plus_1:procs ~crashes
-
 (* Every process runs one heartbeat monitor (implemented ◇P) over an
    adversarial link; the property is the full subsystem contract — link
    partial synchrony, crash isolation, and ◇P conformance over the
    reconstructed history. The failure pattern is recovered from the
-   trace's crash events, so the check closure fits [Dpor.explore]'s
-   trace-only signature. Timeout starts below the heartbeat spacing on
+   run's crashes, so the check closure fits [Dpor.explore]'s
+   world-free signature. Timeout starts below the heartbeat spacing on
    purpose: every schedule exercises false suspicion, restore, and
    timeout growth — exactly the mechanisms the planted heartbeat
    mutants disable. *)
@@ -198,8 +189,8 @@ let hb_detector cfg ~mutant ~procs () =
   in
   Option.iter (Detectors.Heartbeat.unsafe_plant eng) mutant;
   let fibers pid = [ Detectors.Heartbeat.fiber eng ~me:pid ] in
-  let check trace =
-    let pattern = pattern_of_trace ~procs trace in
+  let check (r : Run.result) =
+    let pattern = Failure_pattern.make ~n_plus_1:procs ~crashes:r.crashes in
     let link = Detectors.Heartbeat.link eng in
     match Link.check_partial_synchrony link with
     | Error _ as e -> e
@@ -208,7 +199,7 @@ let hb_detector cfg ~mutant ~procs () =
         | Error _ as e -> e
         | Ok () ->
             Detectors.Hb_ev_perfect.check eng ~pattern
-              ~horizon:(Trace.last_time trace))
+              ~horizon:r.last_time)
   in
   (fibers, check)
 
@@ -230,9 +221,9 @@ let link_chaos cfg ~procs () =
     in
     loop ()
   in
-  let check trace =
-    let pattern = pattern_of_trace ~procs trace in
-    let horizon = Trace.last_time trace in
+  let check (r : Run.result) =
+    let pattern = Failure_pattern.make ~n_plus_1:procs ~crashes:r.crashes in
+    let horizon = r.last_time in
     match Link.check_partial_synchrony link with
     | Error _ as e -> e
     | Ok () -> (

@@ -76,7 +76,7 @@ val make :
   obj ->
   procs:int ->
   unit ->
-  (Pid.t -> (unit -> unit) list) * (Trace.t -> (unit, string) result)
+  (Pid.t -> (unit -> unit) list) * (Run.result -> (unit, string) result)
 (** A fresh world builder; deterministic, as {!Dpor.explore} requires.
     [procs] is the process count n+1. [mutant] is planted into every
     object each world builds (through its [unsafe_plant] hook), so the

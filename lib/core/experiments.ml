@@ -391,7 +391,7 @@ let e6_pairwise_reductions ?(jobs = 1) ?(seeds = e6_seeds) () =
             ()
         in
         Pairwise.Omega_from_upsilon1.check red ~pattern
-          ~last_time:(Run.last_time result)
+          ~last_time:result.Run.last_time
           ~tail:10_000
         = Ok ())
   in
@@ -711,10 +711,10 @@ let e9_booster_consensus ?(jobs = 1) ?(seeds = e9_seeds) ?(sizes = [ 2; 3; 4; 5 
               let proto =
                 Booster_consensus.create ~name:"boost" ~n_plus_1 ~omega_n
               in
-              let m, _ =
+              let m =
                 Harness.run_agreement ~label:"booster" ~k:1 ~base:700
                   ~horizon:2_000_000
-                  ~replay:(Some (fun () -> omega_n))
+                  ~replay:(Some (Harness.History omega_n))
                   ~fibers:(fun ~me ~input ->
                     [ Booster_consensus.proposer proto ~me ~input ])
                   ~decisions:(fun () -> Booster_consensus.decisions proto)
@@ -940,13 +940,12 @@ let a3_fig2_snapshot_cost ?(jobs = 1) ?(seeds = a3_seeds) () =
       Upsilon_f_sa.create ~snapshot_impl:impl ~name:"a3" ~n_plus_1 ~f
         ~upsilon_f ()
     in
-    fst
-      (Harness.run_agreement ~label:"fig2" ~k:f ~base:200 ~horizon:2_000_000
-         ~replay:(Some (fun () -> upsilon_f))
-         ~fibers:(fun ~me ~input -> [ Upsilon_f_sa.proposer proto ~me ~input ])
-         ~decisions:(fun () -> Upsilon_f_sa.decisions proto)
-         ~rounds:(fun () -> Upsilon_f_sa.rounds_entered proto)
-         world)
+    Harness.run_agreement ~label:"fig2" ~k:f ~base:200 ~horizon:2_000_000
+      ~replay:(Some (Harness.History upsilon_f))
+      ~fibers:(fun ~me ~input -> [ Upsilon_f_sa.proposer proto ~me ~input ])
+      ~decisions:(fun () -> Upsilon_f_sa.decisions proto)
+      ~rounds:(fun () -> Upsilon_f_sa.rounds_entered proto)
+      world
   in
   let rows =
     List.concat_map

@@ -48,35 +48,50 @@ let count ~proto ok =
     (Obs.Metrics.counter (Printf.sprintf "harness.runs{proto=%s}" proto));
   Obs.Metrics.incr (if ok then m_verdict_ok else m_verdict_fail)
 
+type 'v replay =
+  | History of 'v Sim.source
+  | Rebuilt of (unit -> 'v Sim.source)
+
 (* The one place an agreement world runs: [fibers] for every process
    with input [base + pid], the Sa_spec verdict on the decisions, and —
-   in the same pass over the events — the decision times and the replay
-   of the recorded detector queries against [replay ()], built after
-   the run. *)
-let run_agreement ~label ~k ~base ~horizon ~replay ~fibers ~decisions ~rounds
-    world =
+   in one observer, as the run happens — the decision times and the
+   replay of the detector queries against their history. A history
+   rebuilt after the run is checked then, on the query events alone. *)
+let run_agreement ~label ~k ~base ~horizon ~replay ?(observers = []) ~fibers
+    ~decisions ~rounds world =
   let pattern = world.pattern in
   let n_plus_1 = Failure_pattern.n_plus_1 pattern in
-  let result =
-    Run.exec ~pattern ~policy:world.policy ~horizon
-      ~procs:(fun pid -> fibers ~me:pid ~input:(base + pid))
-      ()
+  let violations = ref 0 and queries = ref [] in
+  let check src e =
+    if Option.is_some (Oracle.query_violation src e) then incr violations
   in
   let check_query =
     match replay with
-    | Some source ->
-        let src = source () in
-        fun e -> Option.is_some (Oracle.query_violation src e)
-    | None -> fun _ -> false
+    | Some (History src) -> check src
+    | Some (Rebuilt _) -> (
+        function
+        | Trace.Step { kind = Sim.Query _; _ } as e -> queries := e :: !queries
+        | Trace.Step _ | Trace.Crash _ -> ())
+    | None -> ignore
   in
-  let first = ref max_int and last = ref 0 and violations = ref 0 in
-  Run.iter result (fun e ->
-      if check_query e then incr violations;
-      match Oracle.decision_time e with
-      | Some (_, t) ->
-          if t < !first then first := t;
-          if t > !last then last := t
-      | None -> ());
+  let first = ref max_int and last = ref 0 in
+  let observe e =
+    check_query e;
+    match Oracle.decision_time e with
+    | Some (_, t) ->
+        if t < !first then first := t;
+        if t > !last then last := t
+    | None -> ()
+  in
+  let result =
+    Run.exec ~pattern ~policy:world.policy ~horizon
+      ~observers:(observe :: observers)
+      ~procs:(fun pid -> fibers ~me:pid ~input:(base + pid))
+      ()
+  in
+  (match replay with
+  | Some (Rebuilt source) -> List.iter (check (source ())) !queries
+  | Some (History _) | None -> ());
   let proposals = List.map (fun p -> (p, base + p)) (Pid.all ~n_plus_1) in
   let m =
     {
@@ -100,13 +115,13 @@ let run_agreement ~label ~k ~base ~horizon ~replay ~fibers ~decisions ~rounds
     Obs.Metrics.incr ~by:m.query_violations m_query_violations;
   if m.last_decision_time > 0 then
     Obs.Metrics.observe_int m_decision_time m.last_decision_time;
-  (m, result)
+  m
 
 (* Figs 1-2 and the detector-free skeleton, each detector drawn from
    [world.world_rng]. [name] is the protocol object's name, which the
    trace records. *)
 
-let fig1 ~name ~horizon ~stab_time ~escapes world =
+let fig1 ~name ~horizon ~stab_time ~escapes ~observers world =
   let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
   let upsilon =
     Detector.source
@@ -114,13 +129,13 @@ let fig1 ~name ~horizon ~stab_time ~escapes world =
   in
   let proto = Upsilon_sa.create ?escapes ~name ~n_plus_1 ~upsilon () in
   run_agreement ~label:"fig1" ~k:(n_plus_1 - 1) ~base:100 ~horizon
-    ~replay:(Some (fun () -> upsilon))
+    ~replay:(Some (History upsilon)) ~observers
     ~fibers:(fun ~me ~input -> [ Upsilon_sa.proposer proto ~me ~input ])
     ~decisions:(fun () -> Upsilon_sa.decisions proto)
     ~rounds:(fun () -> Upsilon_sa.rounds_entered proto)
     world
 
-let fig2 ~name ~horizon ~snapshot_impl ~f world =
+let fig2 ~name ~horizon ~snapshot_impl ~f ~observers world =
   let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
   let upsilon_f =
     Detector.source
@@ -130,17 +145,17 @@ let fig2 ~name ~horizon ~snapshot_impl ~f world =
     Upsilon_f_sa.create ?snapshot_impl ~name ~n_plus_1 ~f ~upsilon_f ()
   in
   run_agreement ~label:"fig2" ~k:f ~base:200 ~horizon
-    ~replay:(Some (fun () -> upsilon_f))
+    ~replay:(Some (History upsilon_f)) ~observers
     ~fibers:(fun ~me ~input -> [ Upsilon_f_sa.proposer proto ~me ~input ])
     ~decisions:(fun () -> Upsilon_f_sa.decisions proto)
     ~rounds:(fun () -> Upsilon_f_sa.rounds_entered proto)
     world
 
-let async ~name ~horizon world =
+let async ~name ~horizon ~observers world =
   let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
   let proto = Async_attempt.create ~name ~n_plus_1 in
   run_agreement ~label:"async" ~k:(n_plus_1 - 1) ~base:500 ~horizon
-    ~replay:None
+    ~replay:None ~observers
     ~fibers:(fun ~me ~input -> [ Async_attempt.proposer proto ~me ~input ])
     ~decisions:(fun () -> Async_attempt.decisions proto)
     ~rounds:(fun () -> Async_attempt.rounds_entered proto)
@@ -149,10 +164,11 @@ let async ~name ~horizon world =
 let default_horizon = 2_000_000
 
 let run_fig1 ?(horizon = default_horizon) ?stab_time ?escapes world =
-  fst (fig1 ~name:"sa" ~horizon ~stab_time ~escapes world)
+  fig1 ~name:"sa" ~horizon ~stab_time ~escapes ~observers:[] world
 
 let run_fig2 ?snapshot_impl ~f world =
-  fst (fig2 ~name:"fsa" ~snapshot_impl ~f ~horizon:default_horizon world)
+  fig2 ~name:"fsa" ~snapshot_impl ~f ~horizon:default_horizon ~observers:[]
+    world
 
 let run_omega_k_baseline ?stab_time ~k world =
   let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
@@ -162,31 +178,28 @@ let run_omega_k_baseline ?stab_time ~k world =
          ())
   in
   let proto = Omega_k_sa.create ~name:"oksa" ~n_plus_1 ~k ~omega_k in
-  fst
-    (run_agreement ~label:"omega_k" ~k ~base:300 ~horizon:default_horizon
-       ~replay:(Some (fun () -> omega_k))
-       ~fibers:(fun ~me ~input -> [ Omega_k_sa.proposer proto ~me ~input ])
-       ~decisions:(fun () -> Omega_k_sa.decisions proto)
-       ~rounds:(fun () -> Omega_k_sa.rounds_entered proto)
-       world)
+  run_agreement ~label:"omega_k" ~k ~base:300 ~horizon:default_horizon
+    ~replay:(Some (History omega_k))
+    ~fibers:(fun ~me ~input -> [ Omega_k_sa.proposer proto ~me ~input ])
+    ~decisions:(fun () -> Omega_k_sa.decisions proto)
+    ~rounds:(fun () -> Omega_k_sa.rounds_entered proto)
+    world
 
 let run_async_attempt ?(horizon = 200_000) world =
-  fst
-    (async ~name:"async" ~horizon
-       { world with policy = Policy.round_robin () })
+  async ~name:"async" ~horizon ~observers:[]
+    { world with policy = Policy.round_robin () }
 
-let trace_run ~protocol ~seed ~n_plus_1 ~f ~limit =
+let trace_run ~observers ~protocol ~seed ~n_plus_1 ~f ~limit =
   (* the random world, with its detector drawn from a fresh generator
      on the same seed *)
   let random = random_world ~seed ~n_plus_1 ~max_faulty:(n_plus_1 - 1) () in
   let world = { random with world_rng = Rng.create seed } in
-  let traced description world (_, result) =
-    Some (description, world, result)
-  in
+  let traced description world (_ : measurements) = Some (description, world) in
   match protocol with
   | "fig1" ->
       traced "Fig 1: upsilon-based n-set-agreement" world
-        (fig1 ~name:"t" ~horizon:500_000 ~stab_time:None ~escapes:None world)
+        (fig1 ~name:"t" ~horizon:500_000 ~stab_time:None ~escapes:None
+           ~observers world)
   | "fig2" ->
       let pattern =
         Failure_pattern.random (Rng.create (seed + 1)) ~n_plus_1 ~max_faulty:f
@@ -194,7 +207,8 @@ let trace_run ~protocol ~seed ~n_plus_1 ~f ~limit =
       in
       let world = { world with pattern } in
       traced "Fig 2: upsilon_f-based f-set-agreement" world
-        (fig2 ~name:"t" ~horizon:500_000 ~snapshot_impl:None ~f world)
+        (fig2 ~name:"t" ~horizon:500_000 ~snapshot_impl:None ~f ~observers
+           world)
   | "async" ->
       let world =
         {
@@ -205,7 +219,7 @@ let trace_run ~protocol ~seed ~n_plus_1 ~f ~limit =
       in
       traced "detector-free skeleton under lock-step (the impossibility run)"
         world
-        (async ~name:"t" ~horizon:(limit * 2) world)
+        (async ~name:"t" ~horizon:(limit * 2) ~observers world)
   | _ -> None
 
 (* ------------------------------------------------- model checking *)
@@ -254,8 +268,7 @@ let check_exhaustive ?(jobs = 1) ?procs ?(depth = 6) ?(horizon = 400) ?patterns
   let replay ~pattern ~prefix =
     let fibers, check = make () in
     let policy = Policy.script prefix ~then_:(Policy.round_robin ()) in
-    let result = Run.exec ~pattern ~policy ~horizon ~procs:fibers () in
-    match check (Run.trace result) with
+    match check (Run.exec ~pattern ~policy ~horizon ~procs:fibers ()) with
     | Ok () -> None
     | Error report -> Some report
   in
@@ -454,7 +467,7 @@ let run_extraction_of ~f ~source world =
         ~procs:(fun pid -> extra pid @ Extract_upsilon.fibers ex ~me:pid)
         ()
     in
-    let last_time = Run.last_time result in
+    let last_time = result.Run.last_time in
     let correct = Failure_pattern.correct pattern in
     let stabilized_at =
       List.fold_left
@@ -529,7 +542,7 @@ let run_hb_detector ~mode ~net world =
       ~procs:(fun pid -> [ Heartbeat.fiber eng ~me:pid ])
       ()
   in
-  let last = Run.last_time result in
+  let last = result.Run.last_time in
   let link = Heartbeat.link eng in
   let verdict =
     match Link.check_partial_synchrony link with
@@ -555,7 +568,7 @@ let run_msg_consensus ?(horizon = 3_000_000) ?omega_impl world =
           Detector.source
             (Omega.make ~rng:world.world_rng ~pattern:world.pattern ())
         in
-        (create omega, (fun _ -> []), (fun () -> omega), world)
+        (create omega, (fun _ -> []), History omega, world)
     | Some net ->
         (* Ω implemented from heartbeats: the protocol queries the live
            min-unsuspected leader; query replay validates those samples
@@ -575,16 +588,17 @@ let run_msg_consensus ?(horizon = 3_000_000) ?omega_impl world =
         in
         ( proto,
           (fun me -> [ Heartbeat.fiber ~until:done_ eng ~me ]),
-          (fun () ->
-            Detector.source
-              (Pairwise.omega_of_ev_perfect ~n_plus_1
-                 (Heartbeat.to_detector eng))),
+          Rebuilt
+            (fun () ->
+              Detector.source
+                (Pairwise.omega_of_ev_perfect ~n_plus_1
+                   (Heartbeat.to_detector eng))),
           {
             world with
             policy = Policy.fair_after ~gst:net.Link.gst world.policy;
           } )
   in
-  let m, _ =
+  let m =
     run_agreement ~label:"msg_consensus" ~k:1 ~base:800 ~horizon
       ~replay:(Some replay)
       ~fibers:(fun ~me ~input ->

@@ -34,26 +34,38 @@ val random_world :
 
 (** {1 Agreement worlds} *)
 
+type 'v replay =
+  | History of 'v Sim.source
+      (** an oracle history, a pure function of (process, time)
+          ({!Detectors.Detector}): each query is checked against it as
+          the run happens *)
+  | Rebuilt of (unit -> 'v Sim.source)
+      (** a history only known once the run is over (a heartbeat
+          detector's reconstruction): the run keeps its query events,
+          and nothing else, until the history is built *)
+
 val run_agreement :
   label:string ->
   k:int ->
   base:int ->
   horizon:int ->
-  replay:(unit -> 'v Sim.source) option ->
+  replay:'v replay option ->
+  ?observers:(Trace.event -> unit) list ->
   fibers:(me:Pid.t -> input:int -> (unit -> unit) list) ->
   decisions:(unit -> (Pid.t * int) list) ->
   rounds:(unit -> int) ->
   world ->
-  measurements * Run.result
+  measurements
 (** The one runner for agreement worlds. Run [fibers] for every process
     [p], proposing [base + p], under the world's pattern and policy for
     up to [horizon] steps; check {!Agreement.Sa_spec} with bound [k] on
-    [decisions ()]; read the decision times and [rounds ()] (the highest
-    round entered); replay every recorded query of [replay ()]'s
-    detector against its history, built after the run so a heartbeat
-    run can reconstruct it; and count the run as
-    [harness.runs{proto=<label>}]. The detector itself, if any, is the
-    caller's, already inside the fibers. *)
+    [decisions ()]; read [rounds ()] (the highest round entered); and
+    count the run as [harness.runs{proto=<label>}]. One observer takes
+    the decision times and replays every query of [replay]'s detector
+    against its history (run condition 2); the run keeps no trace
+    unless the caller's [observers] (default none) keep one. The
+    detector itself, if any, is the caller's, already inside the
+    fibers. *)
 
 val run_fig1 :
   ?horizon:int ->
@@ -76,13 +88,16 @@ val run_async_attempt : ?horizon:int -> world -> measurements
     adversarial schedule) in place of the world's policy. *)
 
 val trace_run :
+  observers:(Trace.event -> unit) list ->
   protocol:string ->
   seed:int ->
   n_plus_1:int ->
   f:int ->
   limit:int ->
-  (string * world * Run.result) option
-(** The world [wfde trace] replays, as [(description, world, result)],
+  (string * world) option
+(** Run the world [wfde trace] replays, passing its events to
+    [observers] — [Trace.record] into a builder keeps its trace — and
+    return [(description, world)],
     where [world] is the pattern and policy the run used: ["fig1"] (Υ
     from the seed's own generator), ["fig2"] (Υᶠ with [f] over a
     separately seeded pattern), or ["async"] (the detector-free

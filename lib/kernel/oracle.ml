@@ -65,19 +65,6 @@ let query_violation (type v) (src : v Sim.source) = function
 
 let check_query_values src trace = List.filter_map (query_violation src) trace
 
-let starvation pattern trace ~window =
-  let horizon = Trace.last_time trace in
-  let cutoff = max 0 (horizon - window) in
-  let active =
-    List.filter_map
-      (function
-        | Trace.Step { pid; time; _ } when time > cutoff -> Some pid
-        | Trace.Step _ | Trace.Crash _ -> None)
-      trace
-    |> Pid.Set.of_list
-  in
-  Pid.Set.diff (Failure_pattern.correct pattern) active
-
 let parse_int_events events =
   List.filter_map
     (fun (pid, _time, _label, value) ->
@@ -86,7 +73,6 @@ let parse_int_events events =
       | None -> None)
     events
 
-let proposals trace = parse_int_events (Trace.inputs ~label:"propose" trace)
 let decisions trace = parse_int_events (Trace.outputs ~label:"decide" trace)
 
 let decision_time = function

@@ -22,17 +22,8 @@ val check_query_values : 'v Sim.source -> Trace.t -> violation list
     witness, is compared by rendering. *)
 
 val query_violation : 'v Sim.source -> Trace.event -> violation option
-(** {!check_query_values} on one event, for a single pass over a run's
-    events ({!Run.iter}). *)
-
-val starvation :
-  Failure_pattern.t -> Trace.t -> window:int -> Pid.Set.t
-(** Correct processes that take no step during the last [window] time
-    units of the trace — a fairness smell for bounded runs (condition (5)
-    only binds infinite runs). *)
-
-val proposals : Trace.t -> (Pid.t * int) list
-(** Inputs recorded under label ["propose"], parsed as ints. *)
+(** {!check_query_values} on one event: as a run observer, it checks
+    each query as it happens. *)
 
 val decisions : Trace.t -> (Pid.t * int) list
 (** Outputs recorded under label ["decide"], parsed as ints. *)

@@ -1,10 +1,24 @@
 type result = {
   outcome : Scheduler.outcome;
-  events : Trace.builder;
   steps : int;
+  last_time : int;
+  crashes : (Pid.t * int) list;
 }
 
-let exec ~pattern ~policy ?(horizon = 100_000) ~procs () =
+let of_scheduler sched outcome =
+  {
+    outcome;
+    steps = Scheduler.now sched;
+    last_time = Scheduler.last_time sched;
+    crashes = Scheduler.crashes sched;
+  }
+
+let observe_all = function
+  | [] -> ignore
+  | [ o ] -> o
+  | os -> fun e -> List.iter (fun o -> o e) os
+
+let exec ~pattern ~policy ?(horizon = 100_000) ?(observers = []) ~procs () =
   let fibers =
     Pid.all ~n_plus_1:(Failure_pattern.n_plus_1 pattern)
     |> List.concat_map (fun pid ->
@@ -14,19 +28,8 @@ let exec ~pattern ~policy ?(horizon = 100_000) ~procs () =
                Fiber.create ~pid ~name body)
              (procs pid))
   in
-  let sched = Scheduler.create ~pattern ~policy ~fibers in
-  let outcome = Scheduler.run sched ~max_steps:horizon in
-  {
-    outcome;
-    events = Scheduler.trace_builder sched;
-    steps = Scheduler.now sched;
-  }
-
-let trace r = Trace.finish r.events
-let iter r f = Trace.iter_builder r.events f
-
-let last_time r =
-  let last = ref 0 in
-  iter r (function Trace.Step { time; _ } | Trace.Crash { time; _ } ->
-      if time > !last then last := time);
-  !last
+  let sched =
+    Scheduler.observed ~observe:(observe_all observers) ~pattern ~policy
+      ~fibers
+  in
+  of_scheduler sched (Scheduler.run sched ~max_steps:horizon)

@@ -1,31 +1,35 @@
-(** One-shot run harness: assemble fibers, schedule to an outcome. *)
+(** One-shot run harness: assemble fibers, schedule to an outcome.
+
+    A run keeps nothing of its events: they stream to the caller's
+    observers as they happen, and the result holds only the facts every
+    caller reads. A caller that wants the trace keeps it in an observer,
+    [Trace.record] into a [Trace.builder] — [wfde trace], the exported
+    goldens and the tests do. *)
 
 type result = {
   outcome : Scheduler.outcome;
-  events : Trace.builder;
-      (** everything the run recorded; read it with {!iter} or build the
-          list with {!trace} *)
   steps : int;  (** total steps executed *)
+  last_time : int;
+      (** time of the last event: the last step, or a crash recorded
+          after it ({!Scheduler.last_time}) — equal to {!Trace.last_time}
+          of the run's trace *)
+  crashes : (Pid.t * int) list;
+      (** [(pid, time)] of every crash the run reached, in pid order *)
 }
 
 val exec :
   pattern:Failure_pattern.t ->
   policy:Policy.t ->
   ?horizon:int ->
+  ?observers:(Trace.event -> unit) list ->
   procs:(Pid.t -> (unit -> unit) list) ->
   unit ->
   result
 (** Builds one fiber per thunk returned by [procs pid] (named
-    ["p<i>/t<j>"]) and runs up to [horizon] steps (default 100_000).
+    ["p<i>/t<j>"]) and runs up to [horizon] steps (default 100_000),
+    passing each event to every observer in order (default none).
     Protocol state (registers, decision tables) lives in the closures. *)
 
-val trace : result -> Trace.t
-(** The run's trace as a list, built on each call (one cons per event):
-    summaries that only fold over the events use {!iter} instead. *)
-
-val iter : result -> (Trace.event -> unit) -> unit
-(** Apply a function to every event in order, without building the
-    list. *)
-
-val last_time : result -> int
-(** {!Trace.last_time} of the run, without building the list. *)
+val of_scheduler : Scheduler.t -> Scheduler.outcome -> result
+(** The result of a run driven step by step, stopped with the given
+    outcome. *)

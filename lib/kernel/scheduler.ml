@@ -93,13 +93,15 @@ type t = {
   crash_recorded : bool array;
   mutable next_crash : int; (* min crash time not yet recorded; max_int = none *)
   mutable clock : int;
+  mutable last_crash : int; (* latest crash time recorded; 0 = none *)
   mutable live : int; (* runnable non-daemon fibers; 0 = quiescent *)
-  events : Trace.builder;
+  observe : Trace.event -> unit;
+  retained : Trace.builder option; (* [Some] iff made by [create] *)
   ctx : Sim.ctx; (* reused across steps; fields rewritten each step *)
   metrics : metric_bundle;
 }
 
-let create ~pattern ~policy ~fibers =
+let make ~observe ~retained ~pattern ~policy ~fibers =
   let n = Failure_pattern.n_plus_1 pattern in
   List.iter
     (fun f ->
@@ -133,11 +135,20 @@ let create ~pattern ~policy ~fibers =
        done;
        !next);
     clock = 0;
+    last_crash = 0;
     live;
-    events = Trace.builder ();
+    observe;
+    retained;
     ctx = { Sim.pid = 0; now = 0; payload = Sim.No_payload };
     metrics = bundle ~n;
   }
+
+let observed ~observe ~pattern ~policy ~fibers =
+  make ~observe ~retained:None ~pattern ~policy ~fibers
+
+let create ~pattern ~policy ~fibers =
+  let b = Trace.builder () in
+  make ~observe:(Trace.record b) ~retained:(Some b) ~pattern ~policy ~fibers
 
 let flush_metrics t =
   let b = t.metrics in
@@ -178,7 +189,8 @@ let process_crashes t step_time =
         if c <= step_time then begin
           t.crash_recorded.(p) <- true;
           Obs.Metrics.incr m_crashes;
-          Trace.record t.events (Trace.Crash { pid = p; time = c });
+          if c > t.last_crash then t.last_crash <- c;
+          t.observe (Trace.Crash { pid = p; time = c });
           Array.iter
             (fun f ->
               if Fiber.status f = Fiber.Runnable then retire t f;
@@ -287,7 +299,7 @@ let step t =
             ctx.Sim.payload <- Sim.No_payload;
             Fiber.step fiber ctx;
             if Fiber.status fiber <> Fiber.Runnable then retire t fiber;
-            Trace.record t.events
+            t.observe
               (Trace.Step
                  { pid; time = step_time; kind; payload = ctx.Sim.payload });
             `Stepped pid)
@@ -313,8 +325,21 @@ let run t ~max_steps =
   in
   loop max_steps
 
+(* A crash is recorded when the clock is about to reach it, so a run
+   that stops there (quiescent or policy stop) ends one tick past the
+   clock. *)
+let last_time t = max t.clock t.last_crash
+
+let crashes t =
+  let acc = ref [] in
+  for p = Array.length t.crash_recorded - 1 downto 0 do
+    if t.crash_recorded.(p) then
+      acc := (p, Failure_pattern.crash_time t.sched_pattern p) :: !acc
+  done;
+  !acc
+
 let trace t =
   flush_metrics t;
-  Trace.finish t.events
-
-let trace_builder t = t.events
+  match t.retained with
+  | Some b -> Trace.finish b
+  | None -> invalid_arg "Scheduler.trace: the events went to an observer"

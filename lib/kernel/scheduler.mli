@@ -15,14 +15,29 @@ type outcome =
           {!Sim.daemon} — daemons alone never keep a run going *)
   | Policy_stop  (** the policy returned [None] *)
 
+val observed :
+  observe:(Trace.event -> unit) ->
+  pattern:Failure_pattern.t ->
+  policy:Policy.t ->
+  fibers:Fiber.t list ->
+  t
+(** A scheduler that passes every event (each step, each crash) to
+    [observe] as it happens, in time order, and keeps none of them:
+    whoever wants a trace keeps one in the observer
+    ([Trace.record] into a builder). {!Run.exec} builds its scheduler
+    this way.
+
+    Fibers must not be started yet; [observed] starts them (cost-free
+    local prefix), which is where a fiber declares itself a
+    {!Sim.daemon}. Fibers of processes crashed at time 0 are killed
+    immediately. *)
+
 val create :
   pattern:Failure_pattern.t ->
   policy:Policy.t ->
   fibers:Fiber.t list ->
   t
-(** Fibers must not be started yet; [create] starts them (cost-free local
-    prefix), which is where a fiber declares itself a {!Sim.daemon}.
-    Fibers of processes crashed at time 0 are killed immediately. *)
+(** {!observed} with every event retained for {!trace}. *)
 
 val now : t -> int
 val pattern : t -> Failure_pattern.t
@@ -54,12 +69,17 @@ val run : t -> max_steps:int -> outcome
 (** Step until an outcome is reached or [max_steps] steps execute. Can be
     called repeatedly to extend the run. *)
 
-val trace : t -> Trace.t
-(** Trace of everything executed so far. *)
+val last_time : t -> int
+(** The time of the latest event so far: the clock, or a crash recorded
+    one tick past it when the run stopped there. O(1). *)
 
-val trace_builder : t -> Trace.builder
-(** The live trace buffer, for iterating events without materializing
-    the list ({!Trace.iter_builder}). *)
+val crashes : t -> (Pid.t * int) list
+(** [(pid, time)] of every crash the run has reached, in pid order. *)
+
+val trace : t -> Trace.t
+(** Trace of everything executed so far, for a scheduler made with
+    {!create}. Raises [Invalid_argument] for one made with {!observed}:
+    its events went to the observer. *)
 
 val flush_metrics : t -> unit
 (** Fold the scheduler's buffered step counters into the calling

@@ -40,16 +40,6 @@ let record b e =
     b.pos <- b.pos + 1
   end
 
-let iter_builder b f =
-  for c = 0 to b.nfull - 1 do
-    Array.iter f b.full.(c)
-  done;
-  for i = 0 to b.pos - 1 do
-    f b.chunk.(i)
-  done
-
-let builder_length b = (b.nfull * chunk_capacity) + b.pos
-
 let finish b =
   let acc = ref [] in
   for i = b.pos - 1 downto 0 do
@@ -69,27 +59,10 @@ let steps_of t pid =
        (function Step s -> Pid.equal s.pid pid | Crash _ -> false)
        t)
 
-let events_of t pid =
-  List.filter
-    (function
-      | Step s -> Pid.equal s.pid pid
-      | Crash c -> Pid.equal c.pid pid)
-    t
-
 let outputs ?label t =
   List.filter_map
     (function
       | Step { pid; time; kind = Sim.Output { label = l; value }; _ } ->
-          if match label with Some want -> String.equal want l | None -> true
-          then Some (pid, time, l, value)
-          else None
-      | Step _ | Crash _ -> None)
-    t
-
-let inputs ?label t =
-  List.filter_map
-    (function
-      | Step { pid; time; kind = Sim.Input { label = l; value }; _ } ->
           if match label with Some want -> String.equal want l | None -> true
           then Some (pid, time, l, value)
           else None

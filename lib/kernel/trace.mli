@@ -19,29 +19,21 @@ type t = event list
 type builder
 
 val builder : unit -> builder
+
 val record : builder -> event -> unit
+(** [record b] is the observer that keeps a run's trace: pass it to
+    {!Run.exec}'s [observers] (or {!Scheduler.observed}). *)
 
 val finish : builder -> t
 (** The chronological list view of everything recorded so far.
     Non-destructive: recording may continue afterwards. *)
 
-val iter_builder : builder -> (event -> unit) -> unit
-(** Apply a function to every recorded event in chronological order
-    without materializing the list (checker hot paths). *)
-
-val builder_length : builder -> int
-(** Number of events recorded so far. *)
-
 val steps_of : t -> Pid.t -> int
 (** Number of steps taken by a pid. *)
-
-val events_of : t -> Pid.t -> event list
 
 val outputs : ?label:string -> t -> (Pid.t * int * string * string) list
 (** All [Output] steps as [(pid, time, label, value)], optionally filtered
     by label. *)
-
-val inputs : ?label:string -> t -> (Pid.t * int * string * string) list
 
 val last_time : t -> int
 

@@ -64,7 +64,7 @@ let run candidate ~n_plus_1 ~f ~max_phases ~phase_budget =
                Fiber.create ~pid ~name:(Printf.sprintf "cand-p%d-t%d" pid j) body)
              (inst.fibers pid))
   in
-  let sched = Scheduler.create ~pattern ~policy ~fibers in
+  let sched = Scheduler.observed ~observe:ignore ~pattern ~policy ~fibers in
   (* Step the scheduler while tracking One_step_each progress. *)
   let step_once () =
     match Scheduler.step sched with

@@ -10,10 +10,11 @@ let checki = Alcotest.check Alcotest.int
 
 (* Run clients ops over a fresh ABD object; every process runs its server
    fiber plus an optional client fiber. *)
-let run_abd ?(horizon = 400_000) ~pattern ~policy ~clients n_plus_1 =
+let run_abd ?(horizon = 400_000) ?observers ~pattern ~policy ~clients
+    n_plus_1 =
   let abd = Abd.create ~name:"abd" ~n_plus_1 ~init:0 in
   let result =
-    Run.exec ~pattern ~policy ~horizon
+    Run.exec ~pattern ~policy ~horizon ?observers
       ~procs:(fun pid ->
         let client =
           match List.assoc_opt pid clients with
@@ -211,8 +212,10 @@ let test_step_labels () =
     done
   in
   let clients = List.map (fun p -> (p, body)) (Pid.all ~n_plus_1) in
-  let _, result =
-    run_abd ~pattern ~policy:(Policy.random rng) ~clients n_plus_1
+  let events = Trace.builder () in
+  let _ =
+    run_abd ~observers:[ Trace.record events ] ~pattern
+      ~policy:(Policy.random rng) ~clients n_plus_1
   in
   let snap = M.snapshot () in
   let steps kind =
@@ -223,7 +226,7 @@ let test_step_labels () =
     List.length
       (List.filter
          (function Trace.Step { kind; _ } -> p kind | Trace.Crash _ -> false)
-         (Run.trace result))
+         (Trace.finish events))
   in
   let replica_writes =
     count (function

@@ -231,8 +231,8 @@ let test_query_consumes_step_and_reads_history () =
       seen := Sim.query src :: !seen
     done
   in
-  let result =
-    Run.exec ~pattern
+  let result, trace =
+    Testutil.exec_traced ~pattern
       ~policy:(Policy.round_robin ())
       ~procs:(fun _ -> [ body ])
       ()
@@ -241,7 +241,7 @@ let test_query_consumes_step_and_reads_history () =
   checkb "all queries saw the stable leader" true
     (List.for_all (fun l -> l = 1) !seen);
   checki "queries traced" 6
-    (List.length (Trace.queries (Run.trace result) ~detector:"omega"))
+    (List.length (Trace.queries trace ~detector:"omega"))
 
 let qcheck_cases =
   let open QCheck in

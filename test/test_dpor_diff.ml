@@ -142,22 +142,27 @@ let foata_key trace =
 (* Every schedule of the naive enumerator, checked and keyed: whether
    any violates the property, and how many distinct Foata keys they
    have. The world's checker is wrapped to always answer [Ok] so the
-   enumeration never stops early. At full window and without crashes
-   the runs are every full schedule of the world, and the key count is
-   its number of Mazurkiewicz classes. *)
+   enumeration never stops early; an observer keeps each run's events,
+   reset by [make] before the run starts. At full window and without
+   crashes the runs are every full schedule of the world, and the key
+   count is its number of Mazurkiewicz classes. *)
 let naive_classes ~pattern w =
   let keys = Hashtbl.create 64 and violated = ref false in
+  let events = ref [] in
   let make () =
+    events := [];
     let procs, check = make_world w () in
-    let record trace =
-      if Result.is_error (check trace) then violated := true;
-      Hashtbl.replace keys (foata_key trace) ();
+    let record result =
+      if Result.is_error (check result) then violated := true;
+      Hashtbl.replace keys (foata_key (List.rev !events)) ();
       Ok ()
     in
     (procs, record)
   in
   ignore
-    (Explore.naive_prefix ~pattern ~depth:w.depth ~horizon:100 ~make ()
+    (Explore.naive_prefix ~pattern ~depth:w.depth ~horizon:100
+       ~observers:[ (fun e -> events := e :: !events) ]
+       ~make ()
       : unit Explore.outcome);
   (!violated, Hashtbl.length keys)
 

@@ -338,14 +338,14 @@ let test_trace_lines_identical () =
           Wfde.Upsilon_sa.create ~name:"t" ~n_plus_1:3
             ~upsilon:(Wfde.Detector.source upsilon) ()
         in
-        let run =
-          Kernel.Run.exec ~pattern:world.Wfde.Harness.pattern
+        let _, run_trace =
+          Testutil.exec_traced ~pattern:world.Wfde.Harness.pattern
             ~policy:world.Wfde.Harness.policy ~horizon:200_000
             ~procs:(fun pid ->
               [ Wfde.Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid) ])
             ()
         in
-        String.concat "\n" (Trace_export.to_lines (Kernel.Run.trace run)))
+        String.concat "\n" (Trace_export.to_lines run_trace))
       [ 1; 2; 3; 4; 5; 6 ]
   in
   checkb "exported JSONL identical at -j1 / -j4" true

@@ -144,21 +144,21 @@ let test_query_values_match_history () =
   let proto =
     Upsilon_sa.create ~name:"q" ~n_plus_1 ~upsilon:src ()
   in
-  let result =
-    Run.exec ~pattern
+  let _, trace =
+    Testutil.exec_traced ~pattern
       ~policy:(Policy.random (Rng.create 12))
       ~horizon:500_000
       ~procs:(fun pid ->
         [ Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid) ])
       ()
   in
-  let violations = Oracle.check_query_values src (Run.trace result) in
+  let violations = Oracle.check_query_values src trace in
   if violations <> [] then
     Alcotest.failf "condition 2 violated: %a" Oracle.pp_violation
       (List.hd violations);
   (* sanity: the protocol really did query *)
   checkb "queries recorded" true
-    (Trace.query_values (Run.trace result) ~detector:src.Sim.name <> [])
+    (Trace.query_values trace ~detector:src.Sim.name <> [])
 
 (* -- cross-run determinism of the full stack -------------------------------- *)
 
@@ -172,15 +172,15 @@ let full_stack_digest seed =
     Upsilon_sa.create ~name:"d" ~n_plus_1:4
       ~upsilon:(Detector.source upsilon) ()
   in
-  let result =
-    Run.exec ~pattern
+  let _, trace =
+    Testutil.exec_traced ~pattern
       ~policy:(Policy.random (Rng.split rng))
       ~horizon:500_000
       ~procs:(fun pid ->
         [ Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid) ])
       ()
   in
-  Digest.string (Format.asprintf "%a" Trace.pp (Run.trace result))
+  Digest.string (Format.asprintf "%a" Trace.pp trace)
   |> Digest.to_hex
 
 let test_full_stack_determinism () =

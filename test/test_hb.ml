@@ -105,6 +105,44 @@ let test_consensus_with_implemented_omega () =
         (impl.Wfde.Harness.outcome = Scheduler.Quiescent))
     [ 1; 2 ]
 
+(* Query replay can fail: the fibers query a constant leader history
+   and the replay names another leader. Both replay paths count every
+   disagreeing query — the oracle path as each query happens, the
+   rebuilt path on the kept query events after the run — and the
+   history the fibers queried replays clean. *)
+let test_query_replay_catches_mismatch () =
+  let leader l =
+    {
+      Sim.name = "omega";
+      sample = (fun _ _ -> l);
+      render = Pid.to_string;
+      equal = Pid.equal;
+      id = Sim.Witness.pid;
+    }
+  in
+  let queried = leader 0 in
+  let run replay =
+    Wfde.Harness.run_agreement ~label:"replay" ~k:1 ~base:0 ~horizon:1_000
+      ~replay:(Some replay)
+      ~fibers:(fun ~me:_ ~input:_ ->
+        [
+          (fun () ->
+            for _ = 1 to 3 do
+              ignore (Sim.query queried : Pid.t)
+            done);
+        ])
+      ~decisions:(fun () -> [])
+      ~rounds:(fun () -> 0)
+      (Wfde.Harness.random_world ~seed:1 ~n_plus_1:2 ~max_faulty:0 ())
+  in
+  let violations replay = (run replay).Wfde.Harness.query_violations in
+  Alcotest.check Alcotest.int "oracle history, checked inline" 6
+    (violations (Wfde.Harness.History (leader 1)));
+  Alcotest.check Alcotest.int "rebuilt history, checked after the run" 6
+    (violations (Wfde.Harness.Rebuilt (fun () -> leader 1)));
+  Alcotest.check Alcotest.int "the queried history replays clean" 0
+    (violations (Wfde.Harness.History queried))
+
 (* ------------------------------------------------- DPOR + mutants *)
 
 let hb_obj = Check.Scenario.Hb_detector Check.Scenario.default_chaos
@@ -184,6 +222,8 @@ let suite =
       test_extraction_agrees_with_oracle;
     Alcotest.test_case "consensus with implemented omega" `Slow
       test_consensus_with_implemented_omega;
+    Alcotest.test_case "query replay catches a mismatch" `Quick
+      test_query_replay_catches_mismatch;
     Alcotest.test_case "DPOR hb clean" `Quick test_dpor_hb_clean;
     Alcotest.test_case "DPOR link-chaos clean" `Quick test_dpor_link_chaos_clean;
     Alcotest.test_case "mutant: timeout never increased" `Quick

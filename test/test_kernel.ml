@@ -94,8 +94,8 @@ let nops k () =
 
 let test_run_all_steps_counted () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:3 in
-  let result =
-    Run.exec ~pattern
+  let result, trace =
+    Testutil.exec_traced ~pattern
       ~policy:(Policy.round_robin ())
       ~procs:(fun _ -> [ nops 5 ])
       ()
@@ -103,32 +103,32 @@ let test_run_all_steps_counted () =
   checkb "quiescent" true (result.outcome = Scheduler.Quiescent);
   checki "15 steps" 15 result.steps;
   List.iter
-    (fun p -> checki "5 steps each" 5 (Trace.steps_of (Run.trace result) p))
+    (fun p -> checki "5 steps each" 5 (Trace.steps_of trace p))
     (Pid.all ~n_plus_1:3)
 
 let test_crash_stops_process () =
   let pattern = Failure_pattern.make ~n_plus_1:2 ~crashes:[ (0, 4) ] in
-  let result =
-    Run.exec ~pattern
+  let _, trace =
+    Testutil.exec_traced ~pattern
       ~policy:(Policy.round_robin ())
       ~procs:(fun _ -> [ nops 100 ])
       ()
   in
-  checkb "p1 stopped early" true (Trace.steps_of (Run.trace result) 0 < 100);
-  checki "p2 ran to completion" 100 (Trace.steps_of (Run.trace result) 1);
-  let violations = Oracle.check_run_conditions pattern (Run.trace result) in
+  checkb "p1 stopped early" true (Trace.steps_of trace 0 < 100);
+  checki "p2 ran to completion" 100 (Trace.steps_of trace 1);
+  let violations = Oracle.check_run_conditions pattern trace in
   checki "no violations" 0 (List.length violations)
 
 let test_crash_at_zero_means_no_steps () =
   let pattern = Failure_pattern.make ~n_plus_1:2 ~crashes:[ (0, 0) ] in
-  let result =
-    Run.exec ~pattern
+  let _, trace =
+    Testutil.exec_traced ~pattern
       ~policy:(Policy.round_robin ())
       ~procs:(fun _ -> [ nops 10 ])
       ()
   in
-  checki "p1 took no steps" 0 (Trace.steps_of (Run.trace result) 0);
-  checki "p2 took all steps" 10 (Trace.steps_of (Run.trace result) 1)
+  checki "p1 took no steps" 0 (Trace.steps_of trace 0);
+  checki "p2 took all steps" 10 (Trace.steps_of trace 1)
 
 let test_horizon_stops_run () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
@@ -149,14 +149,14 @@ let test_horizon_stops_run () =
 
 let test_solo_policy_starves_others () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:3 in
-  let result =
-    Run.exec ~pattern ~policy:(Policy.solo 1)
+  let result, trace =
+    Testutil.exec_traced ~pattern ~policy:(Policy.solo 1)
       ~procs:(fun _ -> [ nops 20 ])
       ()
   in
-  checki "p2 alone ran" 20 (Trace.steps_of (Run.trace result) 1);
-  checki "p1 starved" 0 (Trace.steps_of (Run.trace result) 0);
-  checki "p3 starved" 0 (Trace.steps_of (Run.trace result) 2);
+  checki "p2 alone ran" 20 (Trace.steps_of trace 1);
+  checki "p1 starved" 0 (Trace.steps_of trace 0);
+  checki "p3 starved" 0 (Trace.steps_of trace 2);
   (* solo stops once its process is done *)
   checkb "policy stop" true (result.outcome = Scheduler.Policy_stop)
 
@@ -184,12 +184,12 @@ let test_script_policy_order () =
 let step_order procs_steps policy =
   let n_plus_1 = List.length procs_steps in
   let pattern = Failure_pattern.no_failures ~n_plus_1 in
-  let result =
-    Run.exec ~pattern ~policy ~procs:(fun pid -> [ nops (List.nth procs_steps pid) ]) ()
+  let _, trace =
+    Testutil.exec_traced ~pattern ~policy ~procs:(fun pid -> [ nops (List.nth procs_steps pid) ]) ()
   in
   List.filter_map
     (function Trace.Step { pid; _ } -> Some pid | _ -> None)
-    (Run.trace result)
+    trace
 
 let test_round_robin_cursor_fairness () =
   (* after p1 quiesces the cursor keeps cycling from where it was, so the
@@ -213,8 +213,8 @@ let test_script_policy_exhaustion () =
 let test_random_policy_is_fair () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:4 in
   let rng = Rng.create 99 in
-  let result =
-    Run.exec ~pattern ~policy:(Policy.random rng) ~horizon:4000
+  let _, trace =
+    Testutil.exec_traced ~pattern ~policy:(Policy.random rng) ~horizon:4000
       ~procs:(fun _ ->
         [
           (fun () ->
@@ -226,7 +226,7 @@ let test_random_policy_is_fair () =
   in
   List.iter
     (fun p ->
-      let steps = Trace.steps_of (Run.trace result) p in
+      let steps = Trace.steps_of trace p in
       checkb "roughly fair share" true (steps > 700 && steps < 1300))
     (Pid.all ~n_plus_1:4)
 
@@ -271,23 +271,23 @@ let test_local_computation_is_free () =
 
 let test_trace_times_strictly_increase () =
   let pattern = Failure_pattern.make ~n_plus_1:3 ~crashes:[ (2, 7) ] in
-  let result =
-    Run.exec ~pattern
+  let _, trace =
+    Testutil.exec_traced ~pattern
       ~policy:(Policy.round_robin ())
       ~procs:(fun _ -> [ nops 10 ])
       ()
   in
   checki "no violations" 0
-    (List.length (Oracle.check_run_conditions pattern (Run.trace result)))
+    (List.length (Oracle.check_run_conditions pattern trace))
 
 let test_outputs_recorded () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
   let body () = Sim.output ~label:"decide" ~value:"17" in
-  let result =
-    Run.exec ~pattern ~policy:(Policy.round_robin ())
+  let _, trace =
+    Testutil.exec_traced ~pattern ~policy:(Policy.round_robin ())
       ~procs:(fun _ -> [ body ]) ()
   in
-  let decisions = Oracle.decisions (Run.trace result) in
+  let decisions = Oracle.decisions trace in
   checki "two decisions" 2 (List.length decisions);
   List.iter (fun (_, v) -> checki "value 17" 17 v) decisions
 
@@ -298,15 +298,74 @@ let test_run_determinism () =
     let pattern =
       Failure_pattern.random rng ~n_plus_1:4 ~max_faulty:2 ~latest:30
     in
-    let result =
-      Run.exec ~pattern ~policy:(Policy.random rng) ~horizon:200
+    let _, trace =
+      Testutil.exec_traced ~pattern ~policy:(Policy.random rng) ~horizon:200
         ~procs:(fun _ -> [ nops 50 ])
         ()
     in
-    Format.asprintf "%a" Trace.pp (Run.trace result)
+    Format.asprintf "%a" Trace.pp trace
   in
   check Alcotest.string "same seed, same trace" (run 5) (run 5);
   checkb "different seeds differ" true (run 5 <> run 6)
+
+(* A crash reached after the last step ends the run: p1 yields three
+   times while p2 loops until it crashes at 10, so the run takes 9 steps
+   but lasts until time 10 — the time the extraction tail and the
+   heartbeat horizon read. *)
+let test_crash_after_last_step_ends_run () =
+  let pattern = Failure_pattern.make ~n_plus_1:2 ~crashes:[ (1, 10) ] in
+  let loop () =
+    while true do
+      Sim.yield ()
+    done
+  in
+  let result, trace =
+    Testutil.exec_traced ~pattern
+      ~policy:(Policy.round_robin ())
+      ~procs:(fun pid -> [ (if pid = 0 then nops 3 else loop) ])
+      ()
+  in
+  checki "9 steps" 9 result.steps;
+  checki "last time is the crash" 10 result.last_time;
+  checki "as the trace says" (Trace.last_time trace) result.last_time;
+  check
+    Alcotest.(list (pair int int))
+    "the crash" [ (1, 10) ] result.crashes
+
+(* The scheduler's retained trace and the events an observer is passed
+   are the same events in the same order. *)
+let test_observer_sees_retained_trace () =
+  let world () =
+    let pattern = Failure_pattern.make ~n_plus_1:3 ~crashes:[ (2, 250) ] in
+    let fibers =
+      List.map
+        (fun pid -> Fiber.create ~pid ~name:"t" (nops 300))
+        (Pid.all ~n_plus_1:3)
+    in
+    (pattern, Policy.random (Rng.create 41), fibers)
+  in
+  let pattern, policy, fibers = world () in
+  let retained = Scheduler.create ~pattern ~policy ~fibers in
+  ignore (Scheduler.run retained ~max_steps:2_000 : Scheduler.outcome);
+  let seen = ref [] in
+  let pattern, policy, fibers = world () in
+  let observed =
+    Scheduler.observed ~observe:(fun e -> seen := e :: !seen) ~pattern ~policy
+      ~fibers
+  in
+  ignore (Scheduler.run observed ~max_steps:2_000 : Scheduler.outcome);
+  let retained_trace = Scheduler.trace retained in
+  checkb "spans several builder chunks" true
+    (List.length retained_trace > 600);
+  check Alcotest.string "same events"
+    (Format.asprintf "%a" Trace.pp retained_trace)
+    (Format.asprintf "%a" Trace.pp (List.rev !seen));
+  checki "same last time" (Trace.last_time retained_trace)
+    (Scheduler.last_time observed);
+  checkb "an observed scheduler keeps nothing" true
+    (match Scheduler.trace observed with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* -- Daemon fibers --------------------------------------------------------- *)
 
@@ -345,7 +404,7 @@ let echo_world ~daemon ~rounds =
 
 let run_echo ?(pattern = Failure_pattern.no_failures ~n_plus_1:2) ~daemon
     ~rounds () =
-  Run.exec ~pattern
+  Testutil.exec_traced ~pattern
     ~policy:(Policy.random (Rng.create 17))
     ~horizon:2_000
     ~procs:(echo_world ~daemon ~rounds)
@@ -357,33 +416,34 @@ let last_step_pid trace =
     None trace
 
 let test_daemon_stops_at_last_client_step () =
-  let served = run_echo ~daemon:true ~rounds:5 () in
-  let forever = run_echo ~daemon:false ~rounds:5 () in
+  let served, served_trace = run_echo ~daemon:true ~rounds:5 () in
+  let forever, forever_trace = run_echo ~daemon:false ~rounds:5 () in
   checkb "daemon run quiescent" true (served.outcome = Scheduler.Quiescent);
   checkb "plain run hits horizon" true (forever.outcome = Scheduler.Horizon);
   check
     Alcotest.(option int)
     "ends at the client's last step" (Some 0)
-    (last_step_pid (Run.trace served));
+    (last_step_pid served_trace);
   checki "client made its 5 requests" 5
     (List.length
        (List.filter
           (function
             | Trace.Step { pid = 0; kind = Sim.Write _; _ } -> true
             | _ -> false)
-          (Run.trace served)));
-  let n = List.length (Run.trace served) in
+          served_trace));
+  let n = List.length served_trace in
   check Alcotest.string "a prefix of the plain run"
-    (Format.asprintf "%a" Trace.pp (Run.trace served))
+    (Format.asprintf "%a" Trace.pp served_trace)
     (Format.asprintf "%a" Trace.pp
-       (List.filteri (fun i _ -> i < n) (Run.trace forever)))
+       (List.filteri (fun i _ -> i < n) forever_trace))
 
 let test_daemon_stops_at_last_client_crash () =
   let pattern = Failure_pattern.make ~n_plus_1:2 ~crashes:[ (0, 10) ] in
-  let result = run_echo ~pattern ~daemon:true ~rounds:100 () in
+  let result, trace = run_echo ~pattern ~daemon:true ~rounds:100 () in
   checkb "quiescent" true (result.outcome = Scheduler.Quiescent);
   checki "no step at or after the crash" 9 result.steps;
-  match List.rev (Run.trace result) with
+  checki "the crash ends the run" 10 result.last_time;
+  match List.rev trace with
   | Trace.Crash { pid = 0; time = 10 } :: _ -> ()
   | _ -> Alcotest.fail "the client's crash is the last event"
 
@@ -395,13 +455,13 @@ let test_only_daemons_take_no_step () =
       Sim.yield ()
     done
   in
-  let result =
-    Run.exec ~pattern ~policy:(Policy.round_robin ())
+  let result, trace =
+    Testutil.exec_traced ~pattern ~policy:(Policy.round_robin ())
       ~procs:(fun _ -> [ idle ]) ()
   in
   checkb "quiescent" true (result.outcome = Scheduler.Quiescent);
   checki "no steps" 0 result.steps;
-  checki "empty trace" 0 (List.length (Run.trace result))
+  checki "empty trace" 0 (List.length trace)
 
 let test_late_daemon_rejected () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:1 in
@@ -438,14 +498,14 @@ let qcheck_cases =
           Failure_pattern.random rng ~n_plus_1 ~max_faulty:(n_plus_1 - 1)
             ~latest:40
         in
-        let result =
-          Run.exec ~pattern
+        let _, trace =
+          Testutil.exec_traced ~pattern
             ~policy:(Policy.round_robin ())
             ~horizon:300
             ~procs:(fun _ -> [ nops 60 ])
             ()
         in
-        Oracle.check_run_conditions pattern (Run.trace result) = []);
+        Oracle.check_run_conditions pattern trace = []);
     Test.make ~count:200 ~name:"crashed_by is F(t), shared per crash time"
       (pair small_nat small_nat)
       (fun (seed, f_raw) ->
@@ -505,6 +565,10 @@ let suite =
       test_trace_times_strictly_increase;
     Alcotest.test_case "outputs recorded" `Quick test_outputs_recorded;
     Alcotest.test_case "run determinism" `Quick test_run_determinism;
+    Alcotest.test_case "a crash after the last step ends the run" `Quick
+      test_crash_after_last_step_ends_run;
+    Alcotest.test_case "observer sees the retained trace" `Quick
+      test_observer_sees_retained_trace;
     Alcotest.test_case "daemon run stops at the last client step" `Quick
       test_daemon_stops_at_last_client_step;
     Alcotest.test_case "daemon run stops at the last client crash" `Quick

@@ -65,13 +65,15 @@ let run_broadcasters ?(n_plus_1 = 3) ?(pattern_crashes = []) ?policy ~config
   let policy =
     match policy with Some p -> p | None -> Policy.round_robin ()
   in
-  let result =
-    Run.exec ~pattern ~policy ~horizon ~procs:(fun pid -> [ body pid ]) ()
+  let result, trace =
+    Testutil.exec_traced ~pattern ~policy ~horizon
+      ~procs:(fun pid -> [ body pid ])
+      ()
   in
-  (link, result)
+  (link, result, trace)
 
 let test_default_config_is_reliable () =
-  let link, _ =
+  let link, _, _ =
     run_broadcasters ~config:Link.default_config ~horizon:200 ()
   in
   checkb "contract" true (Link.check_partial_synchrony link = Ok ());
@@ -85,7 +87,7 @@ let test_total_loss_before_gst () =
   let config =
     { Link.gst = 60; delta = 1; pre_delay = 0; loss_pct = 100; link_seed = 5 }
   in
-  let link, _ = run_broadcasters ~config ~horizon:300 () in
+  let link, _, _ = run_broadcasters ~config ~horizon:300 () in
   checkb "contract" true (Link.check_partial_synchrony link = Ok ());
   let pre, post =
     List.partition (fun r -> r.Link.sr_sent_at < 60) (Link.sends link)
@@ -106,7 +108,7 @@ let test_pre_gst_delay_stashes () =
   let config =
     { Link.gst = 400; delta = 1; pre_delay = 40; loss_pct = 0; link_seed = 11 }
   in
-  let link, _ = run_broadcasters ~config ~horizon:300 () in
+  let link, _, _ = run_broadcasters ~config ~horizon:300 () in
   checkb "contract" true (Link.check_partial_synchrony link = Ok ());
   (* with max extra delay 40 some message must actually be delayed *)
   checkb "some message delayed" true
@@ -125,11 +127,11 @@ let test_fair_delivery_after_gst () =
   let config =
     { Link.gst = 50; delta = 3; pre_delay = 10; loss_pct = 60; link_seed = 2 }
   in
-  let link, result = run_broadcasters ~config ~horizon:600 () in
+  let link, result, _ = run_broadcasters ~config ~horizon:600 () in
   checkb "contract" true (Link.check_partial_synchrony link = Ok ());
   (* everyone polls every rotation: anything ready well before the end
      must have been delivered *)
-  let last = Trace.last_time (Run.trace result) in
+  let last = result.Run.last_time in
   checki "no stale ready messages" 0
     (List.length (Link.undelivered_ready link ~by:(last - 30)))
 
@@ -137,7 +139,7 @@ let test_send_log_accounting () =
   let config =
     { Link.gst = 30; delta = 2; pre_delay = 6; loss_pct = 50; link_seed = 9 }
   in
-  let link, _ = run_broadcasters ~n_plus_1:2 ~config ~horizon:200 () in
+  let link, _, _ = run_broadcasters ~n_plus_1:2 ~config ~horizon:200 () in
   let sends = Link.sends link in
   let dropped =
     List.length (List.filter (fun r -> r.Link.sr_ready_at = -1) sends)
@@ -160,7 +162,7 @@ let test_crashed_receiver_never_observes () =
   let config =
     { Link.gst = 0; delta = 1; pre_delay = 0; loss_pct = 0; link_seed = 1 }
   in
-  let link, result =
+  let link, _, trace =
     run_broadcasters ~pattern_crashes:[ (1, 5) ] ~config ~horizon:300 ()
   in
   let pattern =
@@ -171,7 +173,7 @@ let test_crashed_receiver_never_observes () =
   checkb "crash recorded in trace" true
     (List.exists
        (function Trace.Crash { pid = 1; _ } -> true | _ -> false)
-       (Run.trace result))
+       trace)
 
 (* ----------------------------------------------- the reliable link *)
 
@@ -345,7 +347,7 @@ let test_dpor_crash_isolation () =
       ignore (Link.poll net ~me:pid);
       ignore (Link.poll link ~me:pid)
     in
-    let check (_ : Trace.t) =
+    let check (_ : Run.result) =
       match Link.check_crash_isolation net ~pattern with
       | Error _ as e -> e
       | Ok () -> Link.check_crash_isolation link ~pattern
@@ -378,8 +380,8 @@ let qcheck_cases =
       (make ~print:pp_cfg gen_config)
       (fun config ->
         let run () =
-          let link, result = run_broadcasters ~config ~horizon:250 () in
-          (Format.asprintf "%a" Trace.pp (Run.trace result), Link.sends link)
+          let link, _, trace = run_broadcasters ~config ~horizon:250 () in
+          (Format.asprintf "%a" Trace.pp trace, Link.sends link)
         in
         let t1, s1 = run () and t2, s2 = run () in
         String.equal t1 t2
@@ -395,8 +397,8 @@ let qcheck_cases =
       ~name:"link: GST monotonicity (post-GST sends timely, pre-GST bounded)"
       (make ~print:pp_cfg gen_config)
       (fun config ->
-        let link, result = run_broadcasters ~config ~horizon:400 () in
-        let last = Trace.last_time (Run.trace result) in
+        let link, result, _ = run_broadcasters ~config ~horizon:400 () in
+        let last = result.Run.last_time in
         Link.check_partial_synchrony link = Ok ()
         && List.for_all
              (fun r ->
@@ -415,7 +417,7 @@ let qcheck_cases =
          ~print:(fun (c, t) -> Printf.sprintf "%s crash@%d" (pp_cfg c) t)
          QCheck.Gen.(pair gen_config (int_bound 60)))
       (fun (config, crash_at) ->
-        let link, _ =
+        let link, _, _ =
           run_broadcasters ~pattern_crashes:[ (1, crash_at) ] ~config
             ~horizon:300 ()
         in

@@ -232,18 +232,18 @@ let fig1_run ~seed ~policy =
     Wfde.Upsilon_sa.create ~name:"t" ~n_plus_1:3
       ~upsilon:(Wfde.Detector.source upsilon) ()
   in
-  Run.exec ~pattern:world.Wfde.Harness.pattern
-    ~policy:(policy world)
-    ~horizon:500_000
-    ~procs:(fun pid ->
-      [ Wfde.Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid) ])
-    ()
+  snd
+    (Testutil.exec_traced ~pattern:world.Wfde.Harness.pattern
+       ~policy:(policy world) ~horizon:500_000
+       ~procs:(fun pid ->
+         [ Wfde.Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid) ])
+       ())
 
 let test_exported_schedule_replays () =
   for seed = 1 to 5 do
     let original = fig1_run ~seed ~policy:(fun w -> w.Wfde.Harness.policy) in
     let loaded =
-      match Trace_export.of_lines (Trace_export.to_lines (Run.trace original))
+      match Trace_export.of_lines (Trace_export.to_lines original)
       with
       | Ok t -> t
       | Error e -> Alcotest.failf "seed %d: reload failed: %s" seed e
@@ -252,7 +252,7 @@ let test_exported_schedule_replays () =
        rendering: they must export to the same bytes *)
     Alcotest.(check (list string))
       "reload is exact"
-      (Trace_export.to_lines (Run.trace original))
+      (Trace_export.to_lines original)
       (Trace_export.to_lines loaded);
     let replay =
       fig1_run ~seed ~policy:(fun _ ->
@@ -261,11 +261,11 @@ let test_exported_schedule_replays () =
     in
     checks
       (Printf.sprintf "seed %d replay reproduces the run" seed)
-      (Format.asprintf "%a" Trace.pp (Run.trace original))
-      (Format.asprintf "%a" Trace.pp (Run.trace replay));
+      (Format.asprintf "%a" Trace.pp original)
+      (Format.asprintf "%a" Trace.pp replay);
     checkb "same decisions" true
-      (Trace.outputs ~label:"decide" (Run.trace replay)
-      = Trace.outputs ~label:"decide" (Run.trace original))
+      (Trace.outputs ~label:"decide" replay
+      = Trace.outputs ~label:"decide" original)
   done
 
 (* The [wfde trace --out] exports pinned byte for byte: each golden was
@@ -285,18 +285,44 @@ let golden_exports =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* A golden world run as [wfde trace] runs it, its trace kept by a
+   builder next to any further [observers]. *)
+let trace_golden ?(observers = []) (file, protocol, seed, n_plus_1, f) =
+  let kept = Trace.builder () in
+  match
+    Wfde.Harness.trace_run
+      ~observers:(Trace.record kept :: observers)
+      ~protocol ~seed ~n_plus_1 ~f ~limit:120
+  with
+  | None -> Alcotest.failf "%s: unknown protocol %s" file protocol
+  | Some (_, world) -> (world, Trace.finish kept)
+
 let test_golden_exports () =
   List.iter
-    (fun (file, protocol, seed, n_plus_1, f) ->
-      match Wfde.Harness.trace_run ~protocol ~seed ~n_plus_1 ~f ~limit:120 with
-      | None -> Alcotest.failf "%s: unknown protocol %s" file protocol
-      | Some (_, _, result) ->
-          let path = Filename.temp_file "wfde_golden" ".jsonl" in
-          Fun.protect
-            ~finally:(fun () -> Sys.remove path)
-            (fun () ->
-              Trace_export.save_file path (Run.trace result);
-              checks file (read_file ("golden/" ^ file)) (read_file path)))
+    (fun ((file, _, _, _, _) as golden) ->
+      let _, trace = trace_golden golden in
+      let path = Filename.temp_file "wfde_golden" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Trace_export.save_file path trace;
+          checks file (read_file ("golden/" ^ file)) (read_file path)))
+    golden_exports
+
+(* The events an observer is passed are the trace the builder keeps:
+   for every golden world, a plain list observer exports the same
+   lines. *)
+let test_golden_observer_stream () =
+  List.iter
+    (fun ((file, _, _, _, _) as golden) ->
+      let seen = ref [] in
+      let _, trace =
+        trace_golden ~observers:[ (fun e -> seen := e :: !seen) ] golden
+      in
+      Alcotest.(check (list string))
+        file
+        (Trace_export.to_lines trace)
+        (Trace_export.to_lines (List.rev !seen)))
     golden_exports
 
 (* [trace_run] returns the world the run used: the printed pattern is the
@@ -304,26 +330,22 @@ let test_golden_exports () =
    its crash time in it. *)
 let test_trace_world_is_run_world () =
   List.iter
-    (fun (file, protocol, seed, n_plus_1, f) ->
-      match Wfde.Harness.trace_run ~protocol ~seed ~n_plus_1 ~f ~limit:120 with
-      | None -> Alcotest.failf "%s: unknown protocol %s" file protocol
-      | Some (_, world, result) ->
-          let pattern = world.Wfde.Harness.pattern in
-          let trace = Run.trace result in
-          List.iter
-            (fun v ->
-              Alcotest.failf "%s: %a" file Oracle.pp_violation v)
-            (Oracle.check_run_conditions pattern trace);
-          List.iter
-            (function
-              | Trace.Crash { pid; time } ->
-                  checki (file ^ ": crash time") time
-                    (Failure_pattern.crash_time pattern pid)
-              | Trace.Step _ -> ())
-            trace;
-          if file = "fig2_seed9_p4_f2.jsonl" then
-            checks file "crashes[p3@146, p4@74](4 procs)"
-              (Format.asprintf "%a" Failure_pattern.pp pattern))
+    (fun ((file, _, _, _, _) as golden) ->
+      let world, trace = trace_golden golden in
+      let pattern = world.Wfde.Harness.pattern in
+      List.iter
+        (fun v -> Alcotest.failf "%s: %a" file Oracle.pp_violation v)
+        (Oracle.check_run_conditions pattern trace);
+      List.iter
+        (function
+          | Trace.Crash { pid; time } ->
+              checki (file ^ ": crash time") time
+                (Failure_pattern.crash_time pattern pid)
+          | Trace.Step _ -> ())
+        trace;
+      if file = "fig2_seed9_p4_f2.jsonl" then
+        checks file "crashes[p3@146, p4@74](4 procs)"
+          (Format.asprintf "%a" Failure_pattern.pp pattern))
     golden_exports
 
 (* -- log buckets / quantiles ------------------------------------------ *)
@@ -534,6 +556,8 @@ let suite =
     Alcotest.test_case "exported schedule replays" `Quick
       test_exported_schedule_replays;
     Alcotest.test_case "golden trace exports" `Quick test_golden_exports;
+    Alcotest.test_case "golden worlds: observer stream = kept trace" `Quick
+      test_golden_observer_stream;
     Alcotest.test_case "trace world is the run's world" `Quick
       test_trace_world_is_run_world;
     Alcotest.test_case "log buckets (1-2-5 series)" `Quick test_log_buckets;

@@ -139,8 +139,8 @@ let test_schedule_replay_reproduces_trace () =
   in
   (* original run under a random policy *)
   let pattern, proto1 = make_world () in
-  let original =
-    Run.exec ~pattern
+  let _, original_trace =
+    Testutil.exec_traced ~pattern
       ~policy:(Policy.random (Rng.create 22))
       ~horizon:200_000
       ~procs:(fun pid -> [ Upsilon_sa.proposer proto1 ~me:pid ~input:(pid + 1) ])
@@ -148,18 +148,18 @@ let test_schedule_replay_reproduces_trace () =
   in
   (* replay: same world, schedule scripted from the original trace *)
   let pattern2, proto2 = make_world () in
-  let replay =
-    Run.exec ~pattern:pattern2
+  let _, replay_trace =
+    Testutil.exec_traced ~pattern:pattern2
       ~policy:
-        (Policy.script (Trace.schedule (Run.trace original))
+        (Policy.script (Trace.schedule original_trace)
            ~then_:(fun ~now:_ ~enabled:_ -> None))
       ~horizon:200_000
       ~procs:(fun pid -> [ Upsilon_sa.proposer proto2 ~me:pid ~input:(pid + 1) ])
       ()
   in
   Alcotest.check Alcotest.string "identical traces"
-    (Format.asprintf "%a" Trace.pp (Run.trace original))
-    (Format.asprintf "%a" Trace.pp (Run.trace replay))
+    (Format.asprintf "%a" Trace.pp original_trace)
+    (Format.asprintf "%a" Trace.pp replay_trace)
 
 (* -- phi maps are empirically non-samples ------------------------------------ *)
 

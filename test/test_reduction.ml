@@ -26,7 +26,7 @@ let run_extraction ?(horizon = 120_000) ?(tail = 20_000) ~pattern ~policy ~f
       ~procs:(fun pid -> Extract_upsilon.fibers ex ~me:pid)
       ()
   in
-  let last_time = Trace.last_time (Run.trace result) in
+  let last_time = result.Run.last_time in
   (ex, Extract_upsilon.check ex ~pattern ~last_time ~tail, result)
 
 (* -- ϕ maps ------------------------------------------------------------------ *)
@@ -344,7 +344,7 @@ let test_omega_from_upsilon1 () =
     in
     match
       Pairwise.Omega_from_upsilon1.check red ~pattern
-        ~last_time:(Trace.last_time (Run.trace result))
+        ~last_time:result.Run.last_time
         ~tail:10_000
     with
     | Ok () -> ()

@@ -47,3 +47,14 @@ let eventually ?(timeout = 5.0) msg cond =
     end
   in
   go ()
+
+(* [Kernel.Run.exec] with the run's trace kept: runs keep no trace of
+   their own, so the tests that read one record it in an observer. *)
+let exec_traced ~pattern ~policy ?horizon ~procs () =
+  let events = Kernel.Trace.builder () in
+  let result =
+    Kernel.Run.exec ~pattern ~policy ?horizon
+      ~observers:[ Kernel.Trace.record events ]
+      ~procs ()
+  in
+  (result, Kernel.Trace.finish events)
