@@ -16,7 +16,6 @@ type t = {
 }
 
 let m_spawned = Obs.Metrics.counter "kernel.fiber.spawned"
-let m_suspensions = Obs.Metrics.counter "kernel.fiber.suspensions"
 let m_completed = Obs.Metrics.counter "kernel.fiber.completed"
 let m_killed = Obs.Metrics.counter "kernel.fiber.killed"
 
@@ -53,7 +52,6 @@ let handler t =
         | Sim.Atomic (kind, f) ->
             Some
               (fun (k : (a, unit) continuation) ->
-                Obs.Metrics.incr m_suspensions;
                 t.state <- Pending (kind, f, k))
         | Sim.Daemon ->
             Some

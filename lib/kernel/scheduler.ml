@@ -1,12 +1,13 @@
 type outcome = Horizon | Quiescent | Policy_stop
 
-(* Telemetry: rare events (crashes, stop reasons) use module-level slow
-   handles; everything on the per-step path uses Metrics.Fast cells
-   owned by the scheduler and absorbed into the registry when the run
-   stops (every [`Stopped] exit, [run] return and [trace] flush, and
-   manual steppers call [flush_metrics] themselves). Absorption is
-   idempotent, so the defensive multi-point flushing never
-   double-counts. *)
+(* Telemetry: rare events (crashes, stop reasons) use module-level
+   handles; the per-step counters go through the registry of the domain
+   that created the scheduler, taken once at creation, so a step pays an
+   array store per counter and no DLS read. A scheduler is therefore
+   created and stepped in one domain. Fibers suspend only inside
+   [Fiber.start] and [Fiber.step], which only the scheduler calls, so it
+   counts their suspensions too. *)
+let m_suspensions = Obs.Metrics.counter "kernel.fiber.suspensions"
 let m_crashes = Obs.Metrics.counter "kernel.scheduler.crashes"
 let m_policy_stops = Obs.Metrics.counter "kernel.scheduler.policy_stops"
 let m_quiescent = Obs.Metrics.counter "kernel.scheduler.quiescent_stops"
@@ -33,10 +34,9 @@ let kind_counter_names =
     "kernel.scheduler.steps{kind=recv}";
   |]
 
-(* Per-pid counter names are only built when a domain's bundle grows to
+(* Per-pid counter names are only built when a domain's slots grow to
    a new pid count (not per scheduler creation), so the Printf is off
-   the hot path and needs no shared interning table — sharing one across
-   pool worker domains would race. *)
+   the hot path. *)
 let pid_counter_name p = Printf.sprintf "kernel.scheduler.steps{pid=p%d}" (p + 1)
 
 (* Detector instance names embed run parameters ("upsilon_f(f=2,t*=37)");
@@ -46,44 +46,44 @@ let detector_family name =
   | Some i -> String.sub name 0 i
   | None -> name
 
-(* The fast cells for the step path, shared by every scheduler of a
-   domain (model checkers create a scheduler per execution; re-creating
-   the cells each time would put a dozen registry lookups on that path).
-   Sharing is sound because the buffered values are sums absorbed into
-   the same registry cells, and every scheduler flushes at each stopped
-   run, so the buffers are empty at unit boundaries. *)
-type metric_bundle = {
-  b_steps : Obs.Metrics.Fast.counter;
-  b_policy_decisions : Obs.Metrics.Fast.counter;
-  b_queries : Obs.Metrics.Fast.counter;
-  mutable b_by_pid : Obs.Metrics.Fast.counter array; (* grown on demand *)
-  b_by_kind : Obs.Metrics.Fast.counter array; (* indexed by kind_tag *)
-  (* per-detector query counters, keyed by the raw instance name so the
-     hot path never allocates the family substring *)
-  b_detectors : (string, Obs.Metrics.Fast.counter) Hashtbl.t;
+(* The step counters' slots, per domain: registered when the domain
+   creates its first scheduler (so a domain that never schedules lists
+   none of them), per pid as the domain meets larger worlds, and per
+   detector at a detector's first query. Model checkers create a
+   scheduler per execution, so keeping the slots here spares each
+   creation a dozen name lookups. *)
+type slots = {
+  s_steps : Obs.Metrics.counter;
+  s_policy_decisions : Obs.Metrics.counter;
+  s_queries : Obs.Metrics.counter;
+  mutable s_by_pid : Obs.Metrics.counter array; (* grown on demand *)
+  s_by_kind : Obs.Metrics.counter array; (* indexed by kind_tag *)
+  (* keyed by the raw instance name so the hot path never allocates the
+     family substring *)
+  s_detectors : (string, Obs.Metrics.counter) Hashtbl.t;
 }
 
-let bundle_key : metric_bundle Domain.DLS.key =
+let slots_key : slots Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
-        b_steps = Obs.Metrics.Fast.counter "kernel.scheduler.steps";
-        b_policy_decisions =
-          Obs.Metrics.Fast.counter "kernel.scheduler.policy_decisions";
-        b_queries = Obs.Metrics.Fast.counter "detectors.queries";
-        b_by_pid = [||];
-        b_by_kind = Array.map Obs.Metrics.Fast.counter kind_counter_names;
-        b_detectors = Hashtbl.create 4;
+        s_steps = Obs.Metrics.counter "kernel.scheduler.steps";
+        s_policy_decisions =
+          Obs.Metrics.counter "kernel.scheduler.policy_decisions";
+        s_queries = Obs.Metrics.counter "detectors.queries";
+        s_by_pid = [||];
+        s_by_kind = Array.map Obs.Metrics.counter kind_counter_names;
+        s_detectors = Hashtbl.create 4;
       })
 
-let bundle ~n =
-  let b = Domain.DLS.get bundle_key in
-  let have = Array.length b.b_by_pid in
+let slots ~n =
+  let s = Domain.DLS.get slots_key in
+  let have = Array.length s.s_by_pid in
   if have < n then
-    b.b_by_pid <-
+    s.s_by_pid <-
       Array.init n (fun p ->
-          if p < have then b.b_by_pid.(p)
-          else Obs.Metrics.Fast.counter (pid_counter_name p));
-  b
+          if p < have then s.s_by_pid.(p)
+          else Obs.Metrics.counter (pid_counter_name p));
+  s
 
 type t = {
   sched_pattern : Failure_pattern.t;
@@ -98,7 +98,8 @@ type t = {
   observe : Trace.event -> unit;
   retained : Trace.builder option; (* [Some] iff made by [create] *)
   ctx : Sim.ctx; (* reused across steps; fields rewritten each step *)
-  metrics : metric_bundle;
+  metrics : Obs.Metrics.registry; (* the creating domain's *)
+  slots : slots;
 }
 
 let make ~observe ~retained ~pattern ~policy ~fibers =
@@ -112,7 +113,13 @@ let make ~observe ~retained ~pattern ~policy ~fibers =
     Array.init n (fun p ->
         Array.of_list (List.filter (fun f -> Pid.to_int (Fiber.pid f) = p) fibers))
   in
-  List.iter Fiber.start fibers;
+  let metrics = Obs.Metrics.registry () in
+  List.iter
+    (fun f ->
+      Fiber.start f;
+      if Fiber.status f = Fiber.Runnable then
+        Obs.Metrics.incr_in metrics m_suspensions)
+    fibers;
   let live =
     List.fold_left
       (fun acc f ->
@@ -140,7 +147,8 @@ let make ~observe ~retained ~pattern ~policy ~fibers =
     observe;
     retained;
     ctx = { Sim.pid = 0; now = 0; payload = Sim.No_payload };
-    metrics = bundle ~n;
+    metrics;
+    slots = slots ~n;
   }
 
 let observed ~observe ~pattern ~policy ~fibers =
@@ -150,26 +158,18 @@ let create ~pattern ~policy ~fibers =
   let b = Trace.builder () in
   make ~observe:(Trace.record b) ~retained:(Some b) ~pattern ~policy ~fibers
 
-let flush_metrics t =
-  let b = t.metrics in
-  Obs.Metrics.Fast.absorb_counter b.b_steps;
-  Obs.Metrics.Fast.absorb_counter b.b_policy_decisions;
-  Obs.Metrics.Fast.absorb_counter b.b_queries;
-  Array.iter Obs.Metrics.Fast.absorb_counter b.b_by_pid;
-  Array.iter Obs.Metrics.Fast.absorb_counter b.b_by_kind;
-  Hashtbl.iter (fun _ f -> Obs.Metrics.Fast.absorb_counter f) b.b_detectors
-
 let detector_counter t detector =
-  match Hashtbl.find_opt t.metrics.b_detectors detector with
-  | Some f -> f
+  match Hashtbl.find_opt t.slots.s_detectors detector with
+  | Some c -> c
   | None ->
-      let f =
-        Obs.Metrics.Fast.counter
+      let c =
+        Obs.Metrics.counter
           ("detectors.queries{detector=" ^ detector_family detector ^ "}")
       in
-      Hashtbl.replace t.metrics.b_detectors detector f;
-      f
+      Hashtbl.replace t.slots.s_detectors detector c;
+      c
 
+let flush_metrics _ = ()
 let now t = t.clock
 let pattern t = t.sched_pattern
 
@@ -261,67 +261,55 @@ let pending t =
   List.rev !acc
 
 let step t =
-  try
-    let step_time = t.clock + 1 in
-    if step_time >= t.next_crash then process_crashes t step_time;
-    (* Only daemons, or nothing, left to step: nothing anyone observes
-       can move again, so stop without asking for the enabled set. *)
-    match if t.live = 0 then [] else enabled_pids t with
-    | [] ->
-        flush_metrics t;
-        Obs.Metrics.incr m_quiescent;
-        `Stopped Quiescent
-    | enabled -> (
-        Obs.Metrics.Fast.incr t.metrics.b_policy_decisions;
-        match t.policy ~now:step_time ~enabled with
-        | None ->
-            flush_metrics t;
-            Obs.Metrics.incr m_policy_stops;
-            `Stopped Policy_stop
-        | Some pid ->
-            if not (List.mem pid enabled) then
-              invalid_arg "Scheduler.step: policy chose a disabled process";
-            t.clock <- step_time;
-            let fiber = next_fiber t pid in
-            let kind = Fiber.pending_kind fiber in
-            let b = t.metrics in
-            Obs.Metrics.Fast.incr b.b_steps;
-            Obs.Metrics.Fast.incr b.b_by_pid.(pid);
-            Obs.Metrics.Fast.incr b.b_by_kind.(kind_tag kind);
-            (match kind with
-            | Sim.Query { detector } ->
-                Obs.Metrics.Fast.incr b.b_queries;
-                Obs.Metrics.Fast.incr (detector_counter t detector)
-            | _ -> ());
-            let ctx = t.ctx in
-            ctx.Sim.pid <- pid;
-            ctx.Sim.now <- step_time;
-            ctx.Sim.payload <- Sim.No_payload;
-            Fiber.step fiber ctx;
-            if Fiber.status fiber <> Fiber.Runnable then retire t fiber;
-            t.observe
-              (Trace.Step
-                 { pid; time = step_time; kind; payload = ctx.Sim.payload });
-            `Stepped pid)
-  with e ->
-    (* A raising fiber/policy must not strand this step's buffered Fast
-       increments: the bundle is domain-shared and survives
-       Obs.Metrics.reset, so unflushed counts would bleed into the next
-       pool unit's snapshot. Flush before propagating. *)
-    let bt = Printexc.get_raw_backtrace () in
-    flush_metrics t;
-    Printexc.raise_with_backtrace e bt
+  let step_time = t.clock + 1 in
+  if step_time >= t.next_crash then process_crashes t step_time;
+  (* Only daemons, or nothing, left to step: nothing anyone observes
+     can move again, so stop without asking for the enabled set. *)
+  match if t.live = 0 then [] else enabled_pids t with
+  | [] ->
+      Obs.Metrics.incr m_quiescent;
+      `Stopped Quiescent
+  | enabled -> (
+      let m = t.metrics and s = t.slots in
+      Obs.Metrics.incr_in m s.s_policy_decisions;
+      match t.policy ~now:step_time ~enabled with
+      | None ->
+          Obs.Metrics.incr m_policy_stops;
+          `Stopped Policy_stop
+      | Some pid ->
+          if not (List.mem pid enabled) then
+            invalid_arg "Scheduler.step: policy chose a disabled process";
+          t.clock <- step_time;
+          let fiber = next_fiber t pid in
+          let kind = Fiber.pending_kind fiber in
+          Obs.Metrics.incr_in m s.s_steps;
+          Obs.Metrics.incr_in m s.s_by_pid.(pid);
+          Obs.Metrics.incr_in m s.s_by_kind.(kind_tag kind);
+          (match kind with
+          | Sim.Query { detector } ->
+              Obs.Metrics.incr_in m s.s_queries;
+              Obs.Metrics.incr_in m (detector_counter t detector)
+          | _ -> ());
+          let ctx = t.ctx in
+          ctx.Sim.pid <- pid;
+          ctx.Sim.now <- step_time;
+          ctx.Sim.payload <- Sim.No_payload;
+          Fiber.step fiber ctx;
+          if Fiber.status fiber = Fiber.Runnable then
+            Obs.Metrics.incr_in m m_suspensions
+          else retire t fiber;
+          t.observe
+            (Trace.Step
+               { pid; time = step_time; kind; payload = ctx.Sim.payload });
+          `Stepped pid)
 
 let run t ~max_steps =
   let rec loop remaining =
-    if remaining = 0 then begin
-      flush_metrics t;
-      Horizon
-    end
+    if remaining = 0 then Horizon
     else
       match step t with
       | `Stepped _ -> loop (remaining - 1)
-      | `Stopped outcome -> outcome (* step already flushed *)
+      | `Stopped outcome -> outcome
   in
   loop max_steps
 
@@ -339,7 +327,6 @@ let crashes t =
   !acc
 
 let trace t =
-  flush_metrics t;
   match t.retained with
   | Some b -> Trace.finish b
   | None -> invalid_arg "Scheduler.trace: the events went to an observer"

@@ -4,7 +4,10 @@
     query = one tick of global time, matching runs as defined in §3.3.
     Crashes come from the failure pattern: a process whose crash time is
     [t] takes no step at any time ≥ [t], and its fibers are killed when
-    the clock first reaches [t]. *)
+    the clock first reaches [t].
+
+    A scheduler counts its steps into the metrics registry of the
+    domain that created it, so it must be stepped in that domain. *)
 
 type t
 
@@ -82,8 +85,6 @@ val trace : t -> Trace.t
     its events went to the observer. *)
 
 val flush_metrics : t -> unit
-(** Fold the scheduler's buffered step counters into the calling
-    domain's metrics registry. [run], [trace], and every [`Stopped]
-    result flush automatically; call this before taking a
-    {!Obs.Metrics.snapshot} if the scheduler was last advanced by manual
-    {!step} calls. Idempotent: flushing twice adds nothing. *)
+(** Does nothing: step counters land in the registry as each step runs.
+    Kept only because the benchmark's [Stepper] still calls it; it goes
+    when that caller does. *)

@@ -1,11 +1,20 @@
-(* Each domain owns a private registry (DLS-keyed); handles are names plus
-   a cached (domain id, cell) pair. Domain ids are never reused, so a
-   cached pair from another domain is detected and refreshed rather than
-   misused; the cache field itself holds an immutable pair, which the
-   OCaml memory model guarantees is read untorn. *)
+(* A handle is a slot. A name gets its slot, kind and histogram layout
+   once, in one table shared by every domain and written only under
+   [lock]. Values live in the calling domain's registry (DLS): growable
+   arrays indexed by slot. Handles hold no mutable state, so any domain
+   may use any handle, and an increment is a DLS read and an array
+   store, with no allocation and no write to shared memory. *)
 
-type ccell = { mutable cv : int }
-type gcell = { mutable gv : float; mutable gset : bool }
+type counter = int
+type gauge = int
+type histogram = int
+type kind = Counter | Gauge | Histogram of float array (* bucket bounds *)
+
+let lock = Mutex.create ()
+let table : (string, kind * int) Hashtbl.t = Hashtbl.create 97
+let n_counters = ref 0
+let n_gauges = ref 0
+let layouts : float array array ref = ref [||] (* histogram slot -> bounds *)
 
 type hcell = {
   bounds : float array; (* strictly increasing upper bounds *)
@@ -14,25 +23,67 @@ type hcell = {
   mutable hevents : int;
 }
 
-type cell = Ccell of ccell | Gcell of gcell | Hcell of hcell
+(* A domain lists a counter or histogram once it has created or touched
+   the handle, and a gauge once set since the last reset ([set]). A
+   counter's cell holds [2 * value + 1] once touched and 0 before, so
+   one store both counts and lists the name. *)
+type registry = {
+  mutable ints : int array;
+  mutable floats : float array;
+  mutable set : bool array;
+  mutable hists : hcell option array;
+  memo : (string, kind * int) Hashtbl.t; (* this domain's view of [table] *)
+}
 
-let registry_key : (string, cell) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 97)
+let registry_key : registry Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        ints = [||];
+        floats = [||];
+        set = [||];
+        hists = [||];
+        memo = Hashtbl.create 97;
+      })
 
 let registry () = Domain.DLS.get registry_key
-
-type counter = { c_name : string; mutable c_cache : (int * ccell) option }
-type gauge = { g_name : string; mutable g_cache : (int * gcell) option }
-
-type histogram = {
-  h_name : string;
-  h_buckets : float array;
-  mutable h_cache : (int * hcell) option;
-}
 
 let clash name =
   invalid_arg
     (Printf.sprintf "Metrics: %s already registered with a different type" name)
+
+let entry r kind name =
+  match Hashtbl.find_opt r.memo name with
+  | Some e -> e
+  | None ->
+      let e =
+        Mutex.protect lock (fun () ->
+            match Hashtbl.find_opt table name with
+            | Some e -> e
+            | None ->
+                let fresh n =
+                  let s = !n in
+                  n := s + 1;
+                  s
+                in
+                let slot =
+                  match kind with
+                  | Counter -> fresh n_counters
+                  | Gauge -> fresh n_gauges
+                  | Histogram bounds ->
+                      layouts := Array.append !layouts [| bounds |];
+                      Array.length !layouts - 1
+                in
+                Hashtbl.add table name (kind, slot);
+                (kind, slot))
+      in
+      Hashtbl.add r.memo name e;
+      e
+
+(* Arrays grow to cover the slot asked for, and at least double. *)
+let extend a slot fill =
+  let b = Array.make (max (slot + 1) (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 let default_buckets =
   [| 1.; 2.; 5.; 10.; 25.; 50.; 100.; 250.; 500.; 1000.; 5000. |]
@@ -59,65 +110,49 @@ let log_buckets ?(lo = 0.001) ?(hi = 60_000.) () =
   in
   Array.of_list (go [] decade)
 
-let self_id () = (Domain.self () :> int)
+(* ----------------------------------------------------------- counters --- *)
 
-let ccell name =
-  let r = registry () in
-  match Hashtbl.find_opt r name with
-  | Some (Ccell c) -> c
-  | Some _ -> clash name
-  | None ->
-      let c = { cv = 0 } in
-      Hashtbl.replace r name (Ccell c);
-      c
+let[@inline] add r c by =
+  if c >= Array.length r.ints then r.ints <- extend r.ints c 0;
+  r.ints.(c) <- (r.ints.(c) + (by lsl 1)) lor 1
 
 let counter name =
-  (* register eagerly so the creating domain's snapshot lists the
-     counter even before its first increment *)
-  { c_name = name; c_cache = Some (self_id (), ccell name) }
-
-let counter_cell t =
-  let self = self_id () in
-  match t.c_cache with
-  | Some (d, c) when d = self -> c
-  | _ ->
-      let c = ccell t.c_name in
-      t.c_cache <- Some (self, c);
-      c
-
-let incr ?(by = 1) t =
-  let c = counter_cell t in
-  c.cv <- c.cv + by
-
-let counter_value t = (counter_cell t).cv
-
-let gcell name =
   let r = registry () in
-  match Hashtbl.find_opt r name with
-  | Some (Gcell g) -> g
-  | Some _ -> clash name
-  | None ->
-      let g = { gv = 0.0; gset = false } in
-      Hashtbl.replace r name (Gcell g);
-      g
+  match entry r Counter name with
+  | Counter, c ->
+      add r c 0;
+      c
+  | _ -> clash name
 
-let gauge name = { g_name = name; g_cache = Some (self_id (), gcell name) }
+let incr ?(by = 1) c = add (registry ()) c by
+let incr_in r c = add r c 1
 
-let gauge_cell t =
-  let self = self_id () in
-  match t.g_cache with
-  | Some (d, g) when d = self -> g
-  | _ ->
-      let g = gcell t.g_name in
-      t.g_cache <- Some (self, g);
-      g
+let counter_value c =
+  let r = registry () in
+  add r c 0;
+  r.ints.(c) asr 1
 
-let set t v =
-  let g = gauge_cell t in
-  g.gv <- v;
-  g.gset <- true
+(* ------------------------------------------------------------- gauges --- *)
 
-let gauge_value t = (gauge_cell t).gv
+let gauge name =
+  match entry (registry ()) Gauge name with
+  | Gauge, g -> g
+  | _ -> clash name
+
+let set g v =
+  let r = registry () in
+  if g >= Array.length r.floats then begin
+    r.floats <- extend r.floats g 0.0;
+    r.set <- extend r.set g false
+  end;
+  r.floats.(g) <- v;
+  r.set.(g) <- true
+
+let gauge_value g =
+  let r = registry () in
+  if g < Array.length r.floats then r.floats.(g) else 0.0
+
+(* --------------------------------------------------------- histograms --- *)
 
 let check_buckets buckets =
   let m = Array.length buckets in
@@ -127,114 +162,47 @@ let check_buckets buckets =
       invalid_arg "Metrics.histogram: bucket bounds must increase"
   done
 
-let hcell ~buckets name =
-  let r = registry () in
-  match Hashtbl.find_opt r name with
-  | Some (Hcell h) -> h
-  | Some _ -> clash name
+let hist_cell r h =
+  if h >= Array.length r.hists then r.hists <- extend r.hists h None;
+  match r.hists.(h) with
+  | Some cell -> cell
   | None ->
-      let h =
+      let bounds = Mutex.protect lock (fun () -> !layouts.(h)) in
+      let cell =
         {
-          bounds = Array.copy buckets;
-          counts = Array.make (Array.length buckets + 1) 0;
+          bounds;
+          counts = Array.make (Array.length bounds + 1) 0;
           hsum = 0.0;
           hevents = 0;
         }
       in
-      Hashtbl.replace r name (Hcell h);
-      h
+      r.hists.(h) <- Some cell;
+      cell
+
+(* The registered slot and layout of [name]; the layout is fixed by the
+   first registration in any domain. *)
+let hist_entry r ~buckets name =
+  check_buckets buckets;
+  match entry r (Histogram (Array.copy buckets)) name with
+  | Histogram bounds, h -> (h, bounds)
+  | _ -> clash name
 
 let histogram ?(buckets = default_buckets) name =
-  check_buckets buckets;
-  let buckets = Array.copy buckets in
-  { h_name = name; h_buckets = buckets; h_cache = Some (self_id (), hcell ~buckets name) }
+  let r = registry () in
+  let h, _ = hist_entry r ~buckets name in
+  ignore (hist_cell r h);
+  h
 
-let hist_cell t =
-  let self = self_id () in
-  match t.h_cache with
-  | Some (d, h) when d = self -> h
-  | _ ->
-      let h = hcell ~buckets:t.h_buckets t.h_name in
-      t.h_cache <- Some (self, h);
-      h
-
-let observe_cell h v =
-  let m = Array.length h.bounds in
-  let rec slot i = if i >= m || v <= h.bounds.(i) then i else slot (i + 1) in
+let observe h v =
+  let cell = hist_cell (registry ()) h in
+  let m = Array.length cell.bounds in
+  let rec slot i = if i >= m || v <= cell.bounds.(i) then i else slot (i + 1) in
   let i = slot 0 in
-  h.counts.(i) <- h.counts.(i) + 1;
-  h.hsum <- h.hsum +. v;
-  h.hevents <- h.hevents + 1
+  cell.counts.(i) <- cell.counts.(i) + 1;
+  cell.hsum <- cell.hsum +. v;
+  cell.hevents <- cell.hevents + 1
 
-let observe t v = observe_cell (hist_cell t) v
-let observe_int t v = observe t (float_of_int v)
-
-(* ---------------------------------------------------------- fast path --- *)
-
-(* Raw cells for per-step instrumentation. A fast cell is bound to one
-   registry cell at creation and buffers increments as a plain unboxed
-   int, so the hot path pays one field write — no domain-id check, no
-   hashtable, no float boxing. [absorb_*] folds the buffered value into
-   the registry cell and zeroes the buffer, which makes absorption
-   idempotent by construction: a second absorb adds zero (the
-   double-absorb guard the Exec.Pool snapshot discipline relies on).
-   The binding is to the creating domain's registry, so a fast cell
-   must be created and used within one domain — which is how the
-   kernel uses them: one set per scheduler, created where the run
-   executes and absorbed when it stops. *)
-
-module Fast = struct
-  type counter = { fc_cell : ccell; mutable fc_pending : int }
-
-  let counter name = { fc_cell = ccell name; fc_pending = 0 }
-  let incr ?(by = 1) f = f.fc_pending <- f.fc_pending + by
-
-  let absorb_counter f =
-    f.fc_cell.cv <- f.fc_cell.cv + f.fc_pending;
-    f.fc_pending <- 0
-
-  type histogram = {
-    fh_cell : hcell;
-    fh_ibounds : int array; (* floor of each float bound: v <= b iff v <= floor b *)
-    fh_icounts : int array; (* same layout as fh_cell.counts *)
-    mutable fh_isum : int;
-    mutable fh_ievents : int;
-  }
-
-  let histogram ?(buckets = default_buckets) name =
-    check_buckets buckets;
-    let h = hcell ~buckets:(Array.copy buckets) name in
-    {
-      fh_cell = h;
-      fh_ibounds = Array.map (fun b -> int_of_float (Float.floor b)) h.bounds;
-      fh_icounts = Array.make (Array.length h.counts) 0;
-      fh_isum = 0;
-      fh_ievents = 0;
-    }
-
-  let observe_int f v =
-    let bounds = f.fh_ibounds in
-    let m = Array.length bounds in
-    let rec slot i = if i >= m || v <= bounds.(i) then i else slot (i + 1) in
-    let i = slot 0 in
-    f.fh_icounts.(i) <- f.fh_icounts.(i) + 1;
-    f.fh_isum <- f.fh_isum + v;
-    f.fh_ievents <- f.fh_ievents + 1
-
-  let absorb_histogram f =
-    let h = f.fh_cell in
-    Array.iteri
-      (fun i c ->
-        if c <> 0 then begin
-          h.counts.(i) <- h.counts.(i) + c;
-          f.fh_icounts.(i) <- 0
-        end)
-      f.fh_icounts;
-    h.hsum <- h.hsum +. float_of_int f.fh_isum;
-    h.hevents <- h.hevents + f.fh_ievents;
-    f.fh_isum <- 0;
-    f.fh_ievents <- 0
-end
+let observe_int h v = observe h (float_of_int v)
 
 (* ---------------------------------------------------------- snapshots --- *)
 
@@ -263,13 +231,27 @@ let hist_view (h : hcell) =
 let by_name (a, _) (b, _) = String.compare a b
 
 let snapshot () =
+  let r = registry () in
+  let entries =
+    Mutex.protect lock (fun () ->
+        Hashtbl.fold (fun name e acc -> (name, e) :: acc) table [])
+  in
   let counters = ref [] and gauges = ref [] and histograms = ref [] in
-  Hashtbl.iter
-    (fun name -> function
-      | Ccell c -> counters := (name, c.cv) :: !counters
-      | Gcell g -> if g.gset then gauges := (name, g.gv) :: !gauges
-      | Hcell h -> histograms := (name, hist_view h) :: !histograms)
-    (registry ());
+  List.iter
+    (fun (name, (kind, s)) ->
+      match kind with
+      | Counter ->
+          if s < Array.length r.ints && r.ints.(s) land 1 = 1 then
+            counters := (name, r.ints.(s) asr 1) :: !counters
+      | Gauge ->
+          if s < Array.length r.set && r.set.(s) then
+            gauges := (name, r.floats.(s)) :: !gauges
+      | Histogram _ -> (
+          if s < Array.length r.hists then
+            match r.hists.(s) with
+            | Some h -> histograms := (name, hist_view h) :: !histograms
+            | None -> ()))
+    entries;
   {
     counters = List.sort by_name !counters;
     gauges = List.sort by_name !gauges;
@@ -277,44 +259,36 @@ let snapshot () =
   }
 
 let reset () =
-  Hashtbl.iter
-    (fun _ -> function
-      | Ccell c -> c.cv <- 0
-      | Gcell g ->
-          g.gv <- 0.0;
-          g.gset <- false
-      | Hcell h ->
+  let r = registry () in
+  Array.iteri (fun c v -> r.ints.(c) <- v land 1) r.ints;
+  Array.fill r.floats 0 (Array.length r.floats) 0.0;
+  Array.fill r.set 0 (Array.length r.set) false;
+  Array.iter
+    (function
+      | Some h ->
           Array.fill h.counts 0 (Array.length h.counts) 0;
           h.hsum <- 0.0;
-          h.hevents <- 0)
-    (registry ())
+          h.hevents <- 0
+      | None -> ())
+    r.hists
 
 let absorb (s : snapshot) =
-  List.iter
-    (fun (name, v) ->
-      let c = ccell name in
-      c.cv <- c.cv + v)
-    s.counters;
-  List.iter
-    (fun (name, v) ->
-      let g = gcell name in
-      g.gv <- v;
-      g.gset <- true)
-    s.gauges;
+  let r = registry () in
+  List.iter (fun (name, v) -> add r (counter name) v) s.counters;
+  List.iter (fun (name, v) -> set (gauge name) v) s.gauges;
   List.iter
     (fun (name, hv) ->
       let buckets = Array.of_list (List.map fst hv.buckets) in
-      check_buckets buckets;
-      let h = hcell ~buckets name in
-      if Array.length h.bounds <> Array.length buckets then clash name;
-      Array.iteri
-        (fun i b -> if h.bounds.(i) <> b then clash name)
-        buckets;
-      List.iteri (fun i (_, c) -> h.counts.(i) <- h.counts.(i) + c) hv.buckets;
-      let last = Array.length h.bounds in
-      h.counts.(last) <- h.counts.(last) + hv.overflow;
-      h.hsum <- h.hsum +. hv.sum;
-      h.hevents <- h.hevents + hv.events)
+      let h, bounds = hist_entry r ~buckets name in
+      if bounds <> buckets then clash name;
+      let cell = hist_cell r h in
+      List.iteri
+        (fun i (_, c) -> cell.counts.(i) <- cell.counts.(i) + c)
+        hv.buckets;
+      let last = Array.length bounds in
+      cell.counts.(last) <- cell.counts.(last) + hv.overflow;
+      cell.hsum <- cell.hsum +. hv.sum;
+      cell.hevents <- cell.hevents + hv.events)
     s.histograms
 
 let find_counter snap name = List.assoc_opt name snap.counters

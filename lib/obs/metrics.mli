@@ -1,21 +1,28 @@
-(** A domain-local metrics registry for the simulator.
+(** A metrics registry for the simulator, one per domain.
 
     Instrumentation sites register named counters, gauges, and
     fixed-bucket histograms; the harness, CLI, and bench read them back
-    as a {!snapshot} and render it as a table or JSON.  Registration is
-    idempotent — [counter name] returns the existing handle when [name]
-    is already registered — so hot paths can cache handles at module
-    initialization and {!reset} zeroes values in place without
-    invalidating them.
+    as a {!snapshot} and render it as a table or JSON.
 
-    Each domain owns an independent registry: a handle created in one
-    domain may be used from any other, where it transparently binds to
-    (and if needed creates) that domain's cell of the same name. All
-    value operations — {!incr}, {!set}, {!observe}, {!snapshot},
-    {!reset}, {!absorb} — act on the {e calling} domain's registry only,
-    so worker domains accumulate in isolation and the coordinator folds
-    their per-unit snapshots back in with {!absorb}, in whatever order
-    makes the aggregate deterministic.
+    There is one handle kind per metric type, and a handle is an
+    immutable slot. A name gets its slot, type, and (for histograms)
+    bucket layout once, in a table shared by every domain and written
+    under a mutex; registration is idempotent, so [counter name]
+    returns the same slot for the same name in any domain, and hot
+    paths cache handles at module initialization. Lookups by name go
+    through a per-domain memo, so only a name's first lookup in a
+    domain takes the lock.
+
+    Values are domain-local. Each domain's registry holds arrays
+    indexed by slot, and every value operation — {!incr}, {!set},
+    {!observe}, {!snapshot}, {!reset}, {!absorb} — acts on the
+    {e calling} domain's registry only: an increment is a DLS read and
+    an array store, with no allocation and no write to memory another
+    domain uses. Worker domains accumulate in isolation and the
+    coordinator folds their per-unit snapshots back in with {!absorb},
+    in whatever order makes the aggregate deterministic. A name appears
+    in a domain's snapshot once that domain has created or touched its
+    handle; {!reset} zeroes values in place and keeps them listed.
 
     Naming convention: [layer.component.metric], with a
     [{label=value}] suffix for bounded label sets (e.g.
@@ -45,7 +52,7 @@ val histogram : ?buckets:float array -> string -> histogram
 (** Register (or look up) the named histogram. [buckets] (default
     {!default_buckets}) are strictly increasing upper bounds; an extra
     overflow bucket catches larger observations. The bucket layout is
-    fixed at first registration. *)
+    fixed by the name's first registration in any domain. *)
 
 val observe : histogram -> float -> unit
 (** Add one observation: counted in the first bucket whose upper bound
@@ -64,39 +71,18 @@ val log_buckets : ?lo:float -> ?hi:float -> unit -> float array
     from microseconds to minutes in a single histogram. Raises
     [Invalid_argument] unless [0 < lo < hi]. *)
 
-(** {1 Fast path}
+(** {1 Hot paths} *)
 
-    Raw cells for per-step hot loops (the scheduler, DPOR replay).  A
-    fast cell buffers increments in a plain mutable int bound to one
-    registry cell; the buffered value becomes visible to {!snapshot} /
-    {!counter_value} only after the matching [absorb_*] call, which
-    folds it into the registry and zeroes the buffer.  Absorption is
-    therefore idempotent — absorbing twice adds zero — so callers may
-    absorb defensively at every exit point.  A fast cell binds to the
-    {e creating} domain's registry and must not be shared across
-    domains; create it where the hot loop runs (e.g. per scheduler
-    instance inside the pool worker) and absorb before the unit's
-    snapshot is taken. *)
+type registry
+(** A domain's registry. *)
 
-module Fast : sig
-  type counter
+val registry : unit -> registry
+(** The calling domain's registry. A per-step loop takes it once, where
+    the loop is created, and increments through {!incr_in} to skip the
+    DLS read; it must then run in that same domain. *)
 
-  val counter : string -> counter
-  (** Register (or look up) the named registry counter in the calling
-      domain and bind a fresh zero buffer to it. *)
-
-  val incr : ?by:int -> counter -> unit
-  val absorb_counter : counter -> unit
-
-  type histogram
-
-  val histogram : ?buckets:float array -> string -> histogram
-  (** Same layout rules as the slow-path {!histogram} registration;
-      observation values are ints and the buffered sum is exact. *)
-
-  val observe_int : histogram -> int -> unit
-  val absorb_histogram : histogram -> unit
-end
+val incr_in : registry -> counter -> unit
+(** [incr_in r c] adds 1 to [c] in [r]. *)
 
 (** {1 Snapshots} *)
 

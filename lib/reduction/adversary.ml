@@ -98,67 +98,61 @@ let run candidate ~n_plus_1 ~f ~max_phases ~phase_budget =
   let record index output =
     history := { index; output; at_time = Scheduler.now sched } :: !history
   in
-  let verdict =
-    match warmup phase_budget with
-    | None ->
-        (* The candidate never produced an output at all: treat as stuck on
-           the empty set (it certainly does not implement Ωᶠ). *)
-        Stuck { on = Pid.Set.empty; phase = 0; history = [] }
-    | Some l0 ->
-      record 0 l0;
-      let rec phases index l =
-        if index >= max_phases then
-          Never_stabilizes { flips = index; history = List.rev !history }
-        else begin
-          (* every process takes exactly one step *)
-          mode := One_step_each (Pid.all ~n_plus_1);
-          let rec drain guard =
-            match !mode with
-            | One_step_each [] -> ()
-            | One_step_each _ when guard > 0 ->
-                ignore (step_once ());
-                drain (guard - 1)
-            | One_step_each _ | Warmup | Restricted _ -> ()
-          in
-          drain (4 * n_plus_1);
-          (* then only Π − L runs until some *running* process shows an
-             output ≠ L (the proof's L_{i+1} is the output of a process
-             taking steps after R_i — an already-differing output counts) *)
-          let allowed = Pid.Set.diff full l in
-          mode := Restricted allowed;
-          let differing () =
-            Pid.Set.elements allowed
-            |> List.fold_left
-                 (fun acc p ->
-                   match acc with
-                   | Some _ -> acc
-                   | None -> (
-                       match inst.read_output p with
-                       | Some now when not (Pid.Set.equal now l) -> Some now
-                       | Some _ | None -> None))
-                 None
-          in
-          let rec wait budget =
-            match differing () with
-            | Some l' -> `Flip l'
-            | None ->
-                if budget = 0 then `Stuck
-                else if step_once () then wait (budget - 1)
-                else `Stuck
-          in
-          match wait phase_budget with
-          | `Flip l' ->
-              record (index + 1) l';
-              phases (index + 1) l'
-          | `Stuck -> Stuck { on = l; phase = index; history = List.rev !history }
-        end
-      in
-      phases 0 l0
-  in
-  (* the adversary steps the scheduler manually, so the buffered step
-     counters are folded in here rather than at a [run] exit *)
-  Scheduler.flush_metrics sched;
-  verdict
+  match warmup phase_budget with
+  | None ->
+      (* The candidate never produced an output at all: treat as stuck on
+         the empty set (it certainly does not implement Ωᶠ). *)
+      Stuck { on = Pid.Set.empty; phase = 0; history = [] }
+  | Some l0 ->
+    record 0 l0;
+    let rec phases index l =
+      if index >= max_phases then
+        Never_stabilizes { flips = index; history = List.rev !history }
+      else begin
+        (* every process takes exactly one step *)
+        mode := One_step_each (Pid.all ~n_plus_1);
+        let rec drain guard =
+          match !mode with
+          | One_step_each [] -> ()
+          | One_step_each _ when guard > 0 ->
+              ignore (step_once ());
+              drain (guard - 1)
+          | One_step_each _ | Warmup | Restricted _ -> ()
+        in
+        drain (4 * n_plus_1);
+        (* then only Π − L runs until some *running* process shows an
+           output ≠ L (the proof's L_{i+1} is the output of a process
+           taking steps after R_i — an already-differing output counts) *)
+        let allowed = Pid.Set.diff full l in
+        mode := Restricted allowed;
+        let differing () =
+          Pid.Set.elements allowed
+          |> List.fold_left
+               (fun acc p ->
+                 match acc with
+                 | Some _ -> acc
+                 | None -> (
+                     match inst.read_output p with
+                     | Some now when not (Pid.Set.equal now l) -> Some now
+                     | Some _ | None -> None))
+               None
+        in
+        let rec wait budget =
+          match differing () with
+          | Some l' -> `Flip l'
+          | None ->
+              if budget = 0 then `Stuck
+              else if step_once () then wait (budget - 1)
+              else `Stuck
+        in
+        match wait phase_budget with
+        | `Flip l' ->
+            record (index + 1) l';
+            phases (index + 1) l'
+        | `Stuck -> Stuck { on = l; phase = index; history = List.rev !history }
+      end
+    in
+    phases 0 l0
 
 let flips = function
   | Never_stabilizes { flips; _ } -> flips

@@ -238,7 +238,7 @@ let test_check_identical () =
 let test_check_json_repeatable () =
   (* Two runs of the same configuration in the same process: the
      optimized checker's buffer reuse (Eset refresh, vector-clock pool,
-     trace chunks, fast metric cells) must leave no state behind that
+     trace chunks, per-domain metric slots) must leave no state behind that
      could change the payload of a later run. *)
   let payload jobs =
     M.reset ();

@@ -461,85 +461,67 @@ let test_prom_live_registry () =
   checki "+Inf equals event count" 4
     (List.nth bucket_counts (List.length bucket_counts - 1))
 
-(* -- fast-path cells --------------------------------------------------- *)
+(* -- one handle kind, domain-local values ----------------------------- *)
 
-let test_fast_absorb_idempotent () =
-  (* absorb moves the buffered amount into the registry and zeroes the
-     buffer, so a second (or defensive extra) absorb adds nothing — the
-     scheduler relies on this to flush at every stop point without
-     double-counting. *)
+let m_shared = M.counter "test.obs.shared"
+
+let test_one_handle_two_domains () =
+  (* Both domains increment the module-level handle at once; each
+     domain's own registry sees exactly its own increments. *)
+  let n = 1_000_000 in
+  let work () =
+    for _ = 1 to n do
+      M.incr m_shared
+    done;
+    M.find_counter (M.snapshot ()) "test.obs.shared"
+  in
+  let a = Domain.spawn work and b = Domain.spawn work in
+  let ra = Domain.join a in
+  let rb = Domain.join b in
+  checkb "first domain reads its own count" true (ra = Some n);
+  checkb "second domain reads its own count" true (rb = Some n);
+  (* Back in the main domain the handle needs no rebinding: an increment
+     allocates exactly what an empty body does. *)
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let empty = words (fun () -> ()) in
+  let incr = words (fun () -> M.incr m_shared) in
+  checkf "main-domain increment allocates nothing" empty incr
+
+let test_concurrent_registration () =
+  (* Two domains register the same 200 fresh names at once: each name
+     gets one slot, whichever domain came first, and nothing clashes. *)
+  let names = List.init 200 (Printf.sprintf "test.obs.race.n%03d") in
+  let register () = List.map M.counter names in
+  let a = Domain.spawn register and b = Domain.spawn register in
+  let ha = Domain.join a in
+  let hb = Domain.join b in
+  checkb "same slot for each name in both domains" true (ha = hb);
+  checki "one slot per name" 200 (List.length (List.sort_uniq compare ha));
   M.reset ();
-  let f = M.Fast.counter "test.obs.fast" in
-  M.Fast.incr f;
-  M.Fast.incr ~by:9 f;
-  M.Fast.absorb_counter f;
-  M.Fast.absorb_counter f;
-  checkb "double absorb adds nothing" true
-    (M.find_counter (M.snapshot ()) "test.obs.fast" = Some 10);
-  M.Fast.incr ~by:5 f;
-  M.Fast.absorb_counter f;
-  M.Fast.absorb_counter f;
-  checkb "buffer usable after absorb" true
-    (M.find_counter (M.snapshot ()) "test.obs.fast" = Some 15);
-  let h = M.Fast.histogram ~buckets:[| 2.0; 8.0 |] "test.obs.fast_hist" in
-  M.Fast.observe_int h 1;
-  M.Fast.observe_int h 5;
-  M.Fast.observe_int h 100;
-  M.Fast.absorb_histogram h;
-  M.Fast.absorb_histogram h;
-  match M.find_histogram (M.snapshot ()) "test.obs.fast_hist" with
-  | None -> Alcotest.fail "fast histogram missing"
-  | Some v ->
-      checki "events absorbed once" 3 v.M.events;
-      checkb "buckets absorbed once" true (v.M.buckets = [ (2.0, 1); (8.0, 1) ]);
-      checki "overflow absorbed once" 1 v.M.overflow;
-      checkf "sum exact" 106.0 v.M.sum
+  List.iteri (fun i h -> M.incr ~by:(i + 1) h) ha;
+  let s = M.snapshot () in
+  checkb "each slot reads back under its own name" true
+    (List.for_all
+       (fun (i, name) -> M.find_counter s name = Some (i + 1))
+       (List.mapi (fun i name -> (i, name)) names))
 
-let test_fast_matches_slow_under_pool () =
-  (* Identical workload through the buffered fast path and the direct
-     slow path, each sharded over Exec.Pool workers: absorbed totals
-     must agree exactly, at every jobs. *)
-  let units = 16 in
-  let work incr observe u =
-    for i = 1 to 5 do
-      incr ((u * 5) + i);
-      observe (1 + ((u + i) mod 7))
-    done
+let test_fresh_domain_snapshot () =
+  (* A name the main domain touched is not listed by a domain that never
+     touched its handle. *)
+  let c = M.counter "test.obs.main_only" in
+  M.incr c;
+  let listed =
+    Domain.join
+      (Domain.spawn (fun () ->
+           M.find_counter (M.snapshot ()) "test.obs.main_only"))
   in
-  let snapshot_of ~jobs ~fast =
-    M.reset ();
-    ignore
-      (Exec.Pool.map
-         (Exec.Pool.create ~jobs ())
-         ~f:(fun u ->
-           if fast then begin
-             let c = M.Fast.counter "test.obs.path.work" in
-             let h = M.Fast.histogram "test.obs.path.lat" in
-             work
-               (fun by -> M.Fast.incr ~by c)
-               (M.Fast.observe_int h) u;
-             M.Fast.absorb_counter c;
-             M.Fast.absorb_histogram h
-           end
-           else begin
-             let c = M.counter "test.obs.path.work" in
-             let h = M.histogram "test.obs.path.lat" in
-             work (fun by -> M.incr ~by c) (M.observe_int h) u
-           end;
-           u)
-         units);
-    let s = M.snapshot () in
-    (M.find_counter s "test.obs.path.work",
-     M.find_histogram s "test.obs.path.lat")
-  in
-  let reference = snapshot_of ~jobs:1 ~fast:false in
-  List.iter
-    (fun jobs ->
-      checkb
-        (Printf.sprintf "fast path total matches slow path at jobs=%d" jobs)
-        true
-        (snapshot_of ~jobs ~fast:true = reference))
-    [ 1; 2; 4 ]
+  checkb "fresh domain does not list it" true (listed = None);
+  checkb "main domain still does" true
+    (M.find_counter (M.snapshot ()) "test.obs.main_only" <> None)
 
 let suite =
   [
@@ -565,9 +547,11 @@ let suite =
     Alcotest.test_case "prometheus exposition" `Quick test_prom_render;
     Alcotest.test_case "prometheus from a live registry" `Quick
       test_prom_live_registry;
-    Alcotest.test_case "fast-path absorb idempotent" `Quick
-      test_fast_absorb_idempotent;
-    Alcotest.test_case "fast path matches slow path under pool" `Quick
-      test_fast_matches_slow_under_pool;
+    Alcotest.test_case "one handle, two domains" `Quick
+      test_one_handle_two_domains;
+    Alcotest.test_case "concurrent registration" `Quick
+      test_concurrent_registration;
+    Alcotest.test_case "fresh domain lists only its own names" `Quick
+      test_fresh_domain_snapshot;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases
