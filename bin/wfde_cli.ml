@@ -31,6 +31,9 @@ let bounded_int ~what ~min:lo ~max:hi =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* A process set is one machine word: 63 processes on 64-bit hosts. *)
+let max_procs = Wfde.Kernel.Pid.max_procs
+
 (* Write [doc] to [path] when one was given and report it on [log];
    true when the write failed. *)
 let write_json ~what ~log path doc =
@@ -236,13 +239,13 @@ let trace_cmd =
   let n_arg =
     Arg.(
       value
-      & opt (bounded_int ~what:"--procs" ~min:2 ~max:64) 3
+      & opt (bounded_int ~what:"--procs" ~min:2 ~max:max_procs) 3
       & info [ "n"; "procs" ] ~docv:"N+1" ~doc:"Number of processes.")
   in
   let f_arg =
     Arg.(
       value
-      & opt (bounded_int ~what:"--faulty" ~min:1 ~max:63) 1
+      & opt (bounded_int ~what:"--faulty" ~min:1 ~max:(max_procs - 1)) 1
       & info [ "f"; "faulty" ] ~docv:"F" ~doc:"Resilience (fig2 only).")
   in
   let limit_arg =
@@ -392,7 +395,7 @@ let check_cmd =
     in
     Arg.(
       value
-      & opt (some (bounded_int ~what:"--procs" ~min:1 ~max:64)) None
+      & opt (some (bounded_int ~what:"--procs" ~min:1 ~max:max_procs)) None
       & info [ "procs"; "n" ] ~docv:"N+1" ~doc)
   in
   let depth_arg =

@@ -11,7 +11,7 @@ type 'a outcome = {
    of the next sibling schedules). *)
 let run_one ~pattern ~prefix ~depth ~horizon ~observers ~make =
   let procs, check = make () in
-  let enabled_at = Array.make depth [] in
+  let enabled_at = Array.make depth Pid.Set.empty in
   let position = ref 0 in
   let rr = Policy.round_robin () in
   let remaining = ref prefix in
@@ -23,7 +23,7 @@ let run_one ~pattern ~prefix ~depth ~horizon ~observers ~make =
       match !remaining with
       | choice :: rest ->
           remaining := rest;
-          if List.mem choice enabled then Some choice
+          if Pid.Set.mem choice enabled then Some choice
           else
             (* the prescribed process quiesced: fall back in-order *)
             rr ~now ~enabled
@@ -54,7 +54,7 @@ let naive_prefix ~pattern ~depth ~horizon ?(observers = []) ~make () =
         else
           let enabled =
             match List.nth_opt enabled_trace i with
-            | Some e -> e
+            | Some e -> Pid.Set.elements e
             | None -> []
           in
           (* run with the current prefix used round-robin's choice at

@@ -10,6 +10,10 @@ let never = max_int
 
 let make ~n_plus_1 ~crashes =
   if n_plus_1 <= 0 then invalid_arg "Failure_pattern.make: empty system";
+  if n_plus_1 > Pid.max_procs then
+    invalid_arg
+      (Printf.sprintf "Failure_pattern.make: at most %d processes"
+         Pid.max_procs);
   let crash_time = Array.make n_plus_1 never in
   List.iter
     (fun (pid, time) ->

@@ -12,9 +12,10 @@ val never : int
 
 val make : n_plus_1:int -> crashes:(Pid.t * int) list -> t
 (** [make ~n_plus_1 ~crashes] crashes each listed pid at its listed time
-    (the process takes no step at or after that time). Raises if a pid is
-    listed twice, out of range, a crash time is negative, or no process
-    would remain correct. *)
+    (the process takes no step at or after that time). Raises if the
+    system has more than {!Pid.max_procs} processes, a pid is listed
+    twice, out of range, a crash time is negative, or no process would
+    remain correct. *)
 
 val no_failures : n_plus_1:int -> t
 

@@ -1,24 +1,35 @@
-type t = now:int -> enabled:Pid.t list -> Pid.t option
+type t = now:int -> enabled:Pid.Set.t -> Pid.t option
 
 let round_robin () =
   let cursor = ref 0 in
   fun ~now:_ ~enabled ->
-    match enabled with
-    | [] -> None
-    | first :: _ ->
-        (* Pick the first enabled pid at or after the cursor, wrapping
-           to the first enabled pid when none is. *)
-        let rec at_or_after = function
-          | [] -> first
-          | p :: rest -> if Pid.to_int p >= !cursor then p else at_or_after rest
-        in
-        let chosen = at_or_after enabled in
-        cursor := Pid.to_int chosen + 1;
-        Some chosen
+    if Pid.Set.is_empty enabled then None
+    else
+      (* Pick the first enabled pid at or after the cursor, wrapping
+         to the first enabled pid when none is. *)
+      let later = Pid.Set.from !cursor enabled in
+      let chosen =
+        Pid.Set.min_elt (if Pid.Set.is_empty later then enabled else later)
+      in
+      cursor := Pid.to_int chosen + 1;
+      Some chosen
 
+(* The same draw and index [Rng.pick] takes on the ascending list. *)
 let random rng =
  fun ~now:_ ~enabled ->
-  match enabled with [] -> None | l -> Some (Rng.pick rng l)
+  if Pid.Set.is_empty enabled then None
+  else Some (Pid.Set.nth enabled (Rng.int rng (Pid.Set.cardinal enabled)))
+
+let rec total_weight weight s acc =
+  if Pid.Set.is_empty s then acc
+  else
+    let p = Pid.Set.min_elt s in
+    total_weight weight (Pid.Set.remove p s) (acc + weight p)
+
+let rec pick_weighted weight roll s acc =
+  let p = Pid.Set.min_elt s in
+  let acc = acc + weight p in
+  if roll < acc then p else pick_weighted weight roll (Pid.Set.remove p s) acc
 
 let weighted rng ~weights =
   let weight p =
@@ -28,33 +39,25 @@ let weighted rng ~weights =
     | None -> 1
   in
   fun ~now:_ ~enabled ->
-    match enabled with
-    | [] -> None
-    | l ->
-        let total = List.fold_left (fun acc p -> acc + weight p) 0 l in
-        let roll = Rng.int rng total in
-        let rec pick acc = function
-          | [] -> assert false
-          | p :: rest ->
-              let acc = acc + weight p in
-              if roll < acc then p else pick acc rest
-        in
-        Some (pick 0 l)
+    if Pid.Set.is_empty enabled then None
+    else
+      let roll = Rng.int rng (total_weight weight enabled 0) in
+      Some (pick_weighted weight roll enabled 0)
 
 let solo pid =
- fun ~now:_ ~enabled -> if List.mem pid enabled then Some pid else None
+ fun ~now:_ ~enabled -> if Pid.Set.mem pid enabled then Some pid else None
+
+let rec next_scripted remaining then_ ~now ~enabled =
+  match !remaining with
+  | [] -> then_ ~now ~enabled
+  | p :: rest ->
+      remaining := rest;
+      if Pid.Set.mem p enabled then Some p
+      else next_scripted remaining then_ ~now ~enabled
 
 let script pids ~then_ =
   let remaining = ref pids in
-  fun ~now ~enabled ->
-    let rec next () =
-      match !remaining with
-      | [] -> then_ ~now ~enabled
-      | p :: rest ->
-          remaining := rest;
-          if List.mem p enabled then Some p else next ()
-    in
-    next ()
+  fun ~now ~enabled -> next_scripted remaining then_ ~now ~enabled
 
 let fair_after ~gst inner =
   if gst < 0 then invalid_arg "Policy.fair_after: negative gst";

@@ -95,12 +95,26 @@ type t = {
   mutable clock : int;
   mutable last_crash : int; (* latest crash time recorded; 0 = none *)
   mutable live : int; (* runnable non-daemon fibers; 0 = quiescent *)
+  mutable enabled : Pid.Set.t; (* alive pids with a runnable fiber *)
   observe : Trace.event -> unit;
   retained : Trace.builder option; (* [Some] iff made by [create] *)
   ctx : Sim.ctx; (* reused across steps; fields rewritten each step *)
   metrics : Obs.Metrics.registry; (* the creating domain's *)
   slots : slots;
 }
+
+(* The first runnable fiber's index from [i] on, trying at most [left]
+   slots round the ring; -1 when none is. Top-level, because without
+   flambda a local [let rec] that captures variables allocates its
+   closure on every call. *)
+let rec runnable_index fibers i left =
+  if left = 0 then -1
+  else
+    let i = if i = Array.length fibers then 0 else i in
+    if Fiber.status fibers.(i) = Fiber.Runnable then i
+    else runnable_index fibers (i + 1) (left - 1)
+
+let has_runnable fibers = runnable_index fibers 0 (Array.length fibers) >= 0
 
 let make ~observe ~retained ~pattern ~policy ~fibers =
   let n = Failure_pattern.n_plus_1 pattern in
@@ -144,6 +158,10 @@ let make ~observe ~retained ~pattern ~policy ~fibers =
     clock = 0;
     last_crash = 0;
     live;
+    (* kept as fibers finish and crash, so a step does not scan the pids *)
+    enabled =
+      Pid.Set.of_list
+        (List.filter (fun p -> has_runnable by_pid.(p)) (Pid.all ~n_plus_1:n));
     observe;
     retained;
     ctx = { Sim.pid = 0; now = 0; payload = Sim.No_payload };
@@ -188,6 +206,7 @@ let process_crashes t step_time =
         let c = Failure_pattern.crash_time t.sched_pattern p in
         if c <= step_time then begin
           t.crash_recorded.(p) <- true;
+          t.enabled <- Pid.Set.remove p t.enabled;
           Obs.Metrics.incr m_crashes;
           if c > t.last_crash then t.last_crash <- c;
           t.observe (Trace.Crash { pid = p; time = c });
@@ -202,50 +221,19 @@ let process_crashes t step_time =
     t.crash_recorded;
   t.next_crash <- !next
 
-let has_runnable t pid =
-  let fibers = t.by_pid.(pid) in
-  let k = Array.length fibers in
-  let rec go i =
-    i < k && (Fiber.status fibers.(i) = Fiber.Runnable || go (i + 1))
-  in
-  go 0
-
-let enabled_pids t =
-  let n = Failure_pattern.n_plus_1 t.sched_pattern in
-  let rec build p =
-    if p >= n then []
-    else if has_runnable t p then p :: build (p + 1)
-    else build (p + 1)
-  in
-  build 0
-
 let next_fiber t pid =
   let fibers = t.by_pid.(pid) in
   let k = Array.length fibers in
-  let rec search i tried =
-    if tried >= k then invalid_arg "Scheduler.next_fiber: no runnable fiber"
-    else
-      let f = fibers.(i mod k) in
-      if Fiber.status f = Fiber.Runnable then begin
-        t.cursor.(pid) <- (i + 1) mod k;
-        f
-      end
-      else search (i + 1) (tried + 1)
-  in
-  search t.cursor.(pid) 0
+  let i = runnable_index fibers t.cursor.(pid) k in
+  if i < 0 then invalid_arg "Scheduler.next_fiber: no runnable fiber";
+  t.cursor.(pid) <- (if i + 1 = k then 0 else i + 1);
+  fibers.(i)
 
 (* The fiber [next_fiber] would pick, without advancing the cursor. *)
 let peek_fiber t pid =
   let fibers = t.by_pid.(pid) in
-  let k = Array.length fibers in
-  let rec search i tried =
-    if tried >= k then None
-    else
-      let f = fibers.(i mod k) in
-      if Fiber.status f = Fiber.Runnable then Some f
-      else search (i + 1) (tried + 1)
-  in
-  search t.cursor.(pid) 0
+  let i = runnable_index fibers t.cursor.(pid) (Array.length fibers) in
+  if i < 0 then None else Some fibers.(i)
 
 let iter_pending t f =
   let n = Failure_pattern.n_plus_1 t.sched_pattern in
@@ -264,44 +252,49 @@ let step t =
   let step_time = t.clock + 1 in
   if step_time >= t.next_crash then process_crashes t step_time;
   (* Only daemons, or nothing, left to step: nothing anyone observes
-     can move again, so stop without asking for the enabled set. *)
-  match if t.live = 0 then [] else enabled_pids t with
-  | [] ->
-      Obs.Metrics.incr m_quiescent;
-      `Stopped Quiescent
-  | enabled -> (
-      let m = t.metrics and s = t.slots in
-      Obs.Metrics.incr_in m s.s_policy_decisions;
-      match t.policy ~now:step_time ~enabled with
-      | None ->
-          Obs.Metrics.incr m_policy_stops;
-          `Stopped Policy_stop
-      | Some pid ->
-          if not (List.mem pid enabled) then
-            invalid_arg "Scheduler.step: policy chose a disabled process";
-          t.clock <- step_time;
-          let fiber = next_fiber t pid in
-          let kind = Fiber.pending_kind fiber in
-          Obs.Metrics.incr_in m s.s_steps;
-          Obs.Metrics.incr_in m s.s_by_pid.(pid);
-          Obs.Metrics.incr_in m s.s_by_kind.(kind_tag kind);
-          (match kind with
-          | Sim.Query { detector } ->
-              Obs.Metrics.incr_in m s.s_queries;
-              Obs.Metrics.incr_in m (detector_counter t detector)
-          | _ -> ());
-          let ctx = t.ctx in
-          ctx.Sim.pid <- pid;
-          ctx.Sim.now <- step_time;
-          ctx.Sim.payload <- Sim.No_payload;
-          Fiber.step fiber ctx;
-          if Fiber.status fiber = Fiber.Runnable then
-            Obs.Metrics.incr_in m m_suspensions
-          else retire t fiber;
-          t.observe
-            (Trace.Step
-               { pid; time = step_time; kind; payload = ctx.Sim.payload });
-          `Stepped pid)
+     can move again, so stop without consulting the policy. *)
+  if t.live = 0 then begin
+    Obs.Metrics.incr m_quiescent;
+    `Stopped Quiescent
+  end
+  else
+    let m = t.metrics and s = t.slots in
+    Obs.Metrics.incr_in m s.s_policy_decisions;
+    let enabled = t.enabled in
+    match t.policy ~now:step_time ~enabled with
+    | None ->
+        Obs.Metrics.incr m_policy_stops;
+        `Stopped Policy_stop
+    | Some pid ->
+        if not (Pid.Set.mem pid enabled) then
+          invalid_arg "Scheduler.step: policy chose a disabled process";
+        t.clock <- step_time;
+        let fiber = next_fiber t pid in
+        let kind = Fiber.pending_kind fiber in
+        Obs.Metrics.incr_in m s.s_steps;
+        Obs.Metrics.incr_in m s.s_by_pid.(pid);
+        Obs.Metrics.incr_in m s.s_by_kind.(kind_tag kind);
+        (match kind with
+        | Sim.Query { detector } ->
+            Obs.Metrics.incr_in m s.s_queries;
+            Obs.Metrics.incr_in m (detector_counter t detector)
+        | _ -> ());
+        let ctx = t.ctx in
+        ctx.Sim.pid <- pid;
+        ctx.Sim.now <- step_time;
+        ctx.Sim.payload <- Sim.No_payload;
+        Fiber.step fiber ctx;
+        if Fiber.status fiber = Fiber.Runnable then
+          Obs.Metrics.incr_in m m_suspensions
+        else begin
+          retire t fiber;
+          if not (has_runnable t.by_pid.(pid)) then
+            t.enabled <- Pid.Set.remove pid t.enabled
+        end;
+        t.observe
+          (Trace.Step
+             { pid; time = step_time; kind; payload = ctx.Sim.payload });
+        `Stepped pid
 
 let run t ~max_steps =
   let rec loop remaining =

@@ -61,9 +61,11 @@ val iter_pending : t -> (Pid.t -> Sim.kind -> unit) -> unit
     enabled (pid, next-step kind) in pid order (checker hot paths). *)
 
 val step : t -> [ `Stepped of Pid.t | `Stopped of outcome ]
-(** Advance the run by one step. Stops [Quiescent] as soon as the count
-    of runnable non-daemon fibers (kept as fibers finish and crash, so
-    the check is O(1)) reaches 0. Until then the enabled set still
+(** Advance the run by one step. The enabled set the policy receives is
+    kept as fibers finish and crash, so a step neither scans the
+    processes nor allocates a list or a closure. Stops [Quiescent] as
+    soon as the count of runnable non-daemon fibers (kept the same way,
+    so the check is O(1)) reaches 0. Until then the enabled set still
     includes daemons, so a run's trace does not depend on whether its
     service fibers are daemons — marking them only cuts the idle
     tail. *)

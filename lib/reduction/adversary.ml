@@ -44,17 +44,14 @@ let run candidate ~n_plus_1 ~f ~max_phases ~phase_budget =
   let policy ~now ~enabled =
     match !mode with
     | Warmup -> rr ~now ~enabled
-    | One_step_each pending -> (
-        match List.filter (fun p -> List.mem p enabled) pending with
-        | [] -> None (* handled by the driver *)
-        | p :: _ -> Some p)
-    | Restricted allowed -> (
-        let eligible = List.filter (fun p -> Pid.Set.mem p allowed) enabled in
-        match eligible with
-        | [] -> None
-        | l ->
-            (* round-robin within the allowed set *)
-            rr ~now ~enabled:l)
+    | One_step_each pending ->
+        (* [None] is handled by the driver *)
+        List.find_opt (fun p -> Pid.Set.mem p enabled) pending
+    | Restricted allowed ->
+        let eligible = Pid.Set.inter allowed enabled in
+        if Pid.Set.is_empty eligible then None
+        else (* round-robin within the allowed set *)
+          rr ~now ~enabled:eligible
   in
   let fibers =
     Pid.all ~n_plus_1

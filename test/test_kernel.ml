@@ -28,6 +28,44 @@ let test_pid_subsets () =
     (fun s -> checkb "non-empty" false (Pid.Set.is_empty s))
     (Pid.Set.subsets ~n_plus_1:3)
 
+(* The enumeration [subsets] has always used: mask m, for m = 1 .. 2^(n+1)
+   - 1, is the set of the pids whose bit is set in m. *)
+let test_pid_subsets_mask_order () =
+  for n_plus_1 = 1 to 6 do
+    let expected =
+      List.init ((1 lsl n_plus_1) - 1) (fun i ->
+          let mask = i + 1 in
+          List.filter
+            (fun p -> mask land (1 lsl p) <> 0)
+            (List.init n_plus_1 Fun.id))
+    in
+    check
+      Alcotest.(list (list int))
+      (Printf.sprintf "n+1 = %d" n_plus_1)
+      expected
+      (List.map Pid.Set.elements (Pid.Set.subsets ~n_plus_1))
+  done
+
+(* A set is one machine word, so a system holds at most 63 processes. *)
+let test_pid_cap () =
+  checki "cap" 63 Pid.max_procs;
+  checki "63 pids" 63 (List.length (Pid.all ~n_plus_1:63));
+  checki "full 63" 63 (Pid.Set.cardinal (Pid.Set.full ~n_plus_1:63));
+  checkb "pid 62 is a member" true
+    (Pid.Set.mem 62 (Pid.Set.full ~n_plus_1:Pid.max_procs));
+  Alcotest.check_raises "Pid.all rejects 64"
+    (Invalid_argument "Pid.all: at most 63 processes") (fun () ->
+      ignore (Pid.all ~n_plus_1:64));
+  Alcotest.check_raises "Failure_pattern.make rejects 64"
+    (Invalid_argument "Failure_pattern.make: at most 63 processes") (fun () ->
+      ignore (Failure_pattern.no_failures ~n_plus_1:64));
+  Alcotest.check_raises "pid 63 cannot join a set"
+    (Invalid_argument "Pid.Set: pid 63 outside 0..62") (fun () ->
+      ignore (Pid.Set.singleton 63));
+  checkb "out-of-range pids are not members" false
+    (let all = Pid.Set.full ~n_plus_1:63 in
+     Pid.Set.mem 63 all || Pid.Set.mem (-1) all)
+
 (* -- Rng ---------------------------------------------------------------- *)
 
 let test_rng_determinism () =
@@ -476,9 +514,213 @@ let test_late_daemon_rejected () =
         (Run.exec ~pattern ~policy:(Policy.round_robin ())
            ~procs:(fun _ -> [ late ]) ()))
 
+(* -- Policies ------------------------------------------------------------ *)
+
+(* Five processes whose enabled set keeps changing: p1 finishes after 60
+   steps, p3 after 150, p2 crashes at 40, p4 at 150, and p5 outlasts the
+   300-step horizon. Returns the pid of every step, as digits. *)
+let policy_choices policy =
+  let pattern =
+    Failure_pattern.make ~n_plus_1:5 ~crashes:[ (1, 40); (3, 150) ]
+  in
+  let forever () =
+    while true do
+      Sim.yield ()
+    done
+  in
+  let procs = function
+    | 0 -> [ nops 60 ]
+    | 2 -> [ nops 120; nops 30 ]
+    | 4 -> [ nops 500 ]
+    | _ -> [ forever ]
+  in
+  let chosen = Buffer.create 300 in
+  let observe = function
+    | Trace.Step { pid; _ } -> Buffer.add_string chosen (string_of_int pid)
+    | Trace.Crash _ -> ()
+  in
+  ignore
+    (Run.exec ~pattern ~policy ~horizon:300 ~observers:[ observe ] ~procs ());
+  Buffer.contents chosen
+
+(* Each policy's first 300 choices on that world, recorded when
+   [Policy.t] received the enabled set as an ascending pid list: the
+   set-valued policies must choose exactly as the list-valued ones did. *)
+let pinned_choices =
+  [
+    ( "round_robin",
+      (fun () -> Policy.round_robin ()),
+      "012340123401234012340123401234012340123402340234023402340234023402340234023402340234023402340234023402340234023402340234023402340234023402340234023402402402402402402402402402402402402402402402402402402402402402402402402402424242424242424242424242424242424242424242424242424242424242424242424242424242"
+    );
+    ( "random",
+      (fun () -> Policy.random (Rng.create 17)),
+      "024340141143104124001311004143203043332200040343343204300443342430424244424333444324244203323424324220323322230024042320240023204442244400324444404422040024444422440404040444400004202420422204444424022042202444202444222442022420040024020420402002040222242444424224442224444422244444224242422222224442"
+    );
+    ( "weighted",
+      (fun () ->
+        Policy.weighted (Rng.create 5) ~weights:[ (0, 3); (2, 2); (4, 5) ]),
+      "413014340444004440301044321442303243404034443440004404420404004004442444040204304304404422444244404004004430000244444044402004240004404244000022004024444240042244422244040424440444240022024200224444444444444444442244444442244424422224442224444424424442442444444244422444444444424424442244442442224242"
+    );
+    ( "script then round_robin",
+      (fun () ->
+        Policy.script
+          [ 4; 4; 1; 3; 3; 0; 2; 1; 1; 4; 0; 0 ]
+          ~then_:(Policy.round_robin ())),
+      "441330211400012340123401234012340123401234023402340234023402340234023402340234023402340234023402340234023402340234023402340234023402340234023402340234024024024024024024024024024024024024024024024024024024024024024024024024242424242424242424242424242424242424242424242424242424242424242424242424242424"
+    );
+    ( "fair_after",
+      (fun () -> Policy.fair_after ~gst:120 (Policy.random (Rng.create 23))),
+      "102232122034130333001421423200030311333224333320200422200202344324042302204023032204243003003023000043030300304032320200234023402340234023402340234024024024024024024024024024024024024024024024242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424"
+    );
+  ]
+
+let test_policy_choices_pinned () =
+  List.iter
+    (fun (name, make, expected) ->
+      check Alcotest.string name expected (policy_choices (make ())))
+    pinned_choices
+
+(* Minor words per step of a round-robin run of [n_plus_1] processes
+   that only yield: the scheduler's own cost per step. *)
+let yield_words_per_step ~n_plus_1 =
+  let steps = 100_000 in
+  let pattern = Failure_pattern.no_failures ~n_plus_1 in
+  let forever () =
+    while true do
+      Sim.yield ()
+    done
+  in
+  let run () =
+    Run.exec ~pattern ~policy:(Policy.round_robin ()) ~horizon:steps
+      ~procs:(fun _ -> [ forever ])
+      ()
+  in
+  (* the first run registers this domain's per-pid step counters *)
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let result = run () in
+  let words = Gc.minor_words () -. before in
+  checki "every step taken" steps result.Run.steps;
+  words /. float_of_int steps
+
+(* A step builds no enabled list and no closure, so its cost does not
+   grow with the system: 70 words at n+1 = 3 and 110 at n+1 = 8 when
+   [enabled] was a list. *)
+let test_step_allocation_bound () =
+  let w3 = yield_words_per_step ~n_plus_1:3 in
+  let w8 = yield_words_per_step ~n_plus_1:8 in
+  checkb (Printf.sprintf "n+1 = 3: %.1f words/step <= 40" w3) true (w3 <= 40.0);
+  checkb
+    (Printf.sprintf "n+1 = 8: %.1f words/step within 2 of n+1 = 3's %.1f" w8 w3)
+    true
+    (Float.abs (w8 -. w3) <= 2.0)
+
+(* The scheduler keeps the enabled set as fibers finish and crash; at
+   every policy call it must be exactly the processes with a runnable
+   fiber, as [Scheduler.pending] finds them by scanning. *)
+let enabled_set_is_kept seed =
+  let rng = Rng.create seed in
+  let n_plus_1 = 2 + (seed mod 6) in
+  let pattern =
+    Failure_pattern.random rng ~n_plus_1 ~max_faulty:(n_plus_1 - 1) ~latest:80
+  in
+  let fibers =
+    List.concat_map
+      (fun pid ->
+        List.init
+          (1 + Rng.int rng 3)
+          (fun j ->
+            Fiber.create ~pid ~name:(Printf.sprintf "p%d/t%d" pid j)
+              (nops (Rng.int rng 40))))
+      (Pid.all ~n_plus_1)
+  in
+  let sched = ref None and agreed = ref true and inner = Policy.random rng in
+  let policy ~now ~enabled =
+    (match !sched with
+    | Some s ->
+        let scanned = Pid.Set.of_list (List.map fst (Scheduler.pending s)) in
+        if not (Pid.Set.equal enabled scanned) then agreed := false
+    | None -> ());
+    inner ~now ~enabled
+  in
+  let s = Scheduler.observed ~observe:ignore ~pattern ~policy ~fibers in
+  sched := Some s;
+  ignore (Scheduler.run s ~max_steps:1_000 : Scheduler.outcome);
+  !agreed
+
+(* [Pid.Set] against [Set.Make (Int)] on pids 0 .. 62. *)
+module Ref = Set.Make (Int)
+
+let pid_set_agrees_with_stdlib (xs, ys, x) =
+  let a = Pid.Set.of_list xs and b = Pid.Set.of_list ys in
+  let ra = Ref.of_list xs and rb = Ref.of_list ys in
+  let same s r = Pid.Set.elements s = Ref.elements r in
+  let raises f = match f () with v -> Some v | exception Not_found -> None in
+  let sign c = Int.compare c 0 in
+  let ge e = e >= x and le e = e <= x in
+  let thirds e = e mod 3 = 0 in
+  let halves e = if e mod 2 = 0 then Some (e / 2) else None in
+  let to_string r =
+    "{" ^ String.concat ", " (List.map Pid.to_string (Ref.elements r)) ^ "}"
+  in
+  let sl, sp, sr = Pid.Set.split x a and rl, rp, rr = Ref.split x ra in
+  let pt, pf = Pid.Set.partition thirds a
+  and qt, qf = Ref.partition thirds ra in
+  same a ra
+  && sign (Pid.Set.compare a b) = sign (Ref.compare ra rb)
+  && sign (Pid.Set.compare b a) = sign (Ref.compare rb ra)
+  && Pid.Set.equal a b = Ref.equal ra rb
+  && Pid.Set.subset a b = Ref.subset ra rb
+  && Pid.Set.subset b a = Ref.subset rb ra
+  && Pid.Set.disjoint a b = Ref.disjoint ra rb
+  && same (Pid.Set.union a b) (Ref.union ra rb)
+  && same (Pid.Set.inter a b) (Ref.inter ra rb)
+  && same (Pid.Set.diff a b) (Ref.diff ra rb)
+  && same (Pid.Set.remove x a) (Ref.remove x ra)
+  && Pid.Set.mem x a = Ref.mem x ra
+  && raises (fun () -> Pid.Set.choose a) = raises (fun () -> Ref.choose ra)
+  && Pid.Set.choose_opt a = Ref.choose_opt ra
+  && raises (fun () -> Pid.Set.min_elt a) = raises (fun () -> Ref.min_elt ra)
+  && raises (fun () -> Pid.Set.max_elt a) = raises (fun () -> Ref.max_elt ra)
+  && Pid.Set.min_elt_opt a = Ref.min_elt_opt ra
+  && Pid.Set.max_elt_opt a = Ref.max_elt_opt ra
+  && Pid.Set.fold List.cons a [] = Ref.fold List.cons ra []
+  && (let seen = ref [] in
+      Pid.Set.iter (fun e -> seen := e :: !seen) a;
+      !seen = Ref.fold List.cons ra [])
+  && same sl rl && sp = rp && same sr rr
+  && raises (fun () -> Pid.Set.find_first ge a)
+     = raises (fun () -> Ref.find_first ge ra)
+  && Pid.Set.find_first_opt ge a = Ref.find_first_opt ge ra
+  && raises (fun () -> Pid.Set.find_last le a)
+     = raises (fun () -> Ref.find_last le ra)
+  && Pid.Set.find_last_opt le a = Ref.find_last_opt le ra
+  && List.of_seq (Pid.Set.to_seq_from x a) = List.of_seq (Ref.to_seq_from x ra)
+  && List.of_seq (Pid.Set.to_seq a) = List.of_seq (Ref.to_seq ra)
+  && List.of_seq (Pid.Set.to_rev_seq a) = List.of_seq (Ref.to_rev_seq ra)
+  && same pt qt && same pf qf
+  && same (Pid.Set.filter thirds a) (Ref.filter thirds ra)
+  && same (Pid.Set.filter_map halves a) (Ref.filter_map halves ra)
+  && Pid.Set.for_all thirds a = Ref.for_all thirds ra
+  && Pid.Set.exists thirds a = Ref.exists thirds ra
+  && Pid.Set.cardinal a = Ref.cardinal ra
+  && Pid.Set.to_string a = to_string ra
+  && same (Pid.Set.from x a) (Ref.filter ge ra)
+  && List.for_all
+       (fun i -> Pid.Set.nth a i = List.nth (Ref.elements ra) i)
+       (List.init (Ref.cardinal ra) Fun.id)
+
 let qcheck_cases =
   let open QCheck in
   [
+    Test.make ~count:1000 ~name:"Pid.Set agrees with Set.Make (Int)"
+      (triple
+         (small_list (int_range 0 62))
+         (small_list (int_range 0 62))
+         (int_range (-1) 63))
+      pid_set_agrees_with_stdlib;
+    Test.make ~count:200 ~name:"the kept enabled set is the runnable processes"
+      small_nat enabled_set_is_kept;
     Test.make ~count:100 ~name:"random patterns stay within E_f"
       (pair small_nat small_nat)
       (fun (seed, f_raw) ->
@@ -536,6 +778,9 @@ let suite =
     Alcotest.test_case "pid basics" `Quick test_pid_all;
     Alcotest.test_case "pid set complement" `Quick test_pid_set_complement;
     Alcotest.test_case "pid subsets" `Quick test_pid_subsets;
+    Alcotest.test_case "pid subsets keep mask order" `Quick
+      test_pid_subsets_mask_order;
+    Alcotest.test_case "pid cap is 63 processes" `Quick test_pid_cap;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng subset constraints" `Quick
@@ -577,5 +822,9 @@ let suite =
       test_only_daemons_take_no_step;
     Alcotest.test_case "late Sim.daemon rejected" `Quick
       test_late_daemon_rejected;
+    Alcotest.test_case "policy choices pinned" `Quick
+      test_policy_choices_pinned;
+    Alcotest.test_case "a step allocates at most 40 words" `Quick
+      test_step_allocation_bound;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases

@@ -156,8 +156,8 @@ let test_snapshot_wait_free_under_adversary () =
     Policy.custom (fun ~now:_ ~enabled ->
         incr counter;
         let want = [| 0; 1; 2 |].(!counter mod 3) in
-        if List.mem want enabled then Some want
-        else match enabled with [] -> None | p :: _ -> Some p)
+        if Pid.Set.mem want enabled then Some want
+        else Pid.Set.min_elt_opt enabled)
   in
   let _result =
     Run.exec ~pattern:(failure_free n) ~policy ~horizon:50_000

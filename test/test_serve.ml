@@ -984,6 +984,29 @@ let cli_ok args =
     (Unix.close_process_in ic = Unix.WEXITED 0);
   out
 
+(* A process set is one machine word, so a system holds at most 63
+   processes: [wfde trace -n 64] is a one-line usage error, never a
+   backtrace from inside the kernel. *)
+let test_cli_procs_cap () =
+  let ((out_ic, in_oc, err_ic) as proc) =
+    Unix.open_process_args_full wfde_cli
+      [| "wfde"; "trace"; "-n"; "64" |]
+      (Unix.environment ())
+  in
+  close_out in_oc;
+  let out = In_channel.input_all out_ic in
+  let err = In_channel.input_all err_ic in
+  let status = Unix.close_process_full proc in
+  checkb "exits non-zero" true (status <> Unix.WEXITED 0);
+  checks "nothing on stdout" "" out;
+  (match String.split_on_char '\n' err with
+  | first :: _ ->
+      checkb "first line names the bound" true
+        (contains first "--procs must be an integer in [2, 63]")
+  | [] -> Alcotest.fail "no error message");
+  checkb "no backtrace" false
+    (contains err "Raised at" || contains err "exception")
+
 let cli_json args =
   match J.of_string (cli_ok args) with
   | Ok j -> j
@@ -1153,6 +1176,8 @@ let suite =
       `Quick test_cli_cache_banner_and_stats;
     Alcotest.test_case "cli: disk-served check equals check --json, clear"
       `Quick test_cli_cache_disk_and_clear;
+    Alcotest.test_case "cli: trace -n 64 is a one-line error" `Quick
+      test_cli_procs_cap;
     Alcotest.test_case "cache: hit/miss spans in the trace tree" `Quick
       test_daemon_cache_spans;
   ]
