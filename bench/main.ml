@@ -575,11 +575,12 @@ let detector_impl_configs : (string * (unit -> (string * int) list)) list =
                   ~max_faulty:1 ~latest:100 ()
               in
               let oracle, mem_o =
-                Wfde.Harness.run_msg_consensus ~horizon:60_000 (w ())
+                Wfde.Harness.run_msg_consensus ~horizon:60_000
+                  ~omega_impl:None (w ())
               in
               let impl, mem_i =
                 Wfde.Harness.run_msg_consensus ~horizon:60_000
-                  ~omega_impl:hb_bench_net (w ())
+                  ~omega_impl:(Some hb_bench_net) (w ())
               in
               let ok =
                 Wfde.Harness.ok oracle && Wfde.Harness.ok impl

@@ -187,16 +187,17 @@ let dump_trace protocol seed n_plus_1 f limit out =
     Format.eprintf "--faulty must be below --procs (got %d and %d)@." f n_plus_1;
     2)
   else
-  let kept = Wfde.Trace.builder () in
-  match
-    Wfde.Harness.trace_run ~observers:[ Wfde.Trace.record kept ] ~protocol
-      ~seed ~n_plus_1 ~f ~limit
-  with
+  match Wfde.Harness.trace_setup ~protocol ~seed ~n_plus_1 ~f ~limit with
   | None ->
       Format.eprintf "unknown protocol %S (expected fig1, fig2, or async)@."
         protocol;
       2
-  | Some (description, world) -> (
+  | Some (description, setup, world) -> (
+      let kept = Wfde.Trace.builder () in
+      ignore
+        (Wfde.Harness.run
+           { setup with observers = [ Wfde.Trace.record kept ] }
+           world);
       let events = Wfde.Trace.finish kept in
       match out with
       | Some path -> (

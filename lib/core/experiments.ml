@@ -51,6 +51,10 @@ let lockstep_world ~n_plus_1 ~seed =
     world_rng = Rng.create seed;
   }
 
+(* Fig 1 with all its escape reads, as every experiment but A2 runs it. *)
+let fig1 stab_time =
+  Harness.Fig1 { stab_time; escapes = Agreement.Upsilon_sa.all_escapes }
+
 (* ------------------------------------------------------------------ E1 *)
 
 let e1_seeds = 25
@@ -66,7 +70,7 @@ let e1_fig1_set_agreement ?(jobs = 1) ?(seeds = e1_seeds) ?(sizes = [ 2; 3; 4; 5
                 Harness.random_world ~seed:((n_plus_1 * 1000) + i) ~n_plus_1
                   ~max_faulty:(n_plus_1 - 1) ()
               in
-              Harness.run_fig1 world)
+              Harness.run (Harness.setup (fig1 None)) world)
         in
         require all_ok Harness.ok runs;
         [
@@ -117,7 +121,10 @@ let e2_fig2_f_resilient ?(jobs = 1) ?(seeds = e2_seeds) ?(sizes = [ 3; 4; 5; 6 ]
                       ~seed:((n_plus_1 * 7919) + (f * 131) + i)
                       ~n_plus_1 ~max_faulty:f ()
                   in
-                  Harness.run_fig2 ~f world)
+                  Harness.run
+                    (Harness.setup
+                       (Fig2 { f; snapshot = Snap.Registers; pinned = false }))
+                    world)
             in
             require all_ok Harness.ok runs;
             [
@@ -435,29 +442,15 @@ let e7_upsilon_vs_omega_n ?(jobs = 1) ?(seeds = e7_seeds)
   let rows =
     List.concat_map
       (fun stab_time ->
-        let gated alg =
-          let world = lockstep_world ~n_plus_1 ~seed:424242 in
-          match alg with
-          | `Upsilon -> Harness.run_fig1 ~stab_time world
-          | `Omega_n ->
-              Harness.run_omega_k_baseline ~stab_time ~k:(n_plus_1 - 1) world
-        in
-        let random_runs alg =
-          pseeds ~jobs seeds (fun i ->
-              let world =
-                Harness.random_world
-                  ~seed:((stab_time * 17) + i)
-                  ~n_plus_1 ~max_faulty:(n_plus_1 - 1) ()
-              in
-              match alg with
-              | `Upsilon -> Harness.run_fig1 ~stab_time world
-              | `Omega_n ->
-                  Harness.run_omega_k_baseline ~stab_time ~k:(n_plus_1 - 1)
-                    world)
-        in
-        let row label alg =
-          let locked = gated alg in
-          let randoms = random_runs alg in
+        let row label protocol =
+          let run = Harness.run (Harness.setup protocol) in
+          let locked = run (lockstep_world ~n_plus_1 ~seed:424242) in
+          let randoms =
+            pseeds ~jobs seeds (fun i ->
+                run
+                  (Harness.random_world ~seed:((stab_time * 17) + i) ~n_plus_1
+                     ~max_faulty:(n_plus_1 - 1) ()))
+          in
           require all_ok Harness.ok (locked :: randoms);
           [
             Report.cell_int stab_time;
@@ -469,7 +462,10 @@ let e7_upsilon_vs_omega_n ?(jobs = 1) ?(seeds = e7_seeds)
                  (List.map (fun m -> m.Harness.last_decision_time) randoms));
           ]
         in
-        [ row "Upsilon (Fig 1)" `Upsilon; row "Omega_n [18]" `Omega_n ])
+        [
+          row "Upsilon (Fig 1)" (fig1 (Some stab_time));
+          row "Omega_n [18]" (Omega_n { stab_time });
+        ])
       stab_times
   in
   {
@@ -496,17 +492,16 @@ let e8_impossibility ?(jobs = 1) ?(horizons = [ 20_000; 80_000; 320_000 ]) () =
   let n_plus_1 = 3 in
   let results =
     pmap ~jobs horizons (fun horizon ->
-        let async =
-          Harness.run_async_attempt ~horizon (lockstep_world ~n_plus_1 ~seed:1)
+        let run protocol =
+          Harness.run { protocol; horizon; observers = [] }
+            (lockstep_world ~n_plus_1 ~seed:1)
         in
+        let async = run Async in
         let deciders =
           n_plus_1
           - Pid.Set.cardinal async.Harness.verdict.Agreement.Sa_spec.undecided_correct
         in
-        let with_upsilon =
-          Harness.run_fig1 ~horizon ~stab_time:0
-            (lockstep_world ~n_plus_1 ~seed:1)
-        in
+        let with_upsilon = run (fig1 (Some 0)) in
         (horizon, async, deciders, with_upsilon))
   in
   let ok = ref true in
@@ -654,7 +649,12 @@ let a2_escape_ablation ?(jobs = 1) ?(seeds = a2_seeds) () =
                   world_rng = Rng.create (800 + i);
                 }
               in
-              let m = Harness.run_fig1 ~horizon:400_000 ~stab_time:0 ~escapes world in
+              let fig1 = Harness.Fig1 { stab_time = Some 0; escapes } in
+              let m =
+                Harness.run
+                  { protocol = fig1; horizon = 400_000; observers = [] }
+                  world
+              in
               m.Harness.verdict.Sa_spec.termination)
         in
         let rate = pass_rate Fun.id terminated in
@@ -713,7 +713,7 @@ let e9_booster_consensus ?(jobs = 1) ?(seeds = e9_seeds) ?(sizes = [ 2; 3; 4; 5 
               in
               let m =
                 Harness.run_agreement ~label:"booster" ~k:1 ~base:700
-                  ~horizon:2_000_000
+                  ~horizon:Harness.default_horizon
                   ~replay:(Some (Harness.History omega_n))
                   ~fibers:(fun ~me ~input ->
                     [ Booster_consensus.proposer proto ~me ~input ])
@@ -862,13 +862,13 @@ let e11_msg_consensus ?(jobs = 1) ?(seeds = e11_seeds) ?(sizes = [ 3; 5 ]) ?impl
           let m, memory =
             match omega_impl with
             | None ->
-                Harness.run_msg_consensus
+                Harness.run_msg_consensus ~horizon:3_000_000 ~omega_impl
                   (rng_world ~seed ~n_plus_1 ~max_faulty:minority ~latest:300)
-            | Some net ->
+            | Some _ ->
                 (* the run quiesces once every correct process has
                    decided (within a few thousand steps); the horizon
                    only bounds a run that fails to *)
-                Harness.run_msg_consensus ~horizon:120_000 ~omega_impl:net
+                Harness.run_msg_consensus ~horizon:120_000 ~omega_impl
                   (Harness.random_world ~seed ~n_plus_1 ~max_faulty:minority
                      ~latest:300 ())
           in
@@ -912,8 +912,6 @@ let e11_msg_consensus ?(jobs = 1) ?(seeds = e11_seeds) ?(sizes = [ 3; 5 ]) ?impl
 
 let a3_seeds = 12
 let a3_fig2_snapshot_cost ?(jobs = 1) ?(seeds = a3_seeds) () =
-  let open Agreement in
-  let open Detectors in
   let n_plus_1 = 4 in
   let f = 2 in
   let all_ok = ref true in
@@ -922,40 +920,26 @@ let a3_fig2_snapshot_cost ?(jobs = 1) ?(seeds = a3_seeds) () =
      crash, under lock-step scheduling, so A[r][k] is on the critical
      path. The "random" scenario is the average case, where round-1
      converge usually decides first. *)
+  let fig2 snapshot ~pinned = Harness.setup (Fig2 { f; snapshot; pinned }) in
   let gated_run impl seed =
-    let world =
+    Harness.run
+      (fig2 impl ~pinned:true)
       {
         Harness.pattern =
           Failure_pattern.make ~n_plus_1 ~crashes:[ (3, 60 + seed) ];
         policy = Policy.round_robin ();
         world_rng = Rng.create (4100 + seed);
       }
-    in
-    let upsilon_f =
-      Detector.source
-        (Upsilon_f.make ~rng:world.world_rng ~pattern:world.pattern ~f
-           ~stable_set:(Pid.Set.full ~n_plus_1) ~stab_time:0 ())
-    in
-    let proto =
-      Upsilon_f_sa.create ~snapshot_impl:impl ~name:"a3" ~n_plus_1 ~f
-        ~upsilon_f ()
-    in
-    Harness.run_agreement ~label:"fig2" ~k:f ~base:200 ~horizon:2_000_000
-      ~replay:(Some (Harness.History upsilon_f))
-      ~fibers:(fun ~me ~input -> [ Upsilon_f_sa.proposer proto ~me ~input ])
-      ~decisions:(fun () -> Upsilon_f_sa.decisions proto)
-      ~rounds:(fun () -> Upsilon_f_sa.rounds_entered proto)
-      world
   in
   let rows =
     List.concat_map
       (fun impl ->
         let random_runs =
           pseeds ~jobs seeds (fun i ->
-              let world =
-                Harness.random_world ~seed:(4000 + i) ~n_plus_1 ~max_faulty:f ()
-              in
-              Harness.run_fig2 ~snapshot_impl:impl ~f world)
+              Harness.run
+                (fig2 impl ~pinned:false)
+                (Harness.random_world ~seed:(4000 + i) ~n_plus_1 ~max_faulty:f
+                   ()))
         in
         let gated = pseeds ~jobs seeds (gated_run impl) in
         require all_ok Harness.ok (gated @ random_runs);
@@ -1170,10 +1154,11 @@ let d2_hb_vs_oracle ?(jobs = 1) ?(seeds = d2_seeds) ?(spans = Obs.Span.null) () 
                (within ~5k steps, GST is 60); the horizon only bounds a
                run that fails to *)
             let oracle, mem_o =
-              Harness.run_msg_consensus ~horizon:60_000 (world ())
+              Harness.run_msg_consensus ~horizon:60_000 ~omega_impl:None
+                (world ())
             in
             let impl, mem_i =
-              Harness.run_msg_consensus ~horizon:60_000 ~omega_impl:net
+              Harness.run_msg_consensus ~horizon:60_000 ~omega_impl:(Some net)
                 (world ())
             in
             ( Harness.ok oracle && mem_o = Ok (),

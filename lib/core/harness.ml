@@ -57,8 +57,8 @@ type 'v replay =
    in one observer, as the run happens — the decision times and the
    replay of the detector queries against their history. A history
    rebuilt after the run is checked then, on the query events alone. *)
-let run_agreement ~label ~k ~base ~horizon ~replay ?(observers = []) ~fibers
-    ~decisions ~rounds world =
+let agree ~observers ~label ~k ~base ~horizon ~replay ~fibers ~decisions
+    ~rounds world =
   let pattern = world.pattern in
   let n_plus_1 = Failure_pattern.n_plus_1 pattern in
   let violations = ref 0 and queries = ref [] in
@@ -117,109 +117,102 @@ let run_agreement ~label ~k ~base ~horizon ~replay ?(observers = []) ~fibers
     Obs.Metrics.observe_int m_decision_time m.last_decision_time;
   m
 
-(* Figs 1-2 and the detector-free skeleton, each detector drawn from
-   [world.world_rng]. [name] is the protocol object's name, which the
-   trace records. *)
+let run_agreement ~label ~k ~base ~horizon ~replay ~fibers ~decisions ~rounds
+    world =
+  agree ~observers:[] ~label ~k ~base ~horizon ~replay ~fibers ~decisions
+    ~rounds world
 
-let fig1 ~name ~horizon ~stab_time ~escapes ~observers world =
-  let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
-  let upsilon =
-    Detector.source
-      (Upsilon.make ~rng:world.world_rng ~pattern:world.pattern ?stab_time ())
-  in
-  let proto = Upsilon_sa.create ?escapes ~name ~n_plus_1 ~upsilon () in
-  run_agreement ~label:"fig1" ~k:(n_plus_1 - 1) ~base:100 ~horizon
-    ~replay:(Some (History upsilon)) ~observers
-    ~fibers:(fun ~me ~input -> [ Upsilon_sa.proposer proto ~me ~input ])
-    ~decisions:(fun () -> Upsilon_sa.decisions proto)
-    ~rounds:(fun () -> Upsilon_sa.rounds_entered proto)
-    world
+type protocol =
+  | Fig1 of { stab_time : int option; escapes : Upsilon_sa.escapes }
+  | Fig2 of { f : int; snapshot : Memory.Snap.impl; pinned : bool }
+  | Omega_n of { stab_time : int }
+  | Async
 
-let fig2 ~name ~horizon ~snapshot_impl ~f ~observers world =
-  let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
-  let upsilon_f =
-    Detector.source
-      (Upsilon_f.make ~rng:world.world_rng ~pattern:world.pattern ~f ())
-  in
-  let proto =
-    Upsilon_f_sa.create ?snapshot_impl ~name ~n_plus_1 ~f ~upsilon_f ()
-  in
-  run_agreement ~label:"fig2" ~k:f ~base:200 ~horizon
-    ~replay:(Some (History upsilon_f)) ~observers
-    ~fibers:(fun ~me ~input -> [ Upsilon_f_sa.proposer proto ~me ~input ])
-    ~decisions:(fun () -> Upsilon_f_sa.decisions proto)
-    ~rounds:(fun () -> Upsilon_f_sa.rounds_entered proto)
-    world
-
-let async ~name ~horizon ~observers world =
-  let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
-  let proto = Async_attempt.create ~name ~n_plus_1 in
-  run_agreement ~label:"async" ~k:(n_plus_1 - 1) ~base:500 ~horizon
-    ~replay:None ~observers
-    ~fibers:(fun ~me ~input -> [ Async_attempt.proposer proto ~me ~input ])
-    ~decisions:(fun () -> Async_attempt.decisions proto)
-    ~rounds:(fun () -> Async_attempt.rounds_entered proto)
-    world
+type setup = {
+  protocol : protocol;
+  horizon : int;
+  observers : (Trace.event -> unit) list;
+}
 
 let default_horizon = 2_000_000
+let setup protocol = { protocol; horizon = default_horizon; observers = [] }
 
-let run_fig1 ?(horizon = default_horizon) ?stab_time ?escapes world =
-  fig1 ~name:"sa" ~horizon ~stab_time ~escapes ~observers:[] world
-
-let run_fig2 ?snapshot_impl ~f world =
-  fig2 ~name:"fsa" ~snapshot_impl ~f ~horizon:default_horizon ~observers:[]
-    world
-
-let run_omega_k_baseline ?stab_time ~k world =
-  let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
-  let omega_k =
-    Detector.source
-      (Omega_k.make ~rng:world.world_rng ~pattern:world.pattern ~k ?stab_time
-         ())
+(* Figs 1-2, the Ωₙ baseline and the detector-free skeleton, each
+   detector drawn from [world.world_rng]. Every protocol object is
+   named "t", which only traces record. *)
+let run { protocol; horizon; observers } world =
+  let rng = world.world_rng and pattern = world.pattern and name = "t" in
+  let n_plus_1 = Failure_pattern.n_plus_1 pattern in
+  let go label ~k ~base detector proposer decisions rounds p =
+    agree ~observers ~label ~k ~base ~horizon
+      ~replay:(Option.map (fun d -> History d) detector)
+      ~fibers:(fun ~me ~input -> [ proposer p ~me ~input ])
+      ~decisions:(fun () -> decisions p)
+      ~rounds:(fun () -> rounds p)
+      world
   in
-  let proto = Omega_k_sa.create ~name:"oksa" ~n_plus_1 ~k ~omega_k in
-  run_agreement ~label:"omega_k" ~k ~base:300 ~horizon:default_horizon
-    ~replay:(Some (History omega_k))
-    ~fibers:(fun ~me ~input -> [ Omega_k_sa.proposer proto ~me ~input ])
-    ~decisions:(fun () -> Omega_k_sa.decisions proto)
-    ~rounds:(fun () -> Omega_k_sa.rounds_entered proto)
-    world
+  match protocol with
+  | Fig1 { stab_time; escapes } ->
+      let d = Detector.source (Upsilon.make ~rng ~pattern ?stab_time ()) in
+      go "fig1" ~k:(n_plus_1 - 1) ~base:100 (Some d) Upsilon_sa.proposer
+        Upsilon_sa.decisions Upsilon_sa.rounds_entered
+        (Upsilon_sa.create ~escapes ~name ~n_plus_1 ~upsilon:d ())
+  | Fig2 { f; snapshot; pinned } ->
+      let stable_set = if pinned then Some (Pid.Set.full ~n_plus_1) else None in
+      let stab_time = if pinned then Some 0 else None in
+      let d =
+        Detector.source
+          (Upsilon_f.make ~rng ~pattern ~f ?stable_set ?stab_time ())
+      in
+      go "fig2" ~k:f ~base:200 (Some d) Upsilon_f_sa.proposer
+        Upsilon_f_sa.decisions Upsilon_f_sa.rounds_entered
+        (Upsilon_f_sa.create ~snapshot_impl:snapshot ~name ~n_plus_1 ~f
+           ~upsilon_f:d ())
+  | Omega_n { stab_time } ->
+      let k = n_plus_1 - 1 in
+      let d = Detector.source (Omega_k.make ~rng ~pattern ~k ~stab_time ()) in
+      go "omega_k" ~k ~base:300 (Some d) Omega_k_sa.proposer
+        Omega_k_sa.decisions Omega_k_sa.rounds_entered
+        (Omega_k_sa.create ~name ~n_plus_1 ~k ~omega_k:d)
+  | Async ->
+      go "async" ~k:(n_plus_1 - 1) ~base:500 None Async_attempt.proposer
+        Async_attempt.decisions Async_attempt.rounds_entered
+        (Async_attempt.create ~name ~n_plus_1)
 
-let run_async_attempt ?(horizon = 200_000) world =
-  async ~name:"async" ~horizon ~observers:[]
-    { world with policy = Policy.round_robin () }
+(* [wfde trace] runs at most this many steps; the skeleton, which never
+   decides under lock-step, runs twice the printed events up to it. *)
+let trace_horizon = 500_000
 
-let trace_run ~observers ~protocol ~seed ~n_plus_1 ~f ~limit =
+let trace_setup ~protocol ~seed ~n_plus_1 ~f ~limit =
   (* the random world, with its detector drawn from a fresh generator
      on the same seed *)
   let random = random_world ~seed ~n_plus_1 ~max_faulty:(n_plus_1 - 1) () in
   let world = { random with world_rng = Rng.create seed } in
-  let traced description world (_ : measurements) = Some (description, world) in
+  let traced description ?(horizon = trace_horizon) protocol world =
+    Some (description, { protocol; horizon; observers = [] }, world)
+  in
   match protocol with
   | "fig1" ->
-      traced "Fig 1: upsilon-based n-set-agreement" world
-        (fig1 ~name:"t" ~horizon:500_000 ~stab_time:None ~escapes:None
-           ~observers world)
+      traced "Fig 1: upsilon-based n-set-agreement"
+        (Fig1 { stab_time = None; escapes = Upsilon_sa.all_escapes })
+        world
   | "fig2" ->
       let pattern =
         Failure_pattern.random (Rng.create (seed + 1)) ~n_plus_1 ~max_faulty:f
           ~latest:300
       in
-      let world = { world with pattern } in
-      traced "Fig 2: upsilon_f-based f-set-agreement" world
-        (fig2 ~name:"t" ~horizon:500_000 ~snapshot_impl:None ~f ~observers
-           world)
+      traced "Fig 2: upsilon_f-based f-set-agreement"
+        (Fig2 { f; snapshot = Memory.Snap.Registers; pinned = false })
+        { world with pattern }
   | "async" ->
-      let world =
+      traced "detector-free skeleton under lock-step (the impossibility run)"
+        ~horizon:(2 * min limit (trace_horizon / 2))
+        Async
         {
           world with
           pattern = Failure_pattern.no_failures ~n_plus_1;
           policy = Policy.round_robin ();
         }
-      in
-      traced "detector-free skeleton under lock-step (the impossibility run)"
-        world
-        (async ~name:"t" ~horizon:(limit * 2) ~observers world)
   | _ -> None
 
 (* ------------------------------------------------- model checking *)
@@ -558,7 +551,7 @@ let run_hb_detector ~mode ~net world =
   count ~proto:"hb" (Result.is_ok verdict);
   (verdict, Heartbeat.stabilized_at eng ~only:(Failure_pattern.is_correct pattern))
 
-let run_msg_consensus ?(horizon = 3_000_000) ?omega_impl world =
+let run_msg_consensus ~horizon ~omega_impl world =
   let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
   let create omega = Msg_consensus.create ~name:"mc" ~n_plus_1 ~omega in
   let proto, monitors, replay, world =

@@ -1,6 +1,10 @@
-(** One-call drivers for whole protocol runs: build a world (pattern,
-    detector, schedule), run a protocol to completion or horizon, and
-    return the measurements the experiments aggregate. *)
+(** Whole protocol runs. A run is a world (failure pattern, detector
+    randomness, schedule) plus one algorithm, run to completion or to a
+    horizon. {!run} takes the paper's agreement protocols as one
+    {!setup} value, and {!run_agreement} runs any other agreement
+    world; the rest drive the model checker, the Fig-3 extraction and
+    the heartbeat detectors. Each returns what the experiments
+    aggregate. *)
 
 open Kernel
 open Agreement
@@ -50,59 +54,61 @@ val run_agreement :
   base:int ->
   horizon:int ->
   replay:'v replay option ->
-  ?observers:(Trace.event -> unit) list ->
   fibers:(me:Pid.t -> input:int -> (unit -> unit) list) ->
   decisions:(unit -> (Pid.t * int) list) ->
   rounds:(unit -> int) ->
   world ->
   measurements
-(** The one runner for agreement worlds. Run [fibers] for every process
+(** The one way an agreement world runs. Run [fibers] for every process
     [p], proposing [base + p], under the world's pattern and policy for
     up to [horizon] steps; check {!Agreement.Sa_spec} with bound [k] on
     [decisions ()]; read [rounds ()] (the highest round entered); and
     count the run as [harness.runs{proto=<label>}]. One observer takes
     the decision times and replays every query of [replay]'s detector
-    against its history (run condition 2); the run keeps no trace
-    unless the caller's [observers] (default none) keep one. The
+    against its history (run condition 2); the run keeps no trace. The
     detector itself, if any, is the caller's, already inside the
     fibers. *)
 
-val run_fig1 :
-  ?horizon:int ->
-  ?stab_time:int ->
-  ?escapes:Upsilon_sa.escapes ->
-  world ->
-  measurements
-(** Fig 1 with a fresh Υ history over the world's pattern; inputs are
-    distinct per process. *)
+(** The paper's protocols, each with the parameters it reads. *)
+type protocol =
+  | Fig1 of { stab_time : int option; escapes : Upsilon_sa.escapes }
+      (** Υ stabilizes at [stab_time] (default: drawn) *)
+  | Fig2 of { f : int; snapshot : Memory.Snap.impl; pinned : bool }
+      (** [pinned]: Υᶠ outputs Π from time 0, so every correct process
+          takes the snapshot path *)
+  | Omega_n of { stab_time : int }  (** the Ωₙ-based baseline [18] *)
+  | Async  (** the detector-free skeleton *)
 
-val run_fig2 :
-  ?snapshot_impl:Memory.Snap.impl -> f:int -> world -> measurements
-(** Fig 2 with a fresh Υᶠ history over the world's pattern. *)
+type setup = {
+  protocol : protocol;
+  horizon : int;
+  observers : (Trace.event -> unit) list;
+      (** passed every event after the runner's own observer; they
+          cannot change the measurements *)
+}
 
-val run_omega_k_baseline : ?stab_time:int -> k:int -> world -> measurements
-(** The Ωₖ-based baseline under the same conventions. *)
+val default_horizon : int
+(** 2,000,000 steps. *)
 
-val run_async_attempt : ?horizon:int -> world -> measurements
-(** The detector-free skeleton under lock-step round-robin (the
-    adversarial schedule) in place of the world's policy. *)
+val setup : protocol -> setup
+(** [protocol] with {!default_horizon} and no observers. *)
 
-val trace_run :
-  observers:(Trace.event -> unit) list ->
+val run : setup -> world -> measurements
+(** Run the protocol through {!run_agreement}, its detector history
+    drawn from the world's [world_rng]. *)
+
+val trace_setup :
   protocol:string ->
   seed:int ->
   n_plus_1:int ->
   f:int ->
   limit:int ->
-  (string * world) option
-(** Run the world [wfde trace] replays, passing its events to
-    [observers] — [Trace.record] into a builder keeps its trace — and
-    return [(description, world)],
-    where [world] is the pattern and policy the run used: ["fig1"] (Υ
-    from the seed's own generator), ["fig2"] (Υᶠ with [f] over a
-    separately seeded pattern), or ["async"] (the detector-free
-    skeleton, failure-free under lock-step, for [2 * limit] steps).
-    [None] for any other protocol name. *)
+  (string * setup * world) option
+(** What [wfde trace] runs, as [(description, setup, world)]: ["fig1"]
+    (Υ from the seed's own generator), ["fig2"] (Υᶠ with [f] over a
+    separately seeded pattern), each for 500,000 steps, or ["async"]
+    (failure-free under lock-step, for [2 * limit] steps, at most
+    500,000). [None] for any other protocol name. *)
 
 (** {1 Model checking}
 
@@ -235,15 +241,16 @@ val run_hb_detector :
     Returns the verdict and the empirical stabilization time. *)
 
 val run_msg_consensus :
-  ?horizon:int ->
-  ?omega_impl:Link.config ->
+  horizon:int ->
+  omega_impl:Link.config option ->
   world ->
   measurements * (unit, string) result
 (** E11's message-passing consensus (Ω + commit–adopt over ABD) as a
     one-call driver; the second component is the linearizability
-    verdict on the emulated memory. With [omega_impl] the protocol's Ω
-    is not an oracle but the live min-unsuspected leader of a heartbeat
-    ◇P over the given link; recorded leader queries are then replayed
+    verdict on the emulated memory. With [omega_impl = None] Ω is an
+    oracle history. With [Some net] it is the live min-unsuspected
+    leader of a heartbeat ◇P over the link [net]; recorded leader
+    queries are then replayed
     against {!Reduction.Pairwise.omega_of_ev_perfect} of the
     reconstructed history, so [query_violations] certifies the live
     view agreed with the reconstruction. *)

@@ -16,7 +16,15 @@ val legal_stable_sets : pattern:Failure_pattern.t -> f:int -> Pid.Set.t list
 (** All sets a history of Υᶠ may stabilize to under the pattern: size
     ≥ n+1−f and different from [correct(F)]. Never empty (Π qualifies
     whenever some process is faulty; any co-singleton beats a
-    failure-free pattern). *)
+    failure-free pattern). Lists every subset of Π, so n+1 ≤ 20 only. *)
+
+val pick_stable_set :
+  Rng.t -> pattern:Failure_pattern.t -> f:int -> Pid.Set.t
+(** A uniformly chosen legal stable set, at any n+1 up to
+    {!Kernel.Pid.max_procs}: the set and the draws are those of
+    [Rng.pick rng (legal_stable_sets ~pattern ~f)] whenever fewer than
+    [max_int] sets have n+1−f members or more (always, below n+1 = 62),
+    without listing them. *)
 
 val make :
   ?name:string ->

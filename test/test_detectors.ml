@@ -243,9 +243,49 @@ let test_query_consumes_step_and_reads_history () =
   checki "queries traced" 6
     (List.length (Trace.queries trace ~detector:"omega"))
 
+(* Past n+1 = 20, where listing every subset is out of reach, the pick
+   still lands on a legal set: n+1-f members or more, not the correct
+   set. At n+1 = 62 and 63 with f = n the legal sets outnumber what
+   [Rng.int] can index. *)
+let test_upsilon_f_pick_large_systems () =
+  List.iter
+    (fun (n_plus_1, f) ->
+      for seed = 1 to 5 do
+        let pattern =
+          Failure_pattern.random (Rng.create seed) ~n_plus_1 ~max_faulty:f
+            ~latest:40
+        in
+        let u = Upsilon_f.pick_stable_set (Rng.create seed) ~pattern ~f in
+        let name = Printf.sprintf "n+1=%d f=%d seed %d" n_plus_1 f seed in
+        checkb (name ^ ": size") true (Pid.Set.cardinal u >= n_plus_1 - f);
+        checkb (name ^ ": not the correct set") false
+          (Pid.Set.equal u (Failure_pattern.correct pattern));
+        checkb (name ^ ": same seed, same set") true
+          (Pid.Set.equal u
+             (Upsilon_f.pick_stable_set (Rng.create seed) ~pattern ~f))
+      done)
+    [ (21, 20); (21, 1); (40, 3); (62, 61); (62, 30); (63, 62); (63, 1) ]
+
 let qcheck_cases =
   let open QCheck in
   [
+    Test.make ~count:200
+      ~name:"stable-set pick = Rng.pick over the listed legal sets"
+      (triple (int_range 2 10) int int)
+      (fun (n_plus_1, pattern_seed, seed) ->
+        let pattern =
+          Failure_pattern.random (Rng.create pattern_seed) ~n_plus_1
+            ~max_faulty:(n_plus_1 - 1) ~latest:40
+        in
+        List.for_all
+          (fun f ->
+            let a = Rng.create seed and b = Rng.create seed in
+            Pid.Set.equal
+              (Upsilon_f.pick_stable_set a ~pattern ~f)
+              (Rng.pick b (Upsilon_f.legal_stable_sets ~pattern ~f))
+            (* and the generator is left where the listed pick leaves it *)
+            && Rng.int a max_int = Rng.int b max_int)
+          (List.init (n_plus_1 - 1) (fun i -> i + 1)));
     Test.make ~count:60 ~name:"upsilon_f spec holds for random (n, f, seed)"
       small_nat
       (fun seed ->
@@ -290,6 +330,8 @@ let suite =
     Alcotest.test_case "upsilon_f env check" `Quick
       test_upsilon_f_rejects_pattern_outside_env;
     Alcotest.test_case "upsilon = upsilon^n" `Quick test_upsilon_equals_upsilon_n;
+    Alcotest.test_case "upsilon_f pick at n+1 up to 63" `Quick
+      test_upsilon_f_pick_large_systems;
     Alcotest.test_case "omega leader correct" `Quick test_omega_leader_correct;
     Alcotest.test_case "omega rejects faulty leader" `Quick
       test_omega_rejects_faulty_leader;

@@ -84,10 +84,12 @@ let test_consensus_with_implemented_omega () =
         Wfde.Harness.random_world ~seed:(300 + seed) ~n_plus_1:3 ~max_faulty:1
           ~latest:100 ()
       in
-      let oracle, mem_o = Wfde.Harness.run_msg_consensus ~horizon:400_000 (w ()) in
+      let oracle, mem_o =
+        Wfde.Harness.run_msg_consensus ~horizon:400_000 ~omega_impl:None (w ())
+      in
       let impl, mem_i =
         Wfde.Harness.run_msg_consensus ~horizon:400_000
-          ~omega_impl:(cfg ~gst:50 ~loss:30 ())
+          ~omega_impl:(Some (cfg ~gst:50 ~loss:30 ()))
           (w ())
       in
       checkb

@@ -269,9 +269,10 @@ let test_exported_schedule_replays () =
   done
 
 (* The [wfde trace --out] exports pinned byte for byte: each golden was
-   written by the CLI, and re-running its world through the same
-   [Harness.trace_run] and [Trace_export.save_file] must reproduce the
-   file exactly. fig1 seed 13 has a gladiator whose Υ set is a
+   written by the CLI, and running the setup [Harness.trace_setup]
+   builds for its world through [Harness.run], with a [Trace.record]
+   observer, then [Trace_export.save_file], must reproduce the file
+   exactly. fig1 seed 13 has a gladiator whose Υ set is a
    singleton, so it runs 0-converge. *)
 let golden_exports =
   [
@@ -288,14 +289,35 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 (* A golden world run as [wfde trace] runs it, its trace kept by a
    builder next to any further [observers]. *)
 let trace_golden ?(observers = []) (file, protocol, seed, n_plus_1, f) =
-  let kept = Trace.builder () in
   match
-    Wfde.Harness.trace_run
-      ~observers:(Trace.record kept :: observers)
-      ~protocol ~seed ~n_plus_1 ~f ~limit:120
+    Wfde.Harness.trace_setup ~protocol ~seed ~n_plus_1 ~f ~limit:120
   with
   | None -> Alcotest.failf "%s: unknown protocol %s" file protocol
-  | Some (_, world) -> (world, Trace.finish kept)
+  | Some (_, setup, world) ->
+      let kept = Trace.builder () in
+      ignore
+        (Wfde.Harness.run
+           { setup with observers = Trace.record kept :: observers }
+           world);
+      (world, Trace.finish kept)
+
+(* The skeleton runs [2 * limit] steps, as the async goldens (limit 120)
+   pin, but never more than the figures' 500,000: a limit near
+   [max_int] once overflowed the product to a negative horizon, which
+   no run reaches. *)
+let test_trace_async_horizon () =
+  let horizon limit =
+    match
+      Wfde.Harness.trace_setup ~protocol:"async" ~seed:1 ~n_plus_1:3 ~f:1
+        ~limit
+    with
+    | Some (_, setup, _) -> setup.Wfde.Harness.horizon
+    | None -> Alcotest.fail "async is a trace protocol"
+  in
+  checki "limit 120" 240 (horizon 120);
+  checki "limit 250,000" 500_000 (horizon 250_000);
+  checki "limit 2^61" 500_000 (horizon (1 lsl 61));
+  checki "limit max_int" 500_000 (horizon max_int)
 
 let test_golden_exports () =
   List.iter
@@ -325,7 +347,7 @@ let test_golden_observer_stream () =
         (Trace_export.to_lines (List.rev !seen)))
     golden_exports
 
-(* [trace_run] returns the world the run used: the printed pattern is the
+(* [trace_setup] returns the world the run uses: the printed pattern is the
    one the traced run crashes under, and no process steps at or after
    its crash time in it. *)
 let test_trace_world_is_run_world () =
@@ -542,6 +564,8 @@ let suite =
       test_golden_observer_stream;
     Alcotest.test_case "trace world is the run's world" `Quick
       test_trace_world_is_run_world;
+    Alcotest.test_case "trace: async horizon saturates" `Quick
+      test_trace_async_horizon;
     Alcotest.test_case "log buckets (1-2-5 series)" `Quick test_log_buckets;
     Alcotest.test_case "histogram quantiles" `Quick test_hist_quantile;
     Alcotest.test_case "prometheus exposition" `Quick test_prom_render;

@@ -974,29 +974,59 @@ let wfde_cli =
     (Filename.dirname Sys.executable_name)
     "../bin/wfde_cli.exe"
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Run [wfde args] to its exit and return the status, stdout and
+   stderr. A run still going after [deadline] seconds is killed and
+   fails the test, so a CLI that never ends fails instead of hanging
+   the suite. *)
+let cli ?(deadline = 60.) args =
+  let out = Filename.temp_file "wfde-test-cli" ".out" in
+  let err = Filename.temp_file "wfde-test-cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
+  let fd path = Unix.openfile path [ O_WRONLY; O_TRUNC ] 0o600 in
+  let out_fd = fd out and err_fd = fd err in
+  let pid =
+    Unix.create_process wfde_cli
+      (Array.of_list ("wfde" :: args))
+      Unix.stdin out_fd err_fd
+  in
+  Unix.close out_fd;
+  Unix.close err_fd;
+  let t0 = Unix.gettimeofday () in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () -. t0 > deadline ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "wfde %s still running after %.0f s"
+          (String.concat " " args) deadline
+    | 0, _ ->
+        Unix.sleepf 0.01;
+        wait ()
+    | _, status -> status
+  in
+  let status = wait () in
+  (status, read_file out, read_file err)
+
 (* Run [wfde args], which must exit 0, and return its stdout. *)
 let cli_ok args =
-  let ic = Unix.open_process_args_in wfde_cli (Array.of_list ("wfde" :: args)) in
-  let out = In_channel.input_all ic in
-  checkb
-    (Printf.sprintf "wfde %s exits 0" (String.concat " " args))
-    true
-    (Unix.close_process_in ic = Unix.WEXITED 0);
+  let status, out, err = cli args in
+  if status <> Unix.WEXITED 0 then
+    Alcotest.failf "wfde %s did not exit 0:\n%s" (String.concat " " args) err;
   out
+
+let no_backtrace name err =
+  let err = String.lowercase_ascii err in
+  checkb (name ^ ": no backtrace") false
+    (contains err "raised at" || contains err "backtrace"
+    || contains err "exception")
 
 (* A process set is one machine word, so a system holds at most 63
    processes: [wfde trace -n 64] is a one-line usage error, never a
    backtrace from inside the kernel. *)
 let test_cli_procs_cap () =
-  let ((out_ic, in_oc, err_ic) as proc) =
-    Unix.open_process_args_full wfde_cli
-      [| "wfde"; "trace"; "-n"; "64" |]
-      (Unix.environment ())
-  in
-  close_out in_oc;
-  let out = In_channel.input_all out_ic in
-  let err = In_channel.input_all err_ic in
-  let status = Unix.close_process_full proc in
+  let status, out, err = cli [ "trace"; "-n"; "64" ] in
   checkb "exits non-zero" true (status <> Unix.WEXITED 0);
   checks "nothing on stdout" "" out;
   (match String.split_on_char '\n' err with
@@ -1004,15 +1034,47 @@ let test_cli_procs_cap () =
       checkb "first line names the bound" true
         (contains first "--procs must be an integer in [2, 63]")
   | [] -> Alcotest.fail "no error message");
-  checkb "no backtrace" false
-    (contains err "Raised at" || contains err "exception")
+  no_backtrace "trace -n 64" err
+
+(* Bad arguments exit with their documented code and a one-line
+   message: 124 for an integer out of its range, 2 for an unknown
+   experiment id or a fig2 resilience not below the system size. *)
+let test_cli_argument_errors () =
+  List.iter
+    (fun (args, code, message) ->
+      let name = "wfde " ^ String.concat " " args in
+      let status, _, err = cli args in
+      checkb (Printf.sprintf "%s: exits %d" name code) true
+        (status = Unix.WEXITED code);
+      checkb (name ^ ": says " ^ message) true (contains err message);
+      no_backtrace name err)
+    [
+      ([ "run"; "--scale"; "foo" ], 124, "must be an integer in");
+      ([ "run"; "e99" ], 2, "unknown experiment id");
+      ([ "check"; "--depth=-2" ], 124, "must be an integer in");
+      ([ "trace"; "-p"; "fig2"; "-n"; "3"; "-f"; "3" ], 2, "must be below --procs");
+    ]
+
+(* Past n+1 = 20 the traced figures still run: Υᶠ draws its stable set
+   without listing every subset of Π. *)
+let test_cli_trace_large_systems () =
+  List.iter
+    (fun args -> ignore (cli_ok ("trace" :: args)))
+    [
+      [ "-p"; "fig1"; "-n"; "21"; "--limit"; "2" ];
+      [ "-p"; "fig2"; "-n"; "40"; "-f"; "3"; "--limit"; "2" ];
+    ]
+
+(* The skeleton's horizon is twice the limit, capped: a limit near
+   [max_int] once overflowed it to a negative number and the run, which
+   starves under lock-step, never ended. *)
+let test_cli_trace_async_huge_limit () =
+  ignore (cli_ok [ "trace"; "-p"; "async"; "--limit"; "4611686018427387903" ])
 
 let cli_json args =
   match J.of_string (cli_ok args) with
   | Ok j -> j
   | Error e -> Alcotest.failf "wfde %s printed bad JSON: %s" (List.hd args) e
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let hex_entries dir =
   List.filter
@@ -1021,17 +1083,19 @@ let hex_entries dir =
       && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) f)
     (Array.to_list (Sys.readdir dir))
 
-(* [wfde serve --cache-dir dir] as a child process; [f socket log] runs
-   once the readiness banner is out, then the daemon gets SIGTERM and
-   must drain and exit 0. Returns [f]'s result. *)
-let with_cli_daemon ~dir f =
+(* [wfde serve] with [args] as a child process; [f socket log] runs
+   once the readiness banner names the socket, then the daemon gets
+   SIGTERM and must drain, exit 0 and remove its socket. Returns [f]'s
+   result. *)
+let with_cli_daemon args f =
   let socket = temp_socket () in
   let log = Filename.temp_file "wfde-test-serve" ".log" in
   let fd = Unix.openfile log [ O_WRONLY; O_TRUNC ] 0o600 in
   let pid =
     Unix.create_process wfde_cli
-      [| "wfde"; "serve"; "--socket"; socket; "--workers"; "2"; "--queue"; "32";
-         "--cache"; "64"; "--cache-dir"; dir |]
+      (Array.of_list
+         ([ "wfde"; "serve"; "--socket"; socket; "--workers"; "2"; "--queue";
+            "32" ] @ args))
       Unix.stdin fd fd
   in
   Unix.close fd;
@@ -1045,14 +1109,17 @@ let with_cli_daemon ~dir f =
       Sys.remove log)
     (fun () ->
       eventually ~timeout:30.0 "wfde serve readiness banner" (fun () ->
-          contains (read_file log) "wfde serve: listening on");
+          contains (read_file log) ("wfde serve: listening on " ^ socket));
       let v = f socket (read_file log) in
       Unix.kill pid Sys.sigterm;
       let _, status = Unix.waitpid [] pid in
       exited := true;
       checkb "SIGTERM drains and exits 0" true (status = Unix.WEXITED 0);
       checkb "drain logged" true (contains (read_file log) "wfde serve: drained, bye");
+      checkb "socket removed" false (Sys.file_exists socket);
       v)
+
+let cache_args dir = [ "--cache"; "64"; "--cache-dir"; dir ]
 
 let client_check ?(params = J.to_string (J.Obj check_params)) socket =
   cli_ok [ "client"; "check"; "--socket"; socket; "--params"; params ]
@@ -1060,10 +1127,55 @@ let client_check ?(params = J.to_string (J.Obj check_params)) socket =
 let int_member name j =
   match J.member name j with Some (J.Int n) -> n | _ -> Alcotest.failf "no int %s" name
 
+(* The daemon end to end, as a child process: health over the socket,
+   run and check payloads byte-identical to the CLI's output, and the
+   structured-error exit codes (1 for unknown_method, 124 for
+   deadline_exceeded); [with_cli_daemon] checks the SIGTERM drain. *)
+let test_cli_daemon_smoke () =
+  with_cli_daemon [] (fun socket _ ->
+      let health = cli_json [ "client"; "health"; "--socket"; socket ] in
+      checkb "health: status ok" true
+        (J.member "status" health = Some (J.String "ok"));
+      checki "health: workers" 2 (int_member "workers" health);
+      let json = Filename.temp_file "wfde-test-check" ".json" in
+      Fun.protect ~finally:(fun () -> Sys.remove json) (fun () ->
+          ignore
+            (cli_ok
+               [ "check"; "--object"; "register"; "--depth"; "3"; "--horizon";
+                 "60"; "--json"; json ]);
+          checks "client check = check --json" (read_file json)
+            (client_check socket));
+      let run =
+        cli_json
+          [ "client"; "run"; "--socket"; socket; "--params";
+            {|{"experiments":["e1"]}|} ]
+      in
+      checkb "run: ok" true (J.member "ok" run = Some (J.Bool true));
+      checkb "run: every experiment ok" true
+        (match J.member "experiments" run with
+        | Some (J.List (_ :: _ as es)) ->
+            List.for_all (fun e -> J.member "ok" e = Some (J.Bool true)) es
+        | _ -> false);
+      checkb "run: output = wfde run e1 stdout" true
+        (J.member "output" run = Some (J.String (cli_ok [ "run"; "e1" ])));
+      List.iter
+        (fun (args, code, message) ->
+          let status, _, err = cli ("client" :: args) in
+          checkb (Printf.sprintf "%s exits %d" message code) true
+            (status = Unix.WEXITED code);
+          checkb ("stderr names " ^ message) true (contains err message))
+        [
+          ([ "nosuch"; "--socket"; socket ], 1, "unknown_method");
+          ( [ "sleep"; "--socket"; socket; "--params"; {|{"ms":2000}|};
+              "--deadline-ms"; "50" ],
+            124,
+            "deadline_exceeded" );
+        ])
+
 let test_cli_cache_banner_and_stats () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  with_cli_daemon ~dir (fun socket banner ->
+  with_cli_daemon (cache_args dir) (fun socket banner ->
       checkb "banner names the cache dir" true
         (contains banner ("cache-dir=" ^ dir));
       let cold = client_check socket in
@@ -1092,8 +1204,8 @@ let test_cli_cache_banner_and_stats () =
 let test_cli_cache_disk_and_clear () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let cold = with_cli_daemon ~dir (fun socket _ -> client_check socket) in
-  with_cli_daemon ~dir (fun socket _ ->
+  let cold = with_cli_daemon (cache_args dir) (fun socket _ -> client_check socket) in
+  with_cli_daemon (cache_args dir) (fun socket _ ->
       let disk = client_check socket in
       checks "disk-served bytes equal the pre-restart answer" cold disk;
       let json = Filename.temp_file "wfde-test-check" ".json" in
@@ -1178,6 +1290,14 @@ let suite =
       `Quick test_cli_cache_disk_and_clear;
     Alcotest.test_case "cli: trace -n 64 is a one-line error" `Quick
       test_cli_procs_cap;
+    Alcotest.test_case "cli: bad arguments exit with one-line errors" `Quick
+      test_cli_argument_errors;
+    Alcotest.test_case "cli: trace at n+1 = 21 and 40" `Quick
+      test_cli_trace_large_systems;
+    Alcotest.test_case "cli: trace -p async with a huge limit ends" `Quick
+      test_cli_trace_async_huge_limit;
+    Alcotest.test_case "cli: daemon health, payloads, errors, drain" `Quick
+      test_cli_daemon_smoke;
     Alcotest.test_case "cache: hit/miss spans in the trace tree" `Quick
       test_daemon_cache_spans;
   ]

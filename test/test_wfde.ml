@@ -40,13 +40,58 @@ let test_harness_world_determinism () =
     (Format.asprintf "%a" Failure_pattern.pp w1.Wfde.Harness.pattern)
     (Format.asprintf "%a" Failure_pattern.pp w2.Wfde.Harness.pattern)
 
+let fig1 stab_time =
+  Wfde.Harness.Fig1 { stab_time; escapes = Agreement.Upsilon_sa.all_escapes }
+
 let test_harness_fig1_measures () =
   let w = Wfde.Harness.random_world ~seed:3 ~n_plus_1:3 ~max_faulty:2 () in
-  let m = Wfde.Harness.run_fig1 w in
+  let m = Wfde.Harness.run (Wfde.Harness.setup (fig1 None)) w in
   checkb "ok" true (Wfde.Harness.ok m);
   checkb "decision times ordered" true
     (m.Wfde.Harness.first_decision_time <= m.Wfde.Harness.last_decision_time);
   checkb "rounds positive" true (m.Wfde.Harness.rounds >= 1)
+
+(* Observers only observe: E1, E2 and E8 worlds, each built as its
+   experiment builds it, measure the same with and without an extra
+   observer that keeps the trace. *)
+let test_observers_do_not_change_runs () =
+  let random seed ~n_plus_1 ~max_faulty () =
+    Wfde.Harness.random_world ~seed ~n_plus_1 ~max_faulty ()
+  in
+  let lockstep () =
+    {
+      Wfde.Harness.pattern = Failure_pattern.no_failures ~n_plus_1:3;
+      policy = Policy.round_robin ();
+      world_rng = Rng.create 1;
+    }
+  in
+  let fig2 f =
+    Wfde.Harness.setup
+      (Fig2 { f; snapshot = Memory.Snap.Registers; pinned = false })
+  in
+  let lockstep_for protocol =
+    { (Wfde.Harness.setup protocol) with horizon = 10_000 }
+  in
+  List.iter
+    (fun (name, setup, world) ->
+      let plain = Wfde.Harness.run setup (world ()) in
+      let kept = Trace.builder () in
+      let observed =
+        Wfde.Harness.run
+          { setup with observers = [ Trace.record kept ] }
+          (world ())
+      in
+      checkb (name ^ ": same measurements") true (plain = observed);
+      checkb (name ^ ": the observer saw the run") true
+        (Trace.finish kept <> []))
+    [
+      ("e1 n+1=3", Wfde.Harness.setup (fig1 None), random 3001 ~n_plus_1:3 ~max_faulty:2);
+      ("e1 n+1=5", Wfde.Harness.setup (fig1 None), random 5007 ~n_plus_1:5 ~max_faulty:4);
+      ("e2 n+1=4 f=2", fig2 2, random ((4 * 7919) + (2 * 131) + 3) ~n_plus_1:4 ~max_faulty:2);
+      ("e2 n+1=5 f=3", fig2 3, random ((5 * 7919) + (3 * 131)) ~n_plus_1:5 ~max_faulty:3);
+      ("e8 no detector", lockstep_for Async, lockstep);
+      ("e8 upsilon", lockstep_for (fig1 (Some 0)), lockstep);
+    ]
 
 (* -- experiments (small parameters) ---------------------------------------- *)
 
@@ -223,6 +268,8 @@ let suite =
     Alcotest.test_case "harness world determinism" `Quick
       test_harness_world_determinism;
     Alcotest.test_case "harness fig1 measures" `Quick test_harness_fig1_measures;
+    Alcotest.test_case "observers do not change a run" `Quick
+      test_observers_do_not_change_runs;
     Alcotest.test_case "all experiments hold (small)" `Slow
       test_experiments_hold_small;
     Alcotest.test_case "small tables match golden" `Quick
