@@ -536,6 +536,11 @@ let detector_impl_configs : (string * (unit -> (string * int) list)) list =
     in
     [ ("violations", if o.Wfde.Harness.violation = None then 0 else 1) ]
   in
+  (* one leg on the same world with each detector choice, as in D2 *)
+  let both run =
+    let oracle = run Wfde.Harness.Oracle in
+    (oracle, run (Wfde.Harness.Heartbeat hb_bench_net))
+  in
   let chaos = Wfde.Scenario.default_chaos in
   [
     ("hb/evP monitors gst=60 loss=40 (3 worlds)", fun () -> monitors `Ev_perfect);
@@ -545,16 +550,12 @@ let detector_impl_configs : (string * (unit -> (string * int) list)) list =
         let rs =
           List.map
             (fun seed ->
-              let w () =
-                Wfde.Harness.random_world ~seed:(4000 + seed) ~n_plus_1:4
-                  ~max_faulty:2 ~latest:150 ()
-              in
-              let oracle, _ =
-                Wfde.Harness.run_extraction_of ~f:2 ~source:`Ev_perfect (w ())
-              in
-              let implemented, stab =
-                Wfde.Harness.run_extraction_of ~f:2
-                  ~source:(`Hb_ev_perfect hb_bench_net) (w ())
+              let (oracle, _), (implemented, stab) =
+                both (fun detectors ->
+                    Wfde.Harness.run_extraction_of ~f:2
+                      ~source:(`Ev_perfect detectors)
+                      (Wfde.Harness.random_world ~seed:(4000 + seed)
+                         ~n_plus_1:4 ~max_faulty:2 ~latest:150 ()))
               in
               ( (if Result.is_ok oracle && Result.is_ok implemented then 1
                  else 0),
@@ -570,17 +571,11 @@ let detector_impl_configs : (string * (unit -> (string * int) list)) list =
         let rs =
           List.map
             (fun seed ->
-              let w () =
-                Wfde.Harness.random_world ~seed:(300 + seed) ~n_plus_1:3
-                  ~max_faulty:1 ~latest:100 ()
-              in
-              let oracle, mem_o =
-                Wfde.Harness.run_msg_consensus ~horizon:60_000
-                  ~omega_impl:None (w ())
-              in
-              let impl, mem_i =
-                Wfde.Harness.run_msg_consensus ~horizon:60_000
-                  ~omega_impl:(Some hb_bench_net) (w ())
+              let (oracle, mem_o), (impl, mem_i) =
+                both (fun detectors ->
+                    Wfde.Harness.run_msg_consensus ~horizon:60_000 ~detectors
+                      (Wfde.Harness.random_world ~seed:(300 + seed)
+                         ~n_plus_1:3 ~max_faulty:1 ~latest:100 ()))
               in
               let ok =
                 Wfde.Harness.ok oracle && Wfde.Harness.ok impl

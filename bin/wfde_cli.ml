@@ -60,27 +60,24 @@ let write_json ~what ~log path doc =
    through Serve.Service's renderers so 'wfde run' and a daemon 'run'
    request agree byte for byte. *)
 
-let reject_unknown_ids ids =
+(* Run [ids] under [config] with the daemon's runner, which cannot fail
+   without a deadline, and pass [k] the (id, outcome, wall seconds)
+   rows; unknown ids exit 2 first. *)
+let with_experiments ids config k =
   match Serve.Service.unknown_ids ids with
-  | [] -> true
+  | [] -> k (Result.get_ok (Serve.Service.run_experiments config ids))
   | unknown ->
       Format.eprintf "unknown experiment id(s): %s (see 'wfde list')@."
         (String.concat ", " unknown);
-      false
+      2
 
-(* the daemon's runner, without a deadline, so it cannot fail *)
-let timed_outcomes ?impl ids ~scale ~jobs =
-  Result.get_ok (Serve.Service.run_experiments ?impl ~scale ~jobs ids)
+let outcomes timed = List.map (fun (_, o, _) -> o) timed
 
-let run_ids ids scale jobs impl =
-  if not (reject_unknown_ids ids) then 2
-  else begin
-    let outcomes =
-      List.map (fun (_, o, _) -> o) (timed_outcomes ?impl ids ~scale ~jobs)
-    in
-    print_string (Serve.Service.run_text outcomes);
-    if List.for_all (fun o -> o.Wfde.Experiments.ok) outcomes then 0 else 1
-  end
+let run_ids ids config =
+  with_experiments ids config (fun timed ->
+      let outcomes = outcomes timed in
+      print_string (Serve.Service.run_text outcomes);
+      if List.for_all (fun o -> o.Wfde.Experiments.ok) outcomes then 0 else 1)
 
 let ids_arg =
   let doc =
@@ -106,7 +103,7 @@ let jobs_arg =
     & opt (bounded_int ~what:"--jobs" ~min:1 ~max:64) 1
     & info [ "jobs"; "j" ] ~docv:"J" ~doc)
 
-(* Implemented-detector selection, shared by run/stats/check/sweep.
+(* Detector selection, shared by run/stats/check/sweep.
    [--detector-impl hb] swaps the oracle detectors for heartbeat
    implementations over a partially synchronous link whose config is
    built from [--gst]/[--loss] (remaining fields fixed so the same
@@ -122,7 +119,7 @@ let detector_impl_arg =
   in
   Arg.(
     value
-    & opt (Arg.enum [ ("oracle", `Oracle); ("hb", `Hb) ]) `Oracle
+    & opt (Arg.enum [ ("oracle", false); ("hb", true) ]) false
     & info [ "detector-impl" ] ~docv:"IMPL" ~doc)
 
 let gst_arg =
@@ -147,25 +144,26 @@ let loss_arg =
     & opt (bounded_int ~what:"--loss" ~min:0 ~max:100) 50
     & info [ "loss" ] ~docv:"P" ~doc)
 
-let impl_config impl gst loss =
-  match impl with
-  | `Oracle -> None
-  | `Hb ->
-      Some
-        {
-          Wfde.Link.gst;
-          delta = 2;
-          pre_delay = (gst + 3) / 4;
-          loss_pct = loss;
-          link_seed = 7;
-        }
+let detectors heartbeat gst loss =
+  if not heartbeat then Wfde.Harness.Oracle
+  else
+    Wfde.Harness.Heartbeat
+      { Wfde.Link.gst; delta = 2; pre_delay = (gst + 3) / 4; loss_pct = loss; link_seed = 7 }
 
-let impl_term = Term.(const impl_config $ detector_impl_arg $ gst_arg $ loss_arg)
+let detectors_term =
+  Term.(const detectors $ detector_impl_arg $ gst_arg $ loss_arg)
+
+(* How run, stats, sweep and the default command run their
+   experiments. *)
+let config_term =
+  let config scale jobs detectors =
+    { Wfde.Experiments.scale; jobs; spans = Wfde.Obs.Span.null; detectors }
+  in
+  Term.(const config $ scale_arg $ jobs_arg $ detectors_term)
 
 let run_cmd =
   let doc = "run experiments (the default command)" in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run_ids $ ids_arg $ scale_arg $ jobs_arg $ impl_term)
+  Cmd.v (Cmd.info "run" ~doc) Term.(const run_ids $ ids_arg $ config_term)
 
 (* ------------------------------------------------------------- list --- *)
 
@@ -193,18 +191,33 @@ let dump_trace protocol seed n_plus_1 f limit out =
         protocol;
       2
   | Some (description, setup, world) -> (
-      let kept = Wfde.Trace.builder () in
-      ignore
-        (Wfde.Harness.run
-           { setup with observers = [ Wfde.Trace.record kept ] }
-           world);
-      let events = Wfde.Trace.finish kept in
+      (* [emit i e] prints or writes the i-th event as it happens; the
+         run keeps only the count and the decisions *)
+      let run emit =
+        let n = ref 0 and decisions = ref [] in
+        let observe e =
+          emit !n e;
+          incr n;
+          match e with
+          | Wfde.Trace.Step
+              { pid; time; kind = Wfde.Sim.Output { label = "decide"; value }; _ }
+            ->
+              decisions := (pid, time, value) :: !decisions
+          | _ -> ()
+        in
+        ignore (Wfde.Harness.run { setup with observers = [ observe ] } world);
+        (!n, List.rev !decisions)
+      in
       match out with
       | Some path -> (
-          match Wfde.Trace_export.save_file path events with
-          | () ->
-              Format.printf "%s@.wrote %d events to %s@." description
-                (List.length events) path;
+          let export oc _ e =
+            output_string oc
+              (Wfde.Json.to_string (Wfde.Trace_export.json_of_event e) ^ "\n")
+          in
+          match Out_channel.with_open_text path (fun oc -> run (export oc)) with
+          | events, _ ->
+              Format.printf "%s@.wrote %d events to %s@." description events
+                path;
               0
           | exception Sys_error msg ->
               Format.eprintf "cannot write trace: %s@." msg;
@@ -212,18 +225,17 @@ let dump_trace protocol seed n_plus_1 f limit out =
       | None ->
           Format.printf "%s@.world: %a@.@." description Wfde.Failure_pattern.pp
             world.Wfde.Harness.pattern;
-          List.iteri
-            (fun i e ->
-              if i < limit then Format.printf "%a@." Wfde.Trace.pp_event e)
-            events;
-          let total = List.length events in
+          let total, decisions =
+            run (fun i e ->
+                if i < limit then Format.printf "%a@." Wfde.Trace.pp_event e)
+          in
           if total > limit then
             Format.printf "... (%d more events)@." (total - limit);
           Format.printf "@.decisions:@.";
           List.iter
-            (fun (pid, t, _, v) ->
+            (fun (pid, t, v) ->
               Format.printf "  t=%-6d %a decided %s@." t Wfde.Pid.pp pid v)
-            (Wfde.Trace.outputs ~label:"decide" events);
+            decisions;
           0)
 
 let trace_cmd =
@@ -272,40 +284,34 @@ let trace_cmd =
 
 (* ------------------------------------------------------------ stats --- *)
 
-let stats_body ids scale jobs impl json_path format =
+let run_stats ids config json_path format =
   Wfde.Metrics.reset ();
-  let outcomes =
-    List.map (fun (_, o, _) -> o) (timed_outcomes ?impl ids ~scale ~jobs)
-  in
-  let failed = List.filter (fun o -> not o.Wfde.Experiments.ok) outcomes in
-  let snap = Wfde.Metrics.snapshot () in
-  (match format with
-  | `Prom -> print_string (Wfde.Obs.Prom.render snap)
-  | `Table ->
-      let title =
-        Printf.sprintf "telemetry after %d experiment(s): %s"
-          (List.length outcomes)
-          (String.concat " "
-             (List.map (fun (o : Wfde.Experiments.outcome) -> o.id) outcomes))
+  with_experiments ids config (fun timed ->
+      let outcomes = outcomes timed in
+      let failed = List.filter (fun o -> not o.Wfde.Experiments.ok) outcomes in
+      let names sep os =
+        String.concat sep (List.map (fun (o : Wfde.Experiments.outcome) -> o.id) os)
       in
-      Format.printf "%s@."
-        (Wfde.Report.to_string (Wfde.Report.of_metrics ~title snap)));
-  let json_failed =
-    write_json ~what:"metrics" ~log:Format.std_formatter json_path
-      (Wfde.Metrics.to_json snap)
-  in
-  if json_failed then 1
-  else if failed = [] then 0
-  else begin
-    Format.printf "FAILED claims: %s@."
-      (String.concat ", "
-         (List.map (fun (o : Wfde.Experiments.outcome) -> o.id) failed));
-    1
-  end
-
-let run_stats ids scale jobs impl json_path format =
-  if not (reject_unknown_ids ids) then 2
-  else stats_body ids scale jobs impl json_path format
+      let snap = Wfde.Metrics.snapshot () in
+      (match format with
+      | `Prom -> print_string (Wfde.Obs.Prom.render snap)
+      | `Table ->
+          let title =
+            Printf.sprintf "telemetry after %d experiment(s): %s"
+              (List.length outcomes) (names " " outcomes)
+          in
+          Format.printf "%s@."
+            (Wfde.Report.to_string (Wfde.Report.of_metrics ~title snap)));
+      let json_failed =
+        write_json ~what:"metrics" ~log:Format.std_formatter json_path
+          (Wfde.Metrics.to_json snap)
+      in
+      if json_failed then 1
+      else if failed = [] then 0
+      else begin
+        Format.printf "FAILED claims: %s@." (names ", " failed);
+        1
+      end)
 
 let stats_cmd =
   let json_arg =
@@ -331,12 +337,12 @@ let stats_cmd =
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
-      const run_stats $ ids_arg $ scale_arg $ jobs_arg $ impl_term $ json_arg
-      $ format_arg)
+      const run_stats $ ids_arg $ config_term $ json_arg $ format_arg)
 
 (* ------------------------------------------------------------ check --- *)
 
-let run_check obj_name procs depth horizon jobs mutant_name impl json_path =
+let run_check obj_name procs depth horizon jobs mutant_name detectors json_path
+    =
   let fail msg =
     Format.eprintf "%s@." msg;
     2
@@ -344,9 +350,9 @@ let run_check obj_name procs depth horizon jobs mutant_name impl json_path =
   let obj =
     (* --detector-impl hb picks the heartbeat-detector scenario over the
        flag-built link unless --object names something explicitly *)
-    match (obj_name, impl) with
-    | None, Some cfg -> Ok (Wfde.Scenario.Hb_detector cfg)
-    | None, None -> Wfde.Scenario.of_string "register"
+    match (obj_name, detectors) with
+    | None, Wfde.Harness.Heartbeat cfg -> Ok (Wfde.Scenario.Hb_detector cfg)
+    | None, Wfde.Harness.Oracle -> Wfde.Scenario.of_string "register"
     | Some name, _ -> Wfde.Scenario.of_string name
   in
   match obj with
@@ -446,7 +452,7 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc ~man)
     Term.(
       const run_check $ obj_arg $ procs_arg $ depth_arg $ horizon_arg
-      $ jobs_arg $ mutant_arg $ impl_term $ json_arg)
+      $ jobs_arg $ mutant_arg $ detectors_term $ json_arg)
 
 (* ------------------------------------------------------------ sweep --- *)
 
@@ -455,29 +461,22 @@ let check_cmd =
    go to stderr and the optional JSON document, which are the only
    places nondeterminism is allowed to show. *)
 
-let sweep_body ids scale jobs impl json_path =
-  let timed = timed_outcomes ?impl ids ~scale ~jobs in
-  let outcomes = List.map (fun (_, o, _) -> o) timed in
-  (* tables (and the failed-claims line, when any) come from the same
-     renderer the daemon's sweep payload embeds *)
-  print_string (Serve.Service.sweep_text outcomes);
-  let total = List.fold_left (fun acc (_, _, w) -> acc +. w) 0.0 timed in
-  List.iter
-    (fun (id, _, w) -> Format.eprintf "%-4s %8.3fs@." id w)
-    timed;
-  Format.eprintf "%-4s %8.3fs (jobs=%d)@." "all" total jobs;
-  let failed =
-    List.filter (fun (_, o, _) -> not o.Wfde.Experiments.ok) timed
-  in
-  let json_failed =
-    write_json ~what:"sweep" ~log:Format.err_formatter json_path
-      (Serve.Service.sweep_json ~jobs ~scale timed)
-  in
-  if json_failed then 1 else if failed = [] then 0 else 1
-
-let run_sweep ids scale jobs impl json_path =
-  if not (reject_unknown_ids ids) then 2
-  else sweep_body ids scale jobs impl json_path
+let run_sweep ids (config : Wfde.Experiments.config) json_path =
+  with_experiments ids config (fun timed ->
+      (* tables (and the failed-claims line, when any) come from the
+         same renderer the daemon's sweep payload embeds *)
+      print_string (Serve.Service.sweep_text (outcomes timed));
+      let total = List.fold_left (fun acc (_, _, w) -> acc +. w) 0.0 timed in
+      List.iter (fun (id, _, w) -> Format.eprintf "%-4s %8.3fs@." id w) timed;
+      Format.eprintf "%-4s %8.3fs (jobs=%d)@." "all" total config.jobs;
+      let json_failed =
+        write_json ~what:"sweep" ~log:Format.err_formatter json_path
+          (Serve.Service.sweep_json ~jobs:config.jobs ~scale:config.scale
+             timed)
+      in
+      if json_failed || List.exists (fun (_, o, _) -> not o.Wfde.Experiments.ok) timed
+      then 1
+      else 0)
 
 let sweep_cmd =
   let json_arg =
@@ -503,8 +502,7 @@ let sweep_cmd =
     ]
   in
   Cmd.v (Cmd.info "sweep" ~doc ~man)
-    Term.(
-      const run_sweep $ ids_arg $ scale_arg $ jobs_arg $ impl_term $ json_arg)
+    Term.(const run_sweep $ ids_arg $ config_term $ json_arg)
 
 (* ------------------------------------------------------------ serve --- *)
 
@@ -910,9 +908,7 @@ let group =
         \  wfde sweep e1 e2 -j 4 --json /tmp/sweep.json";
     ]
   in
-  let default =
-    Term.(const run_ids $ ids_arg $ scale_arg $ jobs_arg $ impl_term)
-  in
+  let default = Term.(const run_ids $ ids_arg $ config_term) in
   Cmd.group ~default
     (Cmd.info "wfde" ~version:"1.0.0" ~doc ~man)
     [

@@ -208,14 +208,14 @@ let e4_theorem5_adversary ?(jobs = 1) ?(max_phases = e4_phases) () =
 (* ------------------------------------------------------------------ E5 *)
 
 let e5_seeds = 8
-let e5_fig3_extraction ?(jobs = 1) ?(seeds = e5_seeds) ?impl () =
+let e5_fig3_extraction ?(jobs = 1) ?(seeds = e5_seeds) ?(detectors = Harness.Oracle) () =
   let n_plus_1 = 4 in
   let f = 2 in
   let sources =
     [
       ("Omega", `Omega);
       ("Omega_k (k=2)", `Omega_k 2);
-      ("eventually-perfect", `Ev_perfect);
+      ("eventually-perfect", `Ev_perfect Harness.Oracle);
       ("perfect", `Perfect);
       ("Upsilon^f itself", `Upsilon_f);
       ("vitality(p1)", `Vitality 0);
@@ -224,9 +224,8 @@ let e5_fig3_extraction ?(jobs = 1) ?(seeds = e5_seeds) ?impl () =
     @
     (* Gated: the implemented (heartbeat) ◇P as one more stable source —
        the only row whose detector is computed inside the run. *)
-    match impl with
-    | None -> []
-    | Some net -> [ ("hb ev-perfect (implemented)", `Hb_ev_perfect net) ]
+    if detectors = Harness.Oracle then []
+    else [ ("hb ev-perfect (implemented)", `Ev_perfect detectors) ]
   in
   let all_ok = ref true in
   let rows =
@@ -849,36 +848,37 @@ let e10_abd_emulation ?(jobs = 1) ?(seeds = e10_seeds) ?(sizes = [ 3; 5; 7 ]) ()
 (* ----------------------------------------------------------------- E11 *)
 
 let e11_seeds = 6
-let e11_msg_consensus ?(jobs = 1) ?(seeds = e11_seeds) ?(sizes = [ 3; 5 ]) ?impl () =
+let e11_msg_consensus ?(jobs = 1) ?(seeds = e11_seeds) ?(sizes = [ 3; 5 ])
+    ?(detectors = Harness.Oracle) () =
   let all_ok = ref true in
   (* One row per size: Omega the oracle (its world drawn from one
-     generator), or — gated on [impl] — the live min-unsuspected leader
-     of a heartbeat ◇P over the given link. *)
-  let row omega_impl n_plus_1 =
+     generator), or the live min-unsuspected leader of a heartbeat ◇P,
+     whose run quiesces once every correct process has decided (within
+     a few thousand steps); its horizon only bounds a run that fails
+     to. *)
+  let row detectors n_plus_1 =
     let minority = (n_plus_1 - 1) / 2 in
     let runs =
       pseeds ~jobs seeds (fun i ->
           let seed = (n_plus_1 * 907) + i in
-          let m, memory =
-            match omega_impl with
-            | None ->
-                Harness.run_msg_consensus ~horizon:3_000_000 ~omega_impl
-                  (rng_world ~seed ~n_plus_1 ~max_faulty:minority ~latest:300)
-            | Some _ ->
-                (* the run quiesces once every correct process has
-                   decided (within a few thousand steps); the horizon
-                   only bounds a run that fails to *)
-                Harness.run_msg_consensus ~horizon:120_000 ~omega_impl
-                  (Harness.random_world ~seed ~n_plus_1 ~max_faulty:minority
-                     ~latest:300 ())
+          let horizon, world =
+            match detectors with
+            | Harness.Oracle ->
+                ( 3_000_000,
+                  rng_world ~seed ~n_plus_1 ~max_faulty:minority ~latest:300 )
+            | Harness.Heartbeat _ ->
+                ( 120_000,
+                  Harness.random_world ~seed ~n_plus_1 ~max_faulty:minority
+                    ~latest:300 () )
           in
+          let m, memory = Harness.run_msg_consensus ~horizon ~detectors world in
           (Harness.ok m, memory = Ok (), m.Harness.last_decision_time))
     in
     require all_ok (fun (o, a, _) -> o && a) runs;
     [
-      (match omega_impl with
-      | None -> Report.cell_int n_plus_1
-      | Some _ -> Printf.sprintf "%d (hb Omega)" n_plus_1);
+      (match detectors with
+      | Harness.Oracle -> Report.cell_int n_plus_1
+      | Harness.Heartbeat _ -> Printf.sprintf "%d (hb Omega)" n_plus_1);
       Report.cell_int minority;
       Report.cell_int seeds;
       Report.cell_pct (pass_rate (fun (o, _, _) -> o) runs);
@@ -886,12 +886,8 @@ let e11_msg_consensus ?(jobs = 1) ?(seeds = e11_seeds) ?(sizes = [ 3; 5 ]) ?impl
       Report.cell_float (mean_int (List.map (fun (_, _, t) -> t) runs));
     ]
   in
-  let impl_rows =
-    match impl with
-    | None -> []
-    | Some net -> List.map (row (Some net)) sizes
-  in
-  let rows = List.map (row None) sizes in
+  let gated_rows = if detectors = Harness.Oracle then [] else List.map (row detectors) sizes in
+  let rows = List.map (row Harness.Oracle) sizes in
   {
     id = "e11";
     claim =
@@ -903,7 +899,7 @@ let e11_msg_consensus ?(jobs = 1) ?(seeds = e11_seeds) ?(sizes = [ 3; 5 ]) ?impl
       {
         Report.title = "E11: message-passing consensus (Omega + commit-adopt over ABD)";
         headers = [ "n+1"; "max crashes"; "runs"; "spec-ok"; "memory atomic"; "mean t(decide)" ];
-        rows = rows @ impl_rows;
+        rows = rows @ gated_rows;
       };
     ok = !all_ok;
   }
@@ -1115,8 +1111,14 @@ let d2_seeds = 3
 let d2_hb_vs_oracle ?(jobs = 1) ?(seeds = d2_seeds) ?(spans = Obs.Span.null) () =
   let net = { Link.gst = 60; delta = 2; pre_delay = 8; loss_pct = 40; link_seed = 6 } in
   let all_ok = ref true in
+  (* each run is (oracle_ok, implemented_ok, implemented_t): one leg
+     run on the same world with each detector choice *)
+  let both run =
+    let oracle, _ = run Harness.Oracle in
+    let implemented, t = run (Harness.Heartbeat net) in
+    (oracle, implemented, t)
+  in
   let agreement_row title runs =
-    (* each run is (oracle_ok, implemented_ok, implemented_stab) *)
     require all_ok (fun (o, i, _) -> o && i && o = i) runs;
     [
       title;
@@ -1130,40 +1132,27 @@ let d2_hb_vs_oracle ?(jobs = 1) ?(seeds = d2_seeds) ?(spans = Obs.Span.null) () 
   let extraction =
     Obs.Span.with_ spans "net.d2.extraction" (fun () ->
         pseeds ~jobs seeds (fun i ->
-            let world () =
-              Harness.random_world ~seed:(4000 + (17 * i)) ~n_plus_1:4
-                ~max_faulty:2 ~latest:150 ()
-            in
-            let oracle, _ =
-              Harness.run_extraction_of ~f:2 ~source:`Ev_perfect (world ())
-            in
-            let implemented, stab =
-              Harness.run_extraction_of ~f:2 ~source:(`Hb_ev_perfect net)
-                (world ())
-            in
-            (Result.is_ok oracle, Result.is_ok implemented, stab)))
+            both (fun detectors ->
+                let verdict, stab =
+                  Harness.run_extraction_of ~f:2 ~source:(`Ev_perfect detectors)
+                    (Harness.random_world ~seed:(4000 + (17 * i)) ~n_plus_1:4
+                       ~max_faulty:2 ~latest:150 ())
+                in
+                (Result.is_ok verdict, stab))))
   in
   let consensus =
     Obs.Span.with_ spans "net.d2.consensus" (fun () ->
         pseeds ~jobs seeds (fun i ->
-            let world () =
-              Harness.random_world ~seed:(6000 + (23 * i)) ~n_plus_1:3
-                ~max_faulty:1 ~latest:100 ()
-            in
-            (* both runs quiesce once every correct process has decided
-               (within ~5k steps, GST is 60); the horizon only bounds a
-               run that fails to *)
-            let oracle, mem_o =
-              Harness.run_msg_consensus ~horizon:60_000 ~omega_impl:None
-                (world ())
-            in
-            let impl, mem_i =
-              Harness.run_msg_consensus ~horizon:60_000 ~omega_impl:(Some net)
-                (world ())
-            in
-            ( Harness.ok oracle && mem_o = Ok (),
-              Harness.ok impl && mem_i = Ok (),
-              impl.Harness.last_decision_time )))
+            both (fun detectors ->
+                (* both runs quiesce once every correct process has
+                   decided (within ~5k steps, GST is 60); the horizon
+                   only bounds a run that fails to *)
+                let m, memory =
+                  Harness.run_msg_consensus ~horizon:60_000 ~detectors
+                    (Harness.random_world ~seed:(6000 + (23 * i)) ~n_plus_1:3
+                       ~max_faulty:1 ~latest:100 ())
+                in
+                (Harness.ok m && memory = Ok (), m.Harness.last_decision_time))))
   in
   {
     id = "d2";
@@ -1257,7 +1246,7 @@ let d3_hb_model_checking ?(jobs = 1) ?(depth = 5) ?(spans = Obs.Span.null) () =
 
 (* --------------------------------------------------------------- index *)
 
-type config = { scale : int; jobs : int; spans : Obs.Span.scope; impl : Link.config option }
+type config = { scale : int; jobs : int; spans : Obs.Span.scope; detectors : Harness.detectors }
 
 type entry = { id : string; description : string; run : config -> outcome }
 
@@ -1273,7 +1262,7 @@ let registry =
     e "e4" "Theorem 5 adversary: Upsilon^f cannot be turned into Omega^f" (fun c ->
         e4_theorem5_adversary ~jobs:c.jobs ~max_phases:(e4_phases * c.scale) ());
     e "e5" "Fig 3 / Theorem 10: extracting Upsilon^f from stable detectors" (fun c ->
-        e5_fig3_extraction ~jobs:c.jobs ~seeds:(e5_seeds * c.scale) ?impl:c.impl ());
+        e5_fig3_extraction ~jobs:c.jobs ~seeds:(e5_seeds * c.scale) ~detectors:c.detectors ());
     e "e6" "Section 4 / 5.3 pairwise detector reductions" (fun c ->
         e6_pairwise_reductions ~jobs:c.jobs ~seeds:(e6_seeds * c.scale) ());
     e "e7" "Corollaries 3-4: Upsilon vs Omega_n set agreement cost" (fun c ->
@@ -1285,7 +1274,7 @@ let registry =
     e "e10" "ABD: atomic registers over message passing (substrate bridge)" (fun c ->
         e10_abd_emulation ~jobs:c.jobs ~seeds:(e10_seeds * c.scale) ());
     e "e11" "Message-passing consensus: Omega + commit-adopt over ABD" (fun c ->
-        e11_msg_consensus ~jobs:c.jobs ~seeds:(e11_seeds * c.scale) ?impl:c.impl ());
+        e11_msg_consensus ~jobs:c.jobs ~seeds:(e11_seeds * c.scale) ~detectors:c.detectors ());
     e "a1" "Ablation: register-built vs native snapshot cost" (fun c ->
         a1_snapshot_ablation ~jobs:c.jobs ());
     e "a2" "Ablation: Fig 1 escape conditions" (fun c ->

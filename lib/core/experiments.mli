@@ -31,11 +31,11 @@ val e4_theorem5_adversary : ?jobs:int -> ?max_phases:int -> unit -> outcome
 (** Theorem 5: same at 2 ≤ f < n against Ωᶠ. *)
 
 val e5_fig3_extraction :
-  ?jobs:int -> ?seeds:int -> ?impl:Kernel.Link.config -> unit -> outcome
+  ?jobs:int -> ?seeds:int -> ?detectors:Harness.detectors -> unit -> outcome
 (** Fig 3 / Theorem 10: Υᶠ is extracted from every stable source. With
-    [impl] an extra gated row extracts from the {e implemented}
-    (heartbeat) ◇P running over a partially synchronous link with that
-    config; without it the table is byte-identical to before. *)
+    [detectors = Heartbeat net] (default [Oracle]) an extra gated row
+    extracts from the {e implemented} (heartbeat) ◇P over the link
+    [net]; the oracle rows are the same either way. *)
 
 val e6_pairwise_reductions : ?jobs:int -> ?seeds:int -> unit -> outcome
 (** §4 / §5.3: the direct reductions between detectors. *)
@@ -65,15 +65,15 @@ val e11_msg_consensus :
   ?jobs:int ->
   ?seeds:int ->
   ?sizes:int list ->
-  ?impl:Kernel.Link.config ->
+  ?detectors:Harness.detectors ->
   unit ->
   outcome
 (** End-to-end lowering: Ω-based consensus over ABD registers in message
-    passing, memory linearizability checked per run. With [impl] each
-    size gains a gated row where Ω is the live min-unsuspected leader of
-    a heartbeat ◇P over the given link (recorded queries replayed
-    against the reconstructed history); without it the table is
-    byte-identical to before. *)
+    passing, memory linearizability checked per run. With
+    [detectors = Heartbeat net] (default [Oracle]) each size gains a
+    gated row where Ω is the live min-unsuspected leader of a heartbeat
+    ◇P over the link [net] (recorded queries replayed against the
+    reconstructed history); the oracle rows are the same either way. *)
 
 val a1_snapshot_ablation : ?jobs:int -> ?sizes:int list -> unit -> outcome
 (** Register-built Afek snapshot vs native snapshot: steps per
@@ -104,8 +104,8 @@ val d2_hb_vs_oracle :
   ?jobs:int -> ?seeds:int -> ?spans:Obs.Span.scope -> unit -> outcome
 (** Substitutability: the Fig-3 extraction and message-passing consensus
     reach the same verdicts with the oracle detector replaced by its
-    heartbeat implementation ({!Harness.run_extraction_of} with
-    [`Hb_ev_perfect], {!Harness.run_msg_consensus} with [omega_impl]). *)
+    heartbeat implementation: each leg runs every world once as
+    [Oracle] and once as [Heartbeat] over a fixed link. *)
 
 val d3_hb_model_checking :
   ?jobs:int -> ?depth:int -> ?spans:Obs.Span.scope -> unit -> outcome
@@ -118,11 +118,12 @@ val d3_hb_model_checking :
 
 (** {1 The experiment index} *)
 
-type config = { scale : int; jobs : int; spans : Obs.Span.scope; impl : Kernel.Link.config option }
+type config = { scale : int; jobs : int; spans : Obs.Span.scope; detectors : Harness.detectors }
 (** How a registry entry runs: [scale] multiplies the driver's default
     seed count or phase budget (drivers without one ignore it), [jobs]
-    is the {!Exec.Pool} width, [spans] profiles d1–d3, and [impl]
-    switches on the gated implemented-detector rows of e5/e11. *)
+    is the {!Exec.Pool} width, [spans] profiles d1–d3, and [detectors
+    = Heartbeat net] adds the gated implemented-detector rows of e5/e11
+    over the link [net]. *)
 
 type entry = { id : string; description : string; run : config -> outcome }
 

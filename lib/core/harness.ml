@@ -440,6 +440,8 @@ let check_outcome_json t =
               ] );
     ]
 
+type detectors = Oracle | Heartbeat of Link.config
+
 let run_extraction_of ~f ~source world =
   let horizon = 150_000 and tail = 25_000 in
   let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
@@ -486,8 +488,19 @@ let run_extraction_of ~f ~source world =
   | `Omega_k k ->
       run (Omega_k.make ~rng ~pattern ~k ~stab_time ()) Pid.Set.equal
         (Phi.omega_k ~n_plus_1 ~f ~k)
-  | `Ev_perfect ->
+  | `Ev_perfect Oracle ->
       run (Ev_perfect.make ~rng ~pattern ~stab_time ()) Pid.Set.equal
+        (Phi.suspicion ~n_plus_1 ~f)
+  | `Ev_perfect (Heartbeat net) ->
+      (* An *implemented* ◇P as the stable source: the extraction
+         queries the live heartbeat state while the monitors run
+         alongside it, and the policy turns fair at GST (bounded
+         process speeds are the other half of partial synchrony). *)
+      let eng = Hb_ev_perfect.make ~n_plus_1 ~net () in
+      run_src
+        ~policy:(Policy.fair_after ~gst:net.Link.gst world.policy)
+        ~extra:(fun pid -> [ Heartbeat.fiber eng ~me:pid ])
+        (Heartbeat.source eng) Pid.Set.equal
         (Phi.suspicion ~n_plus_1 ~f)
   | `Perfect ->
       run (Perfect.make ~pattern) Pid.Set.equal (Phi.suspicion ~n_plus_1 ~f)
@@ -500,17 +513,6 @@ let run_extraction_of ~f ~source world =
   | `Omega_batched w ->
       run (Omega.make ~rng ~pattern ~stab_time ()) Pid.equal
         (Phi.with_batches w (Phi.omega ~n_plus_1 ~f))
-  | `Hb_ev_perfect net ->
-      (* An *implemented* ◇P as the stable source: the extraction
-         queries the live heartbeat state while the monitors run
-         alongside it, and the policy turns fair at GST (bounded
-         process speeds are the other half of partial synchrony). *)
-      let eng = Hb_ev_perfect.make ~n_plus_1 ~net () in
-      run_src
-        ~policy:(Policy.fair_after ~gst:net.Link.gst world.policy)
-        ~extra:(fun pid -> [ Heartbeat.fiber eng ~me:pid ])
-        (Heartbeat.source eng) Pid.Set.equal
-        (Phi.suspicion ~n_plus_1 ~f)
 
 (* --------------------------------------------- implemented detectors *)
 
@@ -551,18 +553,18 @@ let run_hb_detector ~mode ~net world =
   count ~proto:"hb" (Result.is_ok verdict);
   (verdict, Heartbeat.stabilized_at eng ~only:(Failure_pattern.is_correct pattern))
 
-let run_msg_consensus ~horizon ~omega_impl world =
+let run_msg_consensus ~horizon ~detectors world =
   let n_plus_1 = Failure_pattern.n_plus_1 world.pattern in
   let create omega = Msg_consensus.create ~name:"mc" ~n_plus_1 ~omega in
   let proto, monitors, replay, world =
-    match omega_impl with
-    | None ->
+    match detectors with
+    | Oracle ->
         let omega =
           Detector.source
             (Omega.make ~rng:world.world_rng ~pattern:world.pattern ())
         in
         (create omega, (fun _ -> []), History omega, world)
-    | Some net ->
+    | Heartbeat net ->
         (* Ω implemented from heartbeats: the protocol queries the live
            min-unsuspected leader; query replay validates those samples
            against the post-run reconstructed ◇P history lowered through
@@ -586,10 +588,8 @@ let run_msg_consensus ~horizon ~omega_impl world =
               Detector.source
                 (Pairwise.omega_of_ev_perfect ~n_plus_1
                    (Heartbeat.to_detector eng))),
-          {
-            world with
-            policy = Policy.fair_after ~gst:net.Link.gst world.policy;
-          } )
+          { world with policy = Policy.fair_after ~gst:net.Link.gst world.policy }
+        )
   in
   let m =
     run_agreement ~label:"msg_consensus" ~k:1 ~base:800 ~horizon

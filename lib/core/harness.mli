@@ -201,17 +201,23 @@ val check_outcome_json : check_outcome -> Obs.Json.t
 (** Stable machine-readable rendering (the [wfde check --json]
     payload). *)
 
+(** Where a run's detector comes from: an oracle history of the
+    failure pattern, as in the paper, or heartbeat monitors
+    ({!Detectors.Heartbeat}) running beside the protocol over a
+    partially synchronous link with this config, under a policy that
+    turns fair at the link's GST ({!Kernel.Policy.fair_after}). *)
+type detectors = Oracle | Heartbeat of Link.config
+
 val run_extraction_of :
   f:int ->
   source:
     [ `Omega
     | `Omega_k of int
-    | `Ev_perfect
+    | `Ev_perfect of detectors
     | `Perfect
     | `Upsilon_f
     | `Vitality of Pid.t
-    | `Omega_batched of int
-    | `Hb_ev_perfect of Link.config ]
+    | `Omega_batched of int ]
   ->
   world ->
   (unit, string) result * int
@@ -219,11 +225,9 @@ val run_extraction_of :
     steps; returns the Υᶠ-spec verdict on the extracted variable (its
     last 25,000 steps must be stable) and the time of the last
     extracted-output change among correct processes (stabilization
-    time). [`Hb_ev_perfect net] feeds the extraction an {e implemented}
-    ◇P: heartbeat monitors ({!Detectors.Hb_ev_perfect}) run alongside
-    the extraction fibers over a partially synchronous link, and the
-    world's policy turns fair at the link's GST
-    ({!Kernel.Policy.fair_after}). *)
+    time). With [`Ev_perfect (Heartbeat net)] the extraction queries
+    the live state of an {e implemented} ◇P
+    ({!Detectors.Hb_ev_perfect}). *)
 
 (** {1 Implemented (heartbeat) detectors} *)
 
@@ -242,15 +246,14 @@ val run_hb_detector :
 
 val run_msg_consensus :
   horizon:int ->
-  omega_impl:Link.config option ->
+  detectors:detectors ->
   world ->
   measurements * (unit, string) result
 (** E11's message-passing consensus (Ω + commit–adopt over ABD) as a
     one-call driver; the second component is the linearizability
-    verdict on the emulated memory. With [omega_impl = None] Ω is an
-    oracle history. With [Some net] it is the live min-unsuspected
-    leader of a heartbeat ◇P over the link [net]; recorded leader
-    queries are then replayed
-    against {!Reduction.Pairwise.omega_of_ev_perfect} of the
+    verdict on the emulated memory. With [Oracle], Ω is an oracle
+    history. With [Heartbeat net] it is the live min-unsuspected
+    leader of a heartbeat ◇P; recorded leader queries are then
+    replayed against {!Reduction.Pairwise.omega_of_ev_perfect} of the
     reconstructed history, so [query_violations] certifies the live
     view agreed with the reconstruction. *)

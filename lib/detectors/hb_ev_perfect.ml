@@ -7,19 +7,8 @@ let make ?(name = "hb_ev_perfect") ?params ~n_plus_1 ~net () =
     ()
 
 let check ?(min_tail = 20) t ~pattern ~horizon =
-  let only = Failure_pattern.is_correct pattern in
-  let stab_by =
-    max
-      (Heartbeat.stabilized_at t ~only + 1)
-      (Failure_pattern.max_crash_time pattern + 1)
-  in
-  if stab_by > horizon - min_tail then
-    Error
-      (Printf.sprintf
-         "no stabilization window: last suspicion change at %d, horizon %d \
-          leaves a tail of %d < %d"
-         (stab_by - 1) horizon
-         (max 0 (horizon - stab_by + 1))
-         min_tail)
-  else
-    Ev_perfect.check ~only (Heartbeat.to_detector t) ~pattern ~stab_by ~horizon
+  Result.bind (Heartbeat.stabilization_window ~min_tail t ~pattern ~horizon)
+    (fun stab_by ->
+      Ev_perfect.check
+        ~only:(Failure_pattern.is_correct pattern)
+        (Heartbeat.to_detector t) ~pattern ~stab_by ~horizon)

@@ -10,21 +10,9 @@ let check ?(min_tail = 20) t ~pattern ~horizon =
   let correct =
     List.filter (Failure_pattern.is_correct pattern) (Pid.all ~n_plus_1)
   in
-  let only = Failure_pattern.is_correct pattern in
-  let stab_by =
-    max
-      (Heartbeat.stabilized_at t ~only + 1)
-      (Failure_pattern.max_crash_time pattern + 1)
-  in
-  if stab_by > horizon - min_tail then
-    Error
-      (Printf.sprintf
-         "no stabilization window: last suspicion change at %d, horizon %d \
-          leaves a tail of %d < %d"
-         (stab_by - 1) horizon
-         (max 0 (horizon - stab_by + 1))
-         min_tail)
-  else begin
+  match Heartbeat.stabilization_window ~min_tail t ~pattern ~horizon with
+  | Error _ as e -> e
+  | Ok stab_by ->
     let d = Heartbeat.to_detector t in
     (* Strong completeness: from stab_by on, every crashed process is
        suspected by every correct one. *)
@@ -68,4 +56,3 @@ let check ?(min_tail = 20) t ~pattern ~horizon =
                "weak accuracy: every correct process is suspected by some \
                 correct process in [%d, %d]"
                stab_by horizon)
-  end

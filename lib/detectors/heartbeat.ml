@@ -202,4 +202,20 @@ let stabilized_at t ~only =
   done;
   !worst
 
+let stabilization_window ~min_tail t ~pattern ~horizon =
+  let stab_by =
+    max
+      (stabilized_at t ~only:(Failure_pattern.is_correct pattern) + 1)
+      (Failure_pattern.max_crash_time pattern + 1)
+  in
+  if stab_by > horizon - min_tail then
+    Error
+      (Printf.sprintf
+         "no stabilization window: last suspicion change at %d, horizon %d \
+          leaves a tail of %d < %d"
+         (stab_by - 1) horizon
+         (max 0 (horizon - stab_by + 1))
+         min_tail)
+  else Ok stab_by
+
 let changes t p = List.rev t.logs.(p)

@@ -119,5 +119,15 @@ val stabilized_at : t -> only:(Pid.t -> bool) -> int
 (** Latest {!last_change} over the selected observers — the empirical
     stabilization time a validator should check from. *)
 
+val stabilization_window :
+  min_tail:int ->
+  t ->
+  pattern:Failure_pattern.t ->
+  horizon:int ->
+  (int, string) result
+(** The time a detector spec is checked from: past the last suspicion
+    change at any correct process and past the last crash; an error
+    when fewer than [min_tail] steps remain before [horizon]. *)
+
 val changes : t -> Pid.t -> (int * Pid.Set.t) list
 (** [p]'s full change log, oldest first, starting with [(0, ∅)]. *)

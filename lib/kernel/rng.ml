@@ -16,11 +16,14 @@ let next64 t =
 
 let split t = { state = mix (next64 t) }
 
-let int t bound =
+let rec int t bound =
   if bound <= 0 then invalid_arg "Rng.int: non-positive bound";
   (* Keep 62 bits so the value fits OCaml's 63-bit int non-negatively. *)
   let v = Int64.to_int (Int64.shift_right_logical (next64 t) 2) in
-  v mod bound
+  let r = v mod bound in
+  (* redraw from the incomplete block of [bound] values at the top,
+     which would favour the small residues *)
+  if v - r > max_int - (bound - 1) then int t bound else r
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

@@ -131,21 +131,22 @@ let max_horizon = 10_000_000
 let max_procs = 8
 let max_sleep_ms = 60_000
 
-let exp_params ~meth params =
+(* A request's experiments and the config they run under; the daemon
+   always runs the oracle detectors. *)
+let exp_params ~meth ~spans params =
   let* () =
     check_allowed ~meth ~allowed:[ "experiments"; "scale"; "jobs" ] params
   in
   let* ids = get_ids params in
   let* scale = get_int ~key:"scale" ~default:1 ~min:1 ~max:max_scale params in
   let* jobs = get_int ~key:"jobs" ~default:1 ~min:1 ~max:max_jobs params in
-  Ok (ids, scale, jobs)
+  Ok (ids, { Wfde.Experiments.scale; jobs; spans; detectors = Wfde.Harness.Oracle })
 
 (* Run experiments left to right (every registry entry when [ids] is
    empty), polling the deadline before each so a timed-out request
    stops between drivers (the per-driver work is the cancellation
    granularity here). Each driver gets an [exp.<id>] child span. *)
-let run_experiments ?(deadline = never) ?(spans = Obs.Span.null) ?impl ~scale
-    ~jobs ids =
+let run_experiments ?(deadline = never) (config : Wfde.Experiments.config) ids =
   let ids =
     match ids with
     | [] ->
@@ -154,7 +155,6 @@ let run_experiments ?(deadline = never) ?(spans = Obs.Span.null) ?impl ~scale
           Wfde.Experiments.registry
     | ids -> ids
   in
-  let config = { Wfde.Experiments.scale; jobs; spans; impl } in
   let total = List.length ids in
   let rec go acc done_ = function
     | [] -> Ok (List.rev acc)
@@ -169,7 +169,7 @@ let run_experiments ?(deadline = never) ?(spans = Obs.Span.null) ?impl ~scale
           let o =
             (* the driver's own profile (d1-d3's [net.*] rows) nests
                under its [exp.<id>] span *)
-            Obs.Span.with_ spans ("exp." ^ id) (fun () -> e.run config)
+            Obs.Span.with_ config.spans ("exp." ^ id) (fun () -> e.run config)
           in
           let wall = Unix.gettimeofday () -. t0 in
           go ((id, o, wall) :: acc) (done_ + 1) rest
@@ -179,8 +179,8 @@ let run_experiments ?(deadline = never) ?(spans = Obs.Span.null) ?impl ~scale
 (* ------------------------------------------------------ handlers ----- *)
 
 let handle_run ~deadline ~spans params =
-  let* ids, scale, jobs = exp_params ~meth:"run" params in
-  let* timed = run_experiments ~deadline ~spans ~scale ~jobs ids in
+  let* ids, config = exp_params ~meth:"run" ~spans params in
+  let* timed = run_experiments ~deadline config ids in
   let outcomes = List.map (fun (_, o, _) -> o) timed in
   Ok
     (J.Obj
@@ -197,14 +197,14 @@ let handle_run ~deadline ~spans params =
        ])
 
 let handle_sweep ~deadline ~spans params =
-  let* ids, scale, jobs = exp_params ~meth:"sweep" params in
-  let* timed = run_experiments ~deadline ~spans ~scale ~jobs ids in
-  Ok (sweep_json ~jobs ~scale timed)
+  let* ids, config = exp_params ~meth:"sweep" ~spans params in
+  let* timed = run_experiments ~deadline config ids in
+  Ok (sweep_json ~jobs:config.jobs ~scale:config.scale timed)
 
 let handle_stats ~deadline ~spans params =
-  let* ids, scale, jobs = exp_params ~meth:"stats" params in
+  let* ids, config = exp_params ~meth:"stats" ~spans params in
   Wfde.Metrics.reset ();
-  let* _timed = run_experiments ~deadline ~spans ~scale ~jobs ids in
+  let* _timed = run_experiments ~deadline config ids in
   Ok (Wfde.Metrics.to_json (Wfde.Metrics.snapshot ()))
 
 let handle_check ~deadline ~spans params =

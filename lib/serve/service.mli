@@ -53,15 +53,13 @@ val handle :
 
 val run_experiments :
   ?deadline:(unit -> bool) ->
-  ?spans:Obs.Span.scope ->
-  ?impl:Wfde.Link.config ->
-  scale:int ->
-  jobs:int ->
+  Wfde.Experiments.config ->
   string list ->
   ((string * Wfde.Experiments.outcome * float) list, Proto.error) result
 (** The experiment runner of the CLI's and the daemon's run, sweep and
     stats: runs [ids] in order (every {!Wfde.Experiments.registry}
-    entry when empty; all must be known), each under an [exp.<id>]
+    entry when empty; all must be known) under [config] (a daemon
+    request's always runs [Oracle] detectors), each in an [exp.<id>]
     span, as [(id, outcome, wall_seconds)]. [deadline] is polled before
     each experiment and yields [deadline_exceeded] once it fires. *)
 

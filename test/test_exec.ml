@@ -259,7 +259,11 @@ let test_check_json_repeatable () =
    wall-clock fields — the only sanctioned nondeterminism — and the
    worker count normalized away. *)
 let sweep_json_normalized ~jobs ids =
-  match Serve.Service.run_experiments ~scale:1 ~jobs ids with
+  let config =
+    { Wfde.Experiments.scale = 1; jobs; spans = Obs.Span.null;
+      detectors = Wfde.Harness.Oracle }
+  in
+  match Serve.Service.run_experiments config ids with
   | Error _ -> Alcotest.fail "sweep runner failed"
   | Ok timed ->
       Obs.Json.to_string

@@ -49,6 +49,28 @@ let test_hb_deterministic () =
   checkb "same verdict" true (v1 = v2);
   Alcotest.check Alcotest.int "same stabilization time" s1 s2
 
+(* A run too short to witness stabilization fails both specs with the
+   same message, before either looks at the history. *)
+let test_hb_short_run_message () =
+  let pattern = Failure_pattern.make ~n_plus_1:3 ~crashes:[ (1, 30) ] in
+  let expected =
+    "no stabilization window: last suspicion change at 30, horizon 40 \
+     leaves a tail of 10 < 20"
+  in
+  List.iter
+    (fun (name, check) ->
+      Alcotest.(check (result unit string))
+        name (Error expected)
+        (check ~pattern ~horizon:40))
+    [
+      ( "◇P",
+        Detectors.Hb_ev_perfect.check
+          (Detectors.Hb_ev_perfect.make ~n_plus_1:3 ~net:(cfg ()) ()) );
+      ( "◇S",
+        Detectors.Hb_ev_strong.check
+          (Detectors.Hb_ev_strong.make ~n_plus_1:3 ~net:(cfg ()) ()) );
+    ]
+
 (* A detector built over a *fresh* link with the same surface as the
    oracle: the extraction harness accepts it unchanged, and its verdict
    agrees with the oracle ◇P's. *)
@@ -60,11 +82,12 @@ let test_extraction_agrees_with_oracle () =
           ~latest:150 ()
       in
       let oracle, _ =
-        Wfde.Harness.run_extraction_of ~f:2 ~source:`Ev_perfect (make_world ())
+        Wfde.Harness.run_extraction_of ~f:2 ~source:(`Ev_perfect Oracle)
+          (make_world ())
       in
       let implemented, _ =
         Wfde.Harness.run_extraction_of ~f:2
-          ~source:(`Hb_ev_perfect (cfg ~gst:60 ~loss:40 ()))
+          ~source:(`Ev_perfect (Heartbeat (cfg ~gst:60 ~loss:40 ())))
           (make_world ())
       in
       checkb
@@ -85,11 +108,12 @@ let test_consensus_with_implemented_omega () =
           ~latest:100 ()
       in
       let oracle, mem_o =
-        Wfde.Harness.run_msg_consensus ~horizon:400_000 ~omega_impl:None (w ())
+        Wfde.Harness.run_msg_consensus ~horizon:400_000 ~detectors:Oracle
+          (w ())
       in
       let impl, mem_i =
         Wfde.Harness.run_msg_consensus ~horizon:400_000
-          ~omega_impl:(Some (cfg ~gst:50 ~loss:30 ()))
+          ~detectors:(Heartbeat (cfg ~gst:50 ~loss:30 ()))
           (w ())
       in
       checkb
@@ -220,6 +244,8 @@ let suite =
     Alcotest.test_case "hb ◇S conformance" `Quick test_hb_ev_strong_conforms;
     Alcotest.test_case "hb with crashes" `Quick test_hb_with_crashes;
     Alcotest.test_case "hb deterministic" `Quick test_hb_deterministic;
+    Alcotest.test_case "hb short run: one window message" `Quick
+      test_hb_short_run_message;
     Alcotest.test_case "extraction agrees with oracle" `Slow
       test_extraction_agrees_with_oracle;
     Alcotest.test_case "consensus with implemented omega" `Slow

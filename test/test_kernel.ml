@@ -83,6 +83,21 @@ let test_rng_bounds () =
     checkb "in closed range" true (w >= 5 && w <= 9)
   done
 
+(* At bound 3·2^60, [v mod bound] over 62 random bits would land below
+   2^60 half the time; a uniform draw does a third of the time. The
+   standard error over 200,000 draws is about 0.001. *)
+let test_rng_uniform_large_bound () =
+  let r = Rng.create 7 and third = 1 lsl 60 and draws = 200_000 in
+  let low = ref 0 in
+  for _ = 1 to draws do
+    let v = Rng.int r (3 * third) in
+    checkb "in range" true (v >= 0 && v < 3 * third);
+    if v < third then incr low
+  done;
+  let share = float_of_int !low /. float_of_int draws in
+  checkb (Printf.sprintf "a third below 2^60 (got %.4f)" share) true
+    (Float.abs (share -. (1. /. 3.)) < 0.01)
+
 let test_rng_subset_constraints () =
   let r = Rng.create 3 in
   for _ = 1 to 200 do
@@ -826,5 +841,7 @@ let suite =
       test_policy_choices_pinned;
     Alcotest.test_case "a step allocates at most 40 words" `Quick
       test_step_allocation_bound;
+    Alcotest.test_case "rng uniform at a bound past 2^61" `Quick
+      test_rng_uniform_large_bound;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases

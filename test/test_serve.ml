@@ -258,7 +258,11 @@ let test_service_payloads_match_direct () =
         Serve.Service.run_text [ Wfde.Experiments.e1_fig1_set_agreement () ]
       in
       let cli =
-        match Serve.Service.run_experiments ~scale:1 ~jobs:1 [ "e1" ] with
+        let config =
+          { Wfde.Experiments.scale = 1; jobs = 1; spans = Obs.Span.null;
+            detectors = Wfde.Harness.Oracle }
+        in
+        match Serve.Service.run_experiments config [ "e1" ] with
         | Ok timed -> Serve.Service.run_text (List.map (fun (_, o, _) -> o) timed)
         | Error _ -> Alcotest.fail "shared runner failed"
       in
@@ -980,16 +984,26 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
    stderr. A run still going after [deadline] seconds is killed and
    fails the test, so a CLI that never ends fails instead of hanging
    the suite. *)
-let cli ?(deadline = 60.) args =
+let cli ?(deadline = 60.) ?ocamlrunparam args =
   let out = Filename.temp_file "wfde-test-cli" ".out" in
   let err = Filename.temp_file "wfde-test-cli" ".err" in
   Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
   let fd path = Unix.openfile path [ O_WRONLY; O_TRUNC ] 0o600 in
   let out_fd = fd out and err_fd = fd err in
+  let env =
+    let inherited =
+      List.filter
+        (fun v -> not (String.starts_with ~prefix:"OCAMLRUNPARAM=" v))
+        (Array.to_list (Unix.environment ()))
+    in
+    match ocamlrunparam with
+    | None -> Unix.environment ()
+    | Some p -> Array.of_list (("OCAMLRUNPARAM=" ^ p) :: inherited)
+  in
   let pid =
-    Unix.create_process wfde_cli
+    Unix.create_process_env wfde_cli
       (Array.of_list ("wfde" :: args))
-      Unix.stdin out_fd err_fd
+      env Unix.stdin out_fd err_fd
   in
   Unix.close out_fd;
   Unix.close err_fd;
@@ -1084,8 +1098,9 @@ let hex_entries dir =
     (Array.to_list (Sys.readdir dir))
 
 (* [wfde serve] with [args] as a child process; [f socket log] runs
-   once the readiness banner names the socket, then the daemon gets
-   SIGTERM and must drain, exit 0 and remove its socket. Returns [f]'s
+   once the readiness banner names the socket, with [log ()] reading
+   the daemon's stdout and stderr so far, then the daemon gets SIGTERM
+   and must drain, exit 0 and remove its socket. Returns [f]'s
    result. *)
 let with_cli_daemon args f =
   let socket = temp_socket () in
@@ -1110,7 +1125,7 @@ let with_cli_daemon args f =
     (fun () ->
       eventually ~timeout:30.0 "wfde serve readiness banner" (fun () ->
           contains (read_file log) ("wfde serve: listening on " ^ socket));
-      let v = f socket (read_file log) in
+      let v = f socket (fun () -> read_file log) in
       Unix.kill pid Sys.sigterm;
       let _, status = Unix.waitpid [] pid in
       exited := true;
@@ -1175,9 +1190,9 @@ let test_cli_daemon_smoke () =
 let test_cli_cache_banner_and_stats () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  with_cli_daemon (cache_args dir) (fun socket banner ->
+  with_cli_daemon (cache_args dir) (fun socket log ->
       checkb "banner names the cache dir" true
-        (contains banner ("cache-dir=" ^ dir));
+        (contains (log ()) ("cache-dir=" ^ dir));
       let cold = client_check socket in
       let warm =
         client_check socket
@@ -1224,6 +1239,178 @@ let test_cli_cache_disk_and_clear () =
       checkb "wfde cache clear: clear counted" true (int_member "clears" c >= 1);
       checki "no 32-hex entry file after clear" 0
         (List.length (hex_entries dir)))
+
+(* The heap a [wfde args] run peaked at, from the runtime's exit
+   report. *)
+let top_heap_words args =
+  let status, _, err = cli ~ocamlrunparam:"v=0x400" args in
+  checkb "exits 0" true (status = Unix.WEXITED 0);
+  match
+    List.find_map
+      (fun l ->
+        Scanf.sscanf_opt l "top_heap_words: %d" Fun.id)
+      (String.split_on_char '\n' err)
+  with
+  | Some w -> w
+  | None -> Alcotest.failf "no top_heap_words in:\n%s" err
+
+(* [wfde trace] prints at most --limit events, or streams the export,
+   and keeps only the decisions: printing two events of a 40-process
+   run once peaked at 635,352 heap words, keeping every event. *)
+let test_cli_trace_keeps_little () =
+  let args = [ "trace"; "-p"; "fig2"; "-n"; "40"; "-f"; "3"; "--limit"; "2" ] in
+  let bound = 300_000 in
+  let printed = top_heap_words args in
+  checkb (Printf.sprintf "printing: %d <= %d heap words" printed bound) true
+    (printed <= bound);
+  let out = Filename.temp_file "wfde-test-trace" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let exported = top_heap_words (args @ [ "--out"; out ]) in
+  checkb (Printf.sprintf "exporting: %d <= %d heap words" exported bound) true
+    (exported <= bound)
+
+(* [wfde trace --out] writes each event as it happens, byte for byte
+   the golden exports (the file name gives the trace flags). *)
+let test_cli_trace_golden_exports () =
+  List.iter
+    (fun (golden, args) ->
+      let out = Filename.temp_file "wfde-test-trace" ".jsonl" in
+      Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+      ignore (cli_ok (("trace" :: args) @ [ "--out"; out ]));
+      checks golden (read_file ("golden/" ^ golden)) (read_file out))
+    [
+      ("fig1_seed11.jsonl", [ "-p"; "fig1"; "--seed"; "11" ]);
+      ("fig1_seed13.jsonl", [ "-p"; "fig1"; "--seed"; "13" ]);
+      ("fig2_seed4.jsonl", [ "-p"; "fig2"; "--seed"; "4" ]);
+      ("fig2_seed9_p4_f2.jsonl", [ "-p"; "fig2"; "--seed"; "9"; "-n"; "4"; "-f"; "2" ]);
+      ("async_seed1.jsonl", [ "-p"; "async"; "--seed"; "1" ]);
+      ("async_seed2_p4.jsonl", [ "-p"; "async"; "--seed"; "2"; "-n"; "4" ]);
+    ]
+
+(* [--detector-impl hb --gst 12 --loss 50] names the heartbeat scenario
+   over the link those flags describe (delta 2, pre-GST delay
+   (gst + 3) / 4, link seed 7): the same check as naming it with
+   --object. *)
+let test_cli_check_hb_flags () =
+  let common = [ "--procs"; "2"; "--depth"; "5"; "--horizon"; "500" ] in
+  let check_json args =
+    let json = Filename.temp_file "wfde-test-check" ".json" in
+    Fun.protect ~finally:(fun () -> Sys.remove json) @@ fun () ->
+    ignore (cli_ok (("check" :: args) @ common @ [ "--json"; json ]));
+    read_file json
+  in
+  let obj = "hb-detector(gst=12,delta=2,pre_delay=3,loss=50,seed=7)" in
+  let flags =
+    check_json [ "--detector-impl"; "hb"; "--gst"; "12"; "--loss"; "50" ]
+  in
+  (match J.of_string flags with
+  | Ok doc ->
+      checkb "object named by the flags" true
+        (J.member "object" doc = Some (J.String obj));
+      checkb "no violation" true (J.member "violation" doc = Some J.Null)
+  | Error e -> Alcotest.failf "bad check JSON: %s" e);
+  checks "same document as --object" (check_json [ "--object"; obj ]) flags
+
+(* [scripts/check_prom.py] on [text]: a valid Prometheus exposition
+   holding every [require]d family. *)
+let check_prom ?(require = []) name text =
+  let file = Filename.temp_file "wfde-test" ".prom" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  Out_channel.with_open_bin file (fun oc -> output_string oc text);
+  let args =
+    "../scripts/check_prom.py" :: file
+    :: List.concat_map (fun r -> [ "--require"; r ]) require
+  in
+  let null = Unix.openfile "/dev/null" [ O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process "python3"
+      (Array.of_list ("python3" :: args))
+      Unix.stdin null Unix.stderr
+  in
+  Unix.close null;
+  let _, status = Unix.waitpid [] pid in
+  checkb (name ^ ": check_prom.py accepts it") true (status = Unix.WEXITED 0)
+
+(* A daemon with tracing and a 1 ms slow log, end to end: traced run
+   and check requests export wfde-span/1 spans (in the sink before the
+   client has its reply), the metrics exposition over the socket is
+   valid, every slow request logs one structured line, and after the
+   SIGTERM drain [wfde spans] renders the trees. *)
+let test_cli_daemon_observability () =
+  let spans = Filename.temp_file "wfde-test-spans" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove spans) @@ fun () ->
+  with_cli_daemon [ "--trace-out"; spans; "--slow-ms"; "1" ] (fun socket log ->
+      checkb "banner names the span file" true
+        (contains (log ()) ("trace-out=" ^ spans));
+      ignore
+        (cli_ok
+           [ "client"; "run"; "--socket"; socket; "--trace"; "t-run";
+             "--params"; {|{"experiments":["e1"]}|} ]);
+      ignore
+        (cli_ok
+           [ "client"; "check"; "--socket"; socket; "--trace"; "t-check";
+             "--params"; {|{"object":"register","depth":3,"horizon":60}|} ]);
+      let lines =
+        List.filter_map
+          (fun l ->
+            if String.trim l = "" then None
+            else
+              match J.of_string l with
+              | Ok j -> Some j
+              | Error e -> Alcotest.failf "bad span line %S: %s" l e)
+          (String.split_on_char '\n' (read_file spans))
+      in
+      checkb "spans exported" true (lines <> []);
+      let str k j = match J.member k j with Some (J.String s) -> s | _ -> "" in
+      List.iter
+        (fun j ->
+          checks "span schema" "wfde-span/1" (str "schema" j);
+          checkb "span id >= 1, parent >= 0" true
+            (int_member "span" j >= 1 && int_member "parent" j >= 0))
+        lines;
+      let traces = List.map (str "trace") lines
+      and names = List.map (str "name") lines in
+      List.iter
+        (fun t -> checkb ("trace " ^ t ^ " exported") true (List.mem t traces))
+        [ "t-run"; "t-check" ];
+      List.iter
+        (fun n -> checkb ("span " ^ n ^ " exported") true (List.mem n names))
+        [ "request"; "parse"; "queue_wait"; "dispatch"; "execute"; "render" ];
+      let metrics =
+        cli_ok
+          [ "client"; "metrics"; "--socket"; socket; "--params";
+            {|{"format":"prom"}|} ]
+      in
+      check_prom "metrics over the socket" metrics
+        ~require:[ "wfde_serve_requests"; "wfde_serve_latency_ms" ];
+      let slow () =
+        List.filter
+          (fun l -> contains l {|"event":"slow_request"|})
+          (String.split_on_char '\n' (log ()))
+      in
+      eventually "a slow_request line" (fun () -> slow () <> []);
+      List.iter
+        (fun l ->
+          match J.of_string l with
+          | Error e -> Alcotest.failf "bad slow-log line %S: %s" l e
+          | Ok j ->
+              checkb "slow: wall_ms >= 1" true
+                (match J.member "wall_ms" j with
+                | Some w -> Option.value ~default:0. (J.to_float w) >= 1.
+                | None -> false);
+              checkb "slow: queue_depth and in_flight" true
+                (J.member "queue_depth" j <> None
+                && J.member "in_flight" j <> None))
+        (slow ()));
+  let rendered = cli_ok [ "spans"; spans ] in
+  checkb "spans renders the run trace" true (contains rendered "trace t-run");
+  checkb "spans renders execute" true (contains rendered "execute")
+
+(* [wfde stats --format prom] is the same exposition format, offline. *)
+let test_cli_stats_prom () =
+  check_prom "stats e8 --format prom"
+    (cli_ok [ "stats"; "e8"; "--format"; "prom" ])
+    ~require:[ "wfde_kernel_scheduler_steps" ]
 
 let suite =
   [
@@ -1296,6 +1483,16 @@ let suite =
       test_cli_trace_large_systems;
     Alcotest.test_case "cli: trace -p async with a huge limit ends" `Quick
       test_cli_trace_async_huge_limit;
+    Alcotest.test_case "cli: trace keeps only what it prints" `Quick
+      test_cli_trace_keeps_little;
+    Alcotest.test_case "cli: trace --out streams the golden exports" `Quick
+      test_cli_trace_golden_exports;
+    Alcotest.test_case "cli: check --detector-impl hb names its link" `Quick
+      test_cli_check_hb_flags;
+    Alcotest.test_case "cli: daemon spans, prom, slow log, drain, render"
+      `Quick test_cli_daemon_observability;
+    Alcotest.test_case "cli: stats --format prom is valid exposition" `Quick
+      test_cli_stats_prom;
     Alcotest.test_case "cli: daemon health, payloads, errors, drain" `Quick
       test_cli_daemon_smoke;
     Alcotest.test_case "cache: hit/miss spans in the trace tree" `Quick

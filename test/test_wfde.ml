@@ -109,7 +109,8 @@ let test_small_tables_golden () =
       E.e8_impossibility ~horizons:[ 10_000 ] ();
       E.e9_booster_consensus ~seeds:4 ~sizes:[ 2; 3 ] ();
       E.e11_msg_consensus ~seeds:1 ~sizes:[ 3 ] ();
-      E.e11_msg_consensus ~seeds:1 ~sizes:[ 3 ] ~impl:small_net ();
+      E.e11_msg_consensus ~seeds:1 ~sizes:[ 3 ]
+        ~detectors:(Heartbeat small_net) ();
       E.a3_fig2_snapshot_cost ~seeds:2 ();
     ]
     |> List.map (fun (o : E.outcome) -> Wfde.Report.to_string o.table)
@@ -119,6 +120,36 @@ let test_small_tables_golden () =
     "golden/small_tables.txt"
     (In_channel.with_open_bin "golden/small_tables.txt" In_channel.input_all)
     tables
+
+(* One detector value switches e5 and e11 to heartbeats: the table is
+   the oracle table row for row, followed by exactly the gated rows. *)
+let test_heartbeat_adds_gated_rows () =
+  let module E = Wfde.Experiments in
+  List.iter
+    (fun (id, run, gated) ->
+      let oracle : E.outcome = run Wfde.Harness.Oracle in
+      let hb : E.outcome = run (Wfde.Harness.Heartbeat small_net) in
+      let n = List.length oracle.table.rows in
+      Alcotest.(check string) (id ^ ": same title") oracle.table.title
+        hb.table.title;
+      Alcotest.(check (list string)) (id ^ ": same headers")
+        oracle.table.headers hb.table.headers;
+      Alcotest.(check (list (list string))) (id ^ ": the oracle rows first")
+        oracle.table.rows
+        (List.filteri (fun i _ -> i < n) hb.table.rows);
+      Alcotest.(check (list string)) (id ^ ": then exactly the gated rows")
+        gated
+        (List.filteri (fun i _ -> i >= n) hb.table.rows |> List.map List.hd);
+      checkb (id ^ ": claim holds with heartbeats") true hb.ok)
+    [
+      ( "e5",
+        (fun detectors -> E.e5_fig3_extraction ~seeds:2 ~detectors ()),
+        [ "hb ev-perfect (implemented)" ] );
+      ( "e11",
+        (fun detectors ->
+          E.e11_msg_consensus ~seeds:1 ~sizes:[ 3 ] ~detectors ()),
+        [ "3 (hb Omega)" ] );
+    ]
 
 let test_experiments_hold_small () =
   let outcomes =
@@ -133,8 +164,8 @@ let test_experiments_hold_small () =
       Wfde.Experiments.e8_impossibility ~horizons:[ 10_000 ] ();
       Wfde.Experiments.e9_booster_consensus ~seeds:4 ~sizes:[ 2; 3 ] ();
       Wfde.Experiments.e10_abd_emulation ~seeds:2 ~sizes:[ 3; 5 ] ();
-      Wfde.Experiments.e11_msg_consensus ~seeds:1 ~sizes:[ 3 ] ~impl:small_net
-        ();
+      Wfde.Experiments.e11_msg_consensus ~seeds:1 ~sizes:[ 3 ]
+        ~detectors:(Heartbeat small_net) ();
       Wfde.Experiments.a1_snapshot_ablation ~sizes:[ 2; 4 ] ();
       Wfde.Experiments.a2_escape_ablation ~seeds:4 ();
       Wfde.Experiments.a3_fig2_snapshot_cost ~seeds:2 ();
@@ -175,7 +206,7 @@ let test_experiment_lookup () =
 let test_registry_scaling () =
   let e1 = Option.get (Wfde.Experiments.find "e1") in
   let scaled =
-    e1.run { scale = 2; jobs = 1; spans = Obs.Span.null; impl = None }
+    e1.run { scale = 2; jobs = 1; spans = Obs.Span.null; detectors = Oracle }
   in
   let direct = Wfde.Experiments.e1_fig1_set_agreement ~seeds:50 () in
   Alcotest.(check string)
@@ -272,6 +303,8 @@ let suite =
       test_observers_do_not_change_runs;
     Alcotest.test_case "all experiments hold (small)" `Slow
       test_experiments_hold_small;
+    Alcotest.test_case "heartbeat detectors add only the gated rows" `Quick
+      test_heartbeat_adds_gated_rows;
     Alcotest.test_case "small tables match golden" `Quick
       test_small_tables_golden;
     Alcotest.test_case "experiment lookup" `Quick test_experiment_lookup;
