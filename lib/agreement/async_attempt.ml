@@ -1,50 +1,30 @@
 open Kernel
 open Memory
 
-type t = {
-  n_plus_1 : int;
-  final : int option Register.t;
-  arena : int Converge.Arena.t;
-  mutable decided : (Pid.t * int) list;
-  mutable max_round : int;
-}
+type t = { n_plus_1 : int; rounds : Rounds.t }
 
 let create ~name ~n_plus_1 =
   if n_plus_1 < 2 then invalid_arg "Async_attempt.create: need >= 2 processes";
-  {
-    n_plus_1;
-    final = Register.create ~name:(name ^ ".D") None;
-    arena =
-      Converge.Arena.create ~name:(name ^ ".cv") ~size:n_plus_1
-        ~compare:Int.compare;
-    decided = [];
-    max_round = 0;
-  }
-
-let decide t ~me v =
-  t.decided <- (me, v) :: t.decided;
-  Sim.output ~label:"decide" ~value:(string_of_int v)
+  { n_plus_1; rounds = Rounds.create ~name ~n_plus_1 }
 
 let proposer t ~me ~input () =
   Sim.input ~label:"propose" ~value:(string_of_int input);
   let n = t.n_plus_1 - 1 in
+  let w = t.rounds in
   let rec round r v =
-    if r > t.max_round then t.max_round <- r;
-    match Register.read t.final with
-    | Some w -> decide t ~me w
+    Rounds.enter w ~me ~round:r ~sub:0;
+    match Register.read (Rounds.final w) with
+    | Some x -> Rounds.decide w ~me ~round:r x
     | None ->
-        let conv =
-          Converge.Arena.instance t.arena ~k:n
-            ~tag:(Printf.sprintf "main.r%d" r)
-        in
+        let conv = Rounds.converge w ~round:r ~sub:0 ~k:n in
         let v, committed = Converge.run conv ~me v in
         if committed then begin
-          Register.write t.final (Some v);
-          decide t ~me v
+          Register.write (Rounds.final w) (Some v);
+          Rounds.decide w ~me ~round:r v
         end
         else round (r + 1) v
   in
   round 1 input
 
-let decisions t = List.rev t.decided
-let rounds_entered t = t.max_round
+let decisions t = Rounds.decisions t.rounds
+let rounds_entered t = Rounds.rounds_entered t.rounds

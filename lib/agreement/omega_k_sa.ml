@@ -1,104 +1,51 @@
 open Kernel
 open Memory
 
-type t = {
-  n_plus_1 : int;
-  k : int;
-  omega_k : Pid.Set.t Sim.source;
-  final : int option Register.t;
-  round_d : (int, int option Register.t) Hashtbl.t;
-  round_stable : (int, bool Register.t) Hashtbl.t;
-  arena : int Converge.Arena.t;
-  mutable decided : (Pid.t * int) list;
-  mutable decided_rounds : (Pid.t * int) list;
-  mutable max_round : int;
-  obj_prefix : string;
-}
+type t = { k : int; omega_k : Pid.Set.t Sim.source; rounds : Rounds.t }
 
 let create ~name ~n_plus_1 ~k ~omega_k =
   if n_plus_1 < 2 then invalid_arg "Omega_k_sa.create: need >= 2 processes";
   if k < 1 || k > n_plus_1 then invalid_arg "Omega_k_sa.create: bad k";
-  {
-    n_plus_1;
-    k;
-    omega_k;
-    final = Register.create ~name:(name ^ ".D") None;
-    round_d = Hashtbl.create 32;
-    round_stable = Hashtbl.create 32;
-    arena =
-      Converge.Arena.create ~name:(name ^ ".cv") ~size:n_plus_1
-        ~compare:Int.compare;
-    decided = [];
-    decided_rounds = [];
-    max_round = 0;
-    obj_prefix = name;
-  }
-
-let d_of t r =
-  match Hashtbl.find_opt t.round_d r with
-  | Some reg -> reg
-  | None ->
-      let reg =
-        Register.create ~name:(Printf.sprintf "%s.D[%d]" t.obj_prefix r) None
-      in
-      Hashtbl.add t.round_d r reg;
-      reg
-
-let stable_of t r =
-  match Hashtbl.find_opt t.round_stable r with
-  | Some reg -> reg
-  | None ->
-      let reg =
-        Register.create
-          ~name:(Printf.sprintf "%s.Stable[%d]" t.obj_prefix r)
-          false
-      in
-      Hashtbl.add t.round_stable r reg;
-      reg
-
-let decide t ~me ~round v =
-  t.decided <- (me, v) :: t.decided;
-  t.decided_rounds <- (me, round) :: t.decided_rounds;
-  Sim.output ~label:"decide" ~value:(string_of_int v)
+  { k; omega_k; rounds = Rounds.create ~name ~n_plus_1 }
 
 let proposer t ~me ~input () =
   Sim.input ~label:"propose" ~value:(string_of_int input);
+  let w = t.rounds in
+  let decide ~round v = Rounds.decide w ~me ~round v in
   let rec round r v =
-    if r > t.max_round then t.max_round <- r;
-    let conv =
-      Converge.Arena.instance t.arena ~k:t.k ~tag:(Printf.sprintf "main.r%d" r)
-    in
+    Rounds.enter w ~me ~round:r ~sub:0;
+    let conv = Rounds.converge w ~round:r ~sub:0 ~k:t.k in
     let v, committed = Converge.run conv ~me v in
     if committed then begin
-      Register.write t.final (Some v);
-      decide t ~me ~round:r v
+      Register.write (Rounds.final w) (Some v);
+      decide ~round:r v
     end
     else
       let committee = Sim.query t.omega_k in
       follow r v committee
   and follow r v committee =
-    match Register.read t.final with
-    | Some w -> decide t ~me ~round:r w
+    match Register.read (Rounds.final w) with
+    | Some x -> decide ~round:r x
     | None -> (
-        if Register.read (stable_of t r) then round (r + 1) v
+        if Register.read (Rounds.stable w r) then round (r + 1) v
         else
-          match Register.read (d_of t r) with
-          | Some w -> round (r + 1) w (* adopt a committee value *)
+          match Register.read (Rounds.d w r) with
+          | Some x -> round (r + 1) x (* adopt a committee value *)
           | None ->
               let committee' = Sim.query t.omega_k in
               if not (Pid.Set.equal committee' committee) then begin
-                Register.write (stable_of t r) true;
+                Register.write (Rounds.stable w r) true;
                 round (r + 1) v
               end
               else if Pid.Set.mem me committee then begin
                 (* committee member: publish and advance with own value *)
-                Register.write (d_of t r) (Some v);
+                Register.write (Rounds.d w r) (Some v);
                 round (r + 1) v
               end
               else follow r v committee)
   in
   round 1 input
 
-let decisions t = List.rev t.decided
-let decision_rounds t = List.rev t.decided_rounds
-let rounds_entered t = t.max_round
+let decisions t = Rounds.decisions t.rounds
+let decision_rounds t = Rounds.decision_rounds t.rounds
+let rounds_entered t = Rounds.rounds_entered t.rounds

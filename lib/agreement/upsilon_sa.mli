@@ -42,7 +42,8 @@ val create :
   upsilon:Pid.Set.t Sim.source ->
   unit ->
   t
-(** Fresh shared state (registers, converge arena) for one run. *)
+(** Fresh shared state for one run: a {!Rounds} window of registers and
+    converge instances. *)
 
 val proposer : t -> me:Pid.t -> input:int -> unit -> unit
 (** The fiber body for process [me] proposing [input]: records the

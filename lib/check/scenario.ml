@@ -139,14 +139,14 @@ let abd ~mutant ~procs () =
    harness-side (order-insensitive, as the reduction requires). *)
 let commit_adopt ~mutant ~procs () =
   let inst =
-    Converge.Commit_adopt.create ~name:"ca" ~size:procs ~compare:Int.compare
+    Converge.create ~name:"ca" ~k:1 ~size:procs ~compare:Int.compare
   in
-  Option.iter (Converge.Commit_adopt.unsafe_plant inst) mutant;
+  Option.iter (Converge.unsafe_plant inst) mutant;
   let picks = Array.make procs None in
   let input p = 100 + p in
   let body pid () =
     let p = Pid.to_int pid in
-    picks.(p) <- Some (Converge.Commit_adopt.run inst ~me:p (input p))
+    picks.(p) <- Some (Converge.run inst ~me:p (input p))
   in
   let check (_ : Run.result) =
     let finished =

@@ -30,6 +30,8 @@ let create ~name ~k ~size ~compare =
         drop_phase2 = false;
       }
 
+let zero = Zero
+
 let k_of = function Zero -> 0 | Shared t -> t.k
 
 let unsafe_plant inst m =
@@ -86,39 +88,3 @@ let run inst ~me v =
         | None -> (v, false)
     end
   end
-
-let make_instance = create
-
-module Arena = struct
-  type 'a t = {
-    arena_name : string;
-    size : int;
-    arena_compare : 'a -> 'a -> int;
-    table : (int * string, 'a instance) Hashtbl.t;
-  }
-
-  let create ~name ~size ~compare =
-    { arena_name = name; size; arena_compare = compare; table = Hashtbl.create 64 }
-
-  let instance t ~k ~tag =
-    if k = 0 then Zero
-    else
-      match Hashtbl.find_opt t.table (k, tag) with
-      | Some inst -> inst
-      | None ->
-          let inst =
-            make_instance
-              ~name:(Printf.sprintf "%s.k%d/%s" t.arena_name k tag)
-              ~k ~size:t.size ~compare:t.arena_compare
-          in
-          Hashtbl.add t.table (k, tag) inst;
-          inst
-end
-
-module Commit_adopt = struct
-  type 'a t = 'a instance
-
-  let create ~name ~size ~compare = make_instance ~name ~k:1 ~size ~compare
-  let run t ~me v = run t ~me v
-  let unsafe_plant = unsafe_plant
-end

@@ -38,7 +38,13 @@ type 'a instance
 val create :
   name:string -> k:int -> size:int -> compare:('a -> 'a -> int) -> 'a instance
 (** A fresh shared instance with [size] single-writer positions.
-    [compare] orders values (used for the deterministic min). *)
+    [compare] orders values (used for the deterministic min). [k = 1]
+    is commit–adopt: if all inputs are equal everyone commits; if
+    anyone commits [v], everyone picks [v]. *)
+
+val zero : 'a instance
+(** 0-converge: the one instance for [k = 0]. It holds no object, and
+    {!run} on it takes no step. *)
 
 val k_of : 'a instance -> int
 
@@ -54,36 +60,3 @@ val unsafe_plant : 'a instance -> Kernel.Mutant.t -> unit
     planted into the instance's two snapshots, so
     {!Kernel.Mutant.Snapshot_single_collect} breaks their scans; every
     other mutant is ignored. For checker regression tests only. *)
-
-(** A lazily-allocated family of shared instances, keyed by (k, tag) —
-    the protocols of Figs 1–2 address instances as
-    [(|U|−1)-converge\[r\]\[k\]], where the parameter is part of the
-    instance's identity and different processes must reach the same
-    object. Allocation is harness-level (free of steps). *)
-module Arena : sig
-  type 'a t
-
-  val create :
-    name:string -> size:int -> compare:('a -> 'a -> int) -> 'a t
-
-  val instance : 'a t -> k:int -> tag:string -> 'a instance
-  (** The shared instance for [(k, tag)], allocated on first use. For
-      [k = 0] every tag gets the same instance, which holds no object:
-      0-converge takes no step. *)
-end
-
-(** Commit–adopt: the [k = 1] instance under its usual name. If all
-    inputs are equal everyone commits; if anyone commits [v], everyone
-    picks [v]. The Ω-based consensus baseline builds on it. *)
-module Commit_adopt : sig
-  type 'a t
-
-  val create :
-    name:string -> size:int -> compare:('a -> 'a -> int) -> 'a t
-
-  val run : 'a t -> me:int -> 'a -> 'a * bool
-  (** [(picked, committed)]; each position used at most once. *)
-
-  val unsafe_plant : 'a t -> Kernel.Mutant.t -> unit
-  (** {!Converge.unsafe_plant} on the underlying instance. *)
-end

@@ -395,6 +395,148 @@ let test_async_attempt_identical_inputs_decides () =
 
 (* -- property tests -------------------------------------------------------------- *)
 
+(* -- Round window ---------------------------------------------------------- *)
+
+(* [f ()] must fail loudly on a retired object, never rebuild it. *)
+let retired what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: a retired object was reachable" what
+  | exception Invalid_argument _ -> ()
+
+(* One object per (position, k): k is part of the identity, as in
+   (|U|-1)-converge[r][k], so processes whose Upsilon outputs differ
+   reach different objects at the same position. *)
+let test_rounds_share_objects () =
+  let w = Rounds.create ~name:"w" ~n_plus_1:2 in
+  let a = Rounds.converge w ~round:1 ~sub:1 ~k:1 in
+  checkb "same position and k shares" true
+    (a == Rounds.converge w ~round:1 ~sub:1 ~k:1);
+  checkb "another sub-round is distinct" true
+    (not (a == Rounds.converge w ~round:1 ~sub:2 ~k:1));
+  checkb "another round is distinct" true
+    (not (a == Rounds.converge w ~round:2 ~sub:1 ~k:1));
+  let d = Rounds.converge w ~round:1 ~sub:1 ~k:2 in
+  checkb "another k is distinct" true (not (a == d));
+  checki "k recorded" 2 (Converge.k_of d);
+  checkb "D[r] shared" true (Rounds.d w 3 == Rounds.d w 3);
+  Alcotest.(check string)
+    "D[r] name" "w.D[3]"
+    (Memory.Register.name (Rounds.d w 3))
+
+(* 0-converge: the one no-object instance at every position, and running
+   it takes no step. *)
+let test_rounds_zero_is_shared () =
+  let w = Rounds.create ~name:"w" ~n_plus_1:3 in
+  let zero = Rounds.converge w ~round:1 ~sub:1 ~k:0 in
+  checkb "Converge.zero" true (zero == Converge.zero);
+  List.iter
+    (fun (round, sub) ->
+      checkb (Printf.sprintf "(%d, %d)" round sub) true
+        (Rounds.converge w ~round ~sub ~k:0 == zero))
+    [ (1, 0); (1, 2); (7, 1) ];
+  checki "k" 0 (Converge.k_of zero);
+  let outs = ref [] in
+  let result =
+    Run.exec
+      ~pattern:(Failure_pattern.no_failures ~n_plus_1:3)
+      ~policy:(Policy.round_robin ())
+      ~procs:(fun pid ->
+        [ (fun () -> outs := Converge.run zero ~me:pid (10 + pid) :: !outs) ])
+      ()
+  in
+  checki "no steps" 0 result.steps;
+  checkb "each returns (v, false)" true
+    (List.sort compare !outs = [ (10, false); (11, false); (12, false) ])
+
+(* A sub-round object retires once every process is past its position,
+   a round-level one once every process is past its round. *)
+let test_rounds_retire_passed () =
+  let w = Rounds.create ~name:"w" ~n_plus_1:2 in
+  ignore (Rounds.converge w ~round:1 ~sub:1 ~k:1);
+  let d1 = Rounds.d w 1 in
+  List.iter (fun me -> Rounds.enter w ~me ~round:1 ~sub:2) [ 0; 1 ];
+  retired "(1, 1)" (fun () -> Rounds.converge w ~round:1 ~sub:1 ~k:1);
+  retired "0-converge at (1, 1)" (fun () ->
+      Rounds.converge w ~round:1 ~sub:1 ~k:0);
+  checkb "D[1] lives through round 1" true (Rounds.d w 1 == d1);
+  List.iter (fun me -> Rounds.enter w ~me ~round:2 ~sub:0) [ 0; 1 ];
+  retired "D[1]" (fun () -> Rounds.d w 1);
+  retired "Stable[1]" (fun () -> Rounds.stable w 1);
+  retired "going back" (fun () -> Rounds.enter w ~me:0 ~round:1 ~sub:5)
+
+(* A process that never moves (crashed, or not yet started) pins its
+   position: nothing at or after it retires. *)
+let test_rounds_pinned () =
+  let w = Rounds.create ~name:"w" ~n_plus_1:3 in
+  let a = Rounds.converge w ~round:1 ~sub:1 ~k:1 in
+  let d1 = Rounds.d w 1 in
+  List.iter (fun me -> Rounds.enter w ~me ~round:5 ~sub:0) [ 0; 1 ];
+  checkb "(1, 1) kept" true (Rounds.converge w ~round:1 ~sub:1 ~k:1 == a);
+  checkb "D[1] kept" true (Rounds.d w 1 == d1);
+  checki "rounds entered" 5 (Rounds.rounds_entered w)
+
+(* Deciding releases a process: it no longer holds the floor. *)
+let test_rounds_decide_releases () =
+  let w = Rounds.create ~name:"w" ~n_plus_1:2 in
+  let _ =
+    Run.exec
+      ~pattern:(Failure_pattern.no_failures ~n_plus_1:2)
+      ~policy:(Policy.round_robin ())
+      ~procs:(function
+        | 0 -> [ (fun () -> Rounds.decide w ~me:0 ~round:1 7) ]
+        | me -> [ (fun () -> Rounds.enter w ~me ~round:2 ~sub:0) ])
+      ()
+  in
+  checkb "decision logged" true (Rounds.decisions w = [ (0, 7) ]);
+  checkb "decision round logged" true (Rounds.decision_rounds w = [ (0, 1) ]);
+  retired "D[1]" (fun () -> Rounds.d w 1);
+  ignore (Rounds.d w 2)
+
+(* What a starving run keeps does not grow with its horizon: the words
+   reachable from the protocol after 400k steps are those after 100k,
+   give or take a few. Keeping every round's objects, this Fig-1 run
+   held 311,220 words at 100k steps and 1,244,292 at 400k, the async
+   skeleton 217,218 and 868,514. *)
+let test_heap_independent_of_horizon () =
+  let n_plus_1 = 3 in
+  let pattern = Failure_pattern.no_failures ~n_plus_1 in
+  let starve label run =
+    let words horizon =
+      let proto, result = run horizon in
+      checkb (label ^ " starves") true (result.Run.outcome = Scheduler.Horizon);
+      Obj.reachable_words (Obj.repr proto)
+    in
+    let w100 = words 100_000 and w400 = words 400_000 in
+    checkb (Printf.sprintf "%s: %d words at 100k <= 4,000" label w100) true
+      (w100 <= 4_000);
+    checkb
+      (Printf.sprintf "%s: %d words at 400k <= %d at 100k + 64" label w400 w100)
+      true
+      (w400 <= w100 + 64)
+  in
+  let exec proposer horizon =
+    Run.exec ~pattern ~policy:(Policy.round_robin ()) ~horizon
+      ~procs:(fun pid -> [ proposer ~me:pid ~input:(100 + pid) ])
+      ()
+  in
+  starve "fig1, no D[r] and no D" (fun horizon ->
+      let upsilon = Upsilon.make ~rng:(Rng.create 1) ~pattern ~stab_time:0 () in
+      let escapes =
+        {
+          Upsilon_sa.all_escapes with
+          watch_round_d = false;
+          watch_final = false;
+        }
+      in
+      let proto =
+        Upsilon_sa.create ~escapes ~name:"sa" ~n_plus_1
+          ~upsilon:(Detector.source upsilon) ()
+      in
+      (proto, exec (Upsilon_sa.proposer proto) horizon));
+  starve "async skeleton" (fun horizon ->
+      let proto = Async_attempt.create ~name:"async" ~n_plus_1 in
+      (proto, exec (Async_attempt.proposer proto) horizon))
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -476,5 +618,17 @@ let suite =
       test_async_attempt_safety_always;
     Alcotest.test_case "async skeleton, one input" `Quick
       test_async_attempt_identical_inputs_decides;
+    Alcotest.test_case "round window shares objects" `Quick
+      test_rounds_share_objects;
+    Alcotest.test_case "round window 0-converge stepless" `Quick
+      test_rounds_zero_is_shared;
+    Alcotest.test_case "round window retires passed objects" `Quick
+      test_rounds_retire_passed;
+    Alcotest.test_case "round window pinned by a process that stays" `Quick
+      test_rounds_pinned;
+    Alcotest.test_case "round window released by deciding" `Quick
+      test_rounds_decide_releases;
+    Alcotest.test_case "heap independent of the horizon" `Quick
+      test_heap_independent_of_horizon;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases

@@ -141,10 +141,10 @@ let test_c_agreement_exhaustive_small () =
     checkb "convergence (vacuous)" true c
   done
 
-let test_commit_adopt_alias () =
-  let ca = Commit_adopt.create ~name:"ca" ~size:2 ~compare:Int.compare in
+let test_commit_adopt_same_input () =
+  let ca = create ~name:"ca" ~k:1 ~size:2 ~compare:Int.compare in
   let outs = Array.make 2 (0, false) in
-  let body pid () = outs.(pid) <- Commit_adopt.run ca ~me:pid 5 in
+  let body pid () = outs.(pid) <- run ca ~me:pid 5 in
   let _ =
     Run.exec
       ~pattern:(Failure_pattern.no_failures ~n_plus_1:2)
@@ -162,9 +162,9 @@ let test_commit_adopt_agreement_on_conflict () =
   (* Different inputs: if anyone commits v, everyone picks v. *)
   for seed = 1 to 100 do
     let rng = Rng.create (seed * 13) in
-    let ca = Commit_adopt.create ~name:"ca2" ~size:3 ~compare:Int.compare in
+    let ca = create ~name:"ca2" ~k:1 ~size:3 ~compare:Int.compare in
     let outs = ref [] in
-    let body pid () = outs := Commit_adopt.run ca ~me:pid (pid * 100) :: !outs in
+    let body pid () = outs := run ca ~me:pid (pid * 100) :: !outs in
     let _ =
       Run.exec
         ~pattern:(Failure_pattern.no_failures ~n_plus_1:3)
@@ -177,42 +177,6 @@ let test_commit_adopt_agreement_on_conflict () =
     | (v, _) :: _ ->
         List.iter (fun (w, _) -> checki "all picks equal commit" v w) !outs
   done
-
-let test_arena_shares_instances () =
-  let arena = Arena.create ~name:"ar" ~size:2 ~compare:Int.compare in
-  let a = Arena.instance arena ~k:1 ~tag:"r1" in
-  let b = Arena.instance arena ~k:1 ~tag:"r1" in
-  let c = Arena.instance arena ~k:1 ~tag:"r2" in
-  checkb "same (k, tag) shares" true (a == b);
-  checkb "different tag distinct" true (not (a == c));
-  (* k is part of the instance identity, as in the paper's
-     (|U|-1)-converge[r][k] naming: same tag, different k, different
-     object. *)
-  let d = Arena.instance arena ~k:2 ~tag:"r1" in
-  checkb "different k distinct" true (not (a == d));
-  Alcotest.check Alcotest.int "k recorded" 2 (Converge.k_of d)
-
-(* 0-converge from an arena: one shared instance for every tag, and
-   running it takes no step. *)
-let test_arena_zero_is_shared () =
-  let arena = Arena.create ~name:"ar" ~size:3 ~compare:Int.compare in
-  let zero = Arena.instance arena ~k:0 ~tag:"glad.r1.k1" in
-  List.iter
-    (fun tag -> checkb tag true (Arena.instance arena ~k:0 ~tag == zero))
-    [ "glad.r1.k1"; "glad.r1.k2"; "glad.r7.k1"; "" ];
-  checki "k" 0 (Converge.k_of zero);
-  let outs = ref [] in
-  let result =
-    Run.exec
-      ~pattern:(Failure_pattern.no_failures ~n_plus_1:3)
-      ~policy:(Policy.round_robin ())
-      ~procs:(fun pid ->
-        [ (fun () -> outs := Converge.run zero ~me:pid (10 + pid) :: !outs) ])
-      ()
-  in
-  checki "no steps" 0 result.steps;
-  checkb "each returns (v, false)" true
-    (List.sort compare !outs = [ (10, false); (11, false); (12, false) ])
 
 let qcheck_cases =
   let open QCheck in
@@ -267,11 +231,8 @@ let suite =
       test_wait_freedom_with_crashes;
     Alcotest.test_case "c-agreement (3 procs, distinct)" `Quick
       test_c_agreement_exhaustive_small;
-    Alcotest.test_case "commit-adopt same input" `Quick test_commit_adopt_alias;
+    Alcotest.test_case "commit-adopt same input" `Quick test_commit_adopt_same_input;
     Alcotest.test_case "commit-adopt conflict" `Quick
       test_commit_adopt_agreement_on_conflict;
-    Alcotest.test_case "arena sharing" `Quick test_arena_shares_instances;
-    Alcotest.test_case "arena 0-converge shared, stepless" `Quick
-      test_arena_zero_is_shared;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases

@@ -13,11 +13,11 @@ let checkb = Alcotest.check Alcotest.bool
    asserts the commit-adopt contract on the collected results. *)
 let commit_adopt_world n () =
   let inst =
-    Converge.Commit_adopt.create ~name:"x" ~size:n ~compare:Int.compare
+    Converge.create ~name:"x" ~k:1 ~size:n ~compare:Int.compare
   in
   let results = ref [] in
   let body pid () =
-    let picked, committed = Converge.Commit_adopt.run inst ~me:pid (pid * 7) in
+    let picked, committed = Converge.run inst ~me:pid (pid * 7) in
     results := (pid, picked, committed) :: !results
   in
   let procs pid = [ body pid ] in

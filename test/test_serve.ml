@@ -1269,6 +1269,20 @@ let test_cli_trace_keeps_little () =
   checkb (Printf.sprintf "exporting: %d <= %d heap words" exported bound) true
     (exported <= bound)
 
+(* The round window retires what no undecided process can reach.
+   Keeping every round's objects, a2's starving Fig-1 runs peaked at
+   2,048,949 heap words and the lock-step skeleton at 1,177,117. *)
+let test_cli_round_window_heap () =
+  let bound = 400_000 in
+  List.iter
+    (fun args ->
+      let words = top_heap_words args in
+      checkb
+        (Printf.sprintf "wfde %s: %d <= %d heap words" (String.concat " " args)
+           words bound)
+        true (words <= bound))
+    [ [ "run"; "a2" ]; [ "trace"; "-p"; "async"; "--limit"; "250000" ] ]
+
 (* [wfde trace --out] writes each event as it happens, byte for byte
    the golden exports (the file name gives the trace flags). *)
 let test_cli_trace_golden_exports () =
@@ -1310,6 +1324,73 @@ let test_cli_check_hb_flags () =
       checkb "no violation" true (J.member "violation" doc = Some J.Null)
   | Error e -> Alcotest.failf "bad check JSON: %s" e);
   checks "same document as --object" (check_json [ "--object"; obj ]) flags
+
+let json_doc path =
+  match J.of_string (read_file path) with
+  | Ok doc -> doc
+  | Error e -> Alcotest.failf "bad JSON in %s: %s" path e
+
+(* The implemented-detector experiments (d1 conformance grid, d2
+   oracle-vs-implemented substitutability, d3 model checking) and e5
+   with its heartbeat row print the same bytes at every -j: simulated
+   time is scheduler steps, so parallelism must not leak into a table.
+   d2's implemented detectors reach the oracles' verdicts. *)
+let test_cli_sweep_hb_jobs () =
+  let args =
+    [ "sweep"; "d1"; "d2"; "d3"; "e5" ]
+    @ [ "--detector-impl"; "hb"; "--gst"; "60"; "--loss"; "40" ]
+  in
+  let json = Filename.temp_file "wfde-test-sweep" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove json) @@ fun () ->
+  let serial = cli_ok (args @ [ "-j"; "1" ]) in
+  let parallel = cli_ok (args @ [ "-j"; "4"; "--json"; json ]) in
+  checks "-j 1 and -j 4 print the same" serial parallel;
+  checkb "verdicts agree" true (contains parallel "verdicts agree");
+  let doc = json_doc json in
+  checkb "schema" true (J.member "schema" doc = Some (J.String "wfde-sweep/1"));
+  let experiments =
+    match J.member "experiments" doc with
+    | Some (J.List l) -> l
+    | _ -> Alcotest.fail "no experiments list"
+  in
+  let ids =
+    List.filter_map
+      (fun e -> Option.bind (J.member "id" e) J.to_str)
+      experiments
+  in
+  List.iter
+    (fun id -> checkb ("has " ^ id) true (List.mem id ids))
+    [ "d1"; "d2"; "d3"; "e5" ];
+  List.iter2
+    (fun id e ->
+      checkb (id ^ " ok") true (J.member "ok" e = Some (J.Bool true)))
+    ids experiments
+
+(* Pre-GST chaos must not break safety on the clean scenarios (the
+   planted heartbeat mutants are caught elsewhere), and the heartbeat
+   check prints the same bytes at every -j. *)
+let test_cli_check_hb_clean () =
+  let common = [ "--procs"; "2"; "--depth"; "5"; "--horizon"; "500" ] in
+  let hb =
+    [ "check"; "--detector-impl"; "hb"; "--gst"; "12"; "--loss"; "50" ] @ common
+  in
+  checks "-j 1 and -j 4 print the same"
+    (cli_ok (hb @ [ "-j"; "1" ]))
+    (cli_ok (hb @ [ "-j"; "4" ]));
+  List.iter
+    (fun args ->
+      let name = String.concat " " args in
+      let json = Filename.temp_file "wfde-test-check" ".json" in
+      Fun.protect ~finally:(fun () -> Sys.remove json) @@ fun () ->
+      ignore (cli_ok (args @ [ "--json"; json ]));
+      let doc = json_doc json in
+      checkb (name ^ ": no violation") true
+        (J.member "violation" doc = Some J.Null);
+      checkb (name ^ ": executions > 0") true
+        (match Option.bind (J.member "executions" doc) J.to_int with
+        | Some n -> n > 0
+        | None -> false))
+    [ hb; [ "check"; "--object"; "link-chaos" ] @ common ]
 
 (* [scripts/check_prom.py] on [text]: a valid Prometheus exposition
    holding every [require]d family. *)
@@ -1485,10 +1566,16 @@ let suite =
       test_cli_trace_async_huge_limit;
     Alcotest.test_case "cli: trace keeps only what it prints" `Quick
       test_cli_trace_keeps_little;
+    Alcotest.test_case "cli: round window bounds a2 and async heaps" `Quick
+      test_cli_round_window_heap;
     Alcotest.test_case "cli: trace --out streams the golden exports" `Quick
       test_cli_trace_golden_exports;
     Alcotest.test_case "cli: check --detector-impl hb names its link" `Quick
       test_cli_check_hb_flags;
+    Alcotest.test_case "cli: sweep d1 d2 d3 e5 hb, -j 1 = -j 4" `Quick
+      test_cli_sweep_hb_jobs;
+    Alcotest.test_case "cli: check hb and link-chaos clean, -j" `Quick
+      test_cli_check_hb_clean;
     Alcotest.test_case "cli: daemon spans, prom, slow log, drain, render"
       `Quick test_cli_daemon_observability;
     Alcotest.test_case "cli: stats --format prom is valid exposition" `Quick
