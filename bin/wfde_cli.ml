@@ -361,7 +361,8 @@ let run_check obj_name procs depth horizon jobs mutant_name detectors json_path
       let mutant =
         match mutant_name with
         | None -> Ok None
-        | Some m -> Result.map Option.some (Wfde.Mutant.of_string m)
+        | Some m ->
+            Result.map Option.some (Wfde.Scenario.mutant_of_string obj m)
       in
       match mutant with
       | Error msg -> fail msg

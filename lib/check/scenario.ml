@@ -250,6 +250,27 @@ let link_chaos cfg ~procs () =
   in
   ((fun pid -> [ body pid ]), check)
 
+let mutant_of_string obj name =
+  Result.bind (Mutant.of_string name) @@ fun m ->
+  let target =
+    match m with
+    | Mutant.Abd_skip_write_back -> "abd"
+    | Snapshot_single_collect -> "snapshot"
+    | Converge_drop_phase2 -> "commit-adopt"
+    | Hb_timeout_never_increased | Hb_suspected_not_restored -> "hb-detector"
+  in
+  let kind =
+    match obj with
+    | Hb_detector _ -> "hb-detector"
+    | Link_chaos _ -> "link-chaos"
+    | o -> to_string o
+  in
+  if String.equal target kind then Ok m
+  else
+    Error
+      (Printf.sprintf "mutant %s targets %s, not %s" (Mutant.to_string m)
+         target (to_string obj))
+
 (* Register and Link_chaos build nothing a mutant can be planted in. *)
 let make ?mutant obj ~procs =
   require obj procs;

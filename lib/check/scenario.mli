@@ -71,6 +71,17 @@ val of_string : string -> (obj, string) result
 
 val min_procs : obj -> int
 
+val mutant_of_string : obj -> string -> (Mutant.t, string) result
+(** {!Mutant.of_string}, refusing a mutant that does not target [obj]
+    with a one-line error naming its target. abd-skip-write-back
+    targets [Abd], snapshot-single-collect [Snapshot],
+    converge-drop-phase2 [Commit_adopt], and both heartbeat mutants
+    [Hb_detector]; [Register] and [Link_chaos] take none. A check of
+    an object with a mutant aimed elsewhere plants nothing, so finding
+    no violation would look like a missed bug: the [wfde check]
+    command and the daemon's [check] method read [--mutant] through
+    this. *)
+
 val make :
   ?mutant:Mutant.t ->
   obj ->

@@ -1,5 +1,5 @@
-(** Plain-text tables for experiment output: what the bench harness and
-    the CLI print, and what EXPERIMENTS.md quotes. *)
+(** Plain-text tables for experiment output: what the CLI and the daemon
+    print, and what EXPERIMENTS.md quotes. *)
 
 type table = {
   title : string;

@@ -1,17 +1,17 @@
 (** Domain-based parallel sweep runner with a deterministic merge.
 
-    A pool shards independent work units — experiment seeds, DPOR root
-    branches, bench repetitions — across a fixed number of worker
-    domains. Workers claim unit indices from one shared atomic cursor,
-    so units start in ascending index order and a worker stuck on one
-    slow unit never holds back the others: idle workers keep claiming
-    the next index. Which worker runs a unit is therefore dynamic, but
+    A pool shards independent work units — experiments, DPOR root
+    branches — across a fixed number of worker domains. Workers claim
+    unit indices from one shared atomic cursor, so units start in
+    ascending index order and a worker stuck on one slow unit never
+    holds back the others: idle workers keep claiming the next index.
+    Which worker runs a unit is therefore dynamic, but
     {e results are merged keyed by unit index, never by completion
     order}: [map] with [jobs = 1] and [jobs = N] return
     element-for-element identical lists, and the metrics absorbed into
     the caller's registry are identical too, so rendered tables, JSONL
-    traces, and [wfde-bench/1] JSON come out byte-identical at any
-    [-j].
+    traces, and [wfde check --json] documents come out byte-identical
+    at any [-j].
 
     Per-worker isolation is total. Each unit runs with one fresh
     metrics registry window ({!Obs.Metrics.reset} before, snapshot

@@ -1,6 +1,6 @@
 (** A snapshot object granted as an atomic primitive: [update] and [scan]
     are each a single step. Not part of the paper's register-only model —
-    exists for the A1 ablation bench, quantifying what the register-built
+    exists for the A1 ablation experiment, quantifying what the register-built
     {!Snapshot} costs the protocols. *)
 
 type 'a t

@@ -1,11 +1,12 @@
 (** A minimal JSON tree, printer, and parser.
 
     The telemetry layer needs machine-readable output (metrics
-    snapshots, JSONL trace export, bench documents) without adding a
-    dependency, so this module implements just enough of RFC 8259:
-    objects, arrays, strings with escapes (including [\uXXXX], encoded
-    to UTF-8), integers, doubles, booleans, null.  [of_string (to_string
-    t)] is the identity for every [t] whose floats are finite. *)
+    snapshots, JSONL trace export, check and sweep documents) without
+    adding a dependency, so this module implements just enough of RFC
+    8259: objects, arrays, strings with escapes (including [\uXXXX],
+    encoded to UTF-8), integers, doubles, booleans, null.  [of_string
+    (to_string t)] is the identity for every [t] whose floats are
+    finite. *)
 
 type t =
   | Null

@@ -1,8 +1,9 @@
 (** A metrics registry for the simulator, one per domain.
 
     Instrumentation sites register named counters, gauges, and
-    fixed-bucket histograms; the harness, CLI, and bench read them back
-    as a {!snapshot} and render it as a table or JSON.
+    fixed-bucket histograms; the harness, the CLI, the tests that pin
+    work counters and wfdebench read them back as a {!snapshot} and
+    render it as a table or JSON.
 
     There is one handle kind per metric type, and a handle is an
     immutable slot. A name gets its slot, type, and (for histograms)

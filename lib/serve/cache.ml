@@ -23,8 +23,9 @@ let cacheable = function "run" | "check" | "sweep" -> true | _ -> false
 
 (* Params that cannot change the payload, per method. [run] and
    [check] payloads are -j1/-jN byte-identical (the determinism
-   contract the bench gates); [sweep] is NOT listed — wfde-sweep/1
-   embeds a "jobs" field, so jobs variants are distinct content. *)
+   contract test_cache's Zipf legs pin); [sweep] is NOT listed —
+   wfde-sweep/1 embeds a "jobs" field, so jobs variants are distinct
+   content. *)
 let volatile_params = function "run" | "check" -> [ "jobs" ] | _ -> []
 
 let rec canonical_json = function

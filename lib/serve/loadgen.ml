@@ -69,8 +69,6 @@ let zipf_shape ~seed ~skew ~universe i =
   in
   walk 0 0.
 
-let zipf_class ~seed ~skew ~universe i = zipf_shape ~seed ~skew ~universe i / 2
-
 let zipf_request ?trace_prefix ~seed ~skew ~universe i =
   let shape = zipf_shape ~seed ~skew ~universe i in
   let c = shape / 2 in
@@ -92,10 +90,15 @@ let zipf_request ?trace_prefix ~seed ~skew ~universe i =
     trace = Option.map (fun p -> Printf.sprintf "%s%d" p i) trace_prefix;
   }
 
-let zipf_distinct_classes ~seed ~skew ~universe ~total =
+(* The jobs-normalized class of index [i] under the default
+   distribution. *)
+let zipf_class ~seed i =
+  zipf_shape ~seed ~skew:default_skew ~universe:default_universe i / 2
+
+let zipf_distinct_classes ~seed ~total =
   let seen = Hashtbl.create 16 in
   for i = 0 to total - 1 do
-    Hashtbl.replace seen (zipf_class ~seed ~skew ~universe i) ()
+    Hashtbl.replace seen (zipf_class ~seed i) ()
   done;
   Hashtbl.length seen
 
@@ -150,10 +153,10 @@ let run_with ~request ~socket ~total ~clients () =
 let run ?trace_prefix ~socket ~total ~clients () =
   run_with ~request:(request_for ?trace_prefix) ~socket ~total ~clients ()
 
-let run_zipf ?trace_prefix ?(skew = default_skew) ?(universe = default_universe)
-    ~seed ~socket ~total ~clients () =
+let run_zipf ~seed ~socket ~total ~clients () =
   run_with
-    ~request:(zipf_request ?trace_prefix ~seed ~skew ~universe)
+    ~request:
+      (zipf_request ~seed ~skew:default_skew ~universe:default_universe)
     ~socket ~total ~clients ()
 
 let mismatches ~reference leg =
@@ -168,14 +171,13 @@ let mismatches ~reference leg =
   done;
   !count
 
-let zipf_class_mismatches ?(skew = default_skew)
-    ?(universe = default_universe) ~seed leg =
+let zipf_class_mismatches ~seed leg =
   let first = Hashtbl.create 16 in
   let count = ref 0 in
   Array.iteri
     (fun i p ->
       if p <> "" then
-        let c = zipf_class ~seed ~skew ~universe i in
+        let c = zipf_class ~seed i in
         match Hashtbl.find_opt first c with
         | None -> Hashtbl.add first c p
         | Some q -> if not (String.equal p q) then incr count)

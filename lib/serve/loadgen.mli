@@ -1,5 +1,7 @@
 (** A deterministic closed-loop load generator for the daemon — the
-    engine behind [wfde bench] part 4 and the daemon smoke tests.
+    engine behind the daemon's determinism tests (test_serve's traced
+    loadgen case, test_cache's Zipf legs) and wfdebench's serve
+    workload.
 
     The workload is a fixed function of the {e global request index}:
     request [i] is always {!request_for}[ i], whatever client sends it.
@@ -42,7 +44,7 @@ val mismatches : reference:leg -> leg -> int
     both sides got an ok payload are compared — errors are already
     counted separately). *)
 
-(** {1 Zipf-skewed repeated-request scenario} (bench part 6)
+(** {1 Zipf-skewed repeated-request scenario}
 
     A hit-heavy workload for the result cache: request [i] is a
     [check] whose {e shape} is drawn from a Zipf([skew]) distribution
@@ -61,30 +63,23 @@ val default_universe : int
 (** 8 shapes = 4 classes. [universe] should stay even so every shape
     has its jobs twin. *)
 
-val zipf_shape : seed:int -> skew:float -> universe:int -> int -> int
-(** The sampled shape index in [\[0, universe)] for global index [i]. *)
-
-val zipf_class : seed:int -> skew:float -> universe:int -> int -> int
-(** [zipf_shape ... i / 2] — the jobs-normalized shape class. *)
-
 val zipf_request :
   ?trace_prefix:string ->
   seed:int -> skew:float -> universe:int -> int -> Proto.request
 (** The request for global index [i]; ids are ["z<N>"]. *)
 
+(** The rest of this section uses {!default_skew} and
+    {!default_universe}. *)
+
 val run_zipf :
-  ?trace_prefix:string ->
-  ?skew:float ->
-  ?universe:int ->
   seed:int -> socket:string -> total:int -> clients:int -> unit -> leg
 (** Execute one Zipf leg (same driver and clamping as {!run}). *)
 
-val zipf_distinct_classes :
-  seed:int -> skew:float -> universe:int -> total:int -> int
+val zipf_distinct_classes : seed:int -> total:int -> int
 (** How many distinct classes a leg of [total] requests samples — on a
     cold caching daemon, exactly the expected serial-leg miss count. *)
 
-val zipf_class_mismatches : ?skew:float -> ?universe:int -> seed:int -> leg -> int
+val zipf_class_mismatches : seed:int -> leg -> int
 (** Indices whose ok payload differs from the first ok payload of the
     same class within the leg. Any nonzero count is a determinism bug:
     it means [-j1]/[-j2] twins, or cached vs computed responses for

@@ -235,7 +235,7 @@ let handle_check ~deadline ~spans params =
     match name with
     | None -> Ok None
     | Some m -> (
-        match Wfde.Mutant.of_string m with
+        match Wfde.Scenario.mutant_of_string obj m with
         | Ok m -> Ok (Some m)
         | Error msg -> bad "%s" msg)
   in

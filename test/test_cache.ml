@@ -315,6 +315,48 @@ let test_stats_json_shape () =
       "disk_errors"; "stores"; "clears";
     ]
 
+(* -- Zipf legs against a daemon ----------------------------------------- *)
+
+(* The Zipf-skewed repeated-request scenario, 150 requests per leg over
+   the same global indices: an uncached reference leg, then against a
+   caching daemon a cold-to-warm serial leg, a fully warm ("hot") leg,
+   and a 4-client leg. Every leg returns all 150 payloads (30040 bytes)
+   with no -j1/-j2 twin disagreeing; the cached legs return the
+   uncached bytes; the warm leg computes exactly once per sampled class
+   and the hot leg computes nothing. *)
+let test_zipf_legs () =
+  let seed = 11 and total = 150 in
+  let with_daemon ~cache f =
+    let socket = Testutil.temp_socket () in
+    let d = Serve.Daemon.start ~workers:2 ~queue_capacity:16 ~cache ~socket () in
+    Fun.protect ~finally:(fun () -> Serve.Daemon.stop d) @@ fun () ->
+    f (fun name clients ->
+        let l = Serve.Loadgen.run_zipf ~seed ~socket ~total ~clients () in
+        checki (name ^ ": no errors") 0
+          (l.Serve.Loadgen.errors + l.Serve.Loadgen.transport_errors);
+        checki (name ^ ": no request missing") total l.Serve.Loadgen.ok;
+        checki (name ^ ": payload bytes") 30040 l.Serve.Loadgen.payload_bytes;
+        checki (name ^ ": class mismatches") 0
+          (Serve.Loadgen.zipf_class_mismatches ~seed l);
+        (l, Serve.Daemon.cache_stats d))
+  in
+  let uncached, _ = with_daemon ~cache:C.disabled (fun leg -> leg "uncached" 1) in
+  with_daemon ~cache:C.default_config @@ fun leg ->
+  let warm, after_warm = leg "warm" 1 in
+  let hot, after_hot = leg "hot" 1 in
+  let conc, _ = leg "x4" 4 in
+  List.iter
+    (fun (name, l) ->
+      checki (name ^ ": payloads match uncached") 0
+        (Serve.Loadgen.mismatches ~reference:uncached l))
+    [ ("warm", warm); ("hot", hot); ("x4", conc) ];
+  let classes = Serve.Loadgen.zipf_distinct_classes ~seed ~total in
+  checki "sampled classes" 4 classes;
+  checki "warm: one miss per class" classes after_warm.C.misses;
+  checki "warm: hits" 146 after_warm.C.hits;
+  checki "hot: no miss" 0 (after_hot.C.misses - after_warm.C.misses);
+  checki "hot: all hits" 150 (after_hot.C.hits - after_warm.C.hits)
+
 (* -- QCheck canonicalization battery ----------------------------------- *)
 
 let name_gen =
@@ -451,5 +493,7 @@ let suite =
       test_disk_survives_eviction_and_clear;
     Alcotest.test_case "stats: cache RPC payload shape" `Quick
       test_stats_json_shape;
+    Alcotest.test_case "zipf: cold, warm, hot and x4 legs pinned" `Quick
+      test_zipf_legs;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases

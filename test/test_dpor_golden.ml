@@ -15,30 +15,42 @@ let checki = Alcotest.check Alcotest.int
 (* -- golden stats ------------------------------------------------------ *)
 
 (* (object, procs, depth, mutant, patterns_swept, executions,
-   sleep_blocked, deduped, races, backtrack_points, violation found) as
-   measured on the source-set + wakeup-sequence explorer with schedule
+   sleep_blocked, deduped, races, backtrack_points, scheduler steps,
+   shrink replays, violation found, minor-words baseline) as measured
+   on the source-set + wakeup-sequence explorer with schedule
    fingerprinting; the checker must reproduce every field exactly —
    these counters are part of the wfde check --json payload and any
-   drift means the reduction explored a different tree. For the
-   sleep-set goldens these replaced (and the per-config drop), see the
-   executions table in EXPERIMENTS.md: e.g. abd p3 d10 went 562 -> 418
-   and the abd mutant 329 -> 281, with identical verdicts. *)
+   drift means the reduction explored a different tree. Steps and
+   replays are [kernel.scheduler.steps] and [check.shrink.replays] in a
+   freshly reset registry. Where a row has a minor-words baseline, the
+   check may allocate at most 10% more (the figures of the DPOR/Lin
+   macro-bench table in EXPERIMENTS.md). For the sleep-set goldens these
+   replaced (and the per-config drop), see the executions table in
+   EXPERIMENTS.md: e.g. abd p3 d10 went 562 -> 418 and the abd mutant
+   329 -> 281, with identical verdicts. *)
 let golden =
   [
-    (Scenario.Register, 2, 6, None, 1, 34, 0, 0, 116, 33, false);
-    (Scenario.Register, 3, 8, None, 1, 2788, 0, 464, 17292, 3687, false);
-    (Scenario.Snapshot, 2, 6, None, 1, 3, 0, 0, 4, 2, false);
-    (Scenario.Snapshot, 3, 12, None, 1, 21, 0, 3, 84, 27, false);
-    (Scenario.Abd, 3, 8, None, 25, 224, 0, 0, 4074, 204, false);
-    (Scenario.Abd, 3, 10, None, 25, 418, 0, 0, 7621, 436, false);
-    (Scenario.Commit_adopt, 2, 6, None, 1, 3, 0, 0, 13, 1, false);
-    (Scenario.Commit_adopt, 3, 8, None, 1, 6, 0, 1, 82, 3, false);
+    ( Scenario.Register, 2, 6, None, 1, 34, 0, 0, 116, 33, 272, 0, false,
+      Some 93_263 );
+    ( Scenario.Register, 3, 8, None, 1, 2788, 0, 464, 17292, 3687, 33456, 0,
+      false, Some 9_969_287 );
+    (Scenario.Snapshot, 2, 6, None, 1, 3, 0, 0, 4, 2, 44, 0, false, None);
+    ( Scenario.Snapshot, 3, 12, None, 1, 21, 0, 3, 84, 27, 654, 0, false,
+      Some 148_168 );
+    (Scenario.Abd, 3, 8, None, 25, 224, 0, 0, 4074, 204, 27110, 0, false, None);
+    ( Scenario.Abd, 3, 10, None, 25, 418, 0, 0, 7621, 436, 50541, 0, false,
+      Some 10_865_090 );
+    ( Scenario.Abd, 3, 12, None, 25, 675, 0, 0, 12282, 759, 81922, 0, false,
+      Some 17_496_545 );
+    (Scenario.Commit_adopt, 2, 6, None, 1, 3, 0, 0, 13, 1, 122, 0, false, None);
+    ( Scenario.Commit_adopt, 3, 8, None, 1, 6, 0, 1, 82, 3, 510, 0, false,
+      Some 94_641 );
     ( Scenario.Abd, 3, 10, Some Mutant.Abd_skip_write_back, 20, 281, 0, 0,
-      2657, 304, true );
+      2657, 304, 18419, 10, true, None );
     ( Scenario.Snapshot, 3, 12, Some Mutant.Snapshot_single_collect, 1, 12, 0,
-      4, 30, 12, true );
+      4, 30, 12, 2176, 124, true, None );
     ( Scenario.Commit_adopt, 2, 6, Some Mutant.Converge_drop_phase2, 1, 1, 0,
-      0, 0, 0, true );
+      0, 0, 0, 544, 25, true, Some 96_041 );
   ]
 
 let test_golden_stats () =
@@ -53,7 +65,10 @@ let test_golden_stats () =
            deduped,
            races,
            bt,
-           violated ) ->
+           steps,
+           replays,
+           violated,
+           minor_words ) ->
       let label fmt =
         Printf.sprintf "%s p%d d%d%s %s" (Scenario.to_string obj) procs depth
           (match mutant with
@@ -61,14 +76,25 @@ let test_golden_stats () =
           | None -> "")
           fmt
       in
-      let c = H.check_exhaustive ~jobs:1 ~procs ~depth ?mutant obj in
+      let c, snap, words =
+        Testutil.measured (fun () ->
+            H.check_exhaustive ~jobs:1 ~procs ~depth ?mutant obj)
+      in
       checki (label "patterns_swept") patterns c.H.patterns_swept;
       checki (label "executions") execs c.H.executions;
       checki (label "sleep_blocked") sleep c.H.sleep_blocked;
       checki (label "deduped") deduped c.H.deduped;
       checki (label "races") races c.H.races;
       checki (label "backtrack_points") bt c.H.backtrack_points;
-      checkb (label "violation") violated (c.H.violation <> None))
+      checki (label "scheduler steps") steps
+        (Testutil.counter snap "kernel.scheduler.steps");
+      checki (label "shrink replays") replays
+        (Testutil.counter snap "check.shrink.replays");
+      checkb (label "violation") violated (c.H.violation <> None);
+      Option.iter
+        (fun baseline ->
+          Testutil.check_minor_words (label "") ~baseline words)
+        minor_words)
     golden
 
 (* -- DPOR vs the naive enumerator -------------------------------------- *)

@@ -207,6 +207,180 @@ let test_mutant_timeout_never_increased () =
 let test_mutant_suspected_not_restored () =
   assert_mutant_caught Kernel.Mutant.Hb_suspected_not_restored
 
+(* -------------------------------------------------- pinned counters *)
+
+(* The heartbeat detectors and the link layer under them, as exact work
+   counters: each case's own counters followed by every nonzero one of
+   [pinned_metrics] in a freshly reset registry, in that order, must
+   equal the recorded list, and its minor-heap words may exceed the
+   recorded figure by at most 10%. *)
+
+let pinned_net = cfg ~gst:60 ~loss:40 ~seed:6 ()
+
+let pinned_metrics =
+  [
+    ("executions", "check.dpor.executions");
+    ("sleep_blocked", "check.dpor.sleep_blocked");
+    ("deduped", "check.dpor.deduped");
+    ("races", "check.dpor.races");
+    ("backtrack_points", "check.dpor.backtrack_points");
+    ("scheduler_steps", "kernel.scheduler.steps");
+    ("shrink_replays", "check.shrink.replays");
+    ("link_sent", "net.link.sent{link=hb_ev_perfect}");
+    ("link_delivered", "net.link.delivered{link=hb_ev_perfect}");
+    ("link_dropped", "net.link.dropped{link=hb_ev_perfect}");
+    ("link_delayed", "net.link.delayed{link=hb_ev_perfect}");
+    ("hb_heartbeats", "hb.heartbeats{family=hb_ev_perfect}");
+    ("hb_suspicions", "hb.suspicions{family=hb_ev_perfect}");
+    ("hb_restores", "hb.restores{family=hb_ev_perfect}");
+    ("hb_timeout_raises", "hb.timeout_raises{family=hb_ev_perfect}");
+  ]
+
+let pinned_cases =
+  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+  let monitors mode () =
+    let runs =
+      List.map
+        (fun seed ->
+          Wfde.Harness.run_hb_detector ~mode ~net:pinned_net (world ~seed ()))
+        [ 1; 2; 3 ]
+    in
+    [
+      ("spec_ok", sum (fun (v, _) -> if Result.is_ok v then 1 else 0) runs);
+      ("stab_total", sum snd runs);
+    ]
+  in
+  let check ?mutant obj () =
+    let o =
+      Wfde.Harness.check_exhaustive ?mutant ~procs:2 ~depth:5 ~horizon:500 obj
+    in
+    [ ("violations", if o.Wfde.Harness.violation = None then 0 else 1) ]
+  in
+  (* one leg on the same world with each detector choice, oracle first *)
+  let both run =
+    let oracle = run Wfde.Harness.Oracle in
+    (oracle, run (Wfde.Harness.Heartbeat pinned_net))
+  in
+  let extraction () =
+    let rs =
+      List.map
+        (fun seed ->
+          let (oracle, _), (implemented, stab) =
+            both (fun detectors ->
+                Wfde.Harness.run_extraction_of ~f:2
+                  ~source:(`Ev_perfect detectors)
+                  (world ~seed:(4000 + seed) ~n_plus_1:4 ~max_faulty:2
+                     ~latest:150 ()))
+          in
+          ( (if Result.is_ok oracle && Result.is_ok implemented then 1
+             else 0),
+            stab ))
+        [ 1; 2 ]
+    in
+    [ ("both_ok", sum fst rs); ("hb_stab_total", sum snd rs) ]
+  in
+  let consensus () =
+    let rs =
+      List.map
+        (fun seed ->
+          let (oracle, mem_o), (impl, mem_i) =
+            both (fun detectors ->
+                Wfde.Harness.run_msg_consensus ~horizon:60_000 ~detectors
+                  (world ~seed:(300 + seed) ~latest:100 ()))
+          in
+          let ok =
+            Wfde.Harness.ok oracle && Wfde.Harness.ok impl && mem_o = Ok ()
+            && mem_i = Ok ()
+          in
+          ( (if ok then 1 else 0),
+            impl.Wfde.Harness.last_decision_time,
+            impl.Wfde.Harness.query_violations ))
+        [ 1; 2 ]
+    in
+    [
+      ("both_ok", sum (fun (x, _, _) -> x) rs);
+      ("hb_decide_total", sum (fun (_, t, _) -> t) rs);
+      ("query_violations", sum (fun (_, _, q) -> q) rs);
+    ]
+  in
+  let chaos = Check.Scenario.default_chaos in
+  [
+    ( "hb/evP monitors gst=60 loss=40 (3 worlds)",
+      monitors `Ev_perfect,
+      2_743_826,
+      [
+        ("spec_ok", 3); ("stab_total", 209); ("scheduler_steps", 18000);
+        ("link_sent", 13494); ("link_delivered", 11948); ("link_dropped", 41);
+        ("link_delayed", 6680); ("hb_heartbeats", 4502); ("hb_suspicions", 21);
+        ("hb_restores", 19); ("hb_timeout_raises", 19);
+      ] );
+    ( "hb/evS monitors gst=60 loss=40 (3 worlds)",
+      monitors `Ev_strong,
+      3_034_554,
+      [ ("spec_ok", 3); ("stab_total", 200); ("scheduler_steps", 18000) ] );
+    ( "extraction/oracle-vs-hb f=2 (2 worlds)",
+      extraction,
+      108_577_894,
+      [
+        ("both_ok", 2); ("hb_stab_total", 618); ("scheduler_steps", 600000);
+        ("link_sent", 79999); ("link_delivered", 59987); ("link_dropped", 13);
+        ("link_delayed", 39957); ("hb_heartbeats", 20003); ("hb_suspicions", 23);
+        ("hb_restores", 17); ("hb_timeout_raises", 17);
+      ] );
+    ( "consensus/oracle-vs-hb n=3 (2 worlds)",
+      consensus,
+      1_608_743,
+      [
+        ("both_ok", 2); ("hb_decide_total", 7488); ("query_violations", 0);
+        ("scheduler_steps", 11769); ("link_sent", 1897); ("link_delivered", 1638);
+        ("link_dropped", 12); ("link_delayed", 916); ("hb_heartbeats", 633);
+        ("hb_suspicions", 13); ("hb_restores", 10); ("hb_timeout_raises", 10);
+      ] );
+    ( "check/hb-detector p2 d5",
+      check hb_obj,
+      2_027_971,
+      [
+        ("violations", 0); ("executions", 20); ("races", 3056);
+        ("backtrack_points", 22); ("scheduler_steps", 10000); ("link_sent", 5761);
+        ("link_delivered", 4335); ("link_dropped", 51); ("link_delayed", 2797);
+        ("hb_heartbeats", 2899); ("hb_suspicions", 47); ("hb_restores", 33);
+        ("hb_timeout_raises", 33);
+      ] );
+    ( "check/link-chaos p2 d5",
+      check (Check.Scenario.Link_chaos chaos),
+      1_775_961,
+      [
+        ("violations", 0); ("executions", 20); ("races", 3056);
+        ("backtrack_points", 22); ("scheduler_steps", 10000);
+      ] );
+    ( "check/hb-mutant timeout-never-increased d5",
+      check ~mutant:Kernel.Mutant.Hb_timeout_never_increased hb_obj,
+      536_228,
+      [
+        ("violations", 1); ("executions", 1); ("scheduler_steps", 4000);
+        ("shrink_replays", 7); ("link_sent", 2659); ("link_delivered", 2615);
+        ("link_dropped", 26); ("link_delayed", 1272); ("hb_heartbeats", 1338);
+        ("hb_suspicions", 137); ("hb_restores", 135);
+      ] );
+  ]
+
+let test_pinned_counters () =
+  List.iter
+    (fun (name, run, minor_words, expected) ->
+      let own, snap, words = Testutil.measured run in
+      let counters =
+        own
+        @ List.filter_map
+            (fun (label, metric) ->
+              match Testutil.counter snap metric with
+              | 0 -> None
+              | v -> Some (label, v))
+            pinned_metrics
+      in
+      Alcotest.(check (list (pair string int))) name expected counters;
+      Testutil.check_minor_words name ~baseline:minor_words words)
+    pinned_cases
+
 (* ----------------------------------------------------------- qcheck *)
 
 let qcheck_cases =
@@ -258,5 +432,7 @@ let suite =
       test_mutant_timeout_never_increased;
     Alcotest.test_case "mutant: suspected not restored" `Quick
       test_mutant_suspected_not_restored;
+    Alcotest.test_case "detector and link counters pinned" `Slow
+      test_pinned_counters;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases

@@ -186,7 +186,56 @@ let test_oracle_pinned () =
          rd 0 ~invoked:2 ~responded:3 ~pid:1;
        ])
 
+(* -- seeded macro workload ----------------------------------------------- *)
+
+(* 400 seeded register histories of 3 processes x 4 operations, shaped
+   like the ones the scenarios record (per-process sequential
+   operations, an occasional pending write): the number the checker
+   accepts and the words it allocates are pinned, as are the DPOR
+   goldens. *)
+let seeded_histories () =
+  let rng = Wfde.Rng.create 42 in
+  List.init 400 (fun _ ->
+      let events = ref [] in
+      for pid = 0 to 2 do
+        let t = ref (Wfde.Rng.int rng 3) in
+        for _ = 1 to 4 do
+          let dur = Wfde.Rng.int rng 4 in
+          let invoked = !t and responded = !t + dur in
+          t := responded + 1 + Wfde.Rng.int rng 3;
+          let ev =
+            if Wfde.Rng.int rng 3 = 0 then
+              let v = Wfde.Rng.int rng 3 in
+              if Wfde.Rng.int rng 8 = 0 then
+                Lin.pending ~op:(Histories.Reg_write v) ~invoked ~pid
+              else
+                Lin.completed ~op:(Histories.Reg_write v)
+                  ~result:Histories.Reg_unit ~invoked ~responded ~pid
+            else
+              Lin.completed ~op:Histories.Reg_read
+                ~result:(Histories.Reg_val (Wfde.Rng.int rng 3))
+                ~invoked ~responded ~pid
+          in
+          events := ev :: !events
+        done
+      done;
+      List.rev !events)
+
+let test_seeded_workload () =
+  let ok, _, words =
+    Testutil.measured (fun () ->
+        List.length
+          (List.filter
+             (fun h -> Lin.check reg_spec h = Ok ())
+             (seeded_histories ())))
+  in
+  Alcotest.check Alcotest.int "linearizable histories" 5 ok;
+  Testutil.check_minor_words "lin/register histories 400x12"
+    ~baseline:1_102_646 words
+
 let suite =
   Alcotest.test_case "oracle pinned on known histories" `Quick
     test_oracle_pinned
+  :: Alcotest.test_case "seeded 400-history workload pinned" `Quick
+       test_seeded_workload
   :: List.map QCheck_alcotest.to_alcotest qcheck_cases

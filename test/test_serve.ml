@@ -248,6 +248,40 @@ let test_service_validation () =
   checks "bad mutant" "bad_request"
     (err_code (h (req "check" [ ("mutant", J.String "teapot") ])))
 
+(* A mutant aimed at another object would plant nothing, and the clean
+   verdict would read like a missed bug: the check is refused with the
+   mutant's target named. A matched pair still runs. *)
+let test_service_mutant_target () =
+  let check obj mutant =
+    Serve.Service.handle
+      (req "check"
+         [
+           ("object", J.String obj);
+           ("procs", J.Int 2);
+           ("depth", J.Int 5);
+           ("horizon", J.Int 500);
+           ("mutant", J.String mutant);
+         ])
+  in
+  (match check "snapshot" "abd-skip-write-back" with
+  | Error e ->
+      checks "code" "bad_request" (Serve.Proto.code_to_string e.code);
+      checks "message" "mutant abd-skip-write-back targets abd, not snapshot"
+        e.message
+  | Ok _ -> Alcotest.fail "mismatched mutant accepted");
+  List.iter
+    (fun (obj, mutant) ->
+      checks (obj ^ " + " ^ mutant) "bad_request"
+        (err_code (check obj mutant)))
+    [
+      ("register", "converge-drop-phase2");
+      ("link-chaos", "hb-suspected-not-restored");
+      ("hb-detector", "snapshot-single-collect");
+      ("commit-adopt", "snapshot-single-collect");
+    ];
+  checks "hb-detector + hb-timeout-never-increased" "ok"
+    (err_code (check "hb-detector" "hb-timeout-never-increased"))
+
 let test_service_payloads_match_direct () =
   (* run: payload embeds exactly the CLI stdout renderer *)
   let run_req = req "run" [ ("experiments", J.List [ J.String "e1" ]) ] in
@@ -599,30 +633,44 @@ let test_daemon_drain_truncates_spans () =
   | None -> Alcotest.fail "render span missing");
   Serve.Daemon.stop d
 
-(* Satellite: serial vs concurrent traced load is structurally
-   identical — same span trees per trace id after timestamp
-   normalization — and tracing never changes payload bytes. *)
+(* 60 Loadgen requests on 1 and on 4 clients, untraced and then traced
+   (cache off, so every request computes and exports its own span
+   tree): no request fails, the payloads are byte-identical across all
+   four legs, their total size and the span count are exact functions
+   of the workload, and the serial and concurrent span trees match
+   after timestamp normalization. *)
 
 let test_daemon_traced_loadgen_deterministic () =
   let sink = Span.sink ~capacity:100_000 () in
-  with_daemon ~workers:2 ~queue_capacity:16 ~trace:sink (fun _ socket ->
-      let untraced = Serve.Loadgen.run ~socket ~total:9 ~clients:1 () in
-      checki "warm-up leg exports nothing" 0 (Span.absorbed sink);
-      let serial =
-        Serve.Loadgen.run ~trace_prefix:"t" ~socket ~total:9 ~clients:1 ()
+  with_daemon ~workers:2 ~queue_capacity:16 ~cache:Serve.Cache.disabled
+    ~trace:sink (fun _ socket ->
+      let leg ?trace_prefix name clients =
+        let l =
+          Serve.Loadgen.run ?trace_prefix ~socket ~total:60 ~clients ()
+        in
+        checki (name ^ ": no errors") 0
+          (l.Serve.Loadgen.errors + l.Serve.Loadgen.transport_errors);
+        checki (name ^ ": no request missing") 60 l.Serve.Loadgen.ok;
+        checki (name ^ ": payload bytes") 22640 l.Serve.Loadgen.payload_bytes;
+        (l, Span.take sink)
       in
-      let serial_spans = Span.take sink in
-      let concurrent =
-        Serve.Loadgen.run ~trace_prefix:"t" ~socket ~total:9 ~clients:3 ()
-      in
-      let concurrent_spans = Span.take sink in
-      checki "all requests ok" 18 (serial.Serve.Loadgen.ok + concurrent.Serve.Loadgen.ok);
-      checki "tracing does not change payloads" 0
-        (Serve.Loadgen.mismatches ~reference:untraced serial);
-      checki "serial vs concurrent payloads agree" 0
-        (Serve.Loadgen.mismatches ~reference:serial concurrent);
-      checki "span count is workload-determined"
-        (List.length serial_spans) (List.length concurrent_spans);
+      let reference, untraced_spans = leg "untraced x1" 1 in
+      let untraced_conc, untraced_conc_spans = leg "untraced x4" 4 in
+      checki "untraced legs export nothing" 0
+        (List.length untraced_spans + List.length untraced_conc_spans);
+      let serial, serial_spans = leg ~trace_prefix:"t" "traced x1" 1 in
+      let concurrent, concurrent_spans = leg ~trace_prefix:"t" "traced x4" 4 in
+      List.iter
+        (fun (name, l) ->
+          checki (name ^ ": payloads match the untraced x1 leg") 0
+            (Serve.Loadgen.mismatches ~reference l))
+        [
+          ("untraced x4", untraced_conc);
+          ("traced x1", serial);
+          ("traced x4", concurrent);
+        ];
+      checki "traced x1: spans" 540 (List.length serial_spans);
+      checki "traced x4: spans" 540 (List.length concurrent_spans);
       checks "span structure identical serial vs concurrent"
         (Span.render ~normalize:true serial_spans)
         (Span.render ~normalize:true concurrent_spans))
@@ -682,23 +730,6 @@ let test_daemon_slow_log () =
           checkb "wall_ms present" true (J.member "wall_ms" doc <> None);
           checkb "queue depth present" true
             (J.member "queue_depth" doc <> None))
-
-(* -- loadgen ----------------------------------------------------------- *)
-
-let test_loadgen_deterministic () =
-  with_daemon ~workers:2 ~queue_capacity:16 (fun _ socket ->
-      let serial = Serve.Loadgen.run ~socket ~total:9 ~clients:1 () in
-      let concurrent = Serve.Loadgen.run ~socket ~total:9 ~clients:3 () in
-      checki "serial all ok" 9 serial.Serve.Loadgen.ok;
-      checki "concurrent all ok" 9 concurrent.Serve.Loadgen.ok;
-      checki "no errors" 0
-        (serial.Serve.Loadgen.errors + concurrent.Serve.Loadgen.errors
-        + serial.Serve.Loadgen.transport_errors
-        + concurrent.Serve.Loadgen.transport_errors);
-      checki "payload bytes agree" serial.Serve.Loadgen.payload_bytes
-        concurrent.Serve.Loadgen.payload_bytes;
-      checki "no mismatches" 0
-        (Serve.Loadgen.mismatches ~reference:serial concurrent))
 
 (* -- result cache ------------------------------------------------------ *)
 
@@ -1067,6 +1098,72 @@ let test_cli_argument_errors () =
       ([ "run"; "e99" ], 2, "unknown experiment id");
       ([ "check"; "--depth=-2" ], 124, "must be an integer in");
       ([ "trace"; "-p"; "fig2"; "-n"; "3"; "-f"; "3" ], 2, "must be below --procs");
+    ]
+
+(* A mutant aimed at another object exits 2 with one line naming its
+   target, before exploring anything. *)
+let test_cli_check_mutant_target () =
+  let status, out, err =
+    cli [ "check"; "--object"; "snapshot"; "--mutant"; "abd-skip-write-back" ]
+  in
+  checkb "exits 2" true (status = Unix.WEXITED 2);
+  checks "nothing on stdout" "" out;
+  checks "one line" "mutant abd-skip-write-back targets abd, not snapshot\n"
+    err
+
+(* The model checker end to end: clean ABD at p3 d10 finds no violation
+   with DPOR exploring at least 10x fewer executions than the naive
+   bound, and every planted mutant, each on its target object, is
+   caught with a shrunk, reported counterexample. *)
+let test_cli_check_smoke () =
+  let check_json args =
+    let json = Filename.temp_file "wfde-test-check" ".json" in
+    Fun.protect ~finally:(fun () -> Sys.remove json) @@ fun () ->
+    ignore (cli_ok (("check" :: args) @ [ "--json"; json ]));
+    match J.of_string (read_file json) with
+    | Ok doc -> doc
+    | Error e -> Alcotest.failf "bad check JSON: %s" e
+  in
+  let int doc k =
+    match Option.bind (J.member k doc) J.to_int with
+    | Some n -> n
+    | None -> Alcotest.failf "check JSON has no integer %s" k
+  in
+  let clean =
+    check_json [ "--object"; "abd"; "--procs"; "3"; "--depth"; "10" ]
+  in
+  checkb "object" true (J.member "object" clean = Some (J.String "abd"));
+  checki "procs" 3 (int clean "procs");
+  checki "depth" 10 (int clean "depth");
+  checkb "clean abd: no violation" true
+    (J.member "violation" clean = Some J.Null);
+  checkb "executions > 0" true (int clean "executions" > 0);
+  checkb "DPOR prunes at least 10x" true
+    (int clean "executions" * 10 <= int clean "naive_bound");
+  List.iter
+    (fun (mutant, args) ->
+      let doc = check_json (args @ [ "--mutant"; mutant ]) in
+      checkb (mutant ^ ": named") true
+        (J.member "mutant" doc = Some (J.String mutant));
+      match J.member "violation" doc with
+      | Some (J.Obj _ as v) ->
+          checkb (mutant ^ ": shrunk") true
+            (J.member "shrunk" v = Some (J.Bool true));
+          checkb (mutant ^ ": reported") true
+            (match J.member "report" v with
+            | Some (J.String r) -> r <> ""
+            | _ -> false)
+      | _ -> Alcotest.failf "planted mutant %s not caught" mutant)
+    [
+      ("abd-skip-write-back", [ "--object"; "abd"; "--procs"; "3"; "--depth"; "6" ]);
+      ( "snapshot-single-collect",
+        [ "--object"; "snapshot"; "--procs"; "3"; "--depth"; "12" ] );
+      ( "converge-drop-phase2",
+        [ "--object"; "commit-adopt"; "--procs"; "2"; "--depth"; "6" ] );
+      ( "hb-timeout-never-increased",
+        [ "--object"; "hb-detector"; "--procs"; "2"; "--depth"; "5"; "--horizon"; "500" ] );
+      ( "hb-suspected-not-restored",
+        [ "--object"; "hb-detector"; "--procs"; "2"; "--depth"; "5"; "--horizon"; "500" ] );
     ]
 
 (* Past n+1 = 20 the traced figures still run: Υᶠ draws its stable set
@@ -1513,6 +1610,8 @@ let suite =
       test_engine_drain_completes_queued;
     Alcotest.test_case "service: validation errors" `Quick
       test_service_validation;
+    Alcotest.test_case "service: mutant aimed at another object" `Quick
+      test_service_mutant_target;
     Alcotest.test_case "service: payloads match direct calls" `Quick
       test_service_payloads_match_direct;
     Alcotest.test_case "service: cooperative deadlines" `Quick
@@ -1538,8 +1637,6 @@ let suite =
     Alcotest.test_case "daemon: metrics formats (json/prom)" `Quick
       test_daemon_metrics_formats;
     Alcotest.test_case "daemon: slow-request log" `Quick test_daemon_slow_log;
-    Alcotest.test_case "loadgen: serial vs concurrent identical" `Quick
-      test_loadgen_deterministic;
     Alcotest.test_case "cache: cold/warm/disk byte-identity per method" `Quick
       test_daemon_cache_byte_identity;
     Alcotest.test_case "cache: identical misses coalesce to one compute"
@@ -1584,4 +1681,8 @@ let suite =
       test_cli_daemon_smoke;
     Alcotest.test_case "cache: hit/miss spans in the trace tree" `Quick
       test_daemon_cache_spans;
+    Alcotest.test_case "cli: check refuses a mutant aimed elsewhere" `Quick
+      test_cli_check_mutant_target;
+    Alcotest.test_case "cli: check clean abd and every planted mutant" `Quick
+      test_cli_check_smoke;
   ]

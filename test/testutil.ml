@@ -58,3 +58,27 @@ let exec_traced ~pattern ~policy ?horizon ~procs () =
       ~procs ()
   in
   (result, Kernel.Trace.finish events)
+
+(* [f ()] on a freshly reset metrics registry, after a full major
+   collection: its result, the counters it left in the calling domain's
+   registry, and the minor-heap words it allocated. The pinned-counter
+   tables read their counters and allocation this way. *)
+let measured f =
+  Obs.Metrics.reset ();
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  let x = f () in
+  let words = Gc.minor_words () -. before in
+  (x, Obs.Metrics.snapshot (), words)
+
+let counter snap name =
+  Option.value ~default:0 (Obs.Metrics.find_counter snap name)
+
+(* Allocation is deterministic for one compiler but drifts a little
+   across versions, so a recorded minor-words figure bounds the
+   measured one with 10% to spare. *)
+let check_minor_words name ~baseline words =
+  let bound = float_of_int baseline *. 1.10 in
+  if words > bound then
+    Alcotest.failf "%s: %.0f minor words, over %.0f (%d + 10%%)" name words
+      bound baseline
