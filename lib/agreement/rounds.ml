@@ -77,21 +77,22 @@ type t = {
 let create ~name ~n_plus_1 =
   let start = pos ~round:1 ~sub:0 in
   let win = { at = Array.make n_plus_1 start; floor = start; retirers = [] } in
-  let register fmt init =
+  let register prefix init =
     family_in win Round (fun r _ () ->
-        Register.create ~name:(Printf.sprintf fmt name r) init)
+        Register.create ~name:(prefix ^ string_of_int r ^ "]") init)
   in
   let converge r sub k =
+    let cv = name ^ ".cv.k" ^ string_of_int k in
     Converge.create ~k ~size:n_plus_1 ~compare:Int.compare
       ~name:
-        (if sub = 0 then Printf.sprintf "%s.cv.k%d/main.r%d" name k r
-         else Printf.sprintf "%s.cv.k%d/glad.r%d.k%d" name k r sub)
+        (if sub = 0 then cv ^ "/main.r" ^ string_of_int r
+         else cv ^ "/glad.r" ^ string_of_int r ^ ".k" ^ string_of_int sub)
   in
   {
     win;
     final = Register.create ~name:(name ^ ".D") None;
-    d = register "%s.D[%d]" None;
-    stable = register "%s.Stable[%d]" false;
+    d = register (name ^ ".D[") None;
+    stable = register (name ^ ".Stable[") false;
     cv = family_in win Sub converge;
     max_round = 0;
     decided = [];

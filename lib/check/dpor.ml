@@ -207,7 +207,7 @@ let run_once ~pattern ~horizon ~depth ~stack ~len ~presc ~make ~pend ~observe =
       end
   in
   let fibers = spawn_fibers ~pattern ~procs in
-  let sched = Scheduler.observed ~observe ~pattern ~policy ~fibers in
+  let sched = Scheduler.observed ~observe ~pattern ~policy ~fibers () in
   sched_ref := Some sched;
   let result =
     Run.of_scheduler sched (Scheduler.run sched ~max_steps:horizon)
@@ -892,7 +892,7 @@ let root_branches ~pattern ~make () =
     None
   in
   let fibers = spawn_fibers ~pattern ~procs in
-  let sched = Scheduler.observed ~observe:ignore ~pattern ~policy ~fibers in
+  let sched = Scheduler.observed ~pattern ~policy ~fibers () in
   sched_ref := Some sched;
   let (_ : Scheduler.outcome) = Scheduler.run sched ~max_steps:1 in
   match !seen with None -> [] | Some pend -> pend

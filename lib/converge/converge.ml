@@ -35,14 +35,9 @@ let zero = Zero
 let k_of = function Zero -> 0 | Shared t -> t.k
 
 let unsafe_plant inst m =
-  match inst with
-  | Zero -> ()
-  | Shared t ->
-      (match m with
-      | Kernel.Mutant.Converge_drop_phase2 -> t.drop_phase2 <- true
-      | _ -> ());
-      Snapshot.unsafe_plant t.phase1 m;
-      Snapshot.unsafe_plant t.phase2 m
+  match (inst, m) with
+  | Shared t, Kernel.Mutant.Converge_drop_phase2 -> t.drop_phase2 <- true
+  | _ -> ()
 
 let min_of = function
   | [] -> assert false (* small proposals are never empty: V₁ ∋ own v *)

@@ -56,7 +56,5 @@ val unsafe_plant : 'a instance -> Kernel.Mutant.t -> unit
 (** Harness-only, no steps: plant a bug in this instance alone.
     {!Kernel.Mutant.Converge_drop_phase2} makes {!run} commit straight
     after phase 1 whenever its own [V₁] is small, skipping the phase-2
-    visibility check that C-Agreement rests on. The mutant is also
-    planted into the instance's two snapshots, so
-    {!Kernel.Mutant.Snapshot_single_collect} breaks their scans; every
-    other mutant is ignored. For checker regression tests only. *)
+    visibility check that C-Agreement rests on; every other mutant is
+    ignored. For checker regression tests only. *)

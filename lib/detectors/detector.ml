@@ -21,13 +21,9 @@ let record_make ~family ~stab_time =
     stab_time
 
 let source t =
-  {
-    Sim.name = t.name;
-    sample = t.history;
-    render = (fun v -> Format.asprintf "%a" t.pp v);
-    equal = t.equal;
-    id = t.id;
-  }
+  Sim.source ~name:t.name ~sample:t.history
+    ~render:(fun v -> Format.asprintf "%a" t.pp v)
+    ~equal:t.equal ~id:t.id
 let sample t pid time = t.history pid time
 
 let stable_value t pattern ~from ~until =

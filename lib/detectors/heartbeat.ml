@@ -148,13 +148,12 @@ let fiber ?(until = fun () -> false) t ~me () =
    source showed at every step (state changes are logged with their
    times, and at most one step happens per time). *)
 let source t =
-  {
-    Sim.name = t.hb_name;
-    sample = (fun p _time -> suspected_set t p);
-    render = (fun v -> Format.asprintf "%a" Pid.Set.pp v);
-    equal = Pid.Set.equal;
-    id = Sim.Witness.pid_set;
-  }
+  Sim.source
+    ~name:t.hb_name
+    ~sample:(fun p _time -> suspected_set t p)
+    ~render:(fun v -> Format.asprintf "%a" Pid.Set.pp v)
+    ~equal:Pid.Set.equal
+    ~id:Sim.Witness.pid_set
 
 let leader_of_set ~n_plus_1 me suspected =
   let rec first q =
@@ -168,13 +167,12 @@ let leader_of_set ~n_plus_1 me suspected =
    ">omega" name, same fallback), so live queries replay against the
    post-run [omega_of_ev_perfect (to_detector t)] history. *)
 let leader_source t =
-  {
-    Sim.name = t.hb_name ^ ">omega";
-    sample = (fun p _time -> leader_of_set ~n_plus_1:t.n p (suspected_set t p));
-    render = (fun v -> Format.asprintf "%a" Pid.pp v);
-    equal = Pid.equal;
-    id = Sim.Witness.pid;
-  }
+  Sim.source
+    ~name:(t.hb_name ^ ">omega")
+    ~sample:(fun p _time -> leader_of_set ~n_plus_1:t.n p (suspected_set t p))
+    ~render:(fun v -> Format.asprintf "%a" Pid.pp v)
+    ~equal:Pid.equal
+    ~id:Sim.Witness.pid
 
 let history_at log time =
   let rec find = function

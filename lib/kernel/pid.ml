@@ -11,7 +11,7 @@ let to_int t = t
 let compare = Int.compare
 let equal = Int.equal
 let pp ppf t = Format.fprintf ppf "p%d" (t + 1)
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = "p" ^ string_of_int (t + 1)
 
 let check_size ~who n_plus_1 =
   if n_plus_1 <= 0 then invalid_arg (who ^ ": need at least one process");

@@ -1,5 +1,10 @@
 type t = now:int -> enabled:Pid.Set.t -> Pid.t option
 
+(* [Some p] for every pid, built once: a policy's answer allocates
+   nothing. *)
+let somes = Array.init Pid.max_procs Option.some
+let some p = somes.(p)
+
 let round_robin () =
   let cursor = ref 0 in
   fun ~now:_ ~enabled ->
@@ -12,13 +17,13 @@ let round_robin () =
         Pid.Set.min_elt (if Pid.Set.is_empty later then enabled else later)
       in
       cursor := Pid.to_int chosen + 1;
-      Some chosen
+      some chosen
 
 (* The same draw and index [Rng.pick] takes on the ascending list. *)
 let random rng =
  fun ~now:_ ~enabled ->
   if Pid.Set.is_empty enabled then None
-  else Some (Pid.Set.nth enabled (Rng.int rng (Pid.Set.cardinal enabled)))
+  else some (Pid.Set.nth enabled (Rng.int rng (Pid.Set.cardinal enabled)))
 
 let rec total_weight weight s acc =
   if Pid.Set.is_empty s then acc
@@ -42,17 +47,17 @@ let weighted rng ~weights =
     if Pid.Set.is_empty enabled then None
     else
       let roll = Rng.int rng (total_weight weight enabled 0) in
-      Some (pick_weighted weight roll enabled 0)
+      some (pick_weighted weight roll enabled 0)
 
 let solo pid =
- fun ~now:_ ~enabled -> if Pid.Set.mem pid enabled then Some pid else None
+ fun ~now:_ ~enabled -> if Pid.Set.mem pid enabled then some pid else None
 
 let rec next_scripted remaining then_ ~now ~enabled =
   match !remaining with
   | [] -> then_ ~now ~enabled
   | p :: rest ->
       remaining := rest;
-      if Pid.Set.mem p enabled then Some p
+      if Pid.Set.mem p enabled then some p
       else next_scripted remaining then_ ~now ~enabled
 
 let script pids ~then_ =

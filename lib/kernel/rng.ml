@@ -1,20 +1,32 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes, and the draw is inlined,
+   so a draw allocates nothing: a boxed [int64] field would allocate on
+   every draw, and the random policy draws on every step. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
-let copy t = { state = t.state }
+let of_state state =
+  let t = Bytes.create 8 in
+  set t 0 state;
+  t
 
-let next64 t =
-  t.state <- Int64.add t.state gamma;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int seed))
+let copy t = Bytes.copy t
 
-let split t = { state = mix (next64 t) }
+let[@inline] next64 t =
+  let state = Int64.add (get t 0) gamma in
+  set t 0 state;
+  mix state
+
+let split t = of_state (mix (next64 t))
 
 let rec int t bound =
   if bound <= 0 then invalid_arg "Rng.int: non-positive bound";

@@ -14,9 +14,9 @@ let of_scheduler sched outcome =
   }
 
 let observe_all = function
-  | [] -> ignore
-  | [ o ] -> o
-  | os -> fun e -> List.iter (fun o -> o e) os
+  | [] -> None
+  | [ o ] -> Some o
+  | os -> Some (fun e -> List.iter (fun o -> o e) os)
 
 let exec ~pattern ~policy ?(horizon = 100_000) ?(observers = []) ~procs () =
   let fibers =
@@ -24,12 +24,12 @@ let exec ~pattern ~policy ?(horizon = 100_000) ?(observers = []) ~procs () =
     |> List.concat_map (fun pid ->
            List.mapi
              (fun j body ->
-               let name = Format.asprintf "%a/t%d" Pid.pp pid j in
+               let name = Pid.to_string pid ^ "/t" ^ string_of_int j in
                Fiber.create ~pid ~name body)
              (procs pid))
   in
   let sched =
-    Scheduler.observed ~observe:(observe_all observers) ~pattern ~policy
-      ~fibers
+    Scheduler.observed ?observe:(observe_all observers) ~pattern ~policy
+      ~fibers ()
   in
   of_scheduler sched (Scheduler.run sched ~max_steps:horizon)

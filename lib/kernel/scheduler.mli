@@ -6,8 +6,12 @@
     [t] takes no step at any time ≥ [t], and its fibers are killed when
     the clock first reaches [t].
 
-    A scheduler counts its steps into the metrics registry of the
-    domain that created it, so it must be stepped in that domain. *)
+    A scheduler counts its steps, policy decisions, fiber suspensions
+    and detector queries in its own fields and adds them to the metrics
+    registry of the domain that created it when {!run} or {!step}
+    returns, also when a fiber's exception escapes it. So it must be
+    stepped in that domain, and a registry read during a run lags by
+    that run. *)
 
 type t
 
@@ -19,16 +23,17 @@ type outcome =
   | Policy_stop  (** the policy returned [None] *)
 
 val observed :
-  observe:(Trace.event -> unit) ->
+  ?observe:(Trace.event -> unit) ->
   pattern:Failure_pattern.t ->
   policy:Policy.t ->
   fibers:Fiber.t list ->
+  unit ->
   t
 (** A scheduler that passes every event (each step, each crash) to
     [observe] as it happens, in time order, and keeps none of them:
     whoever wants a trace keeps one in the observer
-    ([Trace.record] into a builder). {!Run.exec} builds its scheduler
-    this way.
+    ([Trace.record] into a builder). Without [observe] it builds no
+    event at all. {!Run.exec} builds its scheduler this way.
 
     Fibers must not be started yet; [observed] starts them (cost-free
     local prefix), which is where a fiber declares itself a
@@ -87,6 +92,6 @@ val trace : t -> Trace.t
     its events went to the observer. *)
 
 val flush_metrics : t -> unit
-(** Does nothing: step counters land in the registry as each step runs.
-    Kept only because the benchmark's [Stepper] still calls it; it goes
-    when that caller does. *)
+(** Does nothing: {!run} and {!step} publish their counts before they
+    return. Kept only because the benchmark's [Stepper] still calls it;
+    it goes when that caller does. *)

@@ -11,52 +11,6 @@
     register read/write ({!Memory.Register}), detector queries ({!query}),
     and input/output events. *)
 
-type 'v source = {
-  name : string;
-  sample : Pid.t -> int -> 'v;
-  render : 'v -> string;
-  equal : 'v -> 'v -> bool;
-  id : 'v Type.Id.t;
-}
-(** A failure-detector module: [sample p t] is H(p, t), the value the
-    oracle shows process [p] at time [t] (paper §3.2). [render] prints a
-    value for traces and exports; [equal] compares two values. [id]
-    witnesses the value type. Every source of one value type must carry
-    the same witness (the {!Witness} ones for the types here), so a value
-    recorded from one source can be checked with [equal] against another
-    source's history — a heartbeat run queries a live, mutable source and
-    is validated against the history reconstructed after the run. *)
-
-(** The shared value-type witnesses. *)
-module Witness : sig
-  val pid : Pid.t Type.Id.t
-  val pid_set : Pid.Set.t Type.Id.t
-  val bool : bool Type.Id.t
-end
-
-(** What a step records beside its kind. *)
-type payload =
-  | No_payload
-  | Note of string
-      (** A rendered value: what a trace reloaded from JSONL holds. *)
-  | Value : 'v source * 'v -> payload
-      (** The value a detector query returned, with the source that
-          returned it. Rendered only when a trace is printed or exported;
-          it holds closures, so compare traces by their exports, not
-          with [=]. *)
-
-val render_payload : payload -> string option
-(** The payload as trace notes print it: [None] for [No_payload]. *)
-
-type ctx = { mutable pid : Pid.t; mutable now : int; mutable payload : payload }
-(** Identity of the stepping process and the global time of the step,
-    available to the atomic closure. Setting [payload] attaches it to the
-    step's trace event ({!query} records the value the oracle returned,
-    so run-condition (2) is checkable from the trace). All fields are
-    mutable so the scheduler can reuse one [ctx] record across steps;
-    atomic closures must read the fields during the step and not retain
-    the record. *)
-
 (** How a step is labelled in the trace. [Send]/[Recv] are message-layer
     steps ({!Link}): both mutate the named mailbox object, so
     schedule exploration treats them exactly like a [Write] on [obj] for
@@ -72,6 +26,65 @@ type kind =
   | Output of { label : string; value : string }
   | Input of { label : string; value : string }
   | Nop
+
+(** The shared value-type witnesses. *)
+module Witness : sig
+  val pid : Pid.t Type.Id.t
+  val pid_set : Pid.Set.t Type.Id.t
+  val bool : bool Type.Id.t
+end
+
+type ctx = { mutable pid : Pid.t; mutable now : int; mutable payload : payload }
+(** Identity of the stepping process and the global time of the step,
+    available to the atomic closure. Setting [payload] attaches it to the
+    step's trace event ({!query} records the value the oracle returned,
+    so run-condition (2) is checkable from the trace). All fields are
+    mutable so the scheduler can reuse one [ctx] record across steps;
+    atomic closures must read the fields during the step and not retain
+    the record. *)
+
+and 'v source = private {
+  name : string;
+  sample : Pid.t -> int -> 'v;
+  render : 'v -> string;
+  equal : 'v -> 'v -> bool;
+  id : 'v Type.Id.t;
+  query_kind : kind;  (** [Query { detector = name }] *)
+  query_step : ctx -> 'v;  (** the step {!query} takes *)
+}
+(** A failure-detector module: [sample p t] is H(p, t), the value the
+    oracle shows process [p] at time [t] (paper §3.2). [render] prints a
+    value for traces and exports; [equal] compares two values. [id]
+    witnesses the value type. Every source of one value type must carry
+    the same witness (the {!Witness} ones for the types here), so a value
+    recorded from one source can be checked with [equal] against another
+    source's history — a heartbeat run queries a live, mutable source and
+    is validated against the history reconstructed after the run. Built
+    by {!source}. *)
+
+(** What a step records beside its kind. *)
+and payload =
+  | No_payload
+  | Note of string
+      (** A rendered value: what a trace reloaded from JSONL holds. *)
+  | Value : 'v source * 'v -> payload
+      (** The value a detector query returned, with the source that
+          returned it. Rendered only when a trace is printed or exported;
+          it holds closures, so compare traces by their exports, not
+          with [=]. *)
+
+val source :
+  name:string ->
+  sample:(Pid.t -> int -> 'v) ->
+  render:('v -> string) ->
+  equal:('v -> 'v -> bool) ->
+  id:'v Type.Id.t ->
+  'v source
+(** A source with its query label and step built once, so a query
+    allocates only the payload it records. *)
+
+val render_payload : payload -> string option
+(** The payload as trace notes print it: [None] for [No_payload]. *)
 
 type _ Effect.t +=
   | Atomic : kind * (ctx -> 'a) -> 'a Effect.t

@@ -37,6 +37,7 @@ type 'a t = {
   init : 'a;
   net : 'a message Link.t;
   replica : (string, tag * 'a) Hashtbl.t array; (* per-process replicas, by key *)
+  replica_prefix : string array; (* per process: "abd.replica/<pid>/" *)
   counters : int array; (* per-process client op ids *)
   buffers : (int, 'a reply list ref) Hashtbl.t array; (* client reply buffers *)
   mutable log : 'a op list;
@@ -54,6 +55,8 @@ let create ~name ~n_plus_1 ~init =
       Link.create ~name:(name ^ ".net") ~n_plus_1 ~config:Link.default_config
         ();
     replica = Array.init n_plus_1 (fun _ -> Hashtbl.create 16);
+    replica_prefix =
+      Array.init n_plus_1 (fun p -> "abd.replica/" ^ Pid.to_string p ^ "/");
     counters = Array.make n_plus_1 0;
     buffers = Array.init n_plus_1 (fun _ -> Hashtbl.create 16);
     log = [];
@@ -82,8 +85,7 @@ let stash t ~me ~op reply =
    state only [me]'s server ever touches, so labelling it per process
    lets schedule exploration commute replica steps of distinct
    processes. *)
-let replica_obj ~me ~key =
-  Printf.sprintf "abd.replica/%s/%s" (Pid.to_string me) key
+let replica_obj t ~me ~key = t.replica_prefix.(me) ^ key
 
 let server t ~me () =
   Sim.daemon ();
@@ -94,13 +96,13 @@ let server t ~me () =
         match message with
         | Query { op; key } ->
             let reply =
-              Sim.atomic (Sim.Read { obj = replica_obj ~me ~key }) (fun _ ->
+              Sim.atomic (Sim.Read { obj = replica_obj t ~me ~key }) (fun _ ->
                   let tag, value = replica_get t ~me ~key in
                   Query_reply { op; tag; value })
             in
             Link.send t.net ~to_:from reply
         | Update { op; key; tag; value } ->
-            Sim.atomic (Sim.Write { obj = replica_obj ~me ~key }) (fun _ ->
+            Sim.atomic (Sim.Write { obj = replica_obj t ~me ~key }) (fun _ ->
                 let current_tag, _ = replica_get t ~me ~key in
                 if compare_tag tag current_tag > 0 then
                   Hashtbl.replace t.replica.(me) key (tag, value));

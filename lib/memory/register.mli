@@ -10,7 +10,9 @@ type 'a t
 
 val create : name:string -> 'a -> 'a t
 (** A fresh register holding the given initial value. The name labels
-    steps in the trace. *)
+    steps in the trace. A register counts its operations into the
+    metrics registry of the domain that created it, so it is used in
+    that domain, like the scheduler that steps it. *)
 
 val name : 'a t -> string
 
@@ -46,7 +48,11 @@ val write_at : 'a t array -> int -> 'a -> unit
 val collect : 'a t array -> 'a array
 (** Read every register in index order — [size] steps, {e not} atomic as
     a whole (that is the point: an atomic view requires the snapshot
-    construction). *)
+    construction). Allocates the result array and nothing per read. *)
+
+val collect_timed : 'a t array -> 'a array * int * int
+(** {!collect}, also returning the times of its first and last reads
+    ([max_int] and [0] for an empty array). *)
 
 module Counter : sig
   (** A single-writer unbounded counter register, used for the

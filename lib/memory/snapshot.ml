@@ -19,10 +19,8 @@ let m_scan_rounds =
 let create ~name ~size ~init =
   let initial_view = Array.init size (fun j -> (init j, 0)) in
   let cells =
-    Array.init size (fun i ->
-        Register.create
-          ~name:(Printf.sprintf "%s[%d]" name i)
-          { data = init i; version = 0; view = initial_view })
+    Register.array ~name ~size ~init:(fun i ->
+        { data = init i; version = 0; view = initial_view })
   in
   { cells; single_collect = false }
 
@@ -49,25 +47,12 @@ let scan_entries_timed t =
     Obs.Metrics.observe_int m_scan_rounds !rounds;
     result
   in
-  let collect_timed () =
-    let first = ref max_int and last = ref 0 in
-    let entries =
-      Array.map
-        (fun cell ->
-          let time, e = Register.read_timed cell in
-          if time < !first then first := time;
-          if time > !last then last := time;
-          e)
-        t.cells
-    in
-    (entries, !first, !last)
-  in
-  let c0, t_first, c0_last = collect_timed () in
+  let c0, t_first, c0_last = Register.collect_timed t.cells in
   if t.single_collect then
     (finish (Array.map (fun e -> (e.data, e.version)) c0), t_first, c0_last)
   else
     let rec attempt c1 =
-      let c2, _, c2_last = collect_timed () in
+      let c2, _, c2_last = Register.collect_timed t.cells in
       let any_change = ref false in
       let borrowed = ref None in
       for j = 0 to n - 1 do

@@ -125,7 +125,7 @@ let counter name =
   | _ -> clash name
 
 let incr ?(by = 1) c = add (registry ()) c by
-let incr_in r c = add r c 1
+let add_in r c n = add r c n
 
 let counter_value c =
   let r = registry () in

@@ -78,12 +78,13 @@ type registry
 (** A domain's registry. *)
 
 val registry : unit -> registry
-(** The calling domain's registry. A per-step loop takes it once, where
-    the loop is created, and increments through {!incr_in} to skip the
-    DLS read; it must then run in that same domain. *)
+(** The calling domain's registry. An object that counts on every
+    operation takes it once, when it is created, and counts through
+    {!add_in} to skip the DLS read; it must then be used in that same
+    domain. *)
 
-val incr_in : registry -> counter -> unit
-(** [incr_in r c] adds 1 to [c] in [r]. *)
+val add_in : registry -> counter -> int -> unit
+(** [add_in r c n] adds [n] to [c] in [r]. *)
 
 (** {1 Snapshots} *)
 

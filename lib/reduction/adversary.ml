@@ -19,13 +19,8 @@ type verdict =
 
 let pinned_upsilon ~n_plus_1 =
   let u = Pid.Set.of_list (List.filteri (fun i _ -> i < n_plus_1 - 1) (Pid.all ~n_plus_1)) in
-  {
-    Sim.name = "pinned-upsilon";
-    sample = (fun _ _ -> u);
-    render = Pid.Set.to_string;
-    equal = Pid.Set.equal;
-    id = Sim.Witness.pid_set;
-  }
+  Sim.source ~name:"pinned-upsilon" ~sample:(fun _ _ -> u)
+    ~render:Pid.Set.to_string ~equal:Pid.Set.equal ~id:Sim.Witness.pid_set
 
 (* One scheduling mode per stage of a phase. *)
 type mode =
@@ -61,7 +56,7 @@ let run candidate ~n_plus_1 ~f ~max_phases ~phase_budget =
                Fiber.create ~pid ~name:(Printf.sprintf "cand-p%d-t%d" pid j) body)
              (inst.fibers pid))
   in
-  let sched = Scheduler.observed ~observe:ignore ~pattern ~policy ~fibers in
+  let sched = Scheduler.observed ~pattern ~policy ~fibers () in
   (* Step the scheduler while tracking One_step_each progress. *)
   let step_once () =
     match Scheduler.step sched with

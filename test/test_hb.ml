@@ -138,13 +138,8 @@ let test_consensus_with_implemented_omega () =
    history the fibers queried replays clean. *)
 let test_query_replay_catches_mismatch () =
   let leader l =
-    {
-      Sim.name = "omega";
-      sample = (fun _ _ -> l);
-      render = Pid.to_string;
-      equal = Pid.equal;
-      id = Sim.Witness.pid;
-    }
+    Sim.source ~name:"omega" ~sample:(fun _ _ -> l) ~render:Pid.to_string
+      ~equal:Pid.equal ~id:Sim.Witness.pid
   in
   let queried = leader 0 in
   let run replay =
@@ -307,7 +302,7 @@ let pinned_cases =
   [
     ( "hb/evP monitors gst=60 loss=40 (3 worlds)",
       monitors `Ev_perfect,
-      2_743_826,
+      1_513_848,
       [
         ("spec_ok", 3); ("stab_total", 209); ("scheduler_steps", 18000);
         ("link_sent", 13494); ("link_delivered", 11948); ("link_dropped", 41);
@@ -316,11 +311,11 @@ let pinned_cases =
       ] );
     ( "hb/evS monitors gst=60 loss=40 (3 worlds)",
       monitors `Ev_strong,
-      3_034_554,
+      1_929_331,
       [ ("spec_ok", 3); ("stab_total", 200); ("scheduler_steps", 18000) ] );
     ( "extraction/oracle-vs-hb f=2 (2 worlds)",
       extraction,
-      108_577_894,
+      18_332_959,
       [
         ("both_ok", 2); ("hb_stab_total", 618); ("scheduler_steps", 600000);
         ("link_sent", 79999); ("link_delivered", 59987); ("link_dropped", 13);
@@ -329,7 +324,7 @@ let pinned_cases =
       ] );
     ( "consensus/oracle-vs-hb n=3 (2 worlds)",
       consensus,
-      1_608_743,
+      623_924,
       [
         ("both_ok", 2); ("hb_decide_total", 7488); ("query_violations", 0);
         ("scheduler_steps", 11769); ("link_sent", 1897); ("link_delivered", 1638);
@@ -338,7 +333,7 @@ let pinned_cases =
       ] );
     ( "check/hb-detector p2 d5",
       check hb_obj,
-      2_027_971,
+      1_478_331,
       [
         ("violations", 0); ("executions", 20); ("races", 3056);
         ("backtrack_points", 22); ("scheduler_steps", 10000); ("link_sent", 5761);
@@ -348,14 +343,14 @@ let pinned_cases =
       ] );
     ( "check/link-chaos p2 d5",
       check (Check.Scenario.Link_chaos chaos),
-      1_775_961,
+      1_294_495,
       [
         ("violations", 0); ("executions", 20); ("races", 3056);
         ("backtrack_points", 22); ("scheduler_steps", 10000);
       ] );
     ( "check/hb-mutant timeout-never-increased d5",
       check ~mutant:Kernel.Mutant.Hb_timeout_never_increased hb_obj,
-      536_228,
+      287_560,
       [
         ("violations", 1); ("executions", 1); ("scheduler_steps", 4000);
         ("shrink_replays", 7); ("link_sent", 2659); ("link_delivered", 2615);

@@ -404,7 +404,7 @@ let test_observer_sees_retained_trace () =
   let pattern, policy, fibers = world () in
   let observed =
     Scheduler.observed ~observe:(fun e -> seen := e :: !seen) ~pattern ~policy
-      ~fibers
+      ~fibers ()
   in
   ignore (Scheduler.run observed ~max_steps:2_000 : Scheduler.outcome);
   let retained_trace = Scheduler.trace retained in
@@ -620,15 +620,184 @@ let yield_words_per_step ~n_plus_1 =
 
 (* A step builds no enabled list and no closure, so its cost does not
    grow with the system: 70 words at n+1 = 3 and 110 at n+1 = 8 when
-   [enabled] was a list. *)
+   [enabled] was a list. It is the effect round trip and nothing else:
+   18 words, against 28 when a step also built a trace event nobody
+   observed, a [`Stepped] value and the policy's [Some pid]; the bound
+   is 18 + 10%, rounded up. *)
 let test_step_allocation_bound () =
   let w3 = yield_words_per_step ~n_plus_1:3 in
   let w8 = yield_words_per_step ~n_plus_1:8 in
-  checkb (Printf.sprintf "n+1 = 3: %.1f words/step <= 40" w3) true (w3 <= 40.0);
+  checkb (Printf.sprintf "n+1 = 3: %.1f words/step <= 20" w3) true (w3 <= 20.0);
   checkb
     (Printf.sprintf "n+1 = 8: %.1f words/step within 2 of n+1 = 3's %.1f" w8 w3)
     true
     (Float.abs (w8 -. w3) <= 2.0)
+
+(* -- Published counters --------------------------------------------- *)
+
+let kind_label = function
+  | Sim.Read _ -> "read"
+  | Sim.Write _ -> "write"
+  | Sim.Query _ -> "query"
+  | Sim.Output _ -> "output"
+  | Sim.Input _ -> "input"
+  | Sim.Nop -> "nop"
+  | Sim.Send _ -> "send"
+  | Sim.Recv _ -> "recv"
+
+(* The scheduler's counters in the registry against the counts of
+   [steps] (pid, kind), the steps its trace holds plus any step whose
+   fiber raised; [decisions] policy calls; [pending] fibers suspended
+   at an atomic when the run ended. *)
+let check_published ~label ~n_plus_1 ~steps ~decisions ~pending =
+  let snap = Obs.Metrics.snapshot () in
+  let got name = Testutil.counter snap name in
+  let count p = List.length (List.filter p steps) in
+  checki (label ^ ": steps") (List.length steps) (got "kernel.scheduler.steps");
+  checki (label ^ ": policy decisions") decisions
+    (got "kernel.scheduler.policy_decisions");
+  checki (label ^ ": suspensions") (List.length steps + pending)
+    (got "kernel.fiber.suspensions");
+  List.iter
+    (fun p ->
+      checki
+        (Printf.sprintf "%s: steps of %s" label (Pid.to_string p))
+        (count (fun (q, _) -> q = p))
+        (got (Printf.sprintf "kernel.scheduler.steps{pid=%s}" (Pid.to_string p))))
+    (Pid.all ~n_plus_1);
+  List.iter
+    (fun k ->
+      checki
+        (Printf.sprintf "%s: %s steps" label k)
+        (count (fun (_, kind) -> kind_label kind = k))
+        (got (Printf.sprintf "kernel.scheduler.steps{kind=%s}" k)))
+    [ "read"; "write"; "query"; "output"; "input"; "nop"; "send"; "recv" ];
+  let queries d =
+    count (function _, Sim.Query { detector } -> detector = d | _ -> false)
+  in
+  checki (label ^ ": queries") (queries "alpha" + queries "beta")
+    (got "detectors.queries");
+  List.iter
+    (fun d ->
+      checki
+        (Printf.sprintf "%s: queries of %s" label d)
+        (queries d)
+        (got (Printf.sprintf "detectors.queries{detector=%s}" d)))
+    [ "alpha"; "beta" ]
+
+let trace_steps trace =
+  List.filter_map
+    (function Trace.Step { pid; kind; _ } -> Some (pid, kind) | _ -> None)
+    trace
+
+let pending_fibers fibers =
+  List.length (List.filter (fun f -> Fiber.status f <> Fiber.Done) fibers)
+
+let detector_source name =
+  Sim.source ~name ~sample:(fun p t -> (p + t) mod 3) ~render:string_of_int
+    ~equal:Int.equal ~id:(Type.Id.make ())
+
+(* Each process reads, writes, queries the two detectors in
+   alternation and outputs, [rounds] times ([None]: forever). *)
+let counted_fibers ~n_plus_1 ~rounds =
+  let alpha = detector_source "alpha" and beta = detector_source "beta" in
+  let reg = Memory.Register.create ~name:"x" 0 in
+  List.map
+    (fun pid ->
+      Fiber.create ~pid ~name:"t" (fun () ->
+          let i = ref 0 in
+          while match rounds with Some r -> !i < r | None -> true do
+            incr i;
+            Memory.Register.write reg (Memory.Register.read reg + 1);
+            ignore (Sim.query alpha);
+            ignore (Sim.query beta);
+            ignore (Sim.query alpha);
+            Sim.output ~label:"i" ~value:(string_of_int !i)
+          done))
+    (Pid.all ~n_plus_1)
+
+(* One run on a fresh registry, its trace kept by [Trace.record]. *)
+let published_run ~label ~pattern ~policy ~rounds ~max_steps ~expect =
+  Obs.Metrics.reset ();
+  let n_plus_1 = Failure_pattern.n_plus_1 pattern in
+  let fibers = counted_fibers ~n_plus_1 ~rounds in
+  let b = Trace.builder () in
+  let s =
+    Scheduler.observed ~observe:(Trace.record b) ~pattern ~policy ~fibers ()
+  in
+  let outcome = Scheduler.run s ~max_steps in
+  checkb (label ^ ": outcome") true (outcome = expect);
+  let steps = trace_steps (Trace.finish b) in
+  check_published ~label ~n_plus_1 ~steps
+    ~decisions:
+      (List.length steps + if outcome = Scheduler.Policy_stop then 1 else 0)
+    ~pending:(pending_fibers fibers)
+
+let test_counters_match_trace () =
+  let free = Failure_pattern.no_failures ~n_plus_1:3 in
+  published_run ~label:"horizon" ~pattern:free
+    ~policy:(Policy.random (Rng.create 5))
+    ~rounds:None ~max_steps:700 ~expect:Scheduler.Horizon;
+  published_run ~label:"quiescent" ~pattern:free
+    ~policy:(Policy.round_robin ()) ~rounds:(Some 20) ~max_steps:10_000
+    ~expect:Scheduler.Quiescent;
+  published_run ~label:"policy stop" ~pattern:free
+    ~policy:(Policy.stop_after 123 (Policy.random (Rng.create 6)))
+    ~rounds:None ~max_steps:10_000 ~expect:Scheduler.Policy_stop;
+  published_run ~label:"crashes"
+    ~pattern:(Failure_pattern.make ~n_plus_1:4 ~crashes:[ (1, 37); (3, 0) ])
+    ~policy:(Policy.random (Rng.create 7))
+    ~rounds:(Some 30) ~max_steps:10_000 ~expect:Scheduler.Quiescent
+
+(* Driven one [Scheduler.step] at a time, as the adversary drives it:
+   every step's counts are in the registry when [step] returns. *)
+let test_counters_published_per_step () =
+  Obs.Metrics.reset ();
+  let pattern = Failure_pattern.make ~n_plus_1:3 ~crashes:[ (2, 50) ] in
+  let fibers = counted_fibers ~n_plus_1:3 ~rounds:(Some 8) in
+  let b = Trace.builder () in
+  let s =
+    Scheduler.observed ~observe:(Trace.record b) ~pattern
+      ~policy:(Policy.random (Rng.create 8)) ~fibers ()
+  in
+  let rec go () =
+    match Scheduler.step s with
+    | `Stepped _ ->
+        let steps = trace_steps (Trace.finish b) in
+        check_published
+          ~label:(Printf.sprintf "step %d" (Scheduler.now s))
+          ~n_plus_1:3 ~steps ~decisions:(List.length steps)
+          ~pending:(pending_fibers fibers);
+        go ()
+    | `Stopped outcome -> outcome
+  in
+  checkb "quiescent" true (go () = Scheduler.Quiescent)
+
+(* A fiber's exception escapes [run]: the steps before it, and the step
+   it raised in, are published all the same. *)
+let test_counters_published_on_raise () =
+  Obs.Metrics.reset ();
+  let pattern = Failure_pattern.no_failures ~n_plus_1:3 in
+  let raiser =
+    Fiber.create ~pid:2 ~name:"raiser" (fun () ->
+        for _ = 1 to 5 do
+          Sim.yield ()
+        done;
+        raise Exit)
+  in
+  let fibers = raiser :: counted_fibers ~n_plus_1:2 ~rounds:None in
+  let b = Trace.builder () in
+  let s =
+    Scheduler.observed ~observe:(Trace.record b) ~pattern
+      ~policy:(Policy.round_robin ()) ~fibers ()
+  in
+  (match Scheduler.run s ~max_steps:1_000 with
+  | _ -> Alcotest.fail "the fiber's exception should escape"
+  | exception Exit -> ());
+  let steps = trace_steps (Trace.finish b) @ [ (2, Sim.Nop) ] in
+  checki "the raising step took its tick" (List.length steps) (Scheduler.now s);
+  check_published ~label:"raise" ~n_plus_1:3 ~steps
+    ~decisions:(List.length steps) ~pending:(pending_fibers fibers)
 
 (* The scheduler keeps the enabled set as fibers finish and crash; at
    every policy call it must be exactly the processes with a runnable
@@ -658,7 +827,7 @@ let enabled_set_is_kept seed =
     | None -> ());
     inner ~now ~enabled
   in
-  let s = Scheduler.observed ~observe:ignore ~pattern ~policy ~fibers in
+  let s = Scheduler.observed ~pattern ~policy ~fibers () in
   sched := Some s;
   ignore (Scheduler.run s ~max_steps:1_000 : Scheduler.outcome);
   !agreed
@@ -839,9 +1008,17 @@ let suite =
       test_late_daemon_rejected;
     Alcotest.test_case "policy choices pinned" `Quick
       test_policy_choices_pinned;
-    Alcotest.test_case "a step allocates at most 40 words" `Quick
+    Alcotest.test_case "a step allocates at most 20 words" `Quick
       test_step_allocation_bound;
     Alcotest.test_case "rng uniform at a bound past 2^61" `Quick
       test_rng_uniform_large_bound;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases
+  @ [
+      Alcotest.test_case "published counters match the trace" `Quick
+        test_counters_match_trace;
+      Alcotest.test_case "step publishes its counts" `Quick
+        test_counters_published_per_step;
+      Alcotest.test_case "counts published when a fiber raises" `Quick
+        test_counters_published_on_raise;
+    ]

@@ -231,7 +231,7 @@ let test_seeded_workload () =
   in
   Alcotest.check Alcotest.int "linearizable histories" 5 ok;
   Testutil.check_minor_words "lin/register histories 400x12"
-    ~baseline:1_102_646 words
+    ~baseline:970_789 words
 
 let suite =
   Alcotest.test_case "oracle pinned on known histories" `Quick

@@ -118,7 +118,10 @@ let test_oracle_catches_forged_query_value_typed () =
   checkb "the true value passes" true
     (Oracle.check_query_values src [ step (Sim.Value (src, 1)) ] = []);
   (* a source of another witness falls back to comparing renderings *)
-  let stranger = { src with Sim.id = Type.Id.make () } in
+  let stranger =
+    Sim.source ~name:src.Sim.name ~sample:src.sample ~render:src.render
+      ~equal:src.equal ~id:(Type.Id.make ())
+  in
   checkb "condition 2 flagged by rendering" true
     (Oracle.check_query_values src [ step (Sim.Value (stranger, 0)) ] <> []);
   checkb "same rendering passes" true
