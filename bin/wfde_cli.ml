@@ -638,7 +638,8 @@ let serve_cmd =
          result cache ($(b,--cache) entries in memory, optionally \
          persisted under $(b,--cache-dir)); hits replay the stored bytes \
          from the connection thread, bypassing the worker fleet. Inspect \
-         or clear it with $(b,wfde cache).";
+         or clear it with $(b,wfde client cache) (params \
+         {\"op\":\"stats\"}, the default, or {\"op\":\"clear\"}).";
     ]
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
@@ -775,61 +776,6 @@ let client_cmd =
       const run_client $ meth_arg $ socket_arg $ params_arg $ id_arg
       $ deadline_arg $ trace_arg $ envelope_arg)
 
-(* ------------------------------------------------------------ cache --- *)
-
-let run_cache op socket =
-  let req =
-    {
-      Serve.Proto.id = Wfde.Json.Null;
-      meth = "cache";
-      params = [ ("op", Wfde.Json.String op) ];
-      deadline_ms = None;
-      trace = None;
-    }
-  in
-  match Serve.Client.rpc ~socket req with
-  | Error msg ->
-      Format.eprintf "transport error: %s@." msg;
-      3
-  | Ok resp -> (
-      match resp.Serve.Proto.result with
-      | Ok payload ->
-          print_string (Wfde.Json.to_string payload);
-          print_newline ();
-          0
-      | Error e ->
-          Format.eprintf "%s: %s@."
-            (Serve.Proto.code_to_string e.Serve.Proto.code)
-            e.Serve.Proto.message;
-          Serve.Proto.exit_code e.Serve.Proto.code)
-
-let cache_cmd =
-  let op_arg =
-    let doc = "Operation: $(b,stats) (default) or $(b,clear)." in
-    Arg.(
-      value
-      & pos 0 (Arg.enum [ ("stats", "stats"); ("clear", "clear") ]) "stats"
-      & info [] ~docv:"OP" ~doc)
-  in
-  let doc = "inspect or clear a running daemon's result cache" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Sends the daemon a cache RPC and prints the stats payload \
-         (entries, bytes, hits, misses, coalesced, evictions, disk_hits, \
-         ...) as JSON. $(b,clear) drops every in-memory entry and deletes \
-         every on-disk entry before reporting. The RPC is answered inline \
-         by the connection thread, so it works while the worker fleet is \
-         busy or draining.";
-      `S Manpage.s_examples;
-      `Pre
-        "  wfde cache --socket /tmp/wfde.sock\n\
-        \  wfde cache clear --socket /tmp/wfde.sock";
-    ]
-  in
-  Cmd.v (Cmd.info "cache" ~doc ~man) Term.(const run_cache $ op_arg $ socket_arg)
-
 (* ------------------------------------------------------------ spans --- *)
 
 let run_spans file normalize =
@@ -921,7 +867,6 @@ let group =
       sweep_cmd;
       serve_cmd;
       client_cmd;
-      cache_cmd;
       spans_cmd;
     ]
 

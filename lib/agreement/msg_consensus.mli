@@ -5,8 +5,8 @@
     toolchain lowers onto asynchronous message passing: commit–adopt is
     run over {!Memory.Abd} registers (each read/write a quorum
     round-trip), guarded by the leader oracle Ω exactly as in the
-    register-native {!Omega_consensus}. Tolerates a minority of crashes
-    (the ABD bound), decides a single proposed value.
+    register-native {!Omega_k_sa} at [k = 1]. Tolerates a minority of
+    crashes (the ABD bound), decides a single proposed value.
 
     Round structure: commit–adopt on registers [a1/r/i], [a2/r/i]; a
     commit is written to [dec] and decided; otherwise the current

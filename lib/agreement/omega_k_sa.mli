@@ -9,8 +9,8 @@
     stabilizes, at most [k] (committee) values survive a round, and the
     next k-converge commits.
 
-    [k = 1] with Ω is the classic leader-based consensus; see
-    {!Omega_consensus}. *)
+    [k = 1], with Ω's leader as a one-member committee, is the classic
+    leader-based consensus. *)
 
 open Kernel
 

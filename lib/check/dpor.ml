@@ -72,31 +72,6 @@ type node = {
   sleep : Pid.Set.t;
 }
 
-(* Fiber names are a pure function of (pid, thread index); intern them
-   so re-spawning the world for every execution stops formatting. The
-   table is domain-local because explore runs concurrently in Exec.Pool
-   worker domains and stdlib Hashtbl is not domain-safe; each domain
-   interning its own copy still amortizes. *)
-let fiber_names_key : (int, string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let fiber_name pid j =
-  let names = Domain.DLS.get fiber_names_key in
-  let key = (Pid.to_int pid lsl 16) lor j in
-  match Hashtbl.find_opt names key with
-  | Some s -> s
-  | None ->
-      let s = Format.asprintf "%a/t%d" Pid.pp pid j in
-      Hashtbl.replace names key s;
-      s
-
-let spawn_fibers ~pattern ~procs =
-  Pid.all ~n_plus_1:(Failure_pattern.n_plus_1 pattern)
-  |> List.concat_map (fun pid ->
-         List.mapi
-           (fun j body -> Fiber.create ~pid ~name:(fiber_name pid j) body)
-           (procs pid))
-
 (* Fill an enabled-set buffer from the scheduler's pending view. *)
 let refresh_enabled es sched =
   Eset.clear es;
@@ -206,7 +181,7 @@ let run_once ~pattern ~horizon ~depth ~stack ~len ~presc ~make ~pend ~observe =
             | Some (q, kq) -> push q kq)
       end
   in
-  let fibers = spawn_fibers ~pattern ~procs in
+  let fibers = Run.fibers ~pattern ~procs in
   let sched = Scheduler.observed ~observe ~pattern ~policy ~fibers () in
   sched_ref := Some sched;
   let result =
@@ -891,7 +866,7 @@ let root_branches ~pattern ~make () =
     | _ -> ());
     None
   in
-  let fibers = spawn_fibers ~pattern ~procs in
+  let fibers = Run.fibers ~pattern ~procs in
   let sched = Scheduler.observed ~pattern ~policy ~fibers () in
   sched_ref := Some sched;
   let (_ : Scheduler.outcome) = Scheduler.run sched ~max_steps:1 in

@@ -9,14 +9,9 @@ type outcome = {
   ok : bool;
 }
 
-let mean = function
-  | [] -> 0.0
-  | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-
-let mean_int l = mean (List.map float_of_int l)
-
 (* The share of [xs] that pass [ok], in [0, 1]. *)
-let pass_rate ok xs = mean (List.map (fun x -> if ok x then 1.0 else 0.0) xs)
+let pass_rate ok xs =
+  Stats.mean (List.map (fun x -> if ok x then 1.0 else 0.0) xs)
 
 (* Clear [all_ok] unless every one of [xs] passes [ok]. *)
 let require all_ok ok xs = if not (List.for_all ok xs) then all_ok := false
@@ -79,11 +74,11 @@ let e1_fig1_set_agreement ?(jobs = 1) ?(seeds = e1_seeds) ?(sizes = [ 2; 3; 4; 5
           Report.cell_int seeds;
           Report.cell_pct (pass_rate Harness.ok runs);
           Report.cell_float
-            (mean_int (List.map (fun m -> m.Harness.last_decision_time) runs));
+            (Stats.mean_int (List.map (fun m -> m.Harness.last_decision_time) runs));
           Report.cell_float
             (Stats.percentile_or ~default:0.0 0.95
                (List.map (fun m -> m.Harness.last_decision_time) runs));
-          Report.cell_float (mean_int (List.map (fun m -> m.Harness.rounds) runs));
+          Report.cell_float (Stats.mean_int (List.map (fun m -> m.Harness.rounds) runs));
           Report.cell_int (max_distinct runs);
         ])
       sizes
@@ -133,7 +128,7 @@ let e2_fig2_f_resilient ?(jobs = 1) ?(seeds = e2_seeds) ?(sizes = [ 3; 4; 5; 6 ]
               Report.cell_int seeds;
               Report.cell_pct (pass_rate Harness.ok runs);
               Report.cell_float
-                (mean_int (List.map (fun m -> m.Harness.last_decision_time) runs));
+                (Stats.mean_int (List.map (fun m -> m.Harness.last_decision_time) runs));
               Report.cell_int (max_distinct runs);
             ]))
       sizes
@@ -246,7 +241,7 @@ let e5_fig3_extraction ?(jobs = 1) ?(seeds = e5_seeds) ?(detectors = Harness.Ora
           label;
           Report.cell_int seeds;
           Report.cell_pct (pass_rate ok results);
-          Report.cell_float (mean_int (List.map snd results));
+          Report.cell_float (Stats.mean_int (List.map snd results));
         ])
       sources
   in
@@ -457,7 +452,7 @@ let e7_upsilon_vs_omega_n ?(jobs = 1) ?(seeds = e7_seeds)
             Report.cell_pct (pass_rate Harness.ok (locked :: randoms));
             Report.cell_int locked.Harness.last_decision_time;
             Report.cell_float
-              (mean_int
+              (Stats.mean_int
                  (List.map (fun m -> m.Harness.last_decision_time) randoms));
           ]
         in
@@ -741,9 +736,9 @@ let e9_booster_consensus ?(jobs = 1) ?(seeds = e9_seeds) ?(sizes = [ 2; 3; 4; 5 
           Report.cell_int
             (List.fold_left (fun acc (_, p, _, _) -> max acc p) 0 runs);
           Report.cell_float
-            (mean_int (List.map (fun (_, _, objs, _) -> objs) runs));
+            (Stats.mean_int (List.map (fun (_, _, objs, _) -> objs) runs));
           Report.cell_float
-            (mean_int (List.map (fun (_, _, _, t) -> t) runs));
+            (Stats.mean_int (List.map (fun (_, _, _, t) -> t) runs));
         ])
       sizes
   in
@@ -822,7 +817,7 @@ let e10_abd_emulation ?(jobs = 1) ?(seeds = e10_seeds) ?(sizes = [ 3; 5; 7 ]) ()
           Report.cell_int seeds;
           Report.cell_pct (pass_rate (fun (a, _, _) -> a) results);
           Report.cell_pct (pass_rate (fun (_, d, _) -> d) results);
-          Report.cell_float (mean_int latencies);
+          Report.cell_float (Stats.mean_int latencies);
         ])
       sizes
   in
@@ -883,7 +878,7 @@ let e11_msg_consensus ?(jobs = 1) ?(seeds = e11_seeds) ?(sizes = [ 3; 5 ])
       Report.cell_int seeds;
       Report.cell_pct (pass_rate (fun (o, _, _) -> o) runs);
       Report.cell_pct (pass_rate (fun (_, a, _) -> a) runs);
-      Report.cell_float (mean_int (List.map (fun (_, _, t) -> t) runs));
+      Report.cell_float (Stats.mean_int (List.map (fun (_, _, t) -> t) runs));
     ]
   in
   let gated_rows = if detectors = Harness.Oracle then [] else List.map (row detectors) sizes in
@@ -946,7 +941,7 @@ let a3_fig2_snapshot_cost ?(jobs = 1) ?(seeds = a3_seeds) () =
             Report.cell_int seeds;
             Report.cell_pct (pass_rate Harness.ok runs);
             Report.cell_float
-              (mean_int (List.map (fun m -> m.Harness.total_steps) runs));
+              (Stats.mean_int (List.map (fun m -> m.Harness.total_steps) runs));
           ]
         in
         [
@@ -1082,7 +1077,7 @@ let d1_hb_conformance ?(jobs = 1) ?(seeds = d1_seeds) ?(spans = Obs.Span.null) (
                   Report.cell_int seeds;
                   Report.cell_pct
                     (pass_rate (fun (v, _) -> Result.is_ok v) runs);
-                  Report.cell_float (mean_int (List.map snd runs));
+                  Report.cell_float (Stats.mean_int (List.map snd runs));
                 ])
               [ ("evP", `Ev_perfect); ("evS", `Ev_strong) ]))
       hb_config_grid
@@ -1126,7 +1121,7 @@ let d2_hb_vs_oracle ?(jobs = 1) ?(seeds = d2_seeds) ?(spans = Obs.Span.null) () 
       Report.cell_pct (pass_rate (fun (o, _, _) -> o) runs);
       Report.cell_pct (pass_rate (fun (_, i, _) -> i) runs);
       Report.cell_pct (pass_rate (fun (o, i, _) -> o = i) runs);
-      Report.cell_float (mean_int (List.map (fun (_, _, s) -> s) runs));
+      Report.cell_float (Stats.mean_int (List.map (fun (_, _, s) -> s) runs));
     ]
   in
   let extraction =

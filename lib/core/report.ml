@@ -37,5 +37,4 @@ let of_metrics ?(title = "metrics snapshot") snap =
   }
 let cell_int = string_of_int
 let cell_float ?(decimals = 1) v = Printf.sprintf "%.*f" decimals v
-let cell_bool b = if b then "yes" else "no"
 let cell_pct r = Printf.sprintf "%.0f%%" (100.0 *. r)

@@ -18,6 +18,5 @@ val of_metrics : ?title:string -> Obs.Metrics.snapshot -> table
 
 val cell_int : int -> string
 val cell_float : ?decimals:int -> float -> string
-val cell_bool : bool -> string
 val cell_pct : float -> string
 (** Render a ratio in [0, 1] as a percentage. *)

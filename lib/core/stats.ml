@@ -1,12 +1,3 @@
-type summary = {
-  count : int;
-  mean : float;
-  median : float;
-  p95 : float;
-  min : int;
-  max : int;
-}
-
 let mean = function
   | [] -> 0.0
   | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
@@ -32,20 +23,3 @@ let percentile q xs =
 
 let percentile_or ~default q xs =
   match percentile q xs with Some v -> v | None -> default
-
-let summarize = function
-  | [] -> None
-  | xs ->
-      Some
-        {
-          count = List.length xs;
-          mean = mean_int xs;
-          median = percentile_or ~default:0.0 0.5 xs;
-          p95 = percentile_or ~default:0.0 0.95 xs;
-          min = List.fold_left min max_int xs;
-          max = List.fold_left max min_int xs;
-        }
-
-let pp ppf s =
-  Format.fprintf ppf "n=%d mean=%.1f median=%.1f p95=%.1f min=%d max=%d"
-    s.count s.mean s.median s.p95 s.min s.max

@@ -4,18 +4,6 @@
     end up with zero qualifying runs (e.g. after filtering on an
     outcome), and aggregation must not crash mid-report. *)
 
-type summary = {
-  count : int;
-  mean : float;
-  median : float;
-  p95 : float;
-  min : int;
-  max : int;
-}
-
-val summarize : int list -> summary option
-(** [None] on the empty list. *)
-
 val mean : float list -> float
 (** 0 on the empty list. *)
 
@@ -28,5 +16,3 @@ val percentile : float -> int list -> float option
 
 val percentile_or : default:float -> float -> int list -> float
 (** {!percentile} with an explicit fallback for the empty list. *)
-
-val pp : Format.formatter -> summary -> unit

@@ -68,6 +68,3 @@ module Chaos = struct
     let r = rng ~seed p time in
     Rng.int r n_plus_1
 end
-
-let pp_pid_set = Pid.Set.pp
-let pp_pid = Pid.pp

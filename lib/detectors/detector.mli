@@ -66,6 +66,3 @@ module Chaos : sig
   val pid : seed:int -> n_plus_1:int -> Pid.t -> int -> Pid.t
   (** A pseudo-random process id. *)
 end
-
-val pp_pid_set : Format.formatter -> Pid.Set.t -> unit
-val pp_pid : Format.formatter -> Pid.t -> unit

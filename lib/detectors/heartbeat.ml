@@ -68,9 +68,7 @@ let unsafe_plant t = function
   | Mutant.Hb_suspected_not_restored -> t.suspected_not_restored <- true
   | _ -> ()
 
-let name t = t.hb_name
 let link t = t.link
-let net_config t = Link.config t.link
 
 let suspected_set t me =
   let s = ref Pid.Set.empty in
@@ -215,5 +213,3 @@ let stabilization_window ~min_tail t ~pattern ~horizon =
          (max 0 (horizon - stab_by + 1))
          min_tail)
   else Ok stab_by
-
-let changes t p = List.rev t.logs.(p)

@@ -81,9 +81,7 @@ val unsafe_plant : t -> Mutant.t -> unit
 
     Every other mutant is ignored. For checker regression tests only. *)
 
-val name : t -> string
 val link : t -> unit Link.t
-val net_config : t -> Link.config
 
 val fiber : ?until:(unit -> bool) -> t -> me:Pid.t -> unit -> unit
 (** The monitor loop for one process: poll, process heartbeats, beat if
@@ -128,6 +126,3 @@ val stabilization_window :
 (** The time a detector spec is checked from: past the last suspicion
     change at any correct process and past the last crash; an error
     when fewer than [min_tail] steps remain before [horizon]. *)
-
-val changes : t -> Pid.t -> (int * Pid.Set.t) list
-(** [p]'s full change log, oldest first, starting with [(0, ∅)]. *)

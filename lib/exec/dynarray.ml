@@ -25,13 +25,6 @@ let push t v =
   t.data.(t.len) <- v;
   t.len <- t.len + 1
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
-let to_list t = List.init t.len (fun i -> t.data.(i))
-
 (* Insertion sort over the live prefix (typical inputs are a handful of
    elements), then in-place dedup: equivalent to [List.sort_uniq
    Int.compare] over the same multiset. *)

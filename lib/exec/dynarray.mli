@@ -23,9 +23,6 @@ val set : t -> int -> int -> unit
 val push : t -> int -> unit
 (** Append, growing the backing array geometrically when full. *)
 
-val iter : (int -> unit) -> t -> unit
-val to_list : t -> int list
-
 val sort_uniq : t -> unit
 (** Sort the contents ascending and drop duplicates, in place —
-    equivalent to [List.sort_uniq Int.compare] on {!to_list}. *)
+    equivalent to [List.sort_uniq Int.compare] on its elements. *)

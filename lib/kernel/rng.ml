@@ -19,7 +19,6 @@ let of_state state =
   t
 
 let create seed = of_state (mix (Int64.of_int seed))
-let copy t = Bytes.copy t
 
 let[@inline] next64 t =
   let state = Int64.add (get t 0) gamma in
@@ -43,20 +42,9 @@ let int_in t lo hi =
 
 let bool t = Int64.logand (next64 t) 1L = 1L
 
-let chance t p =
-  if p <= 0.0 then false
-  else if p >= 1.0 then true
-  else
-    let v = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
-    v /. 9007199254740992.0 < p
-
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | l -> List.nth l (int t (List.length l))
-
-let pick_arr t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick_arr: empty array";
-  arr.(int t (Array.length arr))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

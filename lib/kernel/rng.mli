@@ -10,8 +10,6 @@ val create : int -> t
 (** [create seed] is a fresh generator. Distinct seeds give independent
     streams for all practical purposes. *)
 
-val copy : t -> t
-
 val split : t -> t
 (** [split t] derives a child generator and advances [t]; children drawn
     at different points are independent streams. *)
@@ -24,13 +22,8 @@ val int_in : t -> int -> int -> int
 
 val bool : t -> bool
 
-val chance : t -> float -> bool
-(** [chance t p] is true with probability [p]. *)
-
 val pick : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
-
-val pick_arr : t -> 'a array -> 'a
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -17,6 +17,14 @@ type result = {
       (** [(pid, time)] of every crash the run reached, in pid order *)
 }
 
+val fibers :
+  pattern:Failure_pattern.t -> procs:(Pid.t -> (unit -> unit) list) ->
+  Fiber.t list
+(** One fiber per thunk returned by [procs pid], for every process of
+    the pattern in pid order, named ["p<i>/t<j>"]. Every driver of a
+    world ({!exec}, the model checker, the adversary) spawns its fibers
+    here. *)
+
 val exec :
   pattern:Failure_pattern.t ->
   policy:Policy.t ->
@@ -25,10 +33,10 @@ val exec :
   procs:(Pid.t -> (unit -> unit) list) ->
   unit ->
   result
-(** Builds one fiber per thunk returned by [procs pid] (named
-    ["p<i>/t<j>"]) and runs up to [horizon] steps (default 100_000),
-    passing each event to every observer in order (default none).
-    Protocol state (registers, decision tables) lives in the closures. *)
+(** Builds the {!fibers} of [procs] and runs up to [horizon] steps
+    (default 100_000), passing each event to every observer in order
+    (default none). Protocol state (registers, decision tables) lives in
+    the closures. *)
 
 val of_scheduler : Scheduler.t -> Scheduler.outcome -> result
 (** The result of a run driven step by step, stopped with the given

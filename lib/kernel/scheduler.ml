@@ -290,7 +290,6 @@ let switch_detector t detector =
 
 let flush_metrics _ = ()
 let now t = t.clock
-let pattern t = t.sched_pattern
 
 (* A fiber that was runnable leaves the run: keep [live] in step. *)
 let retire t f = if not (Fiber.is_daemon f) then t.live <- t.live - 1

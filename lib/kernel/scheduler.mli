@@ -48,7 +48,6 @@ val create :
 (** {!observed} with every event retained for {!trace}. *)
 
 val now : t -> int
-val pattern : t -> Failure_pattern.t
 
 val pending : t -> (Pid.t * Sim.kind) list
 (** The currently enabled processes (alive, with a runnable fiber), each

@@ -1,26 +1,11 @@
 (* Deterministic timers driven by simulated time (the global step
-   count). A timer is pure local bookkeeping: arming records a deadline,
-   expiry is a comparison against a [now] the owner obtained from one of
-   its own steps. No wall clock is involved anywhere, so runs stay a
-   pure function of (seed, schedule) and DPOR replays are exact. *)
-
-type t = { mutable deadline : int }
-
-let unset = -1
-
-let create () = { deadline = unset }
-
-let arm t ~now ~delay =
-  if delay < 0 then invalid_arg "Timer.arm: negative delay";
-  t.deadline <- now + delay
-
-let cancel t = t.deadline <- unset
-let armed t = t.deadline <> unset
-let expired t ~now = t.deadline <> unset && now >= t.deadline
-let deadline t = if t.deadline = unset then None else Some t.deadline
+   count). A timer is pure local bookkeeping: expiry is a comparison
+   against a [now] the owner obtained from one of its own steps. No wall
+   clock is involved anywhere, so runs stay a pure function of (seed,
+   schedule) and DPOR replays are exact. *)
 
 module Periodic = struct
-  type nonrec t = { period : int; mutable next : int }
+  type t = { period : int; mutable next : int }
 
   let create ~period =
     if period <= 0 then invalid_arg "Timer.Periodic.create: period must be > 0";
@@ -35,6 +20,4 @@ module Periodic = struct
       true
     end
     else false
-
-  let peek t ~now = now >= t.next
 end

@@ -3,31 +3,12 @@
     Simulated time is the global step count, so a timeout facility needs
     no wall clock: a timer stores a deadline and the owner compares it
     against the [now] of its latest step ({!Sim.now}, or the time
-    returned by {!Link.poll_now}). Arming, cancelling and testing a
-    timer are local computation — they consume no steps — which keeps
-    timeout-based protocols fully deterministic and replayable under
-    {!Check.Dpor} and [-jN] pools.
+    returned by {!Link.poll_now}). Testing a timer is local computation
+    — it consumes no steps — which keeps timeout-based protocols fully
+    deterministic and replayable under {!Check.Dpor} and [-jN] pools.
 
     Timers are owned by one process and are not shared state: two
     processes must never touch the same timer. *)
-
-type t
-
-val create : unit -> t
-(** A fresh, unarmed timer. *)
-
-val arm : t -> now:int -> delay:int -> unit
-(** Set the deadline to [now + delay] (re-arming overwrites). Raises
-    [Invalid_argument] on negative [delay]. *)
-
-val cancel : t -> unit
-val armed : t -> bool
-
-val expired : t -> now:int -> bool
-(** True iff armed and [now] has reached the deadline. An expired timer
-    stays expired until re-armed or cancelled. *)
-
-val deadline : t -> int option
 
 (** Fixed-period tick source (heartbeat cadence). *)
 module Periodic : sig
@@ -41,7 +22,4 @@ module Periodic : sig
   (** True at most once per deadline: firing re-anchors the next
       deadline to [now + period], so a starved process emits one tick on
       resume rather than a burst of missed ones. *)
-
-  val peek : t -> now:int -> bool
-  (** [due] without the side effect. *)
 end

@@ -4,54 +4,13 @@ type event =
 
 type t = event list
 
-(* Events accumulate into fixed-size chunks so recording a step is one
-   array store (amortized) instead of a cons per event; [finish] builds
-   the chronological list view on demand and leaves the builder intact,
-   so a run can be extended after its trace was inspected. *)
-type builder = {
-  mutable full : event array array; (* completed chunks, oldest first *)
-  mutable nfull : int;
-  mutable chunk : event array; (* current chunk, filled up to [pos] *)
-  mutable pos : int;
-}
+(* Newest first; [finish] reverses a copy, so a run can be extended
+   after its trace was inspected. *)
+type builder = { mutable rev : event list }
 
-let chunk_capacity = 256
-
-let builder () = { full = [||]; nfull = 0; chunk = [||]; pos = 0 }
-
-let push_full b =
-  (if b.nfull = Array.length b.full then begin
-     let grown = Array.make (max 4 (2 * b.nfull)) [||] in
-     Array.blit b.full 0 grown 0 b.nfull;
-     b.full <- grown
-   end);
-  b.full.(b.nfull) <- b.chunk;
-  b.nfull <- b.nfull + 1
-
-let record b e =
-  if b.pos = Array.length b.chunk then begin
-    if b.pos > 0 then push_full b;
-    (* seeding with [e] doubles as the fill value: no dummy event *)
-    b.chunk <- Array.make chunk_capacity e;
-    b.pos <- 1
-  end
-  else begin
-    b.chunk.(b.pos) <- e;
-    b.pos <- b.pos + 1
-  end
-
-let finish b =
-  let acc = ref [] in
-  for i = b.pos - 1 downto 0 do
-    acc := b.chunk.(i) :: !acc
-  done;
-  for c = b.nfull - 1 downto 0 do
-    let chunk = b.full.(c) in
-    for i = Array.length chunk - 1 downto 0 do
-      acc := chunk.(i) :: !acc
-    done
-  done;
-  !acc
+let builder () = { rev = [] }
+let record b e = b.rev <- e :: b.rev
+let finish b = List.rev b.rev
 
 let steps_of t pid =
   List.length

@@ -10,7 +10,6 @@ type 'a t = {
 }
 
 let create ~name ~ports = { obj_name = name; ports; value = None; users = Pid.Set.empty }
-let name t = t.obj_name
 
 let propose t v =
   Sim.atomic
@@ -32,5 +31,4 @@ let propose t v =
           t.value <- Some v;
           v)
 
-let decided t = t.value
 let accessors t = t.users

@@ -17,14 +17,9 @@ exception Port_exhausted of string
 val create : name:string -> ports:int option -> 'a t
 (** [ports = None] means unrestricted (full consensus object). *)
 
-val name : 'a t -> string
-
 val propose : 'a t -> 'a -> 'a
 (** One step: decide and return the object's value (the first proposal).
     Raises {!Port_exhausted} if the caller is the [ports+1]-th distinct
     process to touch the object. *)
-
-val decided : 'a t -> 'a option
-(** Oracle access, no step. *)
 
 val accessors : 'a t -> Pid.Set.t

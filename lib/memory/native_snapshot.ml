@@ -12,7 +12,6 @@ let create ~name ~size ~init =
     write_kind = Sim.Write { obj = name };
   }
 
-let size t = Array.length t.arr
 
 let update t ~me v =
   Obs.Metrics.incr m_updates;
@@ -21,4 +20,3 @@ let update t ~me v =
 let scan t =
   Obs.Metrics.incr m_scans;
   Sim.atomic t.read_kind (fun _ -> Array.copy t.arr)
-let peek t = Array.copy t.arr

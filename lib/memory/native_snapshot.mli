@@ -7,12 +7,8 @@ type 'a t
 
 val create : name:string -> size:int -> init:(int -> 'a) -> 'a t
 
-val size : 'a t -> int
-
 val update : 'a t -> me:int -> 'a -> unit
 (** One step. *)
 
 val scan : 'a t -> 'a array
 (** One step. *)
-
-val peek : 'a t -> 'a array

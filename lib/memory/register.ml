@@ -62,9 +62,6 @@ let array ~name ~size ~init =
   Array.init size (fun i ->
       create ~name:(name ^ "[" ^ string_of_int i ^ "]") (init i))
 
-let read_at arr i = read arr.(i)
-let write_at arr i v = write arr.(i) v
-
 let collect arr = Array.map read arr
 
 let collect_timed arr =
@@ -83,14 +80,9 @@ let collect_timed arr =
 module Counter = struct
   type nonrec t = int t
 
-  let create ~name = create ~name 0
-
   let incr t =
     (* Single-writer: the read-modify-write is safe to fuse into one
        atomic step because only the owner ever writes. *)
     Obs.Metrics.add_in t.metrics m_writes 1;
     Sim.atomic t.write_kind (fun _ -> t.cell <- t.cell + 1)
-
-  let get t = read t
-  let peek t = peek t
 end

@@ -42,9 +42,6 @@ val poke : 'a t -> 'a -> unit
 val array : name:string -> size:int -> init:(int -> 'a) -> 'a t array
 (** [array ~name ~size ~init] is [size] registers named ["name[i]"]. *)
 
-val read_at : 'a t array -> int -> 'a
-val write_at : 'a t array -> int -> 'a -> unit
-
 val collect : 'a t array -> 'a array
 (** Read every register in index order — [size] steps, {e not} atomic as
     a whole (that is the point: an atomic view requires the snapshot
@@ -56,18 +53,13 @@ val collect_timed : 'a t array -> 'a array * int * int
 
 module Counter : sig
   (** A single-writer unbounded counter register, used for the
-      ever-growing timestamps of §5.3 and Fig 3. *)
+      ever-growing timestamps of §5.3's Υ¹→Ω reduction and the
+      Theorem 1/5 top-movers candidate. A counter is an [int] register:
+      it is built by {!create} or {!array} and read by {!read} or
+      {!collect}. *)
 
-  type t
-
-  val create : name:string -> t
+  type nonrec t = int t
 
   val incr : t -> unit
-  (** One step. *)
-
-  val get : t -> int
-  (** One step. *)
-
-  val peek : t -> int
-  (** Oracle access, no step. *)
+  (** One step, a write. Only the counter's owner may call it. *)
 end

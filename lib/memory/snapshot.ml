@@ -97,5 +97,3 @@ let update_timed t ~me v =
   (first, written)
 
 let update t ~me v = ignore (update_timed t ~me v)
-
-let peek t = Array.map (fun cell -> (Register.peek cell).data) t.cells

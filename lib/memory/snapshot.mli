@@ -42,9 +42,6 @@ val update_timed : 'a t -> me:int -> 'a -> int * int
 (** Like {!update}, returning the times of the operation's first register
     access and of the final write (its linearization point). *)
 
-val peek : 'a t -> 'a array
-(** Current contents without taking steps — oracle use only. *)
-
 val unsafe_plant : 'a t -> Kernel.Mutant.t -> unit
 (** Harness-only, no steps: plant a bug in this instance alone.
     {!Kernel.Mutant.Snapshot_single_collect} makes {!scan} return its

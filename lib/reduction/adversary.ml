@@ -48,14 +48,7 @@ let run candidate ~n_plus_1 ~f ~max_phases ~phase_budget =
         else (* round-robin within the allowed set *)
           rr ~now ~enabled:eligible
   in
-  let fibers =
-    Pid.all ~n_plus_1
-    |> List.concat_map (fun pid ->
-           List.mapi
-             (fun j body ->
-               Fiber.create ~pid ~name:(Printf.sprintf "cand-p%d-t%d" pid j) body)
-             (inst.fibers pid))
-  in
+  let fibers = Run.fibers ~pattern ~procs:inst.fibers in
   let sched = Scheduler.observed ~pattern ~policy ~fibers () in
   (* Step the scheduler while tracking One_step_each progress. *)
   let step_once () =
@@ -219,10 +212,7 @@ module Candidates = struct
           in
           let body me () =
             while true do
-              Sim.atomic
-                (Sim.Write { obj = Register.name stamps.(me) })
-                (fun _ ->
-                  Register.poke stamps.(me) (Register.peek stamps.(me) + 1));
+              Register.Counter.incr stamps.(me);
               let view = Register.collect stamps in
               let _ = Sim.query upsilon in
               let ranked =

@@ -52,7 +52,7 @@ module Omega_from_upsilon1 = struct
   type t = {
     n_plus_1 : int;
     upsilon1 : Pid.Set.t Sim.source;
-    stamps : int Register.t array;
+    stamps : Register.Counter.t array;
     leaders : Pid.t option array;
     mutable log : (Pid.t * int * Pid.t) list;
   }
@@ -96,9 +96,7 @@ module Omega_from_upsilon1 = struct
 
   let runner t ~me () =
     while true do
-      Sim.atomic
-        (Sim.Write { obj = Register.name t.stamps.(me) })
-        (fun _ -> Register.poke t.stamps.(me) (Register.peek t.stamps.(me) + 1));
+      Register.Counter.incr t.stamps.(me);
       let stamps = Register.collect t.stamps in
       let u = Sim.query t.upsilon1 in
       let complement = Pid.Set.complement ~n_plus_1:t.n_plus_1 u in

@@ -531,18 +531,11 @@ let start ?workers ?queue_capacity ?(cache = Cache.default_config)
   t.accept_thread <- Some (Thread.create accept_loop t);
   t
 
-let socket_path t = t.sock_path
 let queue_depth t = Engine.queue_depth t.engine
 let in_flight t = Engine.in_flight t.engine
 let dispatched t = Engine.dispatched t.engine
 let draining t = Atomic.get t.stopping
 let cache_stats t = Cache.stats t.cache
-
-let connections t =
-  Mutex.lock t.conn_mu;
-  let n = t.conn_count in
-  Mutex.unlock t.conn_mu;
-  n
 
 let stop t =
   Atomic.set t.stopping true;

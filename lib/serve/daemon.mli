@@ -82,8 +82,6 @@ val start :
     "queue_depth":...,"in_flight":...}] — to [slow_out] (default
     [stderr]) for every request at least that slow. *)
 
-val socket_path : t -> string
-
 val stop : t -> unit
 (** Graceful drain, as described above. Blocks until every connection
     thread and worker domain has exited; idempotent. *)
@@ -97,7 +95,6 @@ val run_forever : t -> unit
 
 val queue_depth : t -> int
 val in_flight : t -> int
-val connections : t -> int
 val draining : t -> bool
 
 val dispatched : t -> int

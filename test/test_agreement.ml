@@ -1,5 +1,5 @@
 (* Tests for the set-agreement protocols: Fig 1 (Theorem 2), Fig 2
-   (Theorem 6), the Omega_k baseline, Omega-consensus, and the
+   (Theorem 6), the Omega_k baseline (at k = 1, Omega-consensus), and the
    detector-free impossibility skeleton. Safety is checked on every run;
    termination within generous horizons. *)
 
@@ -306,35 +306,6 @@ let test_omega_k_baseline () =
       Alcotest.failf "seed %d: %a" seed Sa_spec.pp verdict
   done
 
-let test_omega_consensus () =
-  for seed = 1 to 30 do
-    let rng = Rng.create (seed * 13) in
-    let n_plus_1 = 2 + (seed mod 3) in
-    let pattern =
-      Failure_pattern.random rng ~n_plus_1 ~max_faulty:(n_plus_1 - 1)
-        ~latest:150
-    in
-    let omega = Omega.make ~rng ~pattern () in
-    let proto =
-      Omega_consensus.create ~name:"cons" ~n_plus_1
-        ~omega:(Detector.source omega)
-    in
-    let _ =
-      Run.exec ~pattern ~policy:(Policy.random rng) ~horizon
-        ~procs:(fun pid ->
-          [ Omega_consensus.proposer proto ~me:pid ~input:(400 + pid) ])
-        ()
-    in
-    let proposals = List.map (fun pid -> (pid, 400 + pid)) (Pid.all ~n_plus_1) in
-    let verdict =
-      Sa_spec.check ~k:1 ~pattern ~proposals
-        ~decisions:(Omega_consensus.decisions proto)
-        ()
-    in
-    if not (Sa_spec.all_ok verdict) then
-      Alcotest.failf "seed %d: %a" seed Sa_spec.pp verdict
-  done
-
 (* -- Impossibility skeleton ----------------------------------------------------- *)
 
 let test_async_attempt_starves_under_lockstep () =
@@ -611,7 +582,6 @@ let suite =
       test_fig2_citizen_only_escape;
     Alcotest.test_case "fig2 f=n" `Quick test_fig2_f_equals_n_matches_fig1;
     Alcotest.test_case "omega_k baseline" `Quick test_omega_k_baseline;
-    Alcotest.test_case "omega consensus" `Quick test_omega_consensus;
     Alcotest.test_case "async skeleton starves (lockstep)" `Quick
       test_async_attempt_starves_under_lockstep;
     Alcotest.test_case "async skeleton safety" `Quick

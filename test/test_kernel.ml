@@ -809,14 +809,8 @@ let enabled_set_is_kept seed =
     Failure_pattern.random rng ~n_plus_1 ~max_faulty:(n_plus_1 - 1) ~latest:80
   in
   let fibers =
-    List.concat_map
-      (fun pid ->
-        List.init
-          (1 + Rng.int rng 3)
-          (fun j ->
-            Fiber.create ~pid ~name:(Printf.sprintf "p%d/t%d" pid j)
-              (nops (Rng.int rng 40))))
-      (Pid.all ~n_plus_1)
+    Run.fibers ~pattern ~procs:(fun _ ->
+        List.init (1 + Rng.int rng 3) (fun _ -> nops (Rng.int rng 40)))
   in
   let sched = ref None and agreed = ref true and inner = Policy.random rng in
   let policy ~now ~enabled =

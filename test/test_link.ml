@@ -12,23 +12,12 @@ let checki = Alcotest.check Alcotest.int
 (* ------------------------------------------------------------- timers *)
 
 let test_timer_basics () =
-  let t = Timer.create () in
-  checkb "fresh unarmed" false (Timer.armed t);
-  checkb "fresh not expired" false (Timer.expired t ~now:100);
-  Timer.arm t ~now:10 ~delay:5;
-  checkb "armed" true (Timer.armed t);
-  Alcotest.check
-    (Alcotest.option Alcotest.int)
-    "deadline" (Some 15) (Timer.deadline t);
-  checkb "before deadline" false (Timer.expired t ~now:14);
-  checkb "at deadline" true (Timer.expired t ~now:15);
-  checkb "stays expired" true (Timer.expired t ~now:40);
-  Timer.arm t ~now:40 ~delay:1;
-  checkb "re-armed resets" false (Timer.expired t ~now:40);
-  Timer.cancel t;
-  checkb "cancelled" false (Timer.armed t);
-  Alcotest.check_raises "negative delay" (Invalid_argument "Timer.arm: negative delay")
-    (fun () -> Timer.arm t ~now:0 ~delay:(-1))
+  Alcotest.check_raises "zero period"
+    (Invalid_argument "Timer.Periodic.create: period must be > 0") (fun () ->
+      ignore (Timer.Periodic.create ~period:0));
+  let p = Timer.Periodic.create ~period:1 in
+  checkb "period 1: due every instant" true
+    (List.for_all (fun now -> Timer.Periodic.due p ~now) [ 0; 1; 2; 3 ])
 
 let test_periodic_reanchors () =
   let p = Timer.Periodic.create ~period:5 in
@@ -39,8 +28,7 @@ let test_periodic_reanchors () =
   (* a starved owner gets one tick on resume, not a burst *)
   checkb "due after starvation" true (Timer.Periodic.due p ~now:42);
   checkb "re-anchored to resume time" false (Timer.Periodic.due p ~now:44);
-  checkb "peek has no side effect" true
-    (Timer.Periodic.peek p ~now:47 && Timer.Periodic.due p ~now:47)
+  checkb "due a period after resume" true (Timer.Periodic.due p ~now:47)
 
 (* ------------------------------------------------------------- links *)
 

@@ -59,7 +59,7 @@ let test_register_collect_not_atomic () =
   Alcotest.check (Alcotest.array Alcotest.int) "initial values" [| 0; 1; 2; 3 |] !observed
 
 let test_counter_monotone () =
-  let c = Register.Counter.create ~name:"ts" in
+  let c = Register.create ~name:"ts" 0 in
   let reads = ref [] in
   let writer () =
     for _ = 1 to 5 do
@@ -68,7 +68,7 @@ let test_counter_monotone () =
   in
   let reader () =
     for _ = 1 to 10 do
-      reads := Register.Counter.get c :: !reads
+      reads := Register.read c :: !reads
     done
   in
   let _result =
@@ -83,7 +83,7 @@ let test_counter_monotone () =
     | _ -> true
   in
   checkb "counter readings monotone" true (monotone readings);
-  checki "final value" 5 (Register.Counter.peek c)
+  checki "final value" 5 (Register.peek c)
 
 (* -- Snapshot ------------------------------------------------------------ *)
 

@@ -394,6 +394,72 @@ let test_adversary_flips_top_movers () =
          moving: require several phases happened first. *)
       checkb "ran several phases before sticking" true (phase >= 1)
 
+(* §5.3 and the top-movers candidate grow register timestamps: every
+   stamp bump is a [Write] step on the stamp register, and each must
+   count as a register write. A register counts an operation when it is
+   invoked, so equality also needs no process parked at a stamp write
+   when the run stops, which holds in these worlds. *)
+let stamp_writes ~prefix trace =
+  List.length
+    (List.filter
+       (function
+         | Trace.Step { kind = Sim.Write { obj }; _ } ->
+             String.starts_with ~prefix obj
+         | Trace.Step _ | Trace.Crash _ -> false)
+       trace)
+
+let check_stamp_writes label ~prefix run =
+  let b = Trace.builder () in
+  let (), snap, _ = Testutil.measured (fun () -> run (Trace.record b)) in
+  let stamps = stamp_writes ~prefix (Trace.finish b) in
+  checkb (label ^ ": stamps were bumped") true (stamps > 0);
+  checki (label ^ ": every stamp write is a register write") stamps
+    (Testutil.counter snap "memory.register.writes")
+
+let test_stamp_writes_counted () =
+  (* E6's Υ¹ -> Ω world *)
+  check_stamp_writes "omega from upsilon1" ~prefix:"o1.ts[" (fun observe ->
+      let n_plus_1 = 3 in
+      let rng = Rng.create 500 in
+      let pattern =
+        Failure_pattern.random rng ~n_plus_1 ~max_faulty:1 ~latest:60
+      in
+      let d = Upsilon_f.make ~rng ~pattern ~f:1 ~stab_time:40 () in
+      let red =
+        Pairwise.Omega_from_upsilon1.create ~name:"o1" ~n_plus_1
+          ~upsilon1:(Detector.source d)
+      in
+      ignore
+        (Run.exec ~pattern
+           ~policy:(Policy.random (Rng.split rng))
+           ~horizon:5_000 ~observers:[ observe ]
+           ~procs:(fun pid -> Pairwise.Omega_from_upsilon1.fibers red ~me:pid)
+           ()));
+  (* E3's top-movers candidate against the pinned Υ, round-robin as in
+     the adversary's warm-up *)
+  check_stamp_writes "top-movers" ~prefix:"cand.ts[" (fun observe ->
+      let n_plus_1 = 3 in
+      let inst =
+        Adversary.Candidates.top_movers.Adversary.make ~n_plus_1 ~f:2
+          ~upsilon:(Adversary.pinned_upsilon ~n_plus_1)
+      in
+      ignore
+        (Run.exec
+           ~pattern:(Failure_pattern.no_failures ~n_plus_1)
+           ~policy:(Policy.round_robin ()) ~horizon:5_000
+           ~observers:[ observe ] ~procs:inst.Adversary.fibers ()));
+  (* the adversary itself (E3's parameters): a top-movers run writes
+     nothing but stamps *)
+  let _, snap, _ =
+    Testutil.measured (fun () ->
+        Adversary.run Adversary.Candidates.top_movers ~n_plus_1:3 ~f:2
+          ~max_phases:5 ~phase_budget:2_000)
+  in
+  let writes = Testutil.counter snap "kernel.scheduler.steps{kind=write}" in
+  checkb "adversary: stamps were bumped" true (writes > 0);
+  checki "adversary: every write step is a register write" writes
+    (Testutil.counter snap "memory.register.writes")
+
 let test_adversary_theorem1_case () =
   (* Theorem 1 is the f = n case (Ωₙ from Υ). *)
   List.iter
@@ -497,5 +563,7 @@ let suite =
       test_adversary_theorem1_case;
     Alcotest.test_case "adversary rejects f=1" `Quick
       test_adversary_rejects_f_one;
+    Alcotest.test_case "stamp writes are register writes" `Quick
+      test_stamp_writes_counted;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases

@@ -1296,10 +1296,10 @@ let test_cli_cache_banner_and_stats () =
           ~params:{|{"horizon":60,"depth":3,"object":"register"}|}
       in
       checks "reordered params hit and replay the exact bytes" cold warm;
-      let s = cli_json [ "cache"; "--socket"; socket ] in
-      checkb "wfde cache: a hit" true (int_member "hits" s >= 1);
-      checkb "wfde cache: a miss" true (int_member "misses" s >= 1);
-      checkb "wfde cache: an entry" true (int_member "entries" s >= 1);
+      let s = cli_json [ "client"; "cache"; "--socket"; socket ] in
+      checkb "client cache: a hit" true (int_member "hits" s >= 1);
+      checkb "client cache: a miss" true (int_member "misses" s >= 1);
+      checkb "client cache: an entry" true (int_member "entries" s >= 1);
       checki "one 32-hex entry file after the miss" 1
         (List.length (hex_entries dir));
       let prom =
@@ -1328,12 +1328,16 @@ let test_cli_cache_disk_and_clear () =
                  "60"; "--json"; json ]);
           checks "disk-served bytes equal wfde check --json" (read_file json)
             disk);
-      let s = cli_json [ "cache"; "--socket"; socket ] in
-      checkb "wfde cache: served from disk" true (int_member "disk_hits" s >= 1);
-      checki "wfde cache: no disk errors" 0 (int_member "disk_errors" s);
-      let c = cli_json [ "cache"; "clear"; "--socket"; socket ] in
-      checki "wfde cache clear: no entries left" 0 (int_member "entries" c);
-      checkb "wfde cache clear: clear counted" true (int_member "clears" c >= 1);
+      let s = cli_json [ "client"; "cache"; "--socket"; socket ] in
+      checkb "client cache: served from disk" true (int_member "disk_hits" s >= 1);
+      checki "client cache: no disk errors" 0 (int_member "disk_errors" s);
+      let c =
+        cli_json
+          [ "client"; "cache"; "--socket"; socket; "--params";
+            {|{"op":"clear"}|} ]
+      in
+      checki "client cache clear: no entries left" 0 (int_member "entries" c);
+      checkb "client cache clear: clear counted" true (int_member "clears" c >= 1);
       checki "no 32-hex entry file after clear" 0
         (List.length (hex_entries dir)))
 

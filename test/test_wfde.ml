@@ -223,17 +223,10 @@ let test_stats_percentiles () =
   Alcotest.check (Alcotest.float 0.001) "min" 10.0 (pct 0.0);
   Alcotest.check (Alcotest.float 0.001) "max" 50.0 (pct 1.0);
   Alcotest.check (Alcotest.float 0.001) "interpolated p25" 20.0 (pct 0.25);
-  let s =
-    match Wfde.Stats.summarize xs with
-    | Some s -> s
-    | None -> Alcotest.fail "summarize of non-empty list"
-  in
-  Alcotest.check (Alcotest.float 0.001) "mean" 30.0 s.Wfde.Stats.mean;
-  checki "count" 5 s.Wfde.Stats.count;
-  checki "min" 10 s.Wfde.Stats.min;
-  checki "max" 50 s.Wfde.Stats.max;
+  Alcotest.check (Alcotest.float 0.001) "mean" 30.0 (Wfde.Stats.mean_int xs);
   (* totality on the empty family: no exceptions, explicit absences *)
-  checkb "empty summarize" true (Wfde.Stats.summarize [] = None);
+  Alcotest.check (Alcotest.float 0.001) "empty mean" 0.0
+    (Wfde.Stats.mean_int []);
   checkb "empty percentile" true (Wfde.Stats.percentile 0.95 [] = None);
   Alcotest.check (Alcotest.float 0.001) "empty percentile_or" 0.0
     (Wfde.Stats.percentile_or ~default:0.0 0.95 [])
