@@ -33,7 +33,7 @@ let () =
       Wfde.Upsilon_f_sa.create
         ~name:(Printf.sprintf "epoch%d" epoch)
         ~n_plus_1 ~f
-        ~upsilon_f:(Wfde.Detector.source upsilon_f)
+        ~upsilon_f
         ()
     in
     (* each replica proposes its preferred config epoch id *)

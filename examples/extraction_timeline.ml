@@ -25,7 +25,7 @@ let () =
     (Wfde.Failure_pattern.correct pattern);
   let ex =
     Wfde.Extract_upsilon.create ~name:"ex" ~n_plus_1 ~f
-      ~detector:(Wfde.Detector.source dp) ~equal:Wfde.Pid.Set.equal
+      ~detector:dp ~equal:Wfde.Pid.Set.equal
       ~phi:(Wfde.Phi.suspicion ~n_plus_1 ~f)
   in
   let result =

@@ -24,8 +24,7 @@ let () =
         Wfde.Upsilon.make ~rng ~pattern ~stable_set ~stab_time:100 ()
       in
       let proto =
-        Wfde.Upsilon_sa.create ~name:"arena" ~n_plus_1
-          ~upsilon:(Wfde.Detector.source upsilon) ()
+        Wfde.Upsilon_sa.create ~name:"arena" ~n_plus_1 ~upsilon ()
       in
       let result =
         Wfde.Run.exec ~pattern

@@ -26,8 +26,7 @@ let () =
 
   (* 3. The Fig-1 protocol object and one fiber per process. *)
   let proto =
-    Wfde.Upsilon_sa.create ~name:"quickstart" ~n_plus_1
-      ~upsilon:(Wfde.Detector.source upsilon) ()
+    Wfde.Upsilon_sa.create ~name:"quickstart" ~n_plus_1 ~upsilon ()
   in
   let result =
     Wfde.Run.exec ~pattern

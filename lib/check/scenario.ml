@@ -192,14 +192,9 @@ let hb_detector cfg ~mutant ~procs () =
   let check (r : Run.result) =
     let pattern = Failure_pattern.make ~n_plus_1:procs ~crashes:r.crashes in
     let link = Detectors.Heartbeat.link eng in
-    match Link.check_partial_synchrony link with
-    | Error _ as e -> e
-    | Ok () -> (
-        match Link.check_crash_isolation link ~pattern with
-        | Error _ as e -> e
-        | Ok () ->
-            Detectors.Hb_ev_perfect.check eng ~pattern
-              ~horizon:r.last_time)
+    Result.bind (Link.check_partial_synchrony link) @@ fun () ->
+    Result.bind (Link.check_crash_isolation link ~pattern) @@ fun () ->
+    Detectors.Hb_ev_perfect.check eng ~pattern ~horizon:r.last_time
   in
   (fibers, check)
 
@@ -224,29 +219,24 @@ let link_chaos cfg ~procs () =
   let check (r : Run.result) =
     let pattern = Failure_pattern.make ~n_plus_1:procs ~crashes:r.crashes in
     let horizon = r.last_time in
-    match Link.check_partial_synchrony link with
-    | Error _ as e -> e
-    | Ok () -> (
-        match Link.check_crash_isolation link ~pattern with
-        | Error _ as e -> e
-        | Ok () -> (
-            (* a correct process polls at least once per round-robin
-               rotation of the tail; this slack covers many rotations *)
-            let slack = 6 * procs * (procs + 1) in
-            let stale =
-              Link.undelivered_ready link ~by:(horizon - slack)
-              |> List.filter (fun r ->
-                     Failure_pattern.is_correct pattern r.Link.sr_to)
-            in
-            match stale with
-            | [] -> Ok ()
-            | r :: _ ->
-                Error
-                  (Printf.sprintf
-                     "liveness: %s->%s sent@%d ready@%d still undelivered at %d"
-                     (Pid.to_string r.Link.sr_from)
-                     (Pid.to_string r.Link.sr_to)
-                     r.Link.sr_sent_at r.Link.sr_ready_at horizon)))
+    Result.bind (Link.check_partial_synchrony link) @@ fun () ->
+    Result.bind (Link.check_crash_isolation link ~pattern) @@ fun () ->
+    (* a correct process polls at least once per round-robin rotation of
+       the tail; this slack covers many rotations *)
+    let slack = 6 * procs * (procs + 1) in
+    let stale =
+      Link.undelivered_ready link ~by:(horizon - slack)
+      |> List.filter (fun r -> Failure_pattern.is_correct pattern r.Link.sr_to)
+    in
+    match stale with
+    | [] -> Ok ()
+    | r :: _ ->
+        Error
+          (Printf.sprintf
+             "liveness: %s->%s sent@%d ready@%d still undelivered at %d"
+             (Pid.to_string r.Link.sr_from)
+             (Pid.to_string r.Link.sr_to)
+             r.Link.sr_sent_at r.Link.sr_ready_at horizon)
   in
   ((fun pid -> [ body pid ]), check)
 

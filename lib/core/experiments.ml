@@ -381,8 +381,7 @@ let e6_pairwise_reductions ?(jobs = 1) ?(seeds = e6_seeds) () =
         in
         let d = Upsilon_f.make ~rng ~pattern ~f:1 ~stab_time:40 () in
         let red =
-          Pairwise.Omega_from_upsilon1.create ~name:"o1" ~n_plus_1
-            ~upsilon1:(Detector.source d)
+          Pairwise.Omega_from_upsilon1.create ~name:"o1" ~n_plus_1 ~upsilon1:d
         in
         let result =
           Run.exec ~pattern
@@ -698,9 +697,8 @@ let e9_booster_consensus ?(jobs = 1) ?(seeds = e9_seeds) ?(sizes = [ 2; 3; 4; 5 
                   ~max_faulty:(n_plus_1 - 1) ~latest:300
               in
               let omega_n =
-                Detector.source
-                  (Omega_k.make ~rng:world.world_rng ~pattern:world.pattern
-                     ~k:(n_plus_1 - 1) ())
+                Omega_k.make ~rng:world.world_rng ~pattern:world.pattern
+                  ~k:(n_plus_1 - 1) ()
               in
               let proto =
                 Booster_consensus.create ~name:"boost" ~n_plus_1 ~omega_n

@@ -49,8 +49,8 @@ let count ~proto ok =
   Obs.Metrics.incr (if ok then m_verdict_ok else m_verdict_fail)
 
 type 'v replay =
-  | History of 'v Sim.source
-  | Rebuilt of (unit -> 'v Sim.source)
+  | History of 'v Detector.t
+  | Rebuilt of (unit -> 'v Detector.t)
 
 (* The one place an agreement world runs: [fibers] for every process
    with input [base + pid], the Sa_spec verdict on the decisions, and —
@@ -153,24 +153,21 @@ let run { protocol; horizon; observers } world =
   in
   match protocol with
   | Fig1 { stab_time; escapes } ->
-      let d = Detector.source (Upsilon.make ~rng ~pattern ?stab_time ()) in
+      let d = Upsilon.make ~rng ~pattern ?stab_time () in
       go "fig1" ~k:(n_plus_1 - 1) ~base:100 (Some d) Upsilon_sa.proposer
         Upsilon_sa.decisions Upsilon_sa.rounds_entered
         (Upsilon_sa.create ~escapes ~name ~n_plus_1 ~upsilon:d ())
   | Fig2 { f; snapshot; pinned } ->
       let stable_set = if pinned then Some (Pid.Set.full ~n_plus_1) else None in
       let stab_time = if pinned then Some 0 else None in
-      let d =
-        Detector.source
-          (Upsilon_f.make ~rng ~pattern ~f ?stable_set ?stab_time ())
-      in
+      let d = Upsilon_f.make ~rng ~pattern ~f ?stable_set ?stab_time () in
       go "fig2" ~k:f ~base:200 (Some d) Upsilon_f_sa.proposer
         Upsilon_f_sa.decisions Upsilon_f_sa.rounds_entered
         (Upsilon_f_sa.create ~snapshot_impl:snapshot ~name ~n_plus_1 ~f
            ~upsilon_f:d ())
   | Omega_n { stab_time } ->
       let k = n_plus_1 - 1 in
-      let d = Detector.source (Omega_k.make ~rng ~pattern ~k ~stab_time ()) in
+      let d = Omega_k.make ~rng ~pattern ~k ~stab_time () in
       go "omega_k" ~k ~base:300 (Some d) Omega_k_sa.proposer
         Omega_k_sa.decisions Omega_k_sa.rounds_entered
         (Omega_k_sa.create ~name ~n_plus_1 ~k ~omega_k:d)
@@ -452,7 +449,7 @@ let run_extraction_of ~f ~source world =
      [run_src] is the general form: a live source plus any companion
      fibers it needs (the heartbeat monitors, for implemented
      detectors) and the policy to run under. *)
-  let run_src (type v) ~policy ~extra (detector : v Sim.source)
+  let run_src (type v) ~policy ~extra (detector : v Detector.t)
       (equal : v -> v -> bool) (phi : v Phi.map) =
     let ex =
       Extract_upsilon.create ~name:"ex" ~n_plus_1 ~f ~detector ~equal ~phi
@@ -475,12 +472,7 @@ let run_extraction_of ~f ~source world =
     count ~proto:"extraction" (Result.is_ok verdict);
     (verdict, stabilized_at)
   in
-  let run (type v) (detector : v Detector.t) (equal : v -> v -> bool)
-      (phi : v Phi.map) =
-    run_src ~policy:world.policy
-      ~extra:(fun _ -> [])
-      (Detector.source detector) equal phi
-  in
+  let run detector = run_src ~policy:world.policy ~extra:(fun _ -> []) detector in
   match source with
   | `Omega ->
       run (Omega.make ~rng ~pattern ~stab_time ()) Pid.equal
@@ -540,15 +532,11 @@ let run_hb_detector ~mode ~net world =
   let last = result.Run.last_time in
   let link = Heartbeat.link eng in
   let verdict =
-    match Link.check_partial_synchrony link with
-    | Error _ as e -> e
-    | Ok () -> (
-        match Link.check_crash_isolation link ~pattern with
-        | Error _ as e -> e
-        | Ok () -> (
-            match mode with
-            | `Ev_perfect -> Hb_ev_perfect.check eng ~pattern ~horizon:last
-            | `Ev_strong -> Hb_ev_strong.check eng ~pattern ~horizon:last))
+    Result.bind (Link.check_partial_synchrony link) @@ fun () ->
+    Result.bind (Link.check_crash_isolation link ~pattern) @@ fun () ->
+    match mode with
+    | `Ev_perfect -> Hb_ev_perfect.check eng ~pattern ~horizon:last
+    | `Ev_strong -> Hb_ev_strong.check eng ~pattern ~horizon:last
   in
   count ~proto:"hb" (Result.is_ok verdict);
   (verdict, Heartbeat.stabilized_at eng ~only:(Failure_pattern.is_correct pattern))
@@ -559,10 +547,7 @@ let run_msg_consensus ~horizon ~detectors world =
   let proto, monitors, replay, world =
     match detectors with
     | Oracle ->
-        let omega =
-          Detector.source
-            (Omega.make ~rng:world.world_rng ~pattern:world.pattern ())
-        in
+        let omega = Omega.make ~rng:world.world_rng ~pattern:world.pattern () in
         (create omega, (fun _ -> []), History omega, world)
     | Heartbeat net ->
         (* Ω implemented from heartbeats: the protocol queries the live
@@ -585,9 +570,7 @@ let run_msg_consensus ~horizon ~detectors world =
           (fun me -> [ Heartbeat.fiber ~until:done_ eng ~me ]),
           Rebuilt
             (fun () ->
-              Detector.source
-                (Pairwise.omega_of_ev_perfect ~n_plus_1
-                   (Heartbeat.to_detector eng))),
+              Pairwise.omega_of_ev_perfect ~n_plus_1 (Heartbeat.to_detector eng)),
           { world with policy = Policy.fair_after ~gst:net.Link.gst world.policy }
         )
   in

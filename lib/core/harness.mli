@@ -39,11 +39,11 @@ val random_world :
 (** {1 Agreement worlds} *)
 
 type 'v replay =
-  | History of 'v Sim.source
+  | History of 'v Detectors.Detector.t
       (** an oracle history, a pure function of (process, time)
           ({!Detectors.Detector}): each query is checked against it as
           the run happens *)
-  | Rebuilt of (unit -> 'v Sim.source)
+  | Rebuilt of (unit -> 'v Detectors.Detector.t)
       (** a history only known once the run is over (a heartbeat
           detector's reconstruction): the run keeps its query events,
           and nothing else, until the history is built *)

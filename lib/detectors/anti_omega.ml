@@ -10,26 +10,16 @@ let make ?name ~rng ~pattern ?spared ?stab_time () =
         p
     | None -> Rng.pick rng (Pid.Set.elements (Failure_pattern.correct pattern))
   in
-  let stab_time =
-    match stab_time with Some t -> t | None -> Rng.int_in rng 0 150
-  in
-  let seed = Rng.int rng max_int in
-  let name = match name with Some n -> n | None -> "anti_omega" in
   let others =
     Array.of_list
       (List.filter (fun p -> not (Pid.equal p spared)) (Pid.all ~n_plus_1))
   in
-  let history pid time =
-    if time >= stab_time then others.(time mod Array.length others)
-    else Detector.Chaos.pid ~seed ~n_plus_1 pid time
-  in
-  {
-    Detector.name;
-    history;
-    pp = Pid.pp;
-    equal = Pid.equal;
-    id = Sim.Witness.pid;
-  }
+  Detector.stabilizing ?name ~family:"anti_omega"
+    ~default:(fun _ -> "anti_omega")
+    ~rng ?stab_time
+    ~stable:(fun _ time -> others.(time mod Array.length others))
+    ~chaos:(Detector.Chaos.pid ~n_plus_1)
+    ~render:Pid.to_string ~equal:Pid.equal ~id:Sim.Witness.pid ()
 
 let check (d : Pid.t Detector.t) ~pattern ~stab_by ~horizon =
   let correct = Pid.Set.elements (Failure_pattern.correct pattern) in

@@ -1,12 +1,6 @@
 open Kernel
 
-type 'v t = {
-  name : string;
-  history : Pid.t -> int -> 'v;
-  pp : Format.formatter -> 'v -> unit;
-  equal : 'v -> 'v -> bool;
-  id : 'v Type.Id.t;
-}
+type 'v t = 'v Sim.source
 
 let record_make ~family ~stab_time =
   Obs.Metrics.incr
@@ -20,35 +14,57 @@ let record_make ~family ~stab_time =
        (Printf.sprintf "detectors.stab_time_dist{family=%s}" family))
     stab_time
 
-let source t =
-  Sim.source ~name:t.name ~sample:t.history
-    ~render:(fun v -> Format.asprintf "%a" t.pp v)
-    ~equal:t.equal ~id:t.id
-let sample t pid time = t.history pid time
+let stabilizing ?name ~family ~default ~rng ?stab_time ~stable ~chaos ~render
+    ~equal ~id () =
+  let stab_time =
+    match stab_time with Some t -> t | None -> Rng.int_in rng 0 150
+  in
+  let chaos = chaos ~seed:(Rng.int rng max_int) in
+  let name = match name with Some n -> n | None -> default stab_time in
+  record_make ~family ~stab_time;
+  Sim.source ~name
+    ~sample:(fun pid time ->
+      if time >= stab_time then stable pid time else chaos pid time)
+    ~render ~equal ~id
 
-let stable_value t pattern ~from ~until =
+let source t = t
+let sample (t : _ t) pid time = t.sample pid time
+
+let first_violation (t : _ t) pids ~from ~until bad =
+  let rec at time = function
+    | _ when time > until -> Ok ()
+    | [] -> at (time + 1) pids
+    | p :: rest -> (
+        match bad p time (t.sample p time) with
+        | Some msg -> Error msg
+        | None -> at time rest)
+  in
+  at from pids
+
+let stable_value (t : _ t) pattern ~from ~until =
   let correct = Pid.Set.elements (Failure_pattern.correct pattern) in
   match correct with
   | [] -> None
   | first :: _ ->
-      let v = t.history first from in
+      let v = t.sample first from in
       let ok =
         List.for_all
           (fun p ->
             let rec check time =
-              time > until
-              || (t.equal (t.history p time) v && check (time + 1))
+              time > until || (t.equal (t.sample p time) v && check (time + 1))
             in
             check from)
           correct
       in
       if ok then Some v else None
 
-let map ~name f ~pp ~equal ~id t =
-  { name; history = (fun p time -> f (t.history p time)); pp; equal; id }
+let map ~name f ~render ~equal ~id (t : _ t) =
+  Sim.source ~name ~sample:(fun p time -> f (t.sample p time)) ~render ~equal ~id
 
-let mapi ~name f ~pp ~equal ~id t =
-  { name; history = (fun p time -> f p time (t.history p time)); pp; equal; id }
+let mapi ~name f ~render ~equal ~id (t : _ t) =
+  Sim.source ~name
+    ~sample:(fun p time -> f p time (t.sample p time))
+    ~render ~equal ~id
 
 module Chaos = struct
   (* Key the stream on (seed, pid, t) so the history is a pure function.

@@ -1,3 +1,3 @@
-let make ?name ~value ~pp ~equal ~id () =
+let make ?name ~value ~render ~equal ~id () =
   let name = match name with Some n -> n | None -> "dummy" in
-  { Detector.name; history = (fun _ _ -> value); pp; equal; id }
+  Kernel.Sim.source ~name ~sample:(fun _ _ -> value) ~render ~equal ~id

@@ -8,7 +8,7 @@
 val make :
   ?name:string ->
   value:'v ->
-  pp:(Format.formatter -> 'v -> unit) ->
+  render:('v -> string) ->
   equal:('v -> 'v -> bool) ->
   id:'v Type.Id.t ->
   unit ->

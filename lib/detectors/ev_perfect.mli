@@ -30,3 +30,11 @@ val check :
     implemented detectors ({!Hb_ev_perfect}): the model only constrains
     what {e correct} processes observe — a crashed heartbeat monitor's
     history freezes at its crash. *)
+
+val leader : n_plus_1:int -> Pid.Set.t Detector.t -> Pid.t Detector.t
+(** ◇P → Ω, named [name ^ ">omega"]: each process elects the smallest
+    id it does not suspect, itself if it suspects everyone. Once
+    suspicions equal the faulty set, every correct process elects the
+    smallest correct one. {!Reduction.Pairwise.omega_of_ev_perfect} and
+    the heartbeat detector's live {!Heartbeat.leader_source} both apply
+    this rule. *)

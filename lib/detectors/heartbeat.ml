@@ -140,37 +140,21 @@ let fiber ?(until = fun () -> false) t ~me () =
   in
   loop ()
 
+let suspicions ~name sample =
+  Sim.source ~name ~sample ~render:Pid.Set.to_string ~equal:Pid.Set.equal
+    ~id:Sim.Witness.pid_set
+
 (* Live query surface: H(p, t) for the *current* t only. Protocol runs
    query through this; validation replays recorded query values against
    {!to_detector}, whose history reconstructs exactly what the live
    source showed at every step (state changes are logged with their
    times, and at most one step happens per time). *)
-let source t =
-  Sim.source
-    ~name:t.hb_name
-    ~sample:(fun p _time -> suspected_set t p)
-    ~render:(fun v -> Format.asprintf "%a" Pid.Set.pp v)
-    ~equal:Pid.Set.equal
-    ~id:Sim.Witness.pid_set
+let source t = suspicions ~name:t.hb_name (fun p _time -> suspected_set t p)
 
-let leader_of_set ~n_plus_1 me suspected =
-  let rec first q =
-    if q >= n_plus_1 then me
-    else if not (Pid.Set.mem q suspected) then q
-    else first (q + 1)
-  in
-  first 0
-
-(* Min-unsuspected leader, matching [Pairwise.omega_of_ev_perfect] (same
-   ">omega" name, same fallback), so live queries replay against the
-   post-run [omega_of_ev_perfect (to_detector t)] history. *)
-let leader_source t =
-  Sim.source
-    ~name:(t.hb_name ^ ">omega")
-    ~sample:(fun p _time -> leader_of_set ~n_plus_1:t.n p (suspected_set t p))
-    ~render:(fun v -> Format.asprintf "%a" Pid.pp v)
-    ~equal:Pid.equal
-    ~id:Sim.Witness.pid
+(* The live leader goes through the same rule as the post-run
+   [Pairwise.omega_of_ev_perfect (to_detector t)] history it is
+   replayed against. *)
+let leader_source t = Ev_perfect.leader ~n_plus_1:t.n (source t)
 
 let history_at log time =
   let rec find = function
@@ -181,13 +165,7 @@ let history_at log time =
 
 let to_detector t =
   let logs = Array.copy t.logs in
-  {
-    Detector.name = t.hb_name;
-    history = (fun p time -> history_at logs.(p) time);
-    pp = Pid.Set.pp;
-    equal = Pid.Set.equal;
-    id = Sim.Witness.pid_set;
-  }
+  suspicions ~name:t.hb_name (fun p time -> history_at logs.(p) time)
 
 let last_change t p = match t.logs.(p) with [] -> 0 | (at, _) :: _ -> at
 

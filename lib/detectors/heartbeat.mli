@@ -93,16 +93,15 @@ val fiber : ?until:(unit -> bool) -> t -> me:Pid.t -> unit -> unit
 
 (** {1 Query surface} *)
 
-val source : t -> Pid.Set.t Sim.source
+val source : t -> Pid.Set.t Detector.t
 (** Live queries: [sample p _] is [p]'s {e current} suspect set. Use
-    with {!Sim.query} from the protocol, exactly like an oracle
-    detector's source. *)
+    with {!Sim.query} from the protocol, exactly like an oracle. *)
 
-val leader_source : t -> Pid.t Sim.source
-(** Live Ω view: the smallest currently-unsuspected pid (self if all
-    suspected) — the same extraction as {!Reduction.Pairwise.
-    omega_of_ev_perfect}, sharing its [name ^ ">omega"] naming so query
-    replay matches the post-run [omega_of_ev_perfect (to_detector t)]. *)
+val leader_source : t -> Pid.t Detector.t
+(** Live Ω view: {!Ev_perfect.leader} over {!source} — the rule and the
+    [name ^ ">omega"] naming of {!Reduction.Pairwise.omega_of_ev_perfect},
+    so query replay matches the post-run
+    [omega_of_ev_perfect (to_detector t)]. *)
 
 (** {1 Post-run oracles} *)
 

@@ -29,44 +29,23 @@ let make ?name ~rng ~pattern ~k ?stable_set ?stab_time () =
         s
     | None -> random_stable_set rng pattern k
   in
-  let stab_time =
-    match stab_time with Some t -> t | None -> Rng.int_in rng 0 150
-  in
-  let seed = Rng.int rng max_int in
-  let name =
-    match name with Some n -> n | None -> Printf.sprintf "omega_%d" k
-  in
-  Detector.record_make ~family:"omega_k" ~stab_time;
-  let history pid time =
-    if time >= stab_time then stable_set
-    else chaos_set ~seed ~n_plus_1 ~k pid time
-  in
-  {
-    Detector.name;
-    history;
-    pp = Pid.Set.pp;
-    equal = Pid.Set.equal;
-    id = Sim.Witness.pid_set;
-  }
+  Detector.stabilizing ?name ~family:"omega_k"
+    ~default:(fun _ -> Printf.sprintf "omega_%d" k)
+    ~rng ?stab_time
+    ~stable:(fun _ _ -> stable_set)
+    ~chaos:(chaos_set ~n_plus_1 ~k)
+    ~render:Pid.Set.to_string ~equal:Pid.Set.equal ~id:Sim.Witness.pid_set ()
 
 let check (d : Pid.Set.t Detector.t) ~pattern ~k ~stab_by ~horizon =
-  let n_plus_1 = Failure_pattern.n_plus_1 pattern in
-  let all = Pid.all ~n_plus_1 in
-  let bad_size = ref None in
-  for time = 0 to horizon do
-    List.iter
-      (fun p ->
-        let s = Detector.sample d p time in
-        if Pid.Set.cardinal s <> k && !bad_size = None then
-          bad_size :=
-            Some
-              (Format.asprintf "output %a at (%a, %d) has size %d, want %d"
-                 Pid.Set.pp s Pid.pp p time (Pid.Set.cardinal s) k))
-      all
-  done;
-  match !bad_size with
-  | Some msg -> Error msg
-  | None -> (
+  let all = Pid.all ~n_plus_1:(Failure_pattern.n_plus_1 pattern) in
+  Result.bind
+    (Detector.first_violation d all ~from:0 ~until:horizon (fun p time s ->
+         if Pid.Set.cardinal s = k then None
+         else
+           Some
+             (Format.asprintf "output %a at (%a, %d) has size %d, want %d"
+                Pid.Set.pp s Pid.pp p time (Pid.Set.cardinal s) k)))
+    (fun () ->
       match Detector.stable_value d pattern ~from:stab_by ~until:horizon with
       | None ->
           Error

@@ -93,54 +93,28 @@ let make ?name ~rng ~pattern ~f ?stable_set ?stab_time () =
         u
     | None -> pick_stable_set rng ~pattern ~f
   in
-  let stab_time =
-    match stab_time with Some t -> t | None -> Rng.int_in rng 0 150
-  in
-  let seed = Rng.int rng max_int in
   (* default names are deterministic functions of the parameters, so
      identical worlds produce byte-identical traces *)
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "upsilon_f(f=%d,t*=%d)" f stab_time
-  in
-  Detector.record_make ~family:"upsilon_f" ~stab_time;
-  let history pid time =
-    if time >= stab_time then stable_set
-    else
-      Detector.Chaos.subset_at_least ~seed ~n_plus_1
-        ~min_size:(min_size ~n_plus_1 ~f) pid time
-  in
-  {
-    Detector.name;
-    history;
-    pp = Pid.Set.pp;
-    equal = Pid.Set.equal;
-    id = Sim.Witness.pid_set;
-  }
+  Detector.stabilizing ?name ~family:"upsilon_f"
+    ~default:(Printf.sprintf "upsilon_f(f=%d,t*=%d)" f)
+    ~rng ?stab_time
+    ~stable:(fun _ _ -> stable_set)
+    ~chaos:
+      (Detector.Chaos.subset_at_least ~n_plus_1 ~min_size:(min_size ~n_plus_1 ~f))
+    ~render:Pid.Set.to_string ~equal:Pid.Set.equal ~id:Sim.Witness.pid_set ()
 
 let check (d : Pid.Set.t Detector.t) ~pattern ~f ~stab_by ~horizon =
   let n_plus_1 = Failure_pattern.n_plus_1 pattern in
   let correct = Failure_pattern.correct pattern in
-  let all = Pid.all ~n_plus_1 in
-  let range_violation = ref None in
-  for time = 0 to horizon do
-    List.iter
-      (fun p ->
-        let u = Detector.sample d p time in
-        if
-          Pid.Set.cardinal u < min_size ~n_plus_1 ~f
-          && !range_violation = None
-        then
-          range_violation :=
-            Some
-              (Format.asprintf "range violated at (%a, %d): %a" Pid.pp p time
-                 Pid.Set.pp u))
-      all
-  done;
-  match !range_violation with
-  | Some msg -> Error msg
-  | None -> (
+  Result.bind
+    (Detector.first_violation d (Pid.all ~n_plus_1) ~from:0 ~until:horizon
+       (fun p time u ->
+         if Pid.Set.cardinal u >= min_size ~n_plus_1 ~f then None
+         else
+           Some
+             (Format.asprintf "range violated at (%a, %d): %a" Pid.pp p time
+                Pid.Set.pp u)))
+    (fun () ->
       match Detector.stable_value d pattern ~from:stab_by ~until:horizon with
       | None ->
           Error

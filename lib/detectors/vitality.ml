@@ -1,28 +1,13 @@
 open Kernel
 
 let make ?name ~rng ~pattern ~watched ?stab_time () =
-  let stab_time =
-    match stab_time with Some t -> t | None -> Rng.int_in rng 0 150
-  in
-  let seed = Rng.int rng max_int in
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Format.asprintf "vitality(%a)" Pid.pp watched
-  in
-  Detector.record_make ~family:"vitality" ~stab_time;
   let verdict = Failure_pattern.is_correct pattern watched in
-  let history pid time =
-    if time >= stab_time then verdict
-    else Rng.bool (Detector.Chaos.rng ~seed pid time)
-  in
-  {
-    Detector.name;
-    history;
-    pp = Format.pp_print_bool;
-    equal = Bool.equal;
-    id = Sim.Witness.bool;
-  }
+  Detector.stabilizing ?name ~family:"vitality"
+    ~default:(fun _ -> Format.asprintf "vitality(%a)" Pid.pp watched)
+    ~rng ?stab_time
+    ~stable:(fun _ _ -> verdict)
+    ~chaos:(fun ~seed pid time -> Rng.bool (Detector.Chaos.rng ~seed pid time))
+    ~render:Bool.to_string ~equal:Bool.equal ~id:Sim.Witness.bool ()
 
 let check (d : bool Detector.t) ~pattern ~watched ~stab_by ~horizon =
   match Detector.stable_value d pattern ~from:stab_by ~until:horizon with

@@ -10,7 +10,6 @@ type state =
 
 type t = {
   fiber_pid : Pid.t;
-  fiber_name : string;
   mutable state : state;
   mutable daemon : bool;
 }
@@ -19,11 +18,10 @@ let m_spawned = Obs.Metrics.counter "kernel.fiber.spawned"
 let m_completed = Obs.Metrics.counter "kernel.fiber.completed"
 let m_killed = Obs.Metrics.counter "kernel.fiber.killed"
 
-let create ~pid ~name body =
+let create ~pid ?name:_ body =
   Obs.Metrics.incr m_spawned;
-  { fiber_pid = pid; fiber_name = name; state = Ready body; daemon = false }
+  { fiber_pid = pid; state = Ready body; daemon = false }
 let pid t = t.fiber_pid
-let name t = t.fiber_name
 let is_daemon t = t.daemon
 
 let status t =

@@ -12,12 +12,13 @@ type status =
   | Done      (** body returned *)
   | Killed    (** process crashed while the fiber was suspended *)
 
-val create : pid:Pid.t -> name:string -> (unit -> unit) -> t
+val create : pid:Pid.t -> ?name:string -> (unit -> unit) -> t
 (** A fiber ready to start. The body may only interact with the world via
-    {!Sim.atomic} and derived operations. *)
+    {!Sim.atomic} and derived operations. [name] is ignored: a fiber is
+    known by its process. It stays only because the benchmark's
+    [Stepper] still passes it; it goes when that caller does. *)
 
 val pid : t -> Pid.t
-val name : t -> string
 val status : t -> status
 
 val is_daemon : t -> bool

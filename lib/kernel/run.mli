@@ -21,9 +21,8 @@ val fibers :
   pattern:Failure_pattern.t -> procs:(Pid.t -> (unit -> unit) list) ->
   Fiber.t list
 (** One fiber per thunk returned by [procs pid], for every process of
-    the pattern in pid order, named ["p<i>/t<j>"]. Every driver of a
-    world ({!exec}, the model checker, the adversary) spawns its fibers
-    here. *)
+    the pattern in pid order. Every driver of a world ({!exec}, the
+    model checker, the adversary) spawns its fibers here. *)
 
 val exec :
   pattern:Failure_pattern.t ->

@@ -3,8 +3,9 @@ open Kernel
 (* A register builds its step labels and its reader once, so a read
    allocates nothing of its own. The reader also notes the time of its
    step in [read_at], which a timed read takes as soon as it resumes:
-   nothing else steps in between. Counters go through the creating
-   domain's registry, taken once. *)
+   nothing else steps in between. An operation is counted inside its
+   step, so one parked when the run stops is not; counters go through
+   the creating domain's registry, taken once. *)
 type 'a t = {
   reg_name : string;
   mutable cell : 'a;
@@ -28,6 +29,7 @@ let create ~name init =
       write_kind = Sim.Write { obj = name };
       reader =
         (fun ctx ->
+          Obs.Metrics.add_in t.metrics m_reads 1;
           t.read_at <- ctx.Sim.now;
           t.cell);
       metrics = Obs.Metrics.registry ();
@@ -37,21 +39,20 @@ let create ~name init =
 
 let name t = t.reg_name
 
-let read t =
-  Obs.Metrics.add_in t.metrics m_reads 1;
-  Sim.atomic t.read_kind t.reader
+let read t = Sim.atomic t.read_kind t.reader
 
 let write t v =
-  Obs.Metrics.add_in t.metrics m_writes 1;
-  Sim.atomic t.write_kind (fun _ -> t.cell <- v)
+  Sim.atomic t.write_kind (fun _ ->
+      Obs.Metrics.add_in t.metrics m_writes 1;
+      t.cell <- v)
 
 let read_timed t =
   let v = read t in
   (t.read_at, v)
 
 let write_timed t v =
-  Obs.Metrics.add_in t.metrics m_writes 1;
   Sim.atomic t.write_kind (fun ctx ->
+      Obs.Metrics.add_in t.metrics m_writes 1;
       t.cell <- v;
       ctx.Sim.now)
 
@@ -83,6 +84,7 @@ module Counter = struct
   let incr t =
     (* Single-writer: the read-modify-write is safe to fuse into one
        atomic step because only the owner ever writes. *)
-    Obs.Metrics.add_in t.metrics m_writes 1;
-    Sim.atomic t.write_kind (fun _ -> t.cell <- t.cell + 1)
+    Sim.atomic t.write_kind (fun _ ->
+        Obs.Metrics.add_in t.metrics m_writes 1;
+        t.cell <- t.cell + 1)
 end

@@ -10,9 +10,10 @@ type 'a t
 
 val create : name:string -> 'a -> 'a t
 (** A fresh register holding the given initial value. The name labels
-    steps in the trace. A register counts its operations into the
-    metrics registry of the domain that created it, so it is used in
-    that domain, like the scheduler that steps it. *)
+    steps in the trace. A register counts each operation when its step
+    runs (an operation parked when the run stops is not counted), into
+    the metrics registry of the domain that created it, so it is used
+    in that domain, like the scheduler that steps it. *)
 
 val name : 'a t -> string
 

@@ -2,50 +2,36 @@ open Kernel
 open Memory
 open Detectors
 
-let upsilon_of_omega_k ~n_plus_1 d =
-  Detector.map
-    ~name:(d.Detector.name ^ ">upsilon")
+let upsilon_of_omega_k ~n_plus_1 (d : Pid.Set.t Detector.t) =
+  Detector.map ~name:(d.name ^ ">upsilon")
     (fun committee -> Pid.Set.complement ~n_plus_1 committee)
-    ~pp:Pid.Set.pp ~equal:Pid.Set.equal ~id:Sim.Witness.pid_set d
+    ~render:Pid.Set.to_string ~equal:Pid.Set.equal ~id:Sim.Witness.pid_set d
 
-let upsilon_of_omega ~n_plus_1 d =
-  Detector.map
-    ~name:(d.Detector.name ^ ">upsilon")
+let upsilon_of_omega ~n_plus_1 (d : Pid.t Detector.t) =
+  Detector.map ~name:(d.name ^ ">upsilon")
     (fun leader -> Pid.Set.complement ~n_plus_1 (Pid.Set.singleton leader))
-    ~pp:Pid.Set.pp ~equal:Pid.Set.equal ~id:Sim.Witness.pid_set d
+    ~render:Pid.Set.to_string ~equal:Pid.Set.equal ~id:Sim.Witness.pid_set d
 
-let omega_of_upsilon_2proc d =
-  Detector.mapi
-    ~name:(d.Detector.name ^ ">omega")
+let omega_of_upsilon_2proc (d : Pid.Set.t Detector.t) =
+  Detector.mapi ~name:(d.name ^ ">omega")
     (fun me _time u ->
       let complement = Pid.Set.complement ~n_plus_1:2 u in
       if Pid.Set.cardinal complement = 1 then Pid.Set.choose complement else me)
-    ~pp:Pid.pp ~equal:Pid.equal ~id:Sim.Witness.pid d
+    ~render:Pid.to_string ~equal:Pid.equal ~id:Sim.Witness.pid d
 
-let anti_omega_of_omega ~n_plus_1 d =
-  Detector.mapi
-    ~name:(d.Detector.name ^ ">anti")
+let anti_omega_of_omega ~n_plus_1 (d : Pid.t Detector.t) =
+  Detector.mapi ~name:(d.name ^ ">anti")
     (fun _me time leader ->
       let others =
         List.filter (fun p -> not (Pid.equal p leader)) (Pid.all ~n_plus_1)
       in
       List.nth others (time mod List.length others))
-    ~pp:Pid.pp ~equal:Pid.equal ~id:Sim.Witness.pid d
+    ~render:Pid.to_string ~equal:Pid.equal ~id:Sim.Witness.pid d
 
-let omega_of_ev_perfect ~n_plus_1 d =
-  Detector.mapi
-    ~name:(d.Detector.name ^ ">omega")
-    (fun me _time suspected ->
-      let alive =
-        List.filter
-          (fun p -> not (Pid.Set.mem p suspected))
-          (Pid.all ~n_plus_1)
-      in
-      match alive with p :: _ -> p | [] -> me)
-    ~pp:Pid.pp ~equal:Pid.equal ~id:Sim.Witness.pid d
+let omega_of_ev_perfect = Ev_perfect.leader
 
-let ev_perfect_of_perfect d =
-  Detector.map ~name:(d.Detector.name ^ ">ev_perfect") Fun.id ~pp:Pid.Set.pp
+let ev_perfect_of_perfect (d : Pid.Set.t Detector.t) =
+  Detector.map ~name:(d.name ^ ">ev_perfect") Fun.id ~render:Pid.Set.to_string
     ~equal:Pid.Set.equal ~id:Sim.Witness.pid_set d
 
 module Omega_from_upsilon1 = struct

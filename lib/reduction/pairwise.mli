@@ -30,8 +30,9 @@ val anti_omega_of_omega :
 val omega_of_ev_perfect :
   n_plus_1:int -> Pid.Set.t Detector.t -> Pid.t Detector.t
 (** ◇P → Ω: elect the smallest unsuspected id (classical eventual leader
-    election). Once suspicions equal the faulty set, the leader is the
-    smallest correct process at every correct process. Composed with
+    election), {!Detectors.Ev_perfect.leader}. Once suspicions equal the
+    faulty set, the leader is the smallest correct process at every
+    correct process. Composed with
     {!upsilon_of_omega} this chains ◇P → Ω → Υ — every classical oracle
     reaches Υ, as Theorem 10 promises in general. *)
 

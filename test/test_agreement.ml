@@ -18,7 +18,7 @@ let run_fig1 ?(inputs = fun pid -> 100 + pid) ?participants ~pattern ~policy
     ~upsilon () =
   let n_plus_1 = Failure_pattern.n_plus_1 pattern in
   let proto =
-    Upsilon_sa.create ~name:"sa" ~n_plus_1 ~upsilon:(Detector.source upsilon) ()
+    Upsilon_sa.create ~name:"sa" ~n_plus_1 ~upsilon ()
   in
   let participating pid =
     match participants with None -> true | Some s -> Pid.Set.mem pid s
@@ -175,8 +175,7 @@ let run_fig2 ?(inputs = fun pid -> 200 + pid) ~pattern ~policy ~f ~upsilon_f ()
     =
   let n_plus_1 = Failure_pattern.n_plus_1 pattern in
   let proto =
-    Upsilon_f_sa.create ~name:"fsa" ~n_plus_1 ~f
-      ~upsilon_f:(Detector.source upsilon_f) ()
+    Upsilon_f_sa.create ~name:"fsa" ~n_plus_1 ~f ~upsilon_f ()
   in
   let result =
     Run.exec ~pattern ~policy ~horizon
@@ -272,8 +271,7 @@ let run_omega_k ?(inputs = fun pid -> 300 + pid) ~pattern ~policy ~k ~omega_k
     () =
   let n_plus_1 = Failure_pattern.n_plus_1 pattern in
   let proto =
-    Omega_k_sa.create ~name:"oksa" ~n_plus_1 ~k
-      ~omega_k:(Detector.source omega_k)
+    Omega_k_sa.create ~name:"oksa" ~n_plus_1 ~k ~omega_k
   in
   let result =
     Run.exec ~pattern ~policy ~horizon
@@ -500,8 +498,7 @@ let test_heap_independent_of_horizon () =
         }
       in
       let proto =
-        Upsilon_sa.create ~escapes ~name:"sa" ~n_plus_1
-          ~upsilon:(Detector.source upsilon) ()
+        Upsilon_sa.create ~escapes ~name:"sa" ~n_plus_1 ~upsilon ()
       in
       (proto, exec (Upsilon_sa.proposer proto) horizon));
   starve "async skeleton" (fun horizon ->

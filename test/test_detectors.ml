@@ -198,7 +198,7 @@ let test_anti_omega_is_unstable () =
 
 let test_dummy_is_constant () =
   let d =
-    Dummy.make ~value:"x" ~pp:Format.pp_print_string ~equal:String.equal
+    Dummy.make ~value:"x" ~render:Fun.id ~equal:String.equal
       ~id:(Type.Id.make ()) ()
   in
   let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
@@ -224,11 +224,10 @@ let test_query_consumes_step_and_reads_history () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
   let rng = Rng.create 13 in
   let d = Omega.make ~rng ~pattern ~leader:1 ~stab_time:0 () in
-  let src = Detector.source d in
   let seen = ref [] in
   let body () =
     for _ = 1 to 3 do
-      seen := Sim.query src :: !seen
+      seen := Sim.query d :: !seen
     done
   in
   let result, trace =
@@ -242,6 +241,109 @@ let test_query_consumes_step_and_reads_history () =
     (List.for_all (fun l -> l = 1) !seen);
   checki "queries traced" 6
     (List.length (Trace.queries trace ~detector:"omega"))
+
+(* -- forged violations ------------------------------------------------------ *)
+
+(* A forged history of the oracle's value type. Each check names the
+   first violation of a scan that runs time by time and, within a time,
+   process by process: a history that violates at several points also
+   violates one step later at an earlier process, which a
+   process-by-process scan would report instead. *)
+let forged ~render ~equal ~id sample =
+  Sim.source ~name:"forged" ~sample ~render ~equal ~id
+
+let forged_pid = forged ~render:Pid.to_string ~equal:Pid.equal ~id:Sim.Witness.pid
+
+let forged_set =
+  forged ~render:Pid.Set.to_string ~equal:Pid.Set.equal ~id:Sim.Witness.pid_set
+
+let forged_bool =
+  forged ~render:Bool.to_string ~equal:Bool.equal ~id:Sim.Witness.bool
+
+let set = Pid.Set.of_indices
+
+let check_error name want got =
+  Alcotest.(check (result unit string)) name (Error want) got
+
+let test_forged_violations () =
+  let p3_crashes = Failure_pattern.make ~n_plus_1:3 ~crashes:[ (2, 10) ] in
+  let crashed_by = Failure_pattern.crashed_by p3_crashes in
+  check_error "omega: no stable leader" "no common stable leader on [20, 60]"
+    (Omega.check
+       (forged_pid (fun p time -> if p = 0 && time = 40 then 1 else 0))
+       ~pattern:p3_crashes ~stab_by:20 ~horizon:60);
+  check_error "omega: faulty leader" "stable leader p3 is faulty"
+    (Omega.check (forged_pid (fun _ _ -> 2)) ~pattern:p3_crashes ~stab_by:20
+       ~horizon:60);
+  check_error "omega_k: size" "output {p1} at (p2, 3) has size 1, want 2"
+    (Omega_k.check
+       (forged_set (fun p time ->
+            match (p, time) with
+            | 1, 3 -> set [ 0 ]
+            | 2, 3 -> set [ 0; 1; 2 ]
+            | 0, 4 -> Pid.Set.empty
+            | _ -> set [ 0; 1 ]))
+       ~pattern:p3_crashes ~k:2 ~stab_by:20 ~horizon:60);
+  let p1_p2_crash =
+    Failure_pattern.make ~n_plus_1:3 ~crashes:[ (0, 5); (1, 6) ]
+  in
+  check_error "omega_k: stable set"
+    "stable set {p1, p2} contains no correct process"
+    (Omega_k.check
+       (forged_set (fun _ _ -> set [ 0; 1 ]))
+       ~pattern:p1_p2_crash ~k:2 ~stab_by:20 ~horizon:60);
+  check_error "anti-omega: nobody spared"
+    "every correct process was output somewhere in [0, 30]"
+    (Anti_omega.check
+       (forged_pid (fun _ time -> time mod 3))
+       ~pattern:(Failure_pattern.no_failures ~n_plus_1:3)
+       ~stab_by:0 ~horizon:30);
+  check_error "ev_perfect: wrong suspicions" "at (p2, 15): got {p1}, want {p3}"
+    (Ev_perfect.check
+       (forged_set (fun p time ->
+            match (p, time) with
+            | 1, 15 -> set [ 0 ]
+            | 2, 15 -> Pid.Set.empty
+            | 0, 16 -> Pid.Set.empty
+            | _ -> crashed_by time))
+       ~pattern:p3_crashes ~stab_by:5 ~horizon:40);
+  check_error "perfect: wrong suspicions" "at (p3, 2): got {p2}, want {}"
+    (Perfect.check
+       (forged_set (fun p time ->
+            match (p, time) with
+            | 2, 2 -> set [ 1 ]
+            | 0, 3 -> set [ 2 ]
+            | _ -> crashed_by time))
+       ~pattern:p3_crashes ~horizon:40);
+  let p1_crashes = Failure_pattern.make ~n_plus_1:3 ~crashes:[ (0, 5) ] in
+  check_error "vitality: wrong verdict"
+    (Format.asprintf "stable verdict true disagrees with pattern %a"
+       Failure_pattern.pp p1_crashes)
+    (Vitality.check (forged_bool (fun _ _ -> true)) ~pattern:p1_crashes
+       ~watched:0 ~stab_by:20 ~horizon:60);
+  check_error "upsilon_f: range" "range violated at (p3, 4): {p1}"
+    (Upsilon_f.check
+       (forged_set (fun p time ->
+            match (p, time) with
+            | 2, 4 -> set [ 0 ]
+            | 0, 5 -> Pid.Set.empty
+            | _ -> set [ 0; 1; 2 ]))
+       ~pattern:p3_crashes ~f:1 ~stab_by:20 ~horizon:60);
+  check_error "upsilon_f: stable value"
+    "stable value {p1, p2} equals the correct set"
+    (Upsilon_f.check
+       (forged_set (fun _ _ -> set [ 0; 1 ]))
+       ~pattern:p3_crashes ~f:1 ~stab_by:20 ~horizon:60);
+  (* a heartbeat engine whose monitors never ran suspects nobody: the
+     first crashed process it leaves unsuspected after the last crash *)
+  let p2_p3_crash =
+    Failure_pattern.make ~n_plus_1:3 ~crashes:[ (1, 5); (2, 7) ]
+  in
+  check_error "hb_ev_strong: completeness"
+    "completeness: at (p1, 8) crashed p2 is unsuspected"
+    (Hb_ev_strong.check
+       (Hb_ev_strong.make ~n_plus_1:3 ~net:Link.default_config ())
+       ~pattern:p2_p3_crash ~horizon:100)
 
 (* Past n+1 = 20, where listing every subset is out of reach, the pick
    still lands on a legal set: n+1-f members or more, not the correct
@@ -350,5 +452,7 @@ let suite =
     Alcotest.test_case "vitality verdict" `Quick test_vitality_verdict;
     Alcotest.test_case "query = one step" `Quick
       test_query_consumes_step_and_reads_history;
+    Alcotest.test_case "forged violations: first one reported" `Quick
+      test_forged_violations;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases

@@ -339,8 +339,7 @@ let test_trace_lines_identical () =
           Wfde.Upsilon.make ~rng ~pattern:world.Wfde.Harness.pattern ()
         in
         let proto =
-          Wfde.Upsilon_sa.create ~name:"t" ~n_plus_1:3
-            ~upsilon:(Wfde.Detector.source upsilon) ()
+          Wfde.Upsilon_sa.create ~name:"t" ~n_plus_1:3 ~upsilon ()
         in
         let _, run_trace =
           Testutil.exec_traced ~pattern:world.Wfde.Harness.pattern

@@ -21,8 +21,7 @@ let test_fig1_crash_point_sweep () =
     let rng = Rng.create 1234 in
     let upsilon = Upsilon.make ~rng ~pattern ~stab_time:40 () in
     let proto =
-      Upsilon_sa.create ~name:"cs" ~n_plus_1
-        ~upsilon:(Detector.source upsilon) ()
+      Upsilon_sa.create ~name:"cs" ~n_plus_1 ~upsilon ()
     in
     let _ =
       Run.exec ~pattern
@@ -55,8 +54,7 @@ let test_fig2_crash_point_sweep () =
         ~stab_time:0 ()
     in
     let proto =
-      Upsilon_f_sa.create ~name:"cs2" ~n_plus_1 ~f
-        ~upsilon_f:(Detector.source upsilon_f) ()
+      Upsilon_f_sa.create ~name:"cs2" ~n_plus_1 ~f ~upsilon_f ()
     in
     let _ =
       Run.exec ~pattern
@@ -112,8 +110,7 @@ let test_booster_crash_point_sweep () =
     let rng = Rng.create 7 in
     let omega_n = Omega_k.make ~rng ~pattern ~k:(n_plus_1 - 1) ~stab_time:30 () in
     let proto =
-      Booster_consensus.create ~name:"bcs" ~n_plus_1
-        ~omega_n:(Detector.source omega_n)
+      Booster_consensus.create ~name:"bcs" ~n_plus_1 ~omega_n
     in
     let _ =
       Run.exec ~pattern
@@ -140,9 +137,8 @@ let test_query_values_match_history () =
   let pattern = Failure_pattern.make ~n_plus_1 ~crashes:[ (1, 50) ] in
   let rng = Rng.create 11 in
   let upsilon = Upsilon.make ~rng ~pattern ~stab_time:30 () in
-  let src = Detector.source upsilon in
   let proto =
-    Upsilon_sa.create ~name:"q" ~n_plus_1 ~upsilon:src ()
+    Upsilon_sa.create ~name:"q" ~n_plus_1 ~upsilon ()
   in
   let _, trace =
     Testutil.exec_traced ~pattern
@@ -152,13 +148,13 @@ let test_query_values_match_history () =
         [ Upsilon_sa.proposer proto ~me:pid ~input:(100 + pid) ])
       ()
   in
-  let violations = Oracle.check_query_values src trace in
+  let violations = Oracle.check_query_values upsilon trace in
   if violations <> [] then
     Alcotest.failf "condition 2 violated: %a" Oracle.pp_violation
       (List.hd violations);
   (* sanity: the protocol really did query *)
   checkb "queries recorded" true
-    (Trace.query_values trace ~detector:src.Sim.name <> [])
+    (Trace.query_values trace ~detector:upsilon.Sim.name <> [])
 
 (* -- cross-run determinism of the full stack -------------------------------- *)
 
@@ -169,8 +165,7 @@ let full_stack_digest seed =
   in
   let upsilon = Upsilon.make ~rng ~pattern () in
   let proto =
-    Upsilon_sa.create ~name:"d" ~n_plus_1:4
-      ~upsilon:(Detector.source upsilon) ()
+    Upsilon_sa.create ~name:"d" ~n_plus_1:4 ~upsilon ()
   in
   let _, trace =
     Testutil.exec_traced ~pattern
@@ -203,8 +198,7 @@ let test_soak_large_system () =
   in
   let upsilon = Upsilon.make ~rng ~pattern () in
   let proto =
-    Upsilon_sa.create ~name:"soak" ~n_plus_1
-      ~upsilon:(Detector.source upsilon) ()
+    Upsilon_sa.create ~name:"soak" ~n_plus_1 ~upsilon ()
   in
   let result =
     Run.exec ~pattern ~policy:(Policy.random rng) ~horizon:5_000_000

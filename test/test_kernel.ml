@@ -392,7 +392,7 @@ let test_observer_sees_retained_trace () =
     let pattern = Failure_pattern.make ~n_plus_1:3 ~crashes:[ (2, 250) ] in
     let fibers =
       List.map
-        (fun pid -> Fiber.create ~pid ~name:"t" (nops 300))
+        (fun pid -> Fiber.create ~pid (nops 300))
         (Pid.all ~n_plus_1:3)
     in
     (pattern, Policy.random (Rng.create 41), fibers)
@@ -704,7 +704,7 @@ let counted_fibers ~n_plus_1 ~rounds =
   let reg = Memory.Register.create ~name:"x" 0 in
   List.map
     (fun pid ->
-      Fiber.create ~pid ~name:"t" (fun () ->
+      Fiber.create ~pid (fun () ->
           let i = ref 0 in
           while match rounds with Some r -> !i < r | None -> true do
             incr i;
@@ -779,7 +779,7 @@ let test_counters_published_on_raise () =
   Obs.Metrics.reset ();
   let pattern = Failure_pattern.no_failures ~n_plus_1:3 in
   let raiser =
-    Fiber.create ~pid:2 ~name:"raiser" (fun () ->
+    Fiber.create ~pid:2 (fun () ->
         for _ = 1 to 5 do
           Sim.yield ()
         done;

@@ -16,8 +16,7 @@ let run_msg_consensus ~seed ~n_plus_1 ~max_faulty =
   in
   let omega = Omega.make ~rng ~pattern () in
   let proto =
-    Msg_consensus.create ~name:"mc" ~n_plus_1
-      ~omega:(Detector.source omega)
+    Msg_consensus.create ~name:"mc" ~n_plus_1 ~omega
   in
   let result =
     Run.exec ~pattern ~policy:(Policy.random rng) ~horizon:3_000_000
@@ -81,8 +80,7 @@ let test_safety_beyond_minority () =
     in
     let omega = Omega.make ~rng ~pattern ~leader:2 () in
     let proto =
-      Msg_consensus.create ~name:"mc" ~n_plus_1
-        ~omega:(Detector.source omega)
+      Msg_consensus.create ~name:"mc" ~n_plus_1 ~omega
     in
     let _ =
       Run.exec ~pattern ~policy:(Policy.random rng) ~horizon:150_000

@@ -229,8 +229,7 @@ let fig1_run ~seed ~policy =
   let rng = Rng.create seed in
   let upsilon = Wfde.Upsilon.make ~rng ~pattern:world.Wfde.Harness.pattern () in
   let proto =
-    Wfde.Upsilon_sa.create ~name:"t" ~n_plus_1:3
-      ~upsilon:(Wfde.Detector.source upsilon) ()
+    Wfde.Upsilon_sa.create ~name:"t" ~n_plus_1:3 ~upsilon ()
   in
   snd
     (Testutil.exec_traced ~pattern:world.Wfde.Harness.pattern

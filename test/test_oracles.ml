@@ -82,8 +82,7 @@ let test_oracle_catches_duplicate_times () =
 let test_oracle_catches_forged_query_value () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
   let rng = Rng.create 5 in
-  let omega = Omega.make ~rng ~pattern ~leader:1 ~stab_time:0 () in
-  let src = Detector.source omega in
+  let src = Omega.make ~rng ~pattern ~leader:1 ~stab_time:0 () in
   let forged =
     [
       Trace.Step
@@ -102,8 +101,7 @@ let test_oracle_catches_forged_query_value () =
 let test_oracle_catches_forged_query_value_typed () =
   let pattern = Failure_pattern.no_failures ~n_plus_1:2 in
   let rng = Rng.create 5 in
-  let omega = Omega.make ~rng ~pattern ~leader:1 ~stab_time:0 () in
-  let src = Detector.source omega in
+  let src = Omega.make ~rng ~pattern ~leader:1 ~stab_time:0 () in
   let step payload =
     Trace.Step
       {
@@ -135,8 +133,7 @@ let test_schedule_replay_reproduces_trace () =
     let rng = Rng.create 21 in
     let upsilon = Upsilon.make ~rng ~pattern ~stab_time:25 () in
     let proto =
-      Upsilon_sa.create ~name:"r" ~n_plus_1:3
-        ~upsilon:(Detector.source upsilon) ()
+      Upsilon_sa.create ~name:"r" ~n_plus_1:3 ~upsilon ()
     in
     (pattern, proto)
   in

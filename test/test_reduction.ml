@@ -93,7 +93,7 @@ let test_extract_from_omega () =
     let omega = Omega.make ~rng ~pattern ~stab_time:100 () in
     let _, verdict, _ =
       run_extraction ~pattern ~policy:(Policy.random rng) ~f
-        ~detector:(Detector.source omega) ~equal:Pid.equal
+        ~detector:omega ~equal:Pid.equal
         ~phi:(Phi.omega ~n_plus_1 ~f) ()
     in
     expect_ok (Printf.sprintf "extract omega seed %d" seed) verdict
@@ -109,7 +109,7 @@ let test_extract_from_omega_k () =
     let d = Omega_k.make ~rng ~pattern ~k ~stab_time:80 () in
     let _, verdict, _ =
       run_extraction ~pattern ~policy:(Policy.random rng) ~f
-        ~detector:(Detector.source d) ~equal:Pid.Set.equal
+        ~detector:d ~equal:Pid.Set.equal
         ~phi:(Phi.omega_k ~n_plus_1 ~f ~k) ()
     in
     expect_ok (Printf.sprintf "extract omega_k seed %d" seed) verdict
@@ -126,7 +126,7 @@ let test_extract_from_ev_perfect () =
     let d = Ev_perfect.make ~rng ~pattern ~stab_time:80 () in
     let _, verdict, _ =
       run_extraction ~pattern ~policy:(Policy.random rng) ~f
-        ~detector:(Detector.source d) ~equal:Pid.Set.equal
+        ~detector:d ~equal:Pid.Set.equal
         ~phi:(Phi.suspicion ~n_plus_1 ~f) ()
     in
     expect_ok (Printf.sprintf "extract ev_perfect seed %d" seed) verdict
@@ -144,7 +144,7 @@ let test_extract_from_upsilon_f_is_identity () =
     run_extraction ~pattern
       ~policy:(Policy.random (Rng.create 34))
       ~f
-      ~detector:(Detector.source d) ~equal:Pid.Set.equal
+      ~detector:d ~equal:Pid.Set.equal
       ~phi:(Phi.upsilon_f ~n_plus_1 ~f) ()
   in
   expect_ok "extract upsilon_f" verdict;
@@ -166,7 +166,7 @@ let test_extract_from_vitality () =
         run_extraction ~pattern
           ~policy:(Policy.random (Rng.create 45))
           ~f
-          ~detector:(Detector.source d) ~equal:Bool.equal
+          ~detector:d ~equal:Bool.equal
           ~phi:(Phi.vitality ~n_plus_1 ~f ~watched:0) ()
       in
       expect_ok "extract vitality" verdict)
@@ -183,7 +183,7 @@ let test_extract_with_batches () =
     run_extraction ~pattern
       ~policy:(Policy.random (Rng.create 56))
       ~f
-      ~detector:(Detector.source omega) ~equal:Pid.equal
+      ~detector:omega ~equal:Pid.equal
       ~phi:(Phi.with_batches 4 (Phi.omega ~n_plus_1 ~f)) ()
   in
   expect_ok "extract with batches" verdict
@@ -200,7 +200,7 @@ let test_extract_batches_stall_on_crash () =
     run_extraction ~pattern
       ~policy:(Policy.random (Rng.create 67))
       ~f
-      ~detector:(Detector.source omega) ~equal:Pid.equal
+      ~detector:omega ~equal:Pid.equal
       ~phi:(Phi.with_batches 1_000 (Phi.omega ~n_plus_1 ~f)) ()
   in
   expect_ok "stalled batches still legal" verdict;
@@ -219,7 +219,7 @@ let test_extract_round_robin_schedule () =
   let omega = Omega.make ~rng ~pattern ~leader:1 ~stab_time:30 () in
   let _, verdict, _ =
     run_extraction ~pattern ~policy:(Policy.round_robin ()) ~f
-      ~detector:(Detector.source omega) ~equal:Pid.equal
+      ~detector:omega ~equal:Pid.equal
       ~phi:(Phi.omega ~n_plus_1 ~f) ()
   in
   expect_ok "extraction under round robin" verdict
@@ -332,8 +332,7 @@ let test_omega_from_upsilon1 () =
     let pattern = Failure_pattern.make ~n_plus_1 ~crashes in
     let d = Upsilon_f.make ~rng ~pattern ~f:1 ~stable_set ~stab_time:40 () in
     let red =
-      Pairwise.Omega_from_upsilon1.create ~name:"o1" ~n_plus_1
-        ~upsilon1:(Detector.source d)
+      Pairwise.Omega_from_upsilon1.create ~name:"o1" ~n_plus_1 ~upsilon1:d
     in
     let result =
       Run.exec ~pattern
@@ -396,9 +395,9 @@ let test_adversary_flips_top_movers () =
 
 (* §5.3 and the top-movers candidate grow register timestamps: every
    stamp bump is a [Write] step on the stamp register, and each must
-   count as a register write. A register counts an operation when it is
-   invoked, so equality also needs no process parked at a stamp write
-   when the run stops, which holds in these worlds. *)
+   count as a register write. A register counts an operation when its
+   step runs, so a write still parked when the run stops is not
+   counted. *)
 let stamp_writes ~prefix trace =
   List.length
     (List.filter
@@ -416,25 +415,40 @@ let check_stamp_writes label ~prefix run =
   checki (label ^ ": every stamp write is a register write") stamps
     (Testutil.counter snap "memory.register.writes")
 
+(* E6's Υ¹ -> Ω world, stopped after [horizon] steps; [parked] gets the
+   steps still pending at the stop *)
+let e6_world ~horizon ~parked observe =
+  let n_plus_1 = 3 in
+  let rng = Rng.create 500 in
+  let pattern = Failure_pattern.random rng ~n_plus_1 ~max_faulty:1 ~latest:60 in
+  let d = Upsilon_f.make ~rng ~pattern ~f:1 ~stab_time:40 () in
+  let red =
+    Pairwise.Omega_from_upsilon1.create ~name:"o1" ~n_plus_1 ~upsilon1:d
+  in
+  let sched =
+    Scheduler.observed ~observe ~pattern
+      ~policy:(Policy.random (Rng.split rng))
+      ~fibers:
+        (Run.fibers ~pattern ~procs:(fun pid ->
+             Pairwise.Omega_from_upsilon1.fibers red ~me:pid))
+      ()
+  in
+  ignore (Scheduler.run sched ~max_steps:horizon);
+  parked (Scheduler.pending sched)
+
+let stamp_write_parked pending =
+  checkb "a stamp write is parked at the horizon" true
+    (List.exists
+       (function
+         | _, Sim.Write { obj } -> String.starts_with ~prefix:"o1.ts[" obj
+         | _ -> false)
+       pending)
+
 let test_stamp_writes_counted () =
-  (* E6's Υ¹ -> Ω world *)
-  check_stamp_writes "omega from upsilon1" ~prefix:"o1.ts[" (fun observe ->
-      let n_plus_1 = 3 in
-      let rng = Rng.create 500 in
-      let pattern =
-        Failure_pattern.random rng ~n_plus_1 ~max_faulty:1 ~latest:60
-      in
-      let d = Upsilon_f.make ~rng ~pattern ~f:1 ~stab_time:40 () in
-      let red =
-        Pairwise.Omega_from_upsilon1.create ~name:"o1" ~n_plus_1
-          ~upsilon1:(Detector.source d)
-      in
-      ignore
-        (Run.exec ~pattern
-           ~policy:(Policy.random (Rng.split rng))
-           ~horizon:5_000 ~observers:[ observe ]
-           ~procs:(fun pid -> Pairwise.Omega_from_upsilon1.fibers red ~me:pid)
-           ()));
+  check_stamp_writes "omega from upsilon1" ~prefix:"o1.ts["
+    (e6_world ~horizon:5_000 ~parked:ignore);
+  check_stamp_writes "omega from upsilon1, parked write" ~prefix:"o1.ts["
+    (e6_world ~horizon:5_001 ~parked:stamp_write_parked);
   (* E3's top-movers candidate against the pinned Υ, round-robin as in
      the adversary's warm-up *)
   check_stamp_writes "top-movers" ~prefix:"cand.ts[" (fun observe ->
@@ -498,7 +512,7 @@ let qcheck_cases =
         let omega = Omega.make ~rng ~pattern ~stab_time:120 () in
         let _, verdict, _ =
           run_extraction ~pattern ~policy:(Policy.random rng) ~f
-            ~detector:(Detector.source omega) ~equal:Pid.equal
+            ~detector:omega ~equal:Pid.equal
             ~phi:(Phi.omega ~n_plus_1 ~f) ()
         in
         verdict = Ok ());

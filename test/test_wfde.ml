@@ -240,8 +240,7 @@ let run_booster ~seed ~n_plus_1 =
   in
   let omega_n = Detectors.Omega_k.make ~rng ~pattern ~k:(n_plus_1 - 1) () in
   let proto =
-    Agreement.Booster_consensus.create ~name:"boost" ~n_plus_1
-      ~omega_n:(Detectors.Detector.source omega_n)
+    Agreement.Booster_consensus.create ~name:"boost" ~n_plus_1 ~omega_n
   in
   let _result =
     Run.exec ~pattern ~policy:(Policy.random rng) ~horizon:2_000_000
