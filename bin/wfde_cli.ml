@@ -157,7 +157,8 @@ let detectors_term =
    experiments. *)
 let config_term =
   let config scale jobs detectors =
-    { Wfde.Experiments.scale; jobs; spans = Wfde.Obs.Span.null; detectors }
+    { Wfde.Experiments.scale; jobs; spans = Wfde.Obs.Span.null; detectors;
+      deadline = Fun.const false }
   in
   Term.(const config $ scale_arg $ jobs_arg $ detectors_term)
 

@@ -3,10 +3,14 @@
     meaning "the paper's claim held on every run we made". Defaults are
     sized to finish in seconds; {!registry} entries scale them up.
 
-    Every driver takes [?jobs] (default 1): its independent work units
-    (seeds, sizes, adversary candidates, DPOR branches) are sharded over
-    an {!Exec.Pool} of that many domains and merged deterministically,
-    so tables and [ok] flags are byte-identical at every [jobs]. *)
+    Each experiment is a grid of units: every table row names how many
+    units it runs (seeds, sizes, adversary candidates, horizons or
+    model checks) and folds their results, in order, into its cells and
+    its pass bit. One driver shards all of an experiment's units over
+    one {!Exec.Pool} call of [?jobs] domains (default 1) and merges them
+    by unit index, so tables and [ok] flags are byte-identical at every
+    [jobs]. A model-checking unit (c1, d3) runs its own DPOR pool inline
+    in the worker that claimed it. *)
 
 type outcome = {
   id : string;
@@ -93,12 +97,15 @@ val c1_model_checking :
     replayable counterexample. [mutant_depth] sizes the deeper window
     the snapshot single-collect mutant needs (3 processes, ≥ 10). *)
 
+(** D1–D3 take [?spans] (default {!Obs.Span.null}), where they record
+    their one [exp.<id>] span, as every {!registry} entry does. *)
+
 val d1_hb_conformance :
   ?jobs:int -> ?seeds:int -> ?spans:Obs.Span.scope -> unit -> outcome
 (** Implemented detectors: the increasing-timeout heartbeat ◇P and ◇S
     satisfy their specs (plus the link contract and crash isolation) on
     every sampled GST/delay/loss family; mean stabilization time per
-    family. Rows are profiled under [net.hb.<family>] spans. *)
+    family. *)
 
 val d2_hb_vs_oracle :
   ?jobs:int -> ?seeds:int -> ?spans:Obs.Span.scope -> unit -> outcome
@@ -118,12 +125,26 @@ val d3_hb_model_checking :
 
 (** {1 The experiment index} *)
 
-type config = { scale : int; jobs : int; spans : Obs.Span.scope; detectors : Harness.detectors }
+type config = {
+  scale : int;
+  jobs : int;
+  spans : Obs.Span.scope;
+  detectors : Harness.detectors;
+  deadline : unit -> bool;
+}
 (** How a registry entry runs: [scale] multiplies the driver's default
     seed count or phase budget (drivers without one ignore it), [jobs]
-    is the {!Exec.Pool} width, [spans] profiles d1–d3, and [detectors
-    = Heartbeat net] adds the gated implemented-detector rows of e5/e11
-    over the link [net]. *)
+    is the {!Exec.Pool} width, [spans] gets the entry's one [exp.<id>]
+    span, [detectors = Heartbeat net] adds the gated
+    implemented-detector rows of e5/e11 over the link [net], and
+    [deadline] (a daemon request's [deadline_ms]; [Fun.const false]
+    when there is none) is polled before every unit. It must be cheap
+    and domain-safe: pool workers poll it. *)
+
+exception Deadline_expired
+(** Raised by an entry's [run] once [deadline] has fired: the unit that
+    saw it, and every later one, did not run, and no partial table is
+    returned. *)
 
 type entry = { id : string; description : string; run : config -> outcome }
 

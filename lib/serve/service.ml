@@ -133,20 +133,21 @@ let max_sleep_ms = 60_000
 
 (* A request's experiments and the config they run under; the daemon
    always runs the oracle detectors. *)
-let exp_params ~meth ~spans params =
+let exp_params ~meth ~deadline ~spans params =
   let* () =
     check_allowed ~meth ~allowed:[ "experiments"; "scale"; "jobs" ] params
   in
   let* ids = get_ids params in
   let* scale = get_int ~key:"scale" ~default:1 ~min:1 ~max:max_scale params in
   let* jobs = get_int ~key:"jobs" ~default:1 ~min:1 ~max:max_jobs params in
-  Ok (ids, { Wfde.Experiments.scale; jobs; spans; detectors = Wfde.Harness.Oracle })
+  Ok
+    ( ids,
+      { Wfde.Experiments.scale; jobs; spans; detectors = Wfde.Harness.Oracle; deadline } )
 
 (* Run experiments left to right (every registry entry when [ids] is
-   empty), polling the deadline before each so a timed-out request
-   stops between drivers (the per-driver work is the cancellation
-   granularity here). Each driver gets an [exp.<id>] child span. *)
-let run_experiments ?(deadline = never) (config : Wfde.Experiments.config) ids =
+   empty). Each entry polls the config's deadline before every unit of
+   work; an expired one becomes a [deadline_exceeded] error. *)
+let run_experiments (config : Wfde.Experiments.config) ids =
   let ids =
     match ids with
     | [] ->
@@ -155,32 +156,27 @@ let run_experiments ?(deadline = never) (config : Wfde.Experiments.config) ids =
           Wfde.Experiments.registry
     | ids -> ids
   in
-  let total = List.length ids in
-  let rec go acc done_ = function
-    | [] -> Ok (List.rev acc)
-    | id :: rest ->
-        if deadline () then
-          Error
-            (Proto.err Deadline_exceeded
-               "deadline expired after %d of %d experiment(s)" done_ total)
-        else
-          let e = Option.get (Wfde.Experiments.find id) in
-          let t0 = Unix.gettimeofday () in
-          let o =
-            (* the driver's own profile (d1-d3's [net.*] rows) nests
-               under its [exp.<id>] span *)
-            Obs.Span.with_ config.spans ("exp." ^ id) (fun () -> e.run config)
-          in
-          let wall = Unix.gettimeofday () -. t0 in
-          go ((id, o, wall) :: acc) (done_ + 1) rest
+  let finished = ref 0 in
+  let run id =
+    let e = Option.get (Wfde.Experiments.find id) in
+    let t0 = Unix.gettimeofday () in
+    let o = e.run config in
+    incr finished;
+    (id, o, Unix.gettimeofday () -. t0)
   in
-  go [] 0 ids
+  match List.map run ids with
+  | timed -> Ok timed
+  | exception Wfde.Experiments.Deadline_expired ->
+      Error
+        (Proto.err Deadline_exceeded
+           "deadline expired after %d of %d experiment(s)" !finished
+           (List.length ids))
 
 (* ------------------------------------------------------ handlers ----- *)
 
 let handle_run ~deadline ~spans params =
-  let* ids, config = exp_params ~meth:"run" ~spans params in
-  let* timed = run_experiments ~deadline config ids in
+  let* ids, config = exp_params ~meth:"run" ~deadline ~spans params in
+  let* timed = run_experiments config ids in
   let outcomes = List.map (fun (_, o, _) -> o) timed in
   Ok
     (J.Obj
@@ -197,14 +193,14 @@ let handle_run ~deadline ~spans params =
        ])
 
 let handle_sweep ~deadline ~spans params =
-  let* ids, config = exp_params ~meth:"sweep" ~spans params in
-  let* timed = run_experiments ~deadline config ids in
+  let* ids, config = exp_params ~meth:"sweep" ~deadline ~spans params in
+  let* timed = run_experiments config ids in
   Ok (sweep_json ~jobs:config.jobs ~scale:config.scale timed)
 
 let handle_stats ~deadline ~spans params =
-  let* ids, config = exp_params ~meth:"stats" ~spans params in
+  let* ids, config = exp_params ~meth:"stats" ~deadline ~spans params in
   Wfde.Metrics.reset ();
-  let* _timed = run_experiments ~deadline config ids in
+  let* _timed = run_experiments config ids in
   Ok (Wfde.Metrics.to_json (Wfde.Metrics.snapshot ()))
 
 let handle_check ~deadline ~spans params =

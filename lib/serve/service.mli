@@ -52,16 +52,16 @@ val handle :
     supplied. *)
 
 val run_experiments :
-  ?deadline:(unit -> bool) ->
   Wfde.Experiments.config ->
   string list ->
   ((string * Wfde.Experiments.outcome * float) list, Proto.error) result
 (** The experiment runner of the CLI's and the daemon's run, sweep and
     stats: runs [ids] in order (every {!Wfde.Experiments.registry}
     entry when empty; all must be known) under [config] (a daemon
-    request's always runs [Oracle] detectors), each in an [exp.<id>]
-    span, as [(id, outcome, wall_seconds)]. [deadline] is polled before
-    each experiment and yields [deadline_exceeded] once it fires. *)
+    request's always runs [Oracle] detectors and carries the request's
+    deadline), as [(id, outcome, wall_seconds)]. Each entry polls
+    [config.deadline] before every unit of work; once it fires the run
+    stops within one unit and yields [deadline_exceeded]. *)
 
 (** {1 Shared renderers}
 

@@ -219,6 +219,49 @@ let test_e1_table_identical () =
   checks "E1 table byte-identical at -j1 / -j4" t1 t4;
   checkb "E1 metrics snapshot identical (exec.* stripped)" true (s1 = s4)
 
+(* Every driver at the small parameters of test_wfde's "experiments hold
+   (small)" (c1 and d3 at a small depth): each experiment shards its
+   units over one pool, so its table must not depend on [jobs]. *)
+let small_drivers =
+  let module E = Wfde.Experiments in
+  let small_net =
+    { Kernel.Link.gst = 40; delta = 2; pre_delay = 10; loss_pct = 50; link_seed = 7 }
+  in
+  [
+    (fun jobs -> E.e1_fig1_set_agreement ~jobs ~seeds:4 ~sizes:[ 2; 3 ] ());
+    (fun jobs -> E.e2_fig2_f_resilient ~jobs ~seeds:3 ~sizes:[ 3; 4 ] ());
+    (fun jobs -> E.e3_theorem1_adversary ~jobs ~max_phases:6 ());
+    (fun jobs -> E.e4_theorem5_adversary ~jobs ~max_phases:6 ());
+    (fun jobs -> E.e5_fig3_extraction ~jobs ~seeds:2 ());
+    (fun jobs -> E.e6_pairwise_reductions ~jobs ~seeds:4 ());
+    (fun jobs -> E.e7_upsilon_vs_omega_n ~jobs ~seeds:3 ~stab_times:[ 0; 200 ] ());
+    (fun jobs -> E.e8_impossibility ~jobs ~horizons:[ 10_000 ] ());
+    (fun jobs -> E.e9_booster_consensus ~jobs ~seeds:4 ~sizes:[ 2; 3 ] ());
+    (fun jobs -> E.e10_abd_emulation ~jobs ~seeds:2 ~sizes:[ 3; 5 ] ());
+    (fun jobs ->
+      E.e11_msg_consensus ~jobs ~seeds:1 ~sizes:[ 3 ]
+        ~detectors:(Wfde.Harness.Heartbeat small_net) ());
+    (fun jobs -> E.a1_snapshot_ablation ~jobs ~sizes:[ 2; 4 ] ());
+    (fun jobs -> E.a2_escape_ablation ~jobs ~seeds:4 ());
+    (fun jobs -> E.a3_fig2_snapshot_cost ~jobs ~seeds:2 ());
+    (fun jobs -> E.c1_model_checking ~jobs ~depth:4 ~mutant_depth:10 ());
+    (fun jobs -> E.d1_hb_conformance ~jobs ~seeds:1 ());
+    (fun jobs -> E.d2_hb_vs_oracle ~jobs ~seeds:1 ());
+    (fun jobs -> E.d3_hb_model_checking ~jobs ~depth:3 ());
+  ]
+
+let test_every_table_identical () =
+  checki "one driver per registry entry"
+    (List.length Wfde.Experiments.registry)
+    (List.length small_drivers);
+  List.iter
+    (fun driver ->
+      let (o1 : Wfde.Experiments.outcome) = driver 1 in
+      checks
+        (o1.id ^ " table byte-identical at -j1 / -j3")
+        (render o1) (render (driver 3)))
+    small_drivers
+
 (* -- determinism regression: a real model-checking sweep --------------- *)
 
 let test_check_identical () =
@@ -261,7 +304,7 @@ let test_check_json_repeatable () =
 let sweep_json_normalized ~jobs ids =
   let config =
     { Wfde.Experiments.scale = 1; jobs; spans = Obs.Span.null;
-      detectors = Wfde.Harness.Oracle }
+      detectors = Wfde.Harness.Oracle; deadline = Fun.const false }
   in
   match Serve.Service.run_experiments config ids with
   | Error _ -> Alcotest.fail "sweep runner failed"
@@ -385,4 +428,6 @@ let suite =
       test_trace_lines_identical;
     Alcotest.test_case "concurrent first pool runs never raise" `Slow
       test_first_use_race;
+    Alcotest.test_case "every table identical at -j1/-j3" `Quick
+      test_every_table_identical;
   ]

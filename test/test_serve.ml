@@ -294,7 +294,7 @@ let test_service_payloads_match_direct () =
       let cli =
         let config =
           { Wfde.Experiments.scale = 1; jobs = 1; spans = Obs.Span.null;
-            detectors = Wfde.Harness.Oracle }
+            detectors = Wfde.Harness.Oracle; deadline = Fun.const false }
         in
         match Serve.Service.run_experiments config [ "e1" ] with
         | Ok timed -> Serve.Service.run_text (List.map (fun (_, o, _) -> o) timed)
@@ -343,6 +343,49 @@ let test_service_deadline () =
        (Serve.Service.handle
           ~deadline:(fun () -> false)
           (req "sleep" [ ("ms", J.Int 0) ])))
+
+(* A deadline is polled before every unit of an experiment, not only
+   between experiments. A closure that answers true on its k-th call
+   stops e5 (7 sources x 8 seeds, one Fig-3 extraction world per unit)
+   after exactly k - 1 worlds at -j 1, counted by
+   harness.runs{proto=extraction}; one past the last unit runs the full
+   table. No wall clock is read. *)
+let test_deadline_per_unit () =
+  let module M = Obs.Metrics in
+  let run_e5 k =
+    let calls = ref 0 in
+    let deadline () =
+      incr calls;
+      !calls >= k
+    in
+    let config =
+      { Wfde.Experiments.scale = 1; jobs = 1; spans = Obs.Span.null;
+        detectors = Wfde.Harness.Oracle; deadline }
+    in
+    M.reset ();
+    let r = Serve.Service.run_experiments config [ "e5" ] in
+    let worlds =
+      Option.value ~default:0
+        (M.find_counter (M.snapshot ()) "harness.runs{proto=extraction}")
+    in
+    (r, worlds, !calls)
+  in
+  List.iter
+    (fun k ->
+      let r, worlds, calls = run_e5 k in
+      checks (Printf.sprintf "k=%d: deadline_exceeded" k) "deadline_exceeded"
+        (err_code r);
+      checki (Printf.sprintf "k=%d: k-1 units ran" k) (k - 1) worlds;
+      checki (Printf.sprintf "k=%d: polled k times" k) k calls)
+    [ 1; 2; 20; 56 ];
+  match run_e5 57 with
+  | Ok [ (_, o, _) ], worlds, calls ->
+      checki "k=57: every unit ran" 56 worlds;
+      checki "k=57: polled once per unit" 56 calls;
+      checks "k=57: the full, unchanged table"
+        (Wfde.Report.to_string (Wfde.Experiments.e5_fig3_extraction ()).table)
+        (Wfde.Report.to_string o.table)
+  | _ -> Alcotest.fail "k=57: e5 did not complete"
 
 (* -- daemon ------------------------------------------------------------ *)
 
@@ -1689,4 +1732,6 @@ let suite =
       test_cli_check_mutant_target;
     Alcotest.test_case "cli: check clean abd and every planted mutant" `Quick
       test_cli_check_smoke;
+    Alcotest.test_case "service: deadline polled before every unit" `Quick
+      test_deadline_per_unit;
   ]

@@ -206,7 +206,9 @@ let test_experiment_lookup () =
 let test_registry_scaling () =
   let e1 = Option.get (Wfde.Experiments.find "e1") in
   let scaled =
-    e1.run { scale = 2; jobs = 1; spans = Obs.Span.null; detectors = Oracle }
+    e1.run
+      { scale = 2; jobs = 1; spans = Obs.Span.null; detectors = Oracle;
+        deadline = Fun.const false }
   in
   let direct = Wfde.Experiments.e1_fig1_set_agreement ~seeds:50 () in
   Alcotest.(check string)
