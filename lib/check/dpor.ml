@@ -25,13 +25,6 @@ let merge_stats a b =
     backtrack_points = sat_add a.backtrack_points b.backtrack_points;
   }
 
-(* A wakeup sequence: the (pid, pending-step label) steps of one
-   reversed race, scheduled verbatim — sleep sets bypassed — when its
-   head pid is picked from a backtrack set. Slot 0 is the head's own
-   step at the insertion node; the tail becomes the next run's
-   prescription. *)
-type wstep = { w_pid : Pid.t; w_kind : Sim.kind }
-
 let m_executions = Obs.Metrics.counter "check.dpor.executions"
 let m_sleep_blocked = Obs.Metrics.counter "check.dpor.sleep_blocked"
 let m_deduped = Obs.Metrics.counter "check.dpor.deduped"
@@ -61,14 +54,18 @@ let independent p1 k1 p2 k2 =
    is on the stack); [backtrack]/[explored]/[wakeups] grow across
    executions. [wakeups] maps a backtrack pid to the recorded wakeup
    sequence of the race that inserted it; pids inserted without a
-   sequence (tail races, fallback insertions) just run free. *)
+   sequence (tail races, fallback insertions) just run free. A wakeup
+   sequence is the pids of one reversed race's steps, scheduled
+   verbatim — sleep sets bypassed — when its head pid is picked from a
+   backtrack set. Slot 0 is the head's own step at the insertion node;
+   the tail becomes the next run's prescription. *)
 type node = {
   mutable chosen : Pid.t;
   mutable kind : Sim.kind; (* pending kind of [chosen] at this position *)
   enabled : Eset.t; (* before the step, pid order; refreshed in place *)
   mutable backtrack : Pid.Set.t;
   mutable explored : Pid.Set.t;
-  mutable wakeups : (Pid.t * wstep array) list;
+  mutable wakeups : (Pid.t * Pid.t array) list;
   sleep : Pid.Set.t;
 }
 
@@ -155,7 +152,7 @@ let run_once ~pattern ~horizon ~depth ~stack ~len ~presc ~make ~pend ~observe =
           let pi = i - len in
           if !presc_dead || pi >= Array.length presc then None
           else
-            let q = presc.(pi).w_pid in
+            let q = presc.(pi) in
             match Eset.find pend q with
             | Some kq -> Some (q, kq)
             | None ->
@@ -190,6 +187,211 @@ let run_once ~pattern ~horizon ~depth ~stack ~len ~presc ~make ~pend ~observe =
   Obs.Metrics.observe_int m_exec_steps result.Run.steps;
   (checkf result, result.Run.steps, !grown, !blocked)
 
+(* ------------------------------------------------ interned steps ----- *)
+
+(* The interned step table. A run is recorded as two int arrays — per
+   step, the acting pid and a kind id — and every pass after the run
+   reads a label's properties through its id: the shared object it
+   names, its access class, the label itself, and per pid the step code
+   the fingerprints mix. Objects are interned by name, so a [Send] and
+   a [Recv] on one mailbox, or two separately allocated labels naming
+   one register, are one object; object 0 is the queries' pseudo-object
+   (see [analyze]), which no name maps to. The table lives for one
+   [explore] call and only grows. Finding a label's id is a scan of a
+   small cache compared by physical equality (the memory and link
+   layers build one label per object per world and reuse it), falling
+   back to the structural table on a miss — once per label per world —
+   so a step costs no hashing and no allocation. *)
+
+let acc_read = 0
+let acc_write = 1 (* [Write], [Send], [Recv] *)
+let acc_query = 2
+let acc_none = 3 (* [Output], [Input], [Nop] *)
+let cache_size = 16 (* a power of two *)
+
+(* fills empty cache slots; no step's label is physically this one *)
+let no_kind = Sim.Output { label = ""; value = "" }
+
+(* [a] copied into a fresh array of length [len], the rest [fill] *)
+let grow a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Per-[explore] buffers: the interned step table, the last run's steps,
+   and the flat arrays the fingerprint pass and the race analysis reuse
+   for every execution, so the per-run cost is resetting, not
+   allocating. [n] is the process count of the world (> every pid),
+   fixed by the failure pattern. A clock is a row of [n] ints: step
+   [j]'s at [vc.(j * n)], process [q]'s at [proc_clock.(q * n)], object
+   [o]'s at [o * n] of [lw_vc]/[r_vc]/[r_pos]. *)
+type scratch = {
+  n : int;
+  kind_ids : (Sim.kind, int) Hashtbl.t; (* structural: label -> kind id *)
+  cache_kind : Sim.kind array; (* recently interned labels, compared by == *)
+  cache_id : int array; (* their kind ids; -1 = empty slot *)
+  mutable cache_next : int; (* next slot to overwrite *)
+  obj_ids : (string, int) Hashtbl.t; (* object name -> object id (>= 1) *)
+  mutable n_kinds : int;
+  mutable k_val : Sim.kind array; (* per kind id: the label *)
+  mutable k_obj : int array; (* per kind id: object id; 0 = none/query *)
+  mutable k_acc : int array; (* per kind id: access class *)
+  mutable k_code : int array; (* per kind id * n + pid: step code; -1 = unset *)
+  mutable n_objs : int;
+  mutable s_pids : int array; (* per step: acting pid *)
+  mutable s_kids : int array; (* per step: kind id *)
+  (* Per-object access state, indexed by object id: the Foata levels of
+     the fingerprint pass, and the happens-before scan's last write
+     ([lw_pos] = -1: none), the join of the reads since it, and per
+     process the position of its last such read (-1: none). An absent
+     clock is all zeros, which every join leaves unchanged. *)
+  mutable o_wlevel : int array; (* level of the last write *)
+  mutable o_rlevel : int array; (* max level of the reads since *)
+  mutable lw_pos : int array;
+  mutable lw_vc : int array;
+  mutable r_vc : int array;
+  mutable r_pos : int array;
+  (* per step of the analysed run, sized to the longest run so far *)
+  mutable cap : int;
+  mutable vc : int array; (* per step: vector clock *)
+  mutable own : int array; (* per step: 1-based own-process index *)
+  mutable pos : int array; (* per process: its steps' positions, at q * cap *)
+  mutable vseq : int array; (* positions of one race's wakeup sequence *)
+  pos_len : int array; (* per process: its step count *)
+  proc_clock : int array; (* per process: clock after its last step *)
+  cand : int array; (* race candidate positions for one step *)
+  mutable n_cand : int;
+}
+
+let make_scratch ~n =
+  let objs = 8 and kinds = 16 in
+  {
+    n;
+    kind_ids = Hashtbl.create 64;
+    cache_kind = Array.make cache_size no_kind;
+    cache_id = Array.make cache_size (-1);
+    cache_next = 0;
+    obj_ids = Hashtbl.create 16;
+    n_kinds = 0;
+    k_val = Array.make kinds Sim.Nop;
+    k_obj = Array.make kinds 0;
+    k_acc = Array.make kinds acc_none;
+    k_code = Array.make (kinds * n) (-1);
+    n_objs = 1;
+    s_pids = Array.make 256 0;
+    s_kids = Array.make 256 0;
+    o_wlevel = Array.make objs 0;
+    o_rlevel = Array.make objs 0;
+    lw_pos = Array.make objs (-1);
+    lw_vc = Array.make (objs * n) 0;
+    r_vc = Array.make (objs * n) 0;
+    r_pos = Array.make (objs * n) (-1);
+    cap = 0;
+    vc = [||];
+    own = [||];
+    pos = [||];
+    vseq = [||];
+    pos_len = Array.make n 0;
+    proc_clock = Array.make (n * n) 0;
+    cand = Array.make (2 * n) 0;
+    n_cand = 0;
+  }
+
+(* A new object id, its state fresh (no access yet). *)
+let add_obj s =
+  let o = s.n_objs in
+  if o = Array.length s.lw_pos then begin
+    let cap = 2 * o and n = s.n in
+    s.o_wlevel <- grow s.o_wlevel cap 0;
+    s.o_rlevel <- grow s.o_rlevel cap 0;
+    s.lw_pos <- grow s.lw_pos cap (-1);
+    s.lw_vc <- grow s.lw_vc (cap * n) 0;
+    s.r_vc <- grow s.r_vc (cap * n) 0;
+    s.r_pos <- grow s.r_pos (cap * n) (-1)
+  end;
+  s.n_objs <- o + 1;
+  o
+
+let obj_id s name =
+  match Hashtbl.find_opt s.obj_ids name with
+  | Some o -> o
+  | None ->
+      let o = add_obj s in
+      Hashtbl.replace s.obj_ids name o;
+      o
+
+let add_kind s k =
+  let id = s.n_kinds in
+  if id = Array.length s.k_acc then begin
+    let cap = 2 * id in
+    s.k_val <- grow s.k_val cap Sim.Nop;
+    s.k_obj <- grow s.k_obj cap 0;
+    s.k_acc <- grow s.k_acc cap acc_none;
+    s.k_code <- grow s.k_code (cap * s.n) (-1)
+  end;
+  let acc, obj =
+    match k with
+    | Sim.Read { obj } -> (acc_read, obj_id s obj)
+    | Sim.Write { obj } | Sim.Send { obj } | Sim.Recv { obj } ->
+        (acc_write, obj_id s obj)
+    | Sim.Query _ -> (acc_query, 0)
+    | Sim.Output _ | Sim.Input _ | Sim.Nop -> (acc_none, 0)
+  in
+  s.k_val.(id) <- k;
+  s.k_obj.(id) <- obj;
+  s.k_acc.(id) <- acc;
+  s.n_kinds <- id + 1;
+  Hashtbl.replace s.kind_ids k id;
+  id
+
+let rec cached s k i =
+  if i = cache_size then -1
+  else if s.cache_kind.(i) == k then s.cache_id.(i)
+  else cached s k (i + 1)
+
+(* The kind id of label [k]. *)
+let intern s k =
+  let id = cached s k 0 in
+  if id >= 0 then id
+  else begin
+    let id =
+      match Hashtbl.find_opt s.kind_ids k with
+      | Some id -> id
+      | None -> add_kind s k
+    in
+    let slot = s.cache_next in
+    s.cache_kind.(slot) <- k;
+    s.cache_id.(slot) <- id;
+    s.cache_next <- (slot + 1) land (cache_size - 1);
+    id
+  end
+
+(* [Hashtbl.hash (pid, label)], computed once per (kind id, pid). *)
+let step_code s kid p =
+  let i = (kid * s.n) + p in
+  let c = s.k_code.(i) in
+  if c >= 0 then c
+  else begin
+    let c = Hashtbl.hash (p, s.k_val.(kid)) land max_int in
+    s.k_code.(i) <- c;
+    c
+  end
+
+(* The observer of a DPOR run: store each step's pid and kind id at its
+   position (step times are 1, 2, ...), growing the arrays as needed.
+   The fingerprint and the race analysis read them after the run. *)
+let store_step s = function
+  | Trace.Step { pid; time; kind; _ } ->
+      let i = time - 1 in
+      if i >= Array.length s.s_pids then begin
+        let cap = Int.max (i + 1) (2 * Array.length s.s_pids) in
+        s.s_pids <- grow s.s_pids cap 0;
+        s.s_kids <- grow s.s_kids cap 0
+      end;
+      s.s_pids.(i) <- pid;
+      s.s_kids.(i) <- intern s kind
+  | Trace.Crash _ -> ()
+
 (* ------------------------------------------- schedule fingerprints ----- *)
 
 (* Canonical keys for window prefixes up to Mazurkiewicz equivalence:
@@ -216,13 +418,12 @@ let fp_key ~len ~hash = fp_mix (hash lxor (len * 0x2545F491)) land max_int
 (* Per-call fingerprint scratch: levels/items/prefix-hashes of the last
    executed window, reused to key the next candidate prefix in O(len)
    (its strict prefix is shared with the last run), plus the
-   access-category tables of the O(steps) full-run pass. *)
+   per-process levels of the O(steps) full-run pass (its per-object
+   levels live in the scratch). *)
 type fp_state = {
   mutable fp_level : int array; (* per window position: Foata level *)
   mutable fp_hash : int array; (* fp_hash.(l) keys the l-step prefix *)
   fr_pid_level : int array; (* per process: level of its last step *)
-  fr_objs : (string, int * int) Hashtbl.t;
-      (* per object: (last-write level, max read level) *)
   seen : (int, unit) Hashtbl.t;
 }
 
@@ -232,15 +433,12 @@ let make_fp_state ~n ~depth =
     fp_level = Array.make cap 0;
     fp_hash = Array.make (cap + 1) 0;
     fr_pid_level = Array.make n 0;
-    fr_objs = Hashtbl.create 16;
     seen = Hashtbl.create 1024;
   }
 
-let step_code pid kind = Hashtbl.hash (Pid.to_int pid, kind) land max_int
-
 (* Recompute level/item/hash for window position [t] given positions
    [0..t-1] are current. *)
-let fp_set fp ~stack t =
+let fp_set fp s ~stack t =
   let nd = match stack.(t) with Some nd -> nd | None -> assert false in
   let level = ref 1 in
   for u = 0 to t - 1 do
@@ -252,12 +450,13 @@ let fp_set fp ~stack t =
   done;
   fp.fp_level.(t) <- !level;
   fp.fp_hash.(t + 1) <-
-    fp.fp_hash.(t) + fp_item ~level:!level ~code:(step_code nd.chosen nd.kind)
+    fp.fp_hash.(t)
+    + fp_item ~level:!level ~code:(step_code s (intern s nd.kind) nd.chosen)
 
 (* Key every prefix of the executed window and record it as seen. *)
-let fp_record fp ~stack ~grown =
+let fp_record fp s ~stack ~grown =
   for t = 0 to grown - 1 do
-    fp_set fp ~stack t;
+    fp_set fp s ~stack t;
     Hashtbl.replace fp.seen (fp_key ~len:(t + 1) ~hash:fp.fp_hash.(t + 1)) ()
   done
 
@@ -276,44 +475,46 @@ let fp_record fp ~stack ~grown =
    and the last query (queries conflict with everything, so a query
    itself tops every level so far); a read also on the last write to
    its object; a write also on that object's reads. *)
-let fp_full_run fp ~s_pids ~s_kinds ~m =
-  Array.fill fp.fr_pid_level 0 (Array.length fp.fr_pid_level) 0;
-  Hashtbl.reset fp.fr_objs;
+let fp_full_run fp s ~m =
+  let pid_level = fp.fr_pid_level in
+  for q = 0 to s.n - 1 do
+    pid_level.(q) <- 0
+  done;
+  let wlevel = s.o_wlevel and rlevel = s.o_rlevel in
+  for o = 0 to s.n_objs - 1 do
+    wlevel.(o) <- 0;
+    rlevel.(o) <- 0
+  done;
+  let pids = s.s_pids and kids = s.s_kids in
+  let k_acc = s.k_acc and k_obj = s.k_obj in
   let last_query = ref 0 and global_max = ref 0 in
   let hash = ref 0 in
   for t = 0 to m - 1 do
-    let p = s_pids.(t) and k = s_kinds.(t) in
-    let base = max fp.fr_pid_level.(p) !last_query in
+    let p = pids.(t) and kid = kids.(t) in
+    let acc = k_acc.(kid) and o = k_obj.(kid) in
+    let base = Int.max pid_level.(p) !last_query in
     let level =
-      1
-      +
-      match k with
-      | Sim.Query _ -> !global_max
-      | Sim.Read { obj } -> (
-          match Hashtbl.find_opt fp.fr_objs obj with
-          | Some (w, _) -> max base w
-          | None -> base)
-      | Sim.Write { obj } | Sim.Send { obj } | Sim.Recv { obj } -> (
-          match Hashtbl.find_opt fp.fr_objs obj with
-          | Some (w, r) -> max base (max w r)
-          | None -> base)
-      | Sim.Output _ | Sim.Input _ | Sim.Nop -> base
+      if acc = acc_query then begin
+        let l = 1 + !global_max in
+        last_query := l;
+        l
+      end
+      else if acc = acc_read then begin
+        let l = 1 + Int.max base wlevel.(o) in
+        rlevel.(o) <- Int.max rlevel.(o) l;
+        l
+      end
+      else if acc = acc_write then begin
+        let l = 1 + Int.max base (Int.max wlevel.(o) rlevel.(o)) in
+        wlevel.(o) <- l;
+        rlevel.(o) <- 0;
+        l
+      end
+      else 1 + base
     in
-    (match k with
-    | Sim.Query _ -> last_query := level
-    | Sim.Read { obj } ->
-        let w, r =
-          match Hashtbl.find_opt fp.fr_objs obj with
-          | Some wr -> wr
-          | None -> (0, 0)
-        in
-        Hashtbl.replace fp.fr_objs obj (w, max r level)
-    | Sim.Write { obj } | Sim.Send { obj } | Sim.Recv { obj } ->
-        Hashtbl.replace fp.fr_objs obj (level, 0)
-    | Sim.Output _ | Sim.Input _ | Sim.Nop -> ());
-    fp.fr_pid_level.(p) <- level;
+    pid_level.(p) <- level;
     if level > !global_max then global_max := level;
-    hash := !hash + fp_item ~level ~code:(Hashtbl.hash (p, k) land max_int)
+    hash := !hash + fp_item ~level ~code:(step_code s kid p)
   done;
   let key = fp_key ~len:m ~hash:!hash in
   let dup = Hashtbl.mem fp.seen key in
@@ -324,96 +525,289 @@ let fp_full_run fp ~s_pids ~s_kinds ~m =
    with a retargeted final step — already been executed up to trace
    equivalence? Only the final position changed, so one fp_set call
    refreshes the key. *)
-let fp_seen_candidate fp ~stack ~len =
-  fp_set fp ~stack (len - 1);
+let fp_seen_candidate fp s ~stack ~len =
+  fp_set fp s ~stack (len - 1);
   Hashtbl.mem fp.seen (fp_key ~len ~hash:fp.fp_hash.(len))
 
 (* ------------------------------------------------------ race analysis --- *)
 
-(* Per-object access state for the happens-before scan. A cleared
-   vector-clock slot is the shared empty array (physically [||], length
-   0 = absent); live clock buffers come from the scratch pool so one
-   allocation serves many executions. *)
-type obj_state = {
-  mutable lw_vc : int array; (* clock of the last write; [||] = none *)
-  mutable lw_pos : int; (* position of the last write; -1 = none *)
-  mutable r_vc : int array; (* join of reads since that write; [||] = none *)
-  r_pos : int array; (* per-process last-read position; -1 = none *)
-}
+(* Size the per-step buffers for an [m]-step run. Their contents are
+   rewritten by every analysis before they are read, so a regrown
+   buffer starts blank. *)
+let ensure_steps s m =
+  if m > s.cap then begin
+    let cap = Int.max m (2 * s.cap) in
+    s.cap <- cap;
+    s.vc <- Array.make (cap * s.n) 0;
+    s.own <- Array.make cap 0;
+    s.pos <- Array.make (cap * s.n) 0;
+    s.vseq <- Array.make cap 0
+  end
 
-(* Reusable buffers for [analyze]: one scratch serves every execution of
-   an [explore] call, so the per-run cost is zeroing, not allocating.
-   [n] is the process count of the world (>= the largest pid + 1 seen in
-   any trace), fixed by the failure pattern. *)
-type scratch = {
-  n : int;
-  mutable s_pids : int array; (* per step: acting pid *)
-  mutable s_kinds : Sim.kind array; (* per step: label *)
-  mutable vc : int array array; (* per step: vector clock, rows reused *)
-  mutable own : int array; (* per step: 1-based own-process index *)
-  proc_clock : int array array; (* per process: clock after its last step *)
-  positions : Exec.Dynarray.t array; (* per process: its steps' positions *)
-  objs : (string, obj_state) Hashtbl.t;
-  mutable pool : int array list; (* free clock buffers, length n *)
-  cand : Exec.Dynarray.t; (* race candidate positions for one step *)
-  vseq : Exec.Dynarray.t; (* positions of one race's wakeup sequence *)
-}
+(* Reset the process clocks and every object to "no access yet". *)
+let reset_access s =
+  let n = s.n in
+  for i = 0 to (n * n) - 1 do
+    s.proc_clock.(i) <- 0
+  done;
+  for q = 0 to n - 1 do
+    s.pos_len.(q) <- 0
+  done;
+  let lw_vc = s.lw_vc and r_vc = s.r_vc and r_pos = s.r_pos in
+  for o = 0 to s.n_objs - 1 do
+    s.lw_pos.(o) <- -1;
+    for i = o * n to (o * n) + n - 1 do
+      lw_vc.(i) <- 0;
+      r_vc.(i) <- 0;
+      r_pos.(i) <- -1
+    done
+  done
 
-let make_scratch ~n =
-  {
-    n;
-    s_pids = Array.make 256 0;
-    s_kinds = Array.make 256 Sim.Nop;
-    vc = [||];
-    own = [||];
-    proc_clock = Array.init n (fun _ -> Array.make n 0);
-    positions = Array.init n (fun _ -> Exec.Dynarray.create ~capacity:64 ());
-    objs = Hashtbl.create 16;
-    pool = [];
-    cand = Exec.Dynarray.create ~capacity:16 ();
-    vseq = Exec.Dynarray.create ~capacity:16 ();
-  }
+(* step i happens-before step j (i < j) *)
+let hb s i j = s.vc.((j * s.n) + s.s_pids.(i)) >= s.own.(i)
 
-let take_buf s =
-  match s.pool with
-  | b :: rest ->
-      s.pool <- rest;
-      b
-  | [] -> Array.make s.n 0
+(* the clock row at [dst.(d)] joined with the one at [src.(o)] *)
+let join n (dst : int array) d (src : int array) o =
+  for q = 0 to n - 1 do
+    let v = src.(o + q) in
+    if v > dst.(d + q) then dst.(d + q) <- v
+  done
 
-let release_buf s b = if Array.length b > 0 then s.pool <- b :: s.pool
+let copy_row n (src : int array) o (dst : int array) d =
+  for q = 0 to n - 1 do
+    dst.(d + q) <- src.(o + q)
+  done
 
-let obj_state s o =
-  match Hashtbl.find_opt s.objs o with
-  | Some st -> st
-  | None ->
-      let st =
-        { lw_vc = [||]; lw_pos = -1; r_vc = [||]; r_pos = Array.make s.n (-1) }
+let push_cand s p i =
+  if s.s_pids.(i) <> p then begin
+    s.cand.(s.n_cand) <- i;
+    s.n_cand <- s.n_cand + 1
+  end
+
+(* The race candidates of a step of [p] accessing object [o] (a write
+   when [w]): the last write to it, and for a write also each other
+   process's last read since. *)
+let candidates_of s p o w =
+  if s.lw_pos.(o) >= 0 then push_cand s p s.lw_pos.(o);
+  if w then begin
+    let n = s.n in
+    for q = 0 to n - 1 do
+      let r = s.r_pos.((o * n) + q) in
+      if q <> p && r >= 0 then push_cand s p r
+    done
+  end
+
+(* Sort the candidates and drop duplicates (insertion sort: a step has
+   at most 2n of them). *)
+let sort_cands s =
+  let a = s.cand and len = s.n_cand in
+  for i = 1 to len - 1 do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done;
+  if len > 1 then begin
+    let w = ref 1 in
+    for r = 1 to len - 1 do
+      if a.(r) <> a.(!w - 1) then begin
+        a.(!w) <- a.(r);
+        incr w
+      end
+    done;
+    s.n_cand <- !w
+  end
+
+(* Join the step clock at [vc.(c)] with object [o]'s last write, and for
+   a write also with its reads since. *)
+let join_object s o w c =
+  let n = s.n in
+  if s.lw_pos.(o) >= 0 then join n s.vc c s.lw_vc (o * n);
+  if w then join n s.vc c s.r_vc (o * n)
+
+(* Record step [j] of [p] as the latest access to object [o]. *)
+let update s o w p j =
+  let n = s.n in
+  let c = j * n and b = o * n in
+  if w then begin
+    let vc = s.vc and lw_vc = s.lw_vc and r_vc = s.r_vc and r_pos = s.r_pos in
+    (* a write orders all prior reads before it; clear them so later
+       writes race with the write, not stale reads *)
+    for q = 0 to n - 1 do
+      lw_vc.(b + q) <- vc.(c + q);
+      r_vc.(b + q) <- 0;
+      r_pos.(b + q) <- -1
+    done;
+    s.lw_pos.(o) <- j
+  end
+  else begin
+    join n s.r_vc b s.vc c;
+    s.r_pos.(b + p) <- j
+  end
+
+(* Is the race (i, j) mediated: some k in between with hb(i,k) and
+   hb(k,j)? *)
+let mediated s i j =
+  let n = s.n and vc = s.vc and own = s.own and pids = s.s_pids in
+  let pi = pids.(i) and oi = own.(i) and cj = j * n in
+  let k = ref (i + 1) and found = ref false in
+  while (not !found) && !k < j do
+    let kk = !k in
+    if vc.((kk * n) + pi) >= oi && vc.(cj + pids.(kk)) >= own.(kk) then
+      found := true;
+    incr k
+  done;
+  !found
+
+(* Is [q] a weak initial of the wakeup sequence [vseq.(0..vlen-1)]:
+   does [q] act in it, with no earlier step of the sequence
+   happening-before its first one? *)
+let weak_initial s vlen q =
+  let v = s.vseq in
+  let t = ref 0 in
+  while !t < vlen && s.s_pids.(v.(!t)) <> q do
+    incr t
+  done;
+  !t < vlen
+  &&
+  let pos_q = v.(!t) in
+  let u = ref 0 in
+  while !u < !t && not (hb s v.(!u) pos_q) do
+    incr u
+  done;
+  !u >= !t
+
+(* The reversal of the immediate race (i, j): insert backtrack
+   alternatives as [analyze] describes. Returns how many were
+   inserted. *)
+let reverse s ~stack ~depth ~grown i j =
+  let n = s.n in
+  let pj : Pid.t = s.s_pids.(j) in
+  if i >= grown then begin
+    (* Both race steps sit in the deterministic round-robin
+       tail. The tail of a run is a function of the window
+       class representative — specifically of its rotation
+       point — so reversing a tail race means finding a window
+       class whose representative rotates the tail
+       differently. Following bounded-search backtracking
+       (Coons–Musuvathi–McKinley) the persistent-set explorer
+       offered pid_j at the deepest window node for {e every}
+       such race; each offer is a full re-execution, and on
+       long tails those rotations dominate the search (they
+       are most of the abd configs' executions). The offer is
+       kept but bounded: only races whose earlier step falls
+       within [tail_reach] scheduler rotations of the window
+       boundary trigger it. A deeper race is reached
+       step-by-step — each accepted offer rotates the tail,
+       moving the race closer to the boundary in the branch
+       that re-runs — so the bound trades eager rotation
+       enumeration for the incremental pull, not for silence.
+       The bound is a heuristic, not a theorem: the
+       differential battery (test_dpor_diff) is the evidence
+       it preserves verdicts, exactly as it is for the
+       persistent-set rule itself. The race is still
+       counted. *)
+    let tail_reach = n in
+    if i < grown + tail_reach && grown > 0 then begin
+      let nd =
+        match stack.(grown - 1) with Some nd -> nd | None -> assert false
       in
-      Hashtbl.replace s.objs o st;
-      st
-
-(* pseudo-object giving queries their conflict-with-everything
-   semantics; real object names never collide with it *)
-let q_obj = "\x00query"
-
-(* The observer of a DPOR run: store each step's (pid, label) at its
-   position (step times are 1, 2, ...), growing the arrays as needed.
-   The fingerprint and the race analysis read them after the run. *)
-let store_step s = function
-  | Trace.Step { pid; time; kind; _ } ->
-      let i = time - 1 in
-      if i >= Array.length s.s_pids then begin
-        let cap = 2 * Array.length s.s_pids in
-        let pids = Array.make cap 0 and kinds = Array.make cap Sim.Nop in
-        Array.blit s.s_pids 0 pids 0 i;
-        Array.blit s.s_kinds 0 kinds 0 i;
-        s.s_pids <- pids;
-        s.s_kinds <- kinds
-      end;
-      s.s_pids.(i) <- Pid.to_int pid;
-      s.s_kinds.(i) <- kind
-  | Trace.Crash _ -> ()
+      if Eset.mem nd.enabled pj && not (Pid.Set.mem pj nd.backtrack) then begin
+        nd.backtrack <- Pid.Set.add pj nd.backtrack;
+        1
+      end
+      else 0
+    end
+    else 0
+  end
+  else begin
+    let nd = match stack.(i) with Some nd -> nd | None -> assert false in
+    (* v: the reversing witness — j's happens-before ancestors
+       among the steps after i (none of which happen-after i,
+       or the race would be mediated), then j itself. Steps
+       independent of j are deliberately left out: the reversal
+       class only needs j's causal prefix moved before i, and a
+       bystander-first v would hand the source-set insertion a
+       pid that merely permutes independent steps. *)
+    let vlen = ref 0 in
+    for k = i + 1 to j - 1 do
+      if (not (hb s i k)) && hb s k j then begin
+        s.vseq.(!vlen) <- k;
+        incr vlen
+      end
+    done;
+    s.vseq.(!vlen) <- j;
+    let vlen = !vlen + 1 in
+    let wi_mem = weak_initial s vlen in
+    let covered =
+      Pid.Set.exists wi_mem nd.backtrack
+      || Pid.Set.exists wi_mem nd.explored
+      || Pid.Set.exists wi_mem nd.sleep
+    in
+    if covered then 0
+    else begin
+      let q0 : Pid.t = s.s_pids.(s.vseq.(0)) in
+      if Eset.mem nd.enabled q0 then begin
+        (* q0 is a weak initial of v by construction, so the
+           single source-set insertion covers the reversal —
+           where the persistent-set explorer scheduled every
+           member of E. *)
+        let added =
+          if Pid.Set.mem q0 nd.backtrack then 0
+          else begin
+            nd.backtrack <- Pid.Set.add q0 nd.backtrack;
+            1
+          end
+        in
+        (* record v as q0's wakeup sequence, window-truncated —
+           but only for pure-window races: a crossing race's v
+           prescribes tail steps, and pinning those realizes
+           boundary alignments as distinct window classes. A
+           length-1 sequence prescribes nothing beyond the
+           retargeted node itself, so it is not stored. *)
+        let wlen = Int.min vlen (depth - i) in
+        if j < grown && wlen > 1 then begin
+          let ws = Array.init wlen (fun t -> s.s_pids.(s.vseq.(t))) in
+          nd.wakeups <- (q0, ws) :: List.remove_assoc q0 nd.wakeups
+        end;
+        added
+      end
+      else begin
+        (* races whose q0 is not enabled at the insertion node
+           keep the lazy persistent-set rule: offering a member
+           of E lets the racing step creep into the window over
+           subsequent analyses *)
+        let c = j * n in
+        let in_e q =
+          q = pj
+          ||
+          let cq = s.vc.(c + q) in
+          cq >= 1
+          && cq - 1 < s.pos_len.(q)
+          &&
+          let pos = s.pos.((q * s.cap) + cq - 1) in
+          pos > i && pos < j
+        in
+        let e_nonempty = ref false in
+        Eset.iter nd.enabled (fun q _ ->
+            if (not !e_nonempty) && in_e q then e_nonempty := true);
+        let e_nonempty = !e_nonempty in
+        let added = ref 0 in
+        Eset.iter nd.enabled (fun q _ ->
+            if
+              ((not e_nonempty) || in_e q)
+              && not (Pid.Set.mem q nd.backtrack)
+            then begin
+              nd.backtrack <- Pid.Set.add q nd.backtrack;
+              incr added
+            end);
+        !added
+      end
+    end
+  end
 
 (* Race analysis over the WHOLE executed run, not just the choice
    window: a race whose later step sits in the deterministic round-robin
@@ -424,11 +818,11 @@ let store_step s = function
 
    Happens-before is tracked with vector clocks over an access model
    derived from step labels: a [Read]/[Write] accesses its named
-   object; [Query] writes a pseudo-object that every step reads (so a
-   query conflicts with everything, and two queries conflict);
-   [Nop]/[Output]/[Input] only read the pseudo-object. For each step j
-   the race candidates are the per-object last conflicting accesses;
-   (i, j) is an immediate race when no intermediate k has
+   object; [Query] writes a pseudo-object (object 0) that every step
+   reads (so a query conflicts with everything, and two queries
+   conflict); [Nop]/[Output]/[Input] only read the pseudo-object. For
+   each step j the race candidates are the per-object last conflicting
+   accesses; (i, j) is an immediate race when no intermediate k has
    hb(i,k) && hb(k,j).
 
    Insertion follows source-set DPOR (Abdulla–Aronis–Jonsson–Sagonas):
@@ -445,267 +839,47 @@ let store_step s = function
    the deepest node (Coons–Musuvathi–McKinley). Returns
    (races, alternatives inserted). *)
 let analyze ~scratch:s ~stack ~depth ~grown ~m =
-  let n = s.n in
   if m = 0 then (0, 0)
   else begin
-    (* reset the reusable buffers for this run *)
-    (if Array.length s.vc < m then begin
-       let old = Array.length s.vc in
-       let cap = max m (2 * old) in
-       let vc = Array.make cap [||] in
-       Array.blit s.vc 0 vc 0 old;
-       for j = old to cap - 1 do
-         vc.(j) <- Array.make n 0
-       done;
-       s.vc <- vc;
-       s.own <- Array.make cap 0
-     end);
-    for j = 0 to m - 1 do
-      Array.fill s.vc.(j) 0 n 0
-    done;
-    for q = 0 to n - 1 do
-      Array.fill s.proc_clock.(q) 0 n 0;
-      Exec.Dynarray.clear s.positions.(q)
-    done;
-    Hashtbl.iter
-      (fun _ st ->
-        release_buf s st.lw_vc;
-        st.lw_vc <- [||];
-        st.lw_pos <- -1;
-        release_buf s st.r_vc;
-        st.r_vc <- [||];
-        Array.fill st.r_pos 0 n (-1))
-      s.objs;
-    let q_st = obj_state s q_obj in
-    let join dst src =
-      Array.iteri (fun q v -> if v > dst.(q) then dst.(q) <- v) src
-    in
-    let hb i j =
-      (* step i happens-before step j (i < j) *)
-      s.vc.(j).(s.s_pids.(i)) >= s.own.(i)
-    in
+    let n = s.n in
+    ensure_steps s m;
+    reset_access s;
     let races = ref 0 and added = ref 0 in
     for j = 0 to m - 1 do
-      let p = s.s_pids.(j) in
-      let kj = s.s_kinds.(j) in
-      let pj : Pid.t = p in
+      let p = s.s_pids.(j) and kid = s.s_kids.(j) in
       (* the step's accesses: its named object (if any) read or written,
          plus the query pseudo-object (written by queries, read by all) *)
-      let real_st, real_w =
-        match kj with
-        | Sim.Read { obj } -> (Some (obj_state s obj), false)
-        | Sim.Write { obj } | Sim.Send { obj } | Sim.Recv { obj } ->
-            (Some (obj_state s obj), true)
-        | Sim.Query _ | Sim.Output _ | Sim.Input _ | Sim.Nop -> (None, false)
-      in
-      let q_w = match kj with Sim.Query _ -> true | _ -> false in
+      let acc = s.k_acc.(kid) and o = s.k_obj.(kid) in
+      let real = acc = acc_read || acc = acc_write in
+      let real_w = acc = acc_write and q_w = acc = acc_query in
       (* candidates: last conflicting access per object, before joining
          this step's clock (so they reflect strictly earlier steps) *)
-      Exec.Dynarray.clear s.cand;
-      let push_cand i = if s.s_pids.(i) <> p then Exec.Dynarray.push s.cand i in
-      let candidates_of st w =
-        if st.lw_pos >= 0 then push_cand st.lw_pos;
-        if w then
-          for q = 0 to n - 1 do
-            if q <> p && st.r_pos.(q) >= 0 then push_cand st.r_pos.(q)
-          done
-      in
-      (match real_st with Some st -> candidates_of st real_w | None -> ());
-      candidates_of q_st q_w;
-      Exec.Dynarray.sort_uniq s.cand;
+      s.n_cand <- 0;
+      if real then candidates_of s p o real_w;
+      candidates_of s p 0 q_w;
+      sort_cands s;
       (* compute this step's clock *)
-      let clock = s.vc.(j) in
-      join clock s.proc_clock.(p);
-      s.own.(j) <- clock.(p) + 1;
-      clock.(p) <- s.own.(j);
-      let join_tables st w =
-        if Array.length st.lw_vc > 0 then join clock st.lw_vc;
-        if w && Array.length st.r_vc > 0 then join clock st.r_vc
-      in
-      (match real_st with Some st -> join_tables st real_w | None -> ());
-      join_tables q_st q_w;
+      let c = j * n in
+      copy_row n s.proc_clock (p * n) s.vc c;
+      let own = s.vc.(c + p) + 1 in
+      s.own.(j) <- own;
+      s.vc.(c + p) <- own;
+      if real then join_object s o real_w c;
+      join_object s 0 q_w c;
       (* immediate races among the candidates *)
-      for ci = 0 to Exec.Dynarray.length s.cand - 1 do
-        let i = Exec.Dynarray.get s.cand ci in
-        let rec mediated k = k < j && ((hb i k && hb k j) || mediated (k + 1)) in
-        if not (mediated (i + 1)) then begin
+      for ci = 0 to s.n_cand - 1 do
+        let i = s.cand.(ci) in
+        if not (mediated s i j) then begin
           incr races;
-          if i >= grown then begin
-            (* Both race steps sit in the deterministic round-robin
-               tail. The tail of a run is a function of the window
-               class representative — specifically of its rotation
-               point — so reversing a tail race means finding a window
-               class whose representative rotates the tail
-               differently. Following bounded-search backtracking
-               (Coons–Musuvathi–McKinley) the persistent-set explorer
-               offered pid_j at the deepest window node for {e every}
-               such race; each offer is a full re-execution, and on
-               long tails those rotations dominate the search (they
-               are most of the abd configs' executions). The offer is
-               kept but bounded: only races whose earlier step falls
-               within [tail_reach] scheduler rotations of the window
-               boundary trigger it. A deeper race is reached
-               step-by-step — each accepted offer rotates the tail,
-               moving the race closer to the boundary in the branch
-               that re-runs — so the bound trades eager rotation
-               enumeration for the incremental pull, not for silence.
-               The bound is a heuristic, not a theorem: the
-               differential battery (test_dpor_diff) is the evidence
-               it preserves verdicts, exactly as it is for the
-               persistent-set rule itself. The race is still
-               counted. *)
-            let tail_reach = n in
-            if i < grown + tail_reach && grown > 0 then begin
-              let nd =
-                match stack.(grown - 1) with
-                | Some nd -> nd
-                | None -> assert false
-              in
-              if Eset.mem nd.enabled pj && not (Pid.Set.mem pj nd.backtrack)
-              then begin
-                nd.backtrack <- Pid.Set.add pj nd.backtrack;
-                incr added
-              end
-            end
-          end
-          else begin
-            let nd =
-              match stack.(i) with Some nd -> nd | None -> assert false
-            in
-            (* v: the reversing witness — j's happens-before ancestors
-               among the steps after i (none of which happen-after i,
-               or the race would be mediated), then j itself. Steps
-               independent of j are deliberately left out: the reversal
-               class only needs j's causal prefix moved before i, and a
-               bystander-first v would hand the source-set insertion a
-               pid that merely permutes independent steps. *)
-            Exec.Dynarray.clear s.vseq;
-            for k = i + 1 to j - 1 do
-              if (not (hb i k)) && hb k j then Exec.Dynarray.push s.vseq k
-            done;
-            Exec.Dynarray.push s.vseq j;
-            let vlen = Exec.Dynarray.length s.vseq in
-            (* weak initial of v: a pid whose first v-step no earlier
-               v-step happens-before *)
-            let wi_mem q =
-              let qi = Pid.to_int q in
-              let rec first t =
-                if t >= vlen then -1
-                else
-                  let pos = Exec.Dynarray.get s.vseq t in
-                  if s.s_pids.(pos) = qi then t else first (t + 1)
-              in
-              match first 0 with
-              | -1 -> false
-              | t ->
-                  let pos_q = Exec.Dynarray.get s.vseq t in
-                  let rec clear u =
-                    u >= t
-                    ||
-                    let pos_u = Exec.Dynarray.get s.vseq u in
-                    (not (hb pos_u pos_q)) && clear (u + 1)
-                  in
-                  clear 0
-            in
-            let covered =
-              Pid.Set.exists wi_mem nd.backtrack
-              || Pid.Set.exists wi_mem nd.explored
-              || Pid.Set.exists wi_mem nd.sleep
-            in
-            if not covered then begin
-              let q0 : Pid.t = s.s_pids.(Exec.Dynarray.get s.vseq 0) in
-              if Eset.mem nd.enabled q0 then begin
-                (* q0 is a weak initial of v by construction, so the
-                   single source-set insertion covers the reversal —
-                   where the persistent-set explorer scheduled every
-                   member of E. *)
-                if not (Pid.Set.mem q0 nd.backtrack) then begin
-                  nd.backtrack <- Pid.Set.add q0 nd.backtrack;
-                  incr added
-                end;
-                (* record v as q0's wakeup sequence, window-truncated —
-                   but only for pure-window races: a crossing race's v
-                   prescribes tail steps, and pinning those realizes
-                   boundary alignments as distinct window classes. A
-                   length-1 sequence prescribes nothing beyond the
-                   retargeted node itself, so it is not stored. *)
-                let wlen = min vlen (depth - i) in
-                if j < grown && wlen > 1 then begin
-                  let ws =
-                    Array.init wlen (fun t ->
-                        let pos = Exec.Dynarray.get s.vseq t in
-                        {
-                          w_pid = s.s_pids.(pos);
-                          w_kind = s.s_kinds.(pos);
-                        })
-                  in
-                  nd.wakeups <- (q0, ws) :: List.remove_assoc q0 nd.wakeups
-                end
-              end
-              else begin
-                (* races whose q0 is not enabled at the insertion node
-                   keep the lazy persistent-set rule: offering a member
-                   of E lets the racing step creep into the window over
-                   subsequent analyses *)
-                let in_e q =
-                  Pid.equal q pj
-                  ||
-                  let qi = Pid.to_int q in
-                  clock.(qi) >= 1
-                  &&
-                  let c = clock.(qi) - 1 in
-                  c < Exec.Dynarray.length s.positions.(qi)
-                  &&
-                  let pos = Exec.Dynarray.get s.positions.(qi) c in
-                  pos > i && pos < j
-                in
-                let e_nonempty = ref false in
-                Eset.iter nd.enabled (fun q _ ->
-                    if (not !e_nonempty) && in_e q then e_nonempty := true);
-                let e_nonempty = !e_nonempty in
-                Eset.iter nd.enabled (fun q _ ->
-                    if
-                      ((not e_nonempty) || in_e q)
-                      && not (Pid.Set.mem q nd.backtrack)
-                    then begin
-                      nd.backtrack <- Pid.Set.add q nd.backtrack;
-                      incr added
-                    end)
-              end
-            end
-          end
+          added := !added + reverse s ~stack ~depth ~grown i j
         end
       done;
       (* update the access tables with this step *)
-      let update st w =
-        if w then begin
-          (if Array.length st.lw_vc > 0 then Array.blit clock 0 st.lw_vc 0 n
-           else begin
-             let b = take_buf s in
-             Array.blit clock 0 b 0 n;
-             st.lw_vc <- b
-           end);
-          st.lw_pos <- j;
-          (* a write orders all prior reads before it; clear them so
-             later writes race with the write, not stale reads *)
-          release_buf s st.r_vc;
-          st.r_vc <- [||];
-          Array.fill st.r_pos 0 n (-1)
-        end
-        else begin
-          (if Array.length st.r_vc > 0 then join st.r_vc clock
-           else begin
-             let b = take_buf s in
-             Array.blit clock 0 b 0 n;
-             st.r_vc <- b
-           end);
-          st.r_pos.(p) <- j
-        end
-      in
-      (match real_st with Some st -> update st real_w | None -> ());
-      update q_st q_w;
-      join s.proc_clock.(p) clock;
-      Exec.Dynarray.push s.positions.(p) j
+      if real then update s o real_w p j;
+      update s 0 q_w p j;
+      copy_row n s.vc c s.proc_clock (p * n);
+      s.pos.((p * s.cap) + s.pos_len.(p)) <- j;
+      s.pos_len.(p) <- s.pos_len.(p) + 1
     done;
     (!races, !added)
   end
@@ -773,7 +947,7 @@ let explore_loop ~pattern ~depth ~horizon ~make ~budget ~should_stop ~on_phase
           nd.wakeups <- List.remove_assoc nd.chosen nd.wakeups;
           presc := Array.sub ws 1 (Array.length ws - 1)
       | None -> presc := [||]);
-      if Array.length !presc = 0 && fp_seen_candidate fp ~stack ~len:!len
+      if Array.length !presc = 0 && fp_seen_candidate fp scratch ~stack ~len:!len
       then begin
         incr deduped_runs;
         Obs.Metrics.incr m_deduped;
@@ -814,10 +988,8 @@ let explore_loop ~pattern ~depth ~horizon ~make ~budget ~should_stop ~on_phase
              window (m = grown) the run's own window key is the same
              key, and recording it first would flag the run as its own
              duplicate. *)
-          let dup =
-            fp_full_run fp ~s_pids:scratch.s_pids ~s_kinds:scratch.s_kinds ~m
-          in
-          fp_record fp ~stack ~grown;
+          let dup = fp_full_run fp scratch ~m in
+          fp_record fp scratch ~stack ~grown;
           if dup then begin
             incr deduped_runs;
             Obs.Metrics.incr m_deduped

@@ -144,11 +144,17 @@ val explore :
 (** [make ()] must build a fresh, deterministic world: a fiber factory
     plus a checker run on the completed run's {!Run.result} — its
     crashes and last time ([Ok] = property held). The exploration
-    keeps no trace: the (pid, label) of each step, all the race
-    analysis reads, streams into reused buffers as the run happens.
-    It is called once per explored schedule; two calls must yield
-    behaviourally identical worlds (this is what makes replay and
-    backtracking meaningful). Exploration stops at the first
+    keeps no trace: each step streams into reused buffers as the run
+    happens, as its pid and an id in the call's {e interned step
+    table}. That table maps each structurally distinct label to its
+    object (interned by name, so labels are compared by the objects
+    they name, never by physical identity), its access class (read,
+    write, query or none) and its cached step code; the fingerprints
+    and the race analysis read only these ids and flat int arrays
+    indexed by object id, so an analysed step is neither hashed nor
+    allocated. [make] is called once per explored schedule; two calls
+    must yield behaviourally identical worlds (this is what makes replay
+    and backtracking meaningful). Exploration stops at the first
     counterexample, or after [budget] executions (default
     {!unbounded}): a truncated exploration reports
     [stats.executions = budget] and no counterexample — it is {e not} a

@@ -661,29 +661,20 @@ let a3 ?(seeds = a3_seeds) () =
      correct process is a gladiator: pin Υᶠ to Π over a pattern with one
      crash, under lock-step scheduling, so A[r][k] is on the critical
      path. The "random" scenario is the average case, where round-1
-     converge usually decides first. Each implementation is one row of
-     two lines: its random worlds run first (units [0, seeds)) and its
-     gated worlds next, the order the last-written detector gauges
-     record, while the gated line prints first. *)
+     converge usually decides first. *)
   let fig2 snapshot ~pinned = Harness.setup (Fig2 { f; snapshot; pinned }) in
-  let unit impl i =
-    if i < seeds then
-      Harness.run (fig2 impl ~pinned:false)
-        (Harness.random_world ~seed:(4000 + i) ~n_plus_1 ~max_faulty:f ())
-    else
-      let seed = i - seeds in
-      let pattern = Failure_pattern.make ~n_plus_1 ~crashes:[ (3, 60 + seed) ] in
-      Harness.run (fig2 impl ~pinned:true)
-        { Harness.pattern; policy = Policy.round_robin (); world_rng = Rng.create (4100 + seed) }
+  let gated i =
+    let pattern = Failure_pattern.make ~n_plus_1 ~crashes:[ (3, 60 + i) ] in
+    { Harness.pattern; policy = Policy.round_robin (); world_rng = Rng.create (4100 + i) }
   in
-  let fold impl runs =
-    let line scenario runs =
-      [ Snap.impl_name impl; scenario; Report.cell_int seeds; pct Harness.ok runs;
-        mean (fun m -> m.Harness.total_steps) runs ]
-    in
-    let random_runs, gated = split seeds runs in
-    ( [ line "gladiator-gated (lockstep)" gated; line "random worlds" random_runs ],
-      List.for_all Harness.ok runs )
+  let random i = Harness.random_world ~seed:(4000 + i) ~n_plus_1 ~max_faulty:f () in
+  let line impl scenario ~pinned world =
+    row seeds
+      (fun i -> Harness.run (fig2 impl ~pinned) (world i))
+      (fun runs ->
+        ( [ Snap.impl_name impl; scenario; Report.cell_int seeds; pct Harness.ok runs;
+            mean (fun m -> m.Harness.total_steps) runs ],
+          List.for_all Harness.ok runs ))
   in
   {
     id = "a3";
@@ -695,8 +686,10 @@ let a3 ?(seeds = a3_seeds) () =
     title = Printf.sprintf "A3: Fig-2 snapshot-substrate ablation (n+1=%d, f=%d)" n_plus_1 f;
     headers = [ "snapshot impl"; "scenario"; "runs"; "spec-ok"; "mean steps" ];
     rows =
-      List.map
-        (fun impl -> { units = 2 * seeds; unit = unit impl; fold = fold impl })
+      List.concat_map
+        (fun impl ->
+          [ line impl "gladiator-gated (lockstep)" ~pinned:true gated;
+            line impl "random worlds" ~pinned:false random ])
         [ Snap.Registers; Snap.Native ];
   }
 
@@ -715,13 +708,11 @@ let check ~cells ?procs ~depth ?horizon ?mutant obj ~expect_violation () =
     | None -> not expect_violation
     | Some v -> expect_violation && v.Harness.shrunk )
 
-(* A table of checks as one row, a unit per check. The checks run last
-   line first, as they always have: the last-written link gauges record
-   that order. *)
+(* A table of checks as one row, a unit per check. *)
 let checks lines =
-  let units = Array.of_list (List.rev lines) in
+  let units = Array.of_list lines in
   { units = Array.length units; unit = (fun i -> units.(i) ());
-    fold = (fun results -> (List.rev_map fst results, List.for_all snd results)) }
+    fold = (fun results -> (List.map fst results, List.for_all snd results)) }
 
 let c1 ?(depth = 6) ?(mutant_depth = 12) () =
   let row =

@@ -5,13 +5,10 @@ type 'v t = 'v Sim.source
 let record_make ~family ~stab_time =
   Obs.Metrics.incr
     (Obs.Metrics.counter (Printf.sprintf "detectors.created{family=%s}" family));
-  Obs.Metrics.set
-    (Obs.Metrics.gauge (Printf.sprintf "detectors.stab_time{family=%s}" family))
-    (float_of_int stab_time);
   Obs.Metrics.observe_int
     (Obs.Metrics.histogram
        ~buckets:[| 10.; 25.; 50.; 75.; 100.; 150.; 300.; 1000. |]
-       (Printf.sprintf "detectors.stab_time_dist{family=%s}" family))
+       (Printf.sprintf "detectors.stab_time{family=%s}" family))
     stab_time
 
 let stabilizing ?name ~family ~default ~rng ?stab_time ~stable ~chaos ~render

@@ -16,8 +16,8 @@ type 'v t = 'v Sim.source
 
 val record_make : family:string -> stab_time:int -> unit
 (** Telemetry hook for detector constructors: bumps the per-family
-    creation counter and records the drawn stabilization time as a
-    gauge (last instance) and a distribution histogram. [family] must
+    creation counter and records the drawn stabilization time in the
+    [detectors.stab_time{family}] histogram. [family] must
     come from a bounded set — use the module name, not the instance
     name. *)
 

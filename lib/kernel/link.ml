@@ -71,7 +71,6 @@ type 'm t = {
   m_delivered : Obs.Metrics.counter;
   m_dropped : Obs.Metrics.counter;
   m_delayed : Obs.Metrics.counter;
-  m_depth : Obs.Metrics.gauge array; (* per-receiver mailbox depth *)
 }
 
 let create ~name ~n_plus_1 ~config () =
@@ -95,11 +94,6 @@ let create ~name ~n_plus_1 ~config () =
     m_delivered = Obs.Metrics.counter (label "delivered");
     m_dropped = Obs.Metrics.counter (label "dropped");
     m_delayed = Obs.Metrics.counter (label "delayed");
-    m_depth =
-      Array.init n_plus_1 (fun p ->
-          Obs.Metrics.gauge
-            (Printf.sprintf "net.link.mailbox_depth{link=%s,pid=p%d}" name
-               (p + 1)));
   }
 
 let name t = t.link_name
@@ -190,7 +184,6 @@ let poll_now t ~me =
       in
       t.stash.(me) <- waiting;
       Obs.Metrics.incr ~by:(List.length ready) t.m_delivered;
-      Obs.Metrics.set t.m_depth.(me) (float_of_int (List.length waiting));
       let msgs =
         List.map
           (fun env ->
