@@ -59,39 +59,94 @@ type send_record = {
 
 type 'm envelope = { env_payload : 'm; env_rec : send_record }
 
+(* One receiver's mailbox, with its step labels and its poll step built
+   once, as [Sim.source] builds its query step. *)
+type 'm mailbox = {
+  send_kind : Sim.kind;
+  recv_kind : Sim.kind;
+  mutable inbox : 'm envelope list; (* undelivered, newest send first *)
+  mutable ready : (Pid.t * 'm) list; (* [sift]'s delivered list *)
+  receive : Sim.ctx -> int * (Pid.t * 'm) list; (* the step [poll_now] takes *)
+}
+
+(* A link counts through the registry of the domain that created it,
+   taken once, as [Memory.Register] does. *)
 type 'm t = {
   link_name : string;
   cfg : config;
-  send_kinds : Sim.kind array; (* per destination, built once *)
-  recv_kinds : Sim.kind array;
-  queues : 'm envelope Queue.t array; (* per-destination, send order *)
-  stash : 'm envelope list array; (* per-receiver, drained but not ready *)
+  boxes : 'm mailbox array;
+  rng : Rng.t; (* re-seeded per message by [fate] *)
   mutable log : send_record list; (* newest first *)
-  m_sent : Obs.Metrics.counter;
-  m_delivered : Obs.Metrics.counter;
+  metrics : Obs.Metrics.registry;
+  m_sent : Obs.Metrics.counter; (* [receive] holds the delivered one *)
   m_dropped : Obs.Metrics.counter;
   m_delayed : Obs.Metrics.counter;
 }
 
+(* One pass over an inbox, newest first, at time [now]: a ready message
+   is marked delivered and consed onto [acc], so [acc] ends oldest
+   first; the waiting ones are rebuilt on the way back in their order,
+   sharing whatever tail is left whole. Returns the waiting list and
+   leaves the delivered one in [box.ready]. *)
+let rec sift box now acc = function
+  | [] ->
+      box.ready <- acc;
+      []
+  | env :: older as inbox ->
+      let r = env.env_rec in
+      if r.sr_ready_at <= now then begin
+        r.sr_delivered_at <- now;
+        sift box now ((r.sr_from, env.env_payload) :: acc) older
+      end
+      else
+        let waiting = sift box now acc older in
+        if waiting == older then inbox else env :: waiting
+
+(* Arrival order is send order filtered by readiness: stable and
+   deterministic given the schedule. The step's time is returned too:
+   timeout-driven protocols need [now] on every iteration, and charging
+   a second step for it would double their step cost. *)
+let receive metrics m_delivered box ~me ctx =
+  if not (Pid.equal ctx.Sim.pid me) then
+    invalid_arg "Link.poll: polling another process's mailbox";
+  let now = ctx.Sim.now in
+  match box.inbox with
+  | [] -> (now, [])
+  | inbox ->
+      box.inbox <- sift box now [] inbox;
+      let msgs = box.ready in
+      box.ready <- [];
+      Obs.Metrics.add_in metrics m_delivered (List.length msgs);
+      (now, msgs)
+
 let create ~name ~n_plus_1 ~config () =
   check_config config;
-  let label what =
-    Printf.sprintf "net.link.%s{link=%s}" what name
-  in
-  let mailboxes =
-    Array.init n_plus_1 (fun p ->
-        Printf.sprintf "%s->%s" name (Pid.to_string p))
+  let label what = Printf.sprintf "net.link.%s{link=%s}" what name in
+  let metrics = Obs.Metrics.registry () in
+  let m_delivered = Obs.Metrics.counter (label "delivered") in
+  let mailbox me =
+    (* Both labelled with the mailbox object, so independence analysis
+       sees a send to and a poll of one mailbox as conflicting. *)
+    let obj = Printf.sprintf "%s->%s" name (Pid.to_string me) in
+    let rec box =
+      {
+        send_kind = Sim.Send { obj };
+        recv_kind = Sim.Recv { obj };
+        inbox = [];
+        ready = [];
+        receive = (fun ctx -> receive metrics m_delivered box ~me ctx);
+      }
+    in
+    box
   in
   {
     link_name = name;
     cfg = config;
-    send_kinds = Array.map (fun obj -> Sim.Send { obj }) mailboxes;
-    recv_kinds = Array.map (fun obj -> Sim.Recv { obj }) mailboxes;
-    queues = Array.init n_plus_1 (fun _ -> Queue.create ());
-    stash = Array.make n_plus_1 [];
+    boxes = Array.init n_plus_1 mailbox;
+    rng = Rng.create 0;
     log = [];
+    metrics;
     m_sent = Obs.Metrics.counter (label "sent");
-    m_delivered = Obs.Metrics.counter (label "delivered");
     m_dropped = Obs.Metrics.counter (label "dropped");
     m_delayed = Obs.Metrics.counter (label "delayed");
   }
@@ -101,101 +156,70 @@ let config t = t.cfg
 
 (* Pure per-message randomness: the same odd-constant mixing as
    [Detectors.Detector.Chaos.rng], keyed so distinct (sender, dest,
-   time) triples give independent streams. *)
-let fate_rng cfg ~from ~to_ ~time =
-  Rng.create
-    ((cfg.link_seed * 0x2545F491)
+   time) triples give independent streams. The link's one generator
+   is re-seeded with the key, so it draws what [Rng.create key] would. *)
+let reseed t ~from ~to_ ~time =
+  Rng.reseed t.rng
+    ((t.cfg.link_seed * 0x2545F491)
     lxor ((from + 1) * 0x9E3779B9)
     lxor ((to_ + 1) * 0xC2B2AE35)
     lxor ((time + 1) * 0x85EBCA6B))
 
-(* The message's fate, decided at send time [time]: after GST every
-   message is delivered within [delta]; before GST it may be dropped
-   (probability [loss_pct]%) or delayed by up to [pre_delay] extra
-   steps. Ready times are always >= time + 1: a message is never
-   receivable in the step that sent it. With [delta = 1] the post-GST
-   draw is [Rng.int r 1 = 0], so no RNG is built for it. *)
-let fate cfg ~from ~to_ ~time =
+(* The message's fate, decided at send time [time]: its ready time, or
+   -1 if it is dropped. After GST every message is delivered within
+   [delta]; before GST it may be dropped (probability [loss_pct]%) or
+   delayed by up to [pre_delay] extra steps. Ready times are always >=
+   time + 1: a message is never receivable in the step that sent it.
+   With [delta = 1] the post-GST draw is [Rng.int r 1 = 0], so nothing
+   is drawn for it. *)
+let fate t ~from ~to_ ~time =
+  let cfg = t.cfg in
   if time >= cfg.gst then
-    if cfg.delta = 1 then `Ready (time + 1)
-    else
-      let r = fate_rng cfg ~from ~to_ ~time in
-      `Ready (time + 1 + Rng.int r cfg.delta)
-  else
-    let r = fate_rng cfg ~from ~to_ ~time in
-    if Rng.int r 100 < cfg.loss_pct then `Drop
-    else `Ready (time + 1 + Rng.int r (cfg.pre_delay + 1))
+    if cfg.delta = 1 then time + 1
+    else begin
+      reseed t ~from ~to_ ~time;
+      time + 1 + Rng.int t.rng cfg.delta
+    end
+  else begin
+    reseed t ~from ~to_ ~time;
+    if Rng.int t.rng 100 < cfg.loss_pct then -1
+    else time + 1 + Rng.int t.rng (cfg.pre_delay + 1)
+  end
 
 let send t ~to_ m =
-  Sim.atomic t.send_kinds.(to_) (fun ctx ->
+  Sim.atomic t.boxes.(to_).send_kind (fun ctx ->
       let from = ctx.Sim.pid and time = ctx.Sim.now in
-      Obs.Metrics.incr t.m_sent;
-      match fate t.cfg ~from ~to_ ~time with
-      | `Drop ->
-          Obs.Metrics.incr t.m_dropped;
-          t.log <-
-            {
-              sr_from = from;
-              sr_to = to_;
-              sr_sent_at = time;
-              sr_ready_at = -1;
-              sr_delivered_at = -1;
-            }
-            :: t.log
-      | `Ready ready ->
-          if ready > time + 1 then Obs.Metrics.incr t.m_delayed;
-          let env_rec =
-            {
-              sr_from = from;
-              sr_to = to_;
-              sr_sent_at = time;
-              sr_ready_at = ready;
-              sr_delivered_at = -1;
-            }
-          in
-          t.log <- env_rec :: t.log;
-          Queue.push { env_payload = m; env_rec } t.queues.(to_))
+      let ready = fate t ~from ~to_ ~time in
+      let r =
+        {
+          sr_from = from;
+          sr_to = to_;
+          sr_sent_at = time;
+          sr_ready_at = ready;
+          sr_delivered_at = -1;
+        }
+      in
+      t.log <- r :: t.log;
+      Obs.Metrics.add_in t.metrics t.m_sent 1;
+      if ready < 0 then Obs.Metrics.add_in t.metrics t.m_dropped 1
+      else begin
+        if ready > time + 1 then Obs.Metrics.add_in t.metrics t.m_delayed 1;
+        let box = t.boxes.(to_) in
+        box.inbox <- { env_payload = m; env_rec = r } :: box.inbox
+      end)
 
-let broadcast t m = Array.iteri (fun to_ _ -> send t ~to_ m) t.queues
+let broadcast t m =
+  for to_ = 0 to Array.length t.boxes - 1 do
+    send t ~to_ m
+  done
 
 let poll_now t ~me =
-  (* Labelled with the polled mailbox — the object a send to [me]
-     writes — so independence analysis sees a send and a poll of one
-     mailbox as conflicting. Returns the step time too: timeout-driven
-     protocols need [now] on every iteration, and charging a second
-     step for it would double their step cost. *)
-  Sim.atomic t.recv_kinds.(me) (fun ctx ->
-      if not (Pid.equal ctx.Sim.pid me) then
-        invalid_arg "Link.poll: polling another process's mailbox";
-      let now = ctx.Sim.now in
-      let q = t.queues.(me) in
-      let rec drain acc =
-        match Queue.take_opt q with
-        | Some env -> drain (env :: acc)
-        | None -> List.rev acc
-      in
-      (* Arrival order is send order filtered by readiness: stable and
-         deterministic given the schedule. *)
-      let pending = t.stash.(me) @ drain [] in
-      let is_ready env = env.env_rec.sr_ready_at <= now in
-      let ready, waiting =
-        if List.for_all is_ready pending then (pending, [])
-        else List.partition is_ready pending
-      in
-      t.stash.(me) <- waiting;
-      Obs.Metrics.incr ~by:(List.length ready) t.m_delivered;
-      let msgs =
-        List.map
-          (fun env ->
-            env.env_rec.sr_delivered_at <- now;
-            (env.env_rec.sr_from, env.env_payload))
-          ready
-      in
-      (now, msgs))
+  let box = t.boxes.(me) in
+  Sim.atomic box.recv_kind box.receive
 
 let poll t ~me = snd (poll_now t ~me)
 
-let in_flight t pid = Queue.length t.queues.(pid) + List.length t.stash.(pid)
+let in_flight t pid = List.length t.boxes.(pid).inbox
 let sends t = List.rev t.log
 
 (* ----------------------------------------------------- post-run checks *)
@@ -239,6 +263,10 @@ let check_crash_isolation t ~pattern =
   go t.log
 
 let undelivered_ready t ~by =
-  List.filter
-    (fun r -> r.sr_ready_at >= 0 && r.sr_ready_at <= by && r.sr_delivered_at < 0)
-    (sends t)
+  (* folding the newest-first log leaves the residue oldest first *)
+  List.fold_left
+    (fun acc r ->
+      if r.sr_ready_at >= 0 && r.sr_ready_at <= by && r.sr_delivered_at < 0
+      then r :: acc
+      else acc)
+    [] t.log

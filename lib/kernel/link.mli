@@ -25,7 +25,17 @@
     ("name->pid"), which the exploration layers treat exactly like
     writes: sends to and polls of one mailbox conflict, operations on
     distinct mailboxes commute. Sends and deliveries feed the
-    [net.link.*] metrics ({!Obs.Metrics}). *)
+    [net.link.*] metrics ({!Obs.Metrics}): a link counts through the
+    registry of the domain that created it, taken once, so it must be
+    stepped in that domain, like a {!Memory.Register}.
+
+    Delivery is send order filtered by readiness: a poll returns every
+    message to its caller whose ready time has arrived, oldest send
+    first, and leaves the rest queued in their order. A step allocates
+    only its effect round trip and what it adds or delivers: a send its
+    log record and inbox entry, a poll its result and the list it
+    returns. Labels, poll steps and the fate generator are built once,
+    in {!create}. *)
 
 type config = {
   gst : int;  (** first time at which links are timely *)
@@ -81,8 +91,8 @@ val poll : 'm t -> me:Pid.t -> (Pid.t * 'm) list
 (** [poll_now] without the time. *)
 
 val in_flight : 'm t -> Pid.t -> int
-(** Oracle access: undelivered (queued or stashed) messages addressed
-    to a pid, no step. *)
+(** Oracle access: undelivered, undropped messages addressed to a pid,
+    ready or not; no step. *)
 
 (** {1 Post-run oracles}
 

@@ -19,6 +19,7 @@ let of_state state =
   t
 
 let create seed = of_state (mix (Int64.of_int seed))
+let reseed t seed = set t 0 (mix (Int64.of_int seed))
 
 let[@inline] next64 t =
   let state = Int64.add (get t 0) gamma in

@@ -10,6 +10,10 @@ val create : int -> t
 (** [create seed] is a fresh generator. Distinct seeds give independent
     streams for all practical purposes. *)
 
+val reseed : t -> int -> unit
+(** [reseed t seed] restarts [t] so that it draws exactly what
+    [create seed] would, without allocating a generator. *)
+
 val split : t -> t
 (** [split t] derives a child generator and advances [t]; children drawn
     at different points are independent streams. *)

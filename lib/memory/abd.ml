@@ -37,7 +37,8 @@ type 'a t = {
   init : 'a;
   net : 'a message Link.t;
   replica : (string, tag * 'a) Hashtbl.t array; (* per-process replicas, by key *)
-  replica_prefix : string array; (* per process: "abd.replica/<pid>/" *)
+  replica_kinds : (string, Sim.kind * Sim.kind) Hashtbl.t array;
+      (* per process, by key: the replica's read and write labels *)
   counters : int array; (* per-process client op ids *)
   buffers : (int, 'a reply list ref) Hashtbl.t array; (* client reply buffers *)
   mutable log : 'a op list;
@@ -55,8 +56,7 @@ let create ~name ~n_plus_1 ~init =
       Link.create ~name:(name ^ ".net") ~n_plus_1 ~config:Link.default_config
         ();
     replica = Array.init n_plus_1 (fun _ -> Hashtbl.create 16);
-    replica_prefix =
-      Array.init n_plus_1 (fun p -> "abd.replica/" ^ Pid.to_string p ^ "/");
+    replica_kinds = Array.init n_plus_1 (fun _ -> Hashtbl.create 4);
     counters = Array.make n_plus_1 0;
     buffers = Array.init n_plus_1 (fun _ -> Hashtbl.create 16);
     log = [];
@@ -84,8 +84,17 @@ let stash t ~me ~op reply =
 (* Replica step labels carry the owning process: replica.(me) is local
    state only [me]'s server ever touches, so labelling it per process
    lets schedule exploration commute replica steps of distinct
-   processes. *)
-let replica_obj t ~me ~key = t.replica_prefix.(me) ^ key
+   processes. Each (process, key) pair's labels are built once, so a
+   replica step reuses them and DPOR's interning finds them by physical
+   equality. *)
+let replica_kinds t ~me ~key =
+  match Hashtbl.find t.replica_kinds.(me) key with
+  | kinds -> kinds
+  | exception Not_found ->
+      let obj = "abd.replica/" ^ Pid.to_string me ^ "/" ^ key in
+      let kinds = (Sim.Read { obj }, Sim.Write { obj }) in
+      Hashtbl.add t.replica_kinds.(me) key kinds;
+      kinds
 
 let server t ~me () =
   Sim.daemon ();
@@ -96,13 +105,13 @@ let server t ~me () =
         match message with
         | Query { op; key } ->
             let reply =
-              Sim.atomic (Sim.Read { obj = replica_obj t ~me ~key }) (fun _ ->
+              Sim.atomic (fst (replica_kinds t ~me ~key)) (fun _ ->
                   let tag, value = replica_get t ~me ~key in
                   Query_reply { op; tag; value })
             in
             Link.send t.net ~to_:from reply
         | Update { op; key; tag; value } ->
-            Sim.atomic (Sim.Write { obj = replica_obj t ~me ~key }) (fun _ ->
+            Sim.atomic (snd (replica_kinds t ~me ~key)) (fun _ ->
                 let current_tag, _ = replica_get t ~me ~key in
                 if compare_tag tag current_tag > 0 then
                   Hashtbl.replace t.replica.(me) key (tag, value));

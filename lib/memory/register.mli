@@ -13,7 +13,8 @@ val create : name:string -> 'a -> 'a t
     steps in the trace. A register counts each operation when its step
     runs (an operation parked when the run stops is not counted), into
     the metrics registry of the domain that created it, so it is used
-    in that domain, like the scheduler that steps it. *)
+    in that domain, like the scheduler that steps it and like a
+    {!Kernel.Link}. *)
 
 val name : 'a t -> string
 

@@ -302,7 +302,7 @@ let pinned_cases =
   [
     ( "hb/evP monitors gst=60 loss=40 (3 worlds)",
       monitors `Ev_perfect,
-      1_513_848,
+      1_205_860,
       [
         ("spec_ok", 3); ("stab_total", 209); ("scheduler_steps", 18000);
         ("link_sent", 13494); ("link_delivered", 11948); ("link_dropped", 41);
@@ -311,11 +311,11 @@ let pinned_cases =
       ] );
     ( "hb/evS monitors gst=60 loss=40 (3 worlds)",
       monitors `Ev_strong,
-      1_929_331,
+      1_538_380,
       [ ("spec_ok", 3); ("stab_total", 200); ("scheduler_steps", 18000) ] );
     ( "extraction/oracle-vs-hb f=2 (2 worlds)",
       extraction,
-      18_332_959,
+      16_591_978,
       [
         ("both_ok", 2); ("hb_stab_total", 618); ("scheduler_steps", 600000);
         ("link_sent", 79999); ("link_delivered", 59987); ("link_dropped", 13);
@@ -324,7 +324,7 @@ let pinned_cases =
       ] );
     ( "consensus/oracle-vs-hb n=3 (2 worlds)",
       consensus,
-      623_924,
+      513_300,
       [
         ("both_ok", 2); ("hb_decide_total", 7488); ("query_violations", 0);
         ("scheduler_steps", 11769); ("link_sent", 1897); ("link_delivered", 1638);
@@ -333,7 +333,7 @@ let pinned_cases =
       ] );
     ( "check/hb-detector p2 d5",
       check hb_obj,
-      1_478_331,
+      602_754,
       [
         ("violations", 0); ("executions", 20); ("races", 3056);
         ("backtrack_points", 22); ("scheduler_steps", 10000); ("link_sent", 5761);
@@ -343,14 +343,14 @@ let pinned_cases =
       ] );
     ( "check/link-chaos p2 d5",
       check (Check.Scenario.Link_chaos chaos),
-      1_294_495,
+      445_072,
       [
         ("violations", 0); ("executions", 20); ("races", 3056);
         ("backtrack_points", 22); ("scheduler_steps", 10000);
       ] );
     ( "check/hb-mutant timeout-never-increased d5",
       check ~mutant:Kernel.Mutant.Hb_timeout_never_increased hb_obj,
-      287_560,
+      198_099,
       [
         ("violations", 1); ("executions", 1); ("scheduler_steps", 4000);
         ("shrink_replays", 7); ("link_sent", 2659); ("link_delivered", 2615);

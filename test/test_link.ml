@@ -348,6 +348,105 @@ let test_dpor_crash_isolation () =
   checkb "no execution violates isolation" true (outcome.counterexample = None);
   checkb "explored more than one schedule" true (outcome.stats.executions > 1)
 
+(* --------------------------------------------------- pinned behaviour *)
+
+(* Everything a link run shows its users, pinned exactly on three lossy,
+   delaying configurations: the [(sender, payload)] list of every poll
+   in order, every send's fate and delivery time, and [in_flight] per
+   pid at the horizon, rendered and digested. Four processes on a
+   random schedule poll every step, broadcast on a timer and otherwise
+   send to their successor, so inboxes hold a mix of ready and waiting
+   messages from several senders. The [net.link.*] counters must equal
+   what the send log implies. *)
+
+let pinned_run ~config =
+  let n_plus_1 = 4 in
+  let link = Link.create ~name:"pin" ~n_plus_1 ~config () in
+  let tick = Array.init n_plus_1 (fun _ -> Timer.Periodic.create ~period:5) in
+  let polls = ref [] in
+  let body pid () =
+    let rec loop () =
+      let now, msgs = Link.poll_now link ~me:pid in
+      polls := (pid, now, msgs) :: !polls;
+      if Timer.Periodic.due tick.(pid) ~now then Link.broadcast link now
+      else if now mod 3 = 0 then
+        Link.send link ~to_:((pid + 1) mod n_plus_1) (-now);
+      loop ()
+    in
+    loop ()
+  in
+  let _ =
+    Run.exec
+      ~pattern:(Failure_pattern.no_failures ~n_plus_1)
+      ~policy:(Policy.random (Rng.create 17))
+      ~horizon:900
+      ~procs:(fun pid -> [ body pid ])
+      ()
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (pid, now, msgs) ->
+      Printf.bprintf b "poll %d@%d:" pid now;
+      List.iter (fun (from, m) -> Printf.bprintf b " %d/%d" from m) msgs;
+      Buffer.add_char b '\n')
+    (List.rev !polls);
+  List.iter
+    (fun r ->
+      Printf.bprintf b "send %d>%d %d %d %d\n" r.Link.sr_from r.Link.sr_to
+        r.Link.sr_sent_at r.Link.sr_ready_at r.Link.sr_delivered_at)
+    (Link.sends link);
+  let in_flight = List.init n_plus_1 (Link.in_flight link) in
+  List.iter (Printf.bprintf b "in_flight %d\n") in_flight;
+  (link, Digest.to_hex (Digest.string (Buffer.contents b)), in_flight)
+
+let pinned_links =
+  [
+    ( "default chaos",
+      Check.Scenario.default_chaos,
+      "fc713ece582ec5569c3dade770c72b6e",
+      (719, 704, 4, 350),
+      [ 3; 3; 3; 2 ] );
+    ( "long lossy prefix",
+      { Link.gst = 300; delta = 3; pre_delay = 12; loss_pct = 30; link_seed = 17 },
+      "c26a1e42bb80e1697e2c418422a2ecc6",
+      (719, 635, 73, 471),
+      [ 3; 3; 3; 2 ] );
+    ( "never stable",
+      { Link.gst = 2000; delta = 1; pre_delay = 4; loss_pct = 70; link_seed = 29 },
+      "35e79b056fed58208156ab59b68f9ad4",
+      (719, 200, 514, 167),
+      [ 0; 2; 2; 1 ] );
+  ]
+
+let test_pinned_behaviour () =
+  List.iter
+    (fun (name, config, digest, (sent, delivered, dropped, delayed), in_flight) ->
+      let (link, got_digest, got_in_flight), snap, _ =
+        Testutil.measured (fun () -> pinned_run ~config)
+      in
+      let sends = Link.sends link in
+      let count p = List.length (List.filter p sends) in
+      let counter what =
+        Testutil.counter snap (Printf.sprintf "net.link.%s{link=pin}" what)
+      in
+      let derived =
+        ( List.length sends,
+          count (fun r -> r.Link.sr_delivered_at >= 0),
+          count (fun r -> r.Link.sr_ready_at < 0),
+          count (fun r -> r.Link.sr_ready_at > r.Link.sr_sent_at + 1) )
+      in
+      let quad = Alcotest.(pair (pair int int) (pair int int)) in
+      let pairs (a, b, c, d) = ((a, b), (c, d)) in
+      Alcotest.check quad (name ^ ": counters match the send log")
+        (pairs derived)
+        (pairs (counter "sent", counter "delivered", counter "dropped", counter "delayed"));
+      Alcotest.check quad (name ^ ": sent, delivered, dropped, delayed")
+        (pairs (sent, delivered, dropped, delayed))
+        (pairs derived);
+      Alcotest.(check (list int)) (name ^ ": in flight") in_flight got_in_flight;
+      Alcotest.(check string) (name ^ ": polls and fates") digest got_digest)
+    pinned_links
+
 (* ----------------------------------------------------------- qcheck *)
 
 let gen_config =
@@ -399,6 +498,55 @@ let qcheck_cases =
                     <= r.Link.sr_sent_at + 1 + config.Link.pre_delay)
              (Link.sends link)
         && Link.undelivered_ready link ~by:(last - 40) = []);
+    Test.make ~count:60
+      ~name:"link: every poll returns a naive mailbox's ready messages in send order"
+      (make
+         ~print:(fun (c, n, s) -> Printf.sprintf "%s n+1=%d seed=%d" (pp_cfg c) n s)
+         QCheck.Gen.(triple gen_config (int_range 1 4) small_nat))
+      (fun (config, n_plus_1, seed) ->
+        (* the model keeps, per receiver, every undelivered message sent
+           to it as (sender, payload, ready time), oldest send first; a
+           send's fate is read back from the send log *)
+        let link = Link.create ~name:"m" ~n_plus_1 ~config () in
+        let model = Array.make n_plus_1 [] in
+        let agrees = ref true and payload = ref 0 in
+        let body pid () =
+          let rng = Rng.create ((seed * 8) + pid) in
+          while true do
+            if Rng.int rng 3 = 0 then begin
+              let to_ = Rng.int rng n_plus_1 in
+              incr payload;
+              let m = !payload in
+              Link.send link ~to_ m;
+              let r = List.hd (List.rev (Link.sends link)) in
+              if r.Link.sr_from <> pid || r.Link.sr_to <> to_ then
+                agrees := false;
+              if r.Link.sr_ready_at >= 0 then
+                model.(to_) <- model.(to_) @ [ (pid, m, r.Link.sr_ready_at) ]
+            end
+            else begin
+              let now, got = Link.poll_now link ~me:pid in
+              let ready, waiting =
+                List.partition (fun (_, _, at) -> at <= now) model.(pid)
+              in
+              model.(pid) <- waiting;
+              if got <> List.map (fun (from, m, _) -> (from, m)) ready then
+                agrees := false
+            end
+          done
+        in
+        let _ =
+          Run.exec
+            ~pattern:(Failure_pattern.no_failures ~n_plus_1)
+            ~policy:(Policy.random (Rng.create seed))
+            ~horizon:300
+            ~procs:(fun pid -> [ body pid ])
+            ()
+        in
+        !agrees
+        && List.for_all
+             (fun pid -> Link.in_flight link pid = List.length model.(pid))
+             (Pid.all ~n_plus_1));
     Test.make ~count:40
       ~name:"link: crash isolation holds under random configs and crashes"
       (make
@@ -431,5 +579,7 @@ let suite =
     Alcotest.test_case "config string round-trip" `Quick
       test_config_string_round_trip;
     Alcotest.test_case "DPOR crash isolation" `Quick test_dpor_crash_isolation;
+    Alcotest.test_case "pinned polls, fates and counters" `Quick
+      test_pinned_behaviour;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases
