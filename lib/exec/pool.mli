@@ -31,7 +31,17 @@
     Pool calls do not nest meaningfully: a [map] issued from inside a
     worker runs its units inline in that worker (no new domains, no
     per-unit metrics windows), so the enclosing unit still appears
-    atomic to the outer pool. *)
+    atomic to the outer pool.
+
+    Workers size their own minor heap. In OCaml 5 every minor
+    collection stops every domain, so workers allocating into the
+    default 256k-word minor heap stop each other each time any one of
+    them fills it. Each worker therefore sets its minor heap to 1M
+    words (8 MB) when it starts, or keeps the startup size
+    ([OCAMLRUNPARAM=s=...]) if that is larger. [Gc.set] resizes only
+    the calling domain and every new domain starts at the startup
+    size, so the caller, serial pools and pools nested in a worker run
+    at the size they had, and nothing carries over to later pools. *)
 
 type t
 

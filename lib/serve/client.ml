@@ -1,9 +1,27 @@
-type t = { fd : Unix.file_descr; mutable pending : string }
+(* [chunk.[start .. stop)] holds bytes read but not yet returned, and a
+   reply longer than one read gathers in [line]. Both are allocated once
+   per connection: an 8 KiB chunk is past the minor heap's object limit,
+   so one per reply would be a major-heap allocation per request. *)
+type t = {
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+  line : Buffer.t;
+}
 
 let connect ~socket =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Unix.ADDR_UNIX socket) with
-  | () -> Ok { fd; pending = "" }
+  | () ->
+      Ok
+        {
+          fd;
+          chunk = Bytes.create 8192;
+          start = 0;
+          stop = 0;
+          line = Buffer.create 256;
+        }
   | exception Unix.Unix_error (e, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error
@@ -12,32 +30,39 @@ let connect ~socket =
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let rec go off =
     if off < n then
-      let k = Unix.write fd b off (n - off) in
+      let k = Unix.write_substring fd s off (n - off) in
       go (off + k)
   in
   go 0
 
 let read_line t =
-  let chunk = Bytes.create 8192 in
+  let rec newline i =
+    if i >= t.stop || Bytes.get t.chunk i = '\n' then i else newline (i + 1)
+  in
   let rec go () =
-    match String.index_opt t.pending '\n' with
-    | Some i ->
-        let line = String.sub t.pending 0 i in
-        t.pending <-
-          String.sub t.pending (i + 1) (String.length t.pending - i - 1);
-        Ok line
-    | None -> (
-        match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-        | 0 -> Error "connection closed before a full response line arrived"
-        | n ->
-            t.pending <- t.pending ^ Bytes.sub_string chunk 0 n;
-            go ()
-        | exception Unix.Unix_error (e, _, _) ->
-            Error (Printf.sprintf "read failed: %s" (Unix.error_message e)))
+    let i = newline t.start in
+    if i < t.stop then begin
+      Buffer.add_subbytes t.line t.chunk t.start (i - t.start);
+      t.start <- i + 1;
+      let line = Buffer.contents t.line in
+      Buffer.clear t.line;
+      Ok line
+    end
+    else begin
+      Buffer.add_subbytes t.line t.chunk t.start (t.stop - t.start);
+      t.start <- 0;
+      t.stop <- 0;
+      match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+      | 0 -> Error "connection closed before a full response line arrived"
+      | n ->
+          t.stop <- n;
+          go ()
+      | exception Unix.Unix_error (e, _, _) ->
+          Error (Printf.sprintf "read failed: %s" (Unix.error_message e))
+    end
   in
   go ()
 

@@ -195,11 +195,10 @@ let slow_log t ~trace ~id ~meth ~code ~wall_ms =
 (* ---------------------------------------------------- connection ----- *)
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let rec go off =
     if off < n then
-      let k = Unix.write fd b off (n - off) in
+      let k = Unix.write_substring fd s off (n - off) in
       go (off + k)
   in
   go 0

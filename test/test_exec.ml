@@ -397,6 +397,71 @@ let test_trace_lines_identical () =
   checkb "exported JSONL identical at -j1 / -j4" true
     (lines_of ~jobs:1 = lines_of ~jobs:4)
 
+(* -- worker minor heaps ------------------------------------------------ *)
+
+(* Workers size their own minor heap to 1M words, so they stop each
+   other for minor collections less often; the caller, serial pools,
+   nested pools and later domains keep their size. *)
+let worker_words = 1 lsl 20
+let minor_heap _ = (Gc.get ()).Gc.minor_heap_size
+
+let test_worker_minor_heap () =
+  let caller = minor_heap () in
+  let units =
+    Pool.map
+      (Pool.create ~jobs:2 ())
+      ~f:(fun _ ->
+        let own = minor_heap () in
+        (own, Pool.map (Pool.create ~jobs:2 ()) ~f:minor_heap 3))
+      4
+  in
+  List.iter
+    (fun (own, nested) ->
+      checkb
+        (Printf.sprintf "worker reads %d >= %d words" own worker_words)
+        true (own >= worker_words);
+      Alcotest.check ilist "a nested pool runs at its worker's size"
+        [ own; own; own ] nested)
+    units;
+  checki "the caller keeps its size" caller (minor_heap ());
+  Alcotest.check ilist "a jobs = 1 pool runs at the caller's size"
+    [ caller; caller; caller ]
+    (Pool.map (Pool.create ()) ~f:minor_heap 3);
+  checki "a fresh domain starts at the startup size" caller
+    (Domain.join (Domain.spawn minor_heap))
+
+(* A larger startup size is never shrunk: the probe prints the caller's
+   size and then each parallel unit's, under OCAMLRUNPARAM=s=4M. *)
+let test_worker_keeps_larger_startup_heap () =
+  let probe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "pool_race/pool_heap_probe.exe"
+  in
+  let env =
+    Array.append
+      [| "OCAMLRUNPARAM=s=4M" |]
+      (Array.of_list
+         (List.filter
+            (fun v -> not (String.starts_with ~prefix:"OCAMLRUNPARAM=" v))
+            (Array.to_list (Unix.environment ()))))
+  in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process_env probe [| probe |] env Unix.stdin out_w Unix.stderr
+  in
+  Unix.close out_w;
+  let ic = Unix.in_channel_of_descr out_r in
+  let out = In_channel.input_all ic in
+  close_in ic;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "pool heap probe failed");
+  let startup = 4 lsl 20 in
+  Alcotest.check ilist "caller and every worker keep the 4M-word startup size"
+    [ startup; startup; startup; startup; startup ]
+    (List.map int_of_string (String.split_on_char ' ' (String.trim out)))
+
 let suite =
   [
     Alcotest.test_case "map merges in unit order" `Quick test_map_order;
@@ -430,4 +495,8 @@ let suite =
       test_first_use_race;
     Alcotest.test_case "every table identical at -j1/-j3" `Quick
       test_every_table_identical;
+    Alcotest.test_case "workers size their minor heap, caller keeps its"
+      `Quick test_worker_minor_heap;
+    Alcotest.test_case "workers keep a larger startup minor heap" `Quick
+      test_worker_keeps_larger_startup_heap;
   ]

@@ -425,6 +425,68 @@ let test_daemon_health_and_echo () =
       | Ok resp -> checkb "id echoed" true (resp.Serve.Proto.resp_id = J.String "h7")
       | Error msg -> Alcotest.failf "transport error: %s" msg)
 
+(* One connection, replies longer and shorter than the client's 8 KiB
+   read chunk in turn: the client keeps one chunk and one line buffer
+   per connection, so a byte left over from one reply, or a line not
+   cleared, would corrupt the next. The long reply is a check whose
+   request id, echoed in the envelope, is 12,000 bytes. *)
+let test_client_long_replies_one_connection () =
+  with_daemon (fun _ socket ->
+      match Serve.Client.connect ~socket with
+      | Error msg -> Alcotest.failf "connect: %s" msg
+      | Ok conn ->
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close conn)
+            (fun () ->
+              let call r =
+                match Serve.Client.call conn r with
+                | Ok resp -> resp
+                | Error msg -> Alcotest.failf "transport error: %s" msg
+              in
+              let payload resp =
+                match resp.Serve.Proto.result with
+                | Ok p -> p
+                | Error e ->
+                    Alcotest.failf "server error: %s" e.Serve.Proto.message
+              in
+              let id =
+                J.String
+                  (String.init 12_000 (fun i -> Char.chr (97 + (i mod 26))))
+              in
+              let long =
+                req ~id "check"
+                  [ ("object", J.String "register"); ("depth", J.Int 3);
+                    ("horizon", J.Int 60) ]
+              in
+              let first = call long in
+              (* The envelope holds the id and the payload, so the reply
+                 line is at least as long as the two rendered. *)
+              let bytes resp =
+                String.length (J.to_string resp.Serve.Proto.resp_id)
+                + String.length (J.to_string (payload resp))
+              in
+              checkb
+                (Printf.sprintf "the reply (over %d bytes) is longer than 8 KiB"
+                   (bytes first))
+                true
+                (bytes first > 8192);
+              checkb "the long id is echoed" true (first.Serve.Proto.resp_id = id);
+              let health = call (req ~id:(J.String "h") "health" []) in
+              checkb "health after it: id" true
+                (health.Serve.Proto.resp_id = J.String "h");
+              checkb "health after it: status" true
+                (J.member "status" (payload health) = Some (J.String "ok"));
+              let again = call long in
+              checkb "the long id again" true (again.Serve.Proto.resp_id = id);
+              let direct =
+                J.to_string
+                  (Wfde.Harness.check_outcome_json
+                     (Wfde.Harness.check_exhaustive ~depth:3 ~horizon:60
+                        Wfde.Scenario.Register))
+              in
+              checks "the first check payload" direct (J.to_string (payload first));
+              checks "the check payload again" direct (J.to_string (payload again))))
+
 (* Satellite: the determinism regression. One check and one sweep
    request, asked (a) directly of the service, (b) through the daemon
    serially, (c) through the daemon from concurrent clients — after
@@ -1734,4 +1796,6 @@ let suite =
       test_cli_check_smoke;
     Alcotest.test_case "service: deadline polled before every unit" `Quick
       test_deadline_per_unit;
+    Alcotest.test_case "client: long, short, long replies on one connection"
+      `Quick test_client_long_replies_one_connection;
   ]
