@@ -285,7 +285,7 @@ let trace_cmd =
 
 (* ------------------------------------------------------------ stats --- *)
 
-let run_stats ids config json_path format =
+let run_stats ids config json_path =
   Wfde.Metrics.reset ();
   with_experiments ids config (fun timed ->
       let outcomes = outcomes timed in
@@ -294,15 +294,12 @@ let run_stats ids config json_path format =
         String.concat sep (List.map (fun (o : Wfde.Experiments.outcome) -> o.id) os)
       in
       let snap = Wfde.Metrics.snapshot () in
-      (match format with
-      | `Prom -> print_string (Wfde.Obs.Prom.render snap)
-      | `Table ->
-          let title =
-            Printf.sprintf "telemetry after %d experiment(s): %s"
-              (List.length outcomes) (names " " outcomes)
-          in
-          Format.printf "%s@."
-            (Wfde.Report.to_string (Wfde.Report.of_metrics ~title snap)));
+      let title =
+        Printf.sprintf "telemetry after %d experiment(s): %s"
+          (List.length outcomes) (names " " outcomes)
+      in
+      Format.printf "%s@."
+        (Wfde.Report.to_string (Wfde.Report.of_metrics ~title snap));
       let json_failed =
         write_json ~what:"metrics" ~log:Format.std_formatter json_path
           (Wfde.Metrics.to_json snap)
@@ -322,23 +319,12 @@ let stats_cmd =
       & info [ "json" ] ~docv:"PATH"
           ~doc:"Also write the metrics snapshot as a JSON document to $(docv).")
   in
-  let format_arg =
-    let doc =
-      "Output format: $(b,table) (the human report) or $(b,prom) \
-       (Prometheus text exposition 0.0.4, the same body the daemon's \
-       metrics method returns with format=prom)."
-    in
-    Arg.(
-      value
-      & opt (enum [ ("table", `Table); ("prom", `Prom) ]) `Table
-      & info [ "format" ] ~docv:"FMT" ~doc)
-  in
   let doc =
     "run experiments and dump the telemetry-registry counters they populated"
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(
-      const run_stats $ ids_arg $ config_term $ json_arg $ format_arg)
+      const run_stats $ ids_arg $ config_term $ json_arg)
 
 (* ------------------------------------------------------------ check --- *)
 
@@ -358,6 +344,10 @@ let run_check obj_name procs depth horizon jobs mutant_name detectors json_path
   in
   match obj with
   | Error msg -> fail msg
+  | Ok obj when Option.value procs ~default:0 > Wfde.Scenario.max_procs obj ->
+      fail
+        (Printf.sprintf "%s: --procs must be at most %d"
+           (Wfde.Scenario.to_string obj) (Wfde.Scenario.max_procs obj))
   | Ok obj -> (
       let mutant =
         match mutant_name with
@@ -400,7 +390,9 @@ let check_cmd =
   in
   let procs_arg =
     let doc =
-      "Number of processes (clamped up to the scenario's minimum; default 2)."
+      "Number of processes (clamped up to the scenario's minimum; default \
+       2). Above the object's maximum (15 for register, 61 for snapshot) \
+       the check exits 2."
     in
     Arg.(
       value
@@ -769,7 +761,7 @@ let client_cmd =
         \  wfde client check --params '{\"object\":\"abd\",\"procs\":3}' \
          --deadline-ms 30000\n\
         \  wfde client run --trace t1 --params '{\"experiments\":[\"e1\"]}'\n\
-        \  wfde client metrics --params '{\"format\":\"prom\"}'";
+        \  wfde client metrics";
     ]
   in
   Cmd.v (Cmd.info "client" ~doc ~man)

@@ -65,11 +65,19 @@ let min_procs = function
   | Register -> 1
   | Snapshot | Abd | Commit_adopt | Hb_detector _ | Link_chaos _ -> 2
 
+(* A Lin-checked history holds at most 62 events: the register world
+   logs four per process, the snapshot world one update per updater and
+   two scans. *)
+let max_procs = function
+  | Register -> 15
+  | Snapshot -> 61
+  | Abd | Commit_adopt | Hb_detector _ | Link_chaos _ -> Pid.max_procs
+
 let require obj procs =
-  if procs < min_procs obj then
+  if procs < min_procs obj || procs > max_procs obj then
     invalid_arg
-      (Printf.sprintf "Scenario.make %s: needs at least %d processes"
-         (to_string obj) (min_procs obj))
+      (Printf.sprintf "Scenario.make %s: needs %d to %d processes"
+         (to_string obj) (min_procs obj) (max_procs obj))
 
 (* Every process increments through one shared register: two writes and
    two reads each, all single-step and recorded with their step time. *)

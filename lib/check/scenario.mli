@@ -71,6 +71,10 @@ val of_string : string -> (obj, string) result
 
 val min_procs : obj -> int
 
+val max_procs : obj -> int
+(** [Register] 15 and [Snapshot] 61, whose histories must fit
+    {!Lin.check}'s 62 events; {!Kernel.Pid.max_procs} for the rest. *)
+
 val mutant_of_string : obj -> string -> (Mutant.t, string) result
 (** {!Mutant.of_string}, refusing a mutant that does not target [obj]
     with a one-line error naming its target. abd-skip-write-back
@@ -93,7 +97,8 @@ val make :
     object each world builds (through its [unsafe_plant] hook), so the
     bug lives in that world alone — concurrent builders with different
     mutants never see each other's; objects it does not target ignore
-    it. Raises [Invalid_argument] below {!min_procs}. *)
+    it. Raises [Invalid_argument] below {!min_procs} or above
+    {!max_procs}. *)
 
 val patterns : obj -> procs:int -> Failure_pattern.t list
 (** The failure patterns worth sweeping for this scenario: always

@@ -29,6 +29,7 @@ type t = {
      Algorithm 2.7 *)
   mutable timeout_never_increased : bool;
   mutable suspected_not_restored : bool;
+  metrics : Obs.Metrics.registry; (* the creating domain's, for every count *)
   m_suspicions : Obs.Metrics.counter;
   m_restores : Obs.Metrics.counter;
   m_raises : Obs.Metrics.counter;
@@ -57,6 +58,7 @@ let create ~name ~n_plus_1 ~mode ?(params = default_params) ~net () =
     logs = Array.make n_plus_1 [ (0, Pid.Set.empty) ];
     timeout_never_increased = false;
     suspected_not_restored = false;
+    metrics = Obs.Metrics.registry ();
     m_suspicions = Obs.Metrics.counter (label "suspicions");
     m_restores = Obs.Metrics.counter (label "restores");
     m_raises = Obs.Metrics.counter (label "timeout_raises");
@@ -82,7 +84,7 @@ let log_change t me now =
 
 let raise_timeout t me q =
   if not t.timeout_never_increased then begin
-    Obs.Metrics.incr t.m_raises;
+    Obs.Metrics.add_in t.metrics t.m_raises 1;
     match t.mode with
     | Per_target -> t.timeout.(me).(q) <- t.timeout.(me).(q) + t.params.timeout_inc
     | Common_timeout ->
@@ -100,7 +102,7 @@ let on_heartbeat t ~me ~from ~now =
        delay += Delta) and restore the process *)
     raise_timeout t me from;
     if not t.suspected_not_restored then begin
-      Obs.Metrics.incr t.m_restores;
+      Obs.Metrics.add_in t.metrics t.m_restores 1;
       t.suspected.(me).(from) <- false;
       log_change t me now
     end
@@ -113,7 +115,7 @@ let scan_timeouts t ~me ~now =
       && (not t.suspected.(me).(q))
       && now - t.last_seen.(me).(q) > t.timeout.(me).(q)
     then begin
-      Obs.Metrics.incr t.m_suspicions;
+      Obs.Metrics.add_in t.metrics t.m_suspicions 1;
       t.suspected.(me).(q) <- true;
       log_change t me now
     end
@@ -132,7 +134,7 @@ let fiber ?(until = fun () -> false) t ~me () =
     let now, msgs = Link.poll_now t.link ~me in
     List.iter (fun (from, ()) -> on_heartbeat t ~me ~from ~now) msgs;
     if Timer.Periodic.due t.tick.(me) ~now then begin
-      Obs.Metrics.incr t.m_beats;
+      Obs.Metrics.add_in t.metrics t.m_beats 1;
       Link.broadcast t.link ()
     end;
     scan_timeouts t ~me ~now;

@@ -46,6 +46,7 @@ type 'a t = {
       (* write tags broadcast, with keys, values and invoke times *)
   mutable skip_write_back : bool;
       (* planted Mutant.Abd_skip_write_back: reads become merely regular *)
+  metrics : Obs.Metrics.registry; (* the creating domain's, for every count *)
 }
 
 let create ~name ~n_plus_1 ~init =
@@ -62,6 +63,7 @@ let create ~name ~n_plus_1 ~init =
     log = [];
     attempts = [];
     skip_write_back = false;
+    metrics = Obs.Metrics.registry ();
   }
 
 let replica_get t ~me ~key =
@@ -159,7 +161,7 @@ let max_tagged replies =
    with the highest tag, the invocation time (the marker step below) and
    the phase's completion time. *)
 let query_phase t ~me ~key =
-  Obs.Metrics.incr m_query_phases;
+  Obs.Metrics.add_in t.metrics m_query_phases 1;
   let op = fresh_op t ~me in
   let invoked = ref 0 in
   Sim.atomic
@@ -176,7 +178,7 @@ let query_phase t ~me ~key =
 (* Phase 2: propagate (tag, value) to a majority. Returns the response
    time. *)
 let update_phase t ~me ~key ~tag ~value =
-  Obs.Metrics.incr m_update_phases;
+  Obs.Metrics.add_in t.metrics m_update_phases 1;
   let op = fresh_op t ~me in
   Link.broadcast t.net (Update { op; key; tag; value });
   let _, responded = await t ~me ~op ~want:(quorum t) in
@@ -191,8 +193,8 @@ let read t ~me ~key =
     if t.skip_write_back then query_done
     else update_phase t ~me ~key ~tag ~value
   in
-  Obs.Metrics.incr m_reads;
-  Obs.Metrics.observe_int m_latency (responded - invoked);
+  Obs.Metrics.add_in t.metrics m_reads 1;
+  Obs.Metrics.observe_in t.metrics m_latency (responded - invoked);
   log_op t { kind = `Read; pid = me; key; tag; value; invoked; responded };
   value
 
@@ -204,8 +206,8 @@ let write t ~me ~key value =
      after its invocation *)
   t.attempts <- (key, tag, value, invoked) :: t.attempts;
   let responded = update_phase t ~me ~key ~tag ~value in
-  Obs.Metrics.incr m_writes;
-  Obs.Metrics.observe_int m_latency (responded - invoked);
+  Obs.Metrics.add_in t.metrics m_writes 1;
+  Obs.Metrics.observe_in t.metrics m_latency (responded - invoked);
   log_op t { kind = `Write; pid = me; key; tag; value; invoked; responded };
   ()
 

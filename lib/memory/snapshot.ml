@@ -4,6 +4,7 @@ type 'a t = {
   cells : 'a entry Register.t array;
   mutable single_collect : bool;
       (* planted Mutant.Snapshot_single_collect: no double-collect check *)
+  metrics : Obs.Metrics.registry; (* the creating domain's, for every count *)
 }
 
 let m_scans = Obs.Metrics.counter "memory.snapshot.scans"
@@ -22,7 +23,7 @@ let create ~name ~size ~init =
     Register.array ~name ~size ~init:(fun i ->
         { data = init i; version = 0; view = initial_view })
   in
-  { cells; single_collect = false }
+  { cells; single_collect = false; metrics = Obs.Metrics.registry () }
 
 let size t = Array.length t.cells
 
@@ -43,8 +44,8 @@ let scan_entries_timed t =
   let moved = Array.make n 0 in
   let rounds = ref 1 in
   let finish result =
-    Obs.Metrics.incr m_scans;
-    Obs.Metrics.observe_int m_scan_rounds !rounds;
+    Obs.Metrics.add_in t.metrics m_scans 1;
+    Obs.Metrics.observe_in t.metrics m_scan_rounds !rounds;
     result
   in
   let c0, t_first, c0_last = Register.collect_timed t.cells in
@@ -67,7 +68,7 @@ let scan_entries_timed t =
       else
         match !borrowed with
         | Some e ->
-            Obs.Metrics.incr m_borrowed;
+            Obs.Metrics.add_in t.metrics m_borrowed 1;
             (finish (Array.copy e.view), t_first, c2_last)
         | None ->
             incr rounds;
@@ -87,7 +88,7 @@ let scan_timed t =
   (Array.map fst view, first, last)
 
 let update_timed t ~me v =
-  Obs.Metrics.incr m_updates;
+  Obs.Metrics.add_in t.metrics m_updates 1;
   let view, first, _ = scan_entries_timed t in
   let old = Register.read t.cells.(me) in
   let written =

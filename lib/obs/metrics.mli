@@ -80,11 +80,14 @@ type registry
 val registry : unit -> registry
 (** The calling domain's registry. An object that counts on every
     operation takes it once, when it is created, and counts through
-    {!add_in} to skip the DLS read; it must then be used in that same
-    domain. *)
+    {!add_in} and {!observe_in} to skip the DLS read; it must then be
+    used in that same domain. *)
 
 val add_in : registry -> counter -> int -> unit
 (** [add_in r c n] adds [n] to [c] in [r]. *)
+
+val observe_in : registry -> histogram -> int -> unit
+(** [observe_in r h n] is {!observe_int}[ h n] in [r]. *)
 
 (** {1 Snapshots} *)
 

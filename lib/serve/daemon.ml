@@ -125,30 +125,12 @@ let health_json t =
       ("uptime_ms", J.Float ((Unix.gettimeofday () -. t.started_at) *. 1000.));
     ]
 
-let metrics_json t = with_registry t (fun () -> M.to_json (M.snapshot ()))
-
-(* [metrics] accepts an optional {"format": "json" | "prom"} param;
-   prom wraps the exposition text so the envelope stays JSON. *)
-let metrics_payload t params =
-  match List.filter (fun (k, _) -> k <> "format") params with
+(* [metrics] takes no params and answers with the registry's JSON
+   document. *)
+let metrics_payload t = function
   | (k, _) :: _ ->
       Error (Proto.err Bad_request "unknown \"metrics\" parameter %S" k)
-  | [] -> (
-      match List.assoc_opt "format" params with
-      | None | Some (J.String "json") -> Ok (metrics_json t)
-      | Some (J.String "prom") ->
-          let text =
-            with_registry t (fun () -> Obs.Prom.render (M.snapshot ()))
-          in
-          Ok
-            (J.Obj
-               [
-                 ("content_type", J.String Obs.Prom.content_type);
-                 ("body", J.String text);
-               ])
-      | Some _ ->
-          Error
-            (Proto.err Bad_request "\"format\" must be \"json\" or \"prom\""))
+  | [] -> Ok (with_registry t (fun () -> M.to_json (M.snapshot ())))
 
 (* [cache] accepts an optional {"op": "stats" | "clear"} param and
    answers with the stats snapshot (post-clear when clearing). Answered

@@ -8,7 +8,9 @@
     bounded engine queue and rejected immediately with [queue_full]
     when it is at capacity; [health], [metrics], and [cache] are
     answered inline by the connection thread so they keep working while
-    the fleet is busy or draining.
+    the fleet is busy or draining. [metrics] takes no params: it
+    answers with the registry's JSON document ({!Obs.Metrics.to_json}),
+    and any param is a [bad_request].
 
     [run], [check], and [sweep] are dispatched through a
     content-addressed result {!Cache} {e before} the engine queue:

@@ -352,6 +352,31 @@ let test_mixed_mutant_batch () =
 
 (* ---------------------------------------------------- 1-minimality --- *)
 
+(* A scenario builds worlds up to its [max_procs]: the register and
+   snapshot worlds run to completion there and their Lin-checked
+   histories pass, and one more process is refused before any world is
+   built (Lin.check takes at most 62 events). *)
+let test_scenario_procs_bounds () =
+  List.iter
+    (fun (obj, max) ->
+      let name = Scenario.to_string obj in
+      checki (name ^ " max_procs") max (Scenario.max_procs obj);
+      let fibers, check = Scenario.make obj ~procs:max () in
+      let result =
+        Run.exec
+          ~pattern:(Failure_pattern.no_failures ~n_plus_1:max)
+          ~policy:(Policy.round_robin ()) ~horizon:10_000_000 ~procs:fibers ()
+      in
+      checkb (name ^ " quiescent at max_procs") true
+        (result.outcome = Scheduler.Quiescent);
+      checkb (name ^ " checks at max_procs") true (is_ok (check result));
+      checkb (name ^ " refuses max_procs + 1") true
+        (match Scenario.make obj ~procs:(max + 1) () with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ (Scenario.Register, 15); (Scenario.Snapshot, 61) ];
+  checki "abd max_procs" Pid.max_procs (Scenario.max_procs Scenario.Abd)
+
 (* Satellite property of the shrinker: on every planted mutant's shrunk
    counterexample, removing any single schedule entry or any single
    crash makes the bug vanish under Policy.script replay. The shrink
@@ -488,6 +513,8 @@ let test_dpor_prunes_10x_on_abd () =
 let suite =
   [
     Alcotest.test_case "lin: sequential register" `Quick test_lin_sequential;
+    Alcotest.test_case "scenario: register and snapshot procs bounds" `Quick
+      test_scenario_procs_bounds;
     Alcotest.test_case "lin: overlapping ops" `Quick test_lin_overlap;
     Alcotest.test_case "lin: new/old inversion" `Quick test_lin_new_old_inversion;
     Alcotest.test_case "lin: pending semantics" `Quick test_lin_pending_may_apply;

@@ -189,6 +189,51 @@ let test_native_snapshot_single_step () =
   let result = run_procs ~n:1 ~policy:(Policy.round_robin ()) (fun _ -> body ()) in
   checki "two steps total" 2 result.steps
 
+(* One seeded run of three updaters and one scanner over both snapshot
+   implementations under a random scheduler. The register-based scans
+   meet interference (extra double collects, borrowed views), so every
+   snapshot counter and the scan-round histogram move; their values are
+   pinned exactly. *)
+let test_snapshot_counters_pinned () =
+  let n = 4 in
+  let run () =
+    let snap = Snapshot.create ~name:"s" ~size:n ~init:(fun _ -> None) in
+    let native = Native_snapshot.create ~name:"ns" ~size:n ~init:(fun _ -> 0) in
+    let body pid () =
+      for round = 1 to 8 do
+        if pid < 3 then begin
+          Snapshot.update snap ~me:pid (Some round);
+          Native_snapshot.update native ~me:pid round
+        end
+        else begin
+          ignore (Snapshot.scan snap);
+          ignore (Native_snapshot.scan native)
+        end
+      done
+    in
+    Run.exec ~pattern:(failure_free n)
+      ~policy:(Policy.random (Rng.create 4242))
+      ~horizon:200_000
+      ~procs:(fun pid -> [ body pid ])
+      ()
+  in
+  let result, snap, _ = Testutil.measured run in
+  checkb "quiescent" true (result.outcome = Scheduler.Quiescent);
+  List.iter
+    (fun (name, want) -> checki name want (Testutil.counter snap name))
+    [
+      ("memory.snapshot.scans", 32);
+      ("memory.snapshot.updates", 24);
+      ("memory.snapshot.borrowed_views", 4);
+      ("memory.native_snapshot.scans", 8);
+      ("memory.native_snapshot.updates", 24);
+    ];
+  match Obs.Metrics.find_histogram snap "memory.snapshot.scan_rounds" with
+  | None -> Alcotest.fail "no memory.snapshot.scan_rounds histogram"
+  | Some hv ->
+      checki "scan_rounds events" 32 hv.events;
+      checki "scan_rounds sum" 54 (int_of_float hv.sum)
+
 (* -- Consensus objects ---------------------------------------------------- *)
 
 let test_consensus_first_wins () =
@@ -294,6 +339,8 @@ let suite =
       test_snapshot_wait_free_under_adversary;
     Alcotest.test_case "snapshot versions" `Quick
       test_snapshot_versions_count_updates;
+    Alcotest.test_case "snapshot counters pinned" `Quick
+      test_snapshot_counters_pinned;
     Alcotest.test_case "native snapshot single step" `Quick
       test_native_snapshot_single_step;
     Alcotest.test_case "consensus first wins" `Quick test_consensus_first_wins;

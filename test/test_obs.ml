@@ -412,9 +412,11 @@ let test_hist_quantile () =
   checkb "overflow resolves to the largest finite bound" true
     (M.hist_quantile over 0.99 = Some 1.)
 
-(* -- prometheus exposition --------------------------------------------- *)
+(* -- the JSON document -------------------------------------------------- *)
 
-let test_prom_render () =
+let test_metrics_json () =
+  (* labels stay in the names, rows are sorted by name, and a histogram
+     keeps its bucket counts, overflow, sum and event count *)
   let snap =
     {
       M.counters =
@@ -432,55 +434,60 @@ let test_prom_render () =
         ];
     }
   in
-  checks "exposition text"
-    ("# TYPE wfde_serve_in_flight gauge\n\
-      wfde_serve_in_flight 2\n\
-      # TYPE wfde_serve_latency_ms histogram\n\
-      wfde_serve_latency_ms_bucket{method=\"run\",le=\"1\"} 1\n\
-      wfde_serve_latency_ms_bucket{method=\"run\",le=\"5\"} 3\n\
-      wfde_serve_latency_ms_bucket{method=\"run\",le=\"+Inf\"} 4\n\
-      wfde_serve_latency_ms_sum{method=\"run\"} 12.5\n\
-      wfde_serve_latency_ms_count{method=\"run\"} 4\n\
-      # TYPE wfde_serve_requests counter\n\
-      wfde_serve_requests{method=\"run\"} 3\n\
-      wfde_serve_requests{method=\"sweep\"} 1\n\
-      # TYPE wfde_simple_count counter\n\
-      wfde_simple_count 2\n")
-    (Obs.Prom.render snap);
-  checks "content type" "text/plain; version=0.0.4" Obs.Prom.content_type
+  checks "document text"
+    (String.concat ""
+       [
+         {|{"counters":{"serve.requests{method=run}":3,|};
+         {|"serve.requests{method=sweep}":1,"simple.count":2},|};
+         {|"gauges":{"serve.in_flight":2.0},|};
+         {|"histograms":{"serve.latency_ms{method=run}":|};
+         {|{"buckets":[[1.0,1],[5.0,2]],"overflow":1,"sum":12.5,"count":4}}}|};
+       ])
+    (J.to_string (M.to_json snap))
 
-let test_prom_live_registry () =
-  (* render a real snapshot: a histogram built on log buckets must come
-     out with cumulative monotone bucket counts and +Inf = _count *)
+let test_metrics_json_live_registry () =
+  (* a real snapshot: a histogram built on log buckets lists every bound
+     in order, and its bucket counts plus the overflow equal its count *)
   M.reset ();
   let h =
-    M.histogram ~buckets:(M.log_buckets ~lo:1. ~hi:100. ()) "test.prom.lat"
+    M.histogram ~buckets:(M.log_buckets ~lo:1. ~hi:100. ()) "test.json.lat"
   in
   List.iter (M.observe h) [ 0.5; 3.; 42.; 800. ];
-  let text = Obs.Prom.render (M.snapshot ()) in
-  let lines = String.split_on_char '\n' text in
-  let bucket_counts =
-    List.filter_map
-      (fun l ->
-        if String.length l > 24 && String.sub l 0 24 = "wfde_test_prom_lat_bucke" then
-          String.rindex_opt l ' '
-          |> Option.map (fun i ->
-                 int_of_string
-                   (String.sub l (i + 1) (String.length l - i - 1)))
-        else None)
-      lines
+  let doc =
+    match J.of_string (J.to_string (M.to_json (M.snapshot ()))) with
+    | Ok doc -> doc
+    | Error e -> Alcotest.failf "metrics document does not parse: %s" e
   in
-  checkb "has buckets" true (bucket_counts <> []);
-  checkb "cumulative monotone" true
-    (let ok = ref true and prev = ref 0 in
-     List.iter
-       (fun c ->
-         if c < !prev then ok := false;
-         prev := c)
-       bucket_counts;
-     !ok);
-  checki "+Inf equals event count" 4
-    (List.nth bucket_counts (List.length bucket_counts - 1))
+  let hist =
+    match Option.bind (J.member "histograms" doc) (J.member "test.json.lat") with
+    | Some h -> h
+    | None -> Alcotest.fail "test.json.lat missing from the document"
+  in
+  let int k = Option.bind (J.member k hist) J.to_int in
+  let buckets =
+    match J.member "buckets" hist with
+    | Some (J.List bs) ->
+        List.map
+          (function
+            | J.List [ ub; c ] -> (
+                match (J.to_float ub, J.to_int c) with
+                | Some ub, Some c -> (ub, c)
+                | _ -> Alcotest.fail "bad bucket")
+            | _ -> Alcotest.fail "bad bucket")
+          bs
+    | _ -> Alcotest.fail "histogram has no buckets"
+  in
+  checkb "bounds are the log buckets" true
+    (List.map fst buckets = [ 1.; 2.; 5.; 10.; 20.; 50.; 100. ]);
+  checkb "per-bucket counts" true
+    (List.map snd buckets = [ 1; 0; 1; 0; 0; 1; 0 ]);
+  checkb "overflow" true (int "overflow" = Some 1);
+  checkb "count" true (int "count" = Some 4);
+  checki "buckets + overflow = count" 4
+    (List.fold_left
+       (fun acc (_, c) -> acc + c)
+       (Option.value ~default:0 (int "overflow"))
+       buckets)
 
 (* -- one handle kind, domain-local values ----------------------------- *)
 
@@ -567,9 +574,9 @@ let suite =
       test_trace_async_horizon;
     Alcotest.test_case "log buckets (1-2-5 series)" `Quick test_log_buckets;
     Alcotest.test_case "histogram quantiles" `Quick test_hist_quantile;
-    Alcotest.test_case "prometheus exposition" `Quick test_prom_render;
-    Alcotest.test_case "prometheus from a live registry" `Quick
-      test_prom_live_registry;
+    Alcotest.test_case "metrics JSON document" `Quick test_metrics_json;
+    Alcotest.test_case "metrics JSON from a live registry" `Quick
+      test_metrics_json_live_registry;
     Alcotest.test_case "one handle, two domains" `Quick
       test_one_handle_two_domains;
     Alcotest.test_case "concurrent registration" `Quick

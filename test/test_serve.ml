@@ -782,33 +782,33 @@ let test_daemon_traced_loadgen_deterministic () =
 
 (* -- live metrics ------------------------------------------------------ *)
 
-let test_daemon_metrics_formats () =
+(* [metric doc kind name]: the [kind] ("counters", "gauges" or
+   "histograms") entry [name] of a metrics document, if listed. *)
+let metric doc kind name = Option.bind (J.member kind doc) (J.member name)
+
+let test_daemon_metrics_no_params () =
   with_daemon (fun _ socket ->
       ignore (rpc_ok socket (req "sleep" [ ("ms", J.Int 0) ]));
-      let prom = rpc_ok socket (req "metrics" [ ("format", J.String "prom") ]) in
-      (match J.member "content_type" prom with
-      | Some (J.String ct) -> checks "content type" Obs.Prom.content_type ct
-      | _ -> Alcotest.fail "prom payload has no content_type");
-      (match J.member "body" prom with
-      | Some (J.String body) ->
-          checkb "exposition names the request counter" true
-            (contains body "wfde_serve_requests{method=\"sleep\"}");
-          checkb "latency histogram exported" true
-            (contains body "wfde_serve_latency_ms_bucket");
-          checkb "+Inf bucket present" true (contains body "le=\"+Inf\"");
-          checkb "dispatch gauges exported" true
-            (contains body "wfde_serve_worker_utilization")
-      | _ -> Alcotest.fail "prom payload has no body");
-      (* explicit and default json formats return the raw document *)
-      let dflt = rpc_ok socket (req "metrics" []) in
-      checkb "default json has counters" true (J.member "counters" dflt <> None);
-      let explicit = rpc_ok socket (req "metrics" [ ("format", J.String "json") ]) in
-      checkb "explicit json has counters" true
-        (J.member "counters" explicit <> None);
-      checks "unknown format rejected" "bad_request"
-        (rpc_err socket (req "metrics" [ ("format", J.String "xml") ]));
-      checks "unknown metrics param rejected" "bad_request"
-        (rpc_err socket (req "metrics" [ ("fmt", J.String "prom") ])))
+      let doc = rpc_ok socket (req "metrics" []) in
+      checkb "document names the request counter" true
+        (metric doc "counters" "serve.requests{method=sleep}" <> None);
+      checkb "latency histogram listed" true
+        (match metric doc "histograms" "serve.latency_ms{method=sleep}" with
+        | Some h -> J.member "buckets" h <> None && J.member "count" h <> None
+        | None -> false);
+      checkb "dispatch gauges listed" true
+        (metric doc "gauges" "serve.worker.utilization" <> None);
+      (* metrics takes no params: each one is unknown *)
+      let rejected params =
+        checks
+          ("metrics " ^ J.to_string (J.Obj params) ^ " rejected")
+          "bad_request"
+          (rpc_err socket (req "metrics" params))
+      in
+      List.iter
+        (fun v -> rejected [ ("format", J.String v) ])
+        [ "json"; "prom" ];
+      rejected [ ("fmt", J.String "json") ])
 
 let test_daemon_slow_log () =
   let path = Filename.temp_file "wfde_slow" ".log" in
@@ -1066,30 +1066,22 @@ let test_daemon_cache_rpc () =
       checks "unknown param rejected" "bad_request"
         (rpc_err socket (req "cache" [ ("ops", J.String "stats") ])))
 
-(* Cache traffic shows up in the exported metrics, both formats. *)
+(* Cache traffic shows up in the metrics document. *)
 let test_daemon_cache_metrics () =
   with_daemon (fun _ socket ->
       ignore (rpc_ok socket (req "check" check_params));
       ignore (rpc_ok socket (req "check" check_params));
-      let prom = rpc_ok socket (req "metrics" [ ("format", J.String "prom") ]) in
-      (match J.member "body" prom with
-      | Some (J.String body) ->
-          checkb "hit counter exported" true
-            (contains body "wfde_serve_cache_hits");
-          checkb "miss counter exported" true
-            (contains body "wfde_serve_cache_misses");
-          checkb "entries gauge exported" true
-            (contains body "wfde_serve_cache_entries")
-      | _ -> Alcotest.fail "prom payload has no body");
       let doc = rpc_ok socket (req "metrics" []) in
-      match J.member "counters" doc with
-      | Some counters -> (
-          (* the registry is process-wide, so other tests' cache
-             traffic accumulates — assert presence, not an exact count *)
-          match J.member "serve.cache.hits" counters with
-          | Some (J.Int n) -> checkb "json hit counter positive" true (n >= 1)
-          | _ -> Alcotest.fail "serve.cache.hits missing from metrics json")
-      | None -> Alcotest.fail "metrics json has no counters")
+      (* the registry is process-wide, so other tests' cache traffic
+         accumulates: assert presence, not an exact count *)
+      checkb "hit counter positive" true
+        (match metric doc "counters" "serve.cache.hits" with
+        | Some (J.Int n) -> n >= 1
+        | _ -> false);
+      checkb "miss counter listed" true
+        (metric doc "counters" "serve.cache.misses" <> None);
+      checkb "entries gauge listed" true
+        (metric doc "gauges" "serve.cache.entries" <> None))
 
 (* Cache outcomes are visible in the trace tree: a first traced check
    carries cache.miss plus the engine spine, a second carries
@@ -1215,6 +1207,18 @@ let test_cli_check_mutant_target () =
   checks "nothing on stdout" "" out;
   checks "one line" "mutant abd-skip-write-back targets abd, not snapshot\n"
     err
+
+(* --procs above the object's bound exits 2 with one line, before
+   exploring anything; the bound itself still checks. *)
+let test_cli_check_procs_bound () =
+  let status, out, err = cli [ "check"; "--object"; "register"; "--procs"; "16" ] in
+  checkb "register --procs 16 exits 2" true (status = Unix.WEXITED 2);
+  checks "nothing on stdout" "" out;
+  checks "one line" "register: --procs must be at most 15\n" err;
+  checkb "register --procs 15 checks" true
+    (contains
+       (cli_ok [ "check"; "--object"; "register"; "--procs"; "15"; "--depth"; "2" ])
+       "no violation found")
 
 (* The model checker end to end: clean ABD at p3 d10 finds no violation
    with DPOR exploring at least 10x fewer executions than the naive
@@ -1407,16 +1411,13 @@ let test_cli_cache_banner_and_stats () =
       checkb "client cache: an entry" true (int_member "entries" s >= 1);
       checki "one 32-hex entry file after the miss" 1
         (List.length (hex_entries dir));
-      let prom =
-        cli_ok
-          [ "client"; "metrics"; "--socket"; socket; "--params";
-            {|{"format":"prom"}|} ]
-      in
+      let doc = cli_json [ "client"; "metrics"; "--socket"; socket ] in
       List.iter
-        (fun name ->
-          checkb (name ^ " in the exposition") true (contains prom name))
-        [ "wfde_serve_cache_hits"; "wfde_serve_cache_misses";
-          "wfde_serve_cache_entries" ])
+        (fun (kind, name) ->
+          checkb (name ^ " in the metrics document") true
+            (metric doc kind name <> None))
+        [ ("counters", "serve.cache.hits"); ("counters", "serve.cache.misses");
+          ("gauges", "serve.cache.entries") ])
 
 let test_cli_cache_disk_and_clear () =
   let dir = temp_dir () in
@@ -1598,30 +1599,11 @@ let test_cli_check_hb_clean () =
         | None -> false))
     [ hb; [ "check"; "--object"; "link-chaos" ] @ common ]
 
-(* [scripts/check_prom.py] on [text]: a valid Prometheus exposition
-   holding every [require]d family. *)
-let check_prom ?(require = []) name text =
-  let file = Filename.temp_file "wfde-test" ".prom" in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  Out_channel.with_open_bin file (fun oc -> output_string oc text);
-  let args =
-    "../scripts/check_prom.py" :: file
-    :: List.concat_map (fun r -> [ "--require"; r ]) require
-  in
-  let null = Unix.openfile "/dev/null" [ O_WRONLY ] 0 in
-  let pid =
-    Unix.create_process "python3"
-      (Array.of_list ("python3" :: args))
-      Unix.stdin null Unix.stderr
-  in
-  Unix.close null;
-  let _, status = Unix.waitpid [] pid in
-  checkb (name ^ ": check_prom.py accepts it") true (status = Unix.WEXITED 0)
-
 (* A daemon with tracing and a 1 ms slow log, end to end: traced run
    and check requests export wfde-span/1 spans (in the sink before the
-   client has its reply), the metrics exposition over the socket is
-   valid, every slow request logs one structured line, and after the
+   client has its reply), the metrics document over the socket lists
+   the request counters and latencies, every slow request logs one
+   structured line, and after the
    SIGTERM drain [wfde spans] renders the trees. *)
 let test_cli_daemon_observability () =
   let spans = Filename.temp_file "wfde-test-spans" ".jsonl" in
@@ -1663,13 +1645,14 @@ let test_cli_daemon_observability () =
       List.iter
         (fun n -> checkb ("span " ^ n ^ " exported") true (List.mem n names))
         [ "request"; "parse"; "queue_wait"; "dispatch"; "execute"; "render" ];
-      let metrics =
-        cli_ok
-          [ "client"; "metrics"; "--socket"; socket; "--params";
-            {|{"format":"prom"}|} ]
-      in
-      check_prom "metrics over the socket" metrics
-        ~require:[ "wfde_serve_requests"; "wfde_serve_latency_ms" ];
+      let metrics = cli_json [ "client"; "metrics"; "--socket"; socket ] in
+      List.iter
+        (fun (kind, name) ->
+          checkb (name ^ " over the socket") true
+            (metric metrics kind name <> None))
+        [ ("counters", "serve.requests{method=run}");
+          ("counters", "serve.requests{method=check}");
+          ("histograms", "serve.latency_ms{method=run}") ];
       let slow () =
         List.filter
           (fun l -> contains l {|"event":"slow_request"|})
@@ -1693,11 +1676,18 @@ let test_cli_daemon_observability () =
   checkb "spans renders the run trace" true (contains rendered "trace t-run");
   checkb "spans renders execute" true (contains rendered "execute")
 
-(* [wfde stats --format prom] is the same exposition format, offline. *)
-let test_cli_stats_prom () =
-  check_prom "stats e8 --format prom"
-    (cli_ok [ "stats"; "e8"; "--format"; "prom" ])
-    ~require:[ "wfde_kernel_scheduler_steps" ]
+(* [wfde stats --json] writes the metrics document offline; there is
+   no other output format. *)
+let test_cli_stats_json () =
+  let json = Filename.temp_file "wfde-test-stats" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove json) @@ fun () ->
+  ignore (cli_ok [ "stats"; "e8"; "--json"; json ]);
+  checkb "kernel.scheduler.steps counted" true
+    (match metric (json_doc json) "counters" "kernel.scheduler.steps" with
+    | Some (J.Int n) -> n > 0
+    | _ -> false);
+  let status, _, _ = cli [ "stats"; "e8"; "--format"; "table" ] in
+  checkb "--format is not an option" true (status = Unix.WEXITED 124)
 
 let suite =
   [
@@ -1743,8 +1733,8 @@ let suite =
       test_daemon_drain_truncates_spans;
     Alcotest.test_case "daemon: traced loadgen deterministic" `Quick
       test_daemon_traced_loadgen_deterministic;
-    Alcotest.test_case "daemon: metrics formats (json/prom)" `Quick
-      test_daemon_metrics_formats;
+    Alcotest.test_case "daemon: metrics takes no params" `Quick
+      test_daemon_metrics_no_params;
     Alcotest.test_case "daemon: slow-request log" `Quick test_daemon_slow_log;
     Alcotest.test_case "cache: cold/warm/disk byte-identity per method" `Quick
       test_daemon_cache_byte_identity;
@@ -1782,10 +1772,10 @@ let suite =
       test_cli_sweep_hb_jobs;
     Alcotest.test_case "cli: check hb and link-chaos clean, -j" `Quick
       test_cli_check_hb_clean;
-    Alcotest.test_case "cli: daemon spans, prom, slow log, drain, render"
+    Alcotest.test_case "cli: daemon spans, metrics, slow log, drain, render"
       `Quick test_cli_daemon_observability;
-    Alcotest.test_case "cli: stats --format prom is valid exposition" `Quick
-      test_cli_stats_prom;
+    Alcotest.test_case "cli: stats --json is the metrics document" `Quick
+      test_cli_stats_json;
     Alcotest.test_case "cli: daemon health, payloads, errors, drain" `Quick
       test_cli_daemon_smoke;
     Alcotest.test_case "cache: hit/miss spans in the trace tree" `Quick
@@ -1794,6 +1784,8 @@ let suite =
       test_cli_check_mutant_target;
     Alcotest.test_case "cli: check clean abd and every planted mutant" `Quick
       test_cli_check_smoke;
+    Alcotest.test_case "cli: check --procs above the object's bound" `Quick
+      test_cli_check_procs_bound;
     Alcotest.test_case "service: deadline polled before every unit" `Quick
       test_deadline_per_unit;
     Alcotest.test_case "client: long, short, long replies on one connection"
